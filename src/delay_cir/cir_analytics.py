@@ -24,7 +24,6 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from . import noise as noise_mod
 from . import scheme as scheme_mod
 from .model import (
     GammaSpec,
@@ -433,19 +432,16 @@ def inverse_integral_finiteness(
         initial=InitialSegmentSpec.constant(params.x0),
     )
     grid = TimeGrid(t0=params.t0, tau=span, n_per_delay=n_per_delay, n_steps=n_per_delay)
-    seg = np.full(n_per_delay + 1, params.x0)
-    integrals = np.empty(n_paths)
-    chunk = 2048
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
-        inc = np.stack(
-            [noise_mod.generate(grid, seed, i).increments for i in range(lo, hi)]
-        )
+    from .experiments import map_paths  # experiments imports this module
+
+    def inverse_integral(inc, seg):
         y = scheme_mod.simulate_y_paths(spec, grid, inc, seg)
-        recip = 1.0 / np.square(y[:, n_per_delay:])
-        integrals[lo:hi] = grid.delta * (
-            np.sum(recip, axis=1) - 0.5 * (recip[:, 0] + recip[:, -1])
-        )
+        recip = 1.0 / np.square(y[n_per_delay:])
+        # sum each path's nodes as one contiguous row: numpy's pairwise order
+        total = np.ascontiguousarray(recip.T).sum(axis=1)
+        return grid.delta * (total - 0.5 * (recip[0] + recip[-1]))
+
+    integrals = map_paths(spec, grid, seed, n_paths, inverse_integral)
     powered = integrals**q
     estimate = float(np.mean(powered))
     std_err = float(np.std(powered, ddof=1) / math.sqrt(n_paths))

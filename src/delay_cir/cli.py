@@ -187,13 +187,18 @@ def _require(items: dict[str, str], key: str) -> str:
     return value
 
 
+def _positive(items: dict[str, str], key: str) -> float:
+    value = _parse_float(key, _require(items, key))
+    if value <= 0.0:
+        raise BadValue(key, "must be positive")
+    return value
+
+
 def _build_gamma(items: dict[str, str]) -> GammaSpec:
     kind = items["gamma.kind"]
-    level = _parse_float("gamma.level", _require(items, "gamma.level"))
     if kind == "constant":
-        if level <= 0.0:
-            raise BadValue("gamma.level", "must be positive")
-        return GammaSpec.constant(level)
+        return GammaSpec.constant(_positive(items, "gamma.level"))
+    level = _parse_float("gamma.level", _require(items, "gamma.level"))
     if kind == "affine":
         slope = _parse_float("gamma.slope", _require(items, "gamma.slope"))
         return GammaSpec.affine(level, slope)
@@ -207,15 +212,10 @@ def _build_gamma(items: dict[str, str]) -> GammaSpec:
 def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
     kind = items["initial.kind"]
     if kind == "constant":
-        level = _parse_float("initial.level", _require(items, "initial.level"))
-        if level <= 0.0:
-            raise BadValue("initial.level", "must be positive")
-        return InitialSegmentSpec.constant(level)
+        return InitialSegmentSpec.constant(_positive(items, "initial.level"))
     if kind == "lognormal":
-        median = _parse_float("initial.median", _require(items, "initial.median"))
+        median = _positive(items, "initial.median")
         log_sd = _parse_float("initial.log_sd", _require(items, "initial.log_sd"))
-        if median <= 0.0:
-            raise BadValue("initial.median", "must be positive")
         if log_sd < 0.0:
             raise BadValue("initial.log_sd", "must be nonnegative")
         return InitialSegmentSpec.lognormal(median, log_sd)
@@ -254,18 +254,12 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     if experiment not in EXPERIMENTS:
         raise UnknownExperiment(experiment)
 
-    a = _parse_float("a", items["a"])
-    if a <= 0.0:
-        raise BadValue("a", "must be positive")
+    a = _positive(items, "a")
     b = _parse_float("b", items["b"])
     if b < 0.0:
         raise BadValue("b", "must be nonnegative")
-    sigma = _parse_float("sigma", items["sigma"])
-    if sigma <= 0.0:
-        raise BadValue("sigma", "must be positive")
-    tau = _parse_float("tau", items["tau"])
-    if tau <= 0.0:
-        raise BadValue("tau", "must be positive")
+    sigma = _positive(items, "sigma")
+    tau = _positive(items, "tau")
     t0 = _parse_float("t0", items["t0"])
     horizon = _parse_float("horizon", items["horizon"])
     if horizon <= t0:
@@ -296,9 +290,12 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     n_list = _parse_list("N_list", items["N_list"], _parse_int)
     if any(n < 1 for n in n_list):
         raise BadValue("N_list", "entries must be positive integers")
+    for small, big in zip(n_list, n_list[1:]):
+        if big <= small or big % small:
+            raise BadValue("N_list", "must increase, each entry dividing the next")
     n_ref = _parse_int("N_ref", items["N_ref"])
-    if n_ref % max(n_list):
-        raise BadValue("N_ref", "must be nested")
+    if n_ref <= n_list[-1] or n_ref % n_list[-1]:
+        raise BadValue("N_ref", "must be a proper multiple of max(N_list)")
     n_paths = _parse_int("n_paths", items["n_paths"])
     if n_paths < 2:
         raise BadValue("n_paths", "need at least two paths")
@@ -321,28 +318,15 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     if not schemes:
         raise BadValue("scheme", "empty list")
 
-    checkpoints = (
-        _parse_list("checkpoints", items["checkpoints"], _parse_float)
-        if items["checkpoints"] is not None
-        else None
-    )
-    delta_list = (
-        _parse_list("delta_list", items["delta_list"], _parse_float)
-        if items["delta_list"] is not None
-        else None
-    )
-    gamma_lower = (
-        _parse_float("gamma_lower", items["gamma_lower"])
-        if items["gamma_lower"] is not None
-        else None
-    )
+    def optional(key, parse, *scalar):
+        return None if items[key] is None else parse(key, items[key], *scalar)
+
+    checkpoints = optional("checkpoints", _parse_list, _parse_float)
+    delta_list = optional("delta_list", _parse_list, _parse_float)
+    gamma_lower = optional("gamma_lower", _parse_float)
     probe_u = _parse_list("probe.u_list", items["probe.u_list"], _parse_float)
     probe_p = _parse_float("probe.p", items["probe.p"])
-    probe_t = (
-        _parse_float("probe.t", items["probe.t"])
-        if items["probe.t"] is not None
-        else None
-    )
+    probe_t = optional("probe.t", _parse_float)
     if experiment == "analytics_probe" and (
         b != 0.0 or gamma.kind != "constant" or initial.is_random
     ):
@@ -384,10 +368,6 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
@@ -434,7 +414,7 @@ def _write_manifest(config: RunConfig, wall_time: float, products) -> None:
     )
 
 
-def _default_checkpoints(config: RunConfig, grid) -> tuple[float, ...]:
+def _default_checkpoints(grid) -> tuple[float, ...]:
     count = min(5, grid.n_steps)
     ks = sorted({max(1, round(j * grid.n_steps / count)) for j in range(1, count + 1)})
     return tuple(float(grid.time(k)) for k in ks)
@@ -475,8 +455,10 @@ def _run_experiment(config: RunConfig) -> list[str]:
     grid = build_grid(model, config.n_per_delay)
 
     if config.experiment == "mean_check":
-        checkpoints = config.checkpoints or _default_checkpoints(config, grid)
-        rows = mean_consistency_check(model, grid, n_paths, checkpoints, seed)
+        checkpoints = config.checkpoints or _default_checkpoints(grid)
+        rows = mean_consistency_check(
+            model, grid, n_paths, checkpoints, seed, config.threads
+        )
         _write_csv(
             out,
             "mean.csv",
@@ -490,15 +472,16 @@ def _run_experiment(config: RunConfig) -> list[str]:
         if level is None:
             level = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
         lower = classical_variant(model, gamma_level=level)
-        violations = comparison_census(model, lower, grid, n_paths, seed)
+        violations = comparison_census(
+            model, lower, grid, n_paths, seed, config.threads
+        )
         _write_csv(out, "comparison.csv", "n_paths,violations", [(n_paths, violations)])
         return ["comparison.csv"]
 
     if config.experiment == "positivity":
-        rows = [
-            positivity_census(name, model, grid, n_paths, seed)
-            for name in config.schemes
-        ]
+        rows = positivity_census(
+            config.schemes, model, grid, n_paths, seed, config.threads
+        )
         _write_csv(
             out,
             "census.csv",
@@ -514,7 +497,8 @@ def _run_experiment(config: RunConfig) -> list[str]:
                 grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
             )
         result = modulus_scaling(
-            model, grid, n_paths, deltas, seed, p=config.p_list[0]
+            model, grid, n_paths, deltas, seed, p=config.p_list[0],
+            threads=config.threads,
         )
         _write_csv(
             out,
@@ -526,7 +510,7 @@ def _run_experiment(config: RunConfig) -> list[str]:
         return ["modulus.csv", "modulusfit.csv"]
 
     if config.experiment == "survival":
-        est = survival_probability(model, grid, n_paths, seed)
+        est = survival_probability(model, grid, n_paths, seed, config.threads)
         _write_csv(
             out,
             "survival.csv",
@@ -536,6 +520,13 @@ def _run_experiment(config: RunConfig) -> list[str]:
         return ["survival.csv"]
 
     # analytics_probe
+    _write_csv(out, "analytics.csv", "op,argument,value", _probe_rows(config)[1])
+    return ["analytics.csv"]
+
+
+def _probe_rows(config: RunConfig):
+    """(t, [(op, argument, value)]) of the analytic oracles at the probe points."""
+    model = config.model
     params = CIRParams(
         a=model.a,
         gamma=model.gamma.params[0],
@@ -548,8 +539,7 @@ def _run_experiment(config: RunConfig) -> list[str]:
     moment = neg_moment(params, config.probe_p, t)
     rows.append(("neg_moment", config.probe_p, moment.value))
     rows.append(("mean", t, classical_mean(params, t)))
-    _write_csv(out, "analytics.csv", "op,argument,value", rows)
-    return ["analytics.csv"]
+    return t, rows
 
 
 def run(config: RunConfig) -> int:
@@ -581,19 +571,11 @@ def _print_probe(config: RunConfig) -> None:
         raise BadValue(
             "probe", "needs b = 0, constant gamma and a deterministic start"
         )
-    params = CIRParams(
-        a=model.a,
-        gamma=model.gamma.params[0],
-        sigma=model.sigma,
-        x0=float(model.initial.mean_at(model.t0)),
-        t0=model.t0,
-    )
-    t = config.probe_t if config.probe_t is not None else model.horizon
-    for u in config.probe_u:
-        print(f"laplace u={_fmt(u)} t={_fmt(t)} value={_fmt(laplace_transform(params, u, t))}")
-    moment = neg_moment(params, config.probe_p, t)
-    print(f"neg_moment p={_fmt(config.probe_p)} t={_fmt(t)} value={_fmt(moment.value)}")
-    print(f"mean t={_fmt(t)} value={_fmt(classical_mean(params, t))}")
+    t, rows = _probe_rows(config)
+    for op, argument, value in rows:
+        name = {"laplace": "u", "neg_moment": "p"}.get(op)
+        at = f"{name}={_fmt(argument)} t={_fmt(t)}" if name else f"t={_fmt(t)}"
+        print(f"{op} {at} value={_fmt(value)}")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -107,16 +107,26 @@ def implicit_step(y_prev, z_delay, noise, a_under_next, a_bar, b_bar, delta):
         raise NonPositiveForcing(
             "a_under + b_bar * z^2 must be positive for the implicit update"
         )
+    s, c = np.broadcast_arrays(y_prev + noise, c)
+    out = _positive_root(np.atleast_1d(s), np.atleast_1d(c), a_bar, delta)
+    return float(out[0]) if s.ndim == 0 else out
+
+
+def _positive_root(s, c, a_bar, delta):
+    """Positive root y of (1 + a_bar delta) y^2 - s y - c delta = 0 for 1-D ``s``.
+
+    ``c`` is shaped like ``s`` or a scalar.  Where not s >= 0 (s < 0 or NaN)
+    the conjugate form 2 c delta / (disc - s) replaces (s + disc) / (2 (1 +
+    a_bar delta)), whose numerator cancels catastrophically there.
+    """
     one_plus = 1.0 + a_bar * delta
-    s = y_prev + noise
     disc = np.sqrt(s * s + (4.0 * delta) * one_plus * c)
-    # np.where evaluates both branches; disc == s in the (discarded)
-    # conjugate branch would warn, so divisions are muted here.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(
-            s >= 0.0, (s + disc) / (2.0 * one_plus), (2.0 * delta) * c / (disc - s)
-        )
-    return float(out) if np.ndim(out) == 0 else out
+    out = (s + disc) / (2.0 * one_plus)
+    neg = ~(s >= 0.0)
+    if neg.any():
+        c_neg = c[neg] if np.ndim(c) else c
+        out[neg] = (2.0 * delta) * c_neg / (disc[neg] - s[neg])
+    return out
 
 
 def implicit_residual(y_next, y_prev, z_delay, noise, a_under_next, a_bar, b_bar, delta):
@@ -189,16 +199,53 @@ class BaselinePathX:
 # ---------------------------------------------------------------------------
 
 
-def _segment_matrix(segment, grid: TimeGrid, n_paths: int) -> Array:
+def _batch_inputs(n_steps: int, n_nodes: int, increments, segment, perturbation=None):
+    """Validated time-major inputs: increments (K, paths), start X (nodes, paths).
+
+    One-dimensional increments are one path; a one-dimensional segment is
+    shared by every path, and ``perturbation`` broadcasts against the
+    (nodes, paths) segment.
+    """
+    inc = np.asarray(increments, dtype=float)
+    inc = inc[:, None] if inc.ndim == 1 else inc
+    if inc.shape[0] != n_steps:
+        raise ValueError(f"expected {n_steps} increments, got {inc.shape[0]}")
     if isinstance(segment, SegmentDraw):
-        seg = segment.values
-    else:
-        seg = np.asarray(segment, dtype=float)
-    if seg.shape[-1] != grid.n_per_delay + 1:
-        raise ValueError(
-            f"segment needs {grid.n_per_delay + 1} node values, got {seg.shape[-1]}"
-        )
-    return np.broadcast_to(seg, (n_paths, grid.n_per_delay + 1))
+        segment = segment.values
+    seg = np.asarray(segment, dtype=float)
+    if seg.shape[0] != n_nodes:
+        raise ValueError(f"segment needs {n_nodes} node values, got {seg.shape[0]}")
+    seg = seg[:, None] if seg.ndim == 1 else seg
+    if perturbation is not None:
+        seg = seg + np.asarray(perturbation, dtype=float)
+    if not np.all(np.isfinite(inc)):
+        raise ValueError("increments must be finite")
+    if not np.all(np.isfinite(seg)):
+        raise ValueError("segment values must be finite")
+    if np.any(seg <= 0.0):
+        raise NonPositiveSample("segment values (after perturbation) must be positive")
+    return inc, np.broadcast_to(seg, (n_nodes, inc.shape[1]))
+
+
+def _implicit_march(y, inc, au, a_bar, b_bar, sigma_bar, delta, n_delay):
+    """Fill rows n_delay+1 .. of the time-major ``y`` with implicit updates.
+
+    Row n_delay + k + 1 solves the implicit equation from row n_delay + k with
+    increment row k and the delayed row k + 1, by the root of
+    :func:`implicit_step`.  The forcing is checked once when a_under > 0 and
+    b_bar >= 0 (then c >= a_under > 0), otherwise on every step.
+    """
+    forcing_ok = bool(np.min(au) > 0.0) and b_bar >= 0.0
+    for k in range(inc.shape[0]):
+        s = y[n_delay + k] + sigma_bar * inc[k]
+        # delayed node k+1-N sits at row (k+1-N) + N = k+1
+        c = au[k] + b_bar * np.square(y[k + 1]) if b_bar != 0.0 else au[k]
+        if not forcing_ok and np.any(c <= 0.0):
+            raise NonPositiveForcing(
+                f"step to node {k + 1}: a_under + b_bar * z^2 must be positive "
+                "for the implicit update"
+            )
+        y[n_delay + k + 1] = _positive_root(s, c, a_bar, delta)
 
 
 def simulate_y_paths(
@@ -208,54 +255,34 @@ def simulate_y_paths(
     segment,
     segment_perturbation: Array | None = None,
 ) -> Array:
-    """Vectorised drift-implicit simulation of Y over many paths.
+    """Vectorised drift-implicit simulation of Y over many paths, time-major.
 
     Parameters
     ----------
-    increments : array (n_paths, K) or (K,) of Brownian increments at the
+    increments : array (K, n_paths) or (K,) of Brownian increments at the
         grid resolution.
     segment : :class:`SegmentDraw` or array of X0 node values, shape (N+1,)
-        or (n_paths, N+1).
+        or (N+1, n_paths).
     segment_perturbation : optional array added to the segment X values
         before the square root (error-budget injection hook); the perturbed
         segment must stay strictly positive.
 
     Returns
     -------
-    Array of shape (n_paths, N + K + 1) with the Y values on nodes -N .. K.
+    Array of shape (N + K + 1, n_paths) with the Y values on nodes -N .. K.
+    Non-finite increments or segment values raise ``ValueError``.
     """
-    inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    n_paths = inc.shape[0]
-    if inc.shape[1] != grid.n_steps:
-        raise ValueError(f"expected {grid.n_steps} increments, got {inc.shape[1]}")
-    seg_x = _segment_matrix(segment, grid, n_paths)
-    if segment_perturbation is not None:
-        seg_x = seg_x + np.asarray(segment_perturbation, dtype=float)
-    if np.any(seg_x <= 0.0):
-        raise NonPositiveSample("segment values (after perturbation) must be positive")
-
+    inc, seg_x = _batch_inputs(
+        grid.n_steps, grid.n_per_delay + 1, increments, segment, segment_perturbation
+    )
     n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    delta = grid.delta
-    a_bar, b_bar, sigma_bar = model.a_bar, model.b_bar, model.sigma_bar
     # a_under at the target times t_1 .. t_K (implicit terms live at t_{k+1})
     au = np.asarray(model.a_under(grid.time(np.arange(1, n_steps + 1))), dtype=float)
-
-    y = np.empty((n_paths, n_delay + n_steps + 1))
-    y[:, : n_delay + 1] = np.sqrt(seg_x)
-    for k in range(n_steps):
-        # delayed node k+1-N sits at array column (k+1-N) + N = k+1
-        try:
-            y[:, n_delay + k + 1] = implicit_step(
-                y[:, n_delay + k],
-                y[:, k + 1],
-                sigma_bar * inc[:, k],
-                au[k],
-                a_bar,
-                b_bar,
-                delta,
-            )
-        except NonPositiveForcing as exc:
-            raise NonPositiveForcing(f"step to node {k + 1}: {exc}") from None
+    y = np.empty((n_delay + n_steps + 1, inc.shape[1]))
+    np.sqrt(seg_x, out=y[: n_delay + 1])
+    _implicit_march(
+        y, inc, au, model.a_bar, model.b_bar, model.sigma_bar, grid.delta, n_delay
+    )
     return y
 
 
@@ -270,7 +297,7 @@ def simulate_y(
     inc = np.asarray(increments, dtype=float)
     if inc.ndim != 1:
         raise ValueError("simulate_y is single-path; use simulate_y_paths for batches")
-    values = simulate_y_paths(model, grid, inc, segment, segment_perturbation)[0]
+    values = simulate_y_paths(model, grid, inc, segment, segment_perturbation)[:, 0]
     return PathY(model=model, grid=grid, values=values)
 
 
@@ -347,6 +374,34 @@ def diffusive_value(
 # ---------------------------------------------------------------------------
 
 
+def _explicit_paths(model, grid, increments, segment, update):
+    """Time-major explicit march: x_{k+1} = update(x_k, x_{k-N}, gamma(t_k), dW_k).
+
+    Returns (paths on nodes -N .. K, shape (N + K + 1, n_paths), and the
+    per-path count of nodes k >= 0 with x_k <= 0).
+    """
+    inc, seg_x = _batch_inputs(grid.n_steps, grid.n_per_delay + 1, increments, segment)
+    n_delay = grid.n_per_delay
+    times = grid.time(np.arange(0, grid.n_steps))
+    gamma_left = np.asarray(model.gamma_at(times), dtype=float)
+    x = np.empty((n_delay + grid.n_steps + 1, inc.shape[1]))
+    x[: n_delay + 1] = seg_x
+    for k in range(grid.n_steps):
+        x[n_delay + k + 1] = update(x[n_delay + k], x[k], gamma_left[k], inc[k])
+    return x, np.count_nonzero(x[n_delay:] <= 0.0, axis=0)
+
+
+def _baseline_path(scheme, paths, model, grid, increments, segment) -> BaselinePathX:
+    x, counts = paths(model, grid, np.asarray(increments), segment)
+    return BaselinePathX(
+        model=model,
+        grid=grid,
+        scheme=scheme,
+        values=x[grid.n_per_delay :, 0],
+        nonpositive_count=int(counts[0]),
+    )
+
+
 def truncated_euler_paths(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment
 ) -> tuple[Array, Array]:
@@ -355,44 +410,25 @@ def truncated_euler_paths(
         x_{k+1} = x_k + [a (gamma(t_k) - x_k) + b x_{k-N}] delta
                   + sigma sqrt(max(x_k, 0)) dW_k
 
-    Returns (paths on nodes -N .. K, per-path count of nodes k >= 0 with
-    x_k <= 0).  Negative excursions are left in place — counting them is the
-    point of this baseline.
+    Inputs are time-major as in :func:`simulate_y_paths`.  Returns (paths on
+    nodes -N .. K, shape (N + K + 1, n_paths), and the per-path count of
+    nodes k >= 0 with x_k <= 0).  Negative excursions are left in place --
+    counting them is the point of this baseline.
     """
-    inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    n_paths = inc.shape[0]
-    if inc.shape[1] != grid.n_steps:
-        raise ValueError(f"expected {grid.n_steps} increments, got {inc.shape[1]}")
-    seg_x = _segment_matrix(segment, grid, n_paths)
-    if np.any(seg_x <= 0.0):
-        raise NonPositiveSample("segment values must be positive")
-    n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    delta = grid.delta
-    a, b, sigma = model.a, model.b, model.sigma
-    gamma_left = np.asarray(model.gamma_at(grid.time(np.arange(0, n_steps))), dtype=float)
+    a, b, sigma, delta = model.a, model.b, model.sigma, grid.delta
 
-    x = np.empty((n_paths, n_delay + n_steps + 1))
-    x[:, : n_delay + 1] = seg_x
-    for k in range(n_steps):
-        cur = x[:, n_delay + k]
-        drift = a * (gamma_left[k] - cur) + b * x[:, k]
-        x[:, n_delay + k + 1] = (
-            cur + drift * delta + sigma * np.sqrt(np.maximum(cur, 0.0)) * inc[:, k]
-        )
-    counts = np.count_nonzero(x[:, n_delay:] <= 0.0, axis=1)
-    return x, counts
+    def update(cur, delayed, gamma, dw):
+        drift = a * (gamma - cur) + b * delayed
+        return cur + drift * delta + sigma * np.sqrt(np.maximum(cur, 0.0)) * dw
+
+    return _explicit_paths(model, grid, increments, segment, update)
 
 
 def simulate_truncated_euler(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment: SegmentDraw
 ) -> BaselinePathX:
-    x, counts = truncated_euler_paths(model, grid, np.asarray(increments), segment)
-    return BaselinePathX(
-        model=model,
-        grid=grid,
-        scheme="truncated",
-        values=x[0, grid.n_per_delay :],
-        nonpositive_count=int(counts[0]),
+    return _baseline_path(
+        "truncated", truncated_euler_paths, model, grid, increments, segment
     )
 
 
@@ -402,42 +438,24 @@ def symmetrized_euler_paths(
     """Symmetrized Euler in X (b = 0 only): reflect instead of truncate.
 
         x_{k+1} = | x_k + a (gamma(t_k) - x_k) delta + sigma sqrt(x_k) dW_k |
+
+    Time-major inputs and outputs as in :func:`truncated_euler_paths`.
     """
     if model.b != 0.0:
         raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
-    inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    n_paths = inc.shape[0]
-    if inc.shape[1] != grid.n_steps:
-        raise ValueError(f"expected {grid.n_steps} increments, got {inc.shape[1]}")
-    seg_x = _segment_matrix(segment, grid, n_paths)
-    if np.any(seg_x <= 0.0):
-        raise NonPositiveSample("segment values must be positive")
-    n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    delta = grid.delta
-    a, sigma = model.a, model.sigma
-    gamma_left = np.asarray(model.gamma_at(grid.time(np.arange(0, n_steps))), dtype=float)
+    a, sigma, delta = model.a, model.sigma, grid.delta
 
-    x = np.empty((n_paths, n_delay + n_steps + 1))
-    x[:, : n_delay + 1] = seg_x
-    for k in range(n_steps):
-        cur = x[:, n_delay + k]
-        x[:, n_delay + k + 1] = np.abs(
-            cur + a * (gamma_left[k] - cur) * delta + sigma * np.sqrt(cur) * inc[:, k]
-        )
-    counts = np.count_nonzero(x[:, n_delay:] <= 0.0, axis=1)
-    return x, counts
+    def update(cur, delayed, gamma, dw):
+        return np.abs(cur + a * (gamma - cur) * delta + sigma * np.sqrt(cur) * dw)
+
+    return _explicit_paths(model, grid, increments, segment, update)
 
 
 def simulate_symmetrized_euler(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment: SegmentDraw
 ) -> BaselinePathX:
-    x, counts = symmetrized_euler_paths(model, grid, np.asarray(increments), segment)
-    return BaselinePathX(
-        model=model,
-        grid=grid,
-        scheme="symmetrized",
-        values=x[0, grid.n_per_delay :],
-        nonpositive_count=int(counts[0]),
+    return _baseline_path(
+        "symmetrized", symmetrized_euler_paths, model, grid, increments, segment
     )
 
 
@@ -456,29 +474,20 @@ def small_tau_proxy_paths(
     the implicit update with b_bar = 0.  Requires b < a; for b = 0 it is the
     main scheme itself.  Starts from the single value V(t0) = ``x0``.
 
-    Returns V on nodes 0 .. K, shape (n_paths, K + 1).
+    Increments are time-major as in :func:`simulate_y_paths`.  Returns V on
+    nodes 0 .. K, shape (K + 1, n_paths).
     """
     if model.b >= model.a:
         raise ProxyRequiresBLessThanA(f"need b < a, got b={model.b}, a={model.a}")
-    inc = np.atleast_2d(np.asarray(increments, dtype=float))
-    n_paths = inc.shape[0]
-    if inc.shape[1] != grid.n_steps:
-        raise ValueError(f"expected {grid.n_steps} increments, got {inc.shape[1]}")
-    x0_arr = np.broadcast_to(np.asarray(x0, dtype=float), (n_paths,))
-    if np.any(x0_arr <= 0.0):
-        raise NonPositiveSample("proxy initial value must be positive")
+    start = np.ravel(np.asarray(x0, dtype=float))[None, :]
+    inc, v0 = _batch_inputs(grid.n_steps, 1, increments, start)
     n_steps = grid.n_steps
-    delta = grid.delta
-    a_bar_eff = 0.5 * (model.a - model.b)
-    sigma_bar = model.sigma_bar
     au = np.asarray(model.a_under(grid.time(np.arange(1, n_steps + 1))), dtype=float)
-
-    y = np.empty((n_paths, n_steps + 1))
-    y[:, 0] = np.sqrt(x0_arr)
-    for k in range(n_steps):
-        y[:, k + 1] = implicit_step(
-            y[:, k], 0.0, sigma_bar * inc[:, k], au[k], a_bar_eff, 0.0, delta
-        )
+    y = np.empty((n_steps + 1, inc.shape[1]))
+    np.sqrt(v0, out=y[:1])
+    _implicit_march(
+        y, inc, au, 0.5 * (model.a - model.b), 0.0, model.sigma_bar, grid.delta, 0
+    )
     return np.square(y)
 
 
@@ -493,6 +502,6 @@ def simulate_small_tau_proxy(
         model=model,
         grid=grid,
         scheme="small_tau_proxy",
-        values=x[0],
-        nonpositive_count=int(np.count_nonzero(x[0] <= 0.0)),
+        values=x[:, 0],
+        nonpositive_count=int(np.count_nonzero(x[:, 0] <= 0.0)),
     )

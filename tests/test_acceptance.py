@@ -12,6 +12,7 @@ from delay_cir.experiments import (
     classical_variant,
     comparison_census,
     fit_rate,
+    map_paths,
     mean_consistency_check,
     positivity_census,
     strong_error_study,
@@ -57,16 +58,11 @@ def _reference_model(**kw) -> ModelSpec:
 
 def _chunked_terminal_x(model: ModelSpec, grid, n_paths: int, seed: int) -> np.ndarray:
     """Terminal values x(T) over many paths, simulated in memory-bounded chunks."""
-    seg = np.ones(grid.n_per_delay + 1)
-    out = np.empty(n_paths)
-    for lo in range(0, n_paths, 2048):
-        hi = min(lo + 2048, n_paths)
-        inc = np.stack(
-            [generate(grid, seed, i).increments for i in range(lo, hi)]
-        )
-        y = simulate_y_paths(model, grid, inc, seg)
-        out[lo:hi] = np.square(y[:, -1])
-    return out
+
+    def terminal(inc, seg):
+        return np.square(simulate_y_paths(model, grid, inc, seg)[-1])
+
+    return map_paths(model, grid, seed, n_paths, terminal)
 
 
 @pytest.fixture(scope="module")
@@ -91,15 +87,15 @@ def _truncated_euler_grid_table(model: ModelSpec, n_paths: int) -> ErrorTable:
     grid-error column is filled.
     """
     fine = build_grid(model, N_REF)
-    inc = np.stack([generate(fine, SEED, i).increments for i in range(n_paths)])
+    inc = generate(fine, SEED, range(n_paths)).increments
     seg = np.ones(fine.n_per_delay + 1)
-    x_ref = truncated_euler_paths(model, fine, inc, seg)[0][:, fine.n_per_delay :]
+    x_ref = truncated_euler_paths(model, fine, inc, seg)[0][fine.n_per_delay :]
     rows = []
     for n in N_LIST:
         r = N_REF // n
         grid = build_grid(model, n)
         x = truncated_euler_paths(model, grid, block_sum(inc, r), seg[::r])[0]
-        err = np.max(np.abs(x_ref[:, ::r] - x[:, grid.n_per_delay :]), axis=1)
+        err = np.max(np.abs(x_ref[::r] - x[grid.n_per_delay :]), axis=0)
         rows.append(
             ErrorRow(
                 delta=grid.delta,
@@ -193,10 +189,10 @@ def test_criterion_02_uniform_rate_with_log_factor(delay_rate_table):
 def test_criterion_03_classical_reduction(classical_rate_table):
     model = _reference_model(b=0.0, sigma=0.5)
     grid = build_grid(model, 64)
-    inc = np.stack([generate(grid, SEED, i).increments for i in range(100)])
+    inc = generate(grid, SEED, range(100)).increments
     seg = np.ones(grid.n_per_delay + 1)
     x_delay_code = np.square(
-        simulate_y_paths(model, grid, inc, seg)[:, grid.n_per_delay :]
+        simulate_y_paths(model, grid, inc, seg)[grid.n_per_delay :]
     )
     x_classical_branch = small_tau_proxy_paths(model, grid, inc, 1.0)
     gap = float(np.max(np.abs(x_delay_code - x_classical_branch)))
@@ -226,8 +222,9 @@ def _census_model() -> ModelSpec:
 def test_criterion_04_positivity_census():
     model = _census_model()
     grid = build_grid(model, 10)  # delta = 0.1
-    implicit = positivity_census("implicit", model, grid, 10_000, seed=SEED)
-    truncated = positivity_census("truncated", model, grid, 10_000, seed=SEED)
+    implicit, truncated = positivity_census(
+        ("implicit", "truncated"), model, grid, 10_000, seed=SEED
+    )
     print(f"criterion 4: implicit fraction {implicit.fraction_nonpositive}, "
           f"truncated fraction {truncated.fraction_nonpositive:.4f}")
     assert implicit.fraction_nonpositive == 0.0
@@ -326,23 +323,21 @@ def test_criterion_09_property_suites():
     )
     for model in configs:
         grid = build_grid(model, 32)
-        inc = np.stack([generate(grid, SEED, i).increments for i in range(100)])
-        seg = np.stack(
-            [sample_segment(model.initial, grid, SEED, i).values for i in range(100)]
-        )
+        inc = generate(grid, SEED, range(100)).increments
+        seg = sample_segment(model.initial, grid, SEED, range(100))
         y = simulate_y_paths(model, grid, inc, seg)
         au = np.asarray(model.a_under(grid.time(np.arange(1, grid.n_steps + 1))))
         res = implicit_residual(
-            y[:, grid.n_per_delay + 1 :],
-            y[:, grid.n_per_delay : -1],
-            y[:, 1 : 1 + grid.n_steps],
+            y[grid.n_per_delay + 1 :],
+            y[grid.n_per_delay : -1],
+            y[1 : 1 + grid.n_steps],
             model.sigma_bar * inc,
-            au,
+            au[:, None],
             model.a_bar,
             model.b_bar,
             grid.delta,
         )
-        worst = float(np.max(np.abs(res) / (1.0 + y[:, grid.n_per_delay + 1 :])))
+        worst = float(np.max(np.abs(res) / (1.0 + y[grid.n_per_delay + 1 :])))
         assert worst <= 1e-10, f"residual ratio {worst} on {model.gamma.kind} config"
 
     # root monotonicity: 10^4 random perturbation pairs, zero violations

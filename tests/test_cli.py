@@ -257,6 +257,25 @@ def test_config_errors_exit_two(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_rate_grids_that_cannot_nest_exit_two(tmp_path, capsys):
+    # reference no finer than the finest level (default N_list ends at 128)
+    cfg = _write_config(tmp_path, "N_ref = 128\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o1")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad value for N_ref: must be a proper multiple of max(N_list)\n"
+    )
+    # 8 does not divide 12, although 16 divides N_ref
+    cfg = _write_config(tmp_path, "N_list = 8,12,16\nN_ref = 48\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o2")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad value for N_list: must increase, each entry dividing the next\n"
+    )
+    cfg = _write_config(tmp_path, "N_list = 16,8\nN_ref = 64\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
+    assert "bad value for N_list" in capsys.readouterr().err
+    assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
+
+
 def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

@@ -28,7 +28,7 @@ from delay_cir.model import (
     ModelSpec,
     build_grid,
 )
-from delay_cir.noise import NotNested
+from delay_cir.noise import NotNested, generate, sample_segment
 from delay_cir.scheme import simulate_y_paths
 
 
@@ -214,7 +214,7 @@ def test_zero_noise_limit_approaches_corrected_flow_at_first_order():
     for n in (8, 16, 32):
         grid = build_grid(model, n)
         y = simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.full(n + 1, 2.0))
-        gaps.append(abs(float(np.square(y[0, -1])) - x_lim))
+        gaps.append(abs(float(np.square(y[-1, 0])) - x_lim))
     for coarse, fine in zip(gaps, gaps[1:]):
         assert 1.7 < coarse / fine < 2.3
 
@@ -285,15 +285,15 @@ def _census_model() -> ModelSpec:
 def test_positivity_census_separates_the_schemes():
     model = _census_model()
     grid = build_grid(model, 10)
-    implicit = positivity_census("implicit", model, grid, 2000, seed=7)
-    truncated = positivity_census("truncated", model, grid, 2000, seed=7)
-    symmetrized = positivity_census("symmetrized", model, grid, 2000, seed=7)
+    implicit, truncated, symmetrized = positivity_census(
+        ("implicit", "truncated", "symmetrized"), model, grid, 2000, seed=7
+    )
     assert implicit.fraction_nonpositive == 0.0
     assert truncated.fraction_nonpositive > 0.2
     assert symmetrized.fraction_nonpositive == 0.0
     assert truncated.scheme == "truncated" and truncated.n_paths == 2000
     with pytest.raises(ValueError, match="scheme"):
-        positivity_census("milstein", model, grid, 10, seed=0)
+        positivity_census(("milstein",), model, grid, 10, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +302,14 @@ def test_positivity_census_separates_the_schemes():
 
 
 def test_modulus_whole_interval_is_the_path_range():
-    from delay_cir.experiments import _path_range_inputs
-
     model = _model()
     grid = build_grid(model, 8)
     span = grid.t_end - grid.t0
     res = modulus_scaling(model, grid, 20, (span,), seed=9)
-    inc, seg = _path_range_inputs(model, grid, 9, 0, 20)
-    x = np.square(simulate_y_paths(model, grid, inc, seg)[:, grid.n_per_delay :])
-    assert res.rows[0].modulus == pytest.approx(float(np.mean(np.ptp(x, axis=1))), rel=1e-12)
+    inc = generate(grid, 9, range(20)).increments
+    seg = sample_segment(model.initial, grid, 9, range(20))
+    x = np.square(simulate_y_paths(model, grid, inc, seg)[grid.n_per_delay :])
+    assert res.rows[0].modulus == pytest.approx(float(np.mean(np.ptp(x, axis=0))), rel=1e-12)
     assert res.rows[0].delta == pytest.approx(span, rel=1e-15)
 
 

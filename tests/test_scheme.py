@@ -50,9 +50,8 @@ def _model(**kw) -> ModelSpec:
 
 
 def _increments(grid, n_paths: int, seed: int) -> np.ndarray:
-    return np.stack(
-        [generate(grid, seed=seed, path_index=i).increments for i in range(n_paths)]
-    )
+    """Time-major increments (steps, paths) of paths 0 .. n_paths-1."""
+    return generate(grid, seed=seed, path_index=range(n_paths)).increments
 
 
 def _residuals(model, grid, y: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -60,10 +59,11 @@ def _residuals(model, grid, y: np.ndarray, inc: np.ndarray) -> np.ndarray:
     n = grid.n_per_delay
     k_steps = grid.n_steps
     au = np.asarray(model.a_under(grid.time(np.arange(1, k_steps + 1))), dtype=float)
-    y_prev = y[:, n:-1]
-    y_next = y[:, n + 1 :]
-    z = y[:, 1 : 1 + k_steps]
-    noise = model.sigma_bar * np.atleast_2d(inc)
+    y_prev = y[n:-1]
+    y_next = y[n + 1 :]
+    z = y[1 : 1 + k_steps]
+    noise = model.sigma_bar * np.reshape(inc, (k_steps, -1))
+    au = au[:, None]
     return implicit_residual(
         y_next, y_prev, z, noise, au, model.a_bar, model.b_bar, grid.delta
     )
@@ -189,7 +189,7 @@ def test_simulate_y_positive_across_random_paths():
     inc = _increments(grid, 1000, seed=31)
     seg = np.ones(grid.n_per_delay + 1)
     y = simulate_y_paths(model, grid, inc, seg)
-    assert y.shape == (1000, grid.n_nodes)
+    assert y.shape == (grid.n_nodes, 1000)
     assert np.all(y > 0.0)
 
 
@@ -200,7 +200,7 @@ def test_residual_invariant_along_simulated_paths():
     seg = sample_segment(model.initial, grid, seed=13, path_index=0)
     y = simulate_y_paths(model, grid, inc, seg)
     res = _residuals(model, grid, y, inc)
-    bound = 1e-10 * (1.0 + y[:, grid.n_per_delay + 1 :])
+    bound = 1e-10 * (1.0 + y[grid.n_per_delay + 1 :])
     assert np.all(np.abs(res) <= bound)
 
 
@@ -214,13 +214,13 @@ def test_refined_run_differs_but_keeps_its_residual_contract():
     y_f = simulate_y_paths(model, fine, inc_f, np.ones(17))
     y_c = simulate_y_paths(model, coarse, inc_c, np.ones(9))
     # same Brownian path, different discretisations: values differ ...
-    shared_f = y_f[0, fine.n_per_delay + 2 * np.arange(0, coarse.n_steps + 1)]
-    shared_c = y_c[0, coarse.n_per_delay :]
+    shared_f = y_f[fine.n_per_delay + 2 * np.arange(0, coarse.n_steps + 1), 0]
+    shared_c = y_c[coarse.n_per_delay :, 0]
     assert np.max(np.abs(shared_f - shared_c)) > 1e-6
     # ... but each level satisfies its own implicit equations
     for g, y, inc in ((fine, y_f, inc_f), (coarse, y_c, inc_c)):
         res = _residuals(model, g, y, inc)
-        assert np.all(np.abs(res) <= 1e-10 * (1.0 + y[:, g.n_per_delay + 1 :]))
+        assert np.all(np.abs(res) <= 1e-10 * (1.0 + y[g.n_per_delay + 1 :]))
 
 
 def test_simulate_y_reports_offending_step_on_forcing_failure():
@@ -252,7 +252,7 @@ def test_segment_perturbation_shifts_the_initial_nodes():
         model, grid, inc, np.ones(5), segment_perturbation=0.21
     )
     assert bumped[0, 0] == pytest.approx(math.sqrt(1.21), rel=1e-15)
-    assert np.all(bumped[0, : grid.n_per_delay + 1] > base[0, : grid.n_per_delay + 1])
+    assert np.all(bumped[: grid.n_per_delay + 1, 0] > base[: grid.n_per_delay + 1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +435,7 @@ def test_truncated_euler_uses_delayed_term():
     seg = np.linspace(2.0, 1.0, 11)  # x(t0 - tau) = 2 feeds the first step
     x, _ = truncated_euler_paths(model, grid, np.zeros((1, 1)), seg)
     # x1 = 1 + [a(1 - 1) + b * 2] * 0.1 = 1.1
-    assert x[0, -1] == pytest.approx(1.1, rel=1e-15)
+    assert x[-1, 0] == pytest.approx(1.1, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +483,8 @@ def test_symmetrized_euler_approaches_implicit_scheme_under_refinement():
         grid = build_grid(model, n)
         inc = block_sum(inc_f, 64 // n) if n < 64 else inc_f
         seg = np.ones(n + 1)
-        x_impl = np.square(simulate_y_paths(model, grid, inc, seg)[:, -1])
-        x_sym = symmetrized_euler_paths(model, grid, inc, seg)[0][:, -1]
+        x_impl = np.square(simulate_y_paths(model, grid, inc, seg)[-1])
+        x_sym = symmetrized_euler_paths(model, grid, inc, seg)[0][-1]
         dists.append(float(np.mean(np.abs(x_impl - x_sym))))
     assert dists[0] > dists[1] > dists[2] > dists[3]
     assert dists[3] < 0.5 * dists[0]
@@ -508,7 +508,7 @@ def test_proxy_with_zero_b_is_the_main_scheme():
     inc = _increments(grid, 20, seed=19)
     y = simulate_y_paths(model, grid, inc, np.ones(9))
     x_prox = small_tau_proxy_paths(model, grid, inc, 1.0)
-    assert np.array_equal(x_prox, np.square(y[:, grid.n_per_delay :]))
+    assert np.array_equal(x_prox, np.square(y[grid.n_per_delay :]))
 
 
 def test_proxy_relaxes_to_folded_mean_level():
@@ -516,20 +516,20 @@ def test_proxy_relaxes_to_folded_mean_level():
     model = _model(b=0.5, sigma=0.02, horizon=20.0)
     grid = build_grid(model, 8)
     x = small_tau_proxy_paths(model, grid, np.zeros(grid.n_steps), 1.0)
-    assert abs(x[0, -1] - 2.0) < 1e-3
+    assert abs(x[-1, 0] - 2.0) < 1e-3
 
 
 def test_proxy_error_shrinks_with_tau():
     # shared step 0.025 so only the delay horizon changes
     rng = np.random.default_rng(5)
-    inc = rng.normal(0.0, math.sqrt(0.025), size=(400, 40))
+    inc = rng.normal(0.0, math.sqrt(0.025), size=(400, 40)).T  # (steps, paths)
     dists = []
     for tau, n in ((0.2, 8), (0.1, 4), (0.05, 2)):
         model = _model(b=0.5, tau=tau, horizon=1.0)
         grid = build_grid(model, n)
         y = simulate_y_paths(model, grid, inc, np.ones(n + 1))
-        x_delay = np.square(y[:, -1])
-        x_prox = small_tau_proxy_paths(model, grid, inc, 1.0)[:, -1]
+        x_delay = np.square(y[-1])
+        x_prox = small_tau_proxy_paths(model, grid, inc, 1.0)[-1]
         dists.append(float(np.mean(np.abs(x_delay - x_prox))))
     assert dists[0] > dists[1] > dists[2]
     assert dists[2] < 0.5 * dists[0]
