@@ -9,7 +9,7 @@ path through shared Brownian increments (exact block sums, see
                   interpolants are affine between fine nodes, so the fine-node
                   maximum is the exact sup over [t0, T].
 
-Every experiment runs its paths through one chunk driver, :func:`map_paths`:
+Every experiment runs its paths through one chunk loop, :func:`map_paths`:
 chunks of ``_CHUNK`` paths are simulated time-major (increments as
 (steps, paths), paths as (nodes, paths)) and reduced to per-path results,
 which are assembled in path order.  Monte Carlo aggregation then uses numpy

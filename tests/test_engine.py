@@ -204,7 +204,7 @@ def test_per_step_forcing_check_still_names_the_step():
         simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.ones(5))
 
 
-def test_chunk_driver_is_thread_and_chunk_independent():
+def test_map_paths_is_thread_and_chunk_independent():
     model = _model(initial=InitialSegmentSpec.lognormal(1.0, 0.2))
     grid = build_grid(model, 8)
     n_paths = 2 * _CHUNK + 100  # three chunks, the last one partial
