@@ -13,6 +13,9 @@ Feller ratio g = 2 a gamma / sigma^2 the module provides
   when sigma^2 < 2 a gamma.
 
 These are the oracles the Monte Carlo experiments test the scheme against.
+``scipy.integrate.quad`` is imported by the negative-moment quadrature when
+it first runs: no other oracle needs it, and its import pulls in
+``scipy.optimize``, ``sparse`` and ``linalg``.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import scheme as scheme_mod
 from .model import (
@@ -144,6 +146,8 @@ _EXP_CUTOFF = 745.0  # e^{-x} underflows to 0 a little beyond this
 def _quad_piece(f, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
     if hi <= lo:
         return 0.0, 0.0
+    from scipy.integrate import quad
+
     inner = [b for b in (1e-3, 0.1, 1.0, 10.0, 100.0) if lo < b < hi]
     # ask for a tenth of the target, but never below QUADPACK's epsrel floor
     eps = max(min(rel_tol, 1e-9) * 0.1, 1.5e-14)

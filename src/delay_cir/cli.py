@@ -27,6 +27,7 @@ from .experiments import (
     comparison_census,
     fit_rate,
     mean_consistency_check,
+    modulus_lags,
     modulus_scaling,
     positivity_census,
     strong_error_study,
@@ -34,6 +35,7 @@ from .experiments import (
 )
 from .model import (
     GammaSpec,
+    GridMisaligned,
     InitialSegmentSpec,
     ModelSpec,
     build_grid,
@@ -278,7 +280,7 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
             gamma=gamma,
             initial=initial,
         )
-        validate_model(model)
+        report = validate_model(model)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -327,6 +329,23 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     probe_u = _parse_list("probe.u_list", items["probe.u_list"], _parse_float)
     probe_p = _parse_float("probe.p", items["probe.p"])
     probe_t = optional("probe.t", _parse_float)
+    if probe_t is not None and probe_t <= t0:
+        raise BadValue("probe.t", "must exceed t0")
+    if experiment == "strong_rate":
+        for p in p_list:
+            if p >= report.p_max:
+                raise BadValue(
+                    "p_list", f"{_fmt(p)} is not below p_max = {_fmt(report.p_max)}"
+                )
+    if experiment == "modulus" and delta_list is not None:
+        try:
+            grid = build_grid(model, n_per_delay)
+        except ValueError as exc:
+            raise BadValue("N", str(exc)) from None
+        try:
+            modulus_lags(grid, delta_list)
+        except GridMisaligned as exc:
+            raise BadValue("delta_list", str(exc)) from None
     if experiment == "analytics_probe" and (
         b != 0.0 or gamma.kind != "constant" or initial.is_random
     ):

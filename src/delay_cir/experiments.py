@@ -52,6 +52,7 @@ __all__ = [
     "mean_consistency_check",
     "comparison_census",
     "positivity_census",
+    "modulus_lags",
     "modulus_scaling",
     "survival_probability",
     "PRequestedTooLarge",
@@ -492,6 +493,21 @@ class ModulusResult:
         return np.array([r.delta for r in self.rows])
 
 
+def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
+    """Grid-step lags of ``delta_list``; raises :class:`GridMisaligned` unless
+    every entry is a whole number of grid steps in (0, T - t0]."""
+    lags = []
+    for d in delta_list:
+        rel = float(d) / grid.delta
+        lag = round(rel)
+        if lag < 1 or abs(rel - lag) > 1e-9 or lag > grid.n_steps:
+            raise GridMisaligned(
+                f"modulus delta {d} must be a whole number of grid steps in (0, T - t0]"
+            )
+        lags.append(lag)
+    return lags
+
+
 def modulus_scaling(
     model: ModelSpec,
     grid: TimeGrid,
@@ -510,15 +526,7 @@ def modulus_scaling(
     which the modulus of a square-root diffusion grows linearly.
     """
     validate(model)
-    lags = []
-    for d in delta_list:
-        rel = float(d) / grid.delta
-        lag = round(rel)
-        if lag < 1 or abs(rel - lag) > 1e-9 or lag > grid.n_steps:
-            raise GridMisaligned(
-                f"modulus delta {d} must be a whole number of grid steps in (0, T - t0]"
-            )
-        lags.append(lag)
+    lags = modulus_lags(grid, delta_list)
     order = np.argsort(lags)
     distinct = sorted(set(lags))
     offset = grid.n_per_delay

@@ -15,6 +15,12 @@ strong-convergence experiments.
 Initial-segment randomness lives on a separate stream tag so that drawing a
 segment never disturbs the Brownian increments (and vice versa), no matter
 how many of either are drawn.
+
+SciPy's inverse normal CDF is imported on the first draw, not with the
+module, so a process that only parses or validates a config never loads it.
+``ndtri`` stays a module-level name that :func:`_standard_normals` looks up
+at call time, so it can be replaced there (for instance by a timing wrapper)
+without touching the draw code.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import InitialSegmentSpec, OutOfDomain, TimeGrid
 
@@ -64,29 +69,45 @@ def _paths(path_index: int | range) -> range:
     return range(path_index, path_index + 1)
 
 
+def ndtri(u: Array, out: Array | None = None) -> Array:
+    """``scipy.special.ndtri``, imported on the first call."""
+    from scipy.special import ndtri as _ndtri
+
+    return _ndtri(u, out=out)
+
+
 def _standard_normals(seed: int, paths: range, tag: int, n: int) -> Array:
     """(n, len(paths)) standard normals, column j from stream (seed, paths[j], tag)."""
     if seed < 0 or min(paths, default=0) < 0:
         raise ValueError("seed and path_index must be nonnegative integers")
     # One bit generator, local to the call, re-keyed per path with the
     # counter at zero (as its fresh state has it); its own seed is never
-    # drawn from.  random_raw >> 11 is what Generator.integers(0, 2**53)
-    # returns for this power-of-two range.
+    # drawn from.  The setter copies the plain ints of one reused state dict,
+    # so re-keying builds no array.  random_raw >> 11 is what
+    # Generator.integers(0, 2**53) returns for this power-of-two range.
     bitgen = np.random.Philox(0)
-    state = bitgen.state
+    key = [seed & _MASK64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
     u = np.empty((n, len(paths)))
     block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
+    rows = np.empty((min(block, len(paths)), n), dtype=np.uint64)
     for lo in range(0, len(paths), block):
-        rows = np.empty((len(paths[lo : lo + block]), n), dtype=np.uint64)
-        for j, path in enumerate(paths[lo : lo + block]):
-            key = [seed & _MASK64, ((path << 1) | tag) & _MASK64]
-            state["state"]["key"] = np.array(key, dtype=np.uint64)
+        part = paths[lo : lo + block]
+        for j, path in enumerate(part):
+            key[1] = ((path << 1) | tag) & _MASK64
             bitgen.state = state
             rows[j] = bitgen.random_raw(n)
-        rows >>= np.uint64(11)
-        u[:, lo : lo + len(rows)] = rows.T
+        drawn = rows[: len(part)]
+        drawn >>= np.uint64(11)
+        np.add(drawn.T, 0.5, out=u[:, lo : lo + len(part)])
     # (draws + 0.5) * 2^-53 lies strictly inside (0, 1): ndtri never sees 0 or 1.
-    u += 0.5
     u *= 2.0**-53
     return ndtri(u, out=u)
 

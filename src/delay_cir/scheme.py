@@ -99,15 +99,25 @@ def implicit_step(y_prev, z_delay, noise, a_under_next, a_bar, b_bar, delta):
     a_bar, b_bar, delta : scheme coefficients and step.
 
     Returns the unique positive root of the implicit equation; raises
-    :class:`NonPositiveForcing` when a_under_next + b_bar z^2 <= 0 (no
-    positive root exists there, e.g. at Feller equality with b = 0, z = 0).
+    :class:`NonPositiveForcing` unless a_under_next + b_bar z^2 > 0 (no
+    positive root exists there, e.g. at Feller equality with b = 0, z = 0; a
+    NaN forcing fails the test too), and ``ValueError`` on any other
+    non-finite input.
     """
     c = a_under_next + b_bar * np.square(z_delay)
-    if np.any(np.asarray(c) <= 0.0):
+    if not np.all(c > 0.0):
         raise NonPositiveForcing(
             "a_under + b_bar * z^2 must be positive for the implicit update"
         )
-    s, c = np.broadcast_arrays(y_prev + noise, c)
+    s = y_prev + noise
+    if not (
+        np.all(np.isfinite(s))
+        and np.all(np.isfinite(c))
+        and np.all(np.isfinite(a_bar))
+        and np.all(np.isfinite(delta))
+    ):
+        raise ValueError("implicit_step inputs must be finite")
+    s, c = np.broadcast_arrays(s, c)
     out = _positive_root(np.atleast_1d(s), np.atleast_1d(c), a_bar, delta)
     return float(out[0]) if s.ndim == 0 else out
 
@@ -240,7 +250,7 @@ def _implicit_march(y, inc, au, a_bar, b_bar, sigma_bar, delta, n_delay):
         s = y[n_delay + k] + sigma_bar * inc[k]
         # delayed node k+1-N sits at row (k+1-N) + N = k+1
         c = au[k] + b_bar * np.square(y[k + 1]) if b_bar != 0.0 else au[k]
-        if not forcing_ok and np.any(c <= 0.0):
+        if not forcing_ok and not np.all(c > 0.0):
             raise NonPositiveForcing(
                 f"step to node {k + 1}: a_under + b_bar * z^2 must be positive "
                 "for the implicit update"

@@ -276,6 +276,36 @@ def test_rate_grids_that_cannot_nest_exit_two(tmp_path, capsys):
     assert not (tmp_path / "o1").exists() and not (tmp_path / "o2").exists()
 
 
+def test_p_at_or_above_p_max_exits_two(tmp_path, capsys):
+    # the default model has p_max = 16
+    cfg = _write_config(tmp_path, "p_list = 1,16\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad value for p_list: 16 is not below p_max = 16\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_modulus_delta_off_the_grid_exits_two(tmp_path, capsys):
+    # the default grid step is tau / N = 0.5 / 64
+    cfg = _write_config(tmp_path, "experiment = modulus\ndelta_list = 0.015625,0.001\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad value for delta_list: modulus delta 0.001 must be a whole "
+        "number of grid steps in (0, T - t0]\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "experiment = analytics_probe\nb = 0\nprobe.t = -1\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "error: bad value for probe.t: must exceed t0\n"
+    assert main(["probe", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: bad value for probe.t: must exceed t0\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

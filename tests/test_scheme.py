@@ -104,6 +104,32 @@ def test_step_rejects_nonpositive_forcing():
         )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", range(7))
+def test_step_rejects_non_finite_input(position, bad):
+    # y_prev, z_delay, noise, a_under_next, a_bar, b_bar, delta
+    args = [1.0, 0.5, 0.1, 1.0, 0.5, 0.2, 0.01]
+    args[position] = bad
+    with pytest.raises(ValueError):
+        implicit_step(*args)
+    # in one component of a vectorised call as well
+    args[position] = np.array([1.0, bad]) if position < 4 else bad
+    with pytest.raises(ValueError):
+        implicit_step(*args)
+
+
+def test_step_nan_forcing_is_not_positive():
+    # NaN <= 0 is False: the forcing test must not let NaN through
+    with pytest.raises(NonPositiveForcing):
+        implicit_step(1.0, math.nan, 0.1, 1.0, 0.5, 0.2, 0.01)
+    with pytest.raises(NonPositiveForcing):
+        implicit_step(1.0, 0.5, 0.1, math.nan, 0.5, 0.2, 0.01)
+    with pytest.raises(ValueError, match="finite"):
+        implicit_step(math.nan, 0.5, 0.1, 1.0, 0.5, 0.2, 0.01)
+    with pytest.raises(ValueError, match="finite"):
+        implicit_step(1.0, 0.5, math.inf, 1.0, 0.5, 0.2, 0.01)
+
+
 def test_step_negative_a_under_rescued_by_delay_term():
     y = implicit_step(1.0, 2.0, 0.0, -0.1, 0.5, 0.3, 0.25)
     assert y > 0.0

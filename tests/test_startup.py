@@ -1,0 +1,159 @@
+"""Which parts of SciPy a process loads, each checked in a fresh interpreter.
+
+``delay_cir`` imports SciPy where it is used: ``scipy.special`` on the first
+Gaussian draw and ``scipy.integrate`` on the first negative-moment
+quadrature.  Parsing a config, validating a model and every config error
+therefore load neither, and a simulation loads only ``scipy.special``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_PRELUDE = """
+import json, sys
+
+def loaded():
+    return {name: name in sys.modules for name in ("scipy.special", "scipy.integrate")}
+"""
+
+
+def _fresh(code: str, *args: str, cwd: Path) -> dict:
+    """Run ``code`` in a new interpreter; it prints one JSON object last."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", _PRELUDE + textwrap.dedent(code), *args],
+        env=env,
+        cwd=cwd,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _config(tmp_path: Path, text: str) -> str:
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_import_and_parse_load_no_scipy(tmp_path):
+    cfg = _config(tmp_path, "experiment = mean_check\nn_paths = 64\n")
+    out = _fresh(
+        """
+        import delay_cir.cli as cli
+        cli.parse_config(sys.argv[1])
+        code = cli.main(["validate", "--config", sys.argv[1]])
+        bad = cli.main(["run", "--config", sys.argv[1], "--seed", "-1"])
+        print(json.dumps({**loaded(), "codes": [code, bad]}))
+        """,
+        cfg,
+        cwd=tmp_path,
+    )
+    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [0, 2]}
+
+
+def test_simulation_loads_special_but_not_integrate(tmp_path):
+    # 2100 paths are two chunks, so both worker threads make a first draw
+    cfg = _config(
+        tmp_path,
+        "N_list = 4,8,16\nN_ref = 32\nn_paths = 2100\nthreads = 2\nseed = 5\n",
+    )
+    out = _fresh(
+        """
+        from delay_cir import cli
+        code = cli.main(["run", "--config", sys.argv[1], "--out", "out"])
+        print(json.dumps({**loaded(), "code": code}))
+        """,
+        cfg,
+        cwd=tmp_path,
+    )
+    assert out == {"scipy.special": True, "scipy.integrate": False, "code": 0}
+    assert (tmp_path / "out" / "errors.csv").is_file()
+
+
+def test_first_draws_on_four_threads_at_once(tmp_path):
+    out = _fresh(
+        """
+        import threading
+        import numpy as np
+        from delay_cir import noise
+
+        sys.setswitchinterval(1e-6)
+        start = threading.Barrier(4, timeout=60)
+        results = [None] * 4
+
+        def draw(i):
+            start.wait()
+            results[i] = noise._standard_normals(7, range(0, 300), 0, 50)
+
+        workers = [threading.Thread(target=draw, args=(i,)) for i in range(4)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        done = not any(w.is_alive() for w in workers)
+        again = noise._standard_normals(7, range(0, 300), 0, 50)
+        same = all(np.array_equal(r.view(np.uint64), again.view(np.uint64)) for r in results)
+        print(json.dumps({**loaded(), "done": done, "same": same}))
+        """,
+        cwd=tmp_path,
+    )
+    assert out == {
+        "scipy.special": True, "scipy.integrate": False, "done": True, "same": True
+    }
+
+
+def test_analytics_probe_loads_quad_and_writes_its_product(tmp_path):
+    cfg = _config(tmp_path, "experiment = analytics_probe\nb = 0\n")
+    out = _fresh(
+        """
+        from delay_cir import cli
+        code = cli.main(["run", "--config", sys.argv[1], "--out", "out"])
+        print(json.dumps({**loaded(), "code": code}))
+        """,
+        cfg,
+        cwd=tmp_path,
+    )
+    assert out == {"scipy.special": True, "scipy.integrate": True, "code": 0}
+    rows = (tmp_path / "out" / "analytics.csv").read_text().splitlines()
+    assert rows[0] == "op,argument,value"
+    assert any(row.startswith("neg_moment,") for row in rows)
+
+
+def test_ndtri_shim_matches_scipy_bit_for_bit(tmp_path):
+    out = _fresh(
+        """
+        import numpy as np
+        from delay_cir import noise
+        before = loaded()["scipy.special"]
+        from scipy.special import ndtri
+
+        # both tails, down to the subnormal range and the infinite ends 0 and 1
+        tails = [2.0**-54, 1e-300, 5e-324, 1e-12, 0.0, 1.0, 1.0 - 2.0**-53, 1.0 - 1e-12]
+        u = np.concatenate([tails, np.random.default_rng(3).random(4096)])
+        expect = ndtri(u).view(np.uint64)
+        fresh = noise.ndtri(u).view(np.uint64)
+        inplace = u.copy()
+        noise.ndtri(inplace, out=inplace)
+        print(json.dumps({
+            "before": before,
+            "equal": bool(np.array_equal(fresh, expect)),
+            "inplace": bool(np.array_equal(inplace.view(np.uint64), expect)),
+        }))
+        """,
+        cwd=tmp_path,
+    )
+    assert out == {"before": False, "equal": True, "inplace": True}
