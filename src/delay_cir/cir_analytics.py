@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -108,6 +107,14 @@ class CIRParams:
     @property
     def feller_ratio(self) -> float:
         return 2.0 * self.a * self.gamma / self.sigma**2
+
+    @classmethod
+    def from_model(cls, model: ModelSpec) -> "CIRParams":
+        """The b = 0 process of a constant-gamma ``model``, started from E[X0(t0)]."""
+        return cls(
+            a=model.a, gamma=model.gamma.params[0], sigma=model.sigma,
+            x0=float(model.initial.mean_at(model.t0)), t0=model.t0,
+        )
 
 
 def _transform_coeffs(params: CIRParams, s: float) -> tuple[float, float]:
@@ -308,19 +315,9 @@ class MeanCurve:
 
     times: Array
     means: Array
-    method: str
-
-    def at(self, t: float | Array):
-        out = np.interp(np.asarray(t, dtype=float), self.times, self.means)
-        return out if np.ndim(t) else float(out)
 
 
-def mean_delay_curve(
-    model: ModelSpec,
-    grid: TimeGrid,
-    segment_mean: float | Callable[[Array], Array] | None = None,
-    substeps: int = 64,
-) -> MeanCurve:
+def mean_delay_curve(model: ModelSpec, grid: TimeGrid, substeps: int = 64) -> MeanCurve:
     """Mean m(t) = E[X(t)] of the delayed equation on the grid nodes.
 
     m solves the delay ODE m'(t) = a (gamma(t) - m(t)) + b m(t - tau), which
@@ -332,9 +329,8 @@ def mean_delay_curve(
     The integral is evaluated by Simpson sub-steps, ``substeps`` (>= 32) per
     grid step, marching window by window so m(u - tau) is always already
     known; delayed midpoint values come from three-point quadratic
-    interpolation on the sub-grid.  ``segment_mean`` overrides E[X0(.)] on
-    [t0 - tau, t0] (scalar or callable); by default it comes from the model's
-    initial-segment specification.
+    interpolation on the sub-grid.  E[X0(.)] on [t0 - tau, t0] comes from the
+    model's initial-segment specification.
     """
     if substeps < 32:
         raise ValueError(f"need at least 32 quadrature sub-steps per grid step, got {substeps}")
@@ -344,12 +340,7 @@ def mean_delay_curve(
     n_sub = n_steps * substeps
 
     sub_times = grid.t0 + (np.arange(-shift, n_sub + 1)) * h
-    if segment_mean is None:
-        seg_vals = model.initial.mean_at(sub_times[: shift + 1])
-    elif callable(segment_mean):
-        seg_vals = np.asarray(segment_mean(sub_times[: shift + 1]), dtype=float)
-    else:
-        seg_vals = np.full(shift + 1, float(segment_mean))
+    seg_vals = model.initial.mean_at(sub_times[: shift + 1])
 
     a, b = model.a, model.b
     gamma_nodes = a * np.asarray(
@@ -383,7 +374,6 @@ def mean_delay_curve(
     return MeanCurve(
         times=grid.t0 + np.arange(0, n_steps + 1) * grid.delta,
         means=m[shift::substeps].copy(),
-        method="recursion-quadrature",
     )
 
 

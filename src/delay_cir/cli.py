@@ -23,6 +23,10 @@ from dataclasses import dataclass, field
 from . import __version__
 from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_moment
 from .experiments import (
+    SCHEMES,
+    check_comparable,
+    check_schemes,
+    checkpoint_indices,
     classical_variant,
     comparison_census,
     fit_rate,
@@ -35,7 +39,6 @@ from .experiments import (
 )
 from .model import (
     GammaSpec,
-    GridMisaligned,
     InitialSegmentSpec,
     ModelSpec,
     build_grid,
@@ -65,16 +68,6 @@ class UnknownExperiment(ConfigError):
     def __init__(self, name: str):
         super().__init__(f"unknown experiment {name!r}")
 
-
-EXPERIMENTS = (
-    "strong_rate",
-    "mean_check",
-    "comparison",
-    "positivity",
-    "modulus",
-    "survival",
-    "analytics_probe",
-)
 
 # Defaults for every key; a minimal (even empty) config file resolves to the
 # reference strong-rate study.  Keys whose default is None are conditionally
@@ -245,6 +238,29 @@ def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
     )
 
 
+def _checked(key: str, check, *args):
+    """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of ``key``."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise BadValue(key, str(exc)) from None
+
+
+def _require_classical(model: ModelSpec, key: str, subject: str = "") -> None:
+    """The analytic oracles address the classical model only."""
+    if model.b != 0.0 or model.gamma.kind != "constant" or model.initial.is_random:
+        raise BadValue(
+            key, f"{subject}needs b = 0, constant gamma and a deterministic start"
+        )
+
+
+def _lower_model(model: ModelSpec, gamma_lower: float | None) -> ModelSpec:
+    """The comparison's b = 0 model at ``gamma_lower`` (default: inf gamma)."""
+    if gamma_lower is None:
+        gamma_lower = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
+    return classical_variant(model, gamma_level=gamma_lower)
+
+
 def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:
     """Read, resolve against defaults, validate, and freeze a run config."""
     items = dict(DEFAULTS)
@@ -269,22 +285,11 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
 
     gamma = _build_gamma(items)
     initial = _build_initial(items)
-    try:
-        model = ModelSpec(
-            a=a,
-            b=b,
-            sigma=sigma,
-            tau=tau,
-            t0=t0,
-            horizon=horizon,
-            gamma=gamma,
-            initial=initial,
-        )
-        report = validate_model(model)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise BadValue("model", str(exc)) from None
+    model = ModelSpec(
+        a=a, b=b, sigma=sigma, tau=tau, t0=t0, horizon=horizon, gamma=gamma,
+        initial=initial,
+    )
+    report = _checked("model", validate_model, model)
 
     n_per_delay = _parse_int("N", items["N"])
     if n_per_delay < 1:
@@ -315,7 +320,7 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
         part.strip() for part in items["scheme"].split(",") if part.strip()
     )
     for name in schemes:
-        if name not in ("implicit", "truncated", "symmetrized"):
+        if name not in SCHEMES:
             raise BadValue("scheme", f"unknown scheme {name!r}")
     if not schemes:
         raise BadValue("scheme", "empty list")
@@ -337,23 +342,21 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
                 raise BadValue(
                     "p_list", f"{_fmt(p)} is not below p_max = {_fmt(report.p_max)}"
                 )
-    if experiment == "modulus" and delta_list is not None:
-        try:
-            grid = build_grid(model, n_per_delay)
-        except ValueError as exc:
-            raise BadValue("N", str(exc)) from None
-        try:
-            modulus_lags(grid, delta_list)
-        except GridMisaligned as exc:
-            raise BadValue("delta_list", str(exc)) from None
-    if experiment == "analytics_probe" and (
-        b != 0.0 or gamma.kind != "constant" or initial.is_random
-    ):
-        # the analytic oracles address the classical model only
-        raise BadValue(
-            "experiment",
-            "analytics_probe needs b = 0, constant gamma and a deterministic start",
-        )
+        for n in (*n_list, n_ref):
+            _checked("horizon", build_grid, model, n)
+    elif experiment == "analytics_probe":
+        _require_classical(model, "experiment", "analytics_probe ")
+    else:
+        grid = _checked("horizon", build_grid, model, n_per_delay)
+        if experiment == "mean_check" and checkpoints is not None:
+            _checked("checkpoints", checkpoint_indices, grid, checkpoints)
+        elif experiment == "modulus" and delta_list is not None:
+            _checked("delta_list", modulus_lags, grid, delta_list)
+        elif experiment == "positivity":
+            _checked("scheme", check_schemes, schemes, model)
+        elif experiment == "comparison":
+            lower = _lower_model(model, gamma_lower)
+            _checked("gamma_lower", check_comparable, model, lower, grid)
 
     resolved = tuple(
         (key, "" if items[key] is None else str(items[key]))
@@ -439,121 +442,114 @@ def _default_checkpoints(grid) -> tuple[float, ...]:
     return tuple(float(grid.time(k)) for k in ks)
 
 
+def _grid(config: RunConfig):
+    return build_grid(config.model, config.n_per_delay)
+
+
+# Experiment runners: each returns its CSV products as {file name: (header,
+# rows)}.  They look the drivers up as module globals when they run.
+
+
+def _strong_rate(config: RunConfig):
+    table = strong_error_study(
+        config.model, config.n_list, config.n_ref, config.n_paths, config.p_list,
+        config.seed, threads=config.threads,
+    )
+    errors = [
+        (r.delta, r.p, r.grid_error, r.uniform_error, r.std_err, r.n_paths)
+        for r in table.rows
+    ]
+    fits = []
+    for p in config.p_list:
+        for variant in ("plain_delta", "delta_log_delta"):
+            fit = fit_rate(table, p=p, variant=variant)
+            fits.append((p, variant, fit.slope, fit.intercept, fit.r_squared))
+    return {
+        "errors.csv": ("delta,p,grid_error,uniform_error,std_err,n_paths", errors),
+        "ratefit.csv": ("p,variant,slope,intercept,r_squared", fits),
+    }
+
+
+def _mean_check(config: RunConfig):
+    grid = _grid(config)
+    checkpoints = config.checkpoints or _default_checkpoints(grid)
+    rows = mean_consistency_check(
+        config.model, grid, config.n_paths, checkpoints, config.seed, config.threads
+    )
+    rows = [(r.t, r.mc_mean, r.oracle_mean, r.z) for r in rows]
+    return {"mean.csv": ("t,mc_mean,oracle_mean,z", rows)}
+
+
+def _comparison(config: RunConfig):
+    lower = _lower_model(config.model, config.gamma_lower)
+    violations = comparison_census(
+        config.model, lower, _grid(config), config.n_paths, config.seed, config.threads
+    )
+    return {"comparison.csv": ("n_paths,violations", [(config.n_paths, violations)])}
+
+
+def _positivity(config: RunConfig):
+    rows = positivity_census(
+        config.schemes, config.model, _grid(config), config.n_paths, config.seed,
+        config.threads,
+    )
+    rows = [(r.scheme, r.fraction_nonpositive, r.n_paths) for r in rows]
+    return {"census.csv": ("scheme,fraction_nonpositive,n_paths", rows)}
+
+
+def _modulus(config: RunConfig):
+    grid = _grid(config)
+    deltas = config.delta_list
+    if deltas is None:
+        deltas = tuple(
+            grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
+        )
+    result = modulus_scaling(
+        config.model, grid, config.n_paths, deltas, config.seed, p=config.p_list[0],
+        threads=config.threads,
+    )
+    rows = [(r.delta, result.p, r.modulus) for r in result.rows]
+    return {
+        "modulus.csv": ("delta,p,modulus", rows),
+        "modulusfit.csv": ("p,slope", [(result.p, result.slope)]),
+    }
+
+
+def _survival(config: RunConfig):
+    est = survival_probability(
+        config.model, _grid(config), config.n_paths, config.seed, config.threads
+    )
+    rows = [(est.value, est.std_err, est.n_paths)]
+    return {"survival.csv": ("value,std_err,n_paths", rows)}
+
+
+def _analytics_probe(config: RunConfig):
+    return {"analytics.csv": ("op,argument,value", _probe_rows(config)[1])}
+
+
+EXPERIMENTS = {
+    "strong_rate": _strong_rate,
+    "mean_check": _mean_check,
+    "comparison": _comparison,
+    "positivity": _positivity,
+    "modulus": _modulus,
+    "survival": _survival,
+    "analytics_probe": _analytics_probe,
+}
+
+
 def _run_experiment(config: RunConfig) -> list[str]:
     """Execute the configured experiment; returns the CSV file names written."""
-    model, seed, n_paths = config.model, config.seed, config.n_paths
-    out = config.out_dir
-
-    if config.experiment == "strong_rate":
-        table = strong_error_study(
-            model,
-            config.n_list,
-            config.n_ref,
-            n_paths,
-            config.p_list,
-            seed,
-            threads=config.threads,
-        )
-        _write_csv(
-            out,
-            "errors.csv",
-            "delta,p,grid_error,uniform_error,std_err,n_paths",
-            [
-                (r.delta, r.p, r.grid_error, r.uniform_error, r.std_err, r.n_paths)
-                for r in table.rows
-            ],
-        )
-        fits = []
-        for p in config.p_list:
-            for variant in ("plain_delta", "delta_log_delta"):
-                fit = fit_rate(table, p=p, variant=variant)
-                fits.append((p, variant, fit.slope, fit.intercept, fit.r_squared))
-        _write_csv(out, "ratefit.csv", "p,variant,slope,intercept,r_squared", fits)
-        return ["errors.csv", "ratefit.csv"]
-
-    grid = build_grid(model, config.n_per_delay)
-
-    if config.experiment == "mean_check":
-        checkpoints = config.checkpoints or _default_checkpoints(grid)
-        rows = mean_consistency_check(
-            model, grid, n_paths, checkpoints, seed, config.threads
-        )
-        _write_csv(
-            out,
-            "mean.csv",
-            "t,mc_mean,oracle_mean,z",
-            [(r.t, r.mc_mean, r.oracle_mean, r.z) for r in rows],
-        )
-        return ["mean.csv"]
-
-    if config.experiment == "comparison":
-        level = config.gamma_lower
-        if level is None:
-            level = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
-        lower = classical_variant(model, gamma_level=level)
-        violations = comparison_census(
-            model, lower, grid, n_paths, seed, config.threads
-        )
-        _write_csv(out, "comparison.csv", "n_paths,violations", [(n_paths, violations)])
-        return ["comparison.csv"]
-
-    if config.experiment == "positivity":
-        rows = positivity_census(
-            config.schemes, model, grid, n_paths, seed, config.threads
-        )
-        _write_csv(
-            out,
-            "census.csv",
-            "scheme,fraction_nonpositive,n_paths",
-            [(r.scheme, r.fraction_nonpositive, r.n_paths) for r in rows],
-        )
-        return ["census.csv"]
-
-    if config.experiment == "modulus":
-        deltas = config.delta_list
-        if deltas is None:
-            deltas = tuple(
-                grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
-            )
-        result = modulus_scaling(
-            model, grid, n_paths, deltas, seed, p=config.p_list[0],
-            threads=config.threads,
-        )
-        _write_csv(
-            out,
-            "modulus.csv",
-            "delta,p,modulus",
-            [(r.delta, result.p, r.modulus) for r in result.rows],
-        )
-        _write_csv(out, "modulusfit.csv", "p,slope", [(result.p, result.slope)])
-        return ["modulus.csv", "modulusfit.csv"]
-
-    if config.experiment == "survival":
-        est = survival_probability(model, grid, n_paths, seed, config.threads)
-        _write_csv(
-            out,
-            "survival.csv",
-            "value,std_err,n_paths",
-            [(est.value, est.std_err, est.n_paths)],
-        )
-        return ["survival.csv"]
-
-    # analytics_probe
-    _write_csv(out, "analytics.csv", "op,argument,value", _probe_rows(config)[1])
-    return ["analytics.csv"]
+    products = EXPERIMENTS[config.experiment](config)
+    for name, (header, rows) in products.items():
+        _write_csv(config.out_dir, name, header, rows)
+    return list(products)
 
 
 def _probe_rows(config: RunConfig):
     """(t, [(op, argument, value)]) of the analytic oracles at the probe points."""
-    model = config.model
-    params = CIRParams(
-        a=model.a,
-        gamma=model.gamma.params[0],
-        sigma=model.sigma,
-        x0=float(model.initial.mean_at(model.t0)),
-        t0=model.t0,
-    )
-    t = config.probe_t if config.probe_t is not None else model.horizon
+    params = CIRParams.from_model(config.model)
+    t = config.probe_t if config.probe_t is not None else config.model.horizon
     rows = [("laplace", u, laplace_transform(params, u, t)) for u in config.probe_u]
     moment = neg_moment(params, config.probe_p, t)
     rows.append(("neg_moment", config.probe_p, moment.value))
@@ -585,11 +581,7 @@ def _print_report(config: RunConfig) -> None:
 
 
 def _print_probe(config: RunConfig) -> None:
-    model = config.model
-    if model.b != 0.0 or model.gamma.kind != "constant" or model.initial.is_random:
-        raise BadValue(
-            "probe", "needs b = 0, constant gamma and a deterministic start"
-        )
+    _require_classical(config.model, "probe")
     t, rows = _probe_rows(config)
     for op, argument, value in rows:
         name = {"laplace": "u", "neg_moment": "p"}.get(op)

@@ -46,11 +46,15 @@ __all__ = [
     "ModulusRow",
     "ModulusResult",
     "SurvivalEstimate",
+    "SCHEMES",
     "map_paths",
     "strong_error_study",
     "fit_rate",
+    "checkpoint_indices",
     "mean_consistency_check",
+    "check_comparable",
     "comparison_census",
+    "check_schemes",
     "positivity_census",
     "modulus_lags",
     "modulus_scaling",
@@ -61,6 +65,9 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+
+# Scheme names of the positivity census.
+SCHEMES = ("implicit", "truncated", "symmetrized")
 
 
 class PRequestedTooLarge(ValueError):
@@ -92,7 +99,7 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
 
     def run(lo: int) -> Array:
         paths = range(lo, min(lo + _CHUNK, n_paths))
-        inc = noise_mod.generate(grid, seed, paths).increments
+        inc = noise_mod.generate(grid, seed, paths)
         seg = noise_mod.sample_segment(model.initial, grid, seed, paths).values
         return reduce(inc, seg)
 
@@ -310,7 +317,9 @@ class MeanCheckRow:
     z: float
 
 
-def _checkpoint_indices(grid: TimeGrid, checkpoints) -> list[int]:
+def checkpoint_indices(grid: TimeGrid, checkpoints) -> list[int]:
+    """Grid indices of ``checkpoints``; raises :class:`GridMisaligned` unless
+    every entry is a grid node in [t0, T]."""
     out = []
     for t in checkpoints:
         rel = (float(t) - grid.t0) / grid.delta
@@ -336,7 +345,7 @@ def mean_consistency_check(
     initial level is E[X0].  z = (MC mean - oracle) / (sample sd / sqrt(n)).
     """
     validate(model)
-    ks = _checkpoint_indices(grid, checkpoints)
+    ks = checkpoint_indices(grid, checkpoints)
     rows_k = [grid.n_per_delay + k for k in ks]
 
     def at_checkpoints(inc: Array, seg: Array) -> Array:
@@ -349,13 +358,7 @@ def mean_consistency_check(
     )
 
     if model.b == 0.0 and model.gamma.kind == "constant":
-        params = CIRParams(
-            a=model.a,
-            gamma=model.gamma.params[0],
-            sigma=model.sigma,
-            x0=float(model.initial.mean_at(model.t0)),
-            t0=model.t0,
-        )
+        params = CIRParams.from_model(model)
         oracle = [classical_mean(params, float(grid.time(k))) for k in ks]
     else:
         curve = mean_delay_curve(model, grid)
@@ -381,20 +384,12 @@ def mean_consistency_check(
 # ---------------------------------------------------------------------------
 
 
-def comparison_census(
-    model_upper: ModelSpec,
-    model_lower: ModelSpec,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    threads: int = 1,
-) -> int:
-    """Count pathwise ordering violations y_upper < y_lower on shared noise.
+def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeGrid):
+    """Raise :class:`IncomparableModels` unless the pathwise comparison applies.
 
-    Requires the models to share (a, sigma, tau, t0, horizon) and the initial
+    The models must share (a, sigma, tau, t0, horizon) and the initial
     segment, with b_lower = 0 <= b_upper and gamma_upper >= gamma_lower at
-    every grid node; under these conditions the implicit update is monotone in
-    its forcing, so the count should be zero.
+    every grid node; both must pass :func:`validate`.
     """
     same = all(
         getattr(model_upper, f) == getattr(model_lower, f)
@@ -414,12 +409,40 @@ def comparison_census(
     validate(model_upper)
     validate(model_lower)
 
+
+def comparison_census(
+    model_upper: ModelSpec,
+    model_lower: ModelSpec,
+    grid: TimeGrid,
+    n_paths: int,
+    seed: int,
+    threads: int = 1,
+) -> int:
+    """Count pathwise ordering violations y_upper < y_lower on shared noise.
+
+    Requires the preconditions of :func:`check_comparable`; under them the
+    implicit update is monotone in its forcing, so the count should be zero.
+    """
+    check_comparable(model_upper, model_lower, grid)
+
     def violations(inc: Array, seg: Array) -> Array:
         y_up = scheme_mod.simulate_y_paths(model_upper, grid, inc, seg)
         y_lo = scheme_mod.simulate_y_paths(model_lower, grid, inc, seg)
         return np.count_nonzero(y_up < y_lo, axis=0)
 
     return int(np.sum(map_paths(model_upper, grid, seed, n_paths, violations, threads)))
+
+
+def check_schemes(names, model: ModelSpec) -> None:
+    """Raise unless every name is in :data:`SCHEMES` and runs on ``model``
+    (the symmetrized scheme exists for b = 0 only)."""
+    for name in names:
+        if name not in SCHEMES:
+            raise ValueError(f"unknown scheme {name!r}")
+    if "symmetrized" in names and model.b != 0.0:
+        raise scheme_mod.DelayNotSupported(
+            "the symmetrized scheme is defined for b = 0 only"
+        )
 
 
 @dataclass(frozen=True)
@@ -443,9 +466,7 @@ def positivity_census(
     the same noise, drawn once per chunk.
     """
     names = tuple(schemes)
-    for name in names:
-        if name not in ("implicit", "truncated", "symmetrized"):
-            raise ValueError(f"unknown scheme {name!r}")
+    check_schemes(names, model)
     validate(model)
     offset = grid.n_per_delay
 

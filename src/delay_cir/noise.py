@@ -35,10 +35,8 @@ from .model import InitialSegmentSpec, OutOfDomain, TimeGrid
 Array = np.ndarray
 
 __all__ = [
-    "CoupledNoise",
     "SegmentDraw",
     "generate",
-    "coarsen",
     "block_sum",
     "sample_segment",
     "NotNested",
@@ -112,33 +110,14 @@ def _standard_normals(seed: int, paths: range, tag: int, n: int) -> Array:
     return ndtri(u, out=u)
 
 
-@dataclass(frozen=True)
-class CoupledNoise:
-    """Brownian increments of one path, or of a range of paths, at one resolution.
+def generate(grid: TimeGrid, seed: int, path_index: int | range) -> Array:
+    """Brownian increments W(t_{k+1}) - W(t_k), k = 0 .. K-1, on ``grid``.
 
-    ``n_fine`` is the number of steps per delay at this resolution and
-    ``delta_fine`` the step; ``increments`` holds W(t_{k+1}) - W(t_k) for
-    k = 0 .. K-1, shape (K,) for one path and (K, paths) for a range.
+    Shape (K, paths) for a range of paths, (K,) for one path index.
     """
-
-    seed: int
-    path_index: int | range
-    n_fine: int
-    delta_fine: float
-    increments: Array
-
-
-def generate(grid: TimeGrid, seed: int, path_index: int | range) -> CoupledNoise:
-    """Increments of path ``path_index`` (or of a range of paths) on ``grid``."""
     z = _standard_normals(seed, _paths(path_index), _TAG_NOISE, grid.n_steps)
     z *= math.sqrt(grid.delta)
-    return CoupledNoise(
-        seed=seed,
-        path_index=path_index,
-        n_fine=grid.n_per_delay,
-        delta_fine=grid.delta,
-        increments=z if isinstance(path_index, range) else z[:, 0],
-    )
+    return z if isinstance(path_index, range) else z[:, 0]
 
 
 def block_sum(increments: Array, r: int) -> Array:
@@ -150,22 +129,6 @@ def block_sum(increments: Array, r: int) -> Array:
     for j in range(1, r):
         out += increments[j::r]
     return out
-
-def coarsen(noise: CoupledNoise, r: int) -> CoupledNoise:
-    """The same Brownian path at resolution ``n_fine / r``.
-
-    Raises :class:`NotNested` unless ``r`` divides both the per-delay step
-    count and the total number of increments.
-    """
-    if r < 1 or noise.n_fine % r:
-        raise NotNested(f"factor {r} does not divide n_fine={noise.n_fine}")
-    return CoupledNoise(
-        seed=noise.seed,
-        path_index=noise.path_index,
-        n_fine=noise.n_fine // r,
-        delta_fine=noise.delta_fine * r,
-        increments=block_sum(noise.increments, r),
-    )
 
 
 @dataclass(frozen=True)

@@ -34,30 +34,21 @@ reversion speed, valid for b < a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, OutOfDomain, TimeGrid
+from .model import ModelSpec, TimeGrid
 from .noise import NonPositiveSample, SegmentDraw
 
 Array = np.ndarray
 
 __all__ = [
-    "PathY",
-    "PathX",
-    "BaselinePathX",
     "implicit_step",
     "implicit_residual",
-    "simulate_y",
     "simulate_y_paths",
     "diffusive_value",
-    "square_and_interpolate",
-    "simulate_truncated_euler",
     "truncated_euler_paths",
-    "simulate_symmetrized_euler",
     "symmetrized_euler_paths",
-    "simulate_small_tau_proxy",
     "small_tau_proxy_paths",
     "NonPositiveForcing",
     "DelayNotSupported",
@@ -147,61 +138,6 @@ def implicit_residual(y_next, y_prev, z_delay, noise, a_under_next, a_bar, b_bar
         + b_bar * np.square(z_delay) / y_next
     )
     return y_next - y_prev - drift * delta - noise
-
-
-# ---------------------------------------------------------------------------
-# path containers
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PathY:
-    """One path of the transformed process on grid nodes k = -N .. K."""
-
-    model: ModelSpec
-    grid: TimeGrid
-    values: Array
-
-    def value(self, k: int) -> float:
-        return float(self.values[self.grid.node_index(k)])
-
-
-@dataclass(frozen=True)
-class PathX:
-    """One path of X on grid nodes k = -N .. K with its linear interpolant."""
-
-    model: ModelSpec
-    grid: TimeGrid
-    values: Array
-
-    def value(self, k: int) -> float:
-        return float(self.values[self.grid.node_index(k)])
-
-    def interpolate(self, t: float | Array):
-        """Piecewise-linear interpolant through the grid nodes."""
-        times = self.grid.times()
-        t_arr = np.asarray(t, dtype=float)
-        tol = 1e-9 * max(1.0, self.grid.tau)
-        if np.any(t_arr < times[0] - tol) or np.any(t_arr > times[-1] + tol):
-            raise OutOfDomain(f"t={t!r} outside [{times[0]}, {times[-1]}]")
-        out = np.interp(t_arr, times, self.values)
-        return out if np.ndim(t) else float(out)
-
-
-@dataclass(frozen=True)
-class BaselinePathX:
-    """Baseline-scheme path on nodes k = 0 .. K plus its negativity census."""
-
-    model: ModelSpec
-    grid: TimeGrid
-    scheme: str
-    values: Array
-    nonpositive_count: int
-
-    def value(self, k: int) -> float:
-        if k < 0 or k > self.grid.n_steps:
-            raise OutOfDomain(f"baseline paths cover k = 0 .. {self.grid.n_steps}")
-        return float(self.values[k])
 
 
 # ---------------------------------------------------------------------------
@@ -296,28 +232,10 @@ def simulate_y_paths(
     return y
 
 
-def simulate_y(
+def diffusive_value(
     model: ModelSpec,
     grid: TimeGrid,
-    increments: Array,
-    segment: SegmentDraw,
-    segment_perturbation: Array | None = None,
-) -> PathY:
-    """Drift-implicit path of Y for a single path's increments and segment."""
-    inc = np.asarray(increments, dtype=float)
-    if inc.ndim != 1:
-        raise ValueError("simulate_y is single-path; use simulate_y_paths for batches")
-    values = simulate_y_paths(model, grid, inc, segment, segment_perturbation)[:, 0]
-    return PathY(model=model, grid=grid, values=values)
-
-
-def square_and_interpolate(path: PathY) -> PathX:
-    """X path x_k = y_k^2 with its piecewise-linear interpolant."""
-    return PathX(model=path.model, grid=path.grid, values=np.square(path.values))
-
-
-def diffusive_value(
-    path: PathY,
+    y: Array,
     t: float,
     w_in_cell: float,
     z_delay: float | None = None,
@@ -326,10 +244,12 @@ def diffusive_value(
 ) -> float:
     """Value of the in-cell (diffusive) extension of the scheme at time t.
 
-    Inside the cell (t_k, t_{k+1}] the extension solves the same implicit
-    equation with step t - t_k and the aggregated Brownian value
-    ``w_in_cell`` = W(t) - W(t_k).  At t = t_{k+1} with the full increment it
-    reproduces y_{k+1} exactly; as t -> t_k (and w -> 0) it approaches y_k.
+    ``y`` is one path's Y values on nodes -N .. K, shape (N + K + 1,): a
+    column of :func:`simulate_y_paths`.  Inside the cell (t_k, t_{k+1}] the
+    extension solves the same implicit equation with step t - t_k and the
+    aggregated Brownian value ``w_in_cell`` = W(t) - W(t_k).  At t = t_{k+1}
+    with the full increment it reproduces y_{k+1} exactly; as t -> t_k (and
+    w -> 0) it approaches y_k.
 
     ``z_delay`` is the delayed value Y(t - tau).  It may be omitted when
     b = 0 (unused) or when t - tau <= t0 with a ``segment`` that resolves the
@@ -337,7 +257,6 @@ def diffusive_value(
     the fine resolution on which the Brownian value is known; times off that
     fine grid then raise :class:`UnresolvableTime`.
     """
-    grid = path.grid
     rel = (t - grid.t0) / grid.delta
     if rel <= 1e-12 or rel > grid.n_steps + 1e-9:
         raise UnresolvableTime(f"t={t} outside ({grid.t0}, {grid.t_end}]")
@@ -351,11 +270,10 @@ def diffusive_value(
             raise UnresolvableTime(
                 f"t={t} is not a node of the fine grid with {fine_per_delay} steps per delay"
             )
-    k_next = math.ceil(rel - 1e-12)
-    k_prev = k_next - 1
+    k_prev = math.ceil(rel - 1e-12) - 1
     dt = t - float(grid.time(k_prev))
     if z_delay is None:
-        if path.model.b_bar != 0.0:
+        if model.b_bar != 0.0:
             t_delayed = t - grid.tau
             if segment is not None and t_delayed <= grid.t0 + 1e-12:
                 z_delay = math.sqrt(float(segment.value_at(t_delayed)))
@@ -368,12 +286,12 @@ def diffusive_value(
             z_delay = 0.0
     return float(
         implicit_step(
-            path.value(k_prev),
+            float(y[grid.node_index(k_prev)]),
             z_delay,
-            path.model.sigma_bar * w_in_cell,
-            float(path.model.a_under(t)),
-            path.model.a_bar,
-            path.model.b_bar,
+            model.sigma_bar * w_in_cell,
+            float(model.a_under(t)),
+            model.a_bar,
+            model.b_bar,
             dt,
         )
     )
@@ -401,17 +319,6 @@ def _explicit_paths(model, grid, increments, segment, update):
     return x, np.count_nonzero(x[n_delay:] <= 0.0, axis=0)
 
 
-def _baseline_path(scheme, paths, model, grid, increments, segment) -> BaselinePathX:
-    x, counts = paths(model, grid, np.asarray(increments), segment)
-    return BaselinePathX(
-        model=model,
-        grid=grid,
-        scheme=scheme,
-        values=x[grid.n_per_delay :, 0],
-        nonpositive_count=int(counts[0]),
-    )
-
-
 def truncated_euler_paths(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment
 ) -> tuple[Array, Array]:
@@ -434,14 +341,6 @@ def truncated_euler_paths(
     return _explicit_paths(model, grid, increments, segment, update)
 
 
-def simulate_truncated_euler(
-    model: ModelSpec, grid: TimeGrid, increments: Array, segment: SegmentDraw
-) -> BaselinePathX:
-    return _baseline_path(
-        "truncated", truncated_euler_paths, model, grid, increments, segment
-    )
-
-
 def symmetrized_euler_paths(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment
 ) -> tuple[Array, Array]:
@@ -459,14 +358,6 @@ def symmetrized_euler_paths(
         return np.abs(cur + a * (gamma - cur) * delta + sigma * np.sqrt(cur) * dw)
 
     return _explicit_paths(model, grid, increments, segment, update)
-
-
-def simulate_symmetrized_euler(
-    model: ModelSpec, grid: TimeGrid, increments: Array, segment: SegmentDraw
-) -> BaselinePathX:
-    return _baseline_path(
-        "symmetrized", symmetrized_euler_paths, model, grid, increments, segment
-    )
 
 
 def small_tau_proxy_paths(
@@ -499,19 +390,3 @@ def small_tau_proxy_paths(
         y, inc, au, 0.5 * (model.a - model.b), 0.0, model.sigma_bar, grid.delta, 0
     )
     return np.square(y)
-
-
-def simulate_small_tau_proxy(
-    model: ModelSpec, grid: TimeGrid, increments: Array, segment: SegmentDraw
-) -> BaselinePathX:
-    """Proxy path started from the segment's value at t0."""
-    x = small_tau_proxy_paths(
-        model, grid, np.asarray(increments), float(segment.values[-1])
-    )
-    return BaselinePathX(
-        model=model,
-        grid=grid,
-        scheme="small_tau_proxy",
-        values=x[:, 0],
-        nonpositive_count=int(np.count_nonzero(x[:, 0] <= 0.0)),
-    )

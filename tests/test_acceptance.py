@@ -23,7 +23,7 @@ from delay_cir.model import (
     ModelSpec,
     build_grid,
 )
-from delay_cir.noise import block_sum, coarsen, generate, sample_segment
+from delay_cir.noise import block_sum, generate, sample_segment
 from delay_cir.scheme import (
     implicit_residual,
     implicit_step,
@@ -87,7 +87,7 @@ def _truncated_euler_grid_table(model: ModelSpec, n_paths: int) -> ErrorTable:
     grid-error column is filled.
     """
     fine = build_grid(model, N_REF)
-    inc = generate(fine, SEED, range(n_paths)).increments
+    inc = generate(fine, SEED, range(n_paths))
     seg = np.ones(fine.n_per_delay + 1)
     x_ref = truncated_euler_paths(model, fine, inc, seg)[0][fine.n_per_delay :]
     rows = []
@@ -189,7 +189,7 @@ def test_criterion_02_uniform_rate_with_log_factor(delay_rate_table):
 def test_criterion_03_classical_reduction(classical_rate_table):
     model = _reference_model(b=0.0, sigma=0.5)
     grid = build_grid(model, 64)
-    inc = generate(grid, SEED, range(100)).increments
+    inc = generate(grid, SEED, range(100))
     seg = np.ones(grid.n_per_delay + 1)
     x_delay_code = np.square(
         simulate_y_paths(model, grid, inc, seg)[grid.n_per_delay :]
@@ -323,7 +323,7 @@ def test_criterion_09_property_suites():
     )
     for model in configs:
         grid = build_grid(model, 32)
-        inc = generate(grid, SEED, range(100)).increments
+        inc = generate(grid, SEED, range(100))
         seg = sample_segment(model.initial, grid, SEED, range(100))
         y = simulate_y_paths(model, grid, inc, seg)
         au = np.asarray(model.a_under(grid.time(np.arange(1, grid.n_steps + 1))))
@@ -362,12 +362,12 @@ def test_criterion_09_property_suites():
         assert odd.delay_index(k) == k - odd.n_per_delay
         assert odd.time(k) == odd.t0 + k * odd.delta
 
-    # coarsen nesting within 1e-12
+    # block-sum nesting within 1e-12
     fine_grid = build_grid(_reference_model(), 24)
-    noise = generate(fine_grid, SEED, 0)
+    inc = generate(fine_grid, SEED, 0)
     for r1, r2 in ((2, 2), (2, 3), (3, 4), (2, 6)):
-        staged = coarsen(coarsen(noise, r1), r2).increments
-        direct = block_sum(noise.increments, r1 * r2)
+        staged = block_sum(block_sum(inc, r1), r2)
+        direct = block_sum(inc, r1 * r2)
         assert float(np.max(np.abs(staged - direct))) <= 1e-12
     print("criterion 9: residuals, monotonicity, alignment, nesting all ok")
 

@@ -306,6 +306,45 @@ def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # 1.3 is no whole number of steps tau / N at N = 64 ...
+        ("experiment = mean_check\nhorizon = 1.3\n", "horizon"),
+        ("experiment = survival\nhorizon = 1.3\n", "horizon"),
+        ("experiment = comparison\nhorizon = 1.3\n", "horizon"),
+        # ... nor at the rate study's levels
+        ("experiment = strong_rate\nhorizon = 1.3\n", "horizon"),
+        # (N_ref = 40 and 10, 20 fit; the coarsest level 2 does not)
+        ("experiment = strong_rate\nhorizon = 1.3\nN_list = 2,10,20\nN_ref = 40\n",
+         "horizon"),
+        ("experiment = mean_check\ncheckpoints = 0.001\n", "checkpoints"),
+        ("experiment = mean_check\ncheckpoints = 0.5,5.0\n", "checkpoints"),
+        ("experiment = positivity\nscheme = implicit,symmetrized\n", "scheme"),
+        ("experiment = comparison\ngamma_lower = 1.5\n", "gamma_lower"),
+    ],
+    ids=[
+        "mean_check-horizon", "survival-horizon", "comparison-horizon",
+        "strong_rate-horizon", "strong_rate-coarse-level", "checkpoint-off-grid",
+        "checkpoint-after-T", "symmetrized-with-delay", "gamma_lower-above-inf",
+    ],
+)
+def test_plan_time_config_errors_exit_two(tmp_path, capsys, text, key):
+    cfg = _write_config(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad value for {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
+def test_horizon_needs_whole_steps_only_on_the_grids_a_run_uses(tmp_path):
+    # 1.3 / (0.5 / N) is whole for N = 5, 10, 20, 40 but not for the unused N = 64
+    cfg = _write_config(
+        tmp_path,
+        "horizon = 1.3\nN_list = 5,10,20\nN_ref = 40\nn_paths = 20\n",
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")

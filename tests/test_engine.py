@@ -117,7 +117,7 @@ def _model(**kw) -> ModelSpec:
 
 def _engine_inputs(model, grid, seed, n_paths):
     paths = range(n_paths)
-    inc = generate(grid, seed, paths).increments
+    inc = generate(grid, seed, paths)
     seg = sample_segment(model.initial, grid, seed, paths).values
     return inc, seg
 
@@ -127,8 +127,8 @@ def test_batched_noise_matches_per_path_generators():
     ref = np.stack(
         [_reference_normals(5, i, 0, grid.n_steps) for i in range(3, 300)], axis=1
     ) * np.sqrt(grid.delta)
-    assert np.array_equal(generate(grid, 5, range(3, 300)).increments, ref)
-    assert np.array_equal(generate(grid, 5, 7).increments, ref[:, 4])
+    assert np.array_equal(generate(grid, 5, range(3, 300)), ref)
+    assert np.array_equal(generate(grid, 5, 7), ref[:, 4])
     spec = InitialSegmentSpec.lognormal(1.5, 0.4)
     levels = [
         1.5 * math.exp(0.4 * _reference_normals(5, i, 1, 1)[0]) for i in range(300)

@@ -306,7 +306,7 @@ def test_modulus_whole_interval_is_the_path_range():
     grid = build_grid(model, 8)
     span = grid.t_end - grid.t0
     res = modulus_scaling(model, grid, 20, (span,), seed=9)
-    inc = generate(grid, 9, range(20)).increments
+    inc = generate(grid, 9, range(20))
     seg = sample_segment(model.initial, grid, 9, range(20))
     x = np.square(simulate_y_paths(model, grid, inc, seg)[grid.n_per_delay :])
     assert res.rows[0].modulus == pytest.approx(float(np.mean(np.ptp(x, axis=0))), rel=1e-12)

@@ -12,13 +12,7 @@ from delay_cir.model import (
     OutOfDomain,
     build_grid,
 )
-from delay_cir.noise import (
-    NotNested,
-    block_sum,
-    coarsen,
-    generate,
-    sample_segment,
-)
+from delay_cir.noise import NotNested, block_sum, generate, sample_segment
 
 
 def _grid(n_per_delay: int = 64, tau: float = 0.5, horizon: float = 1.5):
@@ -44,15 +38,15 @@ def test_generate_is_deterministic():
     grid = _grid()
     first = generate(grid, seed=123, path_index=5)
     second = generate(grid, seed=123, path_index=5)
-    assert np.array_equal(first.increments, second.increments)
-    assert first.n_fine == grid.n_per_delay
-    assert len(first.increments) == grid.n_steps
+    assert np.array_equal(first, second)
+    assert first.shape == (grid.n_steps,)
+    assert generate(grid, seed=123, path_index=range(5, 7)).shape == (grid.n_steps, 2)
 
 
 def test_generate_distinct_paths_uncorrelated():
     grid = _grid(n_per_delay=64, tau=0.5, horizon=0.5 * 157)  # ~1e4 increments
-    a = generate(grid, seed=1, path_index=0).increments
-    b = generate(grid, seed=1, path_index=1).increments
+    a = generate(grid, seed=1, path_index=0)
+    b = generate(grid, seed=1, path_index=1)
     n = len(a)
     assert n >= 10_000
     corr = float(np.corrcoef(a[:10_000], b[:10_000])[0, 1])
@@ -62,13 +56,13 @@ def test_generate_distinct_paths_uncorrelated():
 def test_generate_increment_variance():
     grid = _grid()
     draws = np.concatenate(
-        [generate(grid, seed=9, path_index=i).increments for i in range(600)]
+        [generate(grid, seed=9, path_index=i) for i in range(600)]
     )
     assert len(draws) >= 100_000
     assert np.var(draws) == pytest.approx(grid.delta, rel=0.05)
     # total displacement variance ~ horizon - t0 (statistical, generous band)
     totals = [
-        float(np.sum(generate(grid, seed=9, path_index=i).increments))
+        float(np.sum(generate(grid, seed=9, path_index=i)))
         for i in range(2_000)
     ]
     assert np.var(totals) == pytest.approx(1.5, rel=0.15)
@@ -76,21 +70,20 @@ def test_generate_increment_variance():
 
 def test_generate_seed_changes_stream():
     grid = _grid()
-    a = generate(grid, seed=1, path_index=0).increments
-    b = generate(grid, seed=2, path_index=0).increments
+    a = generate(grid, seed=1, path_index=0)
+    b = generate(grid, seed=2, path_index=0)
     assert not np.array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------
-# coarsen / block_sum
+# block_sum: the only coarsening of the increments
 # ---------------------------------------------------------------------------
 
 
 def test_coarsen_identity():
     grid = _grid(n_per_delay=8)
-    noise = generate(grid, seed=3, path_index=0)
-    same = coarsen(noise, 1)
-    assert np.array_equal(same.increments, noise.increments)
+    inc = generate(grid, seed=3, path_index=0)
+    assert np.array_equal(block_sum(inc, 1), inc)
 
 
 def test_block_sum_pairwise_example():
@@ -119,28 +112,30 @@ def test_block_sum_total_preserved_left_to_right():
 
 
 def test_coarsen_rejects_non_divisor():
-    grid = _grid(n_per_delay=8)
-    noise = generate(grid, seed=3, path_index=0)
-    with pytest.raises(NotNested):
-        coarsen(noise, 3)
+    grid = _grid(n_per_delay=8)  # 24 increments
+    inc = generate(grid, seed=3, path_index=0)
+    for r in (0, 5, 7):
+        with pytest.raises(NotNested):
+            block_sum(inc, r)
 
 
 def test_coarsen_two_stage_nesting():
     grid = _grid(n_per_delay=24)
-    noise = generate(grid, seed=5, path_index=2)
+    inc = generate(grid, seed=5, path_index=2)
     for r1, r2 in ((2, 2), (2, 3), (3, 4), (2, 6)):
-        direct = coarsen(noise, r1 * r2).increments
-        staged = coarsen(coarsen(noise, r1), r2).increments
+        direct = block_sum(inc, r1 * r2)
+        staged = block_sum(block_sum(inc, r1), r2)
         assert np.max(np.abs(direct - staged)) <= 1e-12
 
 
 def test_coarsen_tracks_grid_resolution():
+    # block sums of r fine steps are the increments of the grid with N / r
     grid = _grid(n_per_delay=16)
-    noise = generate(grid, seed=5, path_index=0)
-    coarse = coarsen(noise, 4)
-    assert coarse.n_fine == 4
-    assert coarse.delta_fine == pytest.approx(noise.delta_fine * 4)
-    assert len(coarse.increments) == len(noise.increments) // 4
+    coarse_grid = _grid(n_per_delay=4)
+    inc = generate(grid, seed=5, path_index=range(3))
+    coarse = block_sum(inc, 4)
+    assert coarse.shape == (coarse_grid.n_steps, 3)
+    assert np.array_equal(coarse[:, 1], block_sum(inc[:, 1], 4))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +194,7 @@ def test_segment_independent_of_noise_resolution():
 
 def test_segment_stream_disjoint_from_noise_stream():
     grid = _grid(n_per_delay=8)
-    inc = generate(grid, seed=6, path_index=0).increments
+    inc = generate(grid, seed=6, path_index=0)
     level = sample_segment(
         InitialSegmentSpec.lognormal(1.0, 1.0), grid, seed=6, path_index=0
     ).values[0]

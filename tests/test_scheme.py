@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delay_cir.experiments import _coarse_on_fine_weights, _uniform_error
 from delay_cir.model import (
     GammaSpec,
     InitialSegmentSpec,
@@ -16,19 +17,13 @@ from delay_cir.noise import NonPositiveSample, block_sum, generate, sample_segme
 from delay_cir.scheme import (
     DelayNotSupported,
     NonPositiveForcing,
-    PathY,
     ProxyRequiresBLessThanA,
     UnresolvableTime,
     diffusive_value,
     implicit_residual,
     implicit_step,
-    simulate_small_tau_proxy,
-    simulate_symmetrized_euler,
-    simulate_truncated_euler,
-    simulate_y,
     simulate_y_paths,
     small_tau_proxy_paths,
-    square_and_interpolate,
     symmetrized_euler_paths,
     truncated_euler_paths,
 )
@@ -51,7 +46,7 @@ def _model(**kw) -> ModelSpec:
 
 def _increments(grid, n_paths: int, seed: int) -> np.ndarray:
     """Time-major increments (steps, paths) of paths 0 .. n_paths-1."""
-    return generate(grid, seed=seed, path_index=range(n_paths)).increments
+    return generate(grid, seed=seed, path_index=range(n_paths))
 
 
 def _residuals(model, grid, y: np.ndarray, inc: np.ndarray) -> np.ndarray:
@@ -192,7 +187,7 @@ def test_step_monotone_in_state_and_forcing():
 
 
 # ---------------------------------------------------------------------------
-# simulate_y
+# simulate_y_paths
 # ---------------------------------------------------------------------------
 
 
@@ -203,10 +198,10 @@ def test_simulate_y_constant_at_deterministic_fixed_point():
     x_star = model.a_under(0.0) / model.a_bar  # 0.4921875 / 0.5
     model = _model(b=0.0, initial=InitialSegmentSpec.constant(x_star))
     grid = build_grid(model, 8)
-    path = simulate_y(model, grid, np.zeros(grid.n_steps), np.full(9, x_star))
+    y = simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.full(9, x_star))[:, 0]
     y0 = math.sqrt(x_star)
-    assert path.values == pytest.approx(np.full(grid.n_nodes, y0), rel=1e-13)
-    assert path.value(grid.n_steps) == pytest.approx(y0, rel=1e-13)
+    assert y == pytest.approx(np.full(grid.n_nodes, y0), rel=1e-13)
+    assert y[grid.node_index(grid.n_steps)] == pytest.approx(y0, rel=1e-13)
 
 
 def test_simulate_y_positive_across_random_paths():
@@ -234,8 +229,7 @@ def test_refined_run_differs_but_keeps_its_residual_contract():
     model = _model()
     fine = build_grid(model, 16)
     coarse = build_grid(model, 8)
-    noise = generate(fine, seed=3, path_index=0)
-    inc_f = noise.increments
+    inc_f = generate(fine, seed=3, path_index=0)
     inc_c = block_sum(inc_f, 2)
     y_f = simulate_y_paths(model, fine, inc_f, np.ones(17))
     y_c = simulate_y_paths(model, coarse, inc_c, np.ones(9))
@@ -265,8 +259,6 @@ def test_simulate_y_rejects_bad_segments_and_shapes():
         simulate_y_paths(model, grid, inc, np.ones(7))
     with pytest.raises(NonPositiveSample):
         simulate_y_paths(model, grid, inc, np.ones(5), segment_perturbation=-2.0)
-    with pytest.raises(ValueError, match="single-path"):
-        simulate_y(model, grid, np.zeros((3, grid.n_steps)), np.ones(5))
 
 
 def test_segment_perturbation_shifts_the_initial_nodes():
@@ -287,52 +279,53 @@ def test_segment_perturbation_shifts_the_initial_nodes():
 
 
 def _reference_path(n_per_delay: int = 8, seed: int = 17):
+    """(model, grid, increments, segment draw, Y column on nodes -N .. K)."""
     model = _model()
     grid = build_grid(model, n_per_delay)
-    noise = generate(grid, seed=seed, path_index=0)
+    inc = generate(grid, seed=seed, path_index=0)
     seg = sample_segment(model.initial, grid, seed=seed, path_index=0)
-    return model, grid, noise, seg, simulate_y(model, grid, noise.increments, seg)
+    return model, grid, inc, seg, simulate_y_paths(model, grid, inc, seg)[:, 0]
 
 
 def test_diffusive_value_reproduces_nodes_with_full_increment():
-    model, grid, noise, seg, path = _reference_path()
+    model, grid, inc, seg, y = _reference_path()
     for k_next in (3, 11, grid.n_steps):
         t = float(grid.time(k_next))
-        w = float(noise.increments[k_next - 1])
+        w = float(inc[k_next - 1])
         if t - grid.tau <= grid.t0:
-            got = diffusive_value(path, t, w, segment=seg)
+            got = diffusive_value(model, grid, y, t, w, segment=seg)
         else:
-            got = diffusive_value(
-                path, t, w, z_delay=path.value(k_next - grid.n_per_delay)
-            )
-        assert got == path.value(k_next)
+            z = y[grid.node_index(k_next - grid.n_per_delay)]
+            got = diffusive_value(model, grid, y, t, w, z_delay=z)
+        assert got == y[grid.node_index(k_next)]
 
 
 def test_diffusive_value_approaches_left_node():
     model = _model(b=0.0)
     grid = build_grid(model, 8)
-    noise = generate(grid, seed=23, path_index=0)
-    path = simulate_y(model, grid, noise.increments, np.ones(9))
+    inc = generate(grid, seed=23, path_index=0)
+    y = simulate_y_paths(model, grid, inc, np.ones(9))[:, 0]
     k = 5
     t = float(grid.time(k)) + 1e-8
-    assert diffusive_value(path, t, 0.0) == pytest.approx(path.value(k), rel=1e-6)
+    assert diffusive_value(model, grid, y, t, 0.0) == pytest.approx(
+        y[grid.node_index(k)], rel=1e-6
+    )
 
 
 def test_diffusive_value_solves_the_partial_step_equation():
     model = _model(b=0.0)
     grid = build_grid(model, 8)
     fine = build_grid(model, 16)
-    noise_f = generate(fine, seed=29, path_index=0)
-    inc_c = block_sum(noise_f.increments, 2)
-    path = simulate_y(model, grid, inc_c, np.ones(9))
+    inc_f = generate(fine, seed=29, path_index=0)
+    y = simulate_y_paths(model, grid, block_sum(inc_f, 2), np.ones(9))[:, 0]
     k = 6
     t = float(grid.time(k)) + 0.5 * grid.delta  # a node of the doubled grid
-    w = float(noise_f.increments[2 * k])
-    y_star = diffusive_value(path, t, w, fine_per_delay=16)
+    w = float(inc_f[2 * k])
+    y_star = diffusive_value(model, grid, y, t, w, fine_per_delay=16)
     dt = 0.5 * grid.delta
     defect = (
         y_star
-        - path.value(k)
+        - y[grid.node_index(k)]
         - (model.a_under(t) / y_star - model.a_bar * y_star) * dt
         - model.sigma_bar * w
     )
@@ -341,71 +334,94 @@ def test_diffusive_value_solves_the_partial_step_equation():
 
 
 def test_diffusive_value_rejects_unresolvable_times():
-    model, grid, noise, seg, path = _reference_path()
+    model, grid, inc, seg, y = _reference_path()
     with pytest.raises(UnresolvableTime):
-        diffusive_value(path, grid.t0, 0.0, z_delay=1.0)
+        diffusive_value(model, grid, y, grid.t0, 0.0, z_delay=1.0)
     with pytest.raises(UnresolvableTime):
-        diffusive_value(path, grid.t_end + grid.delta, 0.0, z_delay=1.0)
+        diffusive_value(model, grid, y, grid.t_end + grid.delta, 0.0, z_delay=1.0)
     # off the declared fine grid
     with pytest.raises(UnresolvableTime):
         diffusive_value(
-            path, float(grid.time(3)) + grid.delta / 3.0, 0.0,
+            model, grid, y, float(grid.time(3)) + grid.delta / 3.0, 0.0,
             z_delay=1.0, fine_per_delay=16,
         )
     # declared fine resolution must refine the coarse one
     with pytest.raises(UnresolvableTime):
         diffusive_value(
-            path, float(grid.time(3)), 0.0, z_delay=1.0, fine_per_delay=12
+            model, grid, y, float(grid.time(3)), 0.0, z_delay=1.0, fine_per_delay=12
         )
     # b > 0 past the first delay window needs the delayed value
     with pytest.raises(UnresolvableTime, match="delayed value"):
-        diffusive_value(path, float(grid.time(grid.n_steps)), 0.0)
+        diffusive_value(model, grid, y, float(grid.time(grid.n_steps)), 0.0)
 
 
 def test_diffusive_value_reads_delay_from_segment_in_first_window():
-    model, grid, noise, seg, path = _reference_path()
+    model, grid, inc, seg, y = _reference_path()
     t = float(grid.time(2)) + 0.5 * grid.delta  # t - tau < t0
-    got = diffusive_value(path, t, 0.01, segment=seg)
+    got = diffusive_value(model, grid, y, t, 0.01, segment=seg)
     want = diffusive_value(
-        path, t, 0.01, z_delay=math.sqrt(float(seg.value_at(t - grid.tau)))
+        model, grid, y, t, 0.01, z_delay=math.sqrt(float(seg.value_at(t - grid.tau)))
     )
     assert got == want > 0.0
 
 
 # ---------------------------------------------------------------------------
-# squaring and interpolation
+# piecewise-linear interpolant in X, as the uniform error evaluates it
 # ---------------------------------------------------------------------------
 
 
-def test_square_and_interpolate_constant_path():
-    model = _model()
-    grid = build_grid(model, 4)
-    path = PathY(model=model, grid=grid, values=np.ones(grid.n_nodes))
-    x = square_and_interpolate(path)
-    assert np.all(x.values == 1.0)
-    assert x.interpolate(0.33) == 1.0
+def _interpolant_on_fine(x_coarse: np.ndarray, r: int) -> np.ndarray:
+    """The coarse interpolant at every fine node, via the weights of the error."""
+    base, frac = _coarse_on_fine_weights(r * (x_coarse.shape[0] - 1), r)
+    return x_coarse[base] * (1.0 - frac[:, None]) + x_coarse[base + 1] * frac[:, None]
+
+
+def test_uniform_error_of_constant_paths_is_zero():
+    x = np.square(np.ones((9, 3)))  # a constant Y path squares to constant X
+    assert np.all(_interpolant_on_fine(x, 4) == 1.0)
+    out = np.empty(3)
+    _uniform_error(np.ones((33, 3)), x, *_coarse_on_fine_weights(32, 4), out=out)
+    assert np.all(out == 0.0)
 
 
 def test_square_then_interpolate_midpoint():
-    model = _model(tau=1.0, horizon=1.0)
-    grid = build_grid(model, 2)
-    y = np.array([1.0, 1.0, 1.0, 2.0, 1.0])  # nodes -2 .. 2, delta = 0.5
-    x = square_and_interpolate(PathY(model=model, grid=grid, values=y))
-    assert x.value(1) == 4.0
-    # linear in x (not in y): midpoint of [1, 4] is 2.5
-    assert x.interpolate(0.25) == 2.5
-    assert x.interpolate([0.0, 0.25, 0.5]) == pytest.approx([1.0, 2.5, 4.0])
+    # Y nodes 1, 2, 1 square to X nodes 1, 4, 1; one coarse step per two fine
+    x_coarse = np.square(np.array([[1.0], [2.0], [1.0]]))
+    weights = _coarse_on_fine_weights(4, 2)
+    base, frac = weights
+    assert list(base) == [0, 0, 1, 1, 1] and list(frac) == [0.0, 0.5, 0.0, 0.5, 1.0]
+    out = np.empty(1)
+    # linear in x (not in y): the midpoint of [1, 4] is 2.5 ...
+    fine = np.array([[1.0], [2.5], [4.0], [2.5], [1.0]])
+    _uniform_error(fine, x_coarse, *weights, out=out)
+    assert out[0] == 0.0
+    # ... so the square of the interpolant in y misses it by 2.5 - 1.5^2
+    fine = np.square(np.array([[1.0], [1.5], [2.0], [1.5], [1.0]]))
+    _uniform_error(fine, x_coarse, *weights, out=out)
+    assert out[0] == 0.25
 
 
 def test_interpolant_hits_nodes_and_guards_domain():
-    model, grid, noise, seg, path = _reference_path(seed=41)
-    x = square_and_interpolate(path)
-    times = grid.times()
-    assert x.interpolate(times) == pytest.approx(np.square(path.values), rel=1e-15)
-    with pytest.raises(OutOfDomain):
-        x.interpolate(grid.t_end + 1.0)
-    with pytest.raises(OutOfDomain):
-        x.interpolate(grid.t0 - grid.tau - 1.0)
+    model, grid, inc, seg, y = _reference_path(seed=41)
+    x = np.square(y[grid.n_per_delay :])[:, None]  # X on nodes 0 .. K
+    out = np.empty(1)
+    # fine equal to coarse on every shared node: no error at r = 1
+    _uniform_error(x, x, *_coarse_on_fine_weights(grid.n_steps, 1), out=out)
+    assert out[0] == 0.0
+    r = 4
+    base, frac = _coarse_on_fine_weights(r * grid.n_steps, r)
+    on_fine = _interpolant_on_fine(x, r)
+    assert np.array_equal(on_fine[::r], x)  # the interpolant hits the nodes
+    _uniform_error(on_fine, x, base, frac, out=out)
+    assert out[0] == 0.0
+    bumped = on_fine.copy()
+    bumped[r * 3 + 1] += 0.5  # off a shared node: the fine maximum sees it
+    _uniform_error(bumped, x, base, frac, out=out)
+    assert out[0] == pytest.approx(0.5, rel=1e-12)
+    # the last fine node closes the last coarse cell: the weights never index
+    # past the coarse path
+    assert base.max() == grid.n_steps - 1 and frac[-1] == 1.0
+    assert np.all((0.0 <= frac) & (frac <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -416,24 +432,24 @@ def test_interpolant_hits_nodes_and_guards_domain():
 def test_truncated_euler_fixed_point():
     model = _model(b=0.0)
     grid = build_grid(model, 8)
-    path = simulate_truncated_euler(
+    x, counts = truncated_euler_paths(
         model, grid, np.zeros(grid.n_steps), sample_segment(model.initial, grid, 0, 0)
     )
-    assert path.scheme == "truncated"
-    assert np.all(path.values == 1.0)
-    assert path.nonpositive_count == 0
+    assert np.all(x[grid.n_per_delay :, 0] == 1.0)
+    assert counts[0] == 0
 
 
 def test_truncated_euler_one_step_arithmetic():
     model = _model(b=0.0, sigma=1.0, tau=1.0, horizon=0.1)
     grid = build_grid(model, 10)
-    path = simulate_truncated_euler(
+    x, _ = truncated_euler_paths(
         model, grid, np.array([-0.5]), sample_segment(model.initial, grid, 0, 0)
     )
     # x1 = 1 + [a(gamma - 1)] * 0.1 + 1 * sqrt(1) * (-0.5) = 0.5
-    assert path.value(1) == 0.5
+    assert x.shape == (grid.n_nodes, 1)
+    assert x[grid.node_index(1), 0] == 0.5
     with pytest.raises(OutOfDomain):
-        path.value(2)
+        grid.node_index(2)
 
 
 def test_truncated_euler_goes_nonpositive_where_implicit_does_not():
@@ -493,11 +509,11 @@ def test_symmetrized_euler_reflects_to_nonnegative():
 def test_symmetrized_euler_fixed_point():
     model = _model(b=0.0)
     grid = build_grid(model, 8)
-    path = simulate_symmetrized_euler(
+    x, counts = symmetrized_euler_paths(
         model, grid, np.zeros(grid.n_steps), sample_segment(model.initial, grid, 0, 0)
     )
-    assert np.all(path.values == 1.0)
-    assert path.nonpositive_count == 0
+    assert np.all(x[grid.n_per_delay :, 0] == 1.0)
+    assert counts[0] == 0
 
 
 def test_symmetrized_euler_approaches_implicit_scheme_under_refinement():
@@ -561,11 +577,11 @@ def test_proxy_error_shrinks_with_tau():
     assert dists[2] < 0.5 * dists[0]
 
 
-def test_proxy_single_path_wrapper_starts_from_segment_endpoint():
+def test_proxy_starts_from_segment_endpoint():
     model = _model(b=0.2)
     grid = build_grid(model, 8)
     seg = sample_segment(model.initial, grid, seed=3, path_index=1)
-    path = simulate_small_tau_proxy(model, grid, np.zeros(grid.n_steps), seg)
-    assert path.scheme == "small_tau_proxy"
-    assert path.value(0) == pytest.approx(float(seg.values[-1]), rel=1e-15)
-    assert path.nonpositive_count == 0
+    x = small_tau_proxy_paths(model, grid, np.zeros(grid.n_steps), seg.values[-1])
+    assert x.shape == (grid.n_steps + 1, 1)
+    assert x[0, 0] == pytest.approx(float(seg.values[-1]), rel=1e-15)
+    assert np.all(x > 0.0)

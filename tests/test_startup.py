@@ -65,6 +65,30 @@ def test_import_and_parse_load_no_scipy(tmp_path):
     assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [0, 2]}
 
 
+def test_plan_time_config_errors_load_no_scipy(tmp_path):
+    texts = (
+        "horizon = 1.3\n",
+        "experiment = mean_check\ncheckpoints = 5.0\n",
+        "experiment = positivity\nscheme = symmetrized\n",
+        "experiment = comparison\ngamma_lower = 1.5\n",
+    )
+    cfgs = []
+    for i, text in enumerate(texts):
+        path = tmp_path / f"bad{i}.cfg"
+        path.write_text(text, encoding="utf-8")
+        cfgs.append(str(path))
+    out = _fresh(
+        """
+        import delay_cir.cli as cli
+        codes = [cli.main(["run", "--config", cfg]) for cfg in sys.argv[1:]]
+        print(json.dumps({**loaded(), "codes": codes}))
+        """,
+        *cfgs,
+        cwd=tmp_path,
+    )
+    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * 4}
+
+
 def test_simulation_loads_special_but_not_integrate(tmp_path):
     # 2100 paths are two chunks, so both worker threads make a first draw
     cfg = _config(
