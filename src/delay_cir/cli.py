@@ -4,9 +4,9 @@ Subcommands: ``validate`` prints the condition report for the configured
 model, ``run`` executes one experiment and writes its CSV products, and
 ``probe`` evaluates the closed-form/quadrature oracles at configured points.
 Every run leaves a ``manifest.txt`` carrying the fully resolved config, a
-sha256 hash of it, the tool version, and the wall time; CSV files are written
-to a temp file and atomically renamed, so a failed run leaves no partial
-tables behind.
+sha256 hash of it, the tool version, the wall time, the worker count and the
+peak resident set; CSV files are written to a temp file and atomically
+renamed, so a failed run leaves no partial tables behind.
 """
 
 from __future__ import annotations
@@ -337,6 +337,8 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     if probe_t is not None and probe_t <= t0:
         raise BadValue("probe.t", "must exceed t0")
     if experiment == "strong_rate":
+        if len(n_list) < 3:
+            raise BadValue("N_list", "a rate fit needs at least three levels")
         for p in p_list:
             if p >= report.p_max:
                 raise BadValue(
@@ -420,12 +422,28 @@ def _config_hash(config: RunConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _peak_rss_mib() -> float:
+    """Resident high-water mark of this process or of its largest finished child.
+
+    Worker processes keep their memory out of this process's own mark.  Linux
+    reports ``ru_maxrss`` in KiB.
+    """
+    import resource
+
+    return max(
+        resource.getrusage(who).ru_maxrss
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+    ) / 1024.0
+
+
 def _write_manifest(config: RunConfig, wall_time: float, products) -> None:
     lines = [
         f"tool = delay-cir {__version__}",
         f"experiment = {config.experiment}",
         f"config_hash = {_config_hash(config)}",
         f"wall_time_seconds = {wall_time:.3f}",
+        f"workers = {config.threads}",
+        f"peak_rss_mib = {_peak_rss_mib():.1f}",
         f"products = {','.join(products)}",
         "",
         "[config]",
@@ -607,7 +625,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--threads",
             type=int,
-            help="worker threads (default: DELAY_CIR_THREADS or config)",
+            help="worker processes (default: DELAY_CIR_THREADS or config)",
         )
     return parser
 

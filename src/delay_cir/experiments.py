@@ -10,17 +10,18 @@ path through shared Brownian increments (exact block sums, see
                   maximum is the exact sup over [t0, T].
 
 Every experiment runs its paths through one chunk loop, :func:`map_paths`:
-chunks of ``_CHUNK`` paths are simulated time-major (increments as
+chunks of at most ``_CHUNK`` paths are simulated time-major (increments as
 (steps, paths), paths as (nodes, paths)) and reduced to per-path results,
-which are assembled in path order.  Monte Carlo aggregation then uses numpy
-pairwise summation over those per-path arrays, so results do not depend on
-chunking or on the worker count; ``threads`` only changes wall time.
+which are assembled in path order.  With ``threads > 1`` the chunks run in
+that many worker processes forked from the caller, balanced so that each
+worker gets the same number of chunks.  Monte Carlo aggregation then uses
+numpy pairwise summation over the per-path arrays, so results do not depend
+on chunking or on the worker count; ``threads`` only changes wall time.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -90,26 +91,63 @@ class IncomparableModels(ValueError):
 def map_paths(model, grid, seed, n_paths, reduce, threads=1):
     """Per-path results of ``reduce`` over paths 0 .. n_paths-1, in path order.
 
-    Paths are simulated in chunks of ``_CHUNK``.  ``reduce(inc, seg)`` gets a
-    chunk's Brownian increments on ``grid``, shape (steps, paths), and its
-    initial-segment X values, shape (N+1, paths), and returns an array whose
-    last axis runs over the chunk's paths.  Chunks run on up to ``threads``
-    worker threads; the result does not depend on the count.
+    ``reduce(inc, seg)`` gets a chunk's Brownian increments on ``grid``, shape
+    (steps, paths), and its initial-segment X values, shape (N+1, paths), and
+    returns an array whose last axis runs over the chunk's paths.
+
+    With ``threads == 1`` the chunks, of ``_CHUNK`` paths, run in this process.
+    Otherwise ``threads`` is a count of worker processes forked from this one
+    (the ``fork`` start method, so Linux or another POSIX system): the paths
+    are split into ``threads * ceil(n_paths / (threads * _CHUNK))`` chunks
+    whose sizes differ by at most one path, so every worker gets the same
+    number of chunks and none holds more than ``_CHUNK`` paths.  Workers
+    inherit ``reduce`` instead of receiving it pickled, and send back only
+    each chunk's result.  An exception raised by a chunk reaches the caller
+    with its type and message; when several chunks fail, the first in path
+    order is raised, as in this process.  Noise is keyed by path, so the
+    result does not depend on the chunking or the worker count.
     """
 
-    def run(lo: int) -> Array:
-        paths = range(lo, min(lo + _CHUNK, n_paths))
+    def run(lo: int, hi: int) -> Array:
+        paths = range(lo, hi)
         inc = noise_mod.generate(grid, seed, paths)
         seg = noise_mod.sample_segment(model.initial, grid, seed, paths).values
         return reduce(inc, seg)
 
-    starts = range(0, n_paths, _CHUNK)
-    if threads > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, starts))
+    if threads == 1:
+        parts = [run(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
     else:
-        parts = [run(lo) for lo in starts]
+        # Imported here, before the fork, so the workers inherit them.
+        import multiprocessing
+
+        import scipy.special  # noqa: F401 - the draws' ndtri
+
+        n_chunks = min(n_paths, threads * math.ceil(n_paths / (threads * _CHUNK)))
+        bounds = [
+            (i * n_paths // n_chunks, (i + 1) * n_paths // n_chunks)
+            for i in range(n_chunks)
+        ]
+        with multiprocessing.get_context("fork").Pool(
+            min(threads, n_chunks), initializer=_inherit_chunk_runner, initargs=(run,)
+        ) as pool:
+            # imap yields in chunk order, so a failure surfaces in path order
+            parts = list(pool.imap(_run_inherited_chunk, bounds))
     return np.concatenate(parts, axis=-1)
+
+
+# The chunk runner of the map_paths call that forked this worker process.  The
+# pool's initializer sets it from the arguments the fork copied, so the
+# closure is never pickled; it stays None in the process that calls map_paths.
+_chunk_runner = None
+
+
+def _inherit_chunk_runner(run) -> None:
+    global _chunk_runner
+    _chunk_runner = run
+
+
+def _run_inherited_chunk(bounds: tuple[int, int]) -> Array:
+    return _chunk_runner(*bounds)
 
 
 def _lp_norm_and_jackknife(err: Array, p: float) -> tuple[float, float]:

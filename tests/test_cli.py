@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
 import os
 
 import pytest
@@ -132,6 +133,9 @@ def test_strong_rate_products_and_headers(tmp_path):
     hash_line = manifest[2]
     assert hash_line.startswith("config_hash = ")
     assert len(hash_line.split(" = ")[1]) == 64
+    assert "workers = 1" in manifest
+    peak = [line for line in manifest if line.startswith("peak_rss_mib = ")]
+    assert len(peak) == 1 and float(peak[0].split(" = ")[1]) > 0.0
     assert "products = errors.csv,ratefit.csv" in manifest
     assert "[config]" in manifest
     assert os.listdir(out) == sorted(os.listdir(out)) or True  # no stray temp files
@@ -166,6 +170,9 @@ def test_reruns_are_byte_identical_and_thread_independent(tmp_path, monkeypatch)
         reference = (tmp_path / "out_a" / name).read_bytes()
         for other in ("out_b", "out_c", "out_d"):
             assert (tmp_path / other / name).read_bytes() == reference
+    for out, workers in (("out_a", 1), ("out_c", 3), ("out_d", 2)):
+        manifest = (tmp_path / out / "manifest.txt").read_text().splitlines()
+        assert f"workers = {workers}" in manifest
 
 
 def test_seed_override_changes_the_numbers(tmp_path):
@@ -322,11 +329,14 @@ def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
         ("experiment = mean_check\ncheckpoints = 0.5,5.0\n", "checkpoints"),
         ("experiment = positivity\nscheme = implicit,symmetrized\n", "scheme"),
         ("experiment = comparison\ngamma_lower = 1.5\n", "gamma_lower"),
+        # two levels simulate fine but leave fit_rate too few rows
+        ("experiment = strong_rate\nN_list = 8,16\nN_ref = 32\n", "N_list"),
     ],
     ids=[
         "mean_check-horizon", "survival-horizon", "comparison-horizon",
         "strong_rate-horizon", "strong_rate-coarse-level", "checkpoint-off-grid",
         "checkpoint-after-T", "symmetrized-with-delay", "gamma_lower-above-inf",
+        "strong_rate-two-levels",
     ],
 )
 def test_plan_time_config_errors_exit_two(tmp_path, capsys, text, key):
@@ -343,6 +353,22 @@ def test_horizon_needs_whole_steps_only_on_the_grids_a_run_uses(tmp_path):
         "horizon = 1.3\nN_list = 5,10,20\nN_ref = 40\nn_paths = 20\n",
     )
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_worker_failures_exit_three_like_in_process(tmp_path, capsys):
+    # sigma^2 > 4 a gamma: the forcing of the first implicit step is negative
+    cfg = _write_config(
+        tmp_path, "experiment = mean_check\nsigma = 2.2\nb = 0.01\nn_paths = 300\n"
+    )
+    errs = []
+    for workers in ("1", "2"):
+        out = str(tmp_path / f"o{workers}")
+        assert main(["run", "--config", cfg, "--out", out, "--threads", workers]) == 3
+        errs.append(capsys.readouterr().err)
+        assert os.listdir(out) == []
+    assert errs[0] == errs[1]
+    assert errs[0].startswith("error: NonPositiveForcing: step to node 1: ")
+    assert multiprocessing.active_children() == []
 
 
 def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys):

@@ -9,6 +9,7 @@ a (paths, nodes) array.  The engine must agree with them bit for bit.
 from __future__ import annotations
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -207,18 +208,62 @@ def test_per_step_forcing_check_still_names_the_step():
 def test_map_paths_is_thread_and_chunk_independent():
     model = _model(initial=InitialSegmentSpec.lognormal(1.0, 0.2))
     grid = build_grid(model, 8)
-    n_paths = 2 * _CHUNK + 100  # three chunks, the last one partial
+    # in process: three chunks, the last one partial; on 2 workers four
+    # chunks of 1049 or 1050 paths, on 3 workers three of 1399 or 1400
+    n_paths = 2 * _CHUNK + 102
 
     def terminal(inc, seg):
         return np.square(simulate_y_paths(model, grid, inc, seg)[[-2, -1]])
 
     one = map_paths(model, grid, 3, n_paths, terminal, threads=1)
-    two = map_paths(model, grid, 3, n_paths, terminal, threads=2)
     assert one.shape == (2, n_paths)
-    assert np.array_equal(one, two)
+    for workers in (2, 3):
+        assert np.array_equal(one, map_paths(model, grid, 3, n_paths, terminal, workers))
+    # more workers than paths: one path per chunk
+    assert np.array_equal(one[:, :3], map_paths(model, grid, 3, 3, terminal, threads=4))
+    assert multiprocessing.active_children() == []
     inc_ref, seg_ref = _reference_inputs(model, grid, 3, n_paths)
     y_ref = _reference_march(model, grid, inc_ref, seg_ref)
     assert np.array_equal(one, np.square(y_ref[:, [-2, -1]]).T)
+
+
+def test_positivity_census_on_two_workers_matches_one():
+    # the benchmark's positivity_boundary split: 2048 paths, two 1024-path
+    # chunks on 2 workers (with N = 64 in place of 1024, to stay quick)
+    model = _model(b=0.0, sigma=1.2)
+    grid = build_grid(model, 64)
+    names = ("implicit", "truncated", "symmetrized")
+    one = positivity_census(names, model, grid, 2048, seed=2024, threads=1)
+    assert one == positivity_census(names, model, grid, 2048, seed=2024, threads=2)
+    assert any(row.fraction_nonpositive > 0.0 for row in one)
+
+
+class ChunkFailed(LookupError):
+    """Raised by a test reduction; pickled back from a worker by reference."""
+
+
+@pytest.mark.parametrize("workers, first_failed", [(1, _CHUNK), (2, 1500), (3, 1000)])
+def test_a_failed_chunk_reaches_the_caller(workers, first_failed):
+    # every chunk but the first fails, naming its first path; on 3 workers
+    # two chunks fail, and the one earlier in path order is raised
+    model = _model()
+    grid = build_grid(model, 4)
+    n_paths = 3000
+    first_increment = generate(grid, 9, range(n_paths))[0]
+    path_of = {value: path for path, value in enumerate(first_increment.tolist())}
+    assert len(path_of) == n_paths
+
+    def fails_after_path_zero(inc, seg):
+        first = path_of[float(inc[0, 0])]
+        if first > 0:
+            raise ChunkFailed(f"chunk from path {first}")
+        return inc[-1]
+
+    with pytest.raises(ChunkFailed) as info:
+        map_paths(model, grid, 9, n_paths, fails_after_path_zero, threads=workers)
+    assert type(info.value) is ChunkFailed
+    assert str(info.value) == f"chunk from path {first_failed}"
+    assert multiprocessing.active_children() == []
 
 
 def test_positivity_census_shares_one_noise_draw_across_schemes():

@@ -4,7 +4,7 @@ The hashes were recorded from the implementation that preceded the
 time-major path engine; a refactor of the simulation or reduction code must
 leave every byte of every product unchanged.  The strong-rate, mean-check and
 positivity configs use 2100 paths, so they cross the 2048-path chunk
-boundary; the strong-rate config also runs on two worker threads.
+boundary; the strong-rate config also runs on two worker processes.
 """
 
 from __future__ import annotations
