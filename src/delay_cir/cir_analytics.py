@@ -428,8 +428,8 @@ def inverse_integral_finiteness(
     grid = TimeGrid(t0=params.t0, tau=span, n_per_delay=n_per_delay, n_steps=n_per_delay)
     from .experiments import map_paths  # experiments imports this module
 
-    def inverse_integral(inc, seg):
-        y = scheme_mod.simulate_y_paths(spec, grid, inc, seg)
+    def inverse_integral(draw, seg):
+        y = scheme_mod.simulate_y_paths(spec, grid, draw(), seg)
         recip = 1.0 / np.square(y[n_per_delay:])
         # sum each path's nodes as one contiguous row: numpy's pairwise order
         total = np.ascontiguousarray(recip.T).sum(axis=1)

@@ -25,6 +25,7 @@ from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_mom
 from .experiments import (
     SCHEMES,
     check_comparable,
+    check_levels,
     check_schemes,
     checkpoint_indices,
     classical_variant,
@@ -238,12 +239,21 @@ def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
     )
 
 
-def _checked(key: str, check, *args):
-    """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of ``key``."""
+def _checked(key, check, *args):
+    """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of ``key``.
+
+    ``key`` may instead map the ``argument`` that the error names to a key.
+    """
     try:
         return check(*args)
     except ValueError as exc:
+        if isinstance(key, dict):
+            key = key[exc.argument]
         raise BadValue(key, str(exc)) from None
+
+
+# Config keys of the arguments that check_levels names.
+_LEVEL_KEYS = {"n_list": "N_list", "n_ref": "N_ref", "p_list": "p_list"}
 
 
 def _require_classical(model: ModelSpec, key: str, subject: str = "") -> None:
@@ -297,18 +307,14 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     n_list = _parse_list("N_list", items["N_list"], _parse_int)
     if any(n < 1 for n in n_list):
         raise BadValue("N_list", "entries must be positive integers")
-    for small, big in zip(n_list, n_list[1:]):
-        if big <= small or big % small:
-            raise BadValue("N_list", "must increase, each entry dividing the next")
     n_ref = _parse_int("N_ref", items["N_ref"])
-    if n_ref <= n_list[-1] or n_ref % n_list[-1]:
-        raise BadValue("N_ref", "must be a proper multiple of max(N_list)")
+    p_list = _parse_list("p_list", items["p_list"], _parse_float)
+    # only the rate study is bound by p_max; p_list[0] is also modulus's order
+    p_max = report.p_max if experiment == "strong_rate" else math.inf
+    _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, p_max)
     n_paths = _parse_int("n_paths", items["n_paths"])
     if n_paths < 2:
         raise BadValue("n_paths", "need at least two paths")
-    p_list = _parse_list("p_list", items["p_list"], _parse_float)
-    if any(p <= 0.0 for p in p_list):
-        raise BadValue("p_list", "entries must be positive")
     seed = _parse_int("seed", items["seed"])
     if seed < 0:
         raise BadValue("seed", "must be nonnegative")
@@ -339,11 +345,6 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     if experiment == "strong_rate":
         if len(n_list) < 3:
             raise BadValue("N_list", "a rate fit needs at least three levels")
-        for p in p_list:
-            if p >= report.p_max:
-                raise BadValue(
-                    "p_list", f"{_fmt(p)} is not below p_max = {_fmt(report.p_max)}"
-                )
         for n in (*n_list, n_ref):
             _checked("horizon", build_grid, model, n)
     elif experiment == "analytics_probe":

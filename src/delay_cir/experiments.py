@@ -16,7 +16,9 @@ which are assembled in path order.  With ``threads > 1`` the chunks run in
 that many worker processes forked from the caller, balanced so that each
 worker gets the same number of chunks.  Monte Carlo aggregation then uses
 numpy pairwise summation over the per-path arrays, so results do not depend
-on chunking or on the worker count; ``threads`` only changes wall time.
+on chunking or on the worker count; ``threads`` only changes wall time.  The
+strong error study walks each chunk in time blocks and never holds a whole
+reference path (see :func:`strong_error_study`).
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "SCHEMES",
     "map_paths",
     "strong_error_study",
+    "check_levels",
     "fit_rate",
     "checkpoint_indices",
     "mean_consistency_check",
@@ -66,6 +69,10 @@ __all__ = [
 ]
 
 _CHUNK = 2048
+
+# Fine steps per time block of the strong-error study, before rounding up to
+# a multiple of every level ratio n_ref / N.
+_BLOCK_STEPS = 256
 
 # Scheme names of the positivity census.
 SCHEMES = ("implicit", "truncated", "symmetrized")
@@ -91,9 +98,12 @@ class IncomparableModels(ValueError):
 def map_paths(model, grid, seed, n_paths, reduce, threads=1):
     """Per-path results of ``reduce`` over paths 0 .. n_paths-1, in path order.
 
-    ``reduce(inc, seg)`` gets a chunk's Brownian increments on ``grid``, shape
-    (steps, paths), and its initial-segment X values, shape (N+1, paths), and
-    returns an array whose last axis runs over the chunk's paths.
+    ``reduce(draw, seg)`` gets a chunk's draw function and its initial-segment
+    X values, shape (N+1, paths), and returns an array whose last axis runs
+    over the chunk's paths.  ``draw(start=0, stop=K)`` returns the chunk's
+    Brownian increments of steps start .. stop-1 on ``grid``, shape
+    (stop - start, paths): :func:`delay_cir.noise.generate`, so any step
+    range equals the same rows of the whole draw.
 
     With ``threads == 1`` the chunks, of ``_CHUNK`` paths, run in this process.
     Otherwise ``threads`` is a count of worker processes forked from this one
@@ -104,15 +114,30 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
     inherit ``reduce`` instead of receiving it pickled, and send back only
     each chunk's result.  An exception raised by a chunk reaches the caller
     with its type and message; when several chunks fail, the first in path
-    order is raised, as in this process.  Noise is keyed by path, so the
-    result does not depend on the chunking or the worker count.
+    order is raised, as in this process.  A march's
+    :class:`~delay_cir.scheme.NonPositiveForcing` is raised once every chunk
+    has run: of the chunks' failures, the one at the earliest node and, there,
+    at the smallest path index of the run, so that it does not depend on the
+    chunking either.  Noise is keyed by path, so the result does not depend
+    on the chunking or the worker count.
     """
 
     def run(lo: int, hi: int) -> Array:
         paths = range(lo, hi)
-        inc = noise_mod.generate(grid, seed, paths)
+
+        def draw(start: int = 0, stop: int | None = None) -> Array:
+            return noise_mod.generate(grid, seed, paths, start, stop)
+
         seg = noise_mod.sample_segment(model.initial, grid, seed, paths).values
-        return reduce(inc, seg)
+        try:
+            return reduce(draw, seg)
+        except scheme_mod.NonPositiveForcing as exc:
+            if exc.path is None:
+                raise
+            # returned, not raised: the other chunks run on, and the
+            # earliest failure of all is raised below
+            exc.path += lo
+            return exc
 
     if threads == 1:
         parts = [run(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
@@ -132,6 +157,9 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
         ) as pool:
             # imap yields in chunk order, so a failure surfaces in path order
             parts = list(pool.imap(_run_inherited_chunk, bounds))
+    failed = [part for part in parts if isinstance(part, scheme_mod.NonPositiveForcing)]
+    if failed:
+        raise min(failed, key=lambda exc: (exc.node, exc.path))
     return np.concatenate(parts, axis=-1)
 
 
@@ -161,25 +189,63 @@ def _lp_norm_and_jackknife(err: Array, p: float) -> tuple[float, float]:
     return norm, math.sqrt((n - 1) / n * float(np.sum((loo - center) ** 2)))
 
 
-def _coarse_on_fine_weights(n_fine_steps: int, r: int) -> tuple[Array, Array]:
-    idx = np.arange(n_fine_steps + 1)
-    base = np.minimum(idx // r, n_fine_steps // r - 1)
-    frac = idx / r - base
-    return base, frac
+def _cell_weights(n_fine_steps: int, r: int) -> tuple[Array, Array]:
+    """(1 - w, w) of fine nodes 1 .. n_fine_steps in their coarse cell (t_c,
+    t_{c+1}] of r fine steps; w = 1 at the cell's right end."""
+    nodes = np.arange(1, n_fine_steps + 1)
+    # k / r - c, not (k - c r) / r: the rounding every recorded product has
+    w = nodes / r - (nodes - 1) // r
+    return 1.0 - w, w
 
 
-# Fine nodes per block of the uniform-error reduction.
-_UNIFORM_ROWS = 64
+def _square_rows(window: Array, first: int, count: int, out: Array) -> Array:
+    """Squares of ``count`` rows of ``window`` from row ``first`` on, taken
+    modulo its length, into ``out[:count]``."""
+    first %= window.shape[0]
+    head = min(count, window.shape[0] - first)
+    np.square(window[first : first + head], out=out[:head])
+    np.square(window[: count - head], out=out[head:count])
+    return out[:count]
 
 
-def _uniform_error(x_fine, x_coarse, base, frac, out):
-    """Per-path max over fine nodes of |x_fine - coarse interpolant|, into ``out``."""
-    out[...] = 0.0
-    for lo in range(0, base.size, _UNIFORM_ROWS):
-        rows = slice(lo, lo + _UNIFORM_ROWS)
-        b, w = base[rows], frac[rows, None]
-        on_fine = x_coarse[b] * (1.0 - w) + x_coarse[b + 1] * w
-        np.maximum(out, np.abs(x_fine[rows] - on_fine).max(axis=0), out=out)
+# Fine rows per piece of the error fold: a piece's temporaries stay in a
+# core's cache.
+_FOLD_ROWS = 32
+
+
+def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
+    """Fold the errors of one level over whole coarse cells into per-path maxima.
+
+    ``x_coarse`` holds coarse nodes c .. c + m, shape (m + 1, paths), and
+    ``x_fine`` the m r fine nodes of the cells (t_c, t_{c+m}], shape (m r,
+    paths); ``w`` and ``one_minus_w`` are the fine nodes' weights in their
+    cell, shape (m r,), with w = 1 at a cell's right end.  The grid error
+    compares the coarse nodes c+1 .. c+m with the fine nodes on them, the
+    uniform error every fine node with the coarse interpolant.  The errors
+    are folded piece by piece, a piece being a run of whole cells or, for
+    cells longer than ``_FOLD_ROWS``, part of one cell; a cell's two end
+    values broadcast over its rows and the weights over the paths.
+    """
+    cells = x_coarse.shape[0] - 1
+    r = x_fine.shape[0] // cells
+    per_piece = max(1, _FOLD_ROWS // r)
+    part = min(r, _FOLD_ROWS)
+    for c0 in range(0, cells, per_piece):
+        c1 = min(c0 + per_piece, cells)
+        span = slice(c0 * r, c1 * r)
+        left, right = x_coarse[c0:c1, None], x_coarse[c0 + 1 : c1 + 1, None]
+        for i0 in range(0, r, part):
+            rows = slice(i0, min(i0 + part, r))
+            fine = x_fine[span].reshape(c1 - c0, r, -1)[:, rows]
+            if rows.stop == r:
+                np.maximum(
+                    grid_max, np.abs(fine[:, -1] - right[:, 0]).max(axis=0), out=grid_max
+                )
+            on_fine = left * one_minus_w[span].reshape(c1 - c0, r, 1)[:, rows]
+            on_fine += right * w[span].reshape(c1 - c0, r, 1)[:, rows]
+            np.subtract(fine, on_fine, out=on_fine)
+            np.abs(on_fine, out=on_fine)
+            np.maximum(uniform_max, on_fine.max(axis=(0, 1)), out=uniform_max)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +269,39 @@ class ErrorTable:
     rows: tuple[ErrorRow, ...]
     n_ref: int
     seed: int
+
+
+def check_levels(n_list, n_ref, p_list, p_max=math.inf) -> None:
+    """Raise unless :func:`strong_error_study` accepts these levels and orders.
+
+    ``n_list`` must increase with each entry dividing the next, ``n_ref`` must
+    be a proper multiple of its largest entry, and every p must lie in (0,
+    p_max).  The error (:class:`~delay_cir.noise.NotNested` or
+    :class:`PRequestedTooLarge`) names the rejected argument in its
+    ``argument`` attribute: ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
+    """
+
+    def rejected(kind, argument, reason):
+        exc = kind(reason)
+        exc.argument = argument
+        return exc
+
+    for small, big in zip(n_list, n_list[1:]):
+        if big <= small or big % small:
+            raise rejected(
+                noise_mod.NotNested, "n_list", "must increase, each entry dividing the next"
+            )
+    if n_ref <= n_list[-1] or n_ref % n_list[-1]:
+        raise rejected(
+            noise_mod.NotNested, "n_ref", "must be a proper multiple of max(N_list)"
+        )
+    if any(p <= 0.0 for p in p_list):
+        raise rejected(PRequestedTooLarge, "p_list", "entries must be positive")
+    for p in p_list:
+        if p >= p_max:
+            raise rejected(
+                PRequestedTooLarge, "p_list", f"{p:.17g} is not below p_max = {p_max:.17g}"
+            )
 
 
 def strong_error_study(
@@ -229,9 +328,20 @@ def strong_error_study(
     hundredths -- 0.984 at ``n_ref`` 1024 against 0.961 at 4096, same seed
     and 10^4 paths.
 
-    ``n_list`` must be increasing with each entry dividing the next and the
-    largest dividing ``n_ref``; every p must lie below the ``p_max`` of the
-    model's condition report, and the strict Feller condition must hold.
+    The reference is never held whole.  Each chunk of paths runs in time
+    blocks of T fine steps, ``_BLOCK_STEPS`` rounded up to a multiple of the
+    largest ratio ``n_ref / N``: the block's increments are drawn, the
+    reference is marched into a window of ``n_ref + 1 + T`` nodes and every
+    coarse level into one of N + 1 + T N / n_ref nodes on the block sums, and
+    the block's errors are folded into per-path maxima.  A chunk of P paths
+    therefore holds 8 P (n_ref + 1 + T + sum over N of (N + 1 + T N / n_ref))
+    bytes of paths whatever the horizon, plus the block's increments (8 P T
+    bytes) and buffers of about 2 MiB.  The errors equal those of whole-path
+    marches bit for bit.
+
+    ``n_list`` and ``n_ref`` must pass :func:`check_levels`, every p must lie
+    below the ``p_max`` of the model's condition report, and the strict
+    Feller condition must hold.
     """
     report = validate(model)
     if not report.strong_feller_ok:
@@ -240,40 +350,50 @@ def strong_error_study(
         )
     n_list = [int(n) for n in n_list]
     p_list = [float(p) for p in p_list]
-    for small, big in zip(n_list, n_list[1:]):
-        if big <= small or big % small:
-            raise noise_mod.NotNested(
-                f"n_list must increase, each entry dividing the next: {n_list}"
-            )
-    if n_ref <= n_list[-1] or n_ref % n_list[-1]:
-        raise noise_mod.NotNested(
-            f"n_ref={n_ref} must be a proper multiple of max(n_list)={n_list[-1]}"
-        )
-    for p in p_list:
-        if p >= report.p_max:
-            raise PRequestedTooLarge(f"p={p} is not below p_max={report.p_max}")
-        if p <= 0.0:
-            raise PRequestedTooLarge(f"p must be positive, got {p}")
+    check_levels(n_list, n_ref, p_list, report.p_max)
 
     fine_grid = build_grid(model, n_ref)
-    coarse_grids = {n: build_grid(model, n) for n in n_list}
-    offset_fine = fine_grid.n_per_delay
-    weights = {n: _coarse_on_fine_weights(fine_grid.n_steps, n_ref // n) for n in n_list}
+    coarse_grids = [build_grid(model, n) for n in n_list]
+    ratios = [n_ref // n for n in n_list]
+    n_fine = fine_grid.n_steps
+    # the coarsest ratio is a multiple of every other, so a block holds whole
+    # cells of every level
+    block = -(-_BLOCK_STEPS // ratios[0]) * ratios[0]
+    weights = [_cell_weights(n_fine, r) for r in ratios]
 
-    def errors(inc_fine: Array, seg: Array) -> Array:
-        """Rows 2i, 2i+1: grid and uniform errors of level n_list[i]."""
-        y_ref = scheme_mod.simulate_y_paths(model, fine_grid, inc_fine, seg)
-        x_ref = np.square(y_ref[offset_fine:], out=y_ref[offset_fine:])
-        out = np.empty((2 * len(n_list), inc_fine.shape[1]))
-        for i, n in enumerate(n_list):
-            r = n_ref // n
-            grid_c = coarse_grids[n]
-            inc_c = noise_mod.block_sum(inc_fine, r)
-            # segment nodes at the coarse level are every r-th fine node
-            y_c = scheme_mod.simulate_y_paths(model, grid_c, inc_c, seg[::r])
-            x_c = np.square(y_c[grid_c.n_per_delay :])
-            np.max(np.abs(x_ref[::r] - x_c), axis=0, out=out[2 * i])
-            _uniform_error(x_ref, x_c, *weights[n], out=out[2 * i + 1])
+    def errors(draw, seg: Array) -> Array:
+        """Rows 2i, 2i+1: grid and uniform errors of level n_list[i].
+
+        Node 0 is left out: every level starts from the same value there.
+        """
+        paths = seg.shape[1]
+        out = np.zeros((2 * len(n_list), paths))
+        fine = np.empty((n_ref + 1 + block, paths))
+        coarse = [
+            np.empty((g.n_per_delay + 1 + block // r, paths))
+            for g, r in zip(coarse_grids, ratios)
+        ]
+        x_coarse = np.empty((block // ratios[-1] + 1, paths))
+        for k0 in range(0, n_fine, block):
+            inc = draw(k0, min(k0 + block, n_fine))
+            scheme_mod.simulate_y_paths(model, fine_grid, inc, seg, window=fine, start=k0)
+            sums = [noise_mod.block_sum(inc, r) for r in ratios]
+            # the increments are spent: their rows take the block's fine X
+            x_fine = _square_rows(fine, n_ref + k0 + 1, inc.shape[0], out=inc)
+            rows = slice(k0, k0 + x_fine.shape[0])
+            for i, (grid_c, r, y_c) in enumerate(zip(coarse_grids, ratios, coarse)):
+                # segment nodes at the coarse level are every r-th fine node
+                scheme_mod.simulate_y_paths(
+                    model, grid_c, sums[i], seg[::r], window=y_c, start=k0 // r
+                )
+                x_c = _square_rows(
+                    y_c, grid_c.n_per_delay + k0 // r, sums[i].shape[0] + 1, out=x_coarse
+                )
+                one_minus_w, w = weights[i]
+                _fold_cell_errors(
+                    x_fine, x_c, one_minus_w[rows], w[rows], out[2 * i], out[2 * i + 1]
+                )
+            del inc, x_fine, sums  # freed before the next block is drawn
         return out
 
     err = map_paths(model, fine_grid, seed, n_paths, errors, threads)
@@ -284,7 +404,7 @@ def strong_error_study(
             u_norm, u_se = _lp_norm_and_jackknife(err[2 * i + 1], p)
             rows.append(
                 ErrorRow(
-                    delta=coarse_grids[n].delta,
+                    delta=coarse_grids[i].delta,
                     p=p,
                     grid_error=g_norm,
                     uniform_error=u_norm,
@@ -386,7 +506,8 @@ def mean_consistency_check(
     ks = checkpoint_indices(grid, checkpoints)
     rows_k = [grid.n_per_delay + k for k in ks]
 
-    def at_checkpoints(inc: Array, seg: Array) -> Array:
+    def at_checkpoints(draw, seg: Array) -> Array:
+        inc = draw()
         y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
         return np.square(y[rows_k])
 
@@ -463,7 +584,8 @@ def comparison_census(
     """
     check_comparable(model_upper, model_lower, grid)
 
-    def violations(inc: Array, seg: Array) -> Array:
+    def violations(draw, seg: Array) -> Array:
+        inc = draw()
         y_up = scheme_mod.simulate_y_paths(model_upper, grid, inc, seg)
         y_lo = scheme_mod.simulate_y_paths(model_lower, grid, inc, seg)
         return np.count_nonzero(y_up < y_lo, axis=0)
@@ -517,7 +639,8 @@ def positivity_census(
             x = x[offset:]
         return np.any(x <= 0.0, axis=0)
 
-    def census(inc: Array, seg: Array) -> Array:
+    def census(draw, seg: Array) -> Array:
+        inc = draw()
         # one scheme's paths at a time: each is reduced before the next marches
         return np.array([nonpositive(name, inc, seg) for name in names])
 
@@ -590,8 +713,9 @@ def modulus_scaling(
     distinct = sorted(set(lags))
     offset = grid.n_per_delay
 
-    def moduli(inc: Array, seg: Array) -> Array:
+    def moduli(draw, seg: Array) -> Array:
         """Row j: the modulus at lag distinct[j], a running max over lags."""
+        inc = draw()
         y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
         x = np.square(y[offset:])
         out = np.empty((len(distinct), inc.shape[1]))
@@ -634,7 +758,8 @@ def survival_probability(
     validate(model)
     offset = grid.n_per_delay
 
-    def discounted(inc: Array, seg: Array) -> Array:
+    def discounted(draw, seg: Array) -> Array:
+        inc = draw()
         y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
         x = np.square(y[offset:])
         # sum each path's nodes as one contiguous row: numpy's pairwise order

@@ -74,35 +74,41 @@ def ndtri(u: Array, out: Array | None = None) -> Array:
     return _ndtri(u, out=out)
 
 
-def _standard_normals(seed: int, paths: range, tag: int, n: int) -> Array:
-    """(n, len(paths)) standard normals, column j from stream (seed, paths[j], tag)."""
+def _standard_normals(
+    seed: int, paths: range, tag: int, n: int, start: int = 0
+) -> Array:
+    """(n, len(paths)) standard normals: column j holds draws start .. start+n-1
+    of stream (seed, paths[j], tag)."""
     if seed < 0 or min(paths, default=0) < 0:
         raise ValueError("seed and path_index must be nonnegative integers")
-    # One bit generator, local to the call, re-keyed per path with the
-    # counter at zero (as its fresh state has it); its own seed is never
-    # drawn from.  The setter copies the plain ints of one reused state dict,
-    # so re-keying builds no array.  random_raw >> 11 is what
+    # One bit generator, local to the call, re-keyed per path; its own seed
+    # is never drawn from.  The setter copies the plain ints of one reused
+    # state dict, so re-keying builds no array.  Philox makes four words per
+    # counter value and steps the counter before each four, so counter
+    # start // 4 with start % 4 words skipped begins at word ``start`` (a
+    # fresh state has counter zero).  random_raw >> 11 is what
     # Generator.integers(0, 2**53) returns for this power-of-two range.
     bitgen = np.random.Philox(0)
     key = [seed & _MASK64, 0]
+    skip = start % 4
     state = {
         "bit_generator": "Philox",
-        "state": {"counter": [0, 0, 0, 0], "key": key},
+        "state": {"counter": [start // 4, 0, 0, 0], "key": key},
         "buffer": [0, 0, 0, 0],
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
     u = np.empty((n, len(paths)))
-    block = max(1, _BLOCK_BYTES // (8 * max(n, 1)))
-    rows = np.empty((min(block, len(paths)), n), dtype=np.uint64)
+    block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
+    rows = np.empty((min(block, len(paths)), n + skip), dtype=np.uint64)
     for lo in range(0, len(paths), block):
         part = paths[lo : lo + block]
         for j, path in enumerate(part):
             key[1] = ((path << 1) | tag) & _MASK64
             bitgen.state = state
-            rows[j] = bitgen.random_raw(n)
-        drawn = rows[: len(part)]
+            rows[j] = bitgen.random_raw(n + skip)
+        drawn = rows[: len(part), skip:]
         drawn >>= np.uint64(11)
         np.add(drawn.T, 0.5, out=u[:, lo : lo + len(part)])
     # (draws + 0.5) * 2^-53 lies strictly inside (0, 1): ndtri never sees 0 or 1.
@@ -110,12 +116,23 @@ def _standard_normals(seed: int, paths: range, tag: int, n: int) -> Array:
     return ndtri(u, out=u)
 
 
-def generate(grid: TimeGrid, seed: int, path_index: int | range) -> Array:
-    """Brownian increments W(t_{k+1}) - W(t_k), k = 0 .. K-1, on ``grid``.
+def generate(
+    grid: TimeGrid,
+    seed: int,
+    path_index: int | range,
+    start: int = 0,
+    stop: int | None = None,
+) -> Array:
+    """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``.
 
-    Shape (K, paths) for a range of paths, (K,) for one path index.
+    The default range is every step, k = 0 .. K-1.  Shape (stop - start,
+    paths) for a range of paths, (stop - start,) for one path index; any
+    step range equals the same rows of the whole draw, bit for bit.
     """
-    z = _standard_normals(seed, _paths(path_index), _TAG_NOISE, grid.n_steps)
+    stop = grid.n_steps if stop is None else stop
+    if not 0 <= start <= stop <= grid.n_steps:
+        raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
+    z = _standard_normals(seed, _paths(path_index), _TAG_NOISE, stop - start, start)
     z *= math.sqrt(grid.delta)
     return z if isinstance(path_index, range) else z[:, 0]
 

@@ -58,7 +58,24 @@ __all__ = [
 
 
 class NonPositiveForcing(ValueError):
-    """a_under + b_bar z^2 <= 0: the implicit update has no positive root."""
+    """a_under + b_bar z^2 <= 0: the implicit update has no positive root.
+
+    A march sets ``node``, the target node k + 1 of the failing step, its time
+    ``t`` and ``path``, the first failing column of the marched batch (which
+    :func:`delay_cir.experiments.map_paths` turns into the run's path index);
+    the message then starts ``step to node k + 1:`` and ends with the path
+    and the time.
+    """
+
+    def __init__(self, reason: str, node=None, path=None, t=None):
+        super().__init__(reason)
+        self.node, self.path, self.t = node, path, t
+
+    def __str__(self) -> str:
+        reason = super().__str__()
+        if self.node is None:
+            return reason
+        return f"step to node {self.node}: {reason} (path {self.path}, t = {self.t})"
 
 
 class DelayNotSupported(ValueError):
@@ -145,17 +162,24 @@ def implicit_residual(y_next, y_prev, z_delay, noise, a_under_next, a_bar, b_bar
 # ---------------------------------------------------------------------------
 
 
-def _batch_inputs(n_steps: int, n_nodes: int, increments, segment, perturbation=None):
-    """Validated time-major inputs: increments (K, paths), start X (nodes, paths).
-
-    One-dimensional increments are one path; a one-dimensional segment is
-    shared by every path, and ``perturbation`` broadcasts against the
-    (nodes, paths) segment.
-    """
+def _increments(increments, n_steps: int | None) -> Array:
+    """Validated time-major increments (steps, paths); one-dimensional input
+    is one path.  ``n_steps`` is the required step count, if any."""
     inc = np.asarray(increments, dtype=float)
     inc = inc[:, None] if inc.ndim == 1 else inc
-    if inc.shape[0] != n_steps:
+    if n_steps is not None and inc.shape[0] != n_steps:
         raise ValueError(f"expected {n_steps} increments, got {inc.shape[0]}")
+    if not np.all(np.isfinite(inc)):
+        raise ValueError("increments must be finite")
+    return inc
+
+
+def _start_values(n_nodes: int, n_paths: int, segment, perturbation=None) -> Array:
+    """Validated start X values (nodes, paths).
+
+    A one-dimensional segment is shared by every path, and ``perturbation``
+    broadcasts against the (nodes, paths) segment.
+    """
     if isinstance(segment, SegmentDraw):
         segment = segment.values
     seg = np.asarray(segment, dtype=float)
@@ -164,34 +188,40 @@ def _batch_inputs(n_steps: int, n_nodes: int, increments, segment, perturbation=
     seg = seg[:, None] if seg.ndim == 1 else seg
     if perturbation is not None:
         seg = seg + np.asarray(perturbation, dtype=float)
-    if not np.all(np.isfinite(inc)):
-        raise ValueError("increments must be finite")
     if not np.all(np.isfinite(seg)):
         raise ValueError("segment values must be finite")
     if np.any(seg <= 0.0):
         raise NonPositiveSample("segment values (after perturbation) must be positive")
-    return inc, np.broadcast_to(seg, (n_nodes, inc.shape[1]))
+    return np.broadcast_to(seg, (n_nodes, n_paths))
 
 
-def _implicit_march(y, inc, au, a_bar, b_bar, sigma_bar, delta, n_delay):
-    """Fill rows n_delay+1 .. of the time-major ``y`` with implicit updates.
+def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start=0):
+    """Fill nodes start+1 .. start+n of the time-major ``y`` with implicit updates.
 
-    Row n_delay + k + 1 solves the implicit equation from row n_delay + k with
-    increment row k and the delayed row k + 1, by the root of
-    :func:`implicit_step`.  The forcing is checked once when a_under > 0 and
-    b_bar >= 0 (then c >= a_under > 0), otherwise on every step.
+    Node j (from -n_delay) is held in row (j + n_delay) mod len(y), so ``y``
+    may be a window that holds only the nodes a step reads: len(y) > n_delay.
+    Node start + k + 1 solves the implicit equation from node start + k with
+    increment row k, a_under ``au[k]`` at time ``t_next[k]`` and the delayed
+    node start + k + 1 - n_delay, by the root of :func:`implicit_step`.  The
+    forcing is checked once when a_under > 0 and b_bar >= 0 (then c >=
+    a_under > 0), otherwise on every step.
     """
-    forcing_ok = bool(np.min(au) > 0.0) and b_bar >= 0.0
+    rows = y.shape[0]
+    forcing_ok = bool(np.min(au, initial=np.inf) > 0.0) and b_bar >= 0.0
     for k in range(inc.shape[0]):
-        s = y[n_delay + k] + sigma_bar * inc[k]
-        # delayed node k+1-N sits at row (k+1-N) + N = k+1
-        c = au[k] + b_bar * np.square(y[k + 1]) if b_bar != 0.0 else au[k]
+        node = start + k
+        s = y[(n_delay + node) % rows] + sigma_bar * inc[k]
+        # delayed node node+1-N sits at row (node+1-N) + N = node+1
+        c = au[k] + b_bar * np.square(y[(node + 1) % rows]) if b_bar != 0.0 else au[k]
         if not forcing_ok and not np.all(c > 0.0):
+            failing = np.flatnonzero(~(np.broadcast_to(c, s.shape) > 0.0))
             raise NonPositiveForcing(
-                f"step to node {k + 1}: a_under + b_bar * z^2 must be positive "
-                "for the implicit update"
+                "a_under + b_bar * z^2 must be positive for the implicit update",
+                node=node + 1,
+                path=int(failing[0]),
+                t=float(t_next[k]),
             )
-        y[n_delay + k + 1] = _positive_root(s, c, a_bar, delta)
+        y[(n_delay + node + 1) % rows] = _positive_root(s, c, a_bar, delta)
 
 
 def simulate_y_paths(
@@ -200,34 +230,59 @@ def simulate_y_paths(
     increments: Array,
     segment,
     segment_perturbation: Array | None = None,
+    *,
+    window: Array | None = None,
+    start: int = 0,
 ) -> Array:
     """Vectorised drift-implicit simulation of Y over many paths, time-major.
 
     Parameters
     ----------
     increments : array (K, n_paths) or (K,) of Brownian increments at the
-        grid resolution.
+        grid resolution; with a ``window``, the n rows of steps start ..
+        start + n - 1 instead.
     segment : :class:`SegmentDraw` or array of X0 node values, shape (N+1,)
-        or (N+1, n_paths).
+        or (N+1, n_paths).  Not read when a window march continues
+        (``start`` > 0).
     segment_perturbation : optional array added to the segment X values
         before the square root (error-budget injection hook); the perturbed
         segment must stay strictly positive.
+    window : optional array (R, n_paths) with R > N to march in, node j in
+        row (j + N) mod R.  A march from ``start`` = 0 writes the segment's
+        nodes -N .. 0 first; a march from ``start`` > 0 continues from the
+        nodes start - N .. start that the window already holds.  Either way
+        the window then holds nodes start + n + 1 - R .. start + n.
 
     Returns
     -------
-    Array of shape (N + K + 1, n_paths) with the Y values on nodes -N .. K.
-    Non-finite increments or segment values raise ``ValueError``.
+    Array of shape (N + K + 1, n_paths) with the Y values on nodes -N .. K,
+    or the ``window``.  Non-finite increments or segment values raise
+    ``ValueError``.
     """
-    inc, seg_x = _batch_inputs(
-        grid.n_steps, grid.n_per_delay + 1, increments, segment, segment_perturbation
-    )
     n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    # a_under at the target times t_1 .. t_K (implicit terms live at t_{k+1})
-    au = np.asarray(model.a_under(grid.time(np.arange(1, n_steps + 1))), dtype=float)
-    y = np.empty((n_delay + n_steps + 1, inc.shape[1]))
-    np.sqrt(seg_x, out=y[: n_delay + 1])
+    inc = _increments(increments, n_steps if window is None else None)
+    stop = start + inc.shape[0]
+    if not 0 <= start <= stop <= n_steps:
+        raise ValueError(f"steps {start} .. {stop - 1} are not on the grid")
+    if window is not None and (
+        window.shape[0] <= n_delay or window.shape[1:] != inc.shape[1:]
+    ):
+        raise ValueError(
+            f"window of shape {window.shape} cannot hold {n_delay + 1} nodes "
+            f"of {inc.shape[1]} paths"
+        )
+    y = np.empty((n_delay + n_steps + 1, inc.shape[1])) if window is None else window
+    if start == 0:
+        seg_x = _start_values(n_delay + 1, inc.shape[1], segment, segment_perturbation)
+        np.sqrt(seg_x, out=y[: n_delay + 1])
+    # a_under at the target times t_{start+1} .. t_stop (implicit terms live
+    # at t_{k+1}), evaluated over the whole grid so every window sees the
+    # values of a march over the whole horizon
+    t_next = grid.time(np.arange(1, n_steps + 1))
+    au = np.asarray(model.a_under(t_next), dtype=float)
     _implicit_march(
-        y, inc, au, model.a_bar, model.b_bar, model.sigma_bar, grid.delta, n_delay
+        y, inc, t_next[start:stop], au[start:stop], model.a_bar, model.b_bar,
+        model.sigma_bar, grid.delta, n_delay, start,
     )
     return y
 
@@ -308,7 +363,8 @@ def _explicit_paths(model, grid, increments, segment, update):
     Returns (paths on nodes -N .. K, shape (N + K + 1, n_paths), and the
     per-path count of nodes k >= 0 with x_k <= 0).
     """
-    inc, seg_x = _batch_inputs(grid.n_steps, grid.n_per_delay + 1, increments, segment)
+    inc = _increments(increments, grid.n_steps)
+    seg_x = _start_values(grid.n_per_delay + 1, inc.shape[1], segment)
     n_delay = grid.n_per_delay
     times = grid.time(np.arange(0, grid.n_steps))
     gamma_left = np.asarray(model.gamma_at(times), dtype=float)
@@ -380,13 +436,15 @@ def small_tau_proxy_paths(
     """
     if model.b >= model.a:
         raise ProxyRequiresBLessThanA(f"need b < a, got b={model.b}, a={model.a}")
-    start = np.ravel(np.asarray(x0, dtype=float))[None, :]
-    inc, v0 = _batch_inputs(grid.n_steps, 1, increments, start)
+    inc = _increments(increments, grid.n_steps)
+    v0 = _start_values(1, inc.shape[1], np.ravel(np.asarray(x0, dtype=float))[None, :])
     n_steps = grid.n_steps
-    au = np.asarray(model.a_under(grid.time(np.arange(1, n_steps + 1))), dtype=float)
+    t_next = grid.time(np.arange(1, n_steps + 1))
+    au = np.asarray(model.a_under(t_next), dtype=float)
     y = np.empty((n_steps + 1, inc.shape[1]))
     np.sqrt(v0, out=y[:1])
     _implicit_march(
-        y, inc, au, 0.5 * (model.a - model.b), 0.0, model.sigma_bar, grid.delta, 0
+        y, inc, t_next, au, 0.5 * (model.a - model.b), 0.0, model.sigma_bar,
+        grid.delta, 0,
     )
     return np.square(y)

@@ -59,8 +59,8 @@ def _reference_model(**kw) -> ModelSpec:
 def _chunked_terminal_x(model: ModelSpec, grid, n_paths: int, seed: int) -> np.ndarray:
     """Terminal values x(T) over many paths, simulated in memory-bounded chunks."""
 
-    def terminal(inc, seg):
-        return np.square(simulate_y_paths(model, grid, inc, seg)[-1])
+    def terminal(draw, seg):
+        return np.square(simulate_y_paths(model, grid, draw(), seg)[-1])
 
     return map_paths(model, grid, seed, n_paths, terminal)
 

@@ -368,6 +368,8 @@ def test_worker_failures_exit_three_like_in_process(tmp_path, capsys):
         assert os.listdir(out) == []
     assert errs[0] == errs[1]
     assert errs[0].startswith("error: NonPositiveForcing: step to node 1: ")
+    # the default N = 64 puts node 1 at t = 0.5 / 64
+    assert errs[0].endswith(" (path 0, t = 0.0078125)\n")
     assert multiprocessing.active_children() == []
 
 

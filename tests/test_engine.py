@@ -205,6 +205,34 @@ def test_per_step_forcing_check_still_names_the_step():
         simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.ones(5))
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("horizon", [0.5, 1.5])
+def test_forcing_failure_names_the_run_path_and_time(workers, horizon):
+    # a_under = -0.105 and b_bar = 0.005: a path fails at step 1 when its
+    # lognormal start level is at most 21.  Of these 300 paths, 237 is the
+    # first such; on 2 workers it lies in the second chunk, 150 .. 299.  Over
+    # one delay every delayed value is the start level, so no other path
+    # fails; over three, paths of the first chunk fail later (path 1 at
+    # node 5), and the earliest node still names the failure.
+    model = _model(
+        sigma=2.2, b=0.01, horizon=horizon, initial=InitialSegmentSpec.lognormal(40.0, 0.3)
+    )
+    grid = build_grid(model, 4)
+    level = sample_segment(model.initial, grid, 14, range(300)).level
+    assert np.flatnonzero(model.a_under(0.0) + model.b_bar * level <= 0.0)[0] == 237
+
+    def terminal(draw, seg):
+        return simulate_y_paths(model, grid, draw(), seg)[-1]
+
+    with pytest.raises(NonPositiveForcing) as failed:
+        map_paths(model, grid, 14, 300, terminal, threads=workers)
+    assert str(failed.value) == (
+        "step to node 1: a_under + b_bar * z^2 must be positive for the implicit "
+        "update (path 237, t = 0.125)"
+    )
+    assert (failed.value.node, failed.value.path, failed.value.t) == (1, 237, 0.125)
+
+
 def test_map_paths_is_thread_and_chunk_independent():
     model = _model(initial=InitialSegmentSpec.lognormal(1.0, 0.2))
     grid = build_grid(model, 8)
@@ -212,8 +240,8 @@ def test_map_paths_is_thread_and_chunk_independent():
     # chunks of 1049 or 1050 paths, on 3 workers three of 1399 or 1400
     n_paths = 2 * _CHUNK + 102
 
-    def terminal(inc, seg):
-        return np.square(simulate_y_paths(model, grid, inc, seg)[[-2, -1]])
+    def terminal(draw, seg):
+        return np.square(simulate_y_paths(model, grid, draw(), seg)[[-2, -1]])
 
     one = map_paths(model, grid, 3, n_paths, terminal, threads=1)
     assert one.shape == (2, n_paths)
@@ -253,7 +281,8 @@ def test_a_failed_chunk_reaches_the_caller(workers, first_failed):
     path_of = {value: path for path, value in enumerate(first_increment.tolist())}
     assert len(path_of) == n_paths
 
-    def fails_after_path_zero(inc, seg):
+    def fails_after_path_zero(draw, seg):
+        inc = draw()
         first = path_of[float(inc[0, 0])]
         if first > 0:
             raise ChunkFailed(f"chunk from path {first}")

@@ -68,6 +68,46 @@ def test_generate_increment_variance():
     assert np.var(totals) == pytest.approx(1.5, rel=0.15)
 
 
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize(
+    "start, stop",
+    [(0, 0), (0, 7), (1, 2), (3, 101), (5, 96), (6, 190), (64, 128), (130, 192), (191, 192)],
+)
+def test_generate_step_range_equals_the_slice_of_the_whole_draw(start, stop):
+    # 192 steps; starts off a multiple of 4 skip into a Philox block of four
+    grid = _grid()
+    paths = range(3, 40)
+    whole = generate(grid, seed=17, path_index=paths)
+    part = generate(grid, seed=17, path_index=paths, start=start, stop=stop)
+    assert part.shape == (stop - start, len(paths))
+    assert np.array_equal(_bits(part), _bits(whole[start:stop]))
+    one = generate(grid, seed=17, path_index=11, start=start, stop=stop)
+    assert one.shape == (stop - start,)
+    assert np.array_equal(_bits(one), _bits(whole[start:stop, 11 - 3]))
+
+
+def test_generate_blocks_tile_the_whole_draw():
+    # blocks of 56 steps: the last one is short and ends at K
+    grid = _grid()
+    whole = generate(grid, seed=4, path_index=range(50))
+    blocks = [
+        generate(grid, 4, range(50), k0, min(k0 + 56, grid.n_steps))
+        for k0 in range(0, grid.n_steps, 56)
+    ]
+    assert blocks[-1].shape[0] == grid.n_steps % 56
+    assert np.array_equal(_bits(np.concatenate(blocks)), _bits(whole))
+
+
+def test_generate_rejects_ranges_off_the_grid():
+    grid = _grid()
+    for start, stop in ((-1, 4), (5, 4), (0, grid.n_steps + 1)):
+        with pytest.raises(ValueError, match="step range"):
+            generate(grid, 1, range(3), start, stop)
+
+
 def test_generate_seed_changes_stream():
     grid = _grid()
     a = generate(grid, seed=1, path_index=0)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from delay_cir.experiments import _coarse_on_fine_weights, _uniform_error
+from delay_cir.experiments import _cell_weights, _fold_cell_errors
 from delay_cir.model import (
     GammaSpec,
     InitialSegmentSpec,
@@ -372,56 +372,61 @@ def test_diffusive_value_reads_delay_from_segment_in_first_window():
 
 def _interpolant_on_fine(x_coarse: np.ndarray, r: int) -> np.ndarray:
     """The coarse interpolant at every fine node, via the weights of the error."""
-    base, frac = _coarse_on_fine_weights(r * (x_coarse.shape[0] - 1), r)
-    return x_coarse[base] * (1.0 - frac[:, None]) + x_coarse[base + 1] * frac[:, None]
+    one_minus_w, w = _cell_weights(r * (x_coarse.shape[0] - 1), r)
+    cell = np.arange(w.size) // r
+    inner = x_coarse[cell] * one_minus_w[:, None] + x_coarse[cell + 1] * w[:, None]
+    return np.concatenate([x_coarse[:1], inner])
+
+
+def _errors(x_fine: np.ndarray, x_coarse: np.ndarray, r: int) -> tuple:
+    """(grid, uniform) per-path maxima over fine nodes 1 .. K."""
+    grid_max, uniform_max = np.zeros((2, x_fine.shape[1]))
+    weights = _cell_weights(x_fine.shape[0] - 1, r)
+    _fold_cell_errors(x_fine[1:], x_coarse, *weights, grid_max, uniform_max)
+    return grid_max, uniform_max
 
 
 def test_uniform_error_of_constant_paths_is_zero():
     x = np.square(np.ones((9, 3)))  # a constant Y path squares to constant X
     assert np.all(_interpolant_on_fine(x, 4) == 1.0)
-    out = np.empty(3)
-    _uniform_error(np.ones((33, 3)), x, *_coarse_on_fine_weights(32, 4), out=out)
-    assert np.all(out == 0.0)
+    grid_max, uniform_max = _errors(np.ones((33, 3)), x, 4)
+    assert np.all(grid_max == 0.0) and np.all(uniform_max == 0.0)
 
 
 def test_square_then_interpolate_midpoint():
     # Y nodes 1, 2, 1 square to X nodes 1, 4, 1; one coarse step per two fine
     x_coarse = np.square(np.array([[1.0], [2.0], [1.0]]))
-    weights = _coarse_on_fine_weights(4, 2)
-    base, frac = weights
-    assert list(base) == [0, 0, 1, 1, 1] and list(frac) == [0.0, 0.5, 0.0, 0.5, 1.0]
-    out = np.empty(1)
+    one_minus_w, w = _cell_weights(4, 2)
+    assert list(w) == [0.5, 1.0, 0.5, 1.0] and list(one_minus_w) == [0.5, 0.0, 0.5, 0.0]
     # linear in x (not in y): the midpoint of [1, 4] is 2.5 ...
     fine = np.array([[1.0], [2.5], [4.0], [2.5], [1.0]])
-    _uniform_error(fine, x_coarse, *weights, out=out)
-    assert out[0] == 0.0
+    assert _errors(fine, x_coarse, 2) == (0.0, 0.0)
     # ... so the square of the interpolant in y misses it by 2.5 - 1.5^2
     fine = np.square(np.array([[1.0], [1.5], [2.0], [1.5], [1.0]]))
-    _uniform_error(fine, x_coarse, *weights, out=out)
-    assert out[0] == 0.25
+    assert _errors(fine, x_coarse, 2) == (0.0, 0.25)
 
 
 def test_interpolant_hits_nodes_and_guards_domain():
     model, grid, inc, seg, y = _reference_path(seed=41)
     x = np.square(y[grid.n_per_delay :])[:, None]  # X on nodes 0 .. K
-    out = np.empty(1)
     # fine equal to coarse on every shared node: no error at r = 1
-    _uniform_error(x, x, *_coarse_on_fine_weights(grid.n_steps, 1), out=out)
-    assert out[0] == 0.0
+    assert _errors(x, x, 1) == (0.0, 0.0)
     r = 4
-    base, frac = _coarse_on_fine_weights(r * grid.n_steps, r)
+    one_minus_w, w = _cell_weights(r * grid.n_steps, r)
     on_fine = _interpolant_on_fine(x, r)
     assert np.array_equal(on_fine[::r], x)  # the interpolant hits the nodes
-    _uniform_error(on_fine, x, base, frac, out=out)
-    assert out[0] == 0.0
+    assert _errors(on_fine, x, r) == (0.0, 0.0)
     bumped = on_fine.copy()
     bumped[r * 3 + 1] += 0.5  # off a shared node: the fine maximum sees it
-    _uniform_error(bumped, x, base, frac, out=out)
-    assert out[0] == pytest.approx(0.5, rel=1e-12)
-    # the last fine node closes the last coarse cell: the weights never index
-    # past the coarse path
-    assert base.max() == grid.n_steps - 1 and frac[-1] == 1.0
-    assert np.all((0.0 <= frac) & (frac <= 1.0))
+    grid_max, uniform_max = _errors(bumped, x, r)
+    assert grid_max[0] == 0.0 and uniform_max[0] == pytest.approx(0.5, rel=1e-12)
+    bumped[r * 3] += 0.5  # on a shared node: both errors see it
+    grid_max, uniform_max = _errors(bumped, x, r)
+    assert grid_max[0] == pytest.approx(0.5, rel=1e-12)
+    # every fine node lies in a cell that ends inside the coarse path: the
+    # last fine node closes the last cell with weight one
+    assert w[-1] == 1.0 and np.all(w[r - 1 :: r] == 1.0)
+    assert np.all((0.0 < w) & (w <= 1.0)) and np.array_equal(one_minus_w, 1.0 - w)
 
 
 # ---------------------------------------------------------------------------

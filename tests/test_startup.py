@@ -90,7 +90,9 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
 
 
 def test_simulation_loads_special_but_not_integrate(tmp_path):
-    # 2100 paths are two chunks, so both worker threads make a first draw
+    # 2100 paths on 2 workers are two chunks of 1050 paths, one per forked
+    # worker process; the parent imports scipy.special before the fork, so
+    # it is loaded in the process that reports here
     cfg = _config(
         tmp_path,
         "N_list = 4,8,16\nN_ref = 32\nn_paths = 2100\nthreads = 2\nseed = 5\n",
@@ -109,6 +111,9 @@ def test_simulation_loads_special_but_not_integrate(tmp_path):
 
 
 def test_first_draws_on_four_threads_at_once(tmp_path):
+    # map_paths runs chunks in worker processes, not threads; a library
+    # caller may still draw from several threads, and the first draws of a
+    # process race to import ndtri
     out = _fresh(
         """
         import threading
