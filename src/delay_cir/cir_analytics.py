@@ -327,10 +327,16 @@ def mean_delay_curve(model: ModelSpec, grid: TimeGrid, substeps: int = 64) -> Me
                    + integral_t^{t+h} e^{-a (t + h - u)} [a gamma(u) + b m(u - tau)] du.
 
     The integral is evaluated by Simpson sub-steps, ``substeps`` (>= 32) per
-    grid step, marching window by window so m(u - tau) is always already
-    known; delayed midpoint values come from three-point quadratic
+    grid step; delayed midpoint values come from three-point quadratic
     interpolation on the sub-grid.  E[X0(.)] on [t0 - tau, t0] comes from the
     model's initial-segment specification.
+
+    The march goes delay by delay (the method of steps): every value the
+    integral of a sub-step reads lies one delay, ``N * substeps`` sub-steps,
+    back, so over a run of that many sub-steps the integrals are computed
+    together as arrays.  Only m(t + h) = e^{-a h} m(t) + integral stays a
+    sequential loop, over Python floats.  Each value is rounded exactly as in
+    a sub-step by sub-step march.
     """
     if substeps < 32:
         raise ValueError(f"need at least 32 quadrature sub-steps per grid step, got {substeps}")
@@ -352,24 +358,32 @@ def mean_delay_curve(model: ModelSpec, grid: TimeGrid, substeps: int = 64) -> Me
     decay = math.exp(-a * h)
     decay_half = math.exp(-0.5 * a * h)
 
+    # m[shift + i] is m at sub-node i; sub-step i reads the delayed sub-nodes
+    # i - 1 .. i + 1, held in m[i - 1 .. i + 1]
     m = np.empty(shift + n_sub + 1)
     m[: shift + 1] = seg_vals
-    for i in range(n_sub):
-        j = shift + i
-        d = i  # delayed sub-index of the step's left node: (j - shift)
-        f_left = gamma_nodes[i] + b * m[d]
-        f_right = gamma_nodes[i + 1] + b * m[d + 1]
+    m_j = float(m[shift])
+    for lo in range(0, n_sub, shift):
+        hi = min(lo + shift, n_sub)
+        f_left = gamma_nodes[lo:hi] + b * m[lo:hi]
+        f_right = gamma_nodes[lo + 1 : hi + 1] + b * m[lo + 1 : hi + 1]
         if b != 0.0:
-            if d >= 1:
-                m_mid = (-m[d - 1] + 6.0 * m[d] + 3.0 * m[d + 1]) / 8.0
-            else:
-                m_mid = (3.0 * m[0] + 6.0 * m[1] - m[2]) / 8.0
-            f_mid = gamma_mids[i] + b * m_mid
+            m_mid = np.empty(hi - lo)
+            first = max(lo, 1)
+            m_mid[first - lo :] = (
+                -m[first - 1 : hi - 1] + 6.0 * m[first:hi] + 3.0 * m[first + 1 : hi + 1]
+            ) / 8.0
+            if lo == 0:
+                m_mid[0] = (3.0 * m[0] + 6.0 * m[1] - m[2]) / 8.0
+            f_mid = gamma_mids[lo:hi] + b * m_mid
         else:
-            f_mid = gamma_mids[i]
-        m[j + 1] = decay * m[j] + (h / 6.0) * (
-            decay * f_left + 4.0 * decay_half * f_mid + f_right
-        )
+            f_mid = gamma_mids[lo:hi]
+        integral = (h / 6.0) * (decay * f_left + 4.0 * decay_half * f_mid + f_right)
+        run = []
+        for step in integral.tolist():
+            m_j = decay * m_j + step
+            run.append(m_j)
+        m[shift + lo + 1 : shift + hi + 1] = run
 
     return MeanCurve(
         times=grid.t0 + np.arange(0, n_steps + 1) * grid.delta,

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from . import __version__
 from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_moment
 from .experiments import (
-    SCHEMES,
     check_comparable,
     check_levels,
     check_schemes,
@@ -305,13 +304,8 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     if n_per_delay < 1:
         raise BadValue("N", "must be a positive integer")
     n_list = _parse_list("N_list", items["N_list"], _parse_int)
-    if any(n < 1 for n in n_list):
-        raise BadValue("N_list", "entries must be positive integers")
     n_ref = _parse_int("N_ref", items["N_ref"])
     p_list = _parse_list("p_list", items["p_list"], _parse_float)
-    # only the rate study is bound by p_max; p_list[0] is also modulus's order
-    p_max = report.p_max if experiment == "strong_rate" else math.inf
-    _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, p_max)
     n_paths = _parse_int("n_paths", items["n_paths"])
     if n_paths < 2:
         raise BadValue("n_paths", "need at least two paths")
@@ -325,11 +319,6 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     schemes = tuple(
         part.strip() for part in items["scheme"].split(",") if part.strip()
     )
-    for name in schemes:
-        if name not in SCHEMES:
-            raise BadValue("scheme", f"unknown scheme {name!r}")
-    if not schemes:
-        raise BadValue("scheme", "empty list")
 
     def optional(key, parse, *scalar):
         return None if items[key] is None else parse(key, items[key], *scalar)
@@ -342,7 +331,13 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     probe_t = optional("probe.t", _parse_float)
     if probe_t is not None and probe_t <= t0:
         raise BadValue("probe.t", "must exceed t0")
+    # Each experiment's values are checked only where it reads them: the
+    # levels and p_max bind the rate study, the first order the modulus, and
+    # the scheme names the positivity census.
     if experiment == "strong_rate":
+        if any(n < 1 for n in n_list):
+            raise BadValue("N_list", "entries must be positive integers")
+        _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, report.p_max)
         if len(n_list) < 3:
             raise BadValue("N_list", "a rate fit needs at least three levels")
         for n in (*n_list, n_ref):
@@ -353,8 +348,13 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
         grid = _checked("horizon", build_grid, model, n_per_delay)
         if experiment == "mean_check" and checkpoints is not None:
             _checked("checkpoints", checkpoint_indices, grid, checkpoints)
-        elif experiment == "modulus" and delta_list is not None:
-            _checked("delta_list", modulus_lags, grid, delta_list)
+        elif experiment == "modulus":
+            if p_list[0] <= 0.0:
+                raise BadValue(
+                    "p_list", "the modulus order, its first entry, must be positive"
+                )
+            if delta_list is not None:
+                _checked("delta_list", modulus_lags, grid, delta_list)
         elif experiment == "positivity":
             _checked("scheme", check_schemes, schemes, model)
         elif experiment == "comparison":

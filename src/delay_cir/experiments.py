@@ -198,16 +198,6 @@ def _cell_weights(n_fine_steps: int, r: int) -> tuple[Array, Array]:
     return 1.0 - w, w
 
 
-def _square_rows(window: Array, first: int, count: int, out: Array) -> Array:
-    """Squares of ``count`` rows of ``window`` from row ``first`` on, taken
-    modulo its length, into ``out[:count]``."""
-    first %= window.shape[0]
-    head = min(count, window.shape[0] - first)
-    np.square(window[first : first + head], out=out[:head])
-    np.square(window[: count - head], out=out[head:count])
-    return out[:count]
-
-
 # Fine rows per piece of the error fold: a piece's temporaries stay in a
 # core's cache.
 _FOLD_ROWS = 32
@@ -379,14 +369,14 @@ def strong_error_study(
             scheme_mod.simulate_y_paths(model, fine_grid, inc, seg, window=fine, start=k0)
             sums = [noise_mod.block_sum(inc, r) for r in ratios]
             # the increments are spent: their rows take the block's fine X
-            x_fine = _square_rows(fine, n_ref + k0 + 1, inc.shape[0], out=inc)
+            x_fine = scheme_mod.square_rows(fine, n_ref + k0 + 1, inc.shape[0], out=inc)
             rows = slice(k0, k0 + x_fine.shape[0])
             for i, (grid_c, r, y_c) in enumerate(zip(coarse_grids, ratios, coarse)):
                 # segment nodes at the coarse level are every r-th fine node
                 scheme_mod.simulate_y_paths(
                     model, grid_c, sums[i], seg[::r], window=y_c, start=k0 // r
                 )
-                x_c = _square_rows(
+                x_c = scheme_mod.square_rows(
                     y_c, grid_c.n_per_delay + k0 // r, sums[i].shape[0] + 1, out=x_coarse
                 )
                 one_minus_w, w = weights[i]
@@ -594,8 +584,10 @@ def comparison_census(
 
 
 def check_schemes(names, model: ModelSpec) -> None:
-    """Raise unless every name is in :data:`SCHEMES` and runs on ``model``
-    (the symmetrized scheme exists for b = 0 only)."""
+    """Raise unless ``names`` is a nonempty list of names in :data:`SCHEMES`
+    that run on ``model`` (the symmetrized scheme exists for b = 0 only)."""
+    if not names:
+        raise ValueError("empty list")
     for name in names:
         if name not in SCHEMES:
             raise ValueError(f"unknown scheme {name!r}")
@@ -634,10 +626,9 @@ def positivity_census(
         if name == "implicit":
             y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
             x = np.square(y[offset:], out=y[offset:])
-        else:
-            x = getattr(scheme_mod, f"{name}_euler_paths")(model, grid, inc, seg)[0]
-            x = x[offset:]
-        return np.any(x <= 0.0, axis=0)
+            return np.any(x <= 0.0, axis=0)
+        count = getattr(scheme_mod, f"{name}_euler_paths")(model, grid, inc, seg)[1]
+        return count > 0
 
     def census(draw, seg: Array) -> Array:
         inc = draw()

@@ -16,6 +16,14 @@ Initial-segment randomness lives on a separate stream tag so that drawing a
 segment never disturbs the Brownian increments (and vice versa), no matter
 how many of either are drawn.
 
+A draw re-keys one Philox bit generator per path, so its cost per path is
+the state setter plus one ``random_raw`` call.  A path that needs several
+words gets them as one array row, transposed into the time-major output in
+cache-sized blocks; a path that needs a single word (a lognormal segment
+level) gets it as a Python int, and the words of a chunk are converted in
+one pass.  Both branches give the same bits as the first row of a longer
+draw.
+
 SciPy's inverse normal CDF is imported on the first draw, not with the
 module, so a process that only parses or validates a config never loads it.
 ``ndtri`` stays a module-level name that :func:`_standard_normals` looks up
@@ -100,17 +108,29 @@ def _standard_normals(
         "uinteger": 0,
     }
     u = np.empty((n, len(paths)))
-    block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
-    rows = np.empty((min(block, len(paths)), n + skip), dtype=np.uint64)
-    for lo in range(0, len(paths), block):
-        part = paths[lo : lo + block]
-        for j, path in enumerate(part):
+    if n == 1 and skip == 0:
+        # one word per path (a lognormal segment level): random_raw() returns
+        # it as a Python int, and the chunk's words convert in one pass
+        words = []
+        for path in paths:
             key[1] = ((path << 1) | tag) & _MASK64
             bitgen.state = state
-            rows[j] = bitgen.random_raw(n + skip)
-        drawn = rows[: len(part), skip:]
+            words.append(bitgen.random_raw())
+        drawn = np.array(words, dtype=np.uint64)
         drawn >>= np.uint64(11)
-        np.add(drawn.T, 0.5, out=u[:, lo : lo + len(part)])
+        np.add(drawn, 0.5, out=u[0])
+    else:
+        block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
+        rows = np.empty((min(block, len(paths)), n + skip), dtype=np.uint64)
+        for lo in range(0, len(paths), block):
+            part = paths[lo : lo + block]
+            for j, path in enumerate(part):
+                key[1] = ((path << 1) | tag) & _MASK64
+                bitgen.state = state
+                rows[j] = bitgen.random_raw(n + skip)
+            drawn = rows[: len(part), skip:]
+            drawn >>= np.uint64(11)
+            np.add(drawn.T, 0.5, out=u[:, lo : lo + len(part)])
     # (draws + 0.5) * 2^-53 lies strictly inside (0, 1): ndtri never sees 0 or 1.
     u *= 2.0**-53
     return ndtri(u, out=u)

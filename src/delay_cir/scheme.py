@@ -46,6 +46,7 @@ __all__ = [
     "implicit_step",
     "implicit_residual",
     "simulate_y_paths",
+    "square_rows",
     "diffusive_value",
     "truncated_euler_paths",
     "symmetrized_euler_paths",
@@ -195,6 +196,23 @@ def _start_values(n_nodes: int, n_paths: int, segment, perturbation=None) -> Arr
     return np.broadcast_to(seg, (n_nodes, n_paths))
 
 
+def square_rows(window: Array, first: int, count: int, out: Array) -> Array:
+    """Squares of ``count`` rows of ``window`` from row ``first`` on, taken
+    modulo its length, into ``out[:count]``: the X values of the nodes a ring
+    window of :func:`simulate_y_paths` holds there."""
+    first %= window.shape[0]
+    head = min(count, window.shape[0] - first)
+    np.square(window[first : first + head], out=out[:head])
+    np.square(window[: count - head], out=out[head:count])
+    return out[:count]
+
+
+# Steps per lookahead run of the implicit march, when the delay is at least
+# as long: its forcing and noise buffers hold this many rows of 8 bytes per
+# path each, and the per-run overhead is spread over as many steps.
+_RUN_STEPS = 32
+
+
 def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start=0):
     """Fill nodes start+1 .. start+n of the time-major ``y`` with implicit updates.
 
@@ -202,26 +220,76 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
     may be a window that holds only the nodes a step reads: len(y) > n_delay.
     Node start + k + 1 solves the implicit equation from node start + k with
     increment row k, a_under ``au[k]`` at time ``t_next[k]`` and the delayed
-    node start + k + 1 - n_delay, by the root of :func:`implicit_step`.  The
+    node start + k + 1 - n_delay, by the root of :func:`implicit_step`.
+
+    A delayed node lies n_delay steps back, so over a run of at most
+    min(n_delay, ``_RUN_STEPS``) steps (``_RUN_STEPS`` when b_bar = 0) the
+    forcing c = a_under + b_bar y_{k+1-N}^2 and the noise sigma_bar dW_k are
+    known before the run starts.  Both are computed for the whole run into
+    two reused buffers, the forcing then scaled in place to (4 delta)(1 +
+    a_bar delta) c, the term the discriminant adds.  The step loop keeps
+    only the root, whose ufuncs write into the target row; the rare
+    conjugate branch recomputes c from the delayed row, which no step of the
+    run writes.  Every value is rounded as in :func:`implicit_step`.  The
     forcing is checked once when a_under > 0 and b_bar >= 0 (then c >=
-    a_under > 0), otherwise on every step.
+    a_under > 0), otherwise on every run: a run whose forcing fails is
+    marched up to its first failing step, which is then raised with its
+    node, its first failing path and its time.
     """
-    rows = y.shape[0]
+    rows, n_paths = y.shape
+    n = inc.shape[0]
+    one_plus = 1.0 + a_bar * delta
+    disc_scale = (4.0 * delta) * one_plus
     forcing_ok = bool(np.min(au, initial=np.inf) > 0.0) and b_bar >= 0.0
-    for k in range(inc.shape[0]):
-        node = start + k
-        s = y[(n_delay + node) % rows] + sigma_bar * inc[k]
-        # delayed node node+1-N sits at row (node+1-N) + N = node+1
-        c = au[k] + b_bar * np.square(y[(node + 1) % rows]) if b_bar != 0.0 else au[k]
+    run = _RUN_STEPS if b_bar == 0.0 else min(n_delay, _RUN_STEPS)
+    width = min(run, n)
+    noise = np.empty((width, n_paths))
+    # with b_bar = 0 the forcing is a_under alone, one column shared by all paths
+    forcing = np.empty((width, n_paths if b_bar != 0.0 else 1))
+    s = np.empty(n_paths)
+    disc = np.empty(n_paths)
+    for k0 in range(0, n, run):
+        k1 = min(k0 + run, n)
+        c = forcing[: k1 - k0]
+        if b_bar != 0.0:
+            # delayed node start+k+1-N sits at row (start+k+1-N) + N = start+k+1
+            square_rows(y, start + k0 + 1, k1 - k0, out=c)
+            c *= b_bar
+            c += au[k0:k1, None]
+        else:
+            c[:] = au[k0:k1, None]
+        failing = None
         if not forcing_ok and not np.all(c > 0.0):
-            failing = np.flatnonzero(~(np.broadcast_to(c, s.shape) > 0.0))
-            raise NonPositiveForcing(
+            bad = ~(c > 0.0)
+            first = int(np.flatnonzero(bad.any(axis=1))[0])
+            failing = NonPositiveForcing(
                 "a_under + b_bar * z^2 must be positive for the implicit update",
-                node=node + 1,
-                path=int(failing[0]),
-                t=float(t_next[k]),
+                node=start + k0 + first + 1,
+                path=int(np.flatnonzero(bad[first])[0]),
+                t=float(t_next[k0 + first]),
             )
-        y[(n_delay + node + 1) % rows] = _positive_root(s, c, a_bar, delta)
+            k1 = k0 + first
+        c *= disc_scale
+        np.multiply(inc[k0:k1], sigma_bar, out=noise[: k1 - k0])
+        for i in range(k1 - k0):
+            node = start + k0 + i
+            np.add(y[(n_delay + node) % rows], noise[i], out=s)
+            np.multiply(s, s, out=disc)
+            disc += c[i]
+            np.sqrt(disc, out=disc)
+            target = y[(n_delay + node + 1) % rows]
+            np.add(s, disc, out=target)
+            target /= 2.0 * one_plus
+            if not s.min(initial=0.0) >= 0.0:
+                # the conjugate form of _positive_root where not s >= 0, with
+                # the forcing recomputed from the delayed row, still unwritten
+                neg = ~(s >= 0.0)
+                c_neg = au[k0 + i]
+                if b_bar != 0.0:
+                    c_neg = c_neg + b_bar * np.square(y[(node + 1) % rows][neg])
+                target[neg] = (2.0 * delta) * c_neg / (disc[neg] - s[neg])
+        if failing is not None:
+            raise failing
 
 
 def simulate_y_paths(
@@ -358,7 +426,9 @@ def diffusive_value(
 
 
 def _explicit_paths(model, grid, increments, segment, update):
-    """Time-major explicit march: x_{k+1} = update(x_k, x_{k-N}, gamma(t_k), dW_k).
+    """Time-major explicit march: ``update(x_k, x_{k-N}, gamma(t_k), dW_k, out,
+    u, v)`` writes x_{k+1} into its target row ``out``, with ``u`` and ``v``
+    two scratch rows reused by every step.
 
     Returns (paths on nodes -N .. K, shape (N + K + 1, n_paths), and the
     per-path count of nodes k >= 0 with x_k <= 0).
@@ -370,8 +440,10 @@ def _explicit_paths(model, grid, increments, segment, update):
     gamma_left = np.asarray(model.gamma_at(times), dtype=float)
     x = np.empty((n_delay + grid.n_steps + 1, inc.shape[1]))
     x[: n_delay + 1] = seg_x
+    u = np.empty(inc.shape[1])
+    v = np.empty(inc.shape[1])
     for k in range(grid.n_steps):
-        x[n_delay + k + 1] = update(x[n_delay + k], x[k], gamma_left[k], inc[k])
+        update(x[n_delay + k], x[k], gamma_left[k], inc[k], x[n_delay + k + 1], u, v)
     return x, np.count_nonzero(x[n_delay:] <= 0.0, axis=0)
 
 
@@ -390,9 +462,20 @@ def truncated_euler_paths(
     """
     a, b, sigma, delta = model.a, model.b, model.sigma, grid.delta
 
-    def update(cur, delayed, gamma, dw):
-        drift = a * (gamma - cur) + b * delayed
-        return cur + drift * delta + sigma * np.sqrt(np.maximum(cur, 0.0)) * dw
+    def update(cur, delayed, gamma, dw, out, u, v):
+        # the operations, in order, of
+        # cur + (a (gamma - cur) + b delayed) delta + sigma sqrt(max(cur, 0)) dw
+        np.subtract(gamma, cur, out=u)
+        u *= a
+        np.multiply(delayed, b, out=v)
+        u += v
+        u *= delta
+        np.add(cur, u, out=out)
+        np.maximum(cur, 0.0, out=u)
+        np.sqrt(u, out=u)
+        u *= sigma
+        u *= dw
+        out += u
 
     return _explicit_paths(model, grid, increments, segment, update)
 
@@ -410,8 +493,17 @@ def symmetrized_euler_paths(
         raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
     a, sigma, delta = model.a, model.sigma, grid.delta
 
-    def update(cur, delayed, gamma, dw):
-        return np.abs(cur + a * (gamma - cur) * delta + sigma * np.sqrt(cur) * dw)
+    def update(cur, delayed, gamma, dw, out, u, v):
+        # the operations, in order, of |cur + a (gamma - cur) delta + sigma sqrt(cur) dw|
+        np.subtract(gamma, cur, out=u)
+        u *= a
+        u *= delta
+        np.add(cur, u, out=out)
+        np.sqrt(cur, out=v)
+        v *= sigma
+        v *= dw
+        out += v
+        np.abs(out, out=out)
 
     return _explicit_paths(model, grid, increments, segment, update)
 

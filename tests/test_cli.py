@@ -346,6 +346,56 @@ def test_plan_time_config_errors_exit_two(tmp_path, capsys, text, key):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        # the levels and orders bind the rate study only
+        "experiment = mean_check\nN_ref = 100\n",
+        "experiment = mean_check\nN_list = 0,4\np_list = -1\n",
+        "experiment = positivity\nN_list = 16,8\np_list = 20\n",
+        # the modulus reads the first order only
+        "experiment = modulus\np_list = 1,-1\nN_ref = 100\n",
+        # scheme names bind the positivity census only
+        "experiment = mean_check\nscheme = warp\n",
+        "experiment = survival\nscheme = ,\n",
+    ],
+    ids=[
+        "mean_check-N_ref", "mean_check-levels-and-p", "positivity-levels-and-p",
+        "modulus-second-p", "mean_check-scheme", "survival-no-scheme",
+    ],
+)
+def test_keys_an_experiment_does_not_read_are_not_checked(tmp_path, text):
+    assert parse_config(_write_config(tmp_path, text)).experiment in text
+
+
+def test_mean_check_runs_with_an_unused_reference_level(tmp_path):
+    cfg = _write_config(tmp_path, "experiment = mean_check\nN_ref = 100\nn_paths = 20\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize(
+    "text, key, reason",
+    [
+        ("experiment = strong_rate\nN_list = 0,4,8\n", "N_list", "entries must be"),
+        ("experiment = strong_rate\np_list = 1,-1\n", "p_list", "entries must be"),
+        ("experiment = modulus\np_list = -1\n", "p_list", "the modulus order"),
+        ("experiment = modulus\np_list = 0,1\n", "p_list", "the modulus order"),
+        ("experiment = positivity\nscheme = implicit,warp\n", "scheme",
+         "unknown scheme 'warp'"),
+        ("experiment = positivity\nscheme = ,\n", "scheme", "empty list"),
+    ],
+    ids=[
+        "strong_rate-level", "strong_rate-p", "modulus-p", "modulus-zero-p",
+        "positivity-unknown-scheme", "positivity-no-scheme",
+    ],
+)
+def test_keys_an_experiment_reads_are_checked(tmp_path, capsys, text, key, reason):
+    cfg = _write_config(tmp_path, text)
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad value for {key}: {reason}")
+    assert not (tmp_path / "o").exists()
+
+
 def test_horizon_needs_whole_steps_only_on_the_grids_a_run_uses(tmp_path):
     # 1.3 / (0.5 / N) is whole for N = 5, 10, 20, 40 but not for the unused N = 64
     cfg = _write_config(

@@ -1,0 +1,279 @@
+"""The sequential loops that compute delay-known terms ahead stay bit for bit
+equal to the step-by-step computations they replace.
+
+* ``mean_delay_curve`` computes a delay's worth of Simpson integrals at once;
+  the reference is the sub-step by sub-step recursion, kept here.
+* ``_implicit_march`` computes the forcing and the noise of a run of steps at
+  once; the reference applies :func:`implicit_step` one step at a time.
+* One-word Philox draws (the lognormal segment level) take their own branch;
+  the reference is the first row of a longer draw.
+* The explicit baselines write each step into its target row; the reference
+  is the whole-row expression of each scheme.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from delay_cir.cir_analytics import mean_delay_curve
+from delay_cir.model import (
+    GammaSpec,
+    InitialSegmentSpec,
+    ModelSpec,
+    build_grid,
+    gamma_eval,
+)
+from delay_cir.noise import _TAG_SEGMENT, _standard_normals, generate, sample_segment
+from delay_cir.scheme import (
+    NonPositiveForcing,
+    _implicit_march,
+    implicit_step,
+    symmetrized_euler_paths,
+    truncated_euler_paths,
+)
+
+
+def _model(b=0.2, gamma=None, initial=None, horizon=1.5, sigma=0.25):
+    return ModelSpec(
+        a=1.0,
+        b=b,
+        sigma=sigma,
+        tau=0.5,
+        t0=0.0,
+        horizon=horizon,
+        gamma=GammaSpec.constant(1.0) if gamma is None else gamma,
+        initial=InitialSegmentSpec.constant(1.0) if initial is None else initial,
+    )
+
+
+# ---------------------------------------------------------------------------
+# mean curve
+# ---------------------------------------------------------------------------
+
+
+def _scalar_mean_curve(model, grid, substeps):
+    """The mean curve's recursion one Simpson sub-step at a time."""
+    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    h = grid.delta / substeps
+    shift = n_delay * substeps
+    n_sub = n_steps * substeps
+    sub_times = grid.t0 + (np.arange(-shift, n_sub + 1)) * h
+    a, b = model.a, model.b
+    gamma_nodes = a * np.asarray(
+        gamma_eval(model.gamma, sub_times[shift:], model.t0), dtype=float
+    )
+    gamma_mids = a * np.asarray(
+        gamma_eval(model.gamma, sub_times[shift:-1] + 0.5 * h, model.t0), dtype=float
+    )
+    decay = math.exp(-a * h)
+    decay_half = math.exp(-0.5 * a * h)
+    m = np.empty(shift + n_sub + 1)
+    m[: shift + 1] = model.initial.mean_at(sub_times[: shift + 1])
+    for i in range(n_sub):
+        j = shift + i
+        f_left = gamma_nodes[i] + b * m[i]
+        f_right = gamma_nodes[i + 1] + b * m[i + 1]
+        if b != 0.0:
+            if i >= 1:
+                m_mid = (-m[i - 1] + 6.0 * m[i] + 3.0 * m[i + 1]) / 8.0
+            else:
+                m_mid = (3.0 * m[0] + 6.0 * m[1] - m[2]) / 8.0
+            f_mid = gamma_mids[i] + b * m_mid
+        else:
+            f_mid = gamma_mids[i]
+        m[j + 1] = decay * m[j] + (h / 6.0) * (
+            decay * f_left + 4.0 * decay_half * f_mid + f_right
+        )
+    return m[shift::substeps]
+
+
+_GAMMAS = {"constant": None, "sinusoid": GammaSpec.sinusoid(1.0, 0.3, 4.0)}
+_STARTS = {
+    "table": InitialSegmentSpec.table([(-0.5, 0.6), (-0.2, 1.4), (0.0, 1.1)]),
+    "lognormal": InitialSegmentSpec.lognormal(1.2, 0.3),
+}
+
+
+@pytest.mark.parametrize("b", [0.0, 0.4])
+@pytest.mark.parametrize("gamma", sorted(_GAMMAS))
+@pytest.mark.parametrize("start", sorted(_STARTS))
+@pytest.mark.parametrize(
+    "substeps, n_per_delay, horizon",
+    # 1.25 is 2.5 delays: the last run of sub-steps is half full
+    [(32, 8, 1.5), (64, 4, 1.25), (640, 2, 1.25)],
+    ids=["substeps-32", "substeps-64-partial-run", "substeps-640-partial-run"],
+)
+def test_mean_curve_equals_the_scalar_recursion(b, gamma, start, substeps, n_per_delay, horizon):
+    model = _model(b=b, gamma=_GAMMAS[gamma], initial=_STARTS[start], horizon=horizon)
+    grid = build_grid(model, n_per_delay)
+    curve = mean_delay_curve(model, grid, substeps)
+    expected = _scalar_mean_curve(model, grid, substeps)
+    assert curve.means.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# implicit march
+# ---------------------------------------------------------------------------
+
+
+def _stepwise_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start):
+    """:func:`implicit_step` applied one step at a time on the ring ``y``.
+
+    Returns (node, path, t) of the first step whose forcing is not positive,
+    or None, and whether any step took the conjugate (s < 0) branch.
+    """
+    rows = y.shape[0]
+    conjugate = False
+    for k in range(inc.shape[0]):
+        node = start + k
+        y_prev, z, noise = y[(n_delay + node) % rows], y[(node + 1) % rows], sigma_bar * inc[k]
+        bad = np.flatnonzero(~(au[k] + b_bar * np.square(z) > 0.0))
+        if bad.size:
+            return (node + 1, int(bad[0]), float(t_next[k])), conjugate
+        conjugate |= bool(np.any(y_prev + noise < 0.0))
+        y[(n_delay + node + 1) % rows] = implicit_step(
+            y_prev, z, noise, au[k], a_bar, b_bar, delta
+        )
+    return None, conjugate
+
+
+def _march_both(n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar,
+                au_low, seed):
+    """Both marches on the same random ring window: (y, failure) of each, and
+    whether any step took the conjugate branch."""
+    rng = np.random.default_rng(seed)
+    delta, a_bar = 0.05, 0.6
+    window = rng.uniform(0.05, 1.5, size=(n_delay + extra_rows, n_paths))
+    inc = rng.standard_normal((n_steps, n_paths)) * math.sqrt(delta)
+    t_next = (start + 1 + np.arange(n_steps)) * delta
+    au = rng.uniform(au_low, 1.0, size=n_steps)
+    ours = window.copy()
+    try:
+        _implicit_march(ours, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start)
+        failure = None
+    except NonPositiveForcing as exc:
+        failure = (exc.node, exc.path, exc.t)
+    expected = window.copy()
+    expected_failure, conjugate = _stepwise_march(
+        expected, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start
+    )
+    return (ours, failure), (expected, expected_failure), conjugate
+
+
+@given(
+    n_delay=st.integers(1, 48),
+    extra_rows=st.integers(1, 12),
+    n_paths=st.integers(1, 4),
+    n_steps=st.integers(0, 120),
+    start=st.integers(0, 60),
+    b_bar=st.sampled_from([0.0, 0.05, 0.8]),
+    sigma_bar=st.sampled_from([0.1, 2.5]),
+    au_low=st.sampled_from([0.01, -0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_march_equals_implicit_step_applied_step_by_step(
+    n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, au_low, seed
+):
+    (ours, failure), (expected, expected_failure), _ = _march_both(
+        n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, au_low, seed
+    )
+    assert failure == expected_failure
+    assert ours.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_delay, extra_rows, n_steps, start, b_bar, sigma_bar, au_low, fails",
+    [
+        # ring of 45 rows that wraps, from node 7, several runs shorter than N
+        (40, 5, 100, 7, 0.8, 0.1, 0.01, False),
+        # N below the run length: runs of N steps, 30 times over
+        (3, 2, 90, 11, 0.05, 0.1, 0.01, False),
+        # deep noise: steps take the conjugate branch
+        (8, 3, 60, 0, 0.8, 2.5, 0.01, False),
+        (8, 3, 60, 5, 0.0, 2.5, 0.01, False),
+        # a_under below zero: the forcing fails inside a run
+        (40, 2, 100, 3, 0.05, 0.1, -0.3, True),
+        (6, 1, 50, 0, 0.0, 0.1, -0.3, True),
+    ],
+    ids=["wrap-start", "short-delay", "conjugate", "conjugate-b0", "fails", "fails-b0"],
+)
+def test_march_cases_are_reached(n_delay, extra_rows, n_steps, start, b_bar, sigma_bar,
+                                 au_low, fails):
+    (ours, failure), (expected, expected_failure), conjugate = _march_both(
+        n_delay, extra_rows, 3, n_steps, start, b_bar, sigma_bar, au_low, seed=5
+    )
+    assert failure == expected_failure
+    assert ours.tobytes() == expected.tobytes()
+    assert (failure is not None) == fails
+    if fails:
+        node, path, t = failure
+        assert start < node <= start + n_steps and t == node * 0.05
+    if sigma_bar > 1.0:
+        assert conjugate
+
+
+# ---------------------------------------------------------------------------
+# one-word draws
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("paths", [range(0, 1), range(3, 700)], ids=["one", "many"])
+def test_one_word_draws_equal_rows_of_longer_draws(paths):
+    grid = build_grid(_model(), 8)
+    whole = generate(grid, 11, paths)
+    for k in (0, 4, 8, 5):
+        assert generate(grid, 11, paths, k, k + 1).tobytes() == whole[k : k + 1].tobytes()
+    level = _standard_normals(11, paths, _TAG_SEGMENT, 1)
+    assert level.tobytes() == _standard_normals(11, paths, _TAG_SEGMENT, 3)[:1].tobytes()
+
+
+def test_lognormal_levels_come_from_the_first_segment_word():
+    model = _model(initial=InitialSegmentSpec.lognormal(1.2, 0.3))
+    grid = build_grid(model, 8)
+    draw = sample_segment(model.initial, grid, 11, range(500))
+    z = _standard_normals(11, range(500), _TAG_SEGMENT, 2)[0]
+    expected = np.array([1.2 * math.exp(0.3 * zj) for zj in z.tolist()])
+    assert draw.level.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# explicit baselines
+# ---------------------------------------------------------------------------
+
+
+def test_explicit_baselines_equal_the_whole_row_expressions():
+    model = _model(b=0.3, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    grid = build_grid(model, 16)
+    inc = generate(grid, 3, range(200))
+    seg = sample_segment(model.initial, grid, 3, range(200)).values
+    n, delta = grid.n_per_delay, grid.delta
+    gamma = np.asarray(model.gamma_at(grid.time(np.arange(grid.n_steps))), dtype=float)
+
+    def whole_rows(update, m):
+        x = np.empty((n + grid.n_steps + 1, seg.shape[1]))
+        x[: n + 1] = seg
+        for k in range(grid.n_steps):
+            x[n + k + 1] = update(m, x[n + k], x[k], gamma[k], inc[k])
+        return x
+
+    def truncated(m, cur, delayed, g, dw):
+        drift = m.a * (g - cur) + m.b * delayed
+        return cur + drift * delta + m.sigma * np.sqrt(np.maximum(cur, 0.0)) * dw
+
+    def symmetrized(m, cur, delayed, g, dw):
+        return np.abs(cur + m.a * (g - cur) * delta + m.sigma * np.sqrt(cur) * dw)
+
+    x, count = truncated_euler_paths(model, grid, inc, seg)
+    expected = whole_rows(truncated, model)
+    assert x.tobytes() == expected.tobytes()
+    assert np.array_equal(count, np.count_nonzero(expected[n:] <= 0.0, axis=0))
+    assert np.any(count > 0)
+    classical = _model(b=0.0, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    x, _ = symmetrized_euler_paths(classical, grid, inc, seg)
+    assert x.tobytes() == whole_rows(symmetrized, classical).tobytes()
