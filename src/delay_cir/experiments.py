@@ -213,29 +213,50 @@ def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
     compares the coarse nodes c+1 .. c+m with the fine nodes on them, the
     uniform error every fine node with the coarse interpolant.  The errors
     are folded piece by piece, a piece being a run of whole cells or, for
-    cells longer than ``_FOLD_ROWS``, part of one cell; a cell's two end
-    values broadcast over its rows and the weights over the paths.
+    cells longer than ``_FOLD_ROWS``, part of one cell.
+
+    A piece's terms left (1 - w) and right w are outer products of the
+    weights with a cell's two end values, written by ``np.einsum`` into two
+    buffers of ``_FOLD_ROWS`` rows allocated once per call; the add,
+    subtract and abs then run in place, and each piece reduces into one
+    reused row.  The values equal the broadcast products bit for bit:
+    einsum adds each product to a zeroed output, and +0 + p = p for every
+    p >= +0 (X = Y^2 and both weights lie in [0, 1]).  Maxima do not depend
+    on the order they are taken in.
     """
     cells = x_coarse.shape[0] - 1
     r = x_fine.shape[0] // cells
+    paths = x_coarse.shape[1]
     per_piece = max(1, _FOLD_ROWS // r)
     part = min(r, _FOLD_ROWS)
+    on_left = np.empty(per_piece * part * paths)
+    on_right = np.empty_like(on_left)
+    row = np.empty(paths)
     for c0 in range(0, cells, per_piece):
         c1 = min(c0 + per_piece, cells)
         span = slice(c0 * r, c1 * r)
-        left, right = x_coarse[c0:c1, None], x_coarse[c0 + 1 : c1 + 1, None]
+        left, right = x_coarse[c0:c1], x_coarse[c0 + 1 : c1 + 1]
+        fine_cells = x_fine[span].reshape(c1 - c0, r, paths)
+        left_w = one_minus_w[span].reshape(c1 - c0, r)
+        right_w = w[span].reshape(c1 - c0, r)
         for i0 in range(0, r, part):
             rows = slice(i0, min(i0 + part, r))
-            fine = x_fine[span].reshape(c1 - c0, r, -1)[:, rows]
+            fine = fine_cells[:, rows]
             if rows.stop == r:
-                np.maximum(
-                    grid_max, np.abs(fine[:, -1] - right[:, 0]).max(axis=0), out=grid_max
-                )
-            on_fine = left * one_minus_w[span].reshape(c1 - c0, r, 1)[:, rows]
-            on_fine += right * w[span].reshape(c1 - c0, r, 1)[:, rows]
+                node_error = on_left[: right.size].reshape(right.shape)
+                np.subtract(fine[:, -1], right, out=node_error)
+                np.abs(node_error, out=node_error)
+                np.maximum.reduce(node_error, axis=0, out=row)
+                np.maximum(grid_max, row, out=grid_max)
+            on_fine = on_left[: fine.size].reshape(fine.shape)
+            on_end = on_right[: fine.size].reshape(fine.shape)
+            np.einsum("cj,cp->cjp", left_w[:, rows], left, out=on_fine)
+            np.einsum("cj,cp->cjp", right_w[:, rows], right, out=on_end)
+            on_fine += on_end
             np.subtract(fine, on_fine, out=on_fine)
             np.abs(on_fine, out=on_fine)
-            np.maximum(uniform_max, on_fine.max(axis=(0, 1)), out=uniform_max)
+            np.maximum.reduce(on_fine.reshape(-1, paths), axis=0, out=row)
+            np.maximum(uniform_max, row, out=uniform_max)
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,13 @@ segment never disturbs the Brownian increments (and vice versa), no matter
 how many of either are drawn.
 
 A draw re-keys one Philox bit generator per path, so its cost per path is
-the state setter plus one ``random_raw`` call.  A path that needs several
-words gets them as one array row, transposed into the time-major output in
-cache-sized blocks; a path that needs a single word (a lognormal segment
-level) gets it as a Python int, and the words of a chunk are converted in
+the state setter plus one fill.  A path that needs several words gets them
+as one row of uniforms filled by ``Generator.random``, and a reused
+cache-sized block of such rows is transposed into the time-major output; a
+path that needs a single word (a lognormal segment level) gets it from
+``random_raw()`` as a Python int, and the words of a chunk are converted in
 one pass.  Both branches give the same bits as the first row of a longer
-draw.
+draw (see :func:`_standard_normals`).
 
 SciPy's inverse normal CDF is imported on the first draw, not with the
 module, so a process that only parses or validates a config never loads it.
@@ -64,8 +65,8 @@ class NonPositiveSample(ValueError):
     """A drawn or tabulated initial-segment value is not strictly positive."""
 
 
-# Bytes per transpose block of the raw draws: a block of per-path rows that
-# stays in cache while it is written into the time-major output.
+# Bytes per transpose block of the drawn uniforms: a block of per-path rows
+# that stays in cache while it is written into the time-major output.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -86,7 +87,15 @@ def _standard_normals(
     seed: int, paths: range, tag: int, n: int, start: int = 0
 ) -> Array:
     """(n, len(paths)) standard normals: column j holds draws start .. start+n-1
-    of stream (seed, paths[j], tag)."""
+    of stream (seed, paths[j], tag).
+
+    Word w of a stream becomes the uniform (k + 1/2) 2^-53 with k = w >> 11,
+    then ``ndtri`` of it.  A row of several words is filled by
+    ``Generator.random``, which gives k 2^-53 exactly, and 2^-54 is added on
+    the way into the output; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2),
+    because scaling by a power of two commutes with rounding in this range.
+    So both branches round every uniform alike, bit for bit.
+    """
     if seed < 0 or min(paths, default=0) < 0:
         raise ValueError("seed and path_index must be nonnegative integers")
     # One bit generator, local to the call, re-keyed per path; its own seed
@@ -94,8 +103,7 @@ def _standard_normals(
     # state dict, so re-keying builds no array.  Philox makes four words per
     # counter value and steps the counter before each four, so counter
     # start // 4 with start % 4 words skipped begins at word ``start`` (a
-    # fresh state has counter zero).  random_raw >> 11 is what
-    # Generator.integers(0, 2**53) returns for this power-of-two range.
+    # fresh state has counter zero).
     bitgen = np.random.Philox(0)
     key = [seed & _MASK64, 0]
     skip = start % 4
@@ -119,20 +127,22 @@ def _standard_normals(
         drawn = np.array(words, dtype=np.uint64)
         drawn >>= np.uint64(11)
         np.add(drawn, 0.5, out=u[0])
+        u *= 2.0**-53
     else:
+        # each path's row is filled with (w >> 11) 2^-53; adding 2^-54 on the
+        # way into the time-major output rounds as (k + 1/2) 2^-53 above
+        uniform = np.random.Generator(bitgen).random
         block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
-        rows = np.empty((min(block, len(paths)), n + skip), dtype=np.uint64)
+        rows = np.empty((min(block, len(paths)), n + skip))
         for lo in range(0, len(paths), block):
             part = paths[lo : lo + block]
             for j, path in enumerate(part):
                 key[1] = ((path << 1) | tag) & _MASK64
                 bitgen.state = state
-                rows[j] = bitgen.random_raw(n + skip)
-            drawn = rows[: len(part), skip:]
-            drawn >>= np.uint64(11)
-            np.add(drawn.T, 0.5, out=u[:, lo : lo + len(part)])
-    # (draws + 0.5) * 2^-53 lies strictly inside (0, 1): ndtri never sees 0 or 1.
-    u *= 2.0**-53
+                uniform(out=rows[j])
+            np.add(rows[: len(part), skip:].T, 2.0**-54, out=u[:, lo : lo + len(part)])
+    # (k + 1/2) 2^-53 with k < 2^53 is never 0; it is 1 only for k = 2^53 - 1,
+    # where k + 1/2 rounds up to 2^53 (one draw in 2^53)
     return ndtri(u, out=u)
 
 

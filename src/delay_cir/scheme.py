@@ -137,9 +137,22 @@ def _positive_root(s, c, a_bar, delta):
     ``c`` is shaped like ``s`` or a scalar.  Where not s >= 0 (s < 0 or NaN)
     the conjugate form 2 c delta / (disc - s) replaces (s + disc) / (2 (1 +
     a_bar delta)), whose numerator cancels catastrophically there.
+
+    Where s * s overflows (|s| above about 1.34e154) the discriminant is
+    |s| sqrt(1 + q / s^2) with q = 4 delta (1 + a_bar delta) c, so the root
+    stays finite and positive for |s| up to about 1e300; every other entry
+    is computed as sqrt(s * s + q), bit for bit as the march computes it.
     """
     one_plus = 1.0 + a_bar * delta
-    disc = np.sqrt(s * s + (4.0 * delta) * one_plus * c)
+    q = (4.0 * delta) * one_plus * c
+    with np.errstate(over="ignore"):
+        square = s * s
+    disc = np.sqrt(square + q)
+    huge = np.isinf(square)
+    if huge.any():
+        s_huge = s[huge]
+        q_huge = q[huge] if np.ndim(q) else q
+        disc[huge] = np.abs(s_huge) * np.sqrt(1.0 + q_huge / s_huge / s_huge)
     out = (s + disc) / (2.0 * one_plus)
     neg = ~(s >= 0.0)
     if neg.any():
@@ -326,6 +339,12 @@ def simulate_y_paths(
     Array of shape (N + K + 1, n_paths) with the Y values on nodes -N .. K,
     or the ``window``.  Non-finite increments or segment values raise
     ``ValueError``.
+
+    The march computes the root of :func:`implicit_step` inline, with the
+    discriminant sqrt(s * s + 4 delta (1 + a_bar delta) c) for s = y_k +
+    sigma_bar dW_k.  It covers |s| below about 1.34e154, where s * s is
+    finite; beyond that a step gives 0 (s < 0) or inf (s > 0), where
+    :func:`implicit_step` rescales the discriminant.
     """
     n_delay, n_steps = grid.n_per_delay, grid.n_steps
     inc = _increments(increments, n_steps if window is None else None)

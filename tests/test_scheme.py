@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from delay_cir.experiments import _cell_weights, _fold_cell_errors
 from delay_cir.model import (
@@ -184,6 +186,80 @@ def test_step_monotone_in_state_and_forcing():
         implicit_step(s, 0.0, 0.0, c_hi, 0.5, 0.0, 0.1)
         > implicit_step(s, 0.0, 0.0, c_lo, 0.5, 0.0, 0.1)
     )
+
+
+def test_step_root_beyond_the_overflow_of_s_squared():
+    # s * s overflows: the root is about c delta / |s| below zero and
+    # s / (1 + a_bar delta) above it, not 0 and inf
+    y = implicit_step(1.0, 1.0, -2e154, 0.5, 0.5, 0.0, 1e-3)
+    assert y == pytest.approx(0.5e-3 / 2e154, rel=1e-12)
+    y = implicit_step(1.0, 1.0, 2e154, 0.5, 0.5, 0.0, 1e-3)
+    assert y == pytest.approx(2e154 / (1.0 + 0.5e-3), rel=1e-12)
+
+
+def test_step_root_keeps_its_bits_where_s_squared_is_finite():
+    rng = np.random.default_rng(5)
+    s = rng.standard_normal(2000) * 10.0 ** rng.uniform(-10.0, 150.0, 2000)
+    c = rng.uniform(0.01, 5.0, 2000)
+    a_bar, delta = 0.5, 1e-3
+    one_plus = 1.0 + a_bar * delta
+    disc = np.sqrt(s * s + (4.0 * delta) * one_plus * c)
+    with np.errstate(divide="ignore"):
+        want = np.where(
+            s >= 0.0, (s + disc) / (2.0 * one_plus), (2.0 * delta) * c / (disc - s)
+        )
+    got = implicit_step(s, 0.0, 0.0, c, a_bar, 0.0, delta)
+    assert got.tobytes() == want.tobytes()
+
+
+# The root over |s| up to 1e300, forcing c down to 1e-12 and steps down to
+# 1e-300.  Cases whose root or c delta would fall below the normal range are
+# left out: there c delta / |s| cannot be represented to full precision.
+_EPS = np.finfo(float).eps
+_S = st.floats(-1e300, 1e300)
+_C = st.floats(1e-12, 1e6)
+_A_BAR = st.floats(0.0, 10.0)
+_DELTA = st.floats(1e-300, 1.0)
+
+
+def _representable(s, c, delta):
+    return c * delta >= 1e-280 and (s >= 0.0 or c * delta / -s > 1e-290)
+
+
+def _root(s, c, a_bar, delta):
+    return implicit_step(s, 0.0, 0.0, c, a_bar, 0.0, delta)
+
+
+@given(_S, _C, _A_BAR, _DELTA)
+@example(-2e154, 0.5, 0.5, 1e-3)
+@example(2e154, 0.5, 0.5, 1e-3)
+@example(-1e300, 1e6, 10.0, 1.0)
+@example(1e300, 1e-12, 0.0, 1e-268)
+@example(0.0, 1e-12, 3.0, 1e-268)
+def test_step_root_is_positive_finite_and_solves_its_equation(s, c, a_bar, delta):
+    assume(_representable(s, c, delta))
+    y = _root(s, c, a_bar, delta)
+    assert 0.0 < y < math.inf
+    # (1 + a_bar delta) y - s - c delta / y = 0, relative to the terms' sizes
+    terms = ((1.0 + a_bar * delta) * y, s, c * delta / y)
+    assert abs(terms[0] - terms[1] - terms[2]) <= 8 * _EPS * sum(map(abs, terms))
+
+
+@given(_S, _S, _C, _A_BAR, _DELTA)
+@example(-2e154, -1e154, 0.5, 0.5, 1e-3)
+@example(1e154, 2e154, 0.5, 0.5, 1e-3)
+@example(-1e-300, 0.0, 1e-6, 0.5, 1e-3)
+def test_step_root_is_monotone_in_s(s1, s2, c, a_bar, delta):
+    lo, hi = sorted((s1, s2))
+    assume(_representable(lo, c, delta))
+    y_lo, y_hi = _root(lo, c, a_bar, delta), _root(hi, c, a_bar, delta)
+    if (lo >= 0.0) == (hi >= 0.0):
+        # one branch of the root: each rounded step is monotone in s (where
+        # s * s overflows, sqrt(1 + q / s^2) rounds to 1 for these c, delta)
+        assert y_lo <= y_hi
+    else:
+        # the two branches meet at s = 0, each rounded on its own
+        assert y_lo <= y_hi * (1.0 + 4 * _EPS)
 
 
 # ---------------------------------------------------------------------------
