@@ -110,22 +110,25 @@ DEFAULTS: dict[str, str | None] = {
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed config; the numbers and number lists of keys that the run
+    does not read are None."""
+
     experiment: str
     model: ModelSpec
-    n_per_delay: int
-    n_list: tuple[int, ...]
-    n_ref: int
-    n_paths: int
-    p_list: tuple[float, ...]
-    seed: int
+    n_per_delay: int | None
+    n_list: tuple[int, ...] | None
+    n_ref: int | None
+    n_paths: int | None
+    p_list: tuple[float, ...] | None
+    seed: int | None
     threads: int
     out_dir: str
     schemes: tuple[str, ...]
     checkpoints: tuple[float, ...] | None
     delta_list: tuple[float, ...] | None
     gamma_lower: float | None
-    probe_u: tuple[float, ...]
-    probe_p: float
+    probe_u: tuple[float, ...] | None
+    probe_p: float | None
     probe_t: float | None
     resolved: tuple[tuple[str, str], ...] = field(repr=False, default=())
 
@@ -270,8 +273,32 @@ def _lower_model(model: ModelSpec, gamma_lower: float | None) -> ModelSpec:
     return classical_variant(model, gamma_level=gamma_lower)
 
 
-def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Read, resolve against defaults, validate, and freeze a run config."""
+# Config keys that each experiment reads besides the model's, ``out`` and
+# ``threads`` (every run records its worker count).  parse_config parses the
+# numbers of no other key, so a malformed value of a key that a run never
+# reads is no error.
+_READS = {
+    "strong_rate": frozenset({"N_list", "N_ref", "p_list", "n_paths", "seed"}),
+    "mean_check": frozenset({"N", "n_paths", "seed", "checkpoints"}),
+    "comparison": frozenset({"N", "n_paths", "seed", "gamma_lower"}),
+    "positivity": frozenset({"N", "n_paths", "seed", "scheme"}),
+    "modulus": frozenset({"N", "n_paths", "seed", "p_list", "delta_list"}),
+    "survival": frozenset({"N", "n_paths", "seed"}),
+    "analytics_probe": frozenset({"probe.u_list", "probe.p", "probe.t"}),
+}
+
+# Keys the ``probe`` subcommand reads, whatever the experiment.
+_PROBE_KEYS = _READS["analytics_probe"]
+
+
+def parse_config(
+    path: str, overrides: dict[str, str] | None = None, probe: bool = False
+) -> RunConfig:
+    """Read, resolve against defaults, validate, and freeze a run config.
+
+    Only the keys the configured experiment reads are parsed (see
+    ``_READS``), and with ``probe`` also the probe keys.
+    """
     items = dict(DEFAULTS)
     items.update(_read_items(path))
     if overrides:
@@ -300,35 +327,40 @@ def parse_config(path: str, overrides: dict[str, str] | None = None) -> RunConfi
     )
     report = _checked("model", validate_model, model)
 
-    n_per_delay = _parse_int("N", items["N"])
-    if n_per_delay < 1:
+    reads = _READS[experiment] | (_PROBE_KEYS if probe else frozenset())
+
+    def parsed(key, parse, *scalar):
+        """``key``'s value, or None if this run does not read it or it is unset."""
+        if key not in reads or items[key] is None:
+            return None
+        return parse(key, items[key], *scalar)
+
+    n_per_delay = parsed("N", _parse_int)
+    if n_per_delay is not None and n_per_delay < 1:
         raise BadValue("N", "must be a positive integer")
-    n_list = _parse_list("N_list", items["N_list"], _parse_int)
-    n_ref = _parse_int("N_ref", items["N_ref"])
-    p_list = _parse_list("p_list", items["p_list"], _parse_float)
-    n_paths = _parse_int("n_paths", items["n_paths"])
-    if n_paths < 2:
+    n_list = parsed("N_list", _parse_list, _parse_int)
+    n_ref = parsed("N_ref", _parse_int)
+    p_list = parsed("p_list", _parse_list, _parse_float)
+    n_paths = parsed("n_paths", _parse_int)
+    if n_paths is not None and n_paths < 2:
         raise BadValue("n_paths", "need at least two paths")
-    seed = _parse_int("seed", items["seed"])
-    if seed < 0:
+    seed = parsed("seed", _parse_int)
+    if seed is not None and seed < 0:
         raise BadValue("seed", "must be nonnegative")
     threads = _parse_int("threads", items["threads"])
     if threads < 1:
         raise BadValue("threads", "must be a positive integer")
 
+    # splitting cannot fail; the names are checked below where they are read
     schemes = tuple(
         part.strip() for part in items["scheme"].split(",") if part.strip()
     )
-
-    def optional(key, parse, *scalar):
-        return None if items[key] is None else parse(key, items[key], *scalar)
-
-    checkpoints = optional("checkpoints", _parse_list, _parse_float)
-    delta_list = optional("delta_list", _parse_list, _parse_float)
-    gamma_lower = optional("gamma_lower", _parse_float)
-    probe_u = _parse_list("probe.u_list", items["probe.u_list"], _parse_float)
-    probe_p = _parse_float("probe.p", items["probe.p"])
-    probe_t = optional("probe.t", _parse_float)
+    checkpoints = parsed("checkpoints", _parse_list, _parse_float)
+    delta_list = parsed("delta_list", _parse_list, _parse_float)
+    gamma_lower = parsed("gamma_lower", _parse_float)
+    probe_u = parsed("probe.u_list", _parse_list, _parse_float)
+    probe_p = parsed("probe.p", _parse_float)
+    probe_t = parsed("probe.t", _parse_float)
     if probe_t is not None and probe_t <= t0:
         raise BadValue("probe.t", "must exceed t0")
     # Each experiment's values are checked only where it reads them: the
@@ -644,7 +676,7 @@ def main(argv=None) -> int:
         overrides["threads"] = os.environ["DELAY_CIR_THREADS"]
 
     try:
-        config = parse_config(args.config, overrides)
+        config = parse_config(args.config, overrides, probe=args.command == "probe")
         if args.command == "validate":
             _print_report(config)
         elif args.command == "probe":

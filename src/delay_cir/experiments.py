@@ -71,11 +71,11 @@ __all__ = [
 _CHUNK = 2048
 
 # Fine steps per time block of the strong-error study, before rounding up to
-# a multiple of every level ratio n_ref / N.
+# a multiple of every level ratio n_ref / N, and of the censuses.
 _BLOCK_STEPS = 256
 
 # Scheme names of the positivity census.
-SCHEMES = ("implicit", "truncated", "symmetrized")
+SCHEMES = ("implicit", *scheme_mod.BASELINES)
 
 
 class PRequestedTooLarge(ValueError):
@@ -592,30 +592,38 @@ def comparison_census(
 
     Requires the preconditions of :func:`check_comparable`; under them the
     implicit update is monotone in its forcing, so the count should be zero.
+    Each chunk runs in time blocks of ``_BLOCK_STEPS`` steps: both models
+    march a block's increments in ring windows of N + 1 + ``_BLOCK_STEPS``
+    nodes, and the block's violations are counted per path.
     """
     check_comparable(model_upper, model_lower, grid)
+    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    rows = n_delay + 1 + _BLOCK_STEPS
 
     def violations(draw, seg: Array) -> Array:
-        inc = draw()
-        y_up = scheme_mod.simulate_y_paths(model_upper, grid, inc, seg)
-        y_lo = scheme_mod.simulate_y_paths(model_lower, grid, inc, seg)
-        return np.count_nonzero(y_up < y_lo, axis=0)
+        paths = seg.shape[1]
+        y_up, y_lo = np.empty((rows, paths)), np.empty((rows, paths))
+        count = np.zeros(paths, dtype=np.intp)
+        for k0 in range(0, n_steps, _BLOCK_STEPS):
+            inc = draw(k0, min(k0 + _BLOCK_STEPS, n_steps))
+            scheme_mod.simulate_y_paths(model_upper, grid, inc, seg, window=y_up, start=k0)
+            scheme_mod.simulate_y_paths(model_lower, grid, inc, seg, window=y_lo, start=k0)
+            # both windows start from the same segment nodes -N .. 0, so only
+            # the block's new nodes can differ
+            for span in scheme_mod.ring_spans(rows, n_delay + k0 + 1, inc.shape[0]):
+                count += np.count_nonzero(y_up[span] < y_lo[span], axis=0)
+        return count
 
     return int(np.sum(map_paths(model_upper, grid, seed, n_paths, violations, threads)))
 
 
 def check_schemes(names, model: ModelSpec) -> None:
     """Raise unless ``names`` is a nonempty list of names in :data:`SCHEMES`
-    that run on ``model`` (the symmetrized scheme exists for b = 0 only)."""
+    that run on ``model``; the baselines are checked by
+    :func:`~delay_cir.scheme.check_baselines`."""
     if not names:
         raise ValueError("empty list")
-    for name in names:
-        if name not in SCHEMES:
-            raise ValueError(f"unknown scheme {name!r}")
-    if "symmetrized" in names and model.b != 0.0:
-        raise scheme_mod.DelayNotSupported(
-            "the symmetrized scheme is defined for b = 0 only"
-        )
+    scheme_mod.check_baselines([name for name in names if name != "implicit"], model)
 
 
 @dataclass(frozen=True)
@@ -636,25 +644,49 @@ def positivity_census(
     """Per scheme, the fraction of paths with any node value x_k <= 0, k >= 0.
 
     One row per name in ``schemes``, in that order; every scheme marches on
-    the same noise, drawn once per chunk.
+    the same noise.  Each chunk runs in time blocks of ``_BLOCK_STEPS``
+    steps: a block's increments are drawn, the implicit march continues in a
+    ring window of N + 1 + ``_BLOCK_STEPS`` nodes, the explicit baselines in
+    one window of that many nodes over a scheme axis
+    (:func:`~delay_cir.scheme.explicit_paths`), and the block's x <= 0 flags
+    are folded into per-path booleans.  A chunk of P paths running all three
+    schemes therefore holds 8 P (3 (N + 1 + T) + T) bytes of windows and
+    increments (T = ``_BLOCK_STEPS``), whatever the horizon.
     """
     names = tuple(schemes)
     check_schemes(names, model)
     validate(model)
-    offset = grid.n_per_delay
-
-    def nonpositive(name: str, inc: Array, seg: Array) -> Array:
-        if name == "implicit":
-            y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
-            x = np.square(y[offset:], out=y[offset:])
-            return np.any(x <= 0.0, axis=0)
-        count = getattr(scheme_mod, f"{name}_euler_paths")(model, grid, inc, seg)[1]
-        return count > 0
+    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    baselines = tuple(dict.fromkeys(name for name in names if name != "implicit"))
+    rows = n_delay + 1 + _BLOCK_STEPS
 
     def census(draw, seg: Array) -> Array:
-        inc = draw()
-        # one scheme's paths at a time: each is reduced before the next marches
-        return np.array([nonpositive(name, inc, seg) for name in names])
+        paths = seg.shape[1]
+        # row 0 flags the implicit scheme, row 1 + i baselines[i]
+        flags = np.zeros((1 + len(baselines), paths), dtype=bool)
+        y = np.empty((rows, paths)) if "implicit" in names else None
+        x = np.empty((rows, len(baselines), paths)) if baselines else None
+        # Node 0 is the segment's last node, positive in every scheme (the
+        # implicit one holds sqrt(x)^2 >= 2^-1074 for x > 0), so only the
+        # nodes 1 .. K that each block adds are flagged.
+        for k0 in range(0, n_steps, _BLOCK_STEPS):
+            inc = draw(k0, min(k0 + _BLOCK_STEPS, n_steps))
+            n = inc.shape[0]
+            if x is not None:
+                scheme_mod.explicit_paths(
+                    model, grid, inc, seg, baselines, window=x, start=k0
+                )
+                for span in scheme_mod.ring_spans(rows, n_delay + k0 + 1, n):
+                    flags[1:] |= np.any(x[span] <= 0.0, axis=0)
+            if y is not None:
+                scheme_mod.simulate_y_paths(model, grid, inc, seg, window=y, start=k0)
+                # the increments are spent: their rows take the block's X
+                x_implicit = scheme_mod.square_rows(y, n_delay + k0 + 1, n, out=inc)
+                flags[0] |= np.any(x_implicit <= 0.0, axis=0)
+                del x_implicit
+            del inc  # freed before the next block is drawn
+        row = {name: 1 + i for i, name in enumerate(baselines)} | {"implicit": 0}
+        return flags[[row[name] for name in names]]
 
     flagged = np.count_nonzero(
         map_paths(model, grid, seed, n_paths, census, threads), axis=1

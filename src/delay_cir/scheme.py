@@ -26,9 +26,10 @@ The root is strictly positive whenever c > 0, which is what keeps every
 simulated path positive without truncation or reflection.
 
 Baselines for comparison experiments: a truncated explicit Euler scheme in X
-(which can and does go negative), a symmetrized (absolute-value) Euler scheme
-for b = 0, and a no-delay proxy that folds the delayed drift into the mean
-reversion speed, valid for b < a.
+(which can and does go negative) and a symmetrized (absolute-value) Euler
+scheme for b = 0, marched together over a scheme axis by one explicit march,
+and a no-delay proxy that folds the delayed drift into the mean reversion
+speed, valid for b < a.
 """
 
 from __future__ import annotations
@@ -46,8 +47,12 @@ __all__ = [
     "implicit_step",
     "implicit_residual",
     "simulate_y_paths",
+    "ring_spans",
     "square_rows",
     "diffusive_value",
+    "BASELINES",
+    "check_baselines",
+    "explicit_paths",
     "truncated_euler_paths",
     "symmetrized_euler_paths",
     "small_tau_proxy_paths",
@@ -209,14 +214,46 @@ def _start_values(n_nodes: int, n_paths: int, segment, perturbation=None) -> Arr
     return np.broadcast_to(seg, (n_nodes, n_paths))
 
 
+def _march_target(grid: TimeGrid, increments, window, start: int, node_shape=()):
+    """(increments, stop, array) of a march over steps start .. stop - 1.
+
+    The increments are validated (:func:`_increments`) and must lie on the
+    grid.  The array is ``window``, which must hold more than N nodes of
+    shape (*node_shape, paths), or, without one, a new array of nodes -N .. K.
+    """
+    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    inc = _increments(increments, n_steps if window is None else None)
+    stop = start + inc.shape[0]
+    if not 0 <= start <= stop <= n_steps:
+        raise ValueError(f"steps {start} .. {stop - 1} are not on the grid")
+    node = (*node_shape, inc.shape[1])
+    if window is None:
+        return inc, stop, np.empty((n_delay + n_steps + 1, *node))
+    if window.shape[0] <= n_delay or window.shape[1:] != node:
+        raise ValueError(
+            f"window of shape {window.shape} cannot hold {n_delay + 1} nodes "
+            f"of shape {node}"
+        )
+    return inc, stop, window
+
+
+def ring_spans(length: int, first: int, count: int) -> tuple[slice, slice]:
+    """Row slices of ``count`` consecutive rows of a ring window of ``length``
+    rows from row ``first`` on, taken modulo ``length``: the rows up to the
+    window's end, then those that wrap round to its start (often none)."""
+    first %= length
+    head = min(count, length - first)
+    return slice(first, first + head), slice(0, count - head)
+
+
 def square_rows(window: Array, first: int, count: int, out: Array) -> Array:
     """Squares of ``count`` rows of ``window`` from row ``first`` on, taken
     modulo its length, into ``out[:count]``: the X values of the nodes a ring
     window of :func:`simulate_y_paths` holds there."""
-    first %= window.shape[0]
-    head = min(count, window.shape[0] - first)
-    np.square(window[first : first + head], out=out[:head])
-    np.square(window[: count - head], out=out[head:count])
+    head, tail = ring_spans(window.shape[0], first, count)
+    split = head.stop - head.start
+    np.square(window[head], out=out[:split])
+    np.square(window[tail], out=out[split:count])
     return out[:count]
 
 
@@ -347,18 +384,7 @@ def simulate_y_paths(
     :func:`implicit_step` rescales the discriminant.
     """
     n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    inc = _increments(increments, n_steps if window is None else None)
-    stop = start + inc.shape[0]
-    if not 0 <= start <= stop <= n_steps:
-        raise ValueError(f"steps {start} .. {stop - 1} are not on the grid")
-    if window is not None and (
-        window.shape[0] <= n_delay or window.shape[1:] != inc.shape[1:]
-    ):
-        raise ValueError(
-            f"window of shape {window.shape} cannot hold {n_delay + 1} nodes "
-            f"of {inc.shape[1]} paths"
-        )
-    y = np.empty((n_delay + n_steps + 1, inc.shape[1])) if window is None else window
+    inc, stop, y = _march_target(grid, increments, window, start)
     if start == 0:
         seg_x = _start_values(n_delay + 1, inc.shape[1], segment, segment_perturbation)
         np.sqrt(seg_x, out=y[: n_delay + 1])
@@ -444,50 +470,61 @@ def diffusive_value(
 # ---------------------------------------------------------------------------
 
 
-def _explicit_paths(model, grid, increments, segment, update):
-    """Time-major explicit march: ``update(x_k, x_{k-N}, gamma(t_k), dW_k, out,
-    u, v)`` writes x_{k+1} into its target row ``out``, with ``u`` and ``v``
-    two scratch rows reused by every step.
+# Names of the explicit baselines that explicit_paths marches.
+BASELINES = ("truncated", "symmetrized")
 
-    Returns (paths on nodes -N .. K, shape (N + K + 1, n_paths), and the
-    per-path count of nodes k >= 0 with x_k <= 0).
+
+def check_baselines(names, model: ModelSpec) -> None:
+    """Raise unless every entry of ``names`` is in :data:`BASELINES` and runs on
+    ``model``: ``ValueError`` for an unknown name, :class:`DelayNotSupported`
+    for the symmetrized scheme when b != 0 (it is defined for b = 0 only)."""
+    for name in names:
+        if name not in BASELINES:
+            raise ValueError(f"unknown scheme {name!r}")
+    if "symmetrized" in names and model.b != 0.0:
+        raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
+
+
+def _explicit_march(x, inc, gamma_left, a, b, sigma, delta, n_delay, reflect, start=0):
+    """Fill nodes start+1 .. start+n of the time-major ``x`` (rows, schemes,
+    paths) with explicit Euler steps of every scheme row at once.
+
+    Node j (from -n_delay) is held in row (j + n_delay) mod len(x), as in
+    :func:`_implicit_march`.  Step k reads node start + k, the delayed node
+    start + k - n_delay, ``gamma_left[k]`` = gamma(t_{start+k}) and increment
+    row k; the scheme rows listed in ``reflect`` take the absolute value of
+    their update.  Each step runs one ufunc call per operation over all scheme
+    rows, with two scratch rows reused by every step.  The term b x_{k-N}
+    enters every row, so b != 0 needs truncated rows only
+    (:func:`check_baselines`).
+
+    With b = 0 the truncated rows skip the term b x_{k-N}, and keep every
+    bit: for a finite x_{k-N} the term is +-0, and d + (+-0) = d for every
+    drift d but -0, where the sum may be +0.  The step then adds +-0 delta to
+    x_k, which gives x_k either way unless x_k = -0.  There the drift is
+    a (gamma(t_k) + 0), which is -0 only if gamma(t_k) < 0 and the product
+    underflows, and gamma is positive on the grid (a model that passes
+    :func:`~delay_cir.model.validate`).  A path that reaches inf or NaN is
+    NaN from its next node on, with or without the term.
     """
-    inc = _increments(increments, grid.n_steps)
-    seg_x = _start_values(grid.n_per_delay + 1, inc.shape[1], segment)
-    n_delay = grid.n_per_delay
-    times = grid.time(np.arange(0, grid.n_steps))
-    gamma_left = np.asarray(model.gamma_at(times), dtype=float)
-    x = np.empty((n_delay + grid.n_steps + 1, inc.shape[1]))
-    x[: n_delay + 1] = seg_x
-    u = np.empty(inc.shape[1])
-    v = np.empty(inc.shape[1])
-    for k in range(grid.n_steps):
-        update(x[n_delay + k], x[k], gamma_left[k], inc[k], x[n_delay + k + 1], u, v)
-    return x, np.count_nonzero(x[n_delay:] <= 0.0, axis=0)
-
-
-def truncated_euler_paths(
-    model: ModelSpec, grid: TimeGrid, increments: Array, segment
-) -> tuple[Array, Array]:
-    """Explicit Euler in X with the diffusion truncated at zero.
-
-        x_{k+1} = x_k + [a (gamma(t_k) - x_k) + b x_{k-N}] delta
-                  + sigma sqrt(max(x_k, 0)) dW_k
-
-    Inputs are time-major as in :func:`simulate_y_paths`.  Returns (paths on
-    nodes -N .. K, shape (N + K + 1, n_paths), and the per-path count of
-    nodes k >= 0 with x_k <= 0).  Negative excursions are left in place --
-    counting them is the point of this baseline.
-    """
-    a, b, sigma, delta = model.a, model.b, model.sigma, grid.delta
-
-    def update(cur, delayed, gamma, dw, out, u, v):
-        # the operations, in order, of
-        # cur + (a (gamma - cur) + b delayed) delta + sigma sqrt(max(cur, 0)) dw
+    rows = x.shape[0]
+    ring = list(x)
+    u = np.empty(x.shape[1:])
+    v = np.empty(x.shape[1:])
+    for k, (gamma, dw) in enumerate(zip(gamma_left.tolist(), inc)):
+        node = start + k
+        cur = ring[(n_delay + node) % rows]
+        out = ring[(n_delay + node + 1) % rows]
+        # the operations, in order, of the truncated update
+        #   cur + (a (gamma - cur) + b delayed) delta + sigma sqrt(max(cur, 0)) dw
+        # and of the symmetrized one (b = 0), whose rows are at least +0, so
+        # that max(cur, 0) is cur there
+        #   |cur + a (gamma - cur) delta + sigma sqrt(cur) dw|
         np.subtract(gamma, cur, out=u)
         u *= a
-        np.multiply(delayed, b, out=v)
-        u += v
+        if b != 0.0:
+            np.multiply(ring[node % rows], b, out=v)
+            u += v
         u *= delta
         np.add(cur, u, out=out)
         np.maximum(cur, 0.0, out=u)
@@ -495,36 +532,83 @@ def truncated_euler_paths(
         u *= sigma
         u *= dw
         out += u
+        for i in reflect:
+            np.abs(out[i], out=out[i])
 
-    return _explicit_paths(model, grid, increments, segment, update)
+
+def explicit_paths(
+    model: ModelSpec,
+    grid: TimeGrid,
+    increments: Array,
+    segment,
+    schemes,
+    *,
+    window: Array | None = None,
+    start: int = 0,
+) -> Array:
+    """Explicit Euler baselines in X, marched together over a scheme axis.
+
+    ``schemes`` names the rows of the scheme axis, each from :data:`BASELINES`
+    (see :func:`check_baselines`):
+
+    * ``truncated``, with the diffusion truncated at zero,
+
+          x_{k+1} = x_k + [a (gamma(t_k) - x_k) + b x_{k-N}] delta
+                    + sigma sqrt(max(x_k, 0)) dW_k;
+
+    * ``symmetrized`` (b = 0 only), which reflects instead of truncating,
+
+          x_{k+1} = | x_k + a (gamma(t_k) - x_k) delta + sigma sqrt(x_k) dW_k |.
+
+    Increments, segment, ``window`` and ``start`` are as in
+    :func:`simulate_y_paths`, except that a window has shape (R, n_schemes,
+    n_paths) and the segment holds X values.  The increments are checked
+    once for all schemes.  Returns X on nodes -N .. K, shape (N + K + 1,
+    n_schemes, n_paths), or the ``window``.  Negative excursions of the
+    truncated scheme are left in place -- counting them is the point of this
+    baseline.
+    """
+    schemes = tuple(schemes)
+    check_baselines(schemes, model)
+    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    inc, stop, x = _march_target(grid, increments, window, start, (len(schemes),))
+    if start == 0:
+        x[: n_delay + 1] = _start_values(n_delay + 1, inc.shape[1], segment)[:, None]
+    # gamma at the left times t_start .. t_{stop-1}, evaluated over the whole
+    # grid as in simulate_y_paths
+    gamma_left = np.asarray(model.gamma_at(grid.time(np.arange(n_steps))), dtype=float)
+    reflect = [i for i, name in enumerate(schemes) if name == "symmetrized"]
+    _explicit_march(
+        x, inc, gamma_left[start:stop], model.a, model.b, model.sigma, grid.delta,
+        n_delay, reflect, start,
+    )
+    return x
+
+
+def _one_baseline(model, grid, increments, segment, name) -> tuple[Array, Array]:
+    """One scheme of :func:`explicit_paths` over the whole horizon, and its
+    per-path count of nodes k >= 0 with x_k <= 0."""
+    x = explicit_paths(model, grid, increments, segment, (name,))[:, 0]
+    return x, np.count_nonzero(x[grid.n_per_delay :] <= 0.0, axis=0)
+
+
+def truncated_euler_paths(
+    model: ModelSpec, grid: TimeGrid, increments: Array, segment
+) -> tuple[Array, Array]:
+    """The truncated scheme of :func:`explicit_paths` alone.
+
+    Returns (paths on nodes -N .. K, shape (N + K + 1, n_paths), and the
+    per-path count of nodes k >= 0 with x_k <= 0).
+    """
+    return _one_baseline(model, grid, increments, segment, "truncated")
 
 
 def symmetrized_euler_paths(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment
 ) -> tuple[Array, Array]:
-    """Symmetrized Euler in X (b = 0 only): reflect instead of truncate.
-
-        x_{k+1} = | x_k + a (gamma(t_k) - x_k) delta + sigma sqrt(x_k) dW_k |
-
-    Time-major inputs and outputs as in :func:`truncated_euler_paths`.
-    """
-    if model.b != 0.0:
-        raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
-    a, sigma, delta = model.a, model.sigma, grid.delta
-
-    def update(cur, delayed, gamma, dw, out, u, v):
-        # the operations, in order, of |cur + a (gamma - cur) delta + sigma sqrt(cur) dw|
-        np.subtract(gamma, cur, out=u)
-        u *= a
-        u *= delta
-        np.add(cur, u, out=out)
-        np.sqrt(cur, out=v)
-        v *= sigma
-        v *= dw
-        out += v
-        np.abs(out, out=out)
-
-    return _explicit_paths(model, grid, increments, segment, update)
+    """The symmetrized scheme of :func:`explicit_paths` alone (b = 0 only);
+    returns as :func:`truncated_euler_paths`."""
+    return _one_baseline(model, grid, increments, segment, "symmetrized")
 
 
 def small_tau_proxy_paths(

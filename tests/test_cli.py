@@ -358,10 +358,17 @@ def test_plan_time_config_errors_exit_two(tmp_path, capsys, text, key):
         # scheme names bind the positivity census only
         "experiment = mean_check\nscheme = warp\n",
         "experiment = survival\nscheme = ,\n",
+        # a key a run does not read is not even parsed
+        "experiment = mean_check\nN_list = x\n",
+        "experiment = strong_rate\nN = x\ncheckpoints = x\nprobe.p = x\n",
+        "experiment = analytics_probe\nb = 0\nN = 0\nn_paths = x\nseed = -1\n",
+        "experiment = positivity\ndelta_list = x\ngamma_lower = x\nprobe.t = -1\n",
     ],
     ids=[
         "mean_check-N_ref", "mean_check-levels-and-p", "positivity-levels-and-p",
         "modulus-second-p", "mean_check-scheme", "survival-no-scheme",
+        "mean_check-malformed-N_list", "strong_rate-malformed-N-and-others",
+        "analytics_probe-malformed-run-keys", "positivity-malformed-others",
     ],
 )
 def test_keys_an_experiment_does_not_read_are_not_checked(tmp_path, text):
@@ -370,6 +377,24 @@ def test_keys_an_experiment_does_not_read_are_not_checked(tmp_path, text):
 
 def test_mean_check_runs_with_an_unused_reference_level(tmp_path):
     cfg = _write_config(tmp_path, "experiment = mean_check\nN_ref = 100\nn_paths = 20\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_mean_check_runs_with_a_malformed_unused_level_list(tmp_path):
+    cfg = _write_config(tmp_path, "experiment = mean_check\nN_list = x\nn_paths = 20\n")
+    config = parse_config(cfg)
+    assert (config.n_list, config.n_ref, config.p_list) == (None, None, None)
+    assert config.n_per_delay == 64
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    manifest = (tmp_path / "o" / "manifest.txt").read_text()
+    assert "N_list = x\n" in manifest
+
+
+def test_probe_command_reads_the_probe_keys_whatever_the_experiment(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "experiment = mean_check\nb = 0\nprobe.p = x\nn_paths = 20\n")
+    assert main(["probe", "--config", cfg]) == 2
+    assert capsys.readouterr().err == "error: bad value for probe.p: not a number: 'x'\n"
+    # the run itself does not read probe.p
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
 
 
@@ -383,10 +408,21 @@ def test_mean_check_runs_with_an_unused_reference_level(tmp_path):
         ("experiment = positivity\nscheme = implicit,warp\n", "scheme",
          "unknown scheme 'warp'"),
         ("experiment = positivity\nscheme = ,\n", "scheme", "empty list"),
+        # a malformed key that the run reads
+        ("experiment = mean_check\nN = x\n", "N", "not an integer: 'x'"),
+        ("experiment = strong_rate\nN_list = x\n", "N_list", "not an integer: 'x'"),
+        ("experiment = modulus\ndelta_list = x\n", "delta_list", "not a number: 'x'"),
+        ("experiment = comparison\ngamma_lower = x\n", "gamma_lower", "not a number"),
+        ("experiment = survival\nseed = -1\n", "seed", "must be nonnegative"),
+        ("experiment = analytics_probe\nb = 0\nprobe.u_list = x\n", "probe.u_list",
+         "not a number"),
     ],
     ids=[
         "strong_rate-level", "strong_rate-p", "modulus-p", "modulus-zero-p",
-        "positivity-unknown-scheme", "positivity-no-scheme",
+        "positivity-unknown-scheme", "positivity-no-scheme", "mean_check-malformed-N",
+        "strong_rate-malformed-N_list", "modulus-malformed-delta_list",
+        "comparison-malformed-gamma_lower", "survival-negative-seed",
+        "analytics_probe-malformed-u_list",
     ],
 )
 def test_keys_an_experiment_reads_are_checked(tmp_path, capsys, text, key, reason):

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from delay_cir.experiments import _CHUNK, map_paths, positivity_census
+from delay_cir import experiments
+from delay_cir.experiments import (
+    _BLOCK_STEPS,
+    _CHUNK,
+    comparison_census,
+    map_paths,
+    positivity_census,
+)
 from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, build_grid
 from delay_cir.noise import generate, sample_segment
 from delay_cir.scheme import (
@@ -264,6 +271,59 @@ def test_positivity_census_on_two_workers_matches_one():
     one = positivity_census(names, model, grid, 2048, seed=2024, threads=1)
     assert one == positivity_census(names, model, grid, 2048, seed=2024, threads=2)
     assert any(row.fraction_nonpositive > 0.0 for row in one)
+
+
+def _census_model(sigma=1.2):
+    # N = 128 over 3.25 makes 832 steps: three whole blocks of 256, the third
+    # wrapping round the ring window of 128 + 1 + 256 rows, and a quarter one
+    model = _model(
+        b=0.0, sigma=sigma, horizon=3.25, initial=InitialSegmentSpec.lognormal(1.0, 0.3)
+    )
+    grid = build_grid(model, 128)
+    assert grid.n_steps == 3 * _BLOCK_STEPS + 64
+    return model, grid
+
+
+def test_blocked_positivity_census_equals_whole_path_flags():
+    model, grid = _census_model()
+    names = ("symmetrized", "implicit", "truncated")
+    inc, seg = _engine_inputs(model, grid, 8, 300)
+    y = simulate_y_paths(model, grid, inc, seg)
+    flagged = {
+        "implicit": np.any(np.square(y[grid.n_per_delay :]) <= 0.0, axis=0),
+        "truncated": truncated_euler_paths(model, grid, inc, seg)[1] > 0,
+        "symmetrized": symmetrized_euler_paths(model, grid, inc, seg)[1] > 0,
+    }
+    rows = positivity_census(names, model, grid, 300, seed=8)
+    assert [row.scheme for row in rows] == list(names)
+    for row in rows:
+        assert row.fraction_nonpositive == np.count_nonzero(flagged[row.scheme]) / 300
+    assert rows[2].fraction_nonpositive > 0.0
+
+
+def test_positivity_census_rows_are_the_same_at_one_two_and_three_workers():
+    # 600 paths: one chunk in process, 300 + 300 on 2 workers, 3 x 200 on 3
+    model, grid = _census_model()
+    names = ("implicit", "truncated", "symmetrized", "truncated")
+    one = positivity_census(names, model, grid, 600, seed=2024, threads=1)
+    for workers in (2, 3):
+        assert positivity_census(names, model, grid, 600, seed=2024, threads=workers) == one
+    assert one[1] == one[3] and one[1].fraction_nonpositive > 0.0
+    assert multiprocessing.active_children() == []
+
+
+def test_blocked_comparison_census_counts_every_violation(monkeypatch):
+    # models out of order on purpose, with the precondition check skipped, so
+    # that the blocks have violations to count
+    model, grid = _census_model(sigma=0.5)
+    upper, lower = model, _model(b=0.5, sigma=0.5, horizon=3.25, initial=model.initial)
+    monkeypatch.setattr(experiments, "check_comparable", lambda *models: None)
+    inc, seg = _engine_inputs(model, grid, 6, 300)
+    below = simulate_y_paths(upper, grid, inc, seg) < simulate_y_paths(lower, grid, inc, seg)
+    expected = int(np.count_nonzero(below))
+    assert expected > 0
+    for workers in (1, 2):
+        assert comparison_census(upper, lower, grid, 300, seed=6, threads=workers) == expected
 
 
 class ChunkFailed(LookupError):

@@ -7,8 +7,9 @@ equal to the step-by-step computations they replace.
   once; the reference applies :func:`implicit_step` one step at a time.
 * One-word Philox draws (the lognormal segment level) take their own branch;
   the reference is the first row of a longer draw.
-* The explicit baselines write each step into its target row; the reference
-  is the whole-row expression of each scheme.
+* The explicit baselines, marched together over a scheme axis over the whole
+  horizon or in ring windows, write each step into its target row; the
+  reference is the whole-row expression of each scheme.
 """
 
 from __future__ import annotations
@@ -31,8 +32,10 @@ from delay_cir.model import (
 )
 from delay_cir.noise import _TAG_SEGMENT, _standard_normals, generate, sample_segment
 from delay_cir.scheme import (
+    DelayNotSupported,
     NonPositiveForcing,
     _implicit_march,
+    explicit_paths,
     implicit_step,
     symmetrized_euler_paths,
     truncated_euler_paths,
@@ -247,33 +250,111 @@ def test_lognormal_levels_come_from_the_first_segment_word():
 # ---------------------------------------------------------------------------
 
 
-def test_explicit_baselines_equal_the_whole_row_expressions():
-    model = _model(b=0.3, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
-    grid = build_grid(model, 16)
-    inc = generate(grid, 3, range(200))
-    seg = sample_segment(model.initial, grid, 3, range(200)).values
+def _whole_row_baseline(model, grid, inc, seg, name):
+    """One baseline by its whole-row expression, step by step: X on nodes
+    -N .. K, shape (N + K + 1, paths), and the per-path count of nodes
+    k >= 0 with x_k <= 0."""
     n, delta = grid.n_per_delay, grid.delta
     gamma = np.asarray(model.gamma_at(grid.time(np.arange(grid.n_steps))), dtype=float)
+    x = np.empty((n + grid.n_steps + 1, seg.shape[1]))
+    x[: n + 1] = seg
+    for k in range(grid.n_steps):
+        cur, delayed, g, dw = x[n + k], x[k], gamma[k], inc[k]
+        if name == "truncated":
+            drift = model.a * (g - cur) + model.b * delayed
+            x[n + k + 1] = cur + drift * delta + model.sigma * np.sqrt(np.maximum(cur, 0.0)) * dw
+        else:
+            x[n + k + 1] = np.abs(
+                cur + model.a * (g - cur) * delta + model.sigma * np.sqrt(cur) * dw
+            )
+    return x, np.count_nonzero(x[n:] <= 0.0, axis=0)
 
-    def whole_rows(update, m):
-        x = np.empty((n + grid.n_steps + 1, seg.shape[1]))
-        x[: n + 1] = seg
-        for k in range(grid.n_steps):
-            x[n + k + 1] = update(m, x[n + k], x[k], gamma[k], inc[k])
-        return x
 
-    def truncated(m, cur, delayed, g, dw):
-        drift = m.a * (g - cur) + m.b * delayed
-        return cur + drift * delta + m.sigma * np.sqrt(np.maximum(cur, 0.0)) * dw
+def _baseline_inputs(model, n_per_delay, n_paths=200, seed=3):
+    grid = build_grid(model, n_per_delay)
+    inc = generate(grid, seed, range(n_paths))
+    seg = sample_segment(model.initial, grid, seed, range(n_paths)).values
+    return grid, inc, seg
 
-    def symmetrized(m, cur, delayed, g, dw):
-        return np.abs(cur + m.a * (g - cur) * delta + m.sigma * np.sqrt(cur) * dw)
 
+def test_explicit_baselines_equal_the_whole_row_expressions():
+    model = _model(b=0.3, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    grid, inc, seg = _baseline_inputs(model, 16)
     x, count = truncated_euler_paths(model, grid, inc, seg)
-    expected = whole_rows(truncated, model)
+    expected, expected_count = _whole_row_baseline(model, grid, inc, seg, "truncated")
     assert x.tobytes() == expected.tobytes()
-    assert np.array_equal(count, np.count_nonzero(expected[n:] <= 0.0, axis=0))
+    assert np.array_equal(count, expected_count)
     assert np.any(count > 0)
     classical = _model(b=0.0, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
-    x, _ = symmetrized_euler_paths(classical, grid, inc, seg)
-    assert x.tobytes() == whole_rows(symmetrized, classical).tobytes()
+    x, count = symmetrized_euler_paths(classical, grid, inc, seg)
+    expected, expected_count = _whole_row_baseline(classical, grid, inc, seg, "symmetrized")
+    assert x.tobytes() == expected.tobytes()
+    assert np.array_equal(count, expected_count)
+
+
+# (b, schemes): both schemes on the classical model, where the truncated rows
+# skip the delayed term, in either order of the scheme axis; the truncated
+# scheme alone where the delayed term counts
+_STACKS = [
+    (0.0, ("truncated", "symmetrized")),
+    (0.0, ("symmetrized", "truncated")),
+    (0.3, ("truncated",)),
+]
+
+
+@pytest.mark.parametrize("b, schemes", _STACKS, ids=["b0-both", "b0-reversed", "b-truncated"])
+def test_stacked_march_equals_the_per_scheme_loops(b, schemes):
+    model = _model(b=b, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    grid, inc, seg = _baseline_inputs(model, 16)
+    x = explicit_paths(model, grid, inc, seg, schemes)
+    assert x.shape == (grid.n_per_delay + grid.n_steps + 1, len(schemes), 200)
+    for i, name in enumerate(schemes):
+        expected, expected_count = _whole_row_baseline(model, grid, inc, seg, name)
+        assert x[:, i].tobytes() == expected.tobytes()
+        count = np.count_nonzero(x[grid.n_per_delay :, i] <= 0.0, axis=0)
+        assert np.array_equal(count, expected_count)
+        if name == "truncated":
+            assert np.any(count > 0)
+
+
+@pytest.mark.parametrize("b, schemes", _STACKS, ids=["b0-both", "b0-reversed", "b-truncated"])
+# 48 steps: blocks of 20 leave a last block of 8, blocks of 1 use the
+# smallest ring that a block fits in, and one block of 48 holds the horizon
+@pytest.mark.parametrize("block", [20, 1, 48])
+def test_windowed_stacked_march_equals_the_per_scheme_loops(b, schemes, block):
+    model = _model(b=b, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    grid, inc, seg = _baseline_inputs(model, 16)
+    n = grid.n_per_delay
+    rows = n + 1 + block
+    window = np.empty((rows, len(schemes), 200))
+    nodes = np.empty((grid.n_steps, len(schemes), 200))
+    for k0 in range(0, grid.n_steps, block):
+        k1 = min(k0 + block, grid.n_steps)
+        assert explicit_paths(
+            model, grid, inc[k0:k1], seg, schemes, window=window, start=k0
+        ) is window
+        for j in range(k0 + 1, k1 + 1):
+            nodes[j - 1] = window[(j + n) % rows]
+    for i, name in enumerate(schemes):
+        expected, expected_count = _whole_row_baseline(model, grid, inc, seg, name)
+        assert nodes[:, i].tobytes() == expected[n + 1 :].tobytes()
+        # node 0 is the segment's last value, positive
+        assert np.array_equal(np.count_nonzero(nodes[:, i] <= 0.0, axis=0), expected_count)
+
+
+def test_stacked_march_checks_schemes_windows_and_steps():
+    model = _model(b=0.3)
+    grid, inc, seg = _baseline_inputs(model, 4, n_paths=3)
+    with pytest.raises(DelayNotSupported, match="defined for b = 0 only"):
+        explicit_paths(model, grid, inc, seg, ("truncated", "symmetrized"))
+    with pytest.raises(ValueError, match="unknown scheme 'milstein'"):
+        explicit_paths(model, grid, inc, seg, ("milstein",))
+    with pytest.raises(ValueError, match=r"cannot hold 5 nodes of shape \(1, 3\)"):
+        explicit_paths(model, grid, inc[:2], seg, ("truncated",), window=np.empty((4, 1, 3)))
+    with pytest.raises(ValueError, match="cannot hold"):
+        explicit_paths(model, grid, inc[:2], seg, ("truncated",), window=np.empty((9, 2, 3)))
+    with pytest.raises(ValueError, match="not on the grid"):
+        explicit_paths(
+            model, grid, inc[:2], seg, ("truncated",), window=np.empty((9, 1, 3)),
+            start=grid.n_steps - 1,
+        )

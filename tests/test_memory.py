@@ -1,12 +1,15 @@
-"""Memory of a strong-rate run, each measured in a fresh interpreter.
+"""Memory of a strong-rate run and of a positivity census, each measured in a
+fresh interpreter.
 
 A chunk of P paths of the strong-error study holds its paths in windows:
 8 B x P x (N_ref + 1 + T + coarse nodes), where T is the study's time block
 and each coarse level N keeps N + 1 + T N / N_ref nodes.  The block's
-increments and a few small buffers come on top.  The checks compare the
-resident high-water mark (``VmHWM``) of a run with that of a process that has
-imported the CLI and SciPy's ``special`` module (which every simulation
-loads) and parsed the same config.
+increments and a few small buffers come on top.  A census chunk of all three
+schemes holds one implicit window and two explicit scheme rows of N + 1 + T
+nodes each, and the block's increments: 8 B x P x (3 (N + 1 + T) + T).  The
+checks compare the resident high-water mark (``VmHWM``) of a run with that
+of a process that has imported the CLI and SciPy's ``special`` module (which
+every simulation loads) and parsed the same config.
 """
 
 from __future__ import annotations
@@ -92,4 +95,27 @@ def test_strong_rate_memory_is_the_chunk_estimate_whatever_the_horizon(tmp_path)
     for rise in rises.values():
         assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
     # twice the horizon, twice the fine path: the rise must not follow it
+    assert abs(rises[1.5] - rises[0.75]) < 0.1 * rises[0.75], rises
+
+
+CENSUS_N = 256
+
+
+def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path):
+    base_text = (
+        "experiment = positivity\nscheme = implicit,truncated,symmetrized\n"
+        f"b = 0\nsigma = 1.2\nN = {CENSUS_N}\nn_paths = {PATHS}\nthreads = 1\n"
+    )
+    rises = {}
+    for horizon in (0.75, 1.5):
+        text = base_text + f"horizon = {horizon}\n"
+        rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
+            tmp_path, text, run=False
+        )
+    block = experiments._BLOCK_STEPS
+    # 28.0 MiB with a block of 256 steps
+    estimate = 8 * PATHS * (3 * (CENSUS_N + 1 + block) + block) / 2**20
+    for rise in rises.values():
+        assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
+    # 384 and 768 steps: the rise must not follow the horizon
     assert abs(rises[1.5] - rises[0.75]) < 0.1 * rises[0.75], rises
