@@ -8,11 +8,10 @@ Feller ratio g = 2 a gamma / sigma^2 the module provides
   adaptive quadrature), infinite for p >= g,
 * the constants L_p with E[X(t)^{-p}] <= L_p e^{a p (t - t0)} / x0^p,
 * the grid recursion for the mean of the *delayed* equation (integrating
-  factor plus composite Simpson sub-steps), against a closed form for b = 0,
-* a Monte Carlo check that the pathwise integral of 1/X has finite moments
-  when sigma^2 < 2 a gamma.
+  factor plus composite Simpson sub-steps), against a closed form for b = 0.
 
-These are the oracles the Monte Carlo experiments test the scheme against.
+These are the oracles the Monte Carlo experiments test the scheme against;
+they depend on the model description only, not on the scheme or the noise.
 ``scipy.integrate.quad`` is imported by the negative-moment quadrature when
 it first runs: no other oracle needs it, and its import pulls in
 ``scipy.optimize``, ``sparse`` and ``linalg``.
@@ -25,15 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import scheme as scheme_mod
-from .model import (
-    GammaSpec,
-    InitialSegmentSpec,
-    ModelSpec,
-    NonPositiveParameter,
-    TimeGrid,
-    gamma_eval,
-)
+from .model import ModelSpec, NonPositiveParameter, TimeGrid, gamma_eval
 
 Array = np.ndarray
 
@@ -41,13 +32,11 @@ __all__ = [
     "CIRParams",
     "NegMomentResult",
     "MeanCurve",
-    "FinitenessReport",
     "laplace_transform",
     "neg_moment",
     "lp_constant",
     "classical_mean",
     "mean_delay_curve",
-    "inverse_integral_finiteness",
     "NonPositiveElapsed",
     "FellerRatioTooSmall",
     "QuadratureNotConverged",
@@ -73,7 +62,8 @@ class OrderOutOfRange(ValueError):
 
 
 class StrongFellerViolated(ValueError):
-    """sigma^2 >= 2 a gamma: inverse-integral moments are not guaranteed finite."""
+    """sigma^2 >= 2 a gamma: the strict Feller condition of the strong error
+    analysis fails."""
 
 
 _GAMMA_FN_MAX = 50.0
@@ -219,10 +209,6 @@ class NegMomentResult:
     value: float
     bound: float | None
     abs_error: float
-
-    @property
-    def finite(self) -> bool:
-        return math.isfinite(self.value)
 
 
 def neg_moment(
@@ -390,69 +376,3 @@ def mean_delay_curve(model: ModelSpec, grid: TimeGrid, substeps: int = 64) -> Me
         means=m[shift::substeps].copy(),
     )
 
-
-# ---------------------------------------------------------------------------
-# inverse-integral moments
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FinitenessReport:
-    """Verdict plus Monte Carlo estimate for E[(integral_t0^T X(t)^{-1} dt)^q]."""
-
-    verdict: str
-    estimate: float
-    std_err: float
-    n_paths: int
-
-
-def inverse_integral_finiteness(
-    params: CIRParams,
-    q: float,
-    horizon: float,
-    n_paths: int = 4096,
-    n_per_delay: int = 256,
-    seed: int = 0,
-) -> FinitenessReport:
-    """Check that E[(integral_t0^horizon dt / X(t))^q] is finite and estimate it.
-
-    The strict condition sigma^2 < 2 a gamma guarantees finiteness for every
-    q > 0; violating it raises :class:`StrongFellerViolated`.  The estimate
-    integrates 1/x along drift-implicit paths by the trapezoid rule.
-    """
-    if q <= 0.0:
-        raise OrderOutOfRange(f"need q > 0, got {q}")
-    if horizon <= params.t0:
-        raise NonPositiveElapsed(f"need horizon > t0, got {horizon} <= {params.t0}")
-    if params.sigma**2 >= 2.0 * params.a * params.gamma:
-        raise StrongFellerViolated(
-            f"sigma^2={params.sigma**2} >= 2 a gamma={2.0 * params.a * params.gamma}"
-        )
-    span = horizon - params.t0
-    spec = ModelSpec(
-        a=params.a,
-        b=0.0,
-        sigma=params.sigma,
-        tau=span,
-        t0=params.t0,
-        horizon=horizon,
-        gamma=GammaSpec.constant(params.gamma),
-        initial=InitialSegmentSpec.constant(params.x0),
-    )
-    grid = TimeGrid(t0=params.t0, tau=span, n_per_delay=n_per_delay, n_steps=n_per_delay)
-    from .experiments import map_paths  # experiments imports this module
-
-    def inverse_integral(draw, seg):
-        y = scheme_mod.simulate_y_paths(spec, grid, draw(), seg)
-        recip = 1.0 / np.square(y[n_per_delay:])
-        # sum each path's nodes as one contiguous row: numpy's pairwise order
-        total = np.ascontiguousarray(recip.T).sum(axis=1)
-        return grid.delta * (total - 0.5 * (recip[0] + recip[-1]))
-
-    integrals = map_paths(spec, grid, seed, n_paths, inverse_integral)
-    powered = integrals**q
-    estimate = float(np.mean(powered))
-    std_err = float(np.std(powered, ddof=1) / math.sqrt(n_paths))
-    return FinitenessReport(
-        verdict="finite", estimate=estimate, std_err=std_err, n_paths=n_paths
-    )

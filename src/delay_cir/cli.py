@@ -121,7 +121,7 @@ class RunConfig:
     n_paths: int | None
     p_list: tuple[float, ...] | None
     seed: int | None
-    threads: int
+    threads: int | None
     out_dir: str
     schemes: tuple[str, ...]
     checkpoints: tuple[float, ...] | None
@@ -273,10 +273,10 @@ def _lower_model(model: ModelSpec, gamma_lower: float | None) -> ModelSpec:
     return classical_variant(model, gamma_level=gamma_lower)
 
 
-# Config keys that each experiment reads besides the model's, ``out`` and
-# ``threads`` (every run records its worker count).  parse_config parses the
-# numbers of no other key, so a malformed value of a key that a run never
-# reads is no error.
+# Config keys that each experiment reads besides the model's and ``out``;
+# every run also reads ``threads`` and records its worker count.
+# parse_config parses the numbers of no other key, so a malformed value of a
+# key that a run never reads is no error.
 _READS = {
     "strong_rate": frozenset({"N_list", "N_ref", "p_list", "n_paths", "seed"}),
     "mean_check": frozenset({"N", "n_paths", "seed", "checkpoints"}),
@@ -292,12 +292,14 @@ _PROBE_KEYS = _READS["analytics_probe"]
 
 
 def parse_config(
-    path: str, overrides: dict[str, str] | None = None, probe: bool = False
+    path: str, overrides: dict[str, str] | None = None, command: str = "run"
 ) -> RunConfig:
     """Read, resolve against defaults, validate, and freeze a run config.
 
-    Only the keys the configured experiment reads are parsed (see
-    ``_READS``), and with ``probe`` also the probe keys.
+    ``command`` is the subcommand that reads the config.  ``run`` parses and
+    checks the keys the configured experiment reads (see ``_READS``) and
+    ``threads``, ``probe`` the experiment's keys and the probe keys, and
+    ``validate``, which reads only the model, none of them.
     """
     items = dict(DEFAULTS)
     items.update(_read_items(path))
@@ -327,7 +329,11 @@ def parse_config(
     )
     report = _checked("model", validate_model, model)
 
-    reads = _READS[experiment] | (_PROBE_KEYS if probe else frozenset())
+    reads = {
+        "run": _READS[experiment] | {"threads"},
+        "probe": _READS[experiment] | _PROBE_KEYS,
+        "validate": frozenset(),
+    }[command]
 
     def parsed(key, parse, *scalar):
         """``key``'s value, or None if this run does not read it or it is unset."""
@@ -347,8 +353,8 @@ def parse_config(
     seed = parsed("seed", _parse_int)
     if seed is not None and seed < 0:
         raise BadValue("seed", "must be nonnegative")
-    threads = _parse_int("threads", items["threads"])
-    if threads < 1:
+    threads = parsed("threads", _parse_int)
+    if threads is not None and threads < 1:
         raise BadValue("threads", "must be a positive integer")
 
     # splitting cannot fail; the names are checked below where they are read
@@ -365,8 +371,11 @@ def parse_config(
         raise BadValue("probe.t", "must exceed t0")
     # Each experiment's values are checked only where it reads them: the
     # levels and p_max bind the rate study, the first order the modulus, and
-    # the scheme names the positivity census.
-    if experiment == "strong_rate":
+    # the scheme names the positivity census.  ``validate`` checks the model
+    # alone.
+    if command == "validate":
+        pass
+    elif experiment == "strong_rate":
         if any(n < 1 for n in n_list):
             raise BadValue("N_list", "entries must be positive integers")
         _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, report.p_max)
@@ -676,7 +685,7 @@ def main(argv=None) -> int:
         overrides["threads"] = os.environ["DELAY_CIR_THREADS"]
 
     try:
-        config = parse_config(args.config, overrides, probe=args.command == "probe")
+        config = parse_config(args.config, overrides, args.command)
         if args.command == "validate":
             _print_report(config)
         elif args.command == "probe":

@@ -128,7 +128,7 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
         def draw(start: int = 0, stop: int | None = None) -> Array:
             return noise_mod.generate(grid, seed, paths, start, stop)
 
-        seg = noise_mod.sample_segment(model.initial, grid, seed, paths).values
+        seg = noise_mod.sample_segment(model.initial, grid, seed, paths)
         try:
             return reduce(draw, seg)
         except scheme_mod.NonPositiveForcing as exc:

@@ -292,12 +292,6 @@ class ModelSpec:
         return (4.0 * self.a * g - self.sigma**2) / 8.0
 
     @property
-    def a_under_star(self) -> float:
-        """sup of a_under over [t0, horizon]."""
-        _, hi, _ = gamma_bounds(self.gamma, self.t0, self.horizon)
-        return (4.0 * self.a * hi - self.sigma**2) / 8.0
-
-    @property
     def gamma_lower(self) -> float:
         lo, _, _ = gamma_bounds(self.gamma, self.t0, self.horizon)
         return lo
@@ -333,15 +327,6 @@ class TimeGrid:
     def delta(self) -> float:
         return self.tau / self.n_per_delay
 
-    @property
-    def t_end(self) -> float:
-        return self.t0 + self.n_steps * self.delta
-
-    @property
-    def n_nodes(self) -> int:
-        """Total node count over k = -N .. K."""
-        return self.n_per_delay + self.n_steps + 1
-
     def time(self, k: int | Array):
         """Node time t_k for k in [-N, K]."""
         return self.t0 + np.asarray(k, dtype=float) * self.delta
@@ -349,16 +334,6 @@ class TimeGrid:
     def times(self) -> Array:
         """All node times, ordered k = -N .. K."""
         return self.t0 + np.arange(-self.n_per_delay, self.n_steps + 1) * self.delta
-
-    def node_index(self, k: int) -> int:
-        """Position of grid index k inside arrays that start at k = -N."""
-        if k < -self.n_per_delay or k > self.n_steps:
-            raise OutOfDomain(f"grid index {k} outside [-{self.n_per_delay}, {self.n_steps}]")
-        return k + self.n_per_delay
-
-    def delay_index(self, k: int) -> int:
-        """Grid index of the delayed node: t_k - tau = t_{k - N} exactly."""
-        return k - self.n_per_delay
 
 
 def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:

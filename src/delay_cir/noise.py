@@ -35,7 +35,6 @@ without touching the draw code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ from .model import InitialSegmentSpec, OutOfDomain, TimeGrid
 Array = np.ndarray
 
 __all__ = [
-    "SegmentDraw",
     "generate",
     "block_sum",
     "sample_segment",
@@ -70,6 +68,11 @@ class NonPositiveSample(ValueError):
 _BLOCK_BYTES = 1 << 20
 
 
+# The largest double below 1, 1 - 2^-53, to which the uniform of the
+# all-ones word is clamped (see _standard_normals).
+_BELOW_ONE = 1.0 - 2.0**-53
+
+
 def _paths(path_index: int | range) -> range:
     if isinstance(path_index, range):
         return path_index
@@ -90,7 +93,7 @@ def _standard_normals(
     of stream (seed, paths[j], tag).
 
     Word w of a stream becomes the uniform (k + 1/2) 2^-53 with k = w >> 11,
-    then ``ndtri`` of it.  A row of several words is filled by
+    clamped below 1, then ``ndtri`` of it.  A row of several words is filled by
     ``Generator.random``, which gives k 2^-53 exactly, and 2^-54 is added on
     the way into the output; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2),
     because scaling by a power of two commutes with rounding in this range.
@@ -142,7 +145,10 @@ def _standard_normals(
                 uniform(out=rows[j])
             np.add(rows[: len(part), skip:].T, 2.0**-54, out=u[:, lo : lo + len(part)])
     # (k + 1/2) 2^-53 with k < 2^53 is never 0; it is 1 only for k = 2^53 - 1,
-    # where k + 1/2 rounds up to 2^53 (one draw in 2^53)
+    # where k + 1/2 rounds up to 2^53 (one word in 2^53), and ndtri(1) = inf.
+    # Every other uniform is at most 1 - 2^-52, so clamping to the largest
+    # double below 1 changes that one value only.
+    np.minimum(u, _BELOW_ONE, out=u)
     return ndtri(u, out=u)
 
 
@@ -178,47 +184,25 @@ def block_sum(increments: Array, r: int) -> Array:
     return out
 
 
-@dataclass(frozen=True)
-class SegmentDraw:
-    """Initial segment evaluated on the grid nodes k = -N .. 0.
-
-    ``values`` has shape (N+1,) for one path and (N+1, paths) for a range of
-    paths, where ``level`` holds one lognormal level per path.  For a single
-    path of a deterministic kind (and of the lognormal kind, whose randomness
-    is a single time-constant level) the continuous-time segment is
-    recoverable via :meth:`value_at`.
-    """
-
-    values: Array
-    spec: InitialSegmentSpec
-    level: float | Array | None = None
-
-    def value_at(self, t: float | Array):
-        """X0(t) for t in the segment's time range."""
-        if self.spec.kind != "lognormal":
-            return self.spec.mean_at(t)
-        out = np.full_like(np.asarray(t, dtype=float), self.level)
-        return out if np.ndim(t) else float(out)
-
-
 def sample_segment(
     spec: InitialSegmentSpec, grid: TimeGrid, seed: int, path_index: int | range
-) -> SegmentDraw:
-    """Draw (or tabulate) the initial segment of one path, or of a range of paths.
+) -> Array:
+    """X0 on the grid nodes k = -N .. 0, drawn (or tabulated) for one path or
+    a range of paths.
 
-    Uses the segment stream tag, so the draw is identical whatever grid
-    resolution is used for the Brownian increments of the same path.  For a
-    range the values of a deterministic kind are a read-only view shared by
-    every path.
+    Shape (N+1, paths) for a range of paths, (N+1,) for one path index.  A
+    lognormal segment holds one level per path on every node.  The draw uses
+    the segment stream tag, so it is identical whatever grid resolution is
+    used for the Brownian increments of the same path.  For a range the
+    values are a read-only view, shared by every path for a deterministic
+    kind.
     """
     times = grid.t0 + np.arange(-grid.n_per_delay, 1) * grid.delta
     paths = _paths(path_index)
-    level = None
     if spec.kind == "lognormal":
         median, log_sd = spec.params
         z = _standard_normals(seed, paths, _TAG_SEGMENT, 1)[0]
-        level = np.array([median * math.exp(log_sd * zj) for zj in z.tolist()])
-        values = level[None, :]
+        values = np.array([median * math.exp(log_sd * zj) for zj in z.tolist()])[None, :]
     else:
         if spec.kind == "table":
             first, last = spec.points[0][0], spec.points[-1][0]
@@ -235,7 +219,4 @@ def sample_segment(
             f"initial segment of path {paths[bad[0]]} is not strictly positive"
         )
     values = np.broadcast_to(values, (times.size, len(paths)))
-    if isinstance(path_index, range):
-        return SegmentDraw(values=values, spec=spec, level=level)
-    level = None if level is None else float(level[0])
-    return SegmentDraw(values=values[:, 0].copy(), spec=spec, level=level)
+    return values if isinstance(path_index, range) else values[:, 0].copy()

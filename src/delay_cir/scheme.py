@@ -27,19 +27,15 @@ simulated path positive without truncation or reflection.
 
 Baselines for comparison experiments: a truncated explicit Euler scheme in X
 (which can and does go negative) and a symmetrized (absolute-value) Euler
-scheme for b = 0, marched together over a scheme axis by one explicit march,
-and a no-delay proxy that folds the delayed drift into the mean reversion
-speed, valid for b < a.
+scheme for b = 0, marched together over a scheme axis by one explicit march.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .model import ModelSpec, TimeGrid
-from .noise import NonPositiveSample, SegmentDraw
+from .noise import NonPositiveSample
 
 Array = np.ndarray
 
@@ -49,17 +45,13 @@ __all__ = [
     "simulate_y_paths",
     "ring_spans",
     "square_rows",
-    "diffusive_value",
     "BASELINES",
     "check_baselines",
     "explicit_paths",
     "truncated_euler_paths",
     "symmetrized_euler_paths",
-    "small_tau_proxy_paths",
     "NonPositiveForcing",
     "DelayNotSupported",
-    "ProxyRequiresBLessThanA",
-    "UnresolvableTime",
 ]
 
 
@@ -86,14 +78,6 @@ class NonPositiveForcing(ValueError):
 
 class DelayNotSupported(ValueError):
     """The requested scheme only exists for b = 0."""
-
-
-class ProxyRequiresBLessThanA(ValueError):
-    """The no-delay proxy needs b < a for a positive effective reversion speed."""
-
-
-class UnresolvableTime(ValueError):
-    """Requested time is not resolvable between the grid nodes."""
 
 
 # ---------------------------------------------------------------------------
@@ -193,24 +177,17 @@ def _increments(increments, n_steps: int | None) -> Array:
     return inc
 
 
-def _start_values(n_nodes: int, n_paths: int, segment, perturbation=None) -> Array:
-    """Validated start X values (nodes, paths).
-
-    A one-dimensional segment is shared by every path, and ``perturbation``
-    broadcasts against the (nodes, paths) segment.
-    """
-    if isinstance(segment, SegmentDraw):
-        segment = segment.values
+def _start_values(n_nodes: int, n_paths: int, segment) -> Array:
+    """Validated start X values (nodes, paths); a one-dimensional segment is
+    shared by every path."""
     seg = np.asarray(segment, dtype=float)
     if seg.shape[0] != n_nodes:
         raise ValueError(f"segment needs {n_nodes} node values, got {seg.shape[0]}")
     seg = seg[:, None] if seg.ndim == 1 else seg
-    if perturbation is not None:
-        seg = seg + np.asarray(perturbation, dtype=float)
     if not np.all(np.isfinite(seg)):
         raise ValueError("segment values must be finite")
     if np.any(seg <= 0.0):
-        raise NonPositiveSample("segment values (after perturbation) must be positive")
+        raise NonPositiveSample("segment values must be positive")
     return np.broadcast_to(seg, (n_nodes, n_paths))
 
 
@@ -347,7 +324,6 @@ def simulate_y_paths(
     grid: TimeGrid,
     increments: Array,
     segment,
-    segment_perturbation: Array | None = None,
     *,
     window: Array | None = None,
     start: int = 0,
@@ -359,12 +335,8 @@ def simulate_y_paths(
     increments : array (K, n_paths) or (K,) of Brownian increments at the
         grid resolution; with a ``window``, the n rows of steps start ..
         start + n - 1 instead.
-    segment : :class:`SegmentDraw` or array of X0 node values, shape (N+1,)
-        or (N+1, n_paths).  Not read when a window march continues
-        (``start`` > 0).
-    segment_perturbation : optional array added to the segment X values
-        before the square root (error-budget injection hook); the perturbed
-        segment must stay strictly positive.
+    segment : array of X0 node values, shape (N+1,) or (N+1, n_paths).  Not
+        read when a window march continues (``start`` > 0).
     window : optional array (R, n_paths) with R > N to march in, node j in
         row (j + N) mod R.  A march from ``start`` = 0 writes the segment's
         nodes -N .. 0 first; a march from ``start`` > 0 continues from the
@@ -386,7 +358,7 @@ def simulate_y_paths(
     n_delay, n_steps = grid.n_per_delay, grid.n_steps
     inc, stop, y = _march_target(grid, increments, window, start)
     if start == 0:
-        seg_x = _start_values(n_delay + 1, inc.shape[1], segment, segment_perturbation)
+        seg_x = _start_values(n_delay + 1, inc.shape[1], segment)
         np.sqrt(seg_x, out=y[: n_delay + 1])
     # a_under at the target times t_{start+1} .. t_stop (implicit terms live
     # at t_{k+1}), evaluated over the whole grid so every window sees the
@@ -398,71 +370,6 @@ def simulate_y_paths(
         model.sigma_bar, grid.delta, n_delay, start,
     )
     return y
-
-
-def diffusive_value(
-    model: ModelSpec,
-    grid: TimeGrid,
-    y: Array,
-    t: float,
-    w_in_cell: float,
-    z_delay: float | None = None,
-    segment: SegmentDraw | None = None,
-    fine_per_delay: int | None = None,
-) -> float:
-    """Value of the in-cell (diffusive) extension of the scheme at time t.
-
-    ``y`` is one path's Y values on nodes -N .. K, shape (N + K + 1,): a
-    column of :func:`simulate_y_paths`.  Inside the cell (t_k, t_{k+1}] the
-    extension solves the same implicit equation with step t - t_k and the
-    aggregated Brownian value ``w_in_cell`` = W(t) - W(t_k).  At t = t_{k+1}
-    with the full increment it reproduces y_{k+1} exactly; as t -> t_k (and
-    w -> 0) it approaches y_k.
-
-    ``z_delay`` is the delayed value Y(t - tau).  It may be omitted when
-    b = 0 (unused) or when t - tau <= t0 with a ``segment`` that resolves the
-    continuous-time initial values.  ``fine_per_delay`` optionally declares
-    the fine resolution on which the Brownian value is known; times off that
-    fine grid then raise :class:`UnresolvableTime`.
-    """
-    rel = (t - grid.t0) / grid.delta
-    if rel <= 1e-12 or rel > grid.n_steps + 1e-9:
-        raise UnresolvableTime(f"t={t} outside ({grid.t0}, {grid.t_end}]")
-    if fine_per_delay is not None:
-        if fine_per_delay % grid.n_per_delay:
-            raise UnresolvableTime(
-                f"fine resolution {fine_per_delay} does not refine N={grid.n_per_delay}"
-            )
-        pos = (t - grid.t0) * fine_per_delay / grid.tau
-        if abs(pos - round(pos)) > 1e-9:
-            raise UnresolvableTime(
-                f"t={t} is not a node of the fine grid with {fine_per_delay} steps per delay"
-            )
-    k_prev = math.ceil(rel - 1e-12) - 1
-    dt = t - float(grid.time(k_prev))
-    if z_delay is None:
-        if model.b_bar != 0.0:
-            t_delayed = t - grid.tau
-            if segment is not None and t_delayed <= grid.t0 + 1e-12:
-                z_delay = math.sqrt(float(segment.value_at(t_delayed)))
-            else:
-                raise UnresolvableTime(
-                    "b > 0 needs the delayed value Y(t - tau): pass z_delay "
-                    "(or a segment when t - tau <= t0)"
-                )
-        else:
-            z_delay = 0.0
-    return float(
-        implicit_step(
-            float(y[grid.node_index(k_prev)]),
-            z_delay,
-            model.sigma_bar * w_in_cell,
-            float(model.a_under(t)),
-            model.a_bar,
-            model.b_bar,
-            dt,
-        )
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -610,36 +517,3 @@ def symmetrized_euler_paths(
     returns as :func:`truncated_euler_paths`."""
     return _one_baseline(model, grid, increments, segment, "symmetrized")
 
-
-def small_tau_proxy_paths(
-    model: ModelSpec, grid: TimeGrid, increments: Array, x0
-) -> Array:
-    """No-delay proxy run by the same drift-implicit machinery.
-
-    For small tau the delayed equation is close to the classical process
-
-        dV(t) = (a - b) [ (a / (a - b)) gamma(t) - V(t) ] dt + sigma sqrt(V(t)) dW(t),
-
-    i.e. the same equation with reversion speed a - b and the delay term
-    folded into the mean level.  In Y coordinates the transform leaves
-    a_under unchanged and replaces a_bar by (a - b) / 2, so the proxy reuses
-    the implicit update with b_bar = 0.  Requires b < a; for b = 0 it is the
-    main scheme itself.  Starts from the single value V(t0) = ``x0``.
-
-    Increments are time-major as in :func:`simulate_y_paths`.  Returns V on
-    nodes 0 .. K, shape (K + 1, n_paths).
-    """
-    if model.b >= model.a:
-        raise ProxyRequiresBLessThanA(f"need b < a, got b={model.b}, a={model.a}")
-    inc = _increments(increments, grid.n_steps)
-    v0 = _start_values(1, inc.shape[1], np.ravel(np.asarray(x0, dtype=float))[None, :])
-    n_steps = grid.n_steps
-    t_next = grid.time(np.arange(1, n_steps + 1))
-    au = np.asarray(model.a_under(t_next), dtype=float)
-    y = np.empty((n_steps + 1, inc.shape[1]))
-    np.sqrt(v0, out=y[:1])
-    _implicit_march(
-        y, inc, t_next, au, 0.5 * (model.a - model.b), 0.0, model.sigma_bar,
-        grid.delta, 0,
-    )
-    return np.square(y)

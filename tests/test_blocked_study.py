@@ -54,7 +54,7 @@ def test_window_march_continues_the_whole_march():
     grid = build_grid(model, 8)  # 24 steps
     paths = range(40)
     inc = generate(grid, 3, paths)
-    seg = sample_segment(model.initial, grid, 3, paths).values
+    seg = sample_segment(model.initial, grid, 3, paths)
     whole = simulate_y_paths(model, grid, inc, seg)
     # a window of N + 1 + 5 rows; blocks of up to 5 steps, one of a single step
     window = np.empty((grid.n_per_delay + 1 + 5, len(paths)))

@@ -225,6 +225,28 @@ def test_validate_prints_the_condition_report(tmp_path, capsys):
     assert lines[4] == "m = 3"
 
 
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("experiment = mean_check\nN = x\n", "N"),
+        ("experiment = strong_rate\nN_list = 8,16\nN_ref = 32\n", "N_list"),
+        ("experiment = positivity\nscheme = warp\n", "scheme"),
+        ("experiment = survival\nthreads = 0\n", "threads"),
+    ],
+    ids=[
+        "mean_check-malformed-N", "strong_rate-two-levels", "positivity-unknown-scheme",
+        "survival-no-workers",
+    ],
+)
+def test_validate_reads_only_the_model(tmp_path, capsys, text, key):
+    cfg = _write_config(tmp_path, text)
+    assert main(["validate", "--config", cfg]) == 0
+    assert capsys.readouterr().out.startswith("feller_ok = True\n")
+    # the run reads the key
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad value for {key}: ")
+
+
 def test_probe_prints_oracle_values(tmp_path, capsys):
     cfg = _write_config(tmp_path, "experiment = analytics_probe\nb = 0\n")
     assert main(["probe", "--config", cfg]) == 0

@@ -29,7 +29,6 @@ from delay_cir.scheme import (
     NonPositiveForcing,
     implicit_step,
     simulate_y_paths,
-    small_tau_proxy_paths,
     symmetrized_euler_paths,
     truncated_euler_paths,
 )
@@ -53,7 +52,7 @@ def _reference_inputs(model, grid, seed, n_paths):
         ]
     )
     seg = np.stack(
-        [sample_segment(model.initial, grid, seed, i).values for i in range(n_paths)]
+        [sample_segment(model.initial, grid, seed, i) for i in range(n_paths)]
     )
     return inc, seg
 
@@ -126,7 +125,7 @@ def _model(**kw) -> ModelSpec:
 def _engine_inputs(model, grid, seed, n_paths):
     paths = range(n_paths)
     inc = generate(grid, seed, paths)
-    seg = sample_segment(model.initial, grid, seed, paths).values
+    seg = sample_segment(model.initial, grid, seed, paths)
     return inc, seg
 
 
@@ -142,12 +141,10 @@ def test_batched_noise_matches_per_path_generators():
         1.5 * math.exp(0.4 * _reference_normals(5, i, 1, 1)[0]) for i in range(300)
     ]
     batch = sample_segment(spec, grid, 5, range(300))
-    assert batch.values.shape == (grid.n_per_delay + 1, 300)
-    assert np.array_equal(batch.values, np.tile(levels, (grid.n_per_delay + 1, 1)))
+    assert batch.shape == (grid.n_per_delay + 1, 300)
+    assert np.array_equal(batch, np.tile(levels, (grid.n_per_delay + 1, 1)))
     for i in (0, 123, 299):
-        single = sample_segment(spec, grid, 5, i)
-        assert np.array_equal(batch.values[:, i], single.values)
-        assert single.level == batch.level[i]
+        assert np.array_equal(batch[:, i], sample_segment(spec, grid, 5, i))
 
 
 def test_reference_regime_march_matches_the_step_loop():
@@ -183,8 +180,6 @@ def test_feller_boundary_march_takes_the_conjugate_branch():
             engine(model, grid, inc, seg)[0],
             reference(model, grid, inc_ref, seg_ref).T,
         )
-    proxy = small_tau_proxy_paths(model, grid, inc, 1.0)
-    assert np.array_equal(proxy, np.square(y[grid.n_per_delay :]))
 
 
 def test_lognormal_start_march_matches_the_step_loop():
@@ -225,7 +220,7 @@ def test_forcing_failure_names_the_run_path_and_time(workers, horizon):
         sigma=2.2, b=0.01, horizon=horizon, initial=InitialSegmentSpec.lognormal(40.0, 0.3)
     )
     grid = build_grid(model, 4)
-    level = sample_segment(model.initial, grid, 14, range(300)).level
+    level = sample_segment(model.initial, grid, 14, range(300))[0]
     assert np.flatnonzero(model.a_under(0.0) + model.b_bar * level <= 0.0)[0] == 237
 
     def terminal(draw, seg):
@@ -381,9 +376,3 @@ def test_non_finite_inputs_are_rejected(bad):
             march(model, grid, inc, seg)
         with pytest.raises(ValueError, match="segment values must be finite"):
             march(model, grid, np.zeros(grid.n_steps), bad_seg)
-    with pytest.raises(ValueError, match="segment values must be finite"):
-        simulate_y_paths(
-            model, grid, np.zeros(grid.n_steps), seg, segment_perturbation=bad
-        )
-    with pytest.raises(ValueError, match="increments must be finite"):
-        small_tau_proxy_paths(model, grid, inc, 1.0)

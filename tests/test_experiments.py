@@ -304,7 +304,7 @@ def test_positivity_census_separates_the_schemes():
 def test_modulus_whole_interval_is_the_path_range():
     model = _model()
     grid = build_grid(model, 8)
-    span = grid.t_end - grid.t0
+    span = grid.n_steps * grid.delta
     res = modulus_scaling(model, grid, 20, (span,), seed=9)
     inc = generate(grid, 9, range(20))
     seg = sample_segment(model.initial, grid, 9, range(20))
@@ -341,7 +341,7 @@ def test_modulus_rejects_off_grid_lags():
     with pytest.raises(GridMisaligned):
         modulus_scaling(model, grid, 10, (0.0,), seed=0)
     with pytest.raises(GridMisaligned):
-        modulus_scaling(model, grid, 10, (grid.t_end - grid.t0 + grid.delta,), seed=0)
+        modulus_scaling(model, grid, 10, ((grid.n_steps + 1) * grid.delta,), seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -242,7 +242,7 @@ def test_lognormal_levels_come_from_the_first_segment_word():
     draw = sample_segment(model.initial, grid, 11, range(500))
     z = _standard_normals(11, range(500), _TAG_SEGMENT, 2)[0]
     expected = np.array([1.2 * math.exp(0.3 * zj) for zj in z.tolist()])
-    assert draw.level.tobytes() == expected.tobytes()
+    assert draw[0].tobytes() == expected.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +273,7 @@ def _whole_row_baseline(model, grid, inc, seg, name):
 def _baseline_inputs(model, n_per_delay, n_paths=200, seed=3):
     grid = build_grid(model, n_per_delay)
     inc = generate(grid, seed, range(n_paths))
-    seg = sample_segment(model.initial, grid, seed, range(n_paths)).values
+    seg = sample_segment(model.initial, grid, seed, range(n_paths))
     return grid, inc, seg
 
 

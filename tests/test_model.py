@@ -201,8 +201,7 @@ def test_build_grid_quarter_steps():
     assert np.array_equal(grid.times(), ks / 4.0)
     for k in range(grid.n_steps):
         # delay alignment is integer arithmetic: exact, not approximate
-        assert grid.time(k + 1) - grid.tau == grid.time(grid.delay_index(k + 1))
-        assert grid.delay_index(k + 1) == k + 1 - grid.n_per_delay
+        assert grid.time(k + 1) - grid.tau == grid.time(k + 1 - grid.n_per_delay)
 
 
 def test_build_grid_minimal():
@@ -217,18 +216,9 @@ def test_build_grid_misaligned():
         build_grid(spec, 3)
 
 
-def test_grid_node_index_bounds():
-    grid = build_grid(_spec(), 8)
-    assert grid.node_index(-8) == 0
-    assert grid.node_index(0) == 8
-    assert grid.node_index(grid.n_steps) == grid.n_nodes - 1
-    with pytest.raises(OutOfDomain):
-        grid.node_index(grid.n_steps + 1)
-
-
 def test_delay_lookup_is_integer_arithmetic_on_random_grids():
-    # the delayed node is found by index shift, never by subtracting tau from
-    # a float time, so the lookup is exact on any grid
+    # the delay is exactly N steps, so the delayed node of k is k - N, found
+    # by index shift, never by subtracting tau from a float time
     rng = np.random.default_rng(11)
     for _ in range(100):
         tau = float(rng.uniform(0.05, 3.0))
@@ -237,8 +227,8 @@ def test_delay_lookup_is_integer_arithmetic_on_random_grids():
         t0 = float(rng.uniform(-2.0, 2.0))
         spec = _spec(tau=tau, t0=t0, horizon=t0 + mult * tau)
         grid = build_grid(spec, n)
+        assert grid.n_per_delay == n and grid.n_steps == mult * n
         for k in (1, grid.n_steps // 2 + 1, grid.n_steps):
-            assert grid.delay_index(k) == k - grid.n_per_delay
             # node times come from t0 + k * delta directly (no accumulation)
             assert grid.time(k) == t0 + k * grid.delta
 
@@ -255,7 +245,6 @@ def test_modelspec_derived_coefficients():
     assert spec.sigma_bar == 0.25
     # a_under(t) = (4 a gamma(t) - sigma^2) / 8 at the constant level 1
     assert spec.a_under(0.7) == pytest.approx((8.0 - 0.25) / 8.0)
-    assert spec.a_under_star == pytest.approx((8.0 - 0.25) / 8.0)
 
 
 def test_modelspec_gamma_at_checks_domain():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from delay_cir.model import (
     GammaSpec,
@@ -12,7 +13,13 @@ from delay_cir.model import (
     OutOfDomain,
     build_grid,
 )
-from delay_cir.noise import NotNested, block_sum, generate, sample_segment
+from delay_cir.noise import (
+    NotNested,
+    _standard_normals,
+    block_sum,
+    generate,
+    sample_segment,
+)
 
 
 def _grid(n_per_delay: int = 64, tau: float = 0.5, horizon: float = 1.5):
@@ -115,6 +122,40 @@ def test_generate_seed_changes_stream():
     assert not np.array_equal(a, b)
 
 
+class _AllOnesPhilox:
+    """Stands in for ``np.random.Philox``: every word is 2^64 - 1."""
+
+    def __init__(self, *args, **kwargs):
+        self.state = None
+
+    def random_raw(self):
+        return (1 << 64) - 1
+
+
+class _AllOnesGenerator:
+    """Stands in for ``np.random.Generator`` over :class:`_AllOnesPhilox`:
+    ``random`` makes (w >> 11) 2^-53 of each word w, here 1 - 2^-53."""
+
+    def __init__(self, bitgen):
+        pass
+
+    def random(self, out):
+        out[...] = ((1 << 53) - 1) * 2.0**-53
+
+
+@pytest.mark.parametrize(
+    "n, start", [(1, 0), (3, 0), (1, 2)], ids=["one-word", "rows", "rows-skipped"]
+)
+def test_the_all_ones_word_gives_a_finite_normal(monkeypatch, n, start):
+    # its uniform (k + 1/2) 2^-53, k = 2^53 - 1, rounds to 1, where ndtri is
+    # inf; both branches clamp it to the largest double below 1
+    monkeypatch.setattr(np.random, "Philox", _AllOnesPhilox)
+    monkeypatch.setattr(np.random, "Generator", _AllOnesGenerator)
+    z = _standard_normals(5, range(3), 0, n, start)
+    assert z.shape == (n, 3)
+    assert np.all(z == ndtri(1.0 - 2.0**-53)) and np.all(np.isfinite(z))
+
+
 # ---------------------------------------------------------------------------
 # block_sum: the only coarsening of the increments
 # ---------------------------------------------------------------------------
@@ -186,16 +227,14 @@ def test_coarsen_tracks_grid_resolution():
 def test_segment_constant():
     grid = _grid(n_per_delay=8)
     draw = sample_segment(InitialSegmentSpec.constant(1.0), grid, seed=1, path_index=0)
-    assert np.array_equal(draw.values, np.ones(9))
-    assert draw.value_at(-0.3) == 1.0
+    assert np.array_equal(draw, np.ones(9))
 
 
 def test_segment_table_linear_interpolation():
     grid = _grid(n_per_delay=4, tau=1.0, horizon=1.0)
     spec = InitialSegmentSpec.table([(-1.0, 2.0), (0.0, 1.0)])
     draw = sample_segment(spec, grid, seed=1, path_index=0)
-    assert draw.value_at(-0.5) == pytest.approx(1.5)
-    assert draw.values == pytest.approx([2.0, 1.75, 1.5, 1.25, 1.0])
+    assert draw == pytest.approx([2.0, 1.75, 1.5, 1.25, 1.0])
 
 
 def test_segment_table_must_cover_delay_window():
@@ -209,7 +248,7 @@ def test_segment_lognormal_median():
     grid = _grid(n_per_delay=4)
     spec = InitialSegmentSpec.lognormal(1.0, 0.25)
     levels = [
-        sample_segment(spec, grid, seed=11, path_index=i).values[0]
+        sample_segment(spec, grid, seed=11, path_index=i)[0]
         for i in range(10_000)
     ]
     assert 0.95 <= float(np.median(levels)) <= 1.05
@@ -220,15 +259,14 @@ def test_segment_draw_constant_within_path_for_lognormal():
     grid = _grid(n_per_delay=8)
     spec = InitialSegmentSpec.lognormal(2.0, 0.5)
     draw = sample_segment(spec, grid, seed=4, path_index=7)
-    assert np.all(draw.values == draw.values[0])
-    assert draw.level == draw.values[0]
+    assert np.all(draw == draw[0])
 
 
 def test_segment_independent_of_noise_resolution():
     # refining the Brownian grid must not change the segment draw of a path
     spec = InitialSegmentSpec.lognormal(1.0, 0.25)
-    coarse_level = sample_segment(spec, _grid(8), seed=21, path_index=3).values[0]
-    fine_level = sample_segment(spec, _grid(64), seed=21, path_index=3).values[0]
+    coarse_level = sample_segment(spec, _grid(8), seed=21, path_index=3)[0]
+    fine_level = sample_segment(spec, _grid(64), seed=21, path_index=3)[0]
     assert coarse_level == fine_level
 
 
@@ -237,6 +275,6 @@ def test_segment_stream_disjoint_from_noise_stream():
     inc = generate(grid, seed=6, path_index=0)
     level = sample_segment(
         InitialSegmentSpec.lognormal(1.0, 1.0), grid, seed=6, path_index=0
-    ).values[0]
+    )[0]
     z = math.log(level)  # the standard normal behind the draw (median 1, sd 1)
     assert not np.any(np.isclose(inc / math.sqrt(grid.delta), z))

@@ -12,20 +12,15 @@ from delay_cir.model import (
     GammaSpec,
     InitialSegmentSpec,
     ModelSpec,
-    OutOfDomain,
     build_grid,
 )
 from delay_cir.noise import NonPositiveSample, block_sum, generate, sample_segment
 from delay_cir.scheme import (
     DelayNotSupported,
     NonPositiveForcing,
-    ProxyRequiresBLessThanA,
-    UnresolvableTime,
-    diffusive_value,
     implicit_residual,
     implicit_step,
     simulate_y_paths,
-    small_tau_proxy_paths,
     symmetrized_euler_paths,
     truncated_euler_paths,
 )
@@ -276,8 +271,9 @@ def test_simulate_y_constant_at_deterministic_fixed_point():
     grid = build_grid(model, 8)
     y = simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.full(9, x_star))[:, 0]
     y0 = math.sqrt(x_star)
-    assert y == pytest.approx(np.full(grid.n_nodes, y0), rel=1e-13)
-    assert y[grid.node_index(grid.n_steps)] == pytest.approx(y0, rel=1e-13)
+    assert y.shape == (grid.n_per_delay + grid.n_steps + 1,)
+    assert y == pytest.approx(np.full(y.shape, y0), rel=1e-13)
+    assert y[grid.n_steps + grid.n_per_delay] == pytest.approx(y0, rel=1e-13)
 
 
 def test_simulate_y_positive_across_random_paths():
@@ -286,7 +282,7 @@ def test_simulate_y_positive_across_random_paths():
     inc = _increments(grid, 1000, seed=31)
     seg = np.ones(grid.n_per_delay + 1)
     y = simulate_y_paths(model, grid, inc, seg)
-    assert y.shape == (grid.n_nodes, 1000)
+    assert y.shape == (grid.n_per_delay + grid.n_steps + 1, 1000)
     assert np.all(y > 0.0)
 
 
@@ -334,116 +330,21 @@ def test_simulate_y_rejects_bad_segments_and_shapes():
     with pytest.raises(ValueError, match="segment needs 5 node values"):
         simulate_y_paths(model, grid, inc, np.ones(7))
     with pytest.raises(NonPositiveSample):
-        simulate_y_paths(model, grid, inc, np.ones(5), segment_perturbation=-2.0)
-
-
-def test_segment_perturbation_shifts_the_initial_nodes():
-    model = _model()
-    grid = build_grid(model, 4)
-    inc = np.zeros(grid.n_steps)
-    base = simulate_y_paths(model, grid, inc, np.ones(5))
-    bumped = simulate_y_paths(
-        model, grid, inc, np.ones(5), segment_perturbation=0.21
-    )
-    assert bumped[0, 0] == pytest.approx(math.sqrt(1.21), rel=1e-15)
-    assert np.all(bumped[: grid.n_per_delay + 1, 0] > base[: grid.n_per_delay + 1, 0])
-
-
-# ---------------------------------------------------------------------------
-# diffusive in-cell extension
-# ---------------------------------------------------------------------------
-
-
-def _reference_path(n_per_delay: int = 8, seed: int = 17):
-    """(model, grid, increments, segment draw, Y column on nodes -N .. K)."""
-    model = _model()
-    grid = build_grid(model, n_per_delay)
-    inc = generate(grid, seed=seed, path_index=0)
-    seg = sample_segment(model.initial, grid, seed=seed, path_index=0)
-    return model, grid, inc, seg, simulate_y_paths(model, grid, inc, seg)[:, 0]
-
-
-def test_diffusive_value_reproduces_nodes_with_full_increment():
-    model, grid, inc, seg, y = _reference_path()
-    for k_next in (3, 11, grid.n_steps):
-        t = float(grid.time(k_next))
-        w = float(inc[k_next - 1])
-        if t - grid.tau <= grid.t0:
-            got = diffusive_value(model, grid, y, t, w, segment=seg)
-        else:
-            z = y[grid.node_index(k_next - grid.n_per_delay)]
-            got = diffusive_value(model, grid, y, t, w, z_delay=z)
-        assert got == y[grid.node_index(k_next)]
-
-
-def test_diffusive_value_approaches_left_node():
-    model = _model(b=0.0)
-    grid = build_grid(model, 8)
-    inc = generate(grid, seed=23, path_index=0)
-    y = simulate_y_paths(model, grid, inc, np.ones(9))[:, 0]
-    k = 5
-    t = float(grid.time(k)) + 1e-8
-    assert diffusive_value(model, grid, y, t, 0.0) == pytest.approx(
-        y[grid.node_index(k)], rel=1e-6
-    )
-
-
-def test_diffusive_value_solves_the_partial_step_equation():
-    model = _model(b=0.0)
-    grid = build_grid(model, 8)
-    fine = build_grid(model, 16)
-    inc_f = generate(fine, seed=29, path_index=0)
-    y = simulate_y_paths(model, grid, block_sum(inc_f, 2), np.ones(9))[:, 0]
-    k = 6
-    t = float(grid.time(k)) + 0.5 * grid.delta  # a node of the doubled grid
-    w = float(inc_f[2 * k])
-    y_star = diffusive_value(model, grid, y, t, w, fine_per_delay=16)
-    dt = 0.5 * grid.delta
-    defect = (
-        y_star
-        - y[grid.node_index(k)]
-        - (model.a_under(t) / y_star - model.a_bar * y_star) * dt
-        - model.sigma_bar * w
-    )
-    assert y_star > 0.0
-    assert abs(defect) <= 1e-12 * (1.0 + y_star)
-
-
-def test_diffusive_value_rejects_unresolvable_times():
-    model, grid, inc, seg, y = _reference_path()
-    with pytest.raises(UnresolvableTime):
-        diffusive_value(model, grid, y, grid.t0, 0.0, z_delay=1.0)
-    with pytest.raises(UnresolvableTime):
-        diffusive_value(model, grid, y, grid.t_end + grid.delta, 0.0, z_delay=1.0)
-    # off the declared fine grid
-    with pytest.raises(UnresolvableTime):
-        diffusive_value(
-            model, grid, y, float(grid.time(3)) + grid.delta / 3.0, 0.0,
-            z_delay=1.0, fine_per_delay=16,
-        )
-    # declared fine resolution must refine the coarse one
-    with pytest.raises(UnresolvableTime):
-        diffusive_value(
-            model, grid, y, float(grid.time(3)), 0.0, z_delay=1.0, fine_per_delay=12
-        )
-    # b > 0 past the first delay window needs the delayed value
-    with pytest.raises(UnresolvableTime, match="delayed value"):
-        diffusive_value(model, grid, y, float(grid.time(grid.n_steps)), 0.0)
-
-
-def test_diffusive_value_reads_delay_from_segment_in_first_window():
-    model, grid, inc, seg, y = _reference_path()
-    t = float(grid.time(2)) + 0.5 * grid.delta  # t - tau < t0
-    got = diffusive_value(model, grid, y, t, 0.01, segment=seg)
-    want = diffusive_value(
-        model, grid, y, t, 0.01, z_delay=math.sqrt(float(seg.value_at(t - grid.tau)))
-    )
-    assert got == want > 0.0
+        simulate_y_paths(model, grid, inc, np.array([1.0, 1.0, -1.0, 1.0, 1.0]))
 
 
 # ---------------------------------------------------------------------------
 # piecewise-linear interpolant in X, as the uniform error evaluates it
 # ---------------------------------------------------------------------------
+
+
+def _reference_path(n_per_delay: int = 8, seed: int = 17):
+    """(model, grid, increments, segment X values, Y column on nodes -N .. K)."""
+    model = _model()
+    grid = build_grid(model, n_per_delay)
+    inc = generate(grid, seed=seed, path_index=0)
+    seg = sample_segment(model.initial, grid, seed=seed, path_index=0)
+    return model, grid, inc, seg, simulate_y_paths(model, grid, inc, seg)[:, 0]
 
 
 def _interpolant_on_fine(x_coarse: np.ndarray, r: int) -> np.ndarray:
@@ -527,10 +428,8 @@ def test_truncated_euler_one_step_arithmetic():
         model, grid, np.array([-0.5]), sample_segment(model.initial, grid, 0, 0)
     )
     # x1 = 1 + [a(gamma - 1)] * 0.1 + 1 * sqrt(1) * (-0.5) = 0.5
-    assert x.shape == (grid.n_nodes, 1)
-    assert x[grid.node_index(1), 0] == 0.5
-    with pytest.raises(OutOfDomain):
-        grid.node_index(2)
+    assert x.shape == (grid.n_per_delay + grid.n_steps + 1, 1)
+    assert x[1 + grid.n_per_delay, 0] == 0.5
 
 
 def test_truncated_euler_goes_nonpositive_where_implicit_does_not():
@@ -612,57 +511,3 @@ def test_symmetrized_euler_approaches_implicit_scheme_under_refinement():
     assert dists[0] > dists[1] > dists[2] > dists[3]
     assert dists[3] < 0.5 * dists[0]
 
-
-# ---------------------------------------------------------------------------
-# small-tau proxy
-# ---------------------------------------------------------------------------
-
-
-def test_proxy_requires_b_below_a():
-    model = _model(b=1.0)
-    grid = build_grid(model, 8)
-    with pytest.raises(ProxyRequiresBLessThanA):
-        small_tau_proxy_paths(model, grid, np.zeros(grid.n_steps), 1.0)
-
-
-def test_proxy_with_zero_b_is_the_main_scheme():
-    model = _model(b=0.0)
-    grid = build_grid(model, 8)
-    inc = _increments(grid, 20, seed=19)
-    y = simulate_y_paths(model, grid, inc, np.ones(9))
-    x_prox = small_tau_proxy_paths(model, grid, inc, 1.0)
-    assert np.array_equal(x_prox, np.square(y[grid.n_per_delay :]))
-
-
-def test_proxy_relaxes_to_folded_mean_level():
-    # a = 1, b = 0.5, gamma = 1: effective level a gamma / (a - b) = 2.
-    model = _model(b=0.5, sigma=0.02, horizon=20.0)
-    grid = build_grid(model, 8)
-    x = small_tau_proxy_paths(model, grid, np.zeros(grid.n_steps), 1.0)
-    assert abs(x[-1, 0] - 2.0) < 1e-3
-
-
-def test_proxy_error_shrinks_with_tau():
-    # shared step 0.025 so only the delay horizon changes
-    rng = np.random.default_rng(5)
-    inc = rng.normal(0.0, math.sqrt(0.025), size=(400, 40)).T  # (steps, paths)
-    dists = []
-    for tau, n in ((0.2, 8), (0.1, 4), (0.05, 2)):
-        model = _model(b=0.5, tau=tau, horizon=1.0)
-        grid = build_grid(model, n)
-        y = simulate_y_paths(model, grid, inc, np.ones(n + 1))
-        x_delay = np.square(y[-1])
-        x_prox = small_tau_proxy_paths(model, grid, inc, 1.0)[-1]
-        dists.append(float(np.mean(np.abs(x_delay - x_prox))))
-    assert dists[0] > dists[1] > dists[2]
-    assert dists[2] < 0.5 * dists[0]
-
-
-def test_proxy_starts_from_segment_endpoint():
-    model = _model(b=0.2)
-    grid = build_grid(model, 8)
-    seg = sample_segment(model.initial, grid, seed=3, path_index=1)
-    x = small_tau_proxy_paths(model, grid, np.zeros(grid.n_steps), seg.values[-1])
-    assert x.shape == (grid.n_steps + 1, 1)
-    assert x[0, 0] == pytest.approx(float(seg.values[-1]), rel=1e-15)
-    assert np.all(x > 0.0)

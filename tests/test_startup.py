@@ -4,6 +4,7 @@
 Gaussian draw and ``scipy.integrate`` on the first negative-moment
 quadrature.  Parsing a config, validating a model and every config error
 therefore load neither, and a simulation loads only ``scipy.special``.
+The analytic oracles load none of the simulation modules either.
 """
 
 from __future__ import annotations
@@ -63,6 +64,20 @@ def test_import_and_parse_load_no_scipy(tmp_path):
         cwd=tmp_path,
     )
     assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [0, 2]}
+
+
+def test_oracles_load_neither_scheme_noise_nor_experiments(tmp_path):
+    out = _fresh(
+        """
+        import delay_cir.cir_analytics
+        names = ("delay_cir.scheme", "delay_cir.noise", "delay_cir.experiments")
+        print(json.dumps({name: name in sys.modules for name in names}))
+        """,
+        cwd=tmp_path,
+    )
+    assert out == {
+        "delay_cir.scheme": False, "delay_cir.noise": False, "delay_cir.experiments": False
+    }
 
 
 def test_plan_time_config_errors_load_no_scipy(tmp_path):
