@@ -204,6 +204,18 @@ def test_build_grid_quarter_steps():
         assert grid.time(k + 1) - grid.tau == grid.time(k + 1 - grid.n_per_delay)
 
 
+def test_grid_times_cover_the_delay_window_and_the_horizon():
+    spec = _spec(tau=0.5, t0=1.0, horizon=2.5)
+    grid = build_grid(spec, 4)
+    times = grid.times()
+    assert times.shape == (grid.n_per_delay + grid.n_steps + 1,)
+    assert times[0] == spec.t0 - spec.tau
+    assert times[grid.n_per_delay] == spec.t0
+    assert times[-1] == spec.horizon
+    ks = np.arange(-grid.n_per_delay, grid.n_steps + 1)
+    assert np.array_equal(grid.time(ks), times)
+
+
 def test_build_grid_minimal():
     spec = _spec(tau=0.5, horizon=0.5)
     grid = build_grid(spec, 1)

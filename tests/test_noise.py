@@ -270,6 +270,27 @@ def test_segment_independent_of_noise_resolution():
     assert coarse_level == fine_level
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InitialSegmentSpec.constant(1.5),
+        InitialSegmentSpec.table([(-0.5, 2.0), (0.0, 1.0)]),
+        InitialSegmentSpec.lognormal(1.0, 0.25),
+    ],
+    ids=["constant", "table", "lognormal"],
+)
+def test_segment_range_columns_are_the_single_path_draws(spec):
+    grid = _grid(n_per_delay=8)
+    paths = range(3, 8)
+    values = sample_segment(spec, grid, seed=5, path_index=paths)
+    assert values.shape == (grid.n_per_delay + 1, len(paths))
+    assert not values.flags.writeable
+    for col, i in enumerate(paths):
+        single = sample_segment(spec, grid, seed=5, path_index=i)
+        assert single.shape == (grid.n_per_delay + 1,)
+        assert np.array_equal(values[:, col], single)
+
+
 def test_segment_stream_disjoint_from_noise_stream():
     grid = _grid(n_per_delay=8)
     inc = generate(grid, seed=6, path_index=0)

@@ -18,9 +18,12 @@ from delay_cir.noise import NonPositiveSample, block_sum, generate, sample_segme
 from delay_cir.scheme import (
     DelayNotSupported,
     NonPositiveForcing,
+    check_baselines,
     implicit_residual,
     implicit_step,
+    ring_spans,
     simulate_y_paths,
+    square_rows,
     symmetrized_euler_paths,
     truncated_euler_paths,
 )
@@ -333,6 +336,78 @@ def test_simulate_y_rejects_bad_segments_and_shapes():
         simulate_y_paths(model, grid, inc, np.array([1.0, 1.0, -1.0, 1.0, 1.0]))
 
 
+def test_simulate_y_starts_from_the_square_roots_of_each_paths_segment():
+    model = _model()
+    grid = build_grid(model, 4)
+    seg = np.array([[1.0, 1.21], [0.8, 1.3], [1.1, 0.9], [1.0, 2.0], [0.5, 1.21]])
+    y = simulate_y_paths(model, grid, np.zeros((grid.n_steps, 2)), seg)
+    assert np.array_equal(y[: grid.n_per_delay + 1], np.sqrt(seg))
+
+
+def test_a_raised_segment_raises_every_later_node():
+    # the implicit step is increasing in y_k and in the delayed value
+    model = _model()
+    grid = build_grid(model, 4)
+    inc = np.zeros(grid.n_steps)
+    base = simulate_y_paths(model, grid, inc, np.ones(5))[:, 0]
+    raised = simulate_y_paths(model, grid, inc, np.full(5, 1.21))[:, 0]
+    assert raised[0] == pytest.approx(1.1, rel=1e-15)
+    assert np.all(raised > base)
+
+
+@pytest.mark.parametrize("b", [0.2, 0.0])
+def test_first_window_steps_read_the_delayed_node_from_the_segment(b):
+    # the step to node m reads node m - N: with N = 4, segment node -2 (row
+    # 2) enters first at node 2, and not at all when b = 0
+    model = _model(b=b)
+    grid = build_grid(model, 4)
+    inc = generate(grid, seed=41, path_index=0)
+    seg = np.ones(5)
+    bumped = seg.copy()
+    bumped[2] = 1.5
+    y = simulate_y_paths(model, grid, inc, seg)[:, 0]
+    y_b = simulate_y_paths(model, grid, inc, bumped)[:, 0]
+    node = grid.n_per_delay  # row of node 0
+    assert np.array_equal(y_b[node : node + 2], y[node : node + 2])
+    if b:
+        assert y_b[node + 2] > y[node + 2]
+    else:
+        assert np.array_equal(y_b[node:], y[node:])
+
+
+# ---------------------------------------------------------------------------
+# ring windows
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "length, first, count, head, tail",
+    [
+        (8, 2, 3, (2, 5), (0, 0)),
+        (8, 6, 4, (6, 8), (0, 2)),
+        (8, 11, 3, (3, 6), (0, 0)),
+        (8, 0, 8, (0, 8), (0, 0)),
+    ],
+    ids=["inside", "wraps", "first-past-the-end", "whole-window"],
+)
+def test_ring_spans_cover_the_rows_modulo_the_length(length, first, count, head, tail):
+    got_head, got_tail = ring_spans(length, first, count)
+    assert (got_head.start, got_head.stop) == head
+    assert (got_tail.start, got_tail.stop) == tail
+    rows = np.arange(length)
+    want = np.arange(first, first + count) % length
+    assert np.array_equal(np.concatenate([rows[got_head], rows[got_tail]]), want)
+
+
+def test_square_rows_reads_a_wrapped_ring():
+    window = np.arange(10, dtype=float).reshape(5, 2)
+    out = np.full((6, 2), np.nan)
+    got = square_rows(window, 3, 4, out)
+    assert np.shares_memory(got, out)
+    assert np.array_equal(got, np.square(window[[3, 4, 0, 1]]))
+    assert np.all(np.isnan(out[4:]))
+
+
 # ---------------------------------------------------------------------------
 # piecewise-linear interpolant in X, as the uniform error evaluates it
 # ---------------------------------------------------------------------------
@@ -463,6 +538,16 @@ def test_truncated_euler_uses_delayed_term():
 # ---------------------------------------------------------------------------
 # symmetrized Euler baseline
 # ---------------------------------------------------------------------------
+
+
+def test_check_baselines_names_the_unknown_scheme_and_the_delayed_symmetrized():
+    delayed, undelayed = _model(), _model(b=0.0)
+    check_baselines(("truncated", "symmetrized"), undelayed)
+    check_baselines(("truncated",), delayed)
+    with pytest.raises(ValueError, match="unknown scheme 'explicit'"):
+        check_baselines(("truncated", "explicit"), undelayed)
+    with pytest.raises(DelayNotSupported):
+        check_baselines(("symmetrized",), delayed)
 
 
 def test_symmetrized_euler_requires_no_delay():
