@@ -233,9 +233,7 @@ def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
                     _parse_float("initial.points", v_raw.strip()),
                 )
             )
-        if not points:
-            raise BadValue("initial.points", "empty table")
-        return InitialSegmentSpec.table(points)
+        return _checked("initial.points", InitialSegmentSpec.table, points)
     raise BadValue(
         "initial.kind", f"must be constant, table or lognormal, got {kind!r}"
     )
@@ -287,9 +285,6 @@ _READS = {
     "analytics_probe": frozenset({"probe.u_list", "probe.p", "probe.t"}),
 }
 
-# Keys the ``probe`` subcommand reads, whatever the experiment.
-_PROBE_KEYS = _READS["analytics_probe"]
-
 
 def parse_config(
     path: str, overrides: dict[str, str] | None = None, command: str = "run"
@@ -298,8 +293,8 @@ def parse_config(
 
     ``command`` is the subcommand that reads the config.  ``run`` parses and
     checks the keys the configured experiment reads (see ``_READS``) and
-    ``threads``, ``probe`` the experiment's keys and the probe keys, and
-    ``validate``, which reads only the model, none of them.
+    ``threads``, ``probe`` only the probe keys, and ``validate``, which reads
+    only the model, none of them.
     """
     items = dict(DEFAULTS)
     items.update(_read_items(path))
@@ -312,14 +307,10 @@ def parse_config(
 
     a = _positive(items, "a")
     b = _parse_float("b", items["b"])
-    if b < 0.0:
-        raise BadValue("b", "must be nonnegative")
     sigma = _positive(items, "sigma")
     tau = _positive(items, "tau")
     t0 = _parse_float("t0", items["t0"])
     horizon = _parse_float("horizon", items["horizon"])
-    if horizon <= t0:
-        raise BadValue("horizon", "must exceed t0")
 
     gamma = _build_gamma(items)
     initial = _build_initial(items)
@@ -331,7 +322,7 @@ def parse_config(
 
     reads = {
         "run": _READS[experiment] | {"threads"},
-        "probe": _READS[experiment] | _PROBE_KEYS,
+        "probe": _READS["analytics_probe"],
         "validate": frozenset(),
     }[command]
 
@@ -371,13 +362,11 @@ def parse_config(
         raise BadValue("probe.t", "must exceed t0")
     # Each experiment's values are checked only where it reads them: the
     # levels and p_max bind the rate study, the first order the modulus, and
-    # the scheme names the positivity census.  ``validate`` checks the model
-    # alone.
-    if command == "validate":
+    # the scheme names the positivity census.  ``validate`` and ``probe`` run
+    # none of these checks.
+    if command != "run":
         pass
     elif experiment == "strong_rate":
-        if any(n < 1 for n in n_list):
-            raise BadValue("N_list", "entries must be positive integers")
         _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, report.p_max)
         if len(n_list) < 3:
             raise BadValue("N_list", "a rate fit needs at least three levels")

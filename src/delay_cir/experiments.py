@@ -285,9 +285,9 @@ class ErrorTable:
 def check_levels(n_list, n_ref, p_list, p_max=math.inf) -> None:
     """Raise unless :func:`strong_error_study` accepts these levels and orders.
 
-    ``n_list`` must increase with each entry dividing the next, ``n_ref`` must
-    be a proper multiple of its largest entry, and every p must lie in (0,
-    p_max).  The error (:class:`~delay_cir.noise.NotNested` or
+    ``n_list`` must hold positive integers that increase, each dividing the
+    next, ``n_ref`` must be a proper multiple of its largest entry, and every
+    p must lie in (0, p_max).  The error (:class:`~delay_cir.noise.NotNested` or
     :class:`PRequestedTooLarge`) names the rejected argument in its
     ``argument`` attribute: ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
     """
@@ -297,6 +297,8 @@ def check_levels(n_list, n_ref, p_list, p_max=math.inf) -> None:
         exc.argument = argument
         return exc
 
+    if any(n < 1 for n in n_list):
+        raise rejected(noise_mod.NotNested, "n_list", "entries must be positive integers")
     for small, big in zip(n_list, n_list[1:]):
         if big <= small or big % small:
             raise rejected(

@@ -36,12 +36,14 @@ __all__ = [
     "gamma_eval",
     "gamma_bounds",
     "build_grid",
+    "check_segment_window",
     "validate",
     "NonPositiveParameter",
     "HorizonBeforeStart",
     "GammaNotPositive",
     "OutOfDomain",
     "GridMisaligned",
+    "OutOfRange",
 ]
 
 
@@ -63,6 +65,10 @@ class OutOfDomain(ValueError):
 
 class GridMisaligned(ValueError):
     """Requested times are not representable on the delay-aligned grid."""
+
+
+class OutOfRange(ValueError):
+    """A quantity derived from the parameters leaves the float range."""
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +256,18 @@ class InitialSegmentSpec:
         return out if np.ndim(t) else float(out)
 
 
+def check_segment_window(initial: InitialSegmentSpec, t0: float, tau: float) -> None:
+    """Raise :class:`OutOfDomain` unless a table's knots cover [t0 - tau, t0]."""
+    if initial.kind != "table":
+        return
+    first, last = initial.points[0][0], initial.points[-1][0]
+    tol = 1e-9 * max(1.0, abs(t0), tau)
+    if first > t0 - tau + tol or last < t0 - tol:
+        raise OutOfDomain(
+            f"segment table covers [{first}, {last}], not [{t0 - tau}, {t0}]"
+        )
+
+
 # ---------------------------------------------------------------------------
 # model and grid
 # ---------------------------------------------------------------------------
@@ -291,16 +309,6 @@ class ModelSpec:
         g = gamma_eval(self.gamma, t, self.t0)
         return (4.0 * self.a * g - self.sigma**2) / 8.0
 
-    @property
-    def gamma_lower(self) -> float:
-        lo, _, _ = gamma_bounds(self.gamma, self.t0, self.horizon)
-        return lo
-
-    @property
-    def feller_ratio(self) -> float:
-        """2 a inf(gamma) / sigma^2; > 1 keeps the classical process away from 0."""
-        return 2.0 * self.a * self.gamma_lower / self.sigma**2
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -341,21 +349,18 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
 
     Raises
     ------
-    GridMisaligned
-        If horizon - t0 is not an integer multiple of tau / N.
+    NonPositiveParameter, HorizonBeforeStart, GridMisaligned
+        If N < 1 or no step lies after t0 (both from :class:`TimeGrid`), or
+        if horizon - t0 is not an integer multiple of tau / N.
     """
-    if n_per_delay < 1:
-        raise NonPositiveParameter("n_per_delay must be >= 1")
-    if spec.horizon <= spec.t0:
-        raise HorizonBeforeStart(f"horizon={spec.horizon} must exceed t0={spec.t0}")
     ratio = (spec.horizon - spec.t0) * n_per_delay / spec.tau
-    n_steps = round(ratio)
-    if n_steps < 1 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
+    grid = TimeGrid(spec.t0, spec.tau, n_per_delay, round(ratio))
+    if abs(ratio - grid.n_steps) > 1e-9 * max(1.0, abs(ratio)):
         raise GridMisaligned(
             f"horizon - t0 = {spec.horizon - spec.t0} is not a whole number of "
-            f"steps tau/N = {spec.tau / n_per_delay}"
+            f"steps tau/N = {grid.delta}"
         )
-    return TimeGrid(t0=spec.t0, tau=spec.tau, n_per_delay=n_per_delay, n_steps=n_steps)
+    return grid
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +406,17 @@ def validate(spec: ModelSpec) -> ConditionReport:
     if lo <= 0.0:
         raise GammaNotPositive(f"inf gamma = {lo} on [{spec.t0}, {spec.horizon}]")
     init = spec.initial
-    if init.kind == "constant" and init.params[0] <= 0.0:
-        raise NonPositiveParameter(f"initial level must be positive, got {init.params[0]}")
+    if init.kind != "table" and init.params[0] <= 0.0:
+        raise NonPositiveParameter(f"initial {init.kind} level must be positive")
     if init.kind == "table" and min(v for _, v in init.points) <= 0.0:
         raise NonPositiveParameter("initial table must be strictly positive")
-    if init.kind == "lognormal" and init.params[0] <= 0.0:
-        raise NonPositiveParameter(f"initial median must be positive, got {init.params[0]}")
-
+    check_segment_window(init, spec.t0, spec.tau)
+    # float ** raises OverflowError, and a zero sigma^2 divides below
+    if not 0.0 < spec.sigma * spec.sigma < math.inf:
+        raise OutOfRange(f"sigma^2 leaves the float range, sigma = {spec.sigma}")
     span = spec.horizon - spec.t0
+    if span / spec.tau == math.inf:
+        raise OutOfRange(f"(horizon - t0) / tau leaves the float range, tau = {spec.tau}")
     m = math.ceil(span / spec.tau / (1.0 + 1e-12))
     ratio = 2.0 * spec.a * lo / spec.sigma**2
     feller_ok = spec.sigma**2 <= 2.0 * spec.a * lo

@@ -38,7 +38,7 @@ import math
 
 import numpy as np
 
-from .model import InitialSegmentSpec, OutOfDomain, TimeGrid
+from .model import InitialSegmentSpec, TimeGrid, check_segment_window
 
 Array = np.ndarray
 
@@ -204,14 +204,7 @@ def sample_segment(
         z = _standard_normals(seed, paths, _TAG_SEGMENT, 1)[0]
         values = np.array([median * math.exp(log_sd * zj) for zj in z.tolist()])[None, :]
     else:
-        if spec.kind == "table":
-            first, last = spec.points[0][0], spec.points[-1][0]
-            tol = 1e-9 * max(1.0, abs(grid.t0), grid.tau)
-            if first > times[0] + tol or last < times[-1] - tol:
-                raise OutOfDomain(
-                    f"segment table covers [{first}, {last}] but the grid needs "
-                    f"[{times[0]}, {times[-1]}]"
-                )
+        check_segment_window(spec, grid.t0, grid.tau)
         values = np.asarray(spec.mean_at(times))[:, None]
     bad = np.flatnonzero(np.any(values <= 0.0, axis=0))
     if bad.size:

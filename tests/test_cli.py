@@ -262,12 +262,13 @@ def test_probe_prints_oracle_values(tmp_path, capsys):
 
 
 def test_probe_requires_the_classical_branch(tmp_path, capsys):
-    # gate at parse time when the experiment itself is the probe ...
+    # the probe subcommand gates at evaluation time, even when the experiment
+    # itself is the probe ...
     cfg = _write_config(tmp_path, "experiment = analytics_probe\n")  # b = 0.2
     assert main(["probe", "--config", cfg]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: bad value for experiment: analytics_probe needs")
-    # ... and again at evaluation time for any other configured experiment
+    assert err.startswith("error: bad value for probe: needs")
+    # ... and for any other configured experiment
     cfg = _write_config(tmp_path, "experiment = strong_rate\n")
     assert main(["probe", "--config", cfg]) == 2
     err = capsys.readouterr().err
@@ -418,6 +419,16 @@ def test_probe_command_reads_the_probe_keys_whatever_the_experiment(tmp_path, ca
     assert capsys.readouterr().err == "error: bad value for probe.p: not a number: 'x'\n"
     # the run itself does not read probe.p
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
+def test_probe_command_reads_no_experiment_key(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "experiment = mean_check\nb = 0\nN = x\n")
+    assert main(["probe", "--config", cfg]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == [
+        "laplace", "laplace", "laplace", "neg_moment", "mean"
+    ]
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize(

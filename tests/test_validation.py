@@ -1,0 +1,110 @@
+"""Every input rule is checked once, in the layer that owns it, before any
+path is simulated: a bad config exits 2 and leaves no output directory."""
+
+from __future__ import annotations
+
+import contextlib
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config
+from delay_cir.experiments import check_levels
+from delay_cir.model import (
+    GammaSpec,
+    InitialSegmentSpec,
+    ModelSpec,
+    OutOfDomain,
+    OutOfRange,
+    validate,
+)
+
+# knots on [-0.2, 0] against the default delay window [-0.5, 0]
+SHORT_TABLE = "initial.kind = table\ninitial.points = -0.2:1; 0:1\n"
+
+
+def _model(**kw) -> ModelSpec:
+    base = dict(
+        a=1.0, b=0.2, sigma=0.25, tau=0.5, t0=0.0, horizon=1.5,
+        gamma=GammaSpec.constant(1.0), initial=InitialSegmentSpec.constant(1.0),
+    )
+    base.update(kw)
+    return ModelSpec(**base)
+
+
+@pytest.mark.parametrize(
+    "command, text, message",
+    [
+        ("run", "experiment = survival\n" + SHORT_TABLE, "model: segment table covers"),
+        ("validate", "experiment = survival\n" + SHORT_TABLE, "model: segment table"),
+        ("probe", "b = 0\n" + SHORT_TABLE, "model: segment table covers"),
+        ("run", "initial.kind = table\ninitial.points = 0:1\n",
+         "initial.points: table segment needs at least two"),
+        ("run", "initial.kind = table\ninitial.points = 0:1; -0.5:1\n",
+         "initial.points: table knots must be sorted"),
+        ("validate", "sigma = 1e300\n", "model: sigma^2 leaves the float range"),
+        ("validate", "sigma = 1e-300\n", "model: sigma^2 leaves the float range"),
+        ("run", "sigma = 1e300\n", "model: sigma^2 leaves the float range"),
+        ("validate", "tau = 1e-300\nhorizon = 1e300\n",
+         "model: (horizon - t0) / tau leaves the float range"),
+        ("run", "b = -1\n", "model: b must be nonnegative, got -1.0"),
+        ("run", "horizon = 0\n", "model: horizon=0.0 must exceed t0=0.0"),
+    ],
+    ids=[
+        "run-short-table", "validate-short-table", "probe-short-table",
+        "one-knot-table", "unsorted-table", "validate-huge-sigma",
+        "validate-tiny-sigma", "run-huge-sigma", "window-count-overflow",
+        "negative-b", "horizon-at-t0",
+    ],
+)
+def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad value for {message}")
+    assert not out.exists()
+
+
+def test_check_levels_rejects_a_level_below_one():
+    with pytest.raises(ValueError) as info:
+        check_levels([0, 4, 8], 64, [1.0])
+    assert info.value.argument == "n_list"
+
+
+def test_validate_rejects_a_table_that_misses_the_delay_window():
+    short = InitialSegmentSpec.table([(-0.2, 1.0), (0.0, 1.0)])
+    with pytest.raises(OutOfDomain):
+        validate(_model(initial=short))
+    # knots exactly on [t0 - tau, t0] cover it
+    validate(_model(initial=InitialSegmentSpec.table([(-0.5, 1.0), (0.0, 2.0)])))
+
+
+@pytest.mark.parametrize("sigma", [1e300, 1e-300])
+def test_validate_rejects_a_sigma_whose_square_leaves_the_float_range(sigma):
+    with pytest.raises(OutOfRange):
+        validate(_model(sigma=sigma))
+
+
+_EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "x", "")
+_BAD_TABLES = ("-0.2:1; 0:1", "0:1", "0:1; -0.5:1")
+
+
+@given(
+    experiment=st.sampled_from(sorted(EXPERIMENTS)),
+    edits=st.dictionaries(
+        st.sampled_from(sorted(DEFAULTS)), st.sampled_from(_EDGE_VALUES),
+        min_size=1, max_size=4,
+    ),
+    table=st.sampled_from((None, *_BAD_TABLES)),
+)
+def test_parse_config_raises_only_config_errors(tmp_path_factory, experiment, edits, table):
+    items = {"experiment": experiment, **edits}
+    if table is not None:
+        items.update({"initial.kind": "table", "initial.points": table})
+    cfg = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in items.items()), encoding="utf-8")
+    for command in ("run", "validate", "probe"):
+        with contextlib.suppress(ConfigError):
+            parse_config(str(cfg), command=command)
