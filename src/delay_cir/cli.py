@@ -3,6 +3,9 @@
 Subcommands: ``validate`` prints the condition report for the configured
 model, ``run`` executes one experiment and writes its CSV products, and
 ``probe`` evaluates the closed-form/quadrature oracles at configured points.
+One ``EXPERIMENTS`` table holds each experiment's entry: the config keys it
+reads and its plan, which checks the config before any path is simulated and
+returns the run that calls the experiment's driver.
 Every run leaves a ``manifest.txt`` carrying the fully resolved config, a
 sha256 hash of it, the tool version, the wall time, the worker count and the
 peak resident set; CSV files are written to a temp file and atomically
@@ -264,37 +267,16 @@ def _require_classical(model: ModelSpec, key: str, subject: str = "") -> None:
         )
 
 
-def _lower_model(model: ModelSpec, gamma_lower: float | None) -> ModelSpec:
-    """The comparison's b = 0 model at ``gamma_lower`` (default: inf gamma)."""
-    if gamma_lower is None:
-        gamma_lower = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
-    return classical_variant(model, gamma_level=gamma_lower)
-
-
-# Config keys that each experiment reads besides the model's and ``out``;
-# every run also reads ``threads`` and records its worker count.
-# parse_config parses the numbers of no other key, so a malformed value of a
-# key that a run never reads is no error.
-_READS = {
-    "strong_rate": frozenset({"N_list", "N_ref", "p_list", "n_paths", "seed"}),
-    "mean_check": frozenset({"N", "n_paths", "seed", "checkpoints"}),
-    "comparison": frozenset({"N", "n_paths", "seed", "gamma_lower"}),
-    "positivity": frozenset({"N", "n_paths", "seed", "scheme"}),
-    "modulus": frozenset({"N", "n_paths", "seed", "p_list", "delta_list"}),
-    "survival": frozenset({"N", "n_paths", "seed"}),
-    "analytics_probe": frozenset({"probe.u_list", "probe.p", "probe.t"}),
-}
-
-
 def parse_config(
     path: str, overrides: dict[str, str] | None = None, command: str = "run"
 ) -> RunConfig:
     """Read, resolve against defaults, validate, and freeze a run config.
 
-    ``command`` is the subcommand that reads the config.  ``run`` parses and
-    checks the keys the configured experiment reads (see ``_READS``) and
-    ``threads``, ``probe`` only the probe keys, and ``validate``, which reads
-    only the model, none of them.
+    ``command`` is the subcommand that reads the config.  ``run`` parses the
+    keys the configured experiment reads (see ``EXPERIMENTS``) and
+    ``threads``, then checks them with the experiment's plan; ``probe``
+    parses only the probe keys, and ``validate``, which reads only the model,
+    none of them.  A malformed value of a key that is not read is no error.
     """
     items = dict(DEFAULTS)
     items.update(_read_items(path))
@@ -318,12 +300,12 @@ def parse_config(
         a=a, b=b, sigma=sigma, tau=tau, t0=t0, horizon=horizon, gamma=gamma,
         initial=initial,
     )
-    report = _checked("model", validate_model, model)
+    _checked("model", validate_model, model)
 
     reads = {
-        "run": _READS[experiment] | {"threads"},
-        "probe": _READS["analytics_probe"],
-        "validate": frozenset(),
+        "run": EXPERIMENTS[experiment][0] | {"threads"},
+        "probe": EXPERIMENTS["analytics_probe"][0],
+        "validate": set(),
     }[command]
 
     def parsed(key, parse, *scalar):
@@ -348,7 +330,7 @@ def parse_config(
     if threads is not None and threads < 1:
         raise BadValue("threads", "must be a positive integer")
 
-    # splitting cannot fail; the names are checked below where they are read
+    # splitting cannot fail; the positivity plan checks the names
     schemes = tuple(
         part.strip() for part in items["scheme"].split(",") if part.strip()
     )
@@ -360,42 +342,12 @@ def parse_config(
     probe_t = parsed("probe.t", _parse_float)
     if probe_t is not None and probe_t <= t0:
         raise BadValue("probe.t", "must exceed t0")
-    # Each experiment's values are checked only where it reads them: the
-    # levels and p_max bind the rate study, the first order the modulus, and
-    # the scheme names the positivity census.  ``validate`` and ``probe`` run
-    # none of these checks.
-    if command != "run":
-        pass
-    elif experiment == "strong_rate":
-        _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, report.p_max)
-        if len(n_list) < 3:
-            raise BadValue("N_list", "a rate fit needs at least three levels")
-        for n in (*n_list, n_ref):
-            _checked("horizon", build_grid, model, n)
-    elif experiment == "analytics_probe":
-        _require_classical(model, "experiment", "analytics_probe ")
-    else:
-        grid = _checked("horizon", build_grid, model, n_per_delay)
-        if experiment == "mean_check" and checkpoints is not None:
-            _checked("checkpoints", checkpoint_indices, grid, checkpoints)
-        elif experiment == "modulus":
-            if p_list[0] <= 0.0:
-                raise BadValue(
-                    "p_list", "the modulus order, its first entry, must be positive"
-                )
-            if delta_list is not None:
-                _checked("delta_list", modulus_lags, grid, delta_list)
-        elif experiment == "positivity":
-            _checked("scheme", check_schemes, schemes, model)
-        elif experiment == "comparison":
-            lower = _lower_model(model, gamma_lower)
-            _checked("gamma_lower", check_comparable, model, lower, grid)
 
     resolved = tuple(
         (key, "" if items[key] is None else str(items[key]))
         for key in sorted(items)
     )
-    return RunConfig(
+    config = RunConfig(
         experiment=experiment,
         model=model,
         n_per_delay=n_per_delay,
@@ -415,6 +367,162 @@ def parse_config(
         probe_t=probe_t,
         resolved=resolved,
     )
+    if command == "run":
+        EXPERIMENTS[experiment][1](config)
+    return config
+
+
+# ---------------------------------------------------------------------------
+# experiments
+# ---------------------------------------------------------------------------
+
+# An experiment's plan resolves and checks everything the experiment uses,
+# defaults included, and raises a BadValue of the key at fault; it returns a
+# zero-argument run that calls the driver and returns the CSV products as
+# {file name: (header, rows)}.  Plans are pure and cheap: parse_config calls
+# one to check a run's config and ``run`` calls it again.  They look the
+# drivers and the model helpers up as module globals when they are called.
+
+
+def _grid(config: RunConfig):
+    return _checked("horizon", build_grid, config.model, config.n_per_delay)
+
+
+def _strong_rate(config: RunConfig):
+    p_max = validate_model(config.model).p_max
+    n_list, n_ref, p_list = config.n_list, config.n_ref, config.p_list
+    _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, p_max)
+    if len(n_list) < 3:
+        raise BadValue("N_list", "a rate fit needs at least three levels")
+    for n in (*n_list, n_ref):
+        _checked("horizon", build_grid, config.model, n)
+
+    def run():
+        table = strong_error_study(
+            config.model, n_list, n_ref, config.n_paths, p_list, config.seed,
+            threads=config.threads,
+        )
+        errors = [
+            (r.delta, r.p, r.grid_error, r.uniform_error, r.std_err, r.n_paths)
+            for r in table.rows
+        ]
+        fits = []
+        for p in p_list:
+            for variant in ("plain_delta", "delta_log_delta"):
+                fit = fit_rate(table, p=p, variant=variant)
+                fits.append((p, variant, fit.slope, fit.intercept, fit.r_squared))
+        return {
+            "errors.csv": ("delta,p,grid_error,uniform_error,std_err,n_paths", errors),
+            "ratefit.csv": ("p,variant,slope,intercept,r_squared", fits),
+        }
+
+    return run
+
+
+def _mean_check(config: RunConfig):
+    grid = _grid(config)
+    checkpoints = config.checkpoints
+    if checkpoints is None:
+        count = min(5, grid.n_steps)
+        ks = {max(1, round(j * grid.n_steps / count)) for j in range(1, count + 1)}
+        checkpoints = tuple(float(grid.time(k)) for k in sorted(ks))
+    _checked("checkpoints", checkpoint_indices, grid, checkpoints)
+
+    def run():
+        rows = mean_consistency_check(
+            config.model, grid, config.n_paths, checkpoints, config.seed, config.threads
+        )
+        rows = [(r.t, r.mc_mean, r.oracle_mean, r.z) for r in rows]
+        return {"mean.csv": ("t,mc_mean,oracle_mean,z", rows)}
+
+    return run
+
+
+def _comparison(config: RunConfig):
+    model, grid = config.model, _grid(config)
+    gamma_lower = config.gamma_lower
+    if gamma_lower is None:  # the infimum of gamma
+        gamma_lower = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
+    lower = classical_variant(model, gamma_level=gamma_lower)
+    _checked("gamma_lower", check_comparable, model, lower, grid)
+
+    def run():
+        violations = comparison_census(
+            model, lower, grid, config.n_paths, config.seed, config.threads
+        )
+        return {"comparison.csv": ("n_paths,violations", [(config.n_paths, violations)])}
+
+    return run
+
+
+def _positivity(config: RunConfig):
+    grid = _grid(config)
+    _checked("scheme", check_schemes, config.schemes, config.model)
+
+    def run():
+        rows = positivity_census(
+            config.schemes, config.model, grid, config.n_paths, config.seed,
+            config.threads,
+        )
+        rows = [(r.scheme, r.fraction_nonpositive, r.n_paths) for r in rows]
+        return {"census.csv": ("scheme,fraction_nonpositive,n_paths", rows)}
+
+    return run
+
+
+def _modulus(config: RunConfig):
+    grid = _grid(config)
+    p = config.p_list[0]
+    if p <= 0.0:
+        raise BadValue("p_list", "the modulus order, its first entry, must be positive")
+    deltas = config.delta_list or tuple(
+        grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
+    )
+    _checked("delta_list", modulus_lags, grid, deltas)
+
+    def run():
+        result = modulus_scaling(
+            config.model, grid, config.n_paths, deltas, config.seed, p=p,
+            threads=config.threads,
+        )
+        rows = [(r.delta, result.p, r.modulus) for r in result.rows]
+        return {
+            "modulus.csv": ("delta,p,modulus", rows),
+            "modulusfit.csv": ("p,slope", [(result.p, result.slope)]),
+        }
+
+    return run
+
+
+def _survival(config: RunConfig):
+    grid = _grid(config)
+
+    def run():
+        est = survival_probability(
+            config.model, grid, config.n_paths, config.seed, config.threads
+        )
+        rows = [(est.value, est.std_err, est.n_paths)]
+        return {"survival.csv": ("value,std_err,n_paths", rows)}
+
+    return run
+
+
+def _analytics_probe(config: RunConfig):
+    _require_classical(config.model, "experiment", "analytics_probe ")
+    return lambda: {"analytics.csv": ("op,argument,value", _probe_rows(config)[1])}
+
+
+# name -> (the keys the experiment reads besides the model's, ``out`` and
+# ``threads``, its plan)
+EXPERIMENTS = {
+    "strong_rate": ({"N_list", "N_ref", "p_list", "n_paths", "seed"}, _strong_rate),
+    "mean_check": ({"N", "n_paths", "seed", "checkpoints"}, _mean_check),
+    "comparison": ({"N", "n_paths", "seed", "gamma_lower"}, _comparison),
+    "positivity": ({"N", "n_paths", "seed", "scheme"}, _positivity),
+    "modulus": ({"N", "n_paths", "seed", "p_list", "delta_list"}, _modulus),
+    "survival": ({"N", "n_paths", "seed"}, _survival),
+    "analytics_probe": ({"probe.u_list", "probe.p", "probe.t"}, _analytics_probe),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -485,116 +593,6 @@ def _write_manifest(config: RunConfig, wall_time: float, products) -> None:
     )
 
 
-def _default_checkpoints(grid) -> tuple[float, ...]:
-    count = min(5, grid.n_steps)
-    ks = sorted({max(1, round(j * grid.n_steps / count)) for j in range(1, count + 1)})
-    return tuple(float(grid.time(k)) for k in ks)
-
-
-def _grid(config: RunConfig):
-    return build_grid(config.model, config.n_per_delay)
-
-
-# Experiment runners: each returns its CSV products as {file name: (header,
-# rows)}.  They look the drivers up as module globals when they run.
-
-
-def _strong_rate(config: RunConfig):
-    table = strong_error_study(
-        config.model, config.n_list, config.n_ref, config.n_paths, config.p_list,
-        config.seed, threads=config.threads,
-    )
-    errors = [
-        (r.delta, r.p, r.grid_error, r.uniform_error, r.std_err, r.n_paths)
-        for r in table.rows
-    ]
-    fits = []
-    for p in config.p_list:
-        for variant in ("plain_delta", "delta_log_delta"):
-            fit = fit_rate(table, p=p, variant=variant)
-            fits.append((p, variant, fit.slope, fit.intercept, fit.r_squared))
-    return {
-        "errors.csv": ("delta,p,grid_error,uniform_error,std_err,n_paths", errors),
-        "ratefit.csv": ("p,variant,slope,intercept,r_squared", fits),
-    }
-
-
-def _mean_check(config: RunConfig):
-    grid = _grid(config)
-    checkpoints = config.checkpoints or _default_checkpoints(grid)
-    rows = mean_consistency_check(
-        config.model, grid, config.n_paths, checkpoints, config.seed, config.threads
-    )
-    rows = [(r.t, r.mc_mean, r.oracle_mean, r.z) for r in rows]
-    return {"mean.csv": ("t,mc_mean,oracle_mean,z", rows)}
-
-
-def _comparison(config: RunConfig):
-    lower = _lower_model(config.model, config.gamma_lower)
-    violations = comparison_census(
-        config.model, lower, _grid(config), config.n_paths, config.seed, config.threads
-    )
-    return {"comparison.csv": ("n_paths,violations", [(config.n_paths, violations)])}
-
-
-def _positivity(config: RunConfig):
-    rows = positivity_census(
-        config.schemes, config.model, _grid(config), config.n_paths, config.seed,
-        config.threads,
-    )
-    rows = [(r.scheme, r.fraction_nonpositive, r.n_paths) for r in rows]
-    return {"census.csv": ("scheme,fraction_nonpositive,n_paths", rows)}
-
-
-def _modulus(config: RunConfig):
-    grid = _grid(config)
-    deltas = config.delta_list
-    if deltas is None:
-        deltas = tuple(
-            grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
-        )
-    result = modulus_scaling(
-        config.model, grid, config.n_paths, deltas, config.seed, p=config.p_list[0],
-        threads=config.threads,
-    )
-    rows = [(r.delta, result.p, r.modulus) for r in result.rows]
-    return {
-        "modulus.csv": ("delta,p,modulus", rows),
-        "modulusfit.csv": ("p,slope", [(result.p, result.slope)]),
-    }
-
-
-def _survival(config: RunConfig):
-    est = survival_probability(
-        config.model, _grid(config), config.n_paths, config.seed, config.threads
-    )
-    rows = [(est.value, est.std_err, est.n_paths)]
-    return {"survival.csv": ("value,std_err,n_paths", rows)}
-
-
-def _analytics_probe(config: RunConfig):
-    return {"analytics.csv": ("op,argument,value", _probe_rows(config)[1])}
-
-
-EXPERIMENTS = {
-    "strong_rate": _strong_rate,
-    "mean_check": _mean_check,
-    "comparison": _comparison,
-    "positivity": _positivity,
-    "modulus": _modulus,
-    "survival": _survival,
-    "analytics_probe": _analytics_probe,
-}
-
-
-def _run_experiment(config: RunConfig) -> list[str]:
-    """Execute the configured experiment; returns the CSV file names written."""
-    products = EXPERIMENTS[config.experiment](config)
-    for name, (header, rows) in products.items():
-        _write_csv(config.out_dir, name, header, rows)
-    return list(products)
-
-
 def _probe_rows(config: RunConfig):
     """(t, [(op, argument, value)]) of the analytic oracles at the probe points."""
     params = CIRParams.from_model(config.model)
@@ -610,7 +608,9 @@ def run(config: RunConfig) -> int:
     """Run one experiment: all CSV products plus the manifest, atomically."""
     start = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
-    products = _run_experiment(config)
+    products = EXPERIMENTS[config.experiment][1](config)()
+    for name, (header, rows) in products.items():
+        _write_csv(config.out_dir, name, header, rows)
     _write_manifest(config, time.perf_counter() - start, products)
     return 0
 
@@ -654,9 +654,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", help="output directory (overrides config)")
         cmd.add_argument("--seed", type=int, help="seed override")
         cmd.add_argument(
-            "--threads",
-            type=int,
-            help="worker processes (default: DELAY_CIR_THREADS or config)",
+            "--threads", type=int, help="worker processes (overrides config)"
         )
     return parser
 
@@ -670,8 +668,6 @@ def main(argv=None) -> int:
         overrides["seed"] = str(args.seed)
     if args.threads is not None:
         overrides["threads"] = str(args.threads)
-    elif os.environ.get("DELAY_CIR_THREADS"):
-        overrides["threads"] = os.environ["DELAY_CIR_THREADS"]
 
     try:
         config = parse_config(args.config, overrides, args.command)

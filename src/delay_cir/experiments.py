@@ -716,10 +716,6 @@ class ModulusResult:
     p: float
     slope: float
 
-    @property
-    def deltas(self) -> Array:
-        return np.array([r.delta for r in self.rows])
-
 
 def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
     """Grid-step lags of ``delta_list``; raises :class:`GridMisaligned` unless

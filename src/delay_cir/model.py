@@ -330,6 +330,10 @@ class TimeGrid:
             raise NonPositiveParameter("grid needs at least one step per delay")
         if self.n_steps < 1:
             raise HorizonBeforeStart("grid needs at least one step after t0")
+        # one path's float64 nodes k = -N .. K must fit in a NumPy array
+        nodes = self.n_per_delay + self.n_steps + 1
+        if nodes > np.iinfo(np.intp).max // 8:
+            raise OutOfRange(f"{nodes:.3g} nodes per path exceed the largest array")
 
     @property
     def delta(self) -> float:
@@ -411,6 +415,17 @@ def validate(spec: ModelSpec) -> ConditionReport:
     if init.kind == "table" and min(v for _, v in init.points) <= 0.0:
         raise NonPositiveParameter("initial table must be strictly positive")
     check_segment_window(init, spec.t0, spec.tau)
+    if init.is_random:
+        # float ** and math.exp raise OverflowError, a product overflows to inf
+        try:
+            mean = init.mean_at(spec.t0)
+        except OverflowError:
+            mean = math.inf
+        if mean == math.inf:
+            raise OutOfRange(
+                f"E[X0] = median exp(log_sd^2 / 2) leaves the float range, "
+                f"log_sd = {init.params[1]}"
+            )
     # float ** raises OverflowError, and a zero sigma^2 divides below
     if not 0.0 < spec.sigma * spec.sigma < math.inf:
         raise OutOfRange(f"sigma^2 leaves the float range, sigma = {spec.sigma}")

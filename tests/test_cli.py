@@ -7,6 +7,7 @@ import os
 import pytest
 
 from delay_cir.cir_analytics import CIRParams, laplace_transform
+from delay_cir import cli
 from delay_cir.cli import (
     BadValue,
     MissingKey,
@@ -14,7 +15,7 @@ from delay_cir.cli import (
     main,
     parse_config,
 )
-from delay_cir.experiments import strong_error_study
+from delay_cir.experiments import SurvivalEstimate, strong_error_study
 from delay_cir.model import ModelSpec
 
 
@@ -159,12 +160,10 @@ def test_csv_floats_round_trip_to_the_table(tmp_path):
         assert int(n_paths) == row.n_paths
 
 
-def test_reruns_are_byte_identical_and_thread_independent(tmp_path, monkeypatch):
+def test_reruns_are_byte_identical_and_thread_independent(tmp_path):
     _run_rate(tmp_path, "out_a")
     _run_rate(tmp_path, "out_b")
-    monkeypatch.setenv("DELAY_CIR_THREADS", "3")
-    _run_rate(tmp_path, "out_c")
-    monkeypatch.delenv("DELAY_CIR_THREADS")
+    _run_rate(tmp_path, "out_c", extra_args=("--threads", "3"))
     _run_rate(tmp_path, "out_d", extra_args=("--threads", "2"))
     for name in ("errors.csv", "ratefit.csv"):
         reference = (tmp_path / "out_a" / name).read_bytes()
@@ -195,6 +194,19 @@ def test_mean_check_product(tmp_path):
     assert len(lines) == 6  # five default checkpoints
     manifest = (tmp_path / "out_mean" / "manifest.txt").read_text()
     assert "products = mean.csv" in manifest
+
+
+def test_run_calls_the_driver_bound_at_call_time(tmp_path, monkeypatch):
+    # the benchmark's tracer wraps the drivers by replacing cli's attributes
+    def fake(model, grid, n_paths, seed, threads=1):
+        return SurvivalEstimate(value=0.25, std_err=0.125, n_paths=n_paths)
+
+    monkeypatch.setattr(cli, "survival_probability", fake)
+    cfg = _write_config(tmp_path, "experiment = survival\nn_paths = 7\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert (tmp_path / "o" / "survival.csv").read_text() == (
+        "value,std_err,n_paths\n0.25,0.125,7\n"
+    )
 
 
 def test_positivity_product(tmp_path):

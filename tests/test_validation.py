@@ -50,12 +50,20 @@ def _model(**kw) -> ModelSpec:
          "model: (horizon - t0) / tau leaves the float range"),
         ("run", "b = -1\n", "model: b must be nonnegative, got -1.0"),
         ("run", "horizon = 0\n", "model: horizon=0.0 must exceed t0=0.0"),
+        ("run", "experiment = mean_check\ninitial.kind = lognormal\n"
+         "initial.median = 1\ninitial.log_sd = 1e300\n",
+         "model: E[X0] = median exp(log_sd^2 / 2) leaves the float range"),
+        # about 1e302 nodes per path, more than any array holds
+        ("run", "experiment = survival\nhorizon = 1e300\n", "horizon: 1.28e+302 nodes"),
+        ("run", "experiment = mean_check\ntau = 1e-300\n", "horizon: 9.6e+301 nodes"),
+        ("run", "experiment = comparison\nhorizon = 1e300\n", "horizon: 1.28e+302 nodes"),
     ],
     ids=[
         "run-short-table", "validate-short-table", "probe-short-table",
         "one-knot-table", "unsorted-table", "validate-huge-sigma",
         "validate-tiny-sigma", "run-huge-sigma", "window-count-overflow",
-        "negative-b", "horizon-at-t0",
+        "negative-b", "horizon-at-t0", "lognormal-mean-overflow", "survival-huge-grid",
+        "mean_check-tiny-tau", "comparison-huge-grid",
     ],
 )
 def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):
@@ -65,6 +73,11 @@ def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, 
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad value for {message}")
     assert not out.exists()
+
+
+def test_every_experiment_reads_only_known_keys():
+    for name, (reads, _) in EXPERIMENTS.items():
+        assert reads <= DEFAULTS.keys(), name
 
 
 def test_check_levels_rejects_a_level_below_one():
