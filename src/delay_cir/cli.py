@@ -622,11 +622,8 @@ def run(config: RunConfig) -> int:
 
 def _print_report(config: RunConfig) -> None:
     report = validate_model(config.model)
-    print(f"feller_ok = {report.feller_ok}")
-    print(f"strong_feller_ok = {report.strong_feller_ok}")
-    print(f"p_max = {_fmt(report.p_max)}")
-    print(f"nu = {_fmt(report.nu)}")
-    print(f"m = {report.m}")
+    for name in ("feller_ok", "strong_feller_ok", "p_max", "nu", "m"):
+        print(f"{name} = {_fmt(getattr(report, name))}")
 
 
 def _print_probe(config: RunConfig) -> None:
@@ -661,13 +658,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    overrides: dict[str, str] = {}
-    if args.out is not None:
-        overrides["out"] = args.out
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    if args.threads is not None:
-        overrides["threads"] = str(args.threads)
+    overrides = {
+        key: str(value)
+        for key, value in (("out", args.out), ("seed", args.seed), ("threads", args.threads))
+        if value is not None
+    }
 
     try:
         config = parse_config(args.config, overrides, args.command)

@@ -9,16 +9,11 @@ path through shared Brownian increments (exact block sums, see
                   interpolants are affine between fine nodes, so the fine-node
                   maximum is the exact sup over [t0, T].
 
-Every experiment runs its paths through one chunk loop, :func:`map_paths`:
-chunks of at most ``_CHUNK`` paths are simulated time-major (increments as
-(steps, paths), paths as (nodes, paths)) and reduced to per-path results,
-which are assembled in path order.  With ``threads > 1`` the chunks run in
-that many worker processes forked from the caller, balanced so that each
-worker gets the same number of chunks.  Monte Carlo aggregation then uses
-numpy pairwise summation over the per-path arrays, so results do not depend
-on chunking or on the worker count; ``threads`` only changes wall time.  The
-strong error study walks each chunk in time blocks and never holds a whole
-reference path (see :func:`strong_error_study`).
+Every experiment runs chunks of at most ``_CHUNK`` paths through
+:func:`map_paths`, in-process or on forked workers, and walks each chunk
+time-major in time blocks (:func:`walk_blocks`) into per-path results,
+assembled in path order.  Monte Carlo aggregation sums them pairwise with
+numpy, so results do not depend on chunking or on the worker count.
 """
 
 from __future__ import annotations
@@ -36,7 +31,7 @@ from .cir_analytics import (
     classical_mean,
     mean_delay_curve,
 )
-from .model import GammaSpec, GridMisaligned, ModelSpec, TimeGrid, build_grid, validate
+from .model import GammaSpec, GridMisaligned, ModelSpec, OutOfRange, TimeGrid, build_grid, validate
 
 Array = np.ndarray
 
@@ -49,7 +44,6 @@ __all__ = [
     "ModulusRow",
     "ModulusResult",
     "SurvivalEstimate",
-    "SCHEMES",
     "map_paths",
     "strong_error_study",
     "check_levels",
@@ -70,12 +64,9 @@ __all__ = [
 
 _CHUNK = 2048
 
-# Fine steps per time block of the strong-error study, before rounding up to
-# a multiple of every level ratio n_ref / N, and of the censuses.
+# Steps per time block of walk_blocks; the strong-error study rounds it up to
+# a multiple of every level ratio n_ref / N.
 _BLOCK_STEPS = 256
-
-# Scheme names of the positivity census.
-SCHEMES = ("implicit", *scheme_mod.BASELINES)
 
 
 class PRequestedTooLarge(ValueError):
@@ -118,8 +109,7 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
     :class:`~delay_cir.scheme.NonPositiveForcing` is raised once every chunk
     has run: of the chunks' failures, the one at the earliest node and, there,
     at the smallest path index of the run, so that it does not depend on the
-    chunking either.  Noise is keyed by path, so the result does not depend
-    on the chunking or the worker count.
+    chunking either.
     """
 
     def run(lo: int, hi: int) -> Array:
@@ -176,6 +166,39 @@ def _inherit_chunk_runner(run) -> None:
 
 def _run_inherited_chunk(bounds: tuple[int, int]) -> Array:
     return _chunk_runner(*bounds)
+
+
+def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, block=_BLOCK_STEPS, back=0):
+    """March a chunk over the steps of ``grid`` in blocks, folding each block.
+
+    ``draw(k0, k1)`` gives a block's increments of steps k0 .. k1 - 1.  Each
+    implicit lane ``(model, lane_grid, r)`` continues
+    :func:`~delay_cir.scheme.simulate_y_paths` on their sums over r steps
+    from ``seg[::r]``, the baselines ``explicit = (model, schemes)``
+    :func:`~delay_cir.scheme.explicit_paths`; then ``fold(k0, increments,
+    windows)`` may overwrite the increments, which are dropped before the
+    next draw.  ``windows`` are the lanes' ring windows, the baselines' last,
+    each of N + 1 + ``back`` + min(block, K) / r nodes: the block's, the N a
+    step reads before them and ``back`` more, whatever the horizon.  The
+    ``block`` must be a multiple of every r.
+    """
+    span, paths = min(block, grid.n_steps), seg.shape[1]
+    windows = [np.empty((g.n_per_delay + 1 + back + span // r, paths)) for _, g, r in lanes]
+    if explicit is not None:
+        windows.append(np.empty((grid.n_per_delay + 1 + back + span, len(explicit[1]), paths)))
+    for k0 in range(0, grid.n_steps, block):
+        inc = draw(k0, min(k0 + block, grid.n_steps))
+        for (model, lane_grid, r), window in zip(lanes, windows):
+            scheme_mod.simulate_y_paths(
+                model, lane_grid, inc if r == 1 else noise_mod.block_sum(inc, r),
+                seg[::r], window=window, start=k0 // r,
+            )
+        if explicit is not None:
+            scheme_mod.explicit_paths(
+                explicit[0], grid, inc, seg, explicit[1], window=windows[-1], start=k0
+            )
+        fold(k0, inc, windows)
+        del inc
 
 
 def _lp_norm_and_jackknife(err: Array, p: float) -> tuple[float, float]:
@@ -341,16 +364,8 @@ def strong_error_study(
     hundredths -- 0.984 at ``n_ref`` 1024 against 0.961 at 4096, same seed
     and 10^4 paths.
 
-    The reference is never held whole.  Each chunk of paths runs in time
-    blocks of T fine steps, ``_BLOCK_STEPS`` rounded up to a multiple of the
-    largest ratio ``n_ref / N``: the block's increments are drawn, the
-    reference is marched into a window of ``n_ref + 1 + T`` nodes and every
-    coarse level into one of N + 1 + T N / n_ref nodes on the block sums, and
-    the block's errors are folded into per-path maxima.  A chunk of P paths
-    therefore holds 8 P (n_ref + 1 + T + sum over N of (N + 1 + T N / n_ref))
-    bytes of paths whatever the horizon, plus the block's increments (8 P T
-    bytes) and buffers of about 2 MiB.  The errors equal those of whole-path
-    marches bit for bit.
+    The reference and the coarse levels are lanes of :func:`walk_blocks`,
+    whose blocks are ``_BLOCK_STEPS`` rounded up to a multiple of every ratio.
 
     ``n_list`` and ``n_ref`` must pass :func:`check_levels`, every p must lie
     below the ``p_max`` of the model's condition report, and the strict
@@ -368,45 +383,35 @@ def strong_error_study(
     fine_grid = build_grid(model, n_ref)
     coarse_grids = [build_grid(model, n) for n in n_list]
     ratios = [n_ref // n for n in n_list]
-    n_fine = fine_grid.n_steps
     # the coarsest ratio is a multiple of every other, so a block holds whole
     # cells of every level
     block = -(-_BLOCK_STEPS // ratios[0]) * ratios[0]
-    weights = [_cell_weights(n_fine, r) for r in ratios]
+    weights = [_cell_weights(fine_grid.n_steps, r) for r in ratios]
+    lanes = [(model, fine_grid, 1), *((model, g, r) for g, r in zip(coarse_grids, ratios))]
 
     def errors(draw, seg: Array) -> Array:
         """Rows 2i, 2i+1: grid and uniform errors of level n_list[i].
 
         Node 0 is left out: every level starts from the same value there.
         """
-        paths = seg.shape[1]
-        out = np.zeros((2 * len(n_list), paths))
-        fine = np.empty((n_ref + 1 + block, paths))
-        coarse = [
-            np.empty((g.n_per_delay + 1 + block // r, paths))
-            for g, r in zip(coarse_grids, ratios)
-        ]
-        x_coarse = np.empty((block // ratios[-1] + 1, paths))
-        for k0 in range(0, n_fine, block):
-            inc = draw(k0, min(k0 + block, n_fine))
-            scheme_mod.simulate_y_paths(model, fine_grid, inc, seg, window=fine, start=k0)
-            sums = [noise_mod.block_sum(inc, r) for r in ratios]
+        out = np.zeros((2 * len(n_list), seg.shape[1]))
+        x_coarse = np.empty((block // ratios[-1] + 1, seg.shape[1]))
+
+        def fold(k0, inc, windows):
             # the increments are spent: their rows take the block's fine X
-            x_fine = scheme_mod.square_rows(fine, n_ref + k0 + 1, inc.shape[0], out=inc)
+            x_fine = scheme_mod.square_rows(windows[0], n_ref + k0 + 1, inc.shape[0], out=inc)
             rows = slice(k0, k0 + x_fine.shape[0])
-            for i, (grid_c, r, y_c) in enumerate(zip(coarse_grids, ratios, coarse)):
-                # segment nodes at the coarse level are every r-th fine node
-                scheme_mod.simulate_y_paths(
-                    model, grid_c, sums[i], seg[::r], window=y_c, start=k0 // r
-                )
+            for i, (grid_c, r) in enumerate(zip(coarse_grids, ratios)):
                 x_c = scheme_mod.square_rows(
-                    y_c, grid_c.n_per_delay + k0 // r, sums[i].shape[0] + 1, out=x_coarse
+                    windows[1 + i], grid_c.n_per_delay + k0 // r,
+                    x_fine.shape[0] // r + 1, out=x_coarse,
                 )
                 one_minus_w, w = weights[i]
                 _fold_cell_errors(
                     x_fine, x_c, one_minus_w[rows], w[rows], out[2 * i], out[2 * i + 1]
                 )
-            del inc, x_fine, sums  # freed before the next block is drawn
+
+        walk_blocks(fine_grid, draw, seg, fold, lanes, block=block)
         return out
 
     err = map_paths(model, fine_grid, seed, n_paths, errors, threads)
@@ -513,21 +518,24 @@ def mean_consistency_check(
 
     The oracle is the b = 0 closed form when it applies (constant gamma, no
     delay feedback) and the quadrature mean curve otherwise; in both cases the
-    initial level is E[X0].  z = (MC mean - oracle) / (sample sd / sqrt(n)).
+    initial level is E[X0].  z = (MC mean - oracle) / (sample sd / sqrt(n));
+    a standard error that is not finite raises :class:`OutOfRange`.
     """
     validate(model)
     ks = checkpoint_indices(grid, checkpoints)
-    rows_k = [grid.n_per_delay + k for k in ks]
 
     def at_checkpoints(draw, seg: Array) -> Array:
-        inc = draw()
-        y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
-        return np.square(y[rows_k])
+        out = np.empty((len(ks), seg.shape[1]))
 
-    # (paths, checkpoints), the layout the column statistics below reduce over
-    samples = np.ascontiguousarray(
-        map_paths(model, grid, seed, n_paths, at_checkpoints, threads).T
-    )
+        def fold(k0, inc, windows):
+            for j, k in enumerate(ks):
+                if k0 <= k <= k0 + inc.shape[0]:
+                    np.square(windows[0][(grid.n_per_delay + k) % len(windows[0])], out=out[j])
+
+        walk_blocks(grid, draw, seg, fold, [(model, grid, 1)])
+        return out
+
+    samples = map_paths(model, grid, seed, n_paths, at_checkpoints, threads)
 
     if model.b == 0.0 and model.gamma.kind == "constant":
         params = CIRParams.from_model(model)
@@ -538,8 +546,10 @@ def mean_consistency_check(
 
     rows = []
     for j, k in enumerate(ks):
-        mc = float(np.mean(samples[:, j]))
-        se = float(np.std(samples[:, j], ddof=1) / math.sqrt(n_paths))
+        mc = float(np.mean(samples[j]))
+        se = float(np.std(samples[j], ddof=1) / math.sqrt(n_paths))
+        if not math.isfinite(se):
+            raise OutOfRange(f"the standard error at checkpoint t = {grid.time(k)} is {se}")
         rows.append(
             MeanCheckRow(
                 t=float(grid.time(k)),
@@ -594,35 +604,31 @@ def comparison_census(
 
     Requires the preconditions of :func:`check_comparable`; under them the
     implicit update is monotone in its forcing, so the count should be zero.
-    Each chunk runs in time blocks of ``_BLOCK_STEPS`` steps: both models
-    march a block's increments in ring windows of N + 1 + ``_BLOCK_STEPS``
-    nodes, and the block's violations are counted per path.
+    Both models are lanes of :func:`walk_blocks`, and each block's
+    violations are counted per path.
     """
     check_comparable(model_upper, model_lower, grid)
-    n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    rows = n_delay + 1 + _BLOCK_STEPS
+    lanes = [(model_upper, grid, 1), (model_lower, grid, 1)]
 
     def violations(draw, seg: Array) -> Array:
-        paths = seg.shape[1]
-        y_up, y_lo = np.empty((rows, paths)), np.empty((rows, paths))
-        count = np.zeros(paths, dtype=np.intp)
-        for k0 in range(0, n_steps, _BLOCK_STEPS):
-            inc = draw(k0, min(k0 + _BLOCK_STEPS, n_steps))
-            scheme_mod.simulate_y_paths(model_upper, grid, inc, seg, window=y_up, start=k0)
-            scheme_mod.simulate_y_paths(model_lower, grid, inc, seg, window=y_lo, start=k0)
+        count = np.zeros(seg.shape[1], dtype=np.intp)
+
+        def fold(k0, inc, windows):
+            y_up, y_lo = windows
             # both windows start from the same segment nodes -N .. 0, so only
             # the block's new nodes can differ
-            for span in scheme_mod.ring_spans(rows, n_delay + k0 + 1, inc.shape[0]):
-                count += np.count_nonzero(y_up[span] < y_lo[span], axis=0)
+            for span in scheme_mod.ring_spans(len(y_up), grid.n_per_delay + k0 + 1, len(inc)):
+                count[:] += np.count_nonzero(y_up[span] < y_lo[span], axis=0)
+
+        walk_blocks(grid, draw, seg, fold, lanes)
         return count
 
     return int(np.sum(map_paths(model_upper, grid, seed, n_paths, violations, threads)))
 
 
 def check_schemes(names, model: ModelSpec) -> None:
-    """Raise unless ``names`` is a nonempty list of names in :data:`SCHEMES`
-    that run on ``model``; the baselines are checked by
-    :func:`~delay_cir.scheme.check_baselines`."""
+    """Raise unless ``names`` is a nonempty list of ``implicit`` and baselines
+    that run on ``model`` (:func:`~delay_cir.scheme.check_baselines`)."""
     if not names:
         raise ValueError("empty list")
     scheme_mod.check_baselines([name for name in names if name != "implicit"], model)
@@ -646,47 +652,35 @@ def positivity_census(
     """Per scheme, the fraction of paths with any node value x_k <= 0, k >= 0.
 
     One row per name in ``schemes``, in that order; every scheme marches on
-    the same noise.  Each chunk runs in time blocks of ``_BLOCK_STEPS``
-    steps: a block's increments are drawn, the implicit march continues in a
-    ring window of N + 1 + ``_BLOCK_STEPS`` nodes, the explicit baselines in
-    one window of that many nodes over a scheme axis
-    (:func:`~delay_cir.scheme.explicit_paths`), and the block's x <= 0 flags
-    are folded into per-path booleans.  A chunk of P paths running all three
-    schemes therefore holds 8 P (3 (N + 1 + T) + T) bytes of windows and
-    increments (T = ``_BLOCK_STEPS``), whatever the horizon.
+    the same noise.  The implicit scheme is a lane of :func:`walk_blocks`,
+    the baselines its explicit window, and each block's x <= 0 flags are
+    folded into per-path booleans.
     """
     names = tuple(schemes)
     check_schemes(names, model)
     validate(model)
-    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    n_delay = grid.n_per_delay
     baselines = tuple(dict.fromkeys(name for name in names if name != "implicit"))
-    rows = n_delay + 1 + _BLOCK_STEPS
+    lanes = [(model, grid, 1)] if "implicit" in names else []
 
     def census(draw, seg: Array) -> Array:
-        paths = seg.shape[1]
         # row 0 flags the implicit scheme, row 1 + i baselines[i]
-        flags = np.zeros((1 + len(baselines), paths), dtype=bool)
-        y = np.empty((rows, paths)) if "implicit" in names else None
-        x = np.empty((rows, len(baselines), paths)) if baselines else None
+        flags = np.zeros((1 + len(baselines), seg.shape[1]), dtype=bool)
+
         # Node 0 is the segment's last node, positive in every scheme (the
         # implicit one holds sqrt(x)^2 >= 2^-1074 for x > 0), so only the
         # nodes 1 .. K that each block adds are flagged.
-        for k0 in range(0, n_steps, _BLOCK_STEPS):
-            inc = draw(k0, min(k0 + _BLOCK_STEPS, n_steps))
-            n = inc.shape[0]
-            if x is not None:
-                scheme_mod.explicit_paths(
-                    model, grid, inc, seg, baselines, window=x, start=k0
-                )
-                for span in scheme_mod.ring_spans(rows, n_delay + k0 + 1, n):
+        def fold(k0, inc, windows):
+            if baselines:
+                x = windows[-1]
+                for span in scheme_mod.ring_spans(len(x), n_delay + k0 + 1, len(inc)):
                     flags[1:] |= np.any(x[span] <= 0.0, axis=0)
-            if y is not None:
-                scheme_mod.simulate_y_paths(model, grid, inc, seg, window=y, start=k0)
+            if lanes:
                 # the increments are spent: their rows take the block's X
-                x_implicit = scheme_mod.square_rows(y, n_delay + k0 + 1, n, out=inc)
+                x_implicit = scheme_mod.square_rows(windows[0], n_delay + k0 + 1, len(inc), inc)
                 flags[0] |= np.any(x_implicit <= 0.0, axis=0)
-                del x_implicit
-            del inc  # freed before the next block is drawn
+
+        walk_blocks(grid, draw, seg, fold, lanes, (model, baselines) if baselines else None)
         row = {name: 1 + i for i, name in enumerate(baselines)} | {"implicit": 0}
         return flags[[row[name] for name in names]]
 
@@ -747,37 +741,44 @@ def modulus_scaling(
     for lags that are whole numbers of grid steps the sup is attained at node
     pairs, so the computation is exact.  The reported slope is the OLS slope
     of log E[w^p]^{1/p} against log sqrt(delta |log delta|), the scale on
-    which the modulus of a square-root diffusion grows linearly.
+    which the modulus of a square-root diffusion grows linearly, over the
+    rows where that scale is not zero (not delta = 1); NaN below two rows.
+    Each block of :func:`walk_blocks` adds the node pairs that end in it to
+    per-lag maxima, its window keeping the largest lag's nodes before it.
     """
     validate(model)
     lags = modulus_lags(grid, delta_list)
-    order = np.argsort(lags)
     distinct = sorted(set(lags))
-    offset = grid.n_per_delay
+    n_delay, back = grid.n_per_delay, distinct[-1]
 
     def moduli(draw, seg: Array) -> Array:
         """Row j: the modulus at lag distinct[j], a running max over lags."""
-        inc = draw()
-        y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
-        x = np.square(y[offset:])
-        out = np.empty((len(distinct), inc.shape[1]))
-        running = np.zeros(inc.shape[1])
-        for lag in range(1, distinct[-1] + 1):
-            diffs = np.max(np.abs(x[lag:] - x[:-lag]), axis=0)
-            np.maximum(running, diffs, out=running)
-            if lag in distinct:
-                out[distinct.index(lag)] = running
-        return out
+        per_lag = np.zeros((back, seg.shape[1]))
+        x = np.empty((back + min(_BLOCK_STEPS, grid.n_steps), seg.shape[1]))
+
+        def fold(k0, inc, windows):
+            # X of nodes lo .. k1: the block's and the largest lag's before it
+            lo, k1 = max(0, k0 + 1 - back), k0 + len(inc)
+            xs = scheme_mod.square_rows(windows[0], n_delay + lo, k1 + 1 - lo, out=x)
+            for lag in range(1, min(back, k1) + 1):
+                # pairs (t - lag, t), k0 < t <= k1, one per increment row at most
+                first = max(k0 + 1, lag) - lo
+                d = np.subtract(xs[first:], xs[first - lag : -lag], out=inc[: len(xs) - first])
+                row = per_lag[lag - 1]
+                np.maximum(row, np.max(np.abs(d, out=d), axis=0), out=row)
+
+        walk_blocks(grid, draw, seg, fold, [(model, grid, 1)], back=back)
+        return np.maximum.accumulate(per_lag)[[lag - 1 for lag in distinct]]
 
     w = map_paths(model, grid, seed, n_paths, moduli, threads)
     rows = []
-    for i in order:
-        lag = lags[i]
+    for lag in sorted(lags):
         norm, _ = _lp_norm_and_jackknife(w[distinct.index(lag)], p)
         rows.append(ModulusRow(delta=lag * grid.delta, modulus=norm))
-    xs = np.array([math.log(math.sqrt(r.delta * abs(math.log(r.delta)))) for r in rows])
-    ys = np.array([math.log(r.modulus) for r in rows])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(rows) >= 2 else math.nan
+    fit = [r for r in rows if r.delta * abs(math.log(r.delta)) > 0.0]
+    xs = np.array([math.log(math.sqrt(r.delta * abs(math.log(r.delta)))) for r in fit])
+    ys = np.array([math.log(r.modulus) for r in fit])
+    slope = float(np.polyfit(xs, ys, 1)[0]) if len(fit) >= 2 else math.nan
     return ModulusResult(rows=tuple(rows), p=p, slope=slope)
 
 
@@ -795,18 +796,22 @@ def survival_probability(
 
     The integral of the piecewise-linear interpolant is exactly the trapezoid
     rule over the nodes, so the only approximations are the scheme itself and
-    Monte Carlo averaging.
+    Monte Carlo averaging.  Each block of :func:`walk_blocks` writes its X
+    rows into a path-major buffer of K + 1 nodes per path, which is summed as
+    one row per path in numpy's pairwise order.
     """
     validate(model)
-    offset = grid.n_per_delay
 
     def discounted(draw, seg: Array) -> Array:
-        inc = draw()
-        y = scheme_mod.simulate_y_paths(model, grid, inc, seg)
-        x = np.square(y[offset:])
-        # sum each path's nodes as one contiguous row: numpy's pairwise order
-        total = np.ascontiguousarray(x.T).sum(axis=1)
-        return np.exp(-(grid.delta * (total - 0.5 * (x[0] + x[-1]))))
+        x = np.empty((seg.shape[1], grid.n_steps + 1))
+
+        def fold(k0, inc, windows):
+            # nodes k0 .. k0 + n, node k0 again after the first block
+            nodes = x[:, k0 : k0 + len(inc) + 1].T
+            scheme_mod.square_rows(windows[0], grid.n_per_delay + k0, len(nodes), out=nodes)
+
+        walk_blocks(grid, draw, seg, fold, [(model, grid, 1)])
+        return np.exp(-(grid.delta * (x.sum(axis=1) - 0.5 * (x[:, 0] + x[:, -1]))))
 
     vals = map_paths(model, grid, seed, n_paths, discounted, threads)
     return SurvivalEstimate(

@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import os
 
+import numpy as np
 import pytest
 
 from delay_cir.cir_analytics import CIRParams, laplace_transform
@@ -219,6 +220,35 @@ def test_positivity_product(tmp_path):
     lines = (tmp_path / "out_pos" / "census.csv").read_text().splitlines()
     assert lines[0] == "scheme,fraction_nonpositive,n_paths"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["implicit", "truncated"]
+
+
+def test_modulus_default_lags_reaching_delta_one_fit_the_other_rows(tmp_path):
+    # N = 4 (delta 1/8): the default lags 1, 2, 4 and 8 reach delta = 1, whose
+    # scale delta |log delta| is zero; its row is written, and left out of the fit
+    cfg = _write_config(tmp_path, "experiment = modulus\nN = 4\n")
+    out = tmp_path / "out_mod"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "modulus.csv").read_text().splitlines()[1:]]
+    assert [float(delta) for delta, _, _ in rows] == [0.125, 0.25, 0.5, 1.0]
+    xs = [math.log(math.sqrt(float(d) * abs(math.log(float(d))))) for d, _, _ in rows[:3]]
+    ys = [math.log(float(modulus)) for _, _, modulus in rows[:3]]
+    fit = (out / "modulusfit.csv").read_text().splitlines()
+    assert fit[1] == f"1,{float(np.polyfit(xs, ys, 1)[0]):.17g}"
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_mean_check_with_an_overflowing_standard_error_exits_three(tmp_path, capsys):
+    cfg = _write_config(
+        tmp_path,
+        "experiment = mean_check\ninitial.kind = lognormal\ninitial.median = 1e300\n"
+        "initial.log_sd = 3\nn_paths = 200\n",
+    )
+    out = tmp_path / "out_big"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "error: OutOfRange: the standard error at checkpoint t = 0.296875 is inf"
+    )
+    assert not (out / "mean.csv").exists()
 
 
 # ---------------------------------------------------------------------------

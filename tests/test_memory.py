@@ -1,15 +1,19 @@
-"""Memory of a strong-rate run and of a positivity census, each measured in a
-fresh interpreter.
+"""Memory of a strong-rate run, a positivity census and a modulus run, each
+measured in a fresh interpreter.
 
-A chunk of P paths of the strong-error study holds its paths in windows:
-8 B x P x (N_ref + 1 + T + coarse nodes), where T is the study's time block
-and each coarse level N keeps N + 1 + T N / N_ref nodes.  The block's
-increments and a few small buffers come on top.  A census chunk of all three
-schemes holds one implicit window and two explicit scheme rows of N + 1 + T
-nodes each, and the block's increments: 8 B x P x (3 (N + 1 + T) + T).  The
-checks compare the resident high-water mark (``VmHWM``) of a run with that
-of a process that has imported the CLI and SciPy's ``special`` module (which
-every simulation loads) and parsed the same config.
+Every experiment walks a chunk of P paths in time blocks of T steps and
+holds its paths in ring windows (``experiments.walk_blocks``).  The
+strong-error study keeps 8 B x P x (N_ref + 1 + T + coarse nodes), where T
+is rounded up to the coarsest level ratio and each coarse level N keeps
+N + 1 + T N / N_ref nodes.  A census chunk of all three schemes holds one
+implicit window and two explicit scheme rows of N + 1 + T nodes each:
+8 B x P x (3 (N + 1 + T) + T) with the block's increments.  A modulus
+chunk keeps the largest lag L more nodes in its window, and squares the
+block's nodes and the L before them: 8 B x P x ((N + 1 + L + T) + T +
+(L + T)).  The checks compare the resident high-water mark (``VmHWM``) of a
+run with that of a process that has imported the CLI and SciPy's
+``special`` module (which every simulation loads) and parsed the same
+config.
 """
 
 from __future__ import annotations
@@ -115,6 +119,24 @@ def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path):
     block = experiments._BLOCK_STEPS
     # 28.0 MiB with a block of 256 steps
     estimate = 8 * PATHS * (3 * (CENSUS_N + 1 + block) + block) / 2**20
+    for rise in rises.values():
+        assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
+    # 384 and 768 steps: the rise must not follow the horizon
+    assert abs(rises[1.5] - rises[0.75]) < 0.1 * rises[0.75], rises
+
+
+def test_modulus_memory_is_the_window_estimate_whatever_the_horizon(tmp_path):
+    base_text = f"experiment = modulus\nN = {CENSUS_N}\nn_paths = {PATHS}\nthreads = 1\n"
+    rises = {}
+    for horizon in (0.75, 1.5):
+        text = base_text + f"horizon = {horizon}\n"
+        rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
+            tmp_path, text, run=False
+        )
+    block = experiments._BLOCK_STEPS
+    lag = 16  # the largest default lag
+    # 16.5 MiB with a block of 256 steps
+    estimate = 8 * PATHS * ((CENSUS_N + 1 + lag + block) + block + (lag + block)) / 2**20
     for rise in rises.values():
         assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
     # 384 and 768 steps: the rise must not follow the horizon
