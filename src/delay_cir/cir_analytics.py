@@ -236,6 +236,7 @@ def neg_moment(
     if g <= 1.0:
         raise FellerRatioTooSmall(f"finite negative moments need 2 a gamma / sigma^2 > 1, got {g}")
 
+    gamma_p = _gamma_fn(p)  # checks the order before the quadrature runs
     _, zeta = _transform_coeffs(params, s)
     alpha = g - p - 1.0
     integral, abs_err = _neg_moment_integral(p, alpha, zeta, rel_tol)
@@ -243,7 +244,7 @@ def neg_moment(
         raise QuadratureNotConverged(
             f"negative-moment quadrature error {abs_err} too large for value {integral}"
         )
-    prefactor = math.exp(params.a * p * s) / (_gamma_fn(p) * params.x0**p)
+    prefactor = math.exp(params.a * p * s) / (gamma_p * params.x0**p)
     try:
         big_lp = lp_constant(g, p, allow_sub_one=True)
     except OrderOutOfRange:

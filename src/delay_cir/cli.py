@@ -3,9 +3,9 @@
 Subcommands: ``validate`` prints the condition report for the configured
 model, ``run`` executes one experiment and writes its CSV products, and
 ``probe`` evaluates the closed-form/quadrature oracles at configured points.
-One ``EXPERIMENTS`` table holds each experiment's entry: the config keys it
-reads and its plan, which checks the config before any path is simulated and
-returns the run that calls the experiment's driver.
+One ``EXPERIMENTS`` table maps each experiment to its plan, which parses the
+config keys the experiment reads, checks them before any path is simulated
+and returns the run that calls the experiment's driver.
 Every run leaves a ``manifest.txt`` carrying the fully resolved config, a
 sha256 hash of it, the tool version, the wall time, the worker count and the
 peak resident set; CSV files are written to a temp file and atomically
@@ -22,6 +22,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import __version__
 from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_moment
@@ -113,27 +114,15 @@ DEFAULTS: dict[str, str | None] = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A parsed config; the numbers and number lists of keys that the run
-    does not read are None."""
+    """A parsed config and its planned run (see ``EXPERIMENTS``); ``threads``
+    is None unless the command is ``run``, and ``run`` None for ``validate``."""
 
     experiment: str
     model: ModelSpec
-    n_per_delay: int | None
-    n_list: tuple[int, ...] | None
-    n_ref: int | None
-    n_paths: int | None
-    p_list: tuple[float, ...] | None
-    seed: int | None
     threads: int | None
     out_dir: str
-    schemes: tuple[str, ...]
-    checkpoints: tuple[float, ...] | None
-    delta_list: tuple[float, ...] | None
-    gamma_lower: float | None
-    probe_u: tuple[float, ...] | None
-    probe_p: float | None
-    probe_t: float | None
-    resolved: tuple[tuple[str, str], ...] = field(repr=False, default=())
+    resolved: tuple[tuple[str, str], ...] = field(repr=False)
+    run: Callable | None = field(repr=False)
 
 
 def _parse_float(key: str, raw: str) -> float:
@@ -146,11 +135,24 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
+# The integer keys that have a lower bound: (bound, reason of a value below it).
+_INT_BOUNDS = {
+    "N": (1, "must be a positive integer"),
+    "n_paths": (2, "need at least two paths"),
+    "seed": (0, "must be nonnegative"),
+    "threads": (1, "must be a positive integer"),
+}
+
+
 def _parse_int(key: str, raw: str) -> int:
     try:
-        return int(raw)
+        value = int(raw)
     except ValueError:
         raise BadValue(key, f"not an integer: {raw!r}") from None
+    low, reason = _INT_BOUNDS.get(key, (value, None))
+    if value < low:
+        raise BadValue(key, reason)
+    return value
 
 
 def _parse_list(key: str, raw: str, scalar) -> tuple:
@@ -272,11 +274,11 @@ def parse_config(
 ) -> RunConfig:
     """Read, resolve against defaults, validate, and freeze a run config.
 
-    ``command`` is the subcommand that reads the config.  ``run`` parses the
-    keys the configured experiment reads (see ``EXPERIMENTS``) and
-    ``threads``, then checks them with the experiment's plan; ``probe``
-    parses only the probe keys, and ``validate``, which reads only the model,
-    none of them.  A malformed value of a key that is not read is no error.
+    ``command`` is the subcommand that reads the config.  ``run`` parses
+    ``threads`` and plans the configured experiment (see ``EXPERIMENTS``);
+    ``probe`` plans the analytic probe, and ``validate`` reads only the model.
+    A plan parses the keys it reads, so a malformed value of a key that is
+    not read is no error.
     """
     items = dict(DEFAULTS)
     items.update(_read_items(path))
@@ -302,105 +304,75 @@ def parse_config(
     )
     _checked("model", validate_model, model)
 
-    reads = {
-        "run": EXPERIMENTS[experiment][0] | {"threads"},
-        "probe": EXPERIMENTS["analytics_probe"][0],
-        "validate": set(),
-    }[command]
+    def read(key, parse, *scalar):
+        """``key``'s value parsed by ``parse``, or None if it is unset."""
+        raw = items[key]
+        return None if raw is None else parse(key, raw, *scalar)
 
-    def parsed(key, parse, *scalar):
-        """``key``'s value, or None if this run does not read it or it is unset."""
-        if key not in reads or items[key] is None:
-            return None
-        return parse(key, items[key], *scalar)
-
-    n_per_delay = parsed("N", _parse_int)
-    if n_per_delay is not None and n_per_delay < 1:
-        raise BadValue("N", "must be a positive integer")
-    n_list = parsed("N_list", _parse_list, _parse_int)
-    n_ref = parsed("N_ref", _parse_int)
-    p_list = parsed("p_list", _parse_list, _parse_float)
-    n_paths = parsed("n_paths", _parse_int)
-    if n_paths is not None and n_paths < 2:
-        raise BadValue("n_paths", "need at least two paths")
-    seed = parsed("seed", _parse_int)
-    if seed is not None and seed < 0:
-        raise BadValue("seed", "must be nonnegative")
-    threads = parsed("threads", _parse_int)
-    if threads is not None and threads < 1:
-        raise BadValue("threads", "must be a positive integer")
-
-    # splitting cannot fail; the positivity plan checks the names
-    schemes = tuple(
-        part.strip() for part in items["scheme"].split(",") if part.strip()
-    )
-    checkpoints = parsed("checkpoints", _parse_list, _parse_float)
-    delta_list = parsed("delta_list", _parse_list, _parse_float)
-    gamma_lower = parsed("gamma_lower", _parse_float)
-    probe_u = parsed("probe.u_list", _parse_list, _parse_float)
-    probe_p = parsed("probe.p", _parse_float)
-    probe_t = parsed("probe.t", _parse_float)
-    if probe_t is not None and probe_t <= t0:
-        raise BadValue("probe.t", "must exceed t0")
+    threads = plan = None
+    if command == "run":
+        threads = read("threads", _parse_int)
+        plan = EXPERIMENTS[experiment]
+    elif command == "probe":
+        _require_classical(model, "probe")
+        plan = _analytics_probe
 
     resolved = tuple(
         (key, "" if items[key] is None else str(items[key]))
         for key in sorted(items)
     )
-    config = RunConfig(
+    return RunConfig(
         experiment=experiment,
         model=model,
-        n_per_delay=n_per_delay,
-        n_list=n_list,
-        n_ref=n_ref,
-        n_paths=n_paths,
-        p_list=p_list,
-        seed=seed,
         threads=threads,
         out_dir=items["out"],
-        schemes=schemes,
-        checkpoints=checkpoints,
-        delta_list=delta_list,
-        gamma_lower=gamma_lower,
-        probe_u=probe_u,
-        probe_p=probe_p,
-        probe_t=probe_t,
         resolved=resolved,
+        run=plan(model, read) if plan else None,
     )
-    if command == "run":
-        EXPERIMENTS[experiment][1](config)
-    return config
 
 
 # ---------------------------------------------------------------------------
 # experiments
 # ---------------------------------------------------------------------------
 
-# An experiment's plan resolves and checks everything the experiment uses,
-# defaults included, and raises a BadValue of the key at fault; it returns a
-# zero-argument run that calls the driver and returns the CSV products as
-# {file name: (header, rows)}.  Plans are pure and cheap: parse_config calls
-# one to check a run's config and ``run`` calls it again.  They look the
-# drivers and the model helpers up as module globals when they are called.
+# An experiment's plan ``(model, read)`` parses the keys the experiment reads
+# with ``read(key, parse, *scalar)``, resolves and checks everything it uses,
+# defaults included, and raises a BadValue of the key at fault.  It returns
+# ``run(threads)``, which calls the driver on ``threads`` worker processes and
+# returns the CSV products as {file name: (header, rows)}.  parse_config calls
+# the plan once per run; plans look the drivers and the model helpers up as
+# module globals when they are called.
 
 
-def _grid(config: RunConfig):
-    return _checked("horizon", build_grid, config.model, config.n_per_delay)
+def _grid(model: ModelSpec, read):
+    return _checked("horizon", build_grid, model, read("N", _parse_int))
 
 
-def _strong_rate(config: RunConfig):
-    p_max = validate_model(config.model).p_max
-    n_list, n_ref, p_list = config.n_list, config.n_ref, config.p_list
+def _sample(read):
+    """(n_paths, seed) of a simulating experiment."""
+    return read("n_paths", _parse_int), read("seed", _parse_int)
+
+
+def _orders(read):
+    """The moment orders ``p_list``."""
+    return read("p_list", _parse_list, _parse_float)
+
+
+def _strong_rate(model: ModelSpec, read):
+    n_list = read("N_list", _parse_list, _parse_int)
+    n_ref = read("N_ref", _parse_int)
+    p_list = _orders(read)
+    n_paths, seed = _sample(read)
+    p_max = validate_model(model).p_max
     _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, p_max)
     if len(n_list) < 3:
         raise BadValue("N_list", "a rate fit needs at least three levels")
     for n in (*n_list, n_ref):
-        _checked("horizon", build_grid, config.model, n)
+        _checked("horizon", build_grid, model, n)
 
-    def run():
+    def run(threads):
         table = strong_error_study(
-            config.model, n_list, n_ref, config.n_paths, p_list, config.seed,
-            threads=config.threads,
+            model, n_list, n_ref, n_paths, p_list, seed, threads=threads
         )
         errors = [
             (r.delta, r.p, r.grid_error, r.uniform_error, r.std_err, r.n_paths)
@@ -419,72 +391,67 @@ def _strong_rate(config: RunConfig):
     return run
 
 
-def _mean_check(config: RunConfig):
-    grid = _grid(config)
-    checkpoints = config.checkpoints
+def _mean_check(model: ModelSpec, read):
+    grid = _grid(model, read)
+    n_paths, seed = _sample(read)
+    checkpoints = read("checkpoints", _parse_list, _parse_float)
     if checkpoints is None:
         count = min(5, grid.n_steps)
         ks = {max(1, round(j * grid.n_steps / count)) for j in range(1, count + 1)}
         checkpoints = tuple(float(grid.time(k)) for k in sorted(ks))
-    _checked("checkpoints", checkpoint_indices, grid, checkpoints)
+    _checked("checkpoints", checkpoint_indices, model, grid, checkpoints)
 
-    def run():
-        rows = mean_consistency_check(
-            config.model, grid, config.n_paths, checkpoints, config.seed, config.threads
-        )
+    def run(threads):
+        rows = mean_consistency_check(model, grid, n_paths, checkpoints, seed, threads)
         rows = [(r.t, r.mc_mean, r.oracle_mean, r.z) for r in rows]
         return {"mean.csv": ("t,mc_mean,oracle_mean,z", rows)}
 
     return run
 
 
-def _comparison(config: RunConfig):
-    model, grid = config.model, _grid(config)
-    gamma_lower = config.gamma_lower
+def _comparison(model: ModelSpec, read):
+    grid = _grid(model, read)
+    n_paths, seed = _sample(read)
+    gamma_lower = read("gamma_lower", _parse_float)
     if gamma_lower is None:  # the infimum of gamma
         gamma_lower = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
     lower = classical_variant(model, gamma_level=gamma_lower)
     _checked("gamma_lower", check_comparable, model, lower, grid)
 
-    def run():
-        violations = comparison_census(
-            model, lower, grid, config.n_paths, config.seed, config.threads
-        )
-        return {"comparison.csv": ("n_paths,violations", [(config.n_paths, violations)])}
+    def run(threads):
+        violations = comparison_census(model, lower, grid, n_paths, seed, threads)
+        return {"comparison.csv": ("n_paths,violations", [(n_paths, violations)])}
 
     return run
 
 
-def _positivity(config: RunConfig):
-    grid = _grid(config)
-    _checked("scheme", check_schemes, config.schemes, config.model)
+def _positivity(model: ModelSpec, read):
+    grid = _grid(model, read)
+    n_paths, seed = _sample(read)
+    schemes = read("scheme", _parse_list, lambda key, name: name)
+    _checked("scheme", check_schemes, schemes, model)
 
-    def run():
-        rows = positivity_census(
-            config.schemes, config.model, grid, config.n_paths, config.seed,
-            config.threads,
-        )
+    def run(threads):
+        rows = positivity_census(schemes, model, grid, n_paths, seed, threads)
         rows = [(r.scheme, r.fraction_nonpositive, r.n_paths) for r in rows]
         return {"census.csv": ("scheme,fraction_nonpositive,n_paths", rows)}
 
     return run
 
 
-def _modulus(config: RunConfig):
-    grid = _grid(config)
-    p = config.p_list[0]
+def _modulus(model: ModelSpec, read):
+    grid = _grid(model, read)
+    n_paths, seed = _sample(read)
+    p = _orders(read)[0]
     if p <= 0.0:
         raise BadValue("p_list", "the modulus order, its first entry, must be positive")
-    deltas = config.delta_list or tuple(
+    deltas = read("delta_list", _parse_list, _parse_float) or tuple(
         grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
     )
     _checked("delta_list", modulus_lags, grid, deltas)
 
-    def run():
-        result = modulus_scaling(
-            config.model, grid, config.n_paths, deltas, config.seed, p=p,
-            threads=config.threads,
-        )
+    def run(threads):
+        result = modulus_scaling(model, grid, n_paths, deltas, seed, p=p, threads=threads)
         rows = [(r.delta, result.p, r.modulus) for r in result.rows]
         return {
             "modulus.csv": ("delta,p,modulus", rows),
@@ -494,34 +461,47 @@ def _modulus(config: RunConfig):
     return run
 
 
-def _survival(config: RunConfig):
-    grid = _grid(config)
+def _survival(model: ModelSpec, read):
+    grid = _grid(model, read)
+    n_paths, seed = _sample(read)
 
-    def run():
-        est = survival_probability(
-            config.model, grid, config.n_paths, config.seed, config.threads
-        )
+    def run(threads):
+        est = survival_probability(model, grid, n_paths, seed, threads)
         rows = [(est.value, est.std_err, est.n_paths)]
         return {"survival.csv": ("value,std_err,n_paths", rows)}
 
     return run
 
 
-def _analytics_probe(config: RunConfig):
-    _require_classical(config.model, "experiment", "analytics_probe ")
-    return lambda: {"analytics.csv": ("op,argument,value", _probe_rows(config)[1])}
+def _analytics_probe(model: ModelSpec, read):
+    """The oracles at the probe points, evaluated here so that their argument
+    checks are config errors; the ``probe`` subcommand prints the rows."""
+    u_list = read("probe.u_list", _parse_list, _parse_float)
+    p = read("probe.p", _parse_float)
+    t = read("probe.t", _parse_float)
+    if t is None:
+        t = model.horizon
+    elif t <= model.t0:
+        raise BadValue("probe.t", "must exceed t0")
+    _require_classical(model, "experiment", "analytics_probe ")
+    params = CIRParams.from_model(model)
+    rows = [
+        ("laplace", u, _checked("probe.u_list", laplace_transform, params, u, t))
+        for u in u_list
+    ]
+    rows.append(("neg_moment", p, _checked("probe.p", neg_moment, params, p, t).value))
+    rows.append(("mean", t, classical_mean(params, t)))
+    return lambda threads: {"analytics.csv": ("op,argument,value", rows)}
 
 
-# name -> (the keys the experiment reads besides the model's, ``out`` and
-# ``threads``, its plan)
 EXPERIMENTS = {
-    "strong_rate": ({"N_list", "N_ref", "p_list", "n_paths", "seed"}, _strong_rate),
-    "mean_check": ({"N", "n_paths", "seed", "checkpoints"}, _mean_check),
-    "comparison": ({"N", "n_paths", "seed", "gamma_lower"}, _comparison),
-    "positivity": ({"N", "n_paths", "seed", "scheme"}, _positivity),
-    "modulus": ({"N", "n_paths", "seed", "p_list", "delta_list"}, _modulus),
-    "survival": ({"N", "n_paths", "seed"}, _survival),
-    "analytics_probe": ({"probe.u_list", "probe.p", "probe.t"}, _analytics_probe),
+    "strong_rate": _strong_rate,
+    "mean_check": _mean_check,
+    "comparison": _comparison,
+    "positivity": _positivity,
+    "modulus": _modulus,
+    "survival": _survival,
+    "analytics_probe": _analytics_probe,
 }
 
 
@@ -593,22 +573,11 @@ def _write_manifest(config: RunConfig, wall_time: float, products) -> None:
     )
 
 
-def _probe_rows(config: RunConfig):
-    """(t, [(op, argument, value)]) of the analytic oracles at the probe points."""
-    params = CIRParams.from_model(config.model)
-    t = config.probe_t if config.probe_t is not None else config.model.horizon
-    rows = [("laplace", u, laplace_transform(params, u, t)) for u in config.probe_u]
-    moment = neg_moment(params, config.probe_p, t)
-    rows.append(("neg_moment", config.probe_p, moment.value))
-    rows.append(("mean", t, classical_mean(params, t)))
-    return t, rows
-
-
 def run(config: RunConfig) -> int:
     """Run one experiment: all CSV products plus the manifest, atomically."""
     start = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
-    products = EXPERIMENTS[config.experiment][1](config)()
+    products = config.run(config.threads)
     for name, (header, rows) in products.items():
         _write_csv(config.out_dir, name, header, rows)
     _write_manifest(config, time.perf_counter() - start, products)
@@ -627,8 +596,8 @@ def _print_report(config: RunConfig) -> None:
 
 
 def _print_probe(config: RunConfig) -> None:
-    _require_classical(config.model, "probe")
-    t, rows = _probe_rows(config)
+    rows = config.run(config.threads)["analytics.csv"][1]
+    t = rows[-1][1]  # the mean's argument
     for op, argument, value in rows:
         name = {"laplace": "u", "neg_moment": "p"}.get(op)
         at = f"{name}={_fmt(argument)} t={_fmt(t)}" if name else f"t={_fmt(t)}"

@@ -493,15 +493,19 @@ class MeanCheckRow:
     z: float
 
 
-def checkpoint_indices(grid: TimeGrid, checkpoints) -> list[int]:
+def checkpoint_indices(model: ModelSpec, grid: TimeGrid, checkpoints) -> list[int]:
     """Grid indices of ``checkpoints``; raises :class:`GridMisaligned` unless
-    every entry is a grid node in [t0, T]."""
+    every entry is a grid node in [t0, T], and ``ValueError`` for t0 under a
+    deterministic start of ``model``, where every path holds X0 and the
+    standard error is zero."""
     out = []
     for t in checkpoints:
         rel = (float(t) - grid.t0) / grid.delta
         k = round(rel)
         if abs(rel - k) > 1e-9 * max(1.0, abs(rel)) or not 0 <= k <= grid.n_steps:
             raise GridMisaligned(f"checkpoint {t} is not a grid node in [t0, T]")
+        if k == 0 and not model.initial.is_random:
+            raise ValueError(f"checkpoint {t} is t0, where a deterministic start has no spread")
         out.append(k)
     return out
 
@@ -522,7 +526,7 @@ def mean_consistency_check(
     a standard error that is not finite raises :class:`OutOfRange`.
     """
     validate(model)
-    ks = checkpoint_indices(grid, checkpoints)
+    ks = checkpoint_indices(model, grid, checkpoints)
 
     def at_checkpoints(draw, seg: Array) -> Array:
         out = np.empty((len(ks), seg.shape[1]))

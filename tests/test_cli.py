@@ -46,20 +46,19 @@ def test_defaults_fill_every_unset_key(tmp_path):
     cfg = _write_config(tmp_path, "experiment = strong_rate\n")
     config = parse_config(cfg)
     assert config.experiment == "strong_rate"
-    assert config.n_list == (8, 16, 32, 64, 128)
-    assert config.n_ref == 1024
-    assert config.n_paths == 10000
-    assert config.p_list == (1.0,)
-    assert config.seed == 2024
     assert config.threads == 1
     assert config.out_dir == "out"
-    assert config.schemes == ("implicit", "truncated")
     model = config.model
     assert isinstance(model, ModelSpec)
     assert (model.a, model.b, model.sigma, model.tau) == (1.0, 0.2, 0.25, 0.5)
     assert (model.t0, model.horizon) == (0.0, 1.5)
     resolved = dict(config.resolved)
+    assert resolved["N_list"] == "8,16,32,64,128"
+    assert resolved["N_ref"] == "1024"
+    assert resolved["n_paths"] == "10000"
+    assert resolved["p_list"] == "1.0"
     assert resolved["seed"] == "2024"
+    assert resolved["scheme"] == "implicit,truncated"
     assert resolved["gamma.kind"] == "constant"
 
 
@@ -69,7 +68,7 @@ def test_comments_and_spacing_are_tolerated(tmp_path):
         "# leading comment\n\n  seed =  5\nexperiment= positivity \n",
     )
     config = parse_config(cfg)
-    assert config.seed == 5
+    assert dict(config.resolved)["seed"] == "5"
     assert config.experiment == "positivity"
 
 
@@ -102,7 +101,7 @@ def test_unknown_experiment_and_missing_dependent_keys(tmp_path):
 def test_overrides_win_over_file_values(tmp_path):
     cfg = _write_config(tmp_path, "seed = 1\nout = somewhere\n")
     config = parse_config(cfg, {"seed": "9", "out": "elsewhere"})
-    assert config.seed == 9
+    assert dict(config.resolved)["seed"] == "9"
     assert config.out_dir == "elsewhere"
 
 
@@ -147,8 +146,14 @@ def test_strong_rate_products_and_headers(tmp_path):
 def test_csv_floats_round_trip_to_the_table(tmp_path):
     _run_rate(tmp_path, "out_rt")
     cfg = parse_config(_write_config(tmp_path, SMALL_RATE_CONFIG))
+    resolved = dict(cfg.resolved)
     table = strong_error_study(
-        cfg.model, cfg.n_list, cfg.n_ref, cfg.n_paths, cfg.p_list, cfg.seed
+        cfg.model,
+        tuple(int(n) for n in resolved["N_list"].split(",")),
+        int(resolved["N_ref"]),
+        int(resolved["n_paths"]),
+        (float(resolved["p_list"]),),
+        int(resolved["seed"]),
     )
     lines = (tmp_path / "out_rt" / "errors.csv").read_text().splitlines()[1:]
     for line, row in zip(lines, table.rows):
@@ -208,6 +213,19 @@ def test_run_calls_the_driver_bound_at_call_time(tmp_path, monkeypatch):
     assert (tmp_path / "o" / "survival.csv").read_text() == (
         "value,std_err,n_paths\n0.25,0.125,7\n"
     )
+
+
+def test_run_calls_its_plan_once(tmp_path, monkeypatch):
+    plan, calls = cli.EXPERIMENTS["survival"], []
+
+    def counted(model, read):
+        calls.append(model)
+        return plan(model, read)
+
+    monkeypatch.setitem(cli.EXPERIMENTS, "survival", counted)
+    cfg = _write_config(tmp_path, "experiment = survival\nN = 4\nn_paths = 7\n")
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
 
 
 def test_positivity_product(tmp_path):
@@ -392,6 +410,10 @@ def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
          "horizon"),
         ("experiment = mean_check\ncheckpoints = 0.001\n", "checkpoints"),
         ("experiment = mean_check\ncheckpoints = 0.5,5.0\n", "checkpoints"),
+        # every path holds X0 at t0 under a deterministic start: zero spread
+        ("experiment = mean_check\ncheckpoints = 0.0,0.5\n", "checkpoints"),
+        ("experiment = mean_check\ncheckpoints = 0.0,0.5\ninitial.kind = table\n"
+         "initial.points = -0.5:1; 0:2\n", "checkpoints"),
         ("experiment = positivity\nscheme = implicit,symmetrized\n", "scheme"),
         ("experiment = comparison\ngamma_lower = 1.5\n", "gamma_lower"),
         # two levels simulate fine but leave fit_rate too few rows
@@ -400,7 +422,8 @@ def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
     ids=[
         "mean_check-horizon", "survival-horizon", "comparison-horizon",
         "strong_rate-horizon", "strong_rate-coarse-level", "checkpoint-off-grid",
-        "checkpoint-after-T", "symmetrized-with-delay", "gamma_lower-above-inf",
+        "checkpoint-after-T", "checkpoint-t0-constant-start",
+        "checkpoint-t0-table-start", "symmetrized-with-delay", "gamma_lower-above-inf",
         "strong_rate-two-levels",
     ],
 )
@@ -440,6 +463,38 @@ def test_keys_an_experiment_does_not_read_are_not_checked(tmp_path, text):
     assert parse_config(_write_config(tmp_path, text)).experiment in text
 
 
+def test_a_t0_checkpoint_of_a_lognormal_start_runs(tmp_path):
+    cfg = _write_config(
+        tmp_path,
+        "experiment = mean_check\nn_paths = 50\ncheckpoints = 0.0,0.5\n"
+        "initial.kind = lognormal\ninitial.median = 1\ninitial.log_sd = 0.2\n",
+    )
+    assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "mean.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [0.0, 0.5]
+
+
+@pytest.mark.parametrize("command", ["run", "probe"])
+@pytest.mark.parametrize(
+    "text, key, reason",
+    [
+        ("probe.u_list = 1,-0.5\n", "probe.u_list", "u must be nonnegative, got -0.5"),
+        ("probe.p = 0\n", "probe.p", "need p > 0, got 0.0"),
+        # g = 2 a gamma / sigma^2 = 20000: the moment is finite, Gamma(60) is not taken
+        ("sigma = 0.01\nprobe.p = 60\n", "probe.p",
+         "gamma-function order must lie in (0, 50.0], got 60.0"),
+        ("sigma = 1.5\n", "probe.p",
+         "finite negative moments need 2 a gamma / sigma^2 > 1, got 0.8888888888888888"),
+    ],
+    ids=["negative-u", "zero-p", "p-beyond-the-gamma-function", "feller-ratio-below-one"],
+)
+def test_probe_keys_the_oracles_reject_exit_two(tmp_path, capsys, command, text, key, reason):
+    cfg = _write_config(tmp_path, f"experiment = analytics_probe\nb = 0\n{text}")
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: bad value for {key}: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_mean_check_runs_with_an_unused_reference_level(tmp_path):
     cfg = _write_config(tmp_path, "experiment = mean_check\nN_ref = 100\nn_paths = 20\n")
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
@@ -447,12 +502,13 @@ def test_mean_check_runs_with_an_unused_reference_level(tmp_path):
 
 def test_mean_check_runs_with_a_malformed_unused_level_list(tmp_path):
     cfg = _write_config(tmp_path, "experiment = mean_check\nN_list = x\nn_paths = 20\n")
-    config = parse_config(cfg)
-    assert (config.n_list, config.n_ref, config.p_list) == (None, None, None)
-    assert config.n_per_delay == 64
+    assert dict(parse_config(cfg).resolved)["N_list"] == "x"
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     manifest = (tmp_path / "o" / "manifest.txt").read_text()
     assert "N_list = x\n" in manifest
+    # the first default checkpoint of N = 64: step 38 of 192, each 0.5 / 64
+    mean = (tmp_path / "o" / "mean.csv").read_text().splitlines()
+    assert mean[1].startswith("0.296875,")
 
 
 def test_probe_command_reads_the_probe_keys_whatever_the_experiment(tmp_path, capsys):

@@ -203,6 +203,13 @@ def test_mean_check_rejects_off_grid_checkpoints():
         mean_consistency_check(model, grid, 10, (2.5,), seed=0)
 
 
+def test_mean_check_rejects_t0_under_a_deterministic_start():
+    # every path holds X0 at t0: the standard error there is zero
+    model = _model()
+    with pytest.raises(ValueError, match="deterministic start"):
+        mean_consistency_check(model, build_grid(model, 8), 10, (0.0, 0.5), seed=0)
+
+
 def test_zero_noise_limit_approaches_corrected_flow_at_first_order():
     # With the noise switched off the scheme follows the flow of
     # x' = a (gamma - x) - sigma^2 / 4, whose b = 0 closed form shifts the

@@ -86,6 +86,10 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         "experiment = mean_check\ncheckpoints = 5.0\n",
         "experiment = positivity\nscheme = symmetrized\n",
         "experiment = comparison\ngamma_lower = 1.5\n",
+        # the oracles check their arguments before any quadrature
+        "experiment = analytics_probe\nb = 0\nprobe.u_list = 1,-0.5\n",
+        "experiment = analytics_probe\nb = 0\nprobe.p = 0\n",
+        "experiment = analytics_probe\nb = 0\nsigma = 0.01\nprobe.p = 60\n",
     )
     cfgs = []
     for i, text in enumerate(texts):
@@ -101,7 +105,7 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         *cfgs,
         cwd=tmp_path,
     )
-    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * 4}
+    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * 7}
 
 
 def test_simulation_loads_special_but_not_integrate(tmp_path):
