@@ -7,9 +7,10 @@ One ``EXPERIMENTS`` table maps each experiment to its plan, which parses the
 config keys the experiment reads, checks them before any path is simulated
 and returns the run that calls the experiment's driver.
 Every run leaves a ``manifest.txt`` carrying the fully resolved config, a
-sha256 hash of it, the tool version, the wall time, the worker count and the
-peak resident set; CSV files are written to a temp file and atomically
-renamed, so a failed run leaves no partial tables behind.
+sha256 hash of it, the tool version, the wall time, the worker count, the
+peak resident set and how the paths were walked (span, chunk size and the
+memory estimate of all workers); CSV files are written to a temp file and
+atomically renamed, so a failed run leaves no partial tables behind.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import __version__
+from . import __version__, experiments
 from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_moment
 from .experiments import (
     check_comparable,
@@ -555,7 +556,7 @@ def _peak_rss_mib() -> float:
     ) / 1024.0
 
 
-def _write_manifest(config: RunConfig, wall_time: float, products) -> None:
+def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> None:
     lines = [
         f"tool = delay-cir {__version__}",
         f"experiment = {config.experiment}",
@@ -563,10 +564,14 @@ def _write_manifest(config: RunConfig, wall_time: float, products) -> None:
         f"wall_time_seconds = {wall_time:.3f}",
         f"workers = {config.threads}",
         f"peak_rss_mib = {_peak_rss_mib():.1f}",
-        f"products = {','.join(products)}",
-        "",
-        "[config]",
     ]
+    for plan in walks:
+        lines += [
+            f"walk_span_steps = {plan.span}",
+            f"walk_chunk_paths = {plan.paths}",
+            f"walk_memory_estimate_mib = {plan.bytes * plan.workers / 2**20:.1f}",
+        ]
+    lines += [f"products = {','.join(products)}", "", "[config]"]
     lines.extend(f"{k} = {v}" for k, v in config.resolved)
     _write_atomic(
         os.path.join(config.out_dir, "manifest.txt"), "\n".join(lines) + "\n"
@@ -577,10 +582,11 @@ def run(config: RunConfig) -> int:
     """Run one experiment: all CSV products plus the manifest, atomically."""
     start = time.perf_counter()
     os.makedirs(config.out_dir, exist_ok=True)
-    products = config.run(config.threads)
+    with experiments.recorded_walks() as walks:
+        products = config.run(config.threads)
     for name, (header, rows) in products.items():
         _write_csv(config.out_dir, name, header, rows)
-    _write_manifest(config, time.perf_counter() - start, products)
+    _write_manifest(config, time.perf_counter() - start, products, walks)
     return 0
 
 

@@ -11,14 +11,19 @@ path through shared Brownian increments (exact block sums, see
 
 Every experiment runs chunks of at most ``_CHUNK`` paths through
 :func:`map_paths`, in-process or on forked workers, and walks each chunk
-time-major in time blocks (:func:`walk_blocks`) into per-path results,
-assembled in path order.  Monte Carlo aggregation sums them pairwise with
-numpy, so results do not depend on chunking or on the worker count.
+time-major in spans of steps (:func:`walk_blocks`) into per-path results,
+assembled in path order.  :func:`walk_plan` sizes the span, and the chunk
+where even the shortest span would not fit, by a byte budget per worker.
+Monte Carlo aggregation sums the per-path results pairwise with numpy, so
+results depend neither on the plan nor on the worker count.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -44,6 +49,9 @@ __all__ = [
     "ModulusRow",
     "ModulusResult",
     "SurvivalEstimate",
+    "WalkPlan",
+    "walk_plan",
+    "recorded_walks",
     "map_paths",
     "strong_error_study",
     "check_levels",
@@ -64,9 +72,18 @@ __all__ = [
 
 _CHUNK = 2048
 
-# Steps per time block of walk_blocks; the strong-error study rounds it up to
-# a multiple of every level ratio n_ref / N.
-_BLOCK_STEPS = 256
+# Bytes that one worker's chunk may hold while walk_blocks walks it: the ring
+# windows, one span's increments, and the block sums and fold rows beside
+# them (walk_plan).  A default strong-rate chunk of 2048 paths walks spans
+# of 512 steps in it (31.7 MiB), and held about as much in the fixed blocks
+# of 256 steps that the budget replaced.
+_WALK_BYTES = 32 << 20
+
+# The shortest span that walk_plan shrinks a chunk to fit, rounded up to a
+# multiple of every lane's ratio (K where that is shorter).  A draw pays a
+# Philox re-keying and a fill call per path and span, about 3 us, which over
+# 256 steps is about what the span's march of one lane costs per path.
+_SHORTEST_SPAN = 256
 
 
 class PRequestedTooLarge(ValueError):
@@ -86,7 +103,101 @@ class IncomparableModels(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def map_paths(model, grid, seed, n_paths, reduce, threads=1):
+@dataclass(frozen=True)
+class WalkPlan:
+    """How a run is split into chunks and each chunk walked (:func:`walk_plan`).
+
+    ``span`` steps per span of :func:`walk_blocks`, at most ``paths`` paths
+    per chunk of :func:`map_paths`, ``workers`` processes walking chunks,
+    and ``bytes``, the estimate of what one chunk of ``paths`` holds.
+    """
+
+    span: int
+    paths: int
+    workers: int
+    bytes: int
+
+
+def _chunk_bounds(n_paths: int, threads: int, chunk: int) -> list[tuple[int, int]]:
+    """(lo, hi) path bounds of the chunks of :func:`map_paths`, in path order."""
+    if threads == 1:
+        return [(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
+    n_chunks = min(n_paths, threads * math.ceil(n_paths / (threads * chunk)))
+    return [
+        (i * n_paths // n_chunks, (i + 1) * n_paths // n_chunks) for i in range(n_chunks)
+    ]
+
+
+def _window_rows(n_delay: int, steps: int, back: int) -> int:
+    """Rows of a ring window of :func:`walk_blocks` for spans of ``steps``
+    steps of its grid: the N + 1 nodes a step reads, or the span's nodes and
+    the one before them that a fold reads, whichever is more, and ``back``."""
+    return max(n_delay + 1, steps + 1) + back
+
+
+def walk_plan(grid, lanes, n_paths, threads, explicit=None, *, fold_rows, back=0):
+    """The chunk size and the longest span whose walk fits ``_WALK_BYTES``.
+
+    ``grid``, ``lanes``, ``explicit`` and ``back`` are those of
+    :func:`walk_blocks`.  Per path, a chunk walked in spans of T steps holds
+    8 B times
+
+    * each lane's ring window, max(N + 1, T / r + 1) + back rows, and as many
+      per baseline scheme (r = 1);
+    * the span's draw, T rows;
+    * the two largest block sums, T / r rows each: a lane's sums live until
+      the next coarser lane's are continued from them;
+    * ``fold_rows(T)``, what the experiment's fold holds beside them.
+
+    T is a multiple of every lane's r and at most K.  A chunk holds at most
+    ``_CHUNK`` paths, fewer only where even the shortest span, the least
+    multiple of every r from min(K, ``_SHORTEST_SPAN``) on, would not fit so
+    many.  T is then the longest span that fits the largest chunk of a run of
+    ``n_paths`` on ``threads`` workers (see :func:`map_paths`), and at least
+    the shortest.  Temporaries of a byte per node, such as a march's check
+    that its increments are finite, and buffers of a few rows are left out.
+    """
+    ratios = [r for _, _, r in lanes]
+    step = math.lcm(*ratios)
+    spans = range(step, grid.n_steps + 1, step)
+    shortest = min(len(spans), -(-_SHORTEST_SPAN // step))
+    n_baselines = 0 if explicit is None else len(explicit[1])
+
+    def per_path(span: int) -> int:
+        rows = sum(_window_rows(g.n_per_delay, span // r, back) for _, g, r in lanes)
+        rows += n_baselines * _window_rows(grid.n_per_delay, span, back)
+        rows += span + sum(sorted(span // r for r in ratios if r > 1)[-2:])
+        return 8 * (rows + fold_rows(span))
+
+    cap = max(1, min(_CHUNK, _WALK_BYTES // per_path(spans[shortest - 1])))
+    bounds = _chunk_bounds(n_paths, threads, cap)
+    paths = max((hi - lo for lo, hi in bounds), default=1)
+    fits = bisect.bisect_right(spans, _WALK_BYTES, key=lambda span: paths * per_path(span))
+    span = spans[max(fits, shortest) - 1]
+    workers = 1 if threads == 1 else min(threads, len(bounds))
+    return WalkPlan(span=span, paths=paths, workers=workers, bytes=paths * per_path(span))
+
+
+# The plans of the map_paths calls made inside recorded_walks(), or None.
+_walks: ContextVar[list | None] = ContextVar("walks", default=None)
+
+
+@contextmanager
+def recorded_walks():
+    """Collect the :class:`WalkPlan` of every :func:`map_paths` call made in
+    this context inside the ``with`` block, in call order; an enclosing
+    block collects them too."""
+    outer, walks = _walks.get(), []
+    token = _walks.set(walks)
+    try:
+        yield walks
+    finally:
+        _walks.reset(token)
+        if outer is not None:
+            outer.extend(walks)
+
+
+def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
     """Per-path results of ``reduce`` over paths 0 .. n_paths-1, in path order.
 
     ``reduce(draw, seg)`` gets a chunk's draw function and its initial-segment
@@ -96,21 +207,26 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
     (stop - start, paths): :func:`delay_cir.noise.generate`, so any step
     range equals the same rows of the whole draw.
 
-    With ``threads == 1`` the chunks, of ``_CHUNK`` paths, run in this process.
-    Otherwise ``threads`` is a count of worker processes forked from this one
-    (the ``fork`` start method, so Linux or another POSIX system): the paths
-    are split into ``threads * ceil(n_paths / (threads * _CHUNK))`` chunks
-    whose sizes differ by at most one path, so every worker gets the same
-    number of chunks and none holds more than ``_CHUNK`` paths.  Workers
-    inherit ``reduce`` instead of receiving it pickled, and send back only
-    each chunk's result.  An exception raised by a chunk reaches the caller
-    with its type and message; when several chunks fail, the first in path
-    order is raised, as in this process.  A march's
+    A chunk holds at most the ``paths`` of ``plan`` (a :class:`WalkPlan`,
+    which :func:`recorded_walks` collects), or ``_CHUNK`` without one.  With
+    ``threads == 1`` the chunks run in this process, each of that many paths
+    but the last.  Otherwise ``threads`` is a count of worker processes
+    forked from this one (the ``fork`` start method, so Linux or another
+    POSIX system): the paths are split into ``threads * ceil(n_paths /
+    (threads * chunk))`` chunks whose sizes differ by at most one path, so
+    every worker gets the same number of chunks.  Workers inherit ``reduce``
+    instead of receiving it pickled, and send back only each chunk's result.
+    An exception raised by a chunk reaches the caller with its type and
+    message; when several chunks fail, the first in path order is raised, as
+    in this process.  A march's
     :class:`~delay_cir.scheme.NonPositiveForcing` is raised once every chunk
     has run: of the chunks' failures, the one at the earliest node and, there,
     at the smallest path index of the run, so that it does not depend on the
     chunking either.
     """
+    walks = _walks.get()
+    if plan is not None and walks is not None:
+        walks.append(plan)
 
     def run(lo: int, hi: int) -> Array:
         paths = range(lo, hi)
@@ -129,21 +245,17 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1):
             exc.path += lo
             return exc
 
+    bounds = _chunk_bounds(n_paths, threads, _CHUNK if plan is None else plan.paths)
     if threads == 1:
-        parts = [run(lo, min(lo + _CHUNK, n_paths)) for lo in range(0, n_paths, _CHUNK)]
+        parts = [run(lo, hi) for lo, hi in bounds]
     else:
         # Imported here, before the fork, so the workers inherit them.
         import multiprocessing
 
         import scipy.special  # noqa: F401 - the draws' ndtri
 
-        n_chunks = min(n_paths, threads * math.ceil(n_paths / (threads * _CHUNK)))
-        bounds = [
-            (i * n_paths // n_chunks, (i + 1) * n_paths // n_chunks)
-            for i in range(n_chunks)
-        ]
         with multiprocessing.get_context("fork").Pool(
-            min(threads, n_chunks), initializer=_inherit_chunk_runner, initargs=(run,)
+            min(threads, len(bounds)), initializer=_inherit_chunk_runner, initargs=(run,)
         ) as pool:
             # imap yields in chunk order, so a failure surfaces in path order
             parts = list(pool.imap(_run_inherited_chunk, bounds))
@@ -168,31 +280,43 @@ def _run_inherited_chunk(bounds: tuple[int, int]) -> Array:
     return _chunk_runner(*bounds)
 
 
-def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, block=_BLOCK_STEPS, back=0):
-    """March a chunk over the steps of ``grid`` in blocks, folding each block.
+def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, *, span, back=0):
+    """March a chunk over the steps of ``grid`` in spans, folding each span.
 
-    ``draw(k0, k1)`` gives a block's increments of steps k0 .. k1 - 1.  Each
+    ``draw(k0, k1)`` gives a span's increments of steps k0 .. k1 - 1.  Each
     implicit lane ``(model, lane_grid, r)`` continues
     :func:`~delay_cir.scheme.simulate_y_paths` on their sums over r steps
     from ``seg[::r]``, the baselines ``explicit = (model, schemes)``
     :func:`~delay_cir.scheme.explicit_paths`; then ``fold(k0, increments,
-    windows)`` may overwrite the increments, which are dropped before the
-    next draw.  ``windows`` are the lanes' ring windows, the baselines' last,
-    each of N + 1 + ``back`` + min(block, K) / r nodes: the block's, the N a
-    step reads before them and ``back`` more, whatever the horizon.  The
-    ``block`` must be a multiple of every r.
+    windows)`` may overwrite the increments.  The lanes march finest r
+    first, and a lane's sums continue those of the lane before it where that
+    lane's r divides its own (:func:`~delay_cir.noise.block_sum`); the sums
+    and the increments are dropped before the next draw.  ``windows`` are the lanes'
+    ring windows, in the order of ``lanes``, the baselines' last, each of
+    max(N + 1, span / r + 1) + ``back`` rows: the nodes a step reads or
+    those a fold reads, the span's and the one before, and ``back`` more,
+    whatever the horizon.  The ``span``, at most K, must be a multiple of
+    every r; :func:`walk_plan` sizes it.
     """
-    span, paths = min(block, grid.n_steps), seg.shape[1]
-    windows = [np.empty((g.n_per_delay + 1 + back + span // r, paths)) for _, g, r in lanes]
+    paths = seg.shape[1]
+    windows = [
+        np.empty((_window_rows(g.n_per_delay, span // r, back), paths)) for _, g, r in lanes
+    ]
     if explicit is not None:
-        windows.append(np.empty((grid.n_per_delay + 1 + back + span, len(explicit[1]), paths)))
-    for k0 in range(0, grid.n_steps, block):
-        inc = draw(k0, min(k0 + block, grid.n_steps))
-        for (model, lane_grid, r), window in zip(lanes, windows):
+        rows = _window_rows(grid.n_per_delay, span, back)
+        windows.append(np.empty((rows, len(explicit[1]), paths)))
+    marching = sorted(zip(lanes, windows), key=lambda lane: lane[0][2])
+    for k0 in range(0, grid.n_steps, span):
+        inc = draw(k0, min(k0 + span, grid.n_steps))
+        sums, summed = inc, 1
+        for (model, lane_grid, r), window in marching:
+            if r != summed:
+                sums = noise_mod.block_sum(inc, r, None if r % summed else sums)
+                summed = r
             scheme_mod.simulate_y_paths(
-                model, lane_grid, inc if r == 1 else noise_mod.block_sum(inc, r),
-                seg[::r], window=window, start=k0 // r,
+                model, lane_grid, sums, seg[::r], window=window, start=k0 // r
             )
+        del sums
         if explicit is not None:
             scheme_mod.explicit_paths(
                 explicit[0], grid, inc, seg, explicit[1], window=windows[-1], start=k0
@@ -365,7 +489,8 @@ def strong_error_study(
     and 10^4 paths.
 
     The reference and the coarse levels are lanes of :func:`walk_blocks`,
-    whose blocks are ``_BLOCK_STEPS`` rounded up to a multiple of every ratio.
+    whose spans :func:`walk_plan` sizes to a multiple of every ratio; the
+    fold holds the coarse X of a span and two pieces of the error fold.
 
     ``n_list`` and ``n_ref`` must pass :func:`check_levels`, every p must lie
     below the ``p_max`` of the model's condition report, and the strict
@@ -383,11 +508,13 @@ def strong_error_study(
     fine_grid = build_grid(model, n_ref)
     coarse_grids = [build_grid(model, n) for n in n_list]
     ratios = [n_ref // n for n in n_list]
-    # the coarsest ratio is a multiple of every other, so a block holds whole
-    # cells of every level
-    block = -(-_BLOCK_STEPS // ratios[0]) * ratios[0]
     weights = [_cell_weights(fine_grid.n_steps, r) for r in ratios]
     lanes = [(model, fine_grid, 1), *((model, g, r) for g, r in zip(coarse_grids, ratios))]
+    # a span holds whole cells of every level, the coarsest ratio's included
+    plan = walk_plan(
+        fine_grid, lanes, n_paths, threads,
+        fold_rows=lambda span: 2 * len(n_list) + span // ratios[-1] + 1 + 2 * _FOLD_ROWS + 1,
+    )
 
     def errors(draw, seg: Array) -> Array:
         """Rows 2i, 2i+1: grid and uniform errors of level n_list[i].
@@ -395,10 +522,10 @@ def strong_error_study(
         Node 0 is left out: every level starts from the same value there.
         """
         out = np.zeros((2 * len(n_list), seg.shape[1]))
-        x_coarse = np.empty((block // ratios[-1] + 1, seg.shape[1]))
+        x_coarse = np.empty((plan.span // ratios[-1] + 1, seg.shape[1]))
 
         def fold(k0, inc, windows):
-            # the increments are spent: their rows take the block's fine X
+            # the increments are spent: their rows take the span's fine X
             x_fine = scheme_mod.square_rows(windows[0], n_ref + k0 + 1, inc.shape[0], out=inc)
             rows = slice(k0, k0 + x_fine.shape[0])
             for i, (grid_c, r) in enumerate(zip(coarse_grids, ratios)):
@@ -411,10 +538,10 @@ def strong_error_study(
                     x_fine, x_c, one_minus_w[rows], w[rows], out[2 * i], out[2 * i + 1]
                 )
 
-        walk_blocks(fine_grid, draw, seg, fold, lanes, block=block)
+        walk_blocks(fine_grid, draw, seg, fold, lanes, span=plan.span)
         return out
 
-    err = map_paths(model, fine_grid, seed, n_paths, errors, threads)
+    err = map_paths(model, fine_grid, seed, n_paths, errors, threads, plan)
     rows = []
     for p in p_list:
         for i, n in enumerate(n_list):
@@ -527,19 +654,27 @@ def mean_consistency_check(
     """
     validate(model)
     ks = checkpoint_indices(model, grid, checkpoints)
+    lanes = [(model, grid, 1)]
+    plan = walk_plan(grid, lanes, n_paths, threads, fold_rows=lambda span: len(ks))
 
     def at_checkpoints(draw, seg: Array) -> Array:
-        out = np.empty((len(ks), seg.shape[1]))
+        out = []
 
         def fold(k0, inc, windows):
+            if not out:
+                # allocated after the window and the span's increments, so
+                # that the chunk's result, which outlives them, lies above
+                # them on the heap and glibc does not give their pages back
+                # to the system at the end of every chunk
+                out.append(np.empty((len(ks), seg.shape[1])))
             for j, k in enumerate(ks):
                 if k0 <= k <= k0 + inc.shape[0]:
-                    np.square(windows[0][(grid.n_per_delay + k) % len(windows[0])], out=out[j])
+                    np.square(windows[0][(grid.n_per_delay + k) % len(windows[0])], out=out[0][j])
 
-        walk_blocks(grid, draw, seg, fold, [(model, grid, 1)])
-        return out
+        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span)
+        return out[0]
 
-    samples = map_paths(model, grid, seed, n_paths, at_checkpoints, threads)
+    samples = map_paths(model, grid, seed, n_paths, at_checkpoints, threads, plan)
 
     if model.b == 0.0 and model.gamma.kind == "constant":
         params = CIRParams.from_model(model)
@@ -608,11 +743,12 @@ def comparison_census(
 
     Requires the preconditions of :func:`check_comparable`; under them the
     implicit update is monotone in its forcing, so the count should be zero.
-    Both models are lanes of :func:`walk_blocks`, and each block's
+    Both models are lanes of :func:`walk_blocks`, and each span's
     violations are counted per path.
     """
     check_comparable(model_upper, model_lower, grid)
     lanes = [(model_upper, grid, 1), (model_lower, grid, 1)]
+    plan = walk_plan(grid, lanes, n_paths, threads, fold_rows=lambda span: 1)
 
     def violations(draw, seg: Array) -> Array:
         count = np.zeros(seg.shape[1], dtype=np.intp)
@@ -620,14 +756,14 @@ def comparison_census(
         def fold(k0, inc, windows):
             y_up, y_lo = windows
             # both windows start from the same segment nodes -N .. 0, so only
-            # the block's new nodes can differ
+            # the span's new nodes can differ
             for span in scheme_mod.ring_spans(len(y_up), grid.n_per_delay + k0 + 1, len(inc)):
                 count[:] += np.count_nonzero(y_up[span] < y_lo[span], axis=0)
 
-        walk_blocks(grid, draw, seg, fold, lanes)
+        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span)
         return count
 
-    return int(np.sum(map_paths(model_upper, grid, seed, n_paths, violations, threads)))
+    return int(np.sum(map_paths(model_upper, grid, seed, n_paths, violations, threads, plan)))
 
 
 def check_schemes(names, model: ModelSpec) -> None:
@@ -657,7 +793,7 @@ def positivity_census(
 
     One row per name in ``schemes``, in that order; every scheme marches on
     the same noise.  The implicit scheme is a lane of :func:`walk_blocks`,
-    the baselines its explicit window, and each block's x <= 0 flags are
+    the baselines its explicit window, and each span's x <= 0 flags are
     folded into per-path booleans.
     """
     names = tuple(schemes)
@@ -666,6 +802,8 @@ def positivity_census(
     n_delay = grid.n_per_delay
     baselines = tuple(dict.fromkeys(name for name in names if name != "implicit"))
     lanes = [(model, grid, 1)] if "implicit" in names else []
+    explicit = (model, baselines) if baselines else None
+    plan = walk_plan(grid, lanes, n_paths, threads, explicit, fold_rows=lambda span: 1)
 
     def census(draw, seg: Array) -> Array:
         # row 0 flags the implicit scheme, row 1 + i baselines[i]
@@ -673,23 +811,23 @@ def positivity_census(
 
         # Node 0 is the segment's last node, positive in every scheme (the
         # implicit one holds sqrt(x)^2 >= 2^-1074 for x > 0), so only the
-        # nodes 1 .. K that each block adds are flagged.
+        # nodes 1 .. K that each span adds are flagged.
         def fold(k0, inc, windows):
             if baselines:
                 x = windows[-1]
                 for span in scheme_mod.ring_spans(len(x), n_delay + k0 + 1, len(inc)):
                     flags[1:] |= np.any(x[span] <= 0.0, axis=0)
             if lanes:
-                # the increments are spent: their rows take the block's X
+                # the increments are spent: their rows take the span's X
                 x_implicit = scheme_mod.square_rows(windows[0], n_delay + k0 + 1, len(inc), inc)
                 flags[0] |= np.any(x_implicit <= 0.0, axis=0)
 
-        walk_blocks(grid, draw, seg, fold, lanes, (model, baselines) if baselines else None)
+        walk_blocks(grid, draw, seg, fold, lanes, explicit, span=plan.span)
         row = {name: 1 + i for i, name in enumerate(baselines)} | {"implicit": 0}
         return flags[[row[name] for name in names]]
 
     flagged = np.count_nonzero(
-        map_paths(model, grid, seed, n_paths, census, threads), axis=1
+        map_paths(model, grid, seed, n_paths, census, threads, plan), axis=1
     )
     return tuple(
         CensusRow(scheme=name, fraction_nonpositive=int(f) / n_paths, n_paths=n_paths)
@@ -747,21 +885,26 @@ def modulus_scaling(
     of log E[w^p]^{1/p} against log sqrt(delta |log delta|), the scale on
     which the modulus of a square-root diffusion grows linearly, over the
     rows where that scale is not zero (not delta = 1); NaN below two rows.
-    Each block of :func:`walk_blocks` adds the node pairs that end in it to
+    Each span of :func:`walk_blocks` adds the node pairs that end in it to
     per-lag maxima, its window keeping the largest lag's nodes before it.
     """
     validate(model)
     lags = modulus_lags(grid, delta_list)
     distinct = sorted(set(lags))
     n_delay, back = grid.n_per_delay, distinct[-1]
+    lanes = [(model, grid, 1)]
+    # per-lag maxima, the X of a span and the L nodes before it, one row of |d|
+    plan = walk_plan(
+        grid, lanes, n_paths, threads, back=back, fold_rows=lambda span: 2 * back + span + 1
+    )
 
     def moduli(draw, seg: Array) -> Array:
         """Row j: the modulus at lag distinct[j], a running max over lags."""
         per_lag = np.zeros((back, seg.shape[1]))
-        x = np.empty((back + min(_BLOCK_STEPS, grid.n_steps), seg.shape[1]))
+        x = np.empty((back + plan.span, seg.shape[1]))
 
         def fold(k0, inc, windows):
-            # X of nodes lo .. k1: the block's and the largest lag's before it
+            # X of nodes lo .. k1: the span's and the largest lag's before it
             lo, k1 = max(0, k0 + 1 - back), k0 + len(inc)
             xs = scheme_mod.square_rows(windows[0], n_delay + lo, k1 + 1 - lo, out=x)
             for lag in range(1, min(back, k1) + 1):
@@ -771,10 +914,10 @@ def modulus_scaling(
                 row = per_lag[lag - 1]
                 np.maximum(row, np.max(np.abs(d, out=d), axis=0), out=row)
 
-        walk_blocks(grid, draw, seg, fold, [(model, grid, 1)], back=back)
+        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span, back=back)
         return np.maximum.accumulate(per_lag)[[lag - 1 for lag in distinct]]
 
-    w = map_paths(model, grid, seed, n_paths, moduli, threads)
+    w = map_paths(model, grid, seed, n_paths, moduli, threads, plan)
     rows = []
     for lag in sorted(lags):
         norm, _ = _lp_norm_and_jackknife(w[distinct.index(lag)], p)
@@ -800,24 +943,27 @@ def survival_probability(
 
     The integral of the piecewise-linear interpolant is exactly the trapezoid
     rule over the nodes, so the only approximations are the scheme itself and
-    Monte Carlo averaging.  Each block of :func:`walk_blocks` writes its X
+    Monte Carlo averaging.  Each span of :func:`walk_blocks` writes its X
     rows into a path-major buffer of K + 1 nodes per path, which is summed as
-    one row per path in numpy's pairwise order.
+    one row per path in numpy's pairwise order; the plan counts the buffer,
+    so a long horizon shrinks the chunk.
     """
     validate(model)
+    lanes = [(model, grid, 1)]
+    plan = walk_plan(grid, lanes, n_paths, threads, fold_rows=lambda span: grid.n_steps + 1)
 
     def discounted(draw, seg: Array) -> Array:
         x = np.empty((seg.shape[1], grid.n_steps + 1))
 
         def fold(k0, inc, windows):
-            # nodes k0 .. k0 + n, node k0 again after the first block
+            # nodes k0 .. k0 + n, node k0 again after the first span
             nodes = x[:, k0 : k0 + len(inc) + 1].T
             scheme_mod.square_rows(windows[0], grid.n_per_delay + k0, len(nodes), out=nodes)
 
-        walk_blocks(grid, draw, seg, fold, [(model, grid, 1)])
+        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span)
         return np.exp(-(grid.delta * (x.sum(axis=1) - 0.5 * (x[:, 0] + x[:, -1]))))
 
-    vals = map_paths(model, grid, seed, n_paths, discounted, threads)
+    vals = map_paths(model, grid, seed, n_paths, discounted, threads, plan)
     return SurvivalEstimate(
         value=float(np.mean(vals)),
         std_err=float(np.std(vals, ddof=1) / math.sqrt(n_paths)),

@@ -173,13 +173,27 @@ def generate(
     return z if isinstance(path_index, range) else z[:, 0]
 
 
-def block_sum(increments: Array, r: int) -> Array:
-    """Left-to-right sums of consecutive blocks of ``r`` along the first (time) axis."""
+def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:
+    """Left-to-right sums of consecutive blocks of ``r`` along the first (time) axis.
+
+    ``finer`` may hold the block sums of the same increments over a ratio q
+    that divides r (``block_sum(increments, q)``).  The sum of a block of r
+    then starts from that of its first q increments, which is the same
+    left-to-right prefix, and adds the other r - q: bit for bit the result
+    without ``finer``, for r - q additions instead of r - 1.
+    """
     n = increments.shape[0]
     if r < 1 or n % r:
         raise NotNested(f"block size {r} does not divide {n} increments")
-    out = np.array(increments[0::r], dtype=float)
-    for j in range(1, r):
+    if finer is None:
+        q, out = 1, np.array(increments[0::r], dtype=float)
+    else:
+        blocks = finer.shape[0]
+        q = n // blocks if blocks else 1
+        if blocks * q != n or r % q:
+            raise NotNested(f"{blocks} block sums of {n} increments do not nest in {r}")
+        out = np.array(finer[0 :: r // q], dtype=float)
+    for j in range(q, r):
         out += increments[j::r]
     return out
 
@@ -202,6 +216,10 @@ def sample_segment(
     if spec.kind == "lognormal":
         median, log_sd = spec.params
         z = _standard_normals(seed, paths, _TAG_SEGMENT, 1)[0]
+        # math.exp, not np.exp: NumPy's vectorised exp rounds differently
+        # from the C library's on about 4.6 % of the levels (92 280 to
+        # 92 920 of 2 000 000 at log_sd 0.2, 1 and 3, NumPy 2.4), which
+        # would change the products of every run with a lognormal start
         values = np.array([median * math.exp(log_sd * zj) for zj in z.tolist()])[None, :]
     else:
         check_segment_window(spec, grid.t0, grid.tau)

@@ -1,4 +1,4 @@
-"""Shared test settings.
+"""Shared test settings and fixtures.
 
 Property tests draw their examples from a fixed derandomised stream, a
 bounded number per test and without a per-example deadline, so every run of
@@ -7,9 +7,77 @@ the suite checks the same cases and takes about the same time.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import settings
+
+from delay_cir import experiments
 
 settings.register_profile(
     "repeatable", derandomize=True, max_examples=40, deadline=None, database=None
 )
 settings.load_profile("repeatable")
+
+
+# Rows of 8 B per path of a chunk that ``walk_in_spans`` starts from: a mean
+# check of six checkpoints plans spans of 256 steps, 2 x 256 + 6 + 1 rows.
+WALK_ROWS = 519
+
+
+@pytest.fixture
+def walk_in_spans(monkeypatch):
+    """Run an experiment with its walk budget cut until it takes two spans.
+
+    ``walk_in_spans(run, n_steps, chunk_paths)`` calls ``run()``, which runs
+    one experiment, with the budget at ``WALK_ROWS`` rows of 8 B per path of
+    ``chunk_paths`` and every span allowed (``_SHORTEST_SPAN`` 1), halving
+    the budget until the plan takes at least two spans of ``n_steps``.  It
+    returns the per-path array that the experiment reduced and the plan.
+    A run whose chunk is shrunk to fit the budget can still plan a span of
+    the whole horizon, where the paths split over the workers leave room.
+    """
+    inner = experiments.map_paths
+    monkeypatch.setattr(experiments, "_SHORTEST_SPAN", 1)
+
+    def walked(run, n_steps: int, chunk_paths: int):
+        rows = WALK_ROWS
+        while True:
+            monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * chunk_paths * rows)
+            seen = []
+
+            def recording(*args, **kwargs):
+                seen.append(inner(*args, **kwargs))
+                return seen[-1]
+
+            monkeypatch.setattr(experiments, "map_paths", recording)
+            with experiments.recorded_walks() as plans:
+                run()
+            monkeypatch.setattr(experiments, "map_paths", inner)
+            (per_path,), (plan,) = seen, plans
+            if plan.span < n_steps:
+                return per_path, plan
+            rows //= 2
+
+    return walked
+
+
+class _Planned(Exception):
+    """Carries the plan of an experiment out of its map_paths call."""
+
+
+@pytest.fixture
+def plan_of(monkeypatch):
+    """``plan_of(run)``: the :class:`~delay_cir.experiments.WalkPlan` with
+    which ``run()``, which runs one experiment, would walk its chunks; no
+    path is simulated."""
+
+    def planned(model, grid, seed, n_paths, reduce, threads=1, plan=None):
+        raise _Planned(plan)
+
+    def plan_of(run):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "map_paths", planned)
+            with pytest.raises(_Planned) as info:
+                run()
+        return info.value.args[0]
+
+    return plan_of

@@ -1,7 +1,8 @@
-"""The strong-error study's time blocks against whole-path marches.
+"""The strong-error study's spans against whole-path marches.
 
 ``strong_error_study`` never holds a reference path whole: it draws, marches
-and reduces each chunk in blocks of fine steps.  The reference below is the
+and reduces each chunk in spans of fine steps, here two or more (the
+``walk_in_spans`` fixture cuts the walk budget down).  The reference below is the
 whole-path reduction it replaced, kept here verbatim in substance: the fine
 path and every coarse path are marched over the whole horizon, and the
 uniform error gathers the coarse interpolant at every fine node.  The blocked
@@ -134,22 +135,16 @@ def _whole_path_errors(model, n_list, n_ref, n_paths, seed):
     return experiments.map_paths(model, fine_grid, seed, n_paths, errors)
 
 
-def _study_errors(monkeypatch, model, n_list, n_ref, n_paths, seed, threads=1):
-    """The per-path error matrix that strong_error_study reduces to its table."""
-    seen = []
-    inner = experiments.map_paths
-
-    def recording(*args, **kwargs):
-        seen.append(inner(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(experiments, "map_paths", recording)
-    experiments.strong_error_study(
-        model, n_list, n_ref, n_paths, (0.5,), seed=seed, threads=threads
+def _study_errors(walk_in_spans, model, n_list, n_ref, n_paths, seed, threads=1):
+    """The per-path error matrix that strong_error_study reduces to its table,
+    walked in two spans or more, and the plan."""
+    return walk_in_spans(
+        lambda: experiments.strong_error_study(
+            model, n_list, n_ref, n_paths, (0.5,), seed=seed, threads=threads
+        ),
+        build_grid(model, n_ref).n_steps,
+        -(-n_paths // threads),
     )
-    monkeypatch.setattr(experiments, "map_paths", inner)
-    (err,) = seen
-    return err
 
 
 REGIMES = {
@@ -168,32 +163,33 @@ REGIMES = {
         64,
         200,
     ),
-    # 520 fine steps in blocks of 280: the last block is short
+    # 520 fine steps in spans of a multiple of 40: the last span is short
     "short-last-block": (_model(horizon=1.3), (5, 10, 20), 200, 100),
 }
 
 
 @pytest.mark.parametrize("regime", list(REGIMES))
-def test_study_errors_equal_whole_path_errors(monkeypatch, regime):
+def test_study_errors_equal_whole_path_errors(walk_in_spans, regime):
     model, n_list, n_ref, n_paths = REGIMES[regime]
-    err = _study_errors(monkeypatch, model, n_list, n_ref, n_paths, seed=11)
+    err, plan = _study_errors(walk_in_spans, model, n_list, n_ref, n_paths, seed=11)
+    # spans of whole coarsest cells
+    assert plan.span % (n_ref // n_list[0]) == 0
     ref = _whole_path_errors(model, n_list, n_ref, n_paths, seed=11)
     assert err.shape == (2 * len(n_list), n_paths)
     assert np.array_equal(_bits(err), _bits(ref))
     assert np.all(err > 0.0)
 
 
-def test_short_last_block_regime_has_several_blocks():
-    model, n_list, n_ref, _ = REGIMES["short-last-block"]
+def test_short_last_block_regime_has_several_blocks(walk_in_spans):
+    model, n_list, n_ref, n_paths = REGIMES["short-last-block"]
     n_steps = build_grid(model, n_ref).n_steps
-    coarsest = n_ref // n_list[0]
-    block = -(-experiments._BLOCK_STEPS // coarsest) * coarsest
-    assert block < n_steps and n_steps % block
+    _, plan = _study_errors(walk_in_spans, model, n_list, n_ref, n_paths, seed=11)
+    assert plan.span < n_steps and n_steps % plan.span
 
 
-def test_study_errors_on_two_workers_equal_whole_path_errors(monkeypatch):
+def test_study_errors_on_two_workers_equal_whole_path_errors(walk_in_spans):
     model, n_list, n_ref, _ = REGIMES["feller-index-1.39"]
-    err = _study_errors(monkeypatch, model, n_list, n_ref, 300, seed=5, threads=2)
+    err, _ = _study_errors(walk_in_spans, model, n_list, n_ref, 300, seed=5, threads=2)
     assert multiprocessing.active_children() == []
     ref = _whole_path_errors(model, n_list, n_ref, 300, seed=5)
     assert np.array_equal(_bits(err), _bits(ref))

@@ -180,6 +180,32 @@ def test_reruns_are_byte_identical_and_thread_independent(tmp_path):
         assert f"workers = {workers}" in manifest
 
 
+def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
+    # the default levels over 1536 fine steps and 2100 paths: chunks of 2048
+    # paths in spans of 512 steps on one worker, chunks of 1050 paths in
+    # longer spans on two
+    cfg = _write_config(tmp_path, "horizon = 0.75\nn_paths = 2100\n")
+    walks = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(["run", "--config", cfg, "--out", str(out), "--threads", str(workers)]) == 0
+        head = (out / "manifest.txt").read_text().split("[config]")[0].splitlines()
+        walks[workers] = {
+            key: float(value)
+            for key, _, value in (line.partition(" = ") for line in head)
+            if key.startswith("walk_")
+        }
+    for name in ("errors.csv", "ratefit.csv"):
+        assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    one, two = walks[1], walks[2]
+    assert (one["walk_span_steps"], one["walk_chunk_paths"]) == (512, 2048)
+    assert two["walk_chunk_paths"] == 1050
+    assert 512 < two["walk_span_steps"] < 1536 and two["walk_span_steps"] % 128 == 0
+    # the estimate of all workers, each within the 32 MiB budget
+    assert 30.0 < one["walk_memory_estimate_mib"] <= 32.0
+    assert 32.0 < two["walk_memory_estimate_mib"] <= 64.0
+
+
 def test_seed_override_changes_the_numbers(tmp_path):
     _run_rate(tmp_path, "out_s1")
     _run_rate(tmp_path, "out_s2", extra_args=("--seed", "78"))

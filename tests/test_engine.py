@@ -17,7 +17,6 @@ from scipy.special import ndtri
 
 from delay_cir import experiments
 from delay_cir.experiments import (
-    _BLOCK_STEPS,
     _CHUNK,
     comparison_census,
     map_paths,
@@ -268,19 +267,26 @@ def test_positivity_census_on_two_workers_matches_one():
     assert any(row.fraction_nonpositive > 0.0 for row in one)
 
 
-def _census_model(sigma=1.2):
-    # N = 128 over 3.25 makes 832 steps: three whole blocks of 256, the third
-    # wrapping round the ring window of 128 + 1 + 256 rows, and a quarter one
+# Rows of 8 B per path of the walk budget of the census tests, for chunks of
+# 300 paths: a census of the implicit scheme and two baselines at N = 128
+# then plans spans of 256 steps, 3 (256 + 1) + 256 + 1 rows.
+CENSUS_ROWS = 1028
+
+
+def _census_model(monkeypatch, sigma=1.2):
+    # N = 128 over 3.25 makes 832 steps: three whole spans of 256, the third
+    # wrapping round the ring windows of 257 rows, and a quarter one
+    monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * 300 * CENSUS_ROWS)
     model = _model(
         b=0.0, sigma=sigma, horizon=3.25, initial=InitialSegmentSpec.lognormal(1.0, 0.3)
     )
     grid = build_grid(model, 128)
-    assert grid.n_steps == 3 * _BLOCK_STEPS + 64
+    assert grid.n_steps == 832
     return model, grid
 
 
-def test_blocked_positivity_census_equals_whole_path_flags():
-    model, grid = _census_model()
+def test_blocked_positivity_census_equals_whole_path_flags(monkeypatch):
+    model, grid = _census_model(monkeypatch)
     names = ("symmetrized", "implicit", "truncated")
     inc, seg = _engine_inputs(model, grid, 8, 300)
     y = simulate_y_paths(model, grid, inc, seg)
@@ -289,36 +295,44 @@ def test_blocked_positivity_census_equals_whole_path_flags():
         "truncated": truncated_euler_paths(model, grid, inc, seg)[1] > 0,
         "symmetrized": symmetrized_euler_paths(model, grid, inc, seg)[1] > 0,
     }
-    rows = positivity_census(names, model, grid, 300, seed=8)
+    with experiments.recorded_walks() as plans:
+        rows = positivity_census(names, model, grid, 300, seed=8)
+    assert [plan.span for plan in plans] == [256]
     assert [row.scheme for row in rows] == list(names)
     for row in rows:
         assert row.fraction_nonpositive == np.count_nonzero(flagged[row.scheme]) / 300
     assert rows[2].fraction_nonpositive > 0.0
 
 
-def test_positivity_census_rows_are_the_same_at_one_two_and_three_workers():
-    # 600 paths: one chunk in process, 300 + 300 on 2 workers, 3 x 200 on 3
-    model, grid = _census_model()
+def test_positivity_census_rows_are_the_same_at_one_two_and_three_workers(monkeypatch):
+    # 600 paths: two chunks of 300 in process and on 2 workers, walked in
+    # spans of 256; 3 x 200 on 3, in longer spans
+    model, grid = _census_model(monkeypatch)
     names = ("implicit", "truncated", "symmetrized", "truncated")
-    one = positivity_census(names, model, grid, 600, seed=2024, threads=1)
-    for workers in (2, 3):
-        assert positivity_census(names, model, grid, 600, seed=2024, threads=workers) == one
+    with experiments.recorded_walks() as plans:
+        one = positivity_census(names, model, grid, 600, seed=2024, threads=1)
+        for workers in (2, 3):
+            assert positivity_census(names, model, grid, 600, seed=2024, threads=workers) == one
+    assert [(plan.paths, plan.span) for plan in plans[:2]] == [(300, 256)] * 2
+    assert plans[2].paths == 200 and 256 < plans[2].span < grid.n_steps
     assert one[1] == one[3] and one[1].fraction_nonpositive > 0.0
     assert multiprocessing.active_children() == []
 
 
 def test_blocked_comparison_census_counts_every_violation(monkeypatch):
     # models out of order on purpose, with the precondition check skipped, so
-    # that the blocks have violations to count
-    model, grid = _census_model(sigma=0.5)
+    # that the spans have violations to count
+    model, grid = _census_model(monkeypatch, sigma=0.5)
     upper, lower = model, _model(b=0.5, sigma=0.5, horizon=3.25, initial=model.initial)
     monkeypatch.setattr(experiments, "check_comparable", lambda *models: None)
     inc, seg = _engine_inputs(model, grid, 6, 300)
     below = simulate_y_paths(upper, grid, inc, seg) < simulate_y_paths(lower, grid, inc, seg)
     expected = int(np.count_nonzero(below))
     assert expected > 0
-    for workers in (1, 2):
-        assert comparison_census(upper, lower, grid, 300, seed=6, threads=workers) == expected
+    with experiments.recorded_walks() as plans:
+        for workers in (1, 2):
+            assert comparison_census(upper, lower, grid, 300, seed=6, threads=workers) == expected
+    assert all(plan.span < grid.n_steps for plan in plans)
 
 
 class ChunkFailed(LookupError):

@@ -3,7 +3,7 @@ the straightforward computations they replace.
 
 * ``_fold_cell_errors`` builds a piece's interpolant with ``np.einsum`` into
   reused buffers; the reference is the broadcast-product fold, kept here,
-  walked over the same time blocks as ``strong_error_study`` walks them.
+  walked over spans as ``strong_error_study`` walks them.
 * ``_standard_normals`` fills each path's row of several words with
   ``Generator.random``; the reference draws the raw words of a fresh Philox
   keyed by (seed, path, tag) and converts them as (k + 1/2) 2^-53.
@@ -16,7 +16,7 @@ import pytest
 from scipy.special import ndtri
 
 from delay_cir import noise
-from delay_cir.experiments import _BLOCK_STEPS, _cell_weights, _fold_cell_errors
+from delay_cir.experiments import _cell_weights, _fold_cell_errors
 from delay_cir.noise import _TAG_NOISE, _TAG_SEGMENT, _standard_normals
 
 # ---------------------------------------------------------------------------
@@ -24,6 +24,11 @@ from delay_cir.noise import _TAG_NOISE, _TAG_SEGMENT, _standard_normals
 # ---------------------------------------------------------------------------
 
 _REFERENCE_FOLD_ROWS = 32
+
+# Steps per span of the walks below, rounded up to a multiple of the
+# coarsest ratio: the span that the CLI's default strong-rate study plans
+# for a chunk of 2048 paths (checked in tests/test_walker.py).
+_SPAN_STEPS = 512
 
 
 def _broadcast_fold(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
@@ -51,13 +56,13 @@ def _broadcast_fold(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
 
 
 def _walk_blocks(fold, ratios, n_fine, x_fine, x_coarse):
-    """Per-path (grid, uniform) maxima of every level, folded block by block."""
-    block = -(-_BLOCK_STEPS // ratios[0]) * ratios[0]
+    """Per-path (grid, uniform) maxima of every level, folded span by span."""
+    span = -(-_SPAN_STEPS // ratios[0]) * ratios[0]
     out = np.zeros((2 * len(ratios), x_fine.shape[1]))
     for i, r in enumerate(ratios):
         one_minus_w, w = _cell_weights(n_fine, r)
-        for k0 in range(0, n_fine, block):
-            rows = slice(k0, min(k0 + block, n_fine))
+        for k0 in range(0, n_fine, span):
+            rows = slice(k0, min(k0 + span, n_fine))
             fold(
                 x_fine[rows],
                 x_coarse[i][k0 // r : rows.stop // r + 1],
@@ -72,11 +77,11 @@ def _walk_blocks(fold, ratios, n_fine, x_fine, x_coarse):
 @pytest.mark.parametrize("ratios", [(128, 64, 32, 16, 8), (12, 6, 3)])
 @pytest.mark.parametrize("n_paths", [1, 3, 2050])
 def test_fold_equals_the_broadcast_fold(ratios, n_paths):
-    # two whole blocks and a short last block of three coarsest cells: every
+    # two whole spans and a short last span of three coarsest cells: every
     # level has pieces of several cells (r < 32) or parts of a cell (r > 32),
-    # and the last block ends with fewer cells than a piece holds
-    block = -(-_BLOCK_STEPS // ratios[0]) * ratios[0]
-    n_fine = 2 * block + 3 * ratios[0]
+    # and the last span ends with fewer cells than a piece holds
+    span = -(-_SPAN_STEPS // ratios[0]) * ratios[0]
+    n_fine = 2 * span + 3 * ratios[0]
     rng = np.random.default_rng(n_paths + ratios[-1])
     # a random walk in Y, and on every level its nodes plus an error of the
     # size of its steps over a cell: the maxima come from nodes anywhere in

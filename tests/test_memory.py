@@ -1,19 +1,26 @@
-"""Memory of a strong-rate run, a positivity census and a modulus run, each
+"""Memory of strong-rate runs, a positivity census and a modulus run, each
 measured in a fresh interpreter.
 
-Every experiment walks a chunk of P paths in time blocks of T steps and
-holds its paths in ring windows (``experiments.walk_blocks``).  The
-strong-error study keeps 8 B x P x (N_ref + 1 + T + coarse nodes), where T
-is rounded up to the coarsest level ratio and each coarse level N keeps
-N + 1 + T N / N_ref nodes.  A census chunk of all three schemes holds one
-implicit window and two explicit scheme rows of N + 1 + T nodes each:
-8 B x P x (3 (N + 1 + T) + T) with the block's increments.  A modulus
-chunk keeps the largest lag L more nodes in its window, and squares the
-block's nodes and the L before them: 8 B x P x ((N + 1 + L + T) + T +
-(L + T)).  The checks compare the resident high-water mark (``VmHWM``) of a
-run with that of a process that has imported the CLI and SciPy's
-``special`` module (which every simulation loads) and parsed the same
-config.
+Every experiment walks a chunk of at most P = 2048 paths in spans of T
+steps and holds its paths in ring windows (``experiments.walk_blocks``).
+``experiments.walk_plan`` sizes T, and P where even the shortest span would
+not fit, so that its estimate of a chunk stays within a budget of 32 MiB.
+Per path the estimate counts 8 B times
+
+* each lane's ring window, max(N + 1, T / r + 1) + back rows: the rate
+  study's reference N_ref with r = 1 and every coarse level N with r =
+  N_ref / N, a census's implicit scheme and, as many again, each baseline
+  scheme, a modulus run's one lane with back = the largest lag L;
+* the span's increments, T rows, and the two largest block sums, T / r each;
+* the rows the experiment's fold keeps: the rate study's coarse X of a span
+  and two pieces of its error fold (T / r_min + 1 + 65 rows), a census's
+  flags, a modulus run's per-lag maxima and the X of a span with the L nodes
+  before it (2 L + T + 1 rows).
+
+The checks take each estimate from the plan of the same config and compare
+the resident high-water mark (``VmHWM``) of a run with that of a process
+that has imported the CLI and SciPy's ``special`` module (which every
+simulation loads) and parsed the same config.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from pathlib import Path
 
 import pytest
 
-from delay_cir import experiments
+from delay_cir import cli, experiments
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -77,67 +84,79 @@ def _vm_hwm_mib(tmp_path: Path, text: str, run: bool) -> float:
     return out["kib"] / 1024.0
 
 
-def _estimate_mib() -> float:
-    coarsest = N_REF // N_LIST[0]
-    block = -(-experiments._BLOCK_STEPS // coarsest) * coarsest
-    coarse_nodes = sum(n + 1 + block * n // N_REF for n in N_LIST)
-    return 8 * PATHS * (N_REF + 1 + block + coarse_nodes) / 2**20
-
-
-def test_strong_rate_memory_is_the_chunk_estimate_whatever_the_horizon(tmp_path):
-    base_text = (
-        f"N_list = {','.join(map(str, N_LIST))}\nN_ref = {N_REF}\n"
-        f"n_paths = {PATHS}\nthreads = 1\n"
-    )
-    rises = {}
-    for horizon in (0.75, 1.5):
+def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
+    """VmHWM rise of a run over its parsed config at each horizon, and the
+    walk plan, which is the same at each: every horizon (over the default
+    delay 0.5, at ``n_per_delay`` finest steps per delay) is longer than a
+    span."""
+    rises, plans = {}, set()
+    for horizon in horizons:
         text = base_text + f"horizon = {horizon}\n"
         rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
             tmp_path, text, run=False
         )
-    estimate = _estimate_mib()  # 21.2 MiB with a block of 256 steps
+        cfg = tmp_path / "plan.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        config = cli.parse_config(str(cfg))
+        plans.add(plan_of(lambda: config.run(config.threads)))
+    (plan,) = plans
+    assert plan.span < min(horizons) / 0.5 * n_per_delay
+    assert plan.bytes <= experiments._WALK_BYTES
+    return rises, plan
+
+
+def _check_rises(rises, plan):
+    estimate = plan.bytes / 2**20
     for rise in rises.values():
         assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
     # twice the horizon, twice the fine path: the rise must not follow it
-    assert abs(rises[1.5] - rises[0.75]) < 0.1 * rises[0.75], rises
+    low, high = sorted(rises)
+    assert abs(rises[high] - rises[low]) < 0.1 * rises[low], rises
+
+
+def test_strong_rate_memory_is_the_chunk_estimate_whatever_the_horizon(tmp_path, plan_of):
+    base_text = (
+        f"N_list = {','.join(map(str, N_LIST))}\nN_ref = {N_REF}\n"
+        f"n_paths = {PATHS}\nthreads = 1\n"
+    )
+    # spans of 768 steps, 1536 and 3072 steps in all
+    rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (0.75, 1.5), N_REF)
+    assert (plan.span, plan.paths) == (768, PATHS)  # 31.0 MiB
+    _check_rises(rises, plan)
+
+
+def test_strong_rate_memory_keeps_to_the_budget_where_the_chunk_shrinks(tmp_path, plan_of):
+    # at N_ref 4096 even the shortest span, the coarsest ratio of 512 steps,
+    # needs 37 KiB per path, 74 MiB for 2048 paths: the chunk shrinks
+    text = (
+        f"N_list = {','.join(map(str, N_LIST))}\nN_ref = 4096\n"
+        f"n_paths = {PATHS}\nthreads = 1\n"
+    )
+    rises, plan = _rises_and_plan(tmp_path, plan_of, text, (1.5,), 4096)
+    assert plan.span == 512 and plan.paths < PATHS
+    budget = experiments._WALK_BYTES / 2**20
+    unshrunk = PATHS * plan.bytes / plan.paths / 2**20
+    assert 0.0 < rises[1.5] <= 1.5 * plan.bytes / 2**20 <= 1.5 * budget < unshrunk, (rises, plan)
 
 
 CENSUS_N = 256
 
 
-def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path):
+def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, plan_of):
     base_text = (
         "experiment = positivity\nscheme = implicit,truncated,symmetrized\n"
         f"b = 0\nsigma = 1.2\nN = {CENSUS_N}\nn_paths = {PATHS}\nthreads = 1\n"
     )
-    rises = {}
-    for horizon in (0.75, 1.5):
-        text = base_text + f"horizon = {horizon}\n"
-        rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
-            tmp_path, text, run=False
-        )
-    block = experiments._BLOCK_STEPS
-    # 28.0 MiB with a block of 256 steps
-    estimate = 8 * PATHS * (3 * (CENSUS_N + 1 + block) + block) / 2**20
-    for rise in rises.values():
-        assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
-    # 384 and 768 steps: the rise must not follow the horizon
-    assert abs(rises[1.5] - rises[0.75]) < 0.1 * rises[0.75], rises
+    # spans of 511 steps, 768 and 1536 steps in all
+    rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (1.5, 3.0), CENSUS_N)
+    assert (plan.span, plan.paths) == (511, PATHS)  # 32.0 MiB
+    _check_rises(rises, plan)
 
 
-def test_modulus_memory_is_the_window_estimate_whatever_the_horizon(tmp_path):
+def test_modulus_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, plan_of):
     base_text = f"experiment = modulus\nN = {CENSUS_N}\nn_paths = {PATHS}\nthreads = 1\n"
-    rises = {}
-    for horizon in (0.75, 1.5):
-        text = base_text + f"horizon = {horizon}\n"
-        rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
-            tmp_path, text, run=False
-        )
-    block = experiments._BLOCK_STEPS
-    lag = 16  # the largest default lag
-    # 16.5 MiB with a block of 256 steps
-    estimate = 8 * PATHS * ((CENSUS_N + 1 + lag + block) + block + (lag + block)) / 2**20
-    for rise in rises.values():
-        assert 0.0 < rise <= 1.5 * estimate, (rises, estimate)
-    # 384 and 768 steps: the rise must not follow the horizon
-    assert abs(rises[1.5] - rises[0.75]) < 0.1 * rises[0.75], rises
+    # the largest default lag is 16 steps; spans of 666 steps, 768 and 1536
+    # steps in all
+    rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (1.5, 3.0), CENSUS_N)
+    assert (plan.span, plan.paths) == (666, PATHS)  # 32.0 MiB
+    _check_rises(rises, plan)

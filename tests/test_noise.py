@@ -209,6 +209,28 @@ def test_coarsen_two_stage_nesting():
         assert np.max(np.abs(direct - staged)) <= 1e-12
 
 
+def test_block_sums_continued_from_finer_sums_keep_every_bit():
+    # the sums over q that divide r are the left-to-right prefixes of the
+    # sums over r, on one path and on many
+    grid = _grid(n_per_delay=48)
+    for paths in (0, range(5)):
+        inc = generate(grid, seed=6, path_index=paths)
+        for q, r in ((1, 4), (2, 8), (3, 12), (4, 48), (6, 6), (8, 16), (16, 48)):
+            got = block_sum(inc, r, block_sum(inc, q))
+            assert got.tobytes() == block_sum(inc, r).tobytes()
+
+
+def test_block_sums_reject_finer_sums_that_do_not_nest():
+    grid = _grid(n_per_delay=12)  # 36 increments
+    inc = generate(grid, seed=3, path_index=range(2))
+    with pytest.raises(NotNested, match="do not nest"):
+        block_sum(inc, 6, block_sum(inc, 4))  # 4 does not divide 6
+    with pytest.raises(NotNested, match="do not nest"):
+        block_sum(inc, 6, block_sum(inc[:30], 2))  # sums of 30 increments, not 36
+    with pytest.raises(NotNested, match="does not divide"):
+        block_sum(inc, 8, block_sum(inc, 4))
+
+
 def test_coarsen_tracks_grid_resolution():
     # block sums of r fine steps are the increments of the grid with N / r
     grid = _grid(n_per_delay=16)

@@ -1,11 +1,13 @@
-"""Every experiment walks its chunks in time blocks (``experiments.walk_blocks``).
+"""Every experiment walks its chunks in spans of steps (``experiments.walk_blocks``).
 
 The references below are the whole-horizon reductions the walker replaced
 for the mean check, the modulus and the survival functional: each chunk
 draws all its increments, marches them with ``simulate_y_paths`` without a
 window and reduces the whole path.  The walked experiments must give the
-same per-path arrays, bit for bit, over horizons of several blocks.  A guard
-checks that no experiment draws more than one block of steps at a time.
+same per-path arrays, bit for bit, over horizons of several spans; the walk
+budget is cut down here (the ``walk_in_spans`` fixture) so that 60 paths
+are walked in two spans or more (``experiments.walk_plan``).  A guard checks
+that no experiment draws more than one planned span of steps at a time.
 """
 
 from __future__ import annotations
@@ -16,9 +18,8 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from delay_cir import experiments, noise
+from delay_cir import cli, experiments, noise
 from delay_cir.experiments import (
-    _BLOCK_STEPS,
     comparison_census,
     classical_variant,
     mean_consistency_check,
@@ -28,7 +29,7 @@ from delay_cir.experiments import (
     survival_probability,
 )
 from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, OutOfRange, build_grid
-from delay_cir.scheme import simulate_y_paths
+from delay_cir.scheme import explicit_paths, simulate_y_paths, square_rows
 
 PATHS = 60
 
@@ -52,8 +53,8 @@ def _bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-# K = 300, 384 and 600 steps: two, two and three blocks of 256 steps, the
-# last one short
+# K = 300, 384 and 600 steps: two, two and three spans of the mean check's
+# 256 steps at the budget walk_in_spans starts from, the last one short
 GRIDS = {300: (100, 1.5), 384: (128, 1.5), 600: (100, 3.0)}
 
 
@@ -61,24 +62,8 @@ def _grid(n_steps: int):
     n, horizon = GRIDS[n_steps]
     model = _model(horizon=horizon)
     grid = build_grid(model, n)
-    assert grid.n_steps == n_steps > _BLOCK_STEPS
+    assert grid.n_steps == n_steps
     return model, grid
-
-
-def _walked(monkeypatch, run):
-    """The per-path array that the experiment ``run()`` reduces."""
-    seen = []
-    inner = experiments.map_paths
-
-    def recording(*args, **kwargs):
-        seen.append(inner(*args, **kwargs))
-        return seen[-1]
-
-    monkeypatch.setattr(experiments, "map_paths", recording)
-    run()
-    monkeypatch.setattr(experiments, "map_paths", inner)
-    (per_path,) = seen
-    return per_path
 
 
 def _whole(model, grid, reduce_x):
@@ -93,15 +78,17 @@ def _whole(model, grid, reduce_x):
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_steps", sorted(GRIDS))
-def test_mean_check_samples_equal_whole_horizon_samples(monkeypatch, n_steps, threads):
+def test_mean_check_samples_equal_whole_horizon_samples(walk_in_spans, n_steps, threads):
     model, grid = _grid(n_steps)
     ks = [0, 1, 255, 256, 257, n_steps]
-    got = _walked(
-        monkeypatch,
+    got, plan = walk_in_spans(
         lambda: mean_consistency_check(
             model, grid, PATHS, [grid.time(k) for k in ks], seed=4, threads=threads
         ),
+        n_steps,
+        PATHS // threads,
     )
+    assert plan.span == 256  # checkpoints on either side of a span's end
     want = _whole(model, grid, lambda x: x[ks])
     assert np.array_equal(_bits(got), _bits(want))
     assert multiprocessing.active_children() == []
@@ -123,20 +110,23 @@ def _whole_moduli(distinct):
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_steps", sorted(GRIDS))
 @pytest.mark.parametrize("spread", [True, False])
-def test_moduli_equal_whole_horizon_moduli(monkeypatch, n_steps, threads, spread):
+def test_moduli_equal_whole_horizon_moduli(walk_in_spans, n_steps, threads, spread):
     model, grid = _grid(n_steps)
-    # lags around the block edges up to K, or lag 1 alone, whose pairs alone
-    # make its modulus; delta = 1 (lag 256 of K = 384) is tested below
+    # lags up to K, longer than the spans, or lag 1 alone, whose pairs alone
+    # make its modulus; delta = 1 (lag 256 of K = 384) is tested below.  The
+    # largest lag L makes the walk hold L rows more per path, so a chunk of
+    # the spread lags holds fewer paths than PATHS, in spans shorter than L.
     lags = [
         lag
         for lag in ((1, 17, 255, 256, 257, 299, n_steps) if spread else (1,))
         if lag * grid.delta != 1.0
     ]
-    got = _walked(
-        monkeypatch,
+    got, _ = walk_in_spans(
         lambda: modulus_scaling(
             model, grid, PATHS, [lag * grid.delta for lag in lags], seed=4, threads=threads
         ),
+        n_steps,
+        PATHS // threads,
     )
     want = _whole(model, grid, _whole_moduli(sorted(set(lags))))
     assert np.array_equal(_bits(got), _bits(want))
@@ -144,11 +134,12 @@ def test_moduli_equal_whole_horizon_moduli(monkeypatch, n_steps, threads, spread
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n_steps", sorted(GRIDS))
-def test_survival_values_equal_whole_horizon_values(monkeypatch, n_steps, threads):
+def test_survival_values_equal_whole_horizon_values(walk_in_spans, n_steps, threads):
     model, grid = _grid(n_steps)
-    got = _walked(
-        monkeypatch,
+    got, _ = walk_in_spans(
         lambda: survival_probability(model, grid, PATHS, seed=4, threads=threads),
+        n_steps,
+        PATHS // threads,
     )
 
     def discounted(x):
@@ -156,6 +147,108 @@ def test_survival_values_equal_whole_horizon_values(monkeypatch, n_steps, thread
         return np.exp(-(grid.delta * (total - 0.5 * (x[0] + x[-1]))))
 
     assert np.array_equal(_bits(got), _bits(_whole(model, grid, discounted)))
+
+
+# ---------------------------------------------------------------------------
+# the walker's spans and ring windows
+# ---------------------------------------------------------------------------
+
+WALKS = {
+    # spans of 300 steps, longer than 256; every ring
+    # holds a span's nodes and the one before them, T / r + 1 > N + 1
+    "long-spans": (100, 3.0, 300, 0),
+    # spans shorter than a delay: every ring holds the N + 1 nodes a step
+    # reads, and the 5 more asked for, N + 1 > T / r + 1
+    "short-spans-and-back": (64, 1.5, 32, 5),
+    # 144 steps in spans of 60: the last span is short
+    "short-last-span": (24, 3.0, 60, 3),
+}
+
+
+@pytest.mark.parametrize("walk", list(WALKS))
+def test_walked_lanes_and_baselines_equal_whole_horizon_marches(walk):
+    n_fine, horizon, span, back = WALKS[walk]
+    model = _model(horizon=horizon)
+    fine = build_grid(model, n_fine)
+    lanes = [(model, fine, 1), *((model, build_grid(model, n_fine // r), r) for r in (4, 2))]
+    baselines = ("truncated",)
+    paths = range(7)
+    inc = noise.generate(fine, 4, paths)
+    seg = noise.sample_segment(model.initial, fine, 4, paths)
+    want = [
+        np.square(simulate_y_paths(m, g, noise.block_sum(inc, r), seg[::r])[g.n_per_delay :])
+        for m, g, r in lanes
+    ]
+    want.append(explicit_paths(model, fine, inc, seg, baselines)[fine.n_per_delay :, 0])
+    got = [np.full_like(x, np.nan) for x in want]
+    sizes = set()
+
+    def fold(k0, increments, windows):
+        # every node a ring holds for the fold: the span's, the one before
+        # them and ``back`` more; the lanes hold Y, the baseline X
+        sizes.add(tuple(len(w) for w in windows))
+        for (_, g, r), x, window in zip([*lanes, (model, fine, 1)], got, windows):
+            lo, hi = max(0, k0 // r - back), (k0 + len(increments)) // r
+            if window.ndim == 2:
+                square_rows(window, g.n_per_delay + lo, hi + 1 - lo, out=x[lo:])
+            else:
+                for node in range(lo, hi + 1):
+                    x[node] = window[(g.n_per_delay + node) % len(window), 0]
+
+    experiments.walk_blocks(
+        fine, lambda k0, k1: inc[k0:k1].copy(), seg, fold, lanes, (model, baselines),
+        span=span, back=back,
+    )
+    assert fine.n_steps > span
+    rows = [max(g.n_per_delay + 1, span // r + 1) + back for _, g, r in lanes]
+    assert sizes == {(*rows, rows[0])}
+    if walk == "long-spans":
+        assert span > 256 and all(n == span // r + 1 for n, (_, _, r) in zip(rows, lanes))
+    for x, y in zip(got, want):
+        assert np.array_equal(_bits(x), _bits(y))
+
+
+# ---------------------------------------------------------------------------
+# the plans of full-size runs
+# ---------------------------------------------------------------------------
+
+
+def _planned(tmp_path, plan_of, text):
+    """The walk plan of a ``delay-cir run`` of the config ``text``."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    config = cli.parse_config(str(cfg))
+    return plan_of(lambda: config.run(config.threads))
+
+
+def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(tmp_path, plan_of):
+    budget = experiments._WALK_BYTES
+    # the default rate study: 3072 fine steps in 6 spans of 512 per chunk
+    rate = _planned(tmp_path, plan_of, "n_paths = 2048\n")
+    assert (rate.span, rate.paths, rate.workers) == (512, 2048, 1)
+    assert 0.9 * budget < rate.bytes <= budget
+    # 192 steps in one span
+    mean = _planned(
+        tmp_path,
+        plan_of,
+        "experiment = mean_check\nN = 64\ninitial.kind = lognormal\n"
+        "initial.median = 1.0\ninitial.log_sd = 0.2\nn_paths = 25000\n",
+    )
+    assert (mean.span, mean.paths) == (192, 2048)
+    # a three-scheme census at N 1024 on two workers: about a delay per span
+    census = _planned(
+        tmp_path,
+        plan_of,
+        "experiment = positivity\nscheme = implicit,truncated,symmetrized\nb = 0\n"
+        "sigma = 1.2\nN = 1024\nn_paths = 2048\nthreads = 2\n",
+    )
+    assert (census.paths, census.workers) == (1024, 2) and 1000 < census.span <= 1024
+    assert census.bytes <= budget
+    # at N_ref 4096 not even the shortest span, the coarsest ratio of 512
+    # steps, fits 2048 paths: the chunk shrinks and memory keeps to the budget
+    deep = _planned(tmp_path, plan_of, "N_list = 8,16,32\nN_ref = 4096\nn_paths = 2048\n")
+    assert deep.span == 512 and deep.paths < 2048
+    assert 0.9 * budget < deep.bytes <= budget
 
 
 # ---------------------------------------------------------------------------
@@ -168,48 +261,35 @@ def _census_model():
 
 
 RUNS = {
-    # 520 fine steps in blocks of 280, 256 rounded up to the coarsest ratio 40
-    "strong_rate": (
-        lambda: strong_error_study(
-            _model(horizon=1.3), (5, 10, 20), 200, PATHS, (1.0,), seed=4
-        ),
-        280,
+    # 520 fine steps in spans of a multiple of the coarsest ratio 40
+    "strong_rate": lambda: strong_error_study(
+        _model(horizon=1.3), (5, 10, 20), 200, PATHS, (1.0,), seed=4
     ),
-    "mean_check": (
-        lambda: mean_consistency_check(*_grid(384), PATHS, [0.75, 1.5], seed=4),
-        _BLOCK_STEPS,
+    "mean_check": lambda: mean_consistency_check(*_grid(384), PATHS, [0.75, 1.5], seed=4),
+    "comparison": lambda: comparison_census(
+        _census_model(),
+        classical_variant(_census_model()),
+        build_grid(_census_model(), 128),
+        PATHS,
+        seed=4,
     ),
-    "comparison": (
-        lambda: comparison_census(
-            _census_model(),
-            classical_variant(_census_model()),
-            build_grid(_census_model(), 128),
-            PATHS,
-            seed=4,
-        ),
-        _BLOCK_STEPS,
+    "positivity": lambda: positivity_census(
+        ("implicit", "truncated", "symmetrized"),
+        _census_model(),
+        build_grid(_census_model(), 128),
+        PATHS,
+        seed=4,
     ),
-    "positivity": (
-        lambda: positivity_census(
-            ("implicit", "truncated", "symmetrized"),
-            _census_model(),
-            build_grid(_census_model(), 128),
-            PATHS,
-            seed=4,
-        ),
-        _BLOCK_STEPS,
-    ),
-    "modulus": (
-        lambda: modulus_scaling(*_grid(384), PATHS, (0.5, 1.5), seed=4),
-        _BLOCK_STEPS,
-    ),
-    "survival": (lambda: survival_probability(*_grid(600), PATHS, seed=4), _BLOCK_STEPS),
+    "modulus": lambda: modulus_scaling(*_grid(384), PATHS, (0.5, 1.5), seed=4),
+    "survival": lambda: survival_probability(*_grid(600), PATHS, seed=4),
 }
 
 
 @pytest.mark.parametrize("name", list(RUNS))
 def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
-    run, block = RUNS[name]
+    # a budget of 519 rows of 8 B per path, whose plans take spans of 256
+    # steps or more (_SHORTEST_SPAN), but less than K
+    monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * PATHS * 519)
     spans = []
     inner = noise.generate
 
@@ -218,13 +298,14 @@ def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
         return inner(grid, seed, path_index, start, stop)
 
     monkeypatch.setattr(noise, "generate", recording)
-    run()
-    n_steps = spans[0][2]
-    assert n_steps > block
-    # one chunk: the draws tile the steps 0 .. K - 1 in order
-    assert [start for start, _, _ in spans] == list(range(0, n_steps, block))
-    assert all(stop - start <= block for start, stop, _ in spans)
-    assert spans[-1][1] == n_steps
+    with experiments.recorded_walks() as plans:
+        RUNS[name]()
+    ((_, _, n_steps), *_), (plan,) = spans, plans
+    assert n_steps > plan.span
+    # each chunk's draws tile the steps 0 .. K - 1 in order, a span each
+    chunks = -(-PATHS // plan.paths)
+    assert [start for start, _, _ in spans] == list(range(0, n_steps, plan.span)) * chunks
+    assert all(stop == min(start + plan.span, n_steps) for start, stop, _ in spans)
 
 
 # ---------------------------------------------------------------------------
