@@ -20,6 +20,7 @@ it first runs: no other oracle needs it, and its import pulls in
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,7 @@ __all__ = [
     "classical_mean",
     "mean_delay_curve",
     "NonPositiveElapsed",
+    "ElapsedOutOfRange",
     "FellerRatioTooSmall",
     "QuadratureNotConverged",
     "OrderOutOfRange",
@@ -47,6 +49,13 @@ __all__ = [
 
 class NonPositiveElapsed(ValueError):
     """The evaluation time does not lie strictly after t0."""
+
+
+class ElapsedOutOfRange(ValueError):
+    """The elapsed time t - t0 is too short or too long for an oracle to be
+    evaluated in floating point; ``argument`` names it."""
+
+    argument = "t"
 
 
 class FellerRatioTooSmall(ValueError):
@@ -108,9 +117,18 @@ class CIRParams:
 
 
 def _transform_coeffs(params: CIRParams, s: float) -> tuple[float, float]:
-    """(L, zeta): L = sigma^2 (1 - e^{-a s}) / (4 a), zeta = x0 e^{-a s} / L."""
+    """(L, zeta): L = sigma^2 (1 - e^{-a s}) / (4 a), zeta = x0 e^{-a s} / L.
+
+    L is computed as -sigma^2 expm1(-a s) / (4 a), which stays positive where
+    a s is below the rounding of 1 - e^{-a s}; where a s itself underflows, L
+    is 0 and the elapsed time is out of range.
+    """
     decay = math.exp(-params.a * s)
-    big_l = params.sigma**2 * (1.0 - decay) / (4.0 * params.a)
+    big_l = -(params.sigma**2) * math.expm1(-params.a * s) / (4.0 * params.a)
+    if big_l == 0.0:
+        raise ElapsedOutOfRange(
+            f"elapsed time {s} is too short: sigma^2 (1 - e^(-a s)) / (4 a) rounds to 0"
+        )
     zeta = params.x0 * decay / big_l
     return big_l, zeta
 
@@ -240,6 +258,11 @@ def neg_moment(
     _, zeta = _transform_coeffs(params, s)
     alpha = g - p - 1.0
     integral, abs_err = _neg_moment_integral(p, alpha, zeta, rel_tol)
+    if 0.0 <= integral < sys.float_info.min:
+        raise ElapsedOutOfRange(
+            f"elapsed time {s} is too long: the negative-moment integral "
+            f"underflows (zeta = {zeta})"
+        )
     if not math.isfinite(integral) or integral <= 0.0 or abs_err > rel_tol * integral:
         raise QuadratureNotConverged(
             f"negative-moment quadrature error {abs_err} too large for value {integral}"

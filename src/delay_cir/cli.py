@@ -248,13 +248,14 @@ def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
 def _checked(key, check, *args):
     """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of ``key``.
 
-    ``key`` may instead map the ``argument`` that the error names to a key.
+    ``key`` may instead map the ``argument`` that the error names to a key,
+    and None to the key of an error that names none.
     """
     try:
         return check(*args)
     except ValueError as exc:
         if isinstance(key, dict):
-            key = key[exc.argument]
+            key = key[getattr(exc, "argument", None)]
         raise BadValue(key, str(exc)) from None
 
 
@@ -486,11 +487,15 @@ def _analytics_probe(model: ModelSpec, read):
         raise BadValue("probe.t", "must exceed t0")
     _require_classical(model, "experiment", "analytics_probe ")
     params = CIRParams.from_model(model)
+
+    def probed(key, oracle, *args):
+        # an elapsed time that the oracle cannot evaluate is one of probe.t
+        return _checked({None: key, "t": "probe.t"}, oracle, *args)
+
     rows = [
-        ("laplace", u, _checked("probe.u_list", laplace_transform, params, u, t))
-        for u in u_list
+        ("laplace", u, probed("probe.u_list", laplace_transform, params, u, t)) for u in u_list
     ]
-    rows.append(("neg_moment", p, _checked("probe.p", neg_moment, params, p, t).value))
+    rows.append(("neg_moment", p, probed("probe.p", neg_moment, params, p, t).value))
     rows.append(("mean", t, classical_mean(params, t)))
     return lambda threads: {"analytics.csv": ("op,argument,value", rows)}
 

@@ -16,14 +16,17 @@ Initial-segment randomness lives on a separate stream tag so that drawing a
 segment never disturbs the Brownian increments (and vice versa), no matter
 how many of either are drawn.
 
-A draw re-keys one Philox bit generator per path, so its cost per path is
-the state setter plus one fill.  A path that needs several words gets them
-as one row of uniforms filled by ``Generator.random``, and a reused
-cache-sized block of such rows is transposed into the time-major output; a
-path that needs a single word (a lognormal segment level) gets it from
-``random_raw()`` as a Python int, and the words of a chunk are converted in
-one pass.  Both branches give the same bits as the first row of a longer
-draw (see :func:`_standard_normals`).
+A path that needs several words re-keys one Philox bit generator, so its
+cost per path is the state setter plus one fill: the words come as one row
+of uniforms filled by ``Generator.random``, and a reused cache-sized block
+of such rows is transposed into the time-major output.  Philox is
+counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+3", SC 2011): each block of four words is a pure function of key and
+counter.  So where every path needs a single word (a lognormal segment
+level), :func:`_philox4x64` computes the words of all the chunk's paths at
+once, in uint64 array arithmetic that gives numpy's bits, and no bit
+generator is keyed.  Both branches give the same bits as the first row of a
+longer draw (see :func:`_standard_normals`).
 
 SciPy's inverse normal CDF is imported on the first draw, not with the
 module, so a process that only parses or validates a config never loads it.
@@ -73,6 +76,59 @@ _BLOCK_BYTES = 1 << 20
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
+# Philox4x64-10 as numpy's Philox computes it: the multipliers of a round
+# and the constants added to the two key words between rounds.
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: Array) -> tuple[Array, Array]:
+    """(high, low) 64-bit words of the 128-bit products m x of a constant m
+    and the uint64 array x.
+
+    The low word is numpy's wrapping product.  The high word is assembled
+    from the four 32 x 32-bit products, none of whose partial sums exceeds
+    2^64 - 1.
+    """
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    mid = m_lo * x_hi
+    mid += (m_lo * x_lo) >> _SHIFT32
+    carry = mid & _LOW32
+    carry += m_hi * x_lo
+    hi = m_hi * x_hi
+    hi += mid >> _SHIFT32
+    hi += carry >> _SHIFT32
+    return hi, x * np.uint64(m)
+
+
+def _philox4x64(key0: int, key1: Array, counter: int) -> tuple[Array, ...]:
+    """The four words of Philox4x64-10 at counter (counter, 0, 0, 0) under the
+    keys (key0, key1[j]), for every entry of the uint64 array ``key1`` at once.
+
+    numpy's Philox steps its counter before it makes each block of four
+    words, so this is the block that a state with counter ``counter - 1``
+    returns next.
+    """
+    c0 = np.full(key1.shape, counter, dtype=np.uint64)
+    c1, c2, c3 = (np.zeros(key1.shape, dtype=np.uint64) for _ in range(3))
+    key1 = key1.copy()
+    for round_ in range(10):
+        if round_:
+            key0 = (key0 + _PHILOX_W[0]) & _MASK64
+            key1 += np.uint64(_PHILOX_W[1])
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        hi1 ^= c1
+        hi1 ^= np.uint64(key0)
+        hi0 ^= c3
+        hi0 ^= key1
+        c0, c1, c2, c3 = hi1, lo1, hi0, lo0
+    return c0, c1, c2, c3
+
+
 def _paths(path_index: int | range) -> range:
     if isinstance(path_index, range):
         return path_index
@@ -93,7 +149,9 @@ def _standard_normals(
     of stream (seed, paths[j], tag).
 
     Word w of a stream becomes the uniform (k + 1/2) 2^-53 with k = w >> 11,
-    clamped below 1, then ``ndtri`` of it.  A row of several words is filled by
+    clamped below 1, then ``ndtri`` of it.  One word per path, from draw 0
+    of a block, is computed by :func:`_philox4x64` for every path at once and
+    converted just so.  A row of several words is filled by
     ``Generator.random``, which gives k 2^-53 exactly, and 2^-54 is added on
     the way into the output; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2),
     because scaling by a power of two commutes with rounding in this range.
@@ -101,39 +159,38 @@ def _standard_normals(
     """
     if seed < 0 or min(paths, default=0) < 0:
         raise ValueError("seed and path_index must be nonnegative integers")
-    # One bit generator, local to the call, re-keyed per path; its own seed
-    # is never drawn from.  The setter copies the plain ints of one reused
-    # state dict, so re-keying builds no array.  Philox makes four words per
-    # counter value and steps the counter before each four, so counter
-    # start // 4 with start % 4 words skipped begins at word ``start`` (a
-    # fresh state has counter zero).
-    bitgen = np.random.Philox(0)
-    key = [seed & _MASK64, 0]
+    # Philox makes four words per counter value and steps the counter before
+    # each four, so counter start // 4 with start % 4 words skipped begins at
+    # word ``start`` (a fresh state has counter zero).  Path j's key is
+    # (seed, (j << 1) | tag).
     skip = start % 4
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [start // 4, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
     u = np.empty((n, len(paths)))
     if n == 1 and skip == 0:
-        # one word per path (a lognormal segment level): random_raw() returns
-        # it as a Python int, and the chunk's words convert in one pass
-        words = []
-        for path in paths:
-            key[1] = ((path << 1) | tag) & _MASK64
-            bitgen.state = state
-            words.append(bitgen.random_raw())
-        drawn = np.array(words, dtype=np.uint64)
-        drawn >>= np.uint64(11)
-        np.add(drawn, 0.5, out=u[0])
+        # one word per path (a lognormal segment level): word 0 of the block
+        # at counter start // 4 + 1, for the chunk's paths at once
+        key1 = np.arange(paths.start, paths.stop, paths.step, dtype=np.uint64)
+        key1 <<= np.uint64(1)
+        key1 |= np.uint64(tag)
+        words = _philox4x64(seed & _MASK64, key1, start // 4 + 1)[0]
+        words >>= np.uint64(11)
+        np.add(words, 0.5, out=u[0])
         u *= 2.0**-53
     else:
-        # each path's row is filled with (w >> 11) 2^-53; adding 2^-54 on the
-        # way into the time-major output rounds as (k + 1/2) 2^-53 above
+        # One bit generator, local to the call, re-keyed per path; its own
+        # seed is never drawn from.  The setter copies the plain ints of one
+        # reused state dict, so re-keying builds no array.  Each path's row
+        # is filled with (w >> 11) 2^-53; adding 2^-54 on the way into the
+        # time-major output rounds as (k + 1/2) 2^-53 above.
+        bitgen = np.random.Philox(0)
+        key = [seed & _MASK64, 0]
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         uniform = np.random.Generator(bitgen).random
         block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
         rows = np.empty((min(block, len(paths)), n + skip))
@@ -220,7 +277,8 @@ def sample_segment(
         # from the C library's on about 4.6 % of the levels (92 280 to
         # 92 920 of 2 000 000 at log_sd 0.2, 1 and 3, NumPy 2.4), which
         # would change the products of every run with a lognormal start
-        values = np.array([median * math.exp(log_sd * zj) for zj in z.tolist()])[None, :]
+        levels = np.fromiter(map(math.exp, (log_sd * z).tolist()), float, len(paths))
+        values = (median * levels)[None, :]
     else:
         check_segment_window(spec, grid.t0, grid.tau)
         values = np.asarray(spec.mean_at(times))[:, None]

@@ -179,14 +179,20 @@ def _increments(increments, n_steps: int | None) -> Array:
 
 def _start_values(n_nodes: int, n_paths: int, segment) -> Array:
     """Validated start X values (nodes, paths); a one-dimensional segment is
-    shared by every path."""
+    shared by every path.
+
+    The checks read each distinct value once: an axis that a broadcast view
+    repeats (stride 0) is checked at its first entry only, so a segment of
+    one level per path costs no byte per node.
+    """
     seg = np.asarray(segment, dtype=float)
     if seg.shape[0] != n_nodes:
         raise ValueError(f"segment needs {n_nodes} node values, got {seg.shape[0]}")
     seg = seg[:, None] if seg.ndim == 1 else seg
-    if not np.all(np.isfinite(seg)):
+    distinct = seg[tuple(slice(None, 1) if step == 0 else slice(None) for step in seg.strides)]
+    if not np.all(np.isfinite(distinct)):
         raise ValueError("segment values must be finite")
-    if np.any(seg <= 0.0):
+    if np.any(distinct <= 0.0):
         raise NonPositiveSample("segment values must be positive")
     return np.broadcast_to(seg, (n_nodes, n_paths))
 

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 from delay_cir.cir_analytics import (
     CIRParams,
+    ElapsedOutOfRange,
     FellerRatioTooSmall,
     NonPositiveElapsed,
     OrderOutOfRange,
@@ -162,6 +163,31 @@ def test_neg_moment_carries_the_exponential_bound():
         res = neg_moment(_params(sigma=sigma, x0=x0), p, t)
         assert math.isfinite(res.value) and res.value > 0.0
         assert res.value <= res.bound * (1.0 + 1e-12)
+
+
+def test_the_oracles_hold_where_a_s_is_below_the_rounding_of_one():
+    # L = sigma^2 (1 - e^{-a s}) / (4 a) ~ sigma^2 s / 4: 1 - e^{-a s} rounds
+    # to 0 below a s ~ 1e-16, expm1 does not.  As a s -> 0 the transform
+    # tends to exp(-u x0 / (1 + 2 u L)).
+    for params, t in ((_params(a=1e-300, sigma=0.25), 1.5), (_params(), 1e-300)):
+        big_l = params.sigma**2 * t / 4.0
+        want = math.exp(-1.0 / (1.0 + 2.0 * big_l))
+        assert laplace_transform(params, 1.0, t) == pytest.approx(want, rel=1e-12)
+    assert neg_moment(_params(a=1e-300, sigma=0.25), 0.5, 1.5).value == math.inf  # g < p
+    assert neg_moment(_params(), 0.5, 1e-300).value == pytest.approx(1.0, rel=1e-12)
+
+
+def test_the_oracles_reject_elapsed_times_they_cannot_evaluate():
+    # a s underflows, so L is 0
+    with pytest.raises(ElapsedOutOfRange, match="too short") as info:
+        laplace_transform(_params(a=1e-300), 1.0, 1e-300)
+    assert info.value.argument == "t"
+    with pytest.raises(ElapsedOutOfRange, match="too short"):
+        neg_moment(_params(a=1e-300, gamma=1e300), 0.5, 1e-300)  # g = 2
+    # e^{-a s} and with it the negative-moment integral underflow
+    for t in (400.0, 1e300):
+        with pytest.raises(ElapsedOutOfRange, match="too long"):
+            neg_moment(_params(sigma=0.25), 2.0, t)
 
 
 def test_neg_moment_domain_errors():

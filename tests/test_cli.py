@@ -181,10 +181,10 @@ def test_reruns_are_byte_identical_and_thread_independent(tmp_path):
 
 
 def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
-    # the default levels over 1536 fine steps and 2100 paths: chunks of 2048
-    # paths in spans of 512 steps on one worker, chunks of 1050 paths in
-    # longer spans on two
-    cfg = _write_config(tmp_path, "horizon = 0.75\nn_paths = 2100\n")
+    # the default levels over 1536 fine steps and 2048 paths: one chunk in
+    # spans of 512 steps on one worker, chunks of 1024 paths in one span of
+    # the whole horizon on two
+    cfg = _write_config(tmp_path, "horizon = 0.75\nn_paths = 2048\n")
     walks = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
@@ -199,8 +199,8 @@ def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
     one, two = walks[1], walks[2]
     assert (one["walk_span_steps"], one["walk_chunk_paths"]) == (512, 2048)
-    assert two["walk_chunk_paths"] == 1050
-    assert 512 < two["walk_span_steps"] < 1536 and two["walk_span_steps"] % 128 == 0
+    assert two["walk_chunk_paths"] == 1024
+    assert two["walk_span_steps"] == 1536
     # the estimate of all workers, each within the 32 MiB budget
     assert 30.0 < one["walk_memory_estimate_mib"] <= 32.0
     assert 32.0 < two["walk_memory_estimate_mib"] <= 64.0

@@ -339,10 +339,29 @@ class ChunkFailed(LookupError):
     """Raised by a test reduction; pickled back from a worker by reference."""
 
 
-@pytest.mark.parametrize("workers, first_failed", [(1, _CHUNK), (2, 1500), (3, 1000)])
+@pytest.mark.parametrize(
+    "n_paths, threads, chunk, sizes",
+    [
+        (25000, 1, _CHUNK, [1924] + [1923] * 12),  # the benchmark's mean check
+        (2048, 1, 963, [683, 683, 682]),  # a chunk shrunk by the walk plan
+        (10000, 2, _CHUNK, [1667] * 4 + [1666] * 2),  # the default study, 3 chunks each
+        (2048, 2, _CHUNK, [1024, 1024]),
+        (3, 2, _CHUNK, [2, 1]),
+        (0, 1, _CHUNK, []),
+    ],
+)
+def test_the_paths_split_into_even_chunks_the_larger_first(n_paths, threads, chunk, sizes):
+    # at one worker as at several; chunks of one size run back to back
+    bounds = experiments._chunk_bounds(n_paths, threads, chunk)
+    assert [hi - lo for lo, hi in bounds] == sizes
+    assert [lo for lo, _ in bounds] + [n_paths] == [0] + [hi for _, hi in bounds]
+
+
+@pytest.mark.parametrize("workers, first_failed", [(1, 1500), (2, 1500), (3, 1000)])
 def test_a_failed_chunk_reaches_the_caller(workers, first_failed):
-    # every chunk but the first fails, naming its first path; on 3 workers
-    # two chunks fail, and the one earlier in path order is raised
+    # 3000 paths in two even chunks of at most _CHUNK paths, or three on 3
+    # workers; every chunk but the first fails, naming its first path; on 3
+    # workers two chunks fail, and the one earlier in path order is raised
     model = _model()
     grid = build_grid(model, 4)
     n_paths = 3000
@@ -374,6 +393,28 @@ def test_positivity_census_shares_one_noise_draw_across_schemes():
     )
     assert together == apart
     assert [row.scheme for row in together] == list(names)
+
+
+@pytest.mark.parametrize(
+    "bad, message", [(np.nan, "finite"), (np.inf, "finite"), (0.0, "positive"), (-1.0, "positive")]
+)
+def test_broadcast_segments_are_checked_at_every_distinct_value(bad, message):
+    # one level per path repeated over the nodes, and one value per node
+    # repeated over the paths: the bad value is the last distinct one
+    model = _model(b=0.0)
+    grid = build_grid(model, 4)
+    inc = np.zeros((grid.n_steps, 3))
+    nodes = grid.n_per_delay + 1
+    per_node = np.ones(nodes)
+    per_node[-1] = bad
+    segments = (
+        np.broadcast_to(np.array([1.0, 2.0, bad]), (nodes, 3)),
+        np.broadcast_to(per_node[:, None], (nodes, 3)),
+    )
+    for seg in segments:
+        for march in (simulate_y_paths, truncated_euler_paths, symmetrized_euler_paths):
+            with pytest.raises(ValueError, match=f"segment values must be {message}"):
+                march(model, grid, inc, seg)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

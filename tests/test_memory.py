@@ -30,11 +30,12 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from delay_cir import cli, experiments
+from delay_cir import cli, experiments, noise
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -127,16 +128,56 @@ def test_strong_rate_memory_is_the_chunk_estimate_whatever_the_horizon(tmp_path,
 
 def test_strong_rate_memory_keeps_to_the_budget_where_the_chunk_shrinks(tmp_path, plan_of):
     # at N_ref 4096 even the shortest span, the coarsest ratio of 512 steps,
-    # needs 37 KiB per path, 74 MiB for 2048 paths: the chunk shrinks
+    # needs 37 KiB per path, 74 MiB for 2048 paths: the chunk shrinks, to
+    # three even chunks of 683 paths that fit spans of 1536 steps
     text = (
         f"N_list = {','.join(map(str, N_LIST))}\nN_ref = 4096\n"
         f"n_paths = {PATHS}\nthreads = 1\n"
     )
     rises, plan = _rises_and_plan(tmp_path, plan_of, text, (1.5,), 4096)
-    assert plan.span == 512 and plan.paths < PATHS
+    assert (plan.span, plan.paths) == (1536, 683)
     budget = experiments._WALK_BYTES / 2**20
     unshrunk = PATHS * plan.bytes / plan.paths / 2**20
     assert 0.0 < rises[1.5] <= 1.5 * plan.bytes / 2**20 <= 1.5 * budget < unshrunk, (rises, plan)
+
+
+def test_the_first_span_keeps_to_the_plan_like_every_later_one(tmp_path, monkeypatch):
+    # At N_ref 4096 a chunk of 883 paths walks spans of 512 steps in ring
+    # windows of 28 MiB.  A span's peak is the estimate plus the draw's
+    # transpose block (noise._BLOCK_BYTES) and buffers of a few rows, which
+    # the plan does not count; the start segment's checks, in the first span
+    # only, must add nothing per node of a window.
+    import scipy.special  # noqa: F401 - imported by the draws, before tracing
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "N_list = 8,16,32\nN_ref = 4096\nn_paths = 883\nthreads = 1\nhorizon = 0.375\n",
+        encoding="utf-8",
+    )
+    config = cli.parse_config(str(cfg))
+    peaks = []
+    draw = noise.generate
+
+    def traced(*args, **kwargs):
+        # the peak since the previous draw: one span's, drawn to marched
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "generate", traced)
+    with experiments.recorded_walks() as plans:
+        tracemalloc.start()
+        try:
+            config.run(1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    (plan,) = plans
+    assert (plan.span, plan.paths) == (512, 883)  # 32.0 MiB
+    first, *later = peaks[1:]  # peaks[0] is the set-up before the first draw
+    assert len(later) == 5
+    assert first <= min(later) + 2**16, peaks
+    assert first <= plan.bytes + noise._BLOCK_BYTES + 2**19, (first, plan)
 
 
 CENSUS_N = 256

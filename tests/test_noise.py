@@ -13,8 +13,10 @@ from delay_cir.model import (
     OutOfDomain,
     build_grid,
 )
+from delay_cir import noise
 from delay_cir.noise import (
     NotNested,
+    _philox4x64,
     _standard_normals,
     block_sum,
     generate,
@@ -122,14 +124,14 @@ def test_generate_seed_changes_stream():
     assert not np.array_equal(a, b)
 
 
+_ALL_ONES = (1 << 64) - 1
+
+
 class _AllOnesPhilox:
     """Stands in for ``np.random.Philox``: every word is 2^64 - 1."""
 
     def __init__(self, *args, **kwargs):
         self.state = None
-
-    def random_raw(self):
-        return (1 << 64) - 1
 
 
 class _AllOnesGenerator:
@@ -143,17 +145,74 @@ class _AllOnesGenerator:
         out[...] = ((1 << 53) - 1) * 2.0**-53
 
 
+def _all_ones_block(key0, key1, counter):
+    """Stands in for ``_philox4x64``: every word is 2^64 - 1."""
+    return tuple(np.full(key1.shape, _ALL_ONES, dtype=np.uint64) for _ in range(4))
+
+
 @pytest.mark.parametrize(
     "n, start", [(1, 0), (3, 0), (1, 2)], ids=["one-word", "rows", "rows-skipped"]
 )
 def test_the_all_ones_word_gives_a_finite_normal(monkeypatch, n, start):
     # its uniform (k + 1/2) 2^-53, k = 2^53 - 1, rounds to 1, where ndtri is
-    # inf; both branches clamp it to the largest double below 1
+    # inf; both branches clamp it to the largest double below 1.  One word per
+    # path comes from the array kernel, rows from the bit generator.
+    monkeypatch.setattr(noise, "_philox4x64", _all_ones_block)
     monkeypatch.setattr(np.random, "Philox", _AllOnesPhilox)
     monkeypatch.setattr(np.random, "Generator", _AllOnesGenerator)
     z = _standard_normals(5, range(3), 0, n, start)
     assert z.shape == (n, 3)
     assert np.all(z == ndtri(1.0 - 2.0**-53)) and np.all(np.isfinite(z))
+
+
+def _numpy_block(seed: int, key1: int, counter: int) -> list[int]:
+    """The four words numpy's Philox returns first from counter ``counter``."""
+    bitgen = np.random.Philox(0)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [counter, 0, 0, 0], "key": [seed, key1]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen.random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 2024, _ALL_ONES])
+@pytest.mark.parametrize("first_path", [0, (1 << 62) - 20], ids=["near-0", "near-2^62"])
+@pytest.mark.parametrize("tag", [0, 1])
+@pytest.mark.parametrize("counter", [0, 1, 1 << 40])
+def test_the_philox_kernel_gives_numpys_words(seed, first_path, tag, counter):
+    paths = range(first_path, first_path + 40)  # across 2^62 for the second
+    key1 = np.array([(path << 1) | tag for path in paths], dtype=np.uint64)
+    got = np.stack(_philox4x64(seed, key1, counter + 1), axis=1)
+    want = [_numpy_block(seed, (path << 1) | tag, counter) for path in paths]
+    assert got.tolist() == want
+
+
+@pytest.mark.parametrize("start", [0, 4, 8 << 40])
+def test_one_word_draws_equal_the_first_row_of_longer_draws(start):
+    paths = range((1 << 62) - 5, (1 << 62) + 5)
+    for tag in (0, 1):
+        one = _standard_normals(7, paths, tag, 1, start)
+        rows = _standard_normals(7, paths, tag, 3, start)
+        assert np.array_equal(_bits(one[0]), _bits(rows[0]))
+
+
+def test_a_lognormal_chunk_keys_no_bit_generator(monkeypatch):
+    def no_bit_generator(*args, **kwargs):
+        raise AssertionError("a bit generator was keyed")
+
+    paths = range(2048)
+    # the levels of the first row of a two-word draw, which keys a bit
+    # generator per path on the segment stream (tag 1)
+    z = _standard_normals(3, paths, 1, 2)[0]
+    want = [math.exp(0.25 * zj) for zj in z.tolist()]
+    monkeypatch.setattr(np.random, "Philox", no_bit_generator)
+    got = sample_segment(InitialSegmentSpec.lognormal(1.0, 0.25), _grid(8), 3, paths)
+    assert got.shape == (9, 2048) and np.all(got == got[0])
+    assert got[0].tolist() == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from __future__ import annotations
 import contextlib
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config
@@ -57,13 +57,16 @@ def _model(**kw) -> ModelSpec:
         ("run", "experiment = survival\nhorizon = 1e300\n", "horizon: 1.28e+302 nodes"),
         ("run", "experiment = mean_check\ntau = 1e-300\n", "horizon: 9.6e+301 nodes"),
         ("run", "experiment = comparison\nhorizon = 1e300\n", "horizon: 1.28e+302 nodes"),
+        ("probe", "b = 0\na = 1e-300\nprobe.t = 1e-300\n", "probe.t: elapsed time 1e-300"),
+        ("probe", "b = 0\nprobe.t = 1e300\n", "probe.t: elapsed time 1e+300 is too long"),
     ],
     ids=[
         "run-short-table", "validate-short-table", "probe-short-table",
         "one-knot-table", "unsorted-table", "validate-huge-sigma",
         "validate-tiny-sigma", "run-huge-sigma", "window-count-overflow",
         "negative-b", "horizon-at-t0", "lognormal-mean-overflow", "survival-huge-grid",
-        "mean_check-tiny-tau", "comparison-huge-grid",
+        "mean_check-tiny-tau", "comparison-huge-grid", "probe-tiny-elapsed",
+        "probe-huge-elapsed",
     ],
 )
 def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):
@@ -106,16 +109,34 @@ def test_validate_rejects_a_sigma_whose_square_leaves_the_float_range(sigma):
 
 _EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "x", "")
 _BAD_TABLES = ("-0.2:1; 0:1", "0:1", "0:1; -0.5:1")
+# The model and probe values that the analytic oracles read, on the classical
+# model (b = 0) that the probe needs
+_ORACLE_KEYS = (
+    "a", "sigma", "tau", "t0", "horizon", "gamma.level", "initial.level",
+    "probe.u_list", "probe.p", "probe.t",
+)
 
 
 @given(
     experiment=st.sampled_from(sorted(EXPERIMENTS)),
-    edits=st.dictionaries(
-        st.sampled_from(sorted(DEFAULTS)), st.sampled_from(_EDGE_VALUES),
-        min_size=1, max_size=4,
+    edits=st.one_of(
+        st.dictionaries(
+            st.sampled_from(sorted(DEFAULTS)), st.sampled_from(_EDGE_VALUES),
+            min_size=1, max_size=4,
+        ),
+        st.dictionaries(
+            st.sampled_from(_ORACLE_KEYS), st.sampled_from(("1e-300", "1e300")),
+            min_size=1, max_size=2,
+        ).map(lambda edits: {"b": "0", **edits}),
     ),
     table=st.sampled_from((None, *_BAD_TABLES)),
 )
+# an elapsed time so short that L = sigma^2 (1 - e^{-a s}) / (4 a) rounded
+# to 0, and one so long that the negative-moment quadrature underflows
+@example(experiment="analytics_probe", edits={"b": "0", "a": "1e-300"}, table=None)
+@example(experiment="analytics_probe", edits={"b": "0", "probe.t": "1e-300"}, table=None)
+@example(experiment="analytics_probe", edits={"b": "0", "horizon": "1e300"}, table=None)
+@example(experiment="strong_rate", edits={"b": "0", "gamma.level": "1e300"}, table=None)
 def test_parse_config_raises_only_config_errors(tmp_path_factory, experiment, edits, table):
     items = {"experiment": experiment, **edits}
     if table is not None:

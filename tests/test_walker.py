@@ -227,14 +227,14 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(tmp_pa
     rate = _planned(tmp_path, plan_of, "n_paths = 2048\n")
     assert (rate.span, rate.paths, rate.workers) == (512, 2048, 1)
     assert 0.9 * budget < rate.bytes <= budget
-    # 192 steps in one span
+    # 192 steps in one span; 25 000 paths in 13 even chunks
     mean = _planned(
         tmp_path,
         plan_of,
         "experiment = mean_check\nN = 64\ninitial.kind = lognormal\n"
         "initial.median = 1.0\ninitial.log_sd = 0.2\nn_paths = 25000\n",
     )
-    assert (mean.span, mean.paths) == (192, 2048)
+    assert (mean.span, mean.paths) == (192, 1924)
     # a three-scheme census at N 1024 on two workers: about a delay per span
     census = _planned(
         tmp_path,
@@ -245,9 +245,10 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(tmp_pa
     assert (census.paths, census.workers) == (1024, 2) and 1000 < census.span <= 1024
     assert census.bytes <= budget
     # at N_ref 4096 not even the shortest span, the coarsest ratio of 512
-    # steps, fits 2048 paths: the chunk shrinks and memory keeps to the budget
+    # steps, fits 2048 paths: 883 do, so the paths split into three even
+    # chunks, whose 683 paths fit longer spans in the budget
     deep = _planned(tmp_path, plan_of, "N_list = 8,16,32\nN_ref = 4096\nn_paths = 2048\n")
-    assert deep.span == 512 and deep.paths < 2048
+    assert (deep.span, deep.paths) == (1536, 683)
     assert 0.9 * budget < deep.bytes <= budget
 
 
