@@ -156,6 +156,8 @@ def laplace_transform(params: CIRParams, u: float, t: float) -> float:
 # ---------------------------------------------------------------------------
 
 _EXP_CUTOFF = 745.0  # e^{-x} underflows to 0 a little beyond this
+# |x| up to this keeps e^x in [m, 1 / m], m the least normal float
+_LOG_NORMAL = -math.log(sys.float_info.min)
 
 
 def _quad_piece(f, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
@@ -242,6 +244,8 @@ def neg_moment(
 
     with s = t - t0, to a relative tolerance ``rel_tol`` (default 1e-8).
     ``bound`` carries L_p e^{a p s} / x0^p whenever the constant L_p applies.
+    Where e^{a p s} or x0^p lies outside [m, 1 / m], m the least normal float,
+    :class:`ElapsedOutOfRange` or :class:`OrderOutOfRange` is raised first.
     """
     if p <= 0.0:
         raise OrderOutOfRange(f"need p > 0, got {p}")
@@ -255,6 +259,10 @@ def neg_moment(
         raise FellerRatioTooSmall(f"finite negative moments need 2 a gamma / sigma^2 > 1, got {g}")
 
     gamma_p = _gamma_fn(p)  # checks the order before the quadrature runs
+    if params.a * p * s > _LOG_NORMAL:
+        raise ElapsedOutOfRange(f"elapsed time {s} is too long: e^(a p s) leaves the float range")
+    if abs(p * math.log(params.x0)) > _LOG_NORMAL:
+        raise OrderOutOfRange(f"x0^p leaves the float range at x0 = {params.x0}, p = {p}")
     _, zeta = _transform_coeffs(params, s)
     alpha = g - p - 1.0
     integral, abs_err = _neg_moment_integral(p, alpha, zeta, rel_tol)
@@ -269,10 +277,9 @@ def neg_moment(
         )
     prefactor = math.exp(params.a * p * s) / (gamma_p * params.x0**p)
     try:
-        big_lp = lp_constant(g, p, allow_sub_one=True)
+        bound = lp_constant(g, p, allow_sub_one=True) * math.exp(params.a * p * s) / params.x0**p
     except OrderOutOfRange:
-        big_lp = None
-    bound = None if big_lp is None else big_lp * math.exp(params.a * p * s) / params.x0**p
+        bound = None
     return NegMomentResult(
         value=prefactor * integral, bound=bound, abs_error=prefactor * abs_err
     )

@@ -259,8 +259,8 @@ def _checked(key, check, *args):
         raise BadValue(key, str(exc)) from None
 
 
-# Config keys of the arguments that check_levels names.
-_LEVEL_KEYS = {"n_list": "N_list", "n_ref": "N_ref", "p_list": "p_list"}
+# Config keys of the arguments that check_levels names, "model" for the rest.
+_LEVEL_KEYS = {"n_list": "N_list", "n_ref": "N_ref", "p_list": "p_list", None: "model"}
 
 
 def _require_classical(model: ModelSpec, key: str, subject: str = "") -> None:
@@ -346,6 +346,12 @@ def parse_config(
 # module globals when they are called.
 
 
+def _table(header: str, records):
+    """A product ``(header, rows)``: per record, its fields named in ``header``."""
+    names = header.split(",")
+    return header, [tuple(getattr(record, name) for name in names) for record in records]
+
+
 def _grid(model: ModelSpec, read):
     return _checked("horizon", build_grid, model, read("N", _parse_int))
 
@@ -365,8 +371,7 @@ def _strong_rate(model: ModelSpec, read):
     n_ref = read("N_ref", _parse_int)
     p_list = _orders(read)
     n_paths, seed = _sample(read)
-    p_max = validate_model(model).p_max
-    _checked(_LEVEL_KEYS, check_levels, n_list, n_ref, p_list, p_max)
+    _checked(_LEVEL_KEYS, check_levels, model, n_list, n_ref, p_list)
     if len(n_list) < 3:
         raise BadValue("N_list", "a rate fit needs at least three levels")
     for n in (*n_list, n_ref):
@@ -376,18 +381,14 @@ def _strong_rate(model: ModelSpec, read):
         table = strong_error_study(
             model, n_list, n_ref, n_paths, p_list, seed, threads=threads
         )
-        errors = [
-            (r.delta, r.p, r.grid_error, r.uniform_error, r.std_err, r.n_paths)
-            for r in table.rows
+        fits = [
+            fit_rate(table, p=p, variant=variant)
+            for p in p_list
+            for variant in ("plain_delta", "delta_log_delta")
         ]
-        fits = []
-        for p in p_list:
-            for variant in ("plain_delta", "delta_log_delta"):
-                fit = fit_rate(table, p=p, variant=variant)
-                fits.append((p, variant, fit.slope, fit.intercept, fit.r_squared))
         return {
-            "errors.csv": ("delta,p,grid_error,uniform_error,std_err,n_paths", errors),
-            "ratefit.csv": ("p,variant,slope,intercept,r_squared", fits),
+            "errors.csv": _table("delta,p,grid_error,uniform_error,std_err,n_paths", table.rows),
+            "ratefit.csv": _table("p,variant,slope,intercept,r_squared", fits),
         }
 
     return run
@@ -405,8 +406,7 @@ def _mean_check(model: ModelSpec, read):
 
     def run(threads):
         rows = mean_consistency_check(model, grid, n_paths, checkpoints, seed, threads)
-        rows = [(r.t, r.mc_mean, r.oracle_mean, r.z) for r in rows]
-        return {"mean.csv": ("t,mc_mean,oracle_mean,z", rows)}
+        return {"mean.csv": _table("t,mc_mean,oracle_mean,z", rows)}
 
     return run
 
@@ -435,8 +435,7 @@ def _positivity(model: ModelSpec, read):
 
     def run(threads):
         rows = positivity_census(schemes, model, grid, n_paths, seed, threads)
-        rows = [(r.scheme, r.fraction_nonpositive, r.n_paths) for r in rows]
-        return {"census.csv": ("scheme,fraction_nonpositive,n_paths", rows)}
+        return {"census.csv": _table("scheme,fraction_nonpositive,n_paths", rows)}
 
     return run
 
@@ -457,7 +456,7 @@ def _modulus(model: ModelSpec, read):
         rows = [(r.delta, result.p, r.modulus) for r in result.rows]
         return {
             "modulus.csv": ("delta,p,modulus", rows),
-            "modulusfit.csv": ("p,slope", [(result.p, result.slope)]),
+            "modulusfit.csv": _table("p,slope", [result]),
         }
 
     return run
@@ -469,8 +468,7 @@ def _survival(model: ModelSpec, read):
 
     def run(threads):
         est = survival_probability(model, grid, n_paths, seed, threads)
-        rows = [(est.value, est.std_err, est.n_paths)]
-        return {"survival.csv": ("value,std_err,n_paths", rows)}
+        return {"survival.csv": _table("value,std_err,n_paths", [est])}
 
     return run
 

@@ -292,9 +292,9 @@ def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, *, span, back=0):
     from ``seg[::r]``, the baselines ``explicit = (model, schemes)``
     :func:`~delay_cir.scheme.explicit_paths`; then ``fold(k0, increments,
     windows)`` may overwrite the increments.  The lanes march finest r
-    first, and a lane's sums continue those of the lane before it where that
-    lane's r divides its own (:func:`~delay_cir.noise.block_sum`); the sums
-    and the increments are dropped before the next draw.  ``windows`` are the lanes'
+    first, and a lane's sums continue those of the lane before it, whose r
+    must divide its own (:func:`~delay_cir.noise.block_sum`); the sums and
+    the increments are dropped before the next draw.  ``windows`` are the lanes'
     ring windows, in the order of ``lanes``, the baselines' last, each of
     max(N + 1, span / r + 1) + ``back`` rows: the nodes a step reads or
     those a fold reads, the span's and the one before, and ``back`` more,
@@ -314,7 +314,7 @@ def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, *, span, back=0):
         sums, summed = inc, 1
         for (model, lane_grid, r), window in marching:
             if r != summed:
-                sums = noise_mod.block_sum(inc, r, None if r % summed else sums)
+                sums = noise_mod.block_sum(inc, r, sums)
                 summed = r
             scheme_mod.simulate_y_paths(
                 model, lane_grid, sums, seg[::r], window=window, start=k0 // r
@@ -339,6 +339,19 @@ def _lp_norm_and_jackknife(err: Array, p: float) -> tuple[float, float]:
     return norm, math.sqrt((n - 1) / n * float(np.sum((loo - center) ** 2)))
 
 
+def _mean_and_std_err(samples: Array) -> tuple[float, float]:
+    """The sample mean and its standard error, sd / sqrt(n) with ddof = 1."""
+    return float(np.mean(samples)), float(np.std(samples, ddof=1) / math.sqrt(samples.size))
+
+
+def _line_fit(x: Array, y: Array) -> tuple[float, float, float]:
+    """(slope, intercept, r^2) of the OLS line of y on x; r^2 = 1 for constant y."""
+    slope, intercept = np.polyfit(x, y, 1)
+    ss_res = float(np.sum((y - (slope * x + intercept)) ** 2))
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    return float(slope), float(intercept), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
 def _cell_weights(n_fine_steps: int, r: int) -> tuple[Array, Array]:
     """(1 - w, w) of fine nodes 1 .. n_fine_steps in their coarse cell (t_c,
     t_{c+1}] of r fine steps; w = 1 at the cell's right end."""
@@ -359,11 +372,11 @@ def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
     ``x_coarse`` holds coarse nodes c .. c + m, shape (m + 1, paths), and
     ``x_fine`` the m r fine nodes of the cells (t_c, t_{c+m}], shape (m r,
     paths); ``w`` and ``one_minus_w`` are the fine nodes' weights in their
-    cell, shape (m r,), with w = 1 at a cell's right end.  The grid error
-    compares the coarse nodes c+1 .. c+m with the fine nodes on them, the
-    uniform error every fine node with the coarse interpolant.  The errors
-    are folded piece by piece, a piece being a run of whole cells or, for
-    cells longer than ``_FOLD_ROWS``, part of one cell.
+    cell, shape (m r,), with w = 1 at a cell's right end.  The uniform error
+    compares every fine node with the coarse interpolant, the grid error the
+    coarse nodes c+1 .. c+m with the fine nodes on them, which are its rows
+    at w = 1.  The errors are folded piece by piece, a piece being a run of
+    whole cells or, for cells longer than ``_FOLD_ROWS``, part of one cell.
 
     A piece's terms left (1 - w) and right w are outer products of the
     weights with a cell's two end values, written by ``np.einsum`` into two
@@ -371,8 +384,8 @@ def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
     subtract and abs then run in place, and each piece reduces into one
     reused row.  The values equal the broadcast products bit for bit:
     einsum adds each product to a zeroed output, and +0 + p = p for every
-    p >= +0 (X = Y^2 and both weights lie in [0, 1]).  Maxima do not depend
-    on the order they are taken in.
+    p >= +0 (X = Y^2 and both weights lie in [0, 1]), so the interpolant is
+    x_{c+1} exactly at w = 1.  Maxima do not depend on their order.
     """
     cells = x_coarse.shape[0] - 1
     r = x_fine.shape[0] // cells
@@ -392,12 +405,6 @@ def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
         for i0 in range(0, r, part):
             rows = slice(i0, min(i0 + part, r))
             fine = fine_cells[:, rows]
-            if rows.stop == r:
-                node_error = on_left[: right.size].reshape(right.shape)
-                np.subtract(fine[:, -1], right, out=node_error)
-                np.abs(node_error, out=node_error)
-                np.maximum.reduce(node_error, axis=0, out=row)
-                np.maximum(grid_max, row, out=grid_max)
             on_fine = on_left[: fine.size].reshape(fine.shape)
             on_end = on_right[: fine.size].reshape(fine.shape)
             np.einsum("cj,cp->cjp", left_w[:, rows], left, out=on_fine)
@@ -407,6 +414,9 @@ def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
             np.abs(on_fine, out=on_fine)
             np.maximum.reduce(on_fine.reshape(-1, paths), axis=0, out=row)
             np.maximum(uniform_max, row, out=uniform_max)
+            if rows.stop == r:
+                np.maximum.reduce(on_fine[:, -1], axis=0, out=row)
+                np.maximum(grid_max, row, out=grid_max)
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +442,16 @@ class ErrorTable:
     seed: int
 
 
-def check_levels(n_list, n_ref, p_list, p_max=math.inf) -> None:
-    """Raise unless :func:`strong_error_study` accepts these levels and orders.
+def check_levels(model: ModelSpec, n_list, n_ref, p_list) -> None:
+    """Raise unless :func:`strong_error_study` accepts the model, levels and orders.
 
+    ``model`` must pass :func:`validate` and the strict Feller condition,
     ``n_list`` must hold positive integers that increase, each dividing the
     next, ``n_ref`` must be a proper multiple of its largest entry, and every
-    p must lie in (0, p_max).  The error (:class:`~delay_cir.noise.NotNested` or
-    :class:`PRequestedTooLarge`) names the rejected argument in its
-    ``argument`` attribute: ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
+    p must lie in (0, p_max) of the model's report.  A level or order error
+    (:class:`~delay_cir.noise.NotNested` or :class:`PRequestedTooLarge`) names
+    the rejected argument in its ``argument`` attribute: ``"n_list"``,
+    ``"n_ref"`` or ``"p_list"``.
     """
 
     def rejected(kind, argument, reason):
@@ -447,6 +459,9 @@ def check_levels(n_list, n_ref, p_list, p_max=math.inf) -> None:
         exc.argument = argument
         return exc
 
+    report = validate(model)
+    if not report.strong_feller_ok:
+        raise StrongFellerViolated("strong error study requires sigma^2 < 2 a inf(gamma)")
     if any(n < 1 for n in n_list):
         raise rejected(noise_mod.NotNested, "n_list", "entries must be positive integers")
     for small, big in zip(n_list, n_list[1:]):
@@ -461,9 +476,9 @@ def check_levels(n_list, n_ref, p_list, p_max=math.inf) -> None:
     if any(p <= 0.0 for p in p_list):
         raise rejected(PRequestedTooLarge, "p_list", "entries must be positive")
     for p in p_list:
-        if p >= p_max:
+        if p >= report.p_max:
             raise rejected(
-                PRequestedTooLarge, "p_list", f"{p:.17g} is not below p_max = {p_max:.17g}"
+                PRequestedTooLarge, "p_list", f"{p:.17g} is not below p_max = {report.p_max:.17g}"
             )
 
 
@@ -495,18 +510,11 @@ def strong_error_study(
     whose spans :func:`walk_plan` sizes to a multiple of every ratio; the
     fold holds the coarse X of a span and two pieces of the error fold.
 
-    ``n_list`` and ``n_ref`` must pass :func:`check_levels`, every p must lie
-    below the ``p_max`` of the model's condition report, and the strict
-    Feller condition must hold.
+    The model, ``n_list``, ``n_ref`` and ``p_list`` must pass :func:`check_levels`.
     """
-    report = validate(model)
-    if not report.strong_feller_ok:
-        raise StrongFellerViolated(
-            "strong error study requires sigma^2 < 2 a inf(gamma)"
-        )
     n_list = [int(n) for n in n_list]
     p_list = [float(p) for p in p_list]
-    check_levels(n_list, n_ref, p_list, report.p_max)
+    check_levels(model, n_list, n_ref, p_list)
 
     fine_grid = build_grid(model, n_ref)
     coarse_grids = [build_grid(model, n) for n in n_list]
@@ -598,16 +606,7 @@ def fit_rate(table: ErrorTable, p: float, variant: str = "plain_delta") -> RateF
         raise ValueError(f"unknown fit variant {variant!r}")
     if min(y_vals) <= 0.0:
         raise InsufficientRows(f"cannot fit a rate through zero errors at p={p}")
-    y = np.log(y_vals)
-    slope, intercept = np.polyfit(x, y, 1)
-    fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return RateFit(
-        p=p, variant=variant, slope=float(slope), intercept=float(intercept),
-        r_squared=r_squared,
-    )
+    return RateFit(p, variant, *_line_fit(x, np.log(y_vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +687,7 @@ def mean_consistency_check(
 
     rows = []
     for j, k in enumerate(ks):
-        mc = float(np.mean(samples[j]))
-        se = float(np.std(samples[j], ddof=1) / math.sqrt(n_paths))
+        mc, se = _mean_and_std_err(samples[j])
         if not math.isfinite(se):
             raise OutOfRange(f"the standard error at checkpoint t = {grid.time(k)} is {se}")
         rows.append(
@@ -928,7 +926,7 @@ def modulus_scaling(
     fit = [r for r in rows if r.delta * abs(math.log(r.delta)) > 0.0]
     xs = np.array([math.log(math.sqrt(r.delta * abs(math.log(r.delta)))) for r in fit])
     ys = np.array([math.log(r.modulus) for r in fit])
-    slope = float(np.polyfit(xs, ys, 1)[0]) if len(fit) >= 2 else math.nan
+    slope = _line_fit(xs, ys)[0] if len(fit) >= 2 else math.nan
     return ModulusResult(rows=tuple(rows), p=p, slope=slope)
 
 
@@ -967,11 +965,7 @@ def survival_probability(
         return np.exp(-(grid.delta * (x.sum(axis=1) - 0.5 * (x[:, 0] + x[:, -1]))))
 
     vals = map_paths(model, grid, seed, n_paths, discounted, threads, plan)
-    return SurvivalEstimate(
-        value=float(np.mean(vals)),
-        std_err=float(np.std(vals, ddof=1) / math.sqrt(n_paths)),
-        n_paths=n_paths,
-    )
+    return SurvivalEstimate(*_mean_and_std_err(vals), n_paths=n_paths)
 
 
 def classical_variant(model: ModelSpec, gamma_level: float | None = None) -> ModelSpec:

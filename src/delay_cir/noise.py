@@ -234,22 +234,21 @@ def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:
     """Left-to-right sums of consecutive blocks of ``r`` along the first (time) axis.
 
     ``finer`` may hold the block sums of the same increments over a ratio q
-    that divides r (``block_sum(increments, q)``).  The sum of a block of r
-    then starts from that of its first q increments, which is the same
-    left-to-right prefix, and adds the other r - q: bit for bit the result
-    without ``finer``, for r - q additions instead of r - 1.
+    that divides r (``block_sum(increments, q)``; the increments themselves,
+    q = 1, without it).  The sum of a block of r starts from that of its
+    first q increments, which is the same left-to-right prefix, and adds the
+    other r - q: bit for bit the same sums for every q, in r - q additions.
     """
     n = increments.shape[0]
     if r < 1 or n % r:
         raise NotNested(f"block size {r} does not divide {n} increments")
     if finer is None:
-        q, out = 1, np.array(increments[0::r], dtype=float)
-    else:
-        blocks = finer.shape[0]
-        q = n // blocks if blocks else 1
-        if blocks * q != n or r % q:
-            raise NotNested(f"{blocks} block sums of {n} increments do not nest in {r}")
-        out = np.array(finer[0 :: r // q], dtype=float)
+        finer = increments
+    blocks = finer.shape[0]
+    q = n // blocks if blocks else 1
+    if blocks * q != n or r % q:
+        raise NotNested(f"{blocks} block sums of {n} increments do not nest in {r}")
+    out = np.array(finer[0 :: r // q], dtype=float)
     for j in range(q, r):
         out += increments[j::r]
     return out

@@ -184,10 +184,26 @@ def test_the_oracles_reject_elapsed_times_they_cannot_evaluate():
     assert info.value.argument == "t"
     with pytest.raises(ElapsedOutOfRange, match="too short"):
         neg_moment(_params(a=1e-300, gamma=1e300), 0.5, 1e-300)  # g = 2
-    # e^{-a s} and with it the negative-moment integral underflow
+    # e^{a p s} overflows
     for t in (400.0, 1e300):
         with pytest.raises(ElapsedOutOfRange, match="too long"):
             neg_moment(_params(sigma=0.25), 2.0, t)
+    # e^{a p s} = e^500 is finite, but e^{-a s} and with it the integral underflow
+    with pytest.raises(ElapsedOutOfRange, match="integral underflows"):
+        neg_moment(_params(sigma=0.25), 0.5, 1000.0)
+
+
+@pytest.mark.parametrize(
+    "x0, t, error",
+    [
+        (1e300, 400.0, ElapsedOutOfRange),  # e^{a p s} = e^800 and x0^p = 1e600
+        (1e300, 1.0, OrderOutOfRange),  # x0^p = 1e600
+        (1e-160, 1.0, OrderOutOfRange),  # x0^p = 1e-320 is subnormal, 1 / x0^p is not finite
+    ],
+)
+def test_neg_moment_rejects_factors_outside_the_float_range(x0, t, error):
+    with pytest.raises(error, match="float range"):
+        neg_moment(_params(sigma=0.25, x0=x0), 2.0, t)
 
 
 def test_neg_moment_domain_errors():

@@ -90,6 +90,9 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         "experiment = analytics_probe\nb = 0\nprobe.u_list = 1,-0.5\n",
         "experiment = analytics_probe\nb = 0\nprobe.p = 0\n",
         "experiment = analytics_probe\nb = 0\nsigma = 0.01\nprobe.p = 60\n",
+        "experiment = analytics_probe\nb = 0\ninitial.level = 1e300\nprobe.p = 2\n",
+        # the strict Feller condition of the strong study fails
+        "sigma = 1.5\np_list = 0.1\nN_list = 2,4,8\nN_ref = 16\n",
     )
     cfgs = []
     for i, text in enumerate(texts):
@@ -105,7 +108,7 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         *cfgs,
         cwd=tmp_path,
     )
-    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * 7}
+    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * 9}
 
 
 def test_simulation_loads_special_but_not_integrate(tmp_path):

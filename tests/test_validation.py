@@ -59,6 +59,10 @@ def _model(**kw) -> ModelSpec:
         ("run", "experiment = comparison\nhorizon = 1e300\n", "horizon: 1.28e+302 nodes"),
         ("probe", "b = 0\na = 1e-300\nprobe.t = 1e-300\n", "probe.t: elapsed time 1e-300"),
         ("probe", "b = 0\nprobe.t = 1e300\n", "probe.t: elapsed time 1e+300 is too long"),
+        ("probe", "b = 0\ninitial.level = 1e300\nprobe.p = 2\n",
+         "probe.p: x0^p leaves the float range"),
+        ("run", "sigma = 1.5\np_list = 0.1\nN_list = 2,4,8\nN_ref = 16\n",
+         "model: strong error study requires sigma^2 < 2 a inf(gamma)"),
     ],
     ids=[
         "run-short-table", "validate-short-table", "probe-short-table",
@@ -66,7 +70,7 @@ def _model(**kw) -> ModelSpec:
         "validate-tiny-sigma", "run-huge-sigma", "window-count-overflow",
         "negative-b", "horizon-at-t0", "lognormal-mean-overflow", "survival-huge-grid",
         "mean_check-tiny-tau", "comparison-huge-grid", "probe-tiny-elapsed",
-        "probe-huge-elapsed",
+        "probe-huge-elapsed", "probe-huge-level", "strong_rate-strict-feller",
     ],
 )
 def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):
@@ -89,7 +93,7 @@ def test_every_experiment_plans_on_the_defaults(tmp_path, experiment):
 
 def test_check_levels_rejects_a_level_below_one():
     with pytest.raises(ValueError) as info:
-        check_levels([0, 4, 8], 64, [1.0])
+        check_levels(_model(), [0, 4, 8], 64, [1.0])
     assert info.value.argument == "n_list"
 
 
