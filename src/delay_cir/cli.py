@@ -30,6 +30,7 @@ from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_mom
 from .experiments import (
     check_comparable,
     check_levels,
+    check_modulus_order,
     check_schemes,
     checkpoint_indices,
     classical_variant,
@@ -444,8 +445,7 @@ def _modulus(model: ModelSpec, read):
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
     p = _orders(read)[0]
-    if p <= 0.0:
-        raise BadValue("p_list", "the modulus order, its first entry, must be positive")
+    _checked("p_list", check_modulus_order, p)
     deltas = read("delta_list", _parse_list, _parse_float) or tuple(
         grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
     )

@@ -63,6 +63,7 @@ __all__ = [
     "check_schemes",
     "positivity_census",
     "modulus_lags",
+    "check_modulus_order",
     "modulus_scaling",
     "survival_probability",
     "PRequestedTooLarge",
@@ -227,6 +228,8 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
     at the smallest path index of the run, so that it does not depend on the
     chunking either.
     """
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
     walks = _walks.get()
     if plan is not None and walks is not None:
         walks.append(plan)
@@ -869,6 +872,12 @@ def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
     return lags
 
 
+def check_modulus_order(p: float) -> None:
+    """Raise unless the modulus order ``p`` is positive and finite."""
+    if not 0.0 < p < math.inf:
+        raise ValueError(f"the modulus order must be positive and finite, got {p}")
+
+
 def modulus_scaling(
     model: ModelSpec,
     grid: TimeGrid,
@@ -890,6 +899,7 @@ def modulus_scaling(
     per-lag maxima, its window keeping the largest lag's nodes before it.
     """
     validate(model)
+    check_modulus_order(p)
     lags = modulus_lags(grid, delta_list)
     distinct = sorted(set(lags))
     n_delay, back = grid.n_per_delay, distinct[-1]

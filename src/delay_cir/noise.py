@@ -129,10 +129,9 @@ def _philox4x64(key0: int, key1: Array, counter: int) -> tuple[Array, ...]:
     return c0, c1, c2, c3
 
 
-def _paths(path_index: int | range) -> range:
-    if isinstance(path_index, range):
-        return path_index
-    return range(path_index, path_index + 1)
+def _check_range(paths: range) -> None:
+    if not isinstance(paths, range):
+        raise TypeError(f"path_index must be a range of paths, not {type(paths).__name__}")
 
 
 def ndtri(u: Array, out: Array | None = None) -> Array:
@@ -212,22 +211,23 @@ def _standard_normals(
 def generate(
     grid: TimeGrid,
     seed: int,
-    path_index: int | range,
+    path_index: range,
     start: int = 0,
     stop: int | None = None,
 ) -> Array:
-    """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``.
+    """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``,
+    shape (stop - start, len(path_index)).
 
-    The default range is every step, k = 0 .. K-1.  Shape (stop - start,
-    paths) for a range of paths, (stop - start,) for one path index; any
-    step range equals the same rows of the whole draw, bit for bit.
+    The default range is every step, k = 0 .. K-1; any step range equals the
+    same rows of the whole draw, bit for bit.
     """
+    _check_range(path_index)
     stop = grid.n_steps if stop is None else stop
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
-    z = _standard_normals(seed, _paths(path_index), _TAG_NOISE, stop - start, start)
+    z = _standard_normals(seed, path_index, _TAG_NOISE, stop - start, start)
     z *= math.sqrt(grid.delta)
-    return z if isinstance(path_index, range) else z[:, 0]
+    return z
 
 
 def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:
@@ -255,28 +255,26 @@ def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:
 
 
 def sample_segment(
-    spec: InitialSegmentSpec, grid: TimeGrid, seed: int, path_index: int | range
+    spec: InitialSegmentSpec, grid: TimeGrid, seed: int, path_index: range
 ) -> Array:
-    """X0 on the grid nodes k = -N .. 0, drawn (or tabulated) for one path or
-    a range of paths.
+    """X0 on the grid nodes k = -N .. 0 for a range of paths: a read-only
+    (N+1, len(path_index)) view.
 
-    Shape (N+1, paths) for a range of paths, (N+1,) for one path index.  A
-    lognormal segment holds one level per path on every node.  The draw uses
-    the segment stream tag, so it is identical whatever grid resolution is
-    used for the Brownian increments of the same path.  For a range the
-    values are a read-only view, shared by every path for a deterministic
-    kind.
+    A lognormal segment holds one level per path on every node.  The draw
+    uses the segment stream tag, so it is identical whatever grid resolution
+    is used for the Brownian increments of the same path.  A deterministic
+    kind is one column, shared by every path.
     """
+    _check_range(path_index)
     times = grid.t0 + np.arange(-grid.n_per_delay, 1) * grid.delta
-    paths = _paths(path_index)
     if spec.kind == "lognormal":
         median, log_sd = spec.params
-        z = _standard_normals(seed, paths, _TAG_SEGMENT, 1)[0]
+        z = _standard_normals(seed, path_index, _TAG_SEGMENT, 1)[0]
         # math.exp, not np.exp: NumPy's vectorised exp rounds differently
         # from the C library's on about 4.6 % of the levels (92 280 to
         # 92 920 of 2 000 000 at log_sd 0.2, 1 and 3, NumPy 2.4), which
         # would change the products of every run with a lognormal start
-        levels = np.fromiter(map(math.exp, (log_sd * z).tolist()), float, len(paths))
+        levels = np.fromiter(map(math.exp, (log_sd * z).tolist()), float, len(path_index))
         values = (median * levels)[None, :]
     else:
         check_segment_window(spec, grid.t0, grid.tau)
@@ -284,7 +282,6 @@ def sample_segment(
     bad = np.flatnonzero(np.any(values <= 0.0, axis=0))
     if bad.size:
         raise NonPositiveSample(
-            f"initial segment of path {paths[bad[0]]} is not strictly positive"
+            f"initial segment of path {path_index[bad[0]]} is not strictly positive"
         )
-    values = np.broadcast_to(values, (times.size, len(paths)))
-    return values if isinstance(path_index, range) else values[:, 0].copy()
+    return np.broadcast_to(values, (times.size, len(path_index)))

@@ -51,7 +51,7 @@ def _reference_inputs(model, grid, seed, n_paths):
         ]
     )
     seg = np.stack(
-        [sample_segment(model.initial, grid, seed, i) for i in range(n_paths)]
+        [sample_segment(model.initial, grid, seed, range(i, i + 1))[:, 0] for i in range(n_paths)]
     )
     return inc, seg
 
@@ -134,7 +134,7 @@ def test_batched_noise_matches_per_path_generators():
         [_reference_normals(5, i, 0, grid.n_steps) for i in range(3, 300)], axis=1
     ) * np.sqrt(grid.delta)
     assert np.array_equal(generate(grid, 5, range(3, 300)), ref)
-    assert np.array_equal(generate(grid, 5, 7), ref[:, 4])
+    assert np.array_equal(generate(grid, 5, range(7, 8)), ref[:, 4:5])
     spec = InitialSegmentSpec.lognormal(1.5, 0.4)
     levels = [
         1.5 * math.exp(0.4 * _reference_normals(5, i, 1, 1)[0]) for i in range(300)
@@ -143,7 +143,8 @@ def test_batched_noise_matches_per_path_generators():
     assert batch.shape == (grid.n_per_delay + 1, 300)
     assert np.array_equal(batch, np.tile(levels, (grid.n_per_delay + 1, 1)))
     for i in (0, 123, 299):
-        assert np.array_equal(batch[:, i], sample_segment(spec, grid, 5, i))
+        one = sample_segment(spec, grid, 5, range(i, i + 1))
+        assert np.array_equal(batch[:, i : i + 1], one)
 
 
 def test_reference_regime_march_matches_the_step_loop():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delay_cir import experiments
 from delay_cir.cir_analytics import StrongFellerViolated
 from delay_cir.experiments import (
     ErrorRow,
@@ -351,6 +352,21 @@ def test_modulus_rejects_off_grid_lags():
         modulus_scaling(model, grid, 10, ((grid.n_steps + 1) * grid.delta,), seed=0)
 
 
+def _no_paths_run(*args, **kwargs):
+    raise AssertionError("paths ran")
+
+
+@pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
+def test_modulus_order_is_checked_before_any_path_runs(monkeypatch, p):
+    # p = 0 used to simulate every path and then divide by zero; p = -1
+    # returned a table of harmonic-mean "norms"
+    model = _model()
+    grid = build_grid(model, 8)
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    with pytest.raises(ValueError, match="the modulus order must be positive and finite"):
+        modulus_scaling(model, grid, 16, (grid.delta, 2 * grid.delta), seed=0, p=p)
+
+
 # ---------------------------------------------------------------------------
 # survival functional
 # ---------------------------------------------------------------------------
@@ -400,3 +416,28 @@ def test_classical_variant_strips_delay():
     kept = classical_variant(model)
     assert kept.gamma == model.gamma and kept.b == 0.0
     assert model.b == 0.2  # original untouched
+
+
+# ---------------------------------------------------------------------------
+# the path engine
+# ---------------------------------------------------------------------------
+
+DRIVERS = {
+    "strong_rate": lambda model, grid, n: strong_error_study(model, (4, 8), 16, n, (1.0,), seed=0),
+    "mean_check": lambda model, grid, n: mean_consistency_check(model, grid, n, (1.5,), seed=0),
+    "comparison": lambda model, grid, n: comparison_census(
+        model, classical_variant(model), grid, n, seed=0
+    ),
+    "positivity": lambda model, grid, n: positivity_census(("implicit",), model, grid, n, seed=0),
+    "modulus": lambda model, grid, n: modulus_scaling(model, grid, n, (grid.delta,), seed=0),
+    "survival": lambda model, grid, n: survival_probability(model, grid, n, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", list(DRIVERS))
+def test_every_driver_rejects_a_run_of_no_paths(monkeypatch, name):
+    # it used to fail in np.concatenate: "need at least one array to concatenate"
+    model = _model()
+    monkeypatch.setattr(experiments.noise_mod, "generate", _no_paths_run)
+    with pytest.raises(ValueError, match="n_paths must be a positive integer, got 0"):
+        DRIVERS[name](model, build_grid(model, 8), 0)

@@ -45,17 +45,16 @@ def _grid(n_per_delay: int = 64, tau: float = 0.5, horizon: float = 1.5):
 
 def test_generate_is_deterministic():
     grid = _grid()
-    first = generate(grid, seed=123, path_index=5)
-    second = generate(grid, seed=123, path_index=5)
+    first = generate(grid, seed=123, path_index=range(5, 6))
+    second = generate(grid, seed=123, path_index=range(5, 6))
     assert np.array_equal(first, second)
-    assert first.shape == (grid.n_steps,)
+    assert first.shape == (grid.n_steps, 1)
     assert generate(grid, seed=123, path_index=range(5, 7)).shape == (grid.n_steps, 2)
 
 
 def test_generate_distinct_paths_uncorrelated():
     grid = _grid(n_per_delay=64, tau=0.5, horizon=0.5 * 157)  # ~1e4 increments
-    a = generate(grid, seed=1, path_index=0)
-    b = generate(grid, seed=1, path_index=1)
+    a, b = generate(grid, seed=1, path_index=range(2)).T
     n = len(a)
     assert n >= 10_000
     corr = float(np.corrcoef(a[:10_000], b[:10_000])[0, 1])
@@ -64,16 +63,11 @@ def test_generate_distinct_paths_uncorrelated():
 
 def test_generate_increment_variance():
     grid = _grid()
-    draws = np.concatenate(
-        [generate(grid, seed=9, path_index=i) for i in range(600)]
-    )
+    draws = generate(grid, seed=9, path_index=range(600)).ravel()
     assert len(draws) >= 100_000
     assert np.var(draws) == pytest.approx(grid.delta, rel=0.05)
     # total displacement variance ~ horizon - t0 (statistical, generous band)
-    totals = [
-        float(np.sum(generate(grid, seed=9, path_index=i)))
-        for i in range(2_000)
-    ]
+    totals = generate(grid, seed=9, path_index=range(2_000)).sum(axis=0)
     assert np.var(totals) == pytest.approx(1.5, rel=0.15)
 
 
@@ -93,9 +87,10 @@ def test_generate_step_range_equals_the_slice_of_the_whole_draw(start, stop):
     part = generate(grid, seed=17, path_index=paths, start=start, stop=stop)
     assert part.shape == (stop - start, len(paths))
     assert np.array_equal(_bits(part), _bits(whole[start:stop]))
-    one = generate(grid, seed=17, path_index=11, start=start, stop=stop)
-    assert one.shape == (stop - start,)
-    assert np.array_equal(_bits(one), _bits(whole[start:stop, 11 - 3]))
+    # a range of one path draws what a wider range draws for it
+    one = generate(grid, seed=17, path_index=range(11, 12), start=start, stop=stop)
+    assert one.shape == (stop - start, 1)
+    assert np.array_equal(_bits(one), _bits(whole[start:stop, 11 - 3 : 12 - 3]))
 
 
 def test_generate_blocks_tile_the_whole_draw():
@@ -119,8 +114,8 @@ def test_generate_rejects_ranges_off_the_grid():
 
 def test_generate_seed_changes_stream():
     grid = _grid()
-    a = generate(grid, seed=1, path_index=0)
-    b = generate(grid, seed=2, path_index=0)
+    a = generate(grid, seed=1, path_index=range(1))
+    b = generate(grid, seed=2, path_index=range(1))
     assert not np.array_equal(a, b)
 
 
@@ -222,7 +217,7 @@ def test_a_lognormal_chunk_keys_no_bit_generator(monkeypatch):
 
 def test_coarsen_identity():
     grid = _grid(n_per_delay=8)
-    inc = generate(grid, seed=3, path_index=0)
+    inc = generate(grid, seed=3, path_index=range(1))
     assert np.array_equal(block_sum(inc, 1), inc)
 
 
@@ -253,7 +248,7 @@ def test_block_sum_total_preserved_left_to_right():
 
 def test_coarsen_rejects_non_divisor():
     grid = _grid(n_per_delay=8)  # 24 increments
-    inc = generate(grid, seed=3, path_index=0)
+    inc = generate(grid, seed=3, path_index=range(1))
     for r in (0, 5, 7):
         with pytest.raises(NotNested):
             block_sum(inc, r)
@@ -261,7 +256,7 @@ def test_coarsen_rejects_non_divisor():
 
 def test_coarsen_two_stage_nesting():
     grid = _grid(n_per_delay=24)
-    inc = generate(grid, seed=5, path_index=2)
+    inc = generate(grid, seed=5, path_index=range(2, 3))
     for r1, r2 in ((2, 2), (2, 3), (3, 4), (2, 6)):
         direct = block_sum(inc, r1 * r2)
         staged = block_sum(block_sum(inc, r1), r2)
@@ -272,8 +267,8 @@ def test_block_sums_continued_from_finer_sums_keep_every_bit():
     # the sums over q that divide r are the left-to-right prefixes of the
     # sums over r, on one path and on many
     grid = _grid(n_per_delay=48)
-    for paths in (0, range(5)):
-        inc = generate(grid, seed=6, path_index=paths)
+    whole = generate(grid, seed=6, path_index=range(5))
+    for inc in (whole[:, 0], whole):
         for q, r in ((1, 4), (2, 8), (3, 12), (4, 48), (6, 6), (8, 16), (16, 48)):
             got = block_sum(inc, r, block_sum(inc, q))
             assert got.tobytes() == block_sum(inc, r).tobytes()
@@ -307,48 +302,45 @@ def test_coarsen_tracks_grid_resolution():
 
 def test_segment_constant():
     grid = _grid(n_per_delay=8)
-    draw = sample_segment(InitialSegmentSpec.constant(1.0), grid, seed=1, path_index=0)
-    assert np.array_equal(draw, np.ones(9))
+    draw = sample_segment(InitialSegmentSpec.constant(1.0), grid, seed=1, path_index=range(1))
+    assert np.array_equal(draw, np.ones((9, 1)))
 
 
 def test_segment_table_linear_interpolation():
     grid = _grid(n_per_delay=4, tau=1.0, horizon=1.0)
     spec = InitialSegmentSpec.table([(-1.0, 2.0), (0.0, 1.0)])
-    draw = sample_segment(spec, grid, seed=1, path_index=0)
-    assert draw == pytest.approx([2.0, 1.75, 1.5, 1.25, 1.0])
+    draw = sample_segment(spec, grid, seed=1, path_index=range(1))
+    assert draw[:, 0] == pytest.approx([2.0, 1.75, 1.5, 1.25, 1.0])
 
 
 def test_segment_table_must_cover_delay_window():
     grid = _grid(n_per_delay=4, tau=1.0, horizon=1.0)
     spec = InitialSegmentSpec.table([(-0.5, 2.0), (0.0, 1.0)])
     with pytest.raises(OutOfDomain):
-        sample_segment(spec, grid, seed=1, path_index=0)
+        sample_segment(spec, grid, seed=1, path_index=range(1))
 
 
 def test_segment_lognormal_median():
     grid = _grid(n_per_delay=4)
     spec = InitialSegmentSpec.lognormal(1.0, 0.25)
-    levels = [
-        sample_segment(spec, grid, seed=11, path_index=i)[0]
-        for i in range(10_000)
-    ]
+    levels = sample_segment(spec, grid, seed=11, path_index=range(10_000))[0]
     assert 0.95 <= float(np.median(levels)) <= 1.05
-    assert min(levels) > 0.0
+    assert levels.min() > 0.0
 
 
 def test_segment_draw_constant_within_path_for_lognormal():
     grid = _grid(n_per_delay=8)
     spec = InitialSegmentSpec.lognormal(2.0, 0.5)
-    draw = sample_segment(spec, grid, seed=4, path_index=7)
+    draw = sample_segment(spec, grid, seed=4, path_index=range(7, 8))
     assert np.all(draw == draw[0])
 
 
 def test_segment_independent_of_noise_resolution():
     # refining the Brownian grid must not change the segment draw of a path
     spec = InitialSegmentSpec.lognormal(1.0, 0.25)
-    coarse_level = sample_segment(spec, _grid(8), seed=21, path_index=3)[0]
-    fine_level = sample_segment(spec, _grid(64), seed=21, path_index=3)[0]
-    assert coarse_level == fine_level
+    coarse_level = sample_segment(spec, _grid(8), seed=21, path_index=range(3, 4))[0]
+    fine_level = sample_segment(spec, _grid(64), seed=21, path_index=range(3, 4))[0]
+    assert np.array_equal(coarse_level, fine_level)
 
 
 @pytest.mark.parametrize(
@@ -367,16 +359,30 @@ def test_segment_range_columns_are_the_single_path_draws(spec):
     assert values.shape == (grid.n_per_delay + 1, len(paths))
     assert not values.flags.writeable
     for col, i in enumerate(paths):
-        single = sample_segment(spec, grid, seed=5, path_index=i)
-        assert single.shape == (grid.n_per_delay + 1,)
-        assert np.array_equal(values[:, col], single)
+        single = sample_segment(spec, grid, seed=5, path_index=range(i, i + 1))
+        assert single.shape == (grid.n_per_delay + 1, 1)
+        assert np.array_equal(values[:, col : col + 1], single)
 
 
 def test_segment_stream_disjoint_from_noise_stream():
     grid = _grid(n_per_delay=8)
-    inc = generate(grid, seed=6, path_index=0)
+    inc = generate(grid, seed=6, path_index=range(1))
     level = sample_segment(
-        InitialSegmentSpec.lognormal(1.0, 1.0), grid, seed=6, path_index=0
-    )[0]
+        InitialSegmentSpec.lognormal(1.0, 1.0), grid, seed=6, path_index=range(1)
+    )[0, 0]
     z = math.log(level)  # the standard normal behind the draw (median 1, sd 1)
     assert not np.any(np.isclose(inc / math.sqrt(grid.delta), z))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda grid: generate(grid, 1, 0),
+        lambda grid: sample_segment(InitialSegmentSpec.constant(1.0), grid, 1, 0),
+        lambda grid: sample_segment(InitialSegmentSpec.lognormal(1.0, 0.25), grid, 1, 0),
+    ],
+    ids=["generate", "constant-segment", "lognormal-segment"],
+)
+def test_one_path_is_a_range_of_one_not_an_int(draw):
+    with pytest.raises(TypeError, match="path_index must be a range of paths, not int"):
+        draw(_grid(n_per_delay=8))

@@ -293,7 +293,7 @@ def test_residual_invariant_along_simulated_paths():
     model = _model()
     grid = build_grid(model, 16)
     inc = _increments(grid, 50, seed=13)
-    seg = sample_segment(model.initial, grid, seed=13, path_index=0)
+    seg = sample_segment(model.initial, grid, seed=13, path_index=range(1))
     y = simulate_y_paths(model, grid, inc, seg)
     res = _residuals(model, grid, y, inc)
     bound = 1e-10 * (1.0 + y[grid.n_per_delay + 1 :])
@@ -304,7 +304,7 @@ def test_refined_run_differs_but_keeps_its_residual_contract():
     model = _model()
     fine = build_grid(model, 16)
     coarse = build_grid(model, 8)
-    inc_f = generate(fine, seed=3, path_index=0)
+    inc_f = generate(fine, seed=3, path_index=range(1))
     inc_c = block_sum(inc_f, 2)
     y_f = simulate_y_paths(model, fine, inc_f, np.ones(17))
     y_c = simulate_y_paths(model, coarse, inc_c, np.ones(9))
@@ -361,7 +361,7 @@ def test_first_window_steps_read_the_delayed_node_from_the_segment(b):
     # 2) enters first at node 2, and not at all when b = 0
     model = _model(b=b)
     grid = build_grid(model, 4)
-    inc = generate(grid, seed=41, path_index=0)
+    inc = generate(grid, seed=41, path_index=range(1))
     seg = np.ones(5)
     bumped = seg.copy()
     bumped[2] = 1.5
@@ -417,8 +417,8 @@ def _reference_path(n_per_delay: int = 8, seed: int = 17):
     """(model, grid, increments, segment X values, Y column on nodes -N .. K)."""
     model = _model()
     grid = build_grid(model, n_per_delay)
-    inc = generate(grid, seed=seed, path_index=0)
-    seg = sample_segment(model.initial, grid, seed=seed, path_index=0)
+    inc = generate(grid, seed=seed, path_index=range(1))
+    seg = sample_segment(model.initial, grid, seed=seed, path_index=range(1))
     return model, grid, inc, seg, simulate_y_paths(model, grid, inc, seg)[:, 0]
 
 
@@ -490,7 +490,7 @@ def test_truncated_euler_fixed_point():
     model = _model(b=0.0)
     grid = build_grid(model, 8)
     x, counts = truncated_euler_paths(
-        model, grid, np.zeros(grid.n_steps), sample_segment(model.initial, grid, 0, 0)
+        model, grid, np.zeros(grid.n_steps), sample_segment(model.initial, grid, 0, range(1))
     )
     assert np.all(x[grid.n_per_delay :, 0] == 1.0)
     assert counts[0] == 0
@@ -500,7 +500,7 @@ def test_truncated_euler_one_step_arithmetic():
     model = _model(b=0.0, sigma=1.0, tau=1.0, horizon=0.1)
     grid = build_grid(model, 10)
     x, _ = truncated_euler_paths(
-        model, grid, np.array([-0.5]), sample_segment(model.initial, grid, 0, 0)
+        model, grid, np.array([-0.5]), sample_segment(model.initial, grid, 0, range(1))
     )
     # x1 = 1 + [a(gamma - 1)] * 0.1 + 1 * sqrt(1) * (-0.5) = 0.5
     assert x.shape == (grid.n_per_delay + grid.n_steps + 1, 1)
@@ -575,7 +575,7 @@ def test_symmetrized_euler_fixed_point():
     model = _model(b=0.0)
     grid = build_grid(model, 8)
     x, counts = symmetrized_euler_paths(
-        model, grid, np.zeros(grid.n_steps), sample_segment(model.initial, grid, 0, 0)
+        model, grid, np.zeros(grid.n_steps), sample_segment(model.initial, grid, 0, range(1))
     )
     assert np.all(x[grid.n_per_delay :, 0] == 1.0)
     assert counts[0] == 0
