@@ -48,7 +48,9 @@ __all__ = [
 
 
 class NonPositiveElapsed(ValueError):
-    """The evaluation time does not lie strictly after t0."""
+    """The evaluation time does not lie strictly after t0; ``argument`` names it."""
+
+    argument = "t"
 
 
 class ElapsedOutOfRange(ValueError):
@@ -98,9 +100,9 @@ class CIRParams:
 
     def __post_init__(self) -> None:
         for name in ("a", "gamma", "sigma", "x0"):
-            if getattr(self, name) <= 0.0:
+            if not 0.0 < getattr(self, name) < math.inf:
                 raise NonPositiveParameter(
-                    f"{name} must be positive, got {getattr(self, name)}"
+                    f"{name} must be positive and finite, got {getattr(self, name)}"
                 )
 
     @property
@@ -277,7 +279,7 @@ def neg_moment(
         )
     prefactor = math.exp(params.a * p * s) / (gamma_p * params.x0**p)
     try:
-        bound = lp_constant(g, p, allow_sub_one=True) * math.exp(params.a * p * s) / params.x0**p
+        bound = lp_constant(g, p) * math.exp(params.a * p * s) / params.x0**p
     except OrderOutOfRange:
         bound = None
     return NegMomentResult(
@@ -285,15 +287,14 @@ def neg_moment(
     )
 
 
-def lp_constant(g: float, p: float, allow_sub_one: bool = False) -> float:
+def lp_constant(g: float, p: float) -> float:
     """Constant L_p with E[X(t)^{-p}] <= L_p e^{a p (t - t0)} / x0^p.
 
-    L_p = 1 when p <= g - 1 (the clean regime), and
+    L_p = 1 when 0 < p <= g - 1 (the clean regime), and
 
         L_p = 2^{p+1-g} (1 + 2^{p-1} p^p e^{-p} / (Gamma(p) (g - p)))
 
-    when g - 1 < p < g.  Orders p < 1 are rejected unless
-    ``allow_sub_one=True``, which extends the L_p = 1 branch to 0 < p <= g - 1.
+    when g - 1 < p < g and p >= 1; an order p < 1 above g - 1 is rejected.
     """
     if g <= 1.0:
         raise FellerRatioTooSmall(f"need Feller ratio > 1, got {g}")
@@ -301,14 +302,10 @@ def lp_constant(g: float, p: float, allow_sub_one: bool = False) -> float:
         raise OrderOutOfRange(f"negative moment of order p={p} diverges for ratio g={g}")
     if p <= 0.0:
         raise OrderOutOfRange(f"need p > 0, got {p}")
-    if p < 1.0:
-        if allow_sub_one and p <= g - 1.0:
-            return 1.0
-        raise OrderOutOfRange(
-            f"p={p} < 1 is only covered for p <= g - 1 with allow_sub_one=True"
-        )
     if p <= g - 1.0:
         return 1.0
+    if p < 1.0:
+        raise OrderOutOfRange(f"p={p} < 1 is only covered for p <= g - 1 = {g - 1.0}")
     return 2.0 ** (p + 1.0 - g) * (
         1.0 + 2.0 ** (p - 1.0) * p**p * math.exp(-p) / (_gamma_fn(p) * (g - p))
     )

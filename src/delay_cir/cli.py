@@ -31,7 +31,9 @@ from .experiments import (
     check_comparable,
     check_levels,
     check_modulus_order,
+    check_path_count,
     check_schemes,
+    check_worker_count,
     checkpoint_indices,
     classical_variant,
     comparison_census,
@@ -51,6 +53,7 @@ from .model import (
     gamma_bounds,
     validate as validate_model,
 )
+from .noise import check_seed
 
 
 class ConfigError(ValueError):
@@ -137,24 +140,11 @@ def _parse_float(key: str, raw: str) -> float:
     return value
 
 
-# The integer keys that have a lower bound: (bound, reason of a value below it).
-_INT_BOUNDS = {
-    "N": (1, "must be a positive integer"),
-    "n_paths": (2, "need at least two paths"),
-    "seed": (0, "must be nonnegative"),
-    "threads": (1, "must be a positive integer"),
-}
-
-
 def _parse_int(key: str, raw: str) -> int:
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise BadValue(key, f"not an integer: {raw!r}") from None
-    low, reason = _INT_BOUNDS.get(key, (value, None))
-    if value < low:
-        raise BadValue(key, reason)
-    return value
 
 
 def _parse_list(key: str, raw: str, scalar) -> tuple:
@@ -192,24 +182,22 @@ def _require(items: dict[str, str], key: str) -> str:
     return value
 
 
-def _positive(items: dict[str, str], key: str) -> float:
-    value = _parse_float(key, _require(items, key))
-    if value <= 0.0:
-        raise BadValue(key, "must be positive")
-    return value
+def _number(items: dict[str, str], key: str) -> float:
+    """The float of a key that the configured kind requires."""
+    return _parse_float(key, _require(items, key))
 
 
 def _build_gamma(items: dict[str, str]) -> GammaSpec:
     kind = items["gamma.kind"]
+    level = _number(items, "gamma.level")
     if kind == "constant":
-        return GammaSpec.constant(_positive(items, "gamma.level"))
-    level = _parse_float("gamma.level", _require(items, "gamma.level"))
+        return GammaSpec.constant(level)
     if kind == "affine":
-        slope = _parse_float("gamma.slope", _require(items, "gamma.slope"))
+        slope = _number(items, "gamma.slope")
         return GammaSpec.affine(level, slope)
     if kind == "sinusoid":
-        amplitude = _parse_float("gamma.amplitude", _require(items, "gamma.amplitude"))
-        omega = _parse_float("gamma.omega", _require(items, "gamma.omega"))
+        amplitude = _number(items, "gamma.amplitude")
+        omega = _number(items, "gamma.omega")
         return GammaSpec.sinusoid(level, amplitude, omega)
     raise BadValue("gamma.kind", f"must be constant, affine or sinusoid, got {kind!r}")
 
@@ -217,12 +205,10 @@ def _build_gamma(items: dict[str, str]) -> GammaSpec:
 def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
     kind = items["initial.kind"]
     if kind == "constant":
-        return InitialSegmentSpec.constant(_positive(items, "initial.level"))
+        return InitialSegmentSpec.constant(_number(items, "initial.level"))
     if kind == "lognormal":
-        median = _positive(items, "initial.median")
-        log_sd = _parse_float("initial.log_sd", _require(items, "initial.log_sd"))
-        if log_sd < 0.0:
-            raise BadValue("initial.log_sd", "must be nonnegative")
+        median = _number(items, "initial.median")
+        log_sd = _number(items, "initial.log_sd")
         return InitialSegmentSpec.lognormal(median, log_sd)
     if kind == "table":
         raw = _require(items, "initial.points")
@@ -246,22 +232,35 @@ def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
     )
 
 
-def _checked(key, check, *args):
-    """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of ``key``.
+# Config keys of the library arguments (an error's ``argument``) that go by
+# another name; an argument such as ``a`` or ``seed`` is its own key.
+_KEYS = {
+    "gamma0": "gamma.level",
+    "slope": "gamma.slope",
+    "amplitude": "gamma.amplitude",
+    "omega": "gamma.omega",
+    "level": "initial.level",
+    "median": "initial.median",
+    "log_sd": "initial.log_sd",
+    "points": "initial.points",
+    "n_per_delay": "N",
+    "n_list": "N_list",
+    "n_ref": "N_ref",
+    "model_lower": "gamma_lower",
+    "t": "probe.t",
+}
 
-    ``key`` may instead map the ``argument`` that the error names to a key,
-    and None to the key of an error that names none.
-    """
+
+def _checked(default_key, check, *args):
+    """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of
+    the config key of the argument that the error names, or of
+    ``default_key`` where it names none or no config key."""
     try:
         return check(*args)
     except ValueError as exc:
-        if isinstance(key, dict):
-            key = key[getattr(exc, "argument", None)]
-        raise BadValue(key, str(exc)) from None
-
-
-# Config keys of the arguments that check_levels names, "model" for the rest.
-_LEVEL_KEYS = {"n_list": "N_list", "n_ref": "N_ref", "p_list": "p_list", None: "model"}
+        argument = getattr(exc, "argument", None)
+        key = _KEYS.get(argument, argument)
+        raise BadValue(key if key in DEFAULTS else default_key, str(exc)) from None
 
 
 def _require_classical(model: ModelSpec, key: str, subject: str = "") -> None:
@@ -292,18 +291,11 @@ def parse_config(
     if experiment not in EXPERIMENTS:
         raise UnknownExperiment(experiment)
 
-    a = _positive(items, "a")
-    b = _parse_float("b", items["b"])
-    sigma = _positive(items, "sigma")
-    tau = _positive(items, "tau")
-    t0 = _parse_float("t0", items["t0"])
-    horizon = _parse_float("horizon", items["horizon"])
-
-    gamma = _build_gamma(items)
-    initial = _build_initial(items)
+    fields = ("a", "b", "sigma", "tau", "t0", "horizon")
     model = ModelSpec(
-        a=a, b=b, sigma=sigma, tau=tau, t0=t0, horizon=horizon, gamma=gamma,
-        initial=initial,
+        **{key: _parse_float(key, items[key]) for key in fields},
+        gamma=_build_gamma(items),
+        initial=_build_initial(items),
     )
     _checked("model", validate_model, model)
 
@@ -315,6 +307,7 @@ def parse_config(
     threads = plan = None
     if command == "run":
         threads = read("threads", _parse_int)
+        _checked("threads", check_worker_count, threads)
         plan = EXPERIMENTS[experiment]
     elif command == "probe":
         _require_classical(model, "probe")
@@ -359,7 +352,10 @@ def _grid(model: ModelSpec, read):
 
 def _sample(read):
     """(n_paths, seed) of a simulating experiment."""
-    return read("n_paths", _parse_int), read("seed", _parse_int)
+    n_paths, seed = read("n_paths", _parse_int), read("seed", _parse_int)
+    _checked("n_paths", check_path_count, n_paths)
+    _checked("seed", check_seed, seed)
+    return n_paths, seed
 
 
 def _orders(read):
@@ -372,7 +368,7 @@ def _strong_rate(model: ModelSpec, read):
     n_ref = read("N_ref", _parse_int)
     p_list = _orders(read)
     n_paths, seed = _sample(read)
-    _checked(_LEVEL_KEYS, check_levels, model, n_list, n_ref, p_list)
+    _checked("model", check_levels, model, n_list, n_ref, p_list)
     if len(n_list) < 3:
         raise BadValue("N_list", "a rate fit needs at least three levels")
     for n in (*n_list, n_ref):
@@ -481,19 +477,13 @@ def _analytics_probe(model: ModelSpec, read):
     t = read("probe.t", _parse_float)
     if t is None:
         t = model.horizon
-    elif t <= model.t0:
-        raise BadValue("probe.t", "must exceed t0")
     _require_classical(model, "experiment", "analytics_probe ")
     params = CIRParams.from_model(model)
-
-    def probed(key, oracle, *args):
-        # an elapsed time that the oracle cannot evaluate is one of probe.t
-        return _checked({None: key, "t": "probe.t"}, oracle, *args)
-
+    # an elapsed time that an oracle rejects is one of probe.t
     rows = [
-        ("laplace", u, probed("probe.u_list", laplace_transform, params, u, t)) for u in u_list
+        ("laplace", u, _checked("probe.u_list", laplace_transform, params, u, t)) for u in u_list
     ]
-    rows.append(("neg_moment", p, probed("probe.p", neg_moment, params, p, t).value))
+    rows.append(("neg_moment", p, _checked("probe.p", neg_moment, params, p, t).value))
     rows.append(("mean", t, classical_mean(params, t)))
     return lambda threads: {"analytics.csv": ("op,argument,value", rows)}
 

@@ -36,7 +36,16 @@ from .cir_analytics import (
     classical_mean,
     mean_delay_curve,
 )
-from .model import GammaSpec, GridMisaligned, ModelSpec, OutOfRange, TimeGrid, build_grid, validate
+from .model import (
+    GammaSpec,
+    GridMisaligned,
+    ModelSpec,
+    OutOfRange,
+    TimeGrid,
+    build_grid,
+    rejected,
+    validate,
+)
 
 Array = np.ndarray
 
@@ -50,6 +59,8 @@ __all__ = [
     "ModulusResult",
     "SurvivalEstimate",
     "WalkPlan",
+    "check_path_count",
+    "check_worker_count",
     "walk_plan",
     "recorded_walks",
     "map_paths",
@@ -119,6 +130,20 @@ class WalkPlan:
     bytes: int
 
 
+def check_path_count(n_paths: int) -> None:
+    """Raise unless a run has at least two paths, which a standard error
+    needs; the error's ``argument`` is ``"n_paths"``."""
+    if n_paths < 2:
+        raise rejected(ValueError, "n_paths", f"need at least two paths, got {n_paths}")
+
+
+def check_worker_count(threads: int) -> None:
+    """Raise unless a run has at least one worker; the error's ``argument``
+    is ``"threads"``."""
+    if threads < 1:
+        raise rejected(ValueError, "threads", f"need at least one worker, got {threads}")
+
+
 def _chunk_bounds(n_paths: int, threads: int, chunk: int) -> list[tuple[int, int]]:
     """(lo, hi) path bounds of the chunks of :func:`map_paths`, in path order:
     ``threads * ceil(n_paths / (threads * chunk))`` chunks of at most ``chunk``
@@ -160,7 +185,10 @@ def walk_plan(grid, lanes, n_paths, threads, explicit=None, *, fold_rows, back=0
     ``n_paths`` on ``threads`` workers (see :func:`map_paths`), and at least
     the shortest.  Temporaries of a byte per node, such as a march's check
     that its increments are finite, and buffers of a few rows are left out.
+    Every driver plans its walk first, so the run-size checks run here.
     """
+    check_path_count(n_paths)
+    check_worker_count(threads)
     ratios = [r for _, _, r in lanes]
     step = math.lcm(*ratios)
     spans = range(step, grid.n_steps + 1, step)
@@ -211,7 +239,9 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
     (stop - start, paths): :func:`delay_cir.noise.generate`, so any step
     range equals the same rows of the whole draw.
 
-    A chunk holds at most the ``paths`` of ``plan`` (a :class:`WalkPlan`,
+    ``n_paths`` and ``threads`` must pass :func:`check_path_count` and
+    :func:`check_worker_count`.  A chunk
+    holds at most the ``paths`` of ``plan`` (a :class:`WalkPlan`,
     which :func:`recorded_walks` collects), or ``_CHUNK`` without one: the
     paths are split into ``threads * ceil(n_paths / (threads * chunk))``
     chunks whose sizes differ by at most one path, so every worker gets the
@@ -228,8 +258,8 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
     at the smallest path index of the run, so that it does not depend on the
     chunking either.
     """
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be a positive integer, got {n_paths}")
+    check_path_count(n_paths)
+    check_worker_count(threads)
     walks = _walks.get()
     if plan is not None and walks is not None:
         walks.append(plan)
@@ -456,12 +486,6 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list) -> None:
     the rejected argument in its ``argument`` attribute: ``"n_list"``,
     ``"n_ref"`` or ``"p_list"``.
     """
-
-    def rejected(kind, argument, reason):
-        exc = kind(reason)
-        exc.argument = argument
-        return exc
-
     report = validate(model)
     if not report.strong_feller_ok:
         raise StrongFellerViolated("strong error study requires sigma^2 < 2 a inf(gamma)")
@@ -476,7 +500,7 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list) -> None:
         raise rejected(
             noise_mod.NotNested, "n_ref", "must be a proper multiple of max(N_list)"
         )
-    if any(p <= 0.0 for p in p_list):
+    if any(not p > 0.0 for p in p_list):
         raise rejected(PRequestedTooLarge, "p_list", "entries must be positive")
     for p in p_list:
         if p >= report.p_max:
@@ -714,7 +738,8 @@ def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeG
 
     The models must share (a, sigma, tau, t0, horizon) and the initial
     segment, with b_lower = 0 <= b_upper and gamma_upper >= gamma_lower at
-    every grid node; both must pass :func:`validate`.
+    every grid node; both must pass :func:`validate`, and an error of the
+    lower model names ``"model_lower"`` as its ``argument``.
     """
     same = all(
         getattr(model_upper, f) == getattr(model_lower, f)
@@ -732,7 +757,11 @@ def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeG
     if np.any(g_upper < g_lower):
         raise IncomparableModels("need gamma_upper >= gamma_lower on the grid")
     validate(model_upper)
-    validate(model_lower)
+    try:
+        validate(model_lower)
+    except ValueError as exc:
+        exc.argument = "model_lower"
+        raise
 
 
 def comparison_census(

@@ -38,6 +38,7 @@ __all__ = [
     "build_grid",
     "check_segment_window",
     "validate",
+    "rejected",
     "NonPositiveParameter",
     "HorizonBeforeStart",
     "GammaNotPositive",
@@ -48,7 +49,7 @@ __all__ = [
 
 
 class NonPositiveParameter(ValueError):
-    """A parameter that must be positive (or nonnegative) is not."""
+    """A parameter that must be positive (or nonnegative) and finite is not."""
 
 
 class HorizonBeforeStart(ValueError):
@@ -68,12 +69,27 @@ class GridMisaligned(ValueError):
 
 
 class OutOfRange(ValueError):
-    """A quantity derived from the parameters leaves the float range."""
+    """A parameter, or a quantity derived from the parameters, leaves the float range."""
+
+
+def rejected(kind, argument: str | None, reason: str) -> ValueError:
+    """``kind(reason)`` naming the rejected ``argument`` in its ``argument``
+    attribute; None for a rule over several arguments."""
+    exc = kind(reason)
+    exc.argument = argument
+    return exc
 
 
 # ---------------------------------------------------------------------------
 # gamma families
 # ---------------------------------------------------------------------------
+
+# The names of each kind's params, which validate's errors give as ``argument``.
+_GAMMA_PARAMS = {
+    "constant": ("gamma0",),
+    "affine": ("gamma0", "slope"),
+    "sinusoid": ("gamma0", "amplitude", "omega"),
+}
 
 
 @dataclass(frozen=True)
@@ -91,13 +107,12 @@ class GammaSpec:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        expected = {"constant": 1, "affine": 2, "sinusoid": 3}
-        if self.kind not in expected:
+        if self.kind not in _GAMMA_PARAMS:
             raise ValueError(f"unknown gamma kind {self.kind!r}")
-        if len(self.params) != expected[self.kind]:
+        expected = len(_GAMMA_PARAMS[self.kind])
+        if len(self.params) != expected:
             raise ValueError(
-                f"gamma kind {self.kind!r} takes {expected[self.kind]} parameters, "
-                f"got {len(self.params)}"
+                f"gamma kind {self.kind!r} takes {expected} parameters, got {len(self.params)}"
             )
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
@@ -257,14 +272,16 @@ class InitialSegmentSpec:
 
 
 def check_segment_window(initial: InitialSegmentSpec, t0: float, tau: float) -> None:
-    """Raise :class:`OutOfDomain` unless a table's knots cover [t0 - tau, t0]."""
+    """Raise :class:`OutOfDomain`, naming ``"points"`` as its ``argument``,
+    unless a table's knots cover [t0 - tau, t0]."""
     if initial.kind != "table":
         return
     first, last = initial.points[0][0], initial.points[-1][0]
     tol = 1e-9 * max(1.0, abs(t0), tau)
     if first > t0 - tau + tol or last < t0 - tol:
-        raise OutOfDomain(
-            f"segment table covers [{first}, {last}], not [{t0 - tau}, {t0}]"
+        raise rejected(
+            OutOfDomain, "points",
+            f"segment table covers [{first}, {last}], not [{t0 - tau}, {t0}]",
         )
 
 
@@ -327,7 +344,9 @@ class TimeGrid:
 
     def __post_init__(self) -> None:
         if self.n_per_delay < 1:
-            raise NonPositiveParameter("grid needs at least one step per delay")
+            raise rejected(
+                NonPositiveParameter, "n_per_delay", "grid needs at least one step per delay"
+            )
         if self.n_steps < 1:
             raise HorizonBeforeStart("grid needs at least one step after t0")
         # one path's float64 nodes k = -N .. K must fit in a NumPy array
@@ -354,8 +373,9 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
     Raises
     ------
     NonPositiveParameter, HorizonBeforeStart, GridMisaligned
-        If N < 1 or no step lies after t0 (both from :class:`TimeGrid`), or
-        if horizon - t0 is not an integer multiple of tau / N.
+        If N < 1 (``argument`` ``"n_per_delay"``) or no step lies after t0
+        (both from :class:`TimeGrid`), or if horizon - t0 is not an integer
+        multiple of tau / N.
     """
     ratio = (spec.horizon - spec.t0) * n_per_delay / spec.tau
     grid = TimeGrid(spec.t0, spec.tau, n_per_delay, round(ratio))
@@ -392,43 +412,74 @@ class ConditionReport:
     m: int
 
 
+# The least and the greatest normal that a draw gives, ndtri(2^-54) and
+# ndtri(1 - 2^-53) (see noise._standard_normals; SciPy 1.17.1), written out
+# so that validate loads no SciPy.
+_Z_LO = -8.292361075813597
+_Z_HI = 8.209536151601387
+
+
 def validate(spec: ModelSpec) -> ConditionReport:
     """Check hard invariants of ``spec`` and report the soft conditions.
 
     Hard violations raise; everything else (e.g. a violated Feller condition)
     is reported through the returned flags so callers can decide what they
-    need.
+    need.  An error of one parameter names it in its ``argument`` attribute:
+    a field (``"a"``, ``"b"``, ``"sigma"``, ``"tau"``, ``"t0"``,
+    ``"horizon"``), a gamma parameter (``"gamma0"``, ``"slope"``,
+    ``"amplitude"``, ``"omega"``) or one of the start (``"level"``,
+    ``"median"``, ``"log_sd"``, ``"points"``); a rule over several
+    parameters names None.
     """
     for name in ("a", "sigma", "tau"):
-        if getattr(spec, name) <= 0.0:
-            raise NonPositiveParameter(f"{name} must be positive, got {getattr(spec, name)}")
-    if spec.b < 0.0:
-        raise NonPositiveParameter(f"b must be nonnegative, got {spec.b}")
-    if spec.horizon <= spec.t0:
-        raise HorizonBeforeStart(f"horizon={spec.horizon} must exceed t0={spec.t0}")
+        value = getattr(spec, name)
+        if not 0.0 < value < math.inf:
+            raise rejected(
+                NonPositiveParameter, name, f"{name} must be positive and finite, got {value}"
+            )
+    if not 0.0 <= spec.b < math.inf:
+        raise rejected(
+            NonPositiveParameter, "b", f"b must be nonnegative and finite, got {spec.b}"
+        )
+    if not math.isfinite(spec.t0):
+        raise rejected(OutOfRange, "t0", f"t0 must be finite, got {spec.t0}")
+    if not spec.t0 < spec.horizon < math.inf:
+        raise rejected(
+            HorizonBeforeStart, "horizon",
+            f"horizon={spec.horizon} must be finite and exceed t0={spec.t0}",
+        )
+    for name, value in zip(_GAMMA_PARAMS[spec.gamma.kind], spec.gamma.params):
+        if not math.isfinite(value):
+            raise rejected(OutOfRange, name, f"gamma {name} must be finite, got {value}")
     lo, _, _ = gamma_bounds(spec.gamma, spec.t0, spec.horizon)
     if lo <= 0.0:
-        raise GammaNotPositive(f"inf gamma = {lo} on [{spec.t0}, {spec.horizon}]")
+        # gamma0 alone sets a constant gamma
+        only = "gamma0" if spec.gamma.kind == "constant" else None
+        raise rejected(
+            GammaNotPositive, only, f"inf gamma = {lo} on [{spec.t0}, {spec.horizon}]"
+        )
     init = spec.initial
-    if init.kind != "table" and init.params[0] <= 0.0:
-        raise NonPositiveParameter(f"initial {init.kind} level must be positive")
-    if init.kind == "table" and min(v for _, v in init.points) <= 0.0:
-        raise NonPositiveParameter("initial table must be strictly positive")
+    if init.kind == "table":
+        if not all(math.isfinite(t) and 0.0 < v < math.inf for t, v in init.points):
+            raise rejected(
+                NonPositiveParameter, "points",
+                "initial table needs finite times and positive, finite values",
+            )
+    else:
+        name, value = ("level" if init.kind == "constant" else "median"), init.params[0]
+        if not 0.0 < value < math.inf:
+            raise rejected(
+                NonPositiveParameter, name,
+                f"initial {name} must be positive and finite, got {value}",
+            )
     check_segment_window(init, spec.t0, spec.tau)
     if init.is_random:
-        # float ** and math.exp raise OverflowError, a product overflows to inf
-        try:
-            mean = init.mean_at(spec.t0)
-        except OverflowError:
-            mean = math.inf
-        if mean == math.inf:
-            raise OutOfRange(
-                f"E[X0] = median exp(log_sd^2 / 2) leaves the float range, "
-                f"log_sd = {init.params[1]}"
-            )
+        _check_lognormal(init)
     # float ** raises OverflowError, and a zero sigma^2 divides below
     if not 0.0 < spec.sigma * spec.sigma < math.inf:
-        raise OutOfRange(f"sigma^2 leaves the float range, sigma = {spec.sigma}")
+        raise rejected(
+            OutOfRange, "sigma", f"sigma^2 leaves the float range, sigma = {spec.sigma}"
+        )
     span = spec.horizon - spec.t0
     if span / spec.tau == math.inf:
         raise OutOfRange(f"(horizon - t0) / tau leaves the float range, tau = {spec.tau}")
@@ -449,3 +500,37 @@ def validate(spec: ModelSpec) -> ConditionReport:
         nu=nu,
         m=m,
     )
+
+
+def _check_lognormal(init: InitialSegmentSpec) -> None:
+    """Raise unless the lognormal start's mean and every level it can draw,
+    median exp(log_sd z) for z in [_Z_LO, _Z_HI], are positive and finite."""
+    median, log_sd = init.params
+    if not 0.0 <= log_sd < math.inf:
+        raise rejected(
+            NonPositiveParameter, "log_sd",
+            f"initial log_sd must be nonnegative and finite, got {log_sd}",
+        )
+    # float ** and math.exp raise OverflowError, a product overflows to inf;
+    # the mean is constant in time
+    try:
+        mean = init.mean_at(0.0)
+    except OverflowError:
+        mean = math.inf
+    if mean == math.inf:
+        raise OutOfRange(
+            f"E[X0] = median exp(log_sd^2 / 2) leaves the float range, log_sd = {log_sd}"
+        )
+    # the levels are computed as noise.sample_segment computes them, and
+    # rise with z
+    lowest = median * math.exp(log_sd * _Z_LO)
+    try:
+        highest = median * math.exp(log_sd * _Z_HI)
+    except OverflowError:
+        highest = math.inf
+    if lowest == 0.0 or highest == math.inf:
+        raise rejected(
+            OutOfRange, "log_sd",
+            f"the drawn levels median exp(log_sd z), z in [{_Z_LO:.4g}, {_Z_HI:.4g}], "
+            f"run from {lowest} to {highest}: not all positive and finite",
+        )

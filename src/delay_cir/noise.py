@@ -41,7 +41,7 @@ import math
 
 import numpy as np
 
-from .model import InitialSegmentSpec, TimeGrid, check_segment_window
+from .model import InitialSegmentSpec, TimeGrid, check_segment_window, rejected
 
 Array = np.ndarray
 
@@ -49,6 +49,7 @@ __all__ = [
     "generate",
     "block_sum",
     "sample_segment",
+    "check_seed",
     "NotNested",
     "NonPositiveSample",
 ]
@@ -129,6 +130,13 @@ def _philox4x64(key0: int, key1: Array, counter: int) -> tuple[Array, ...]:
     return c0, c1, c2, c3
 
 
+def check_seed(seed: int) -> None:
+    """Raise unless ``seed``, the first word of every stream's Philox key, is
+    nonnegative; the error's ``argument`` is ``"seed"``."""
+    if seed < 0:
+        raise rejected(ValueError, "seed", f"seed must be nonnegative, got {seed}")
+
+
 def _check_range(paths: range) -> None:
     if not isinstance(paths, range):
         raise TypeError(f"path_index must be a range of paths, not {type(paths).__name__}")
@@ -156,8 +164,9 @@ def _standard_normals(
     because scaling by a power of two commutes with rounding in this range.
     So both branches round every uniform alike, bit for bit.
     """
-    if seed < 0 or min(paths, default=0) < 0:
-        raise ValueError("seed and path_index must be nonnegative integers")
+    check_seed(seed)
+    if min(paths, default=0) < 0:
+        raise ValueError("path_index must hold nonnegative paths")
     # Philox makes four words per counter value and steps the counter before
     # each four, so counter start // 4 with start % 4 words skipped begins at
     # word ``start`` (a fresh state has counter zero).  Path j's key is

@@ -275,7 +275,7 @@ def test_criterion_07_negative_moment_quadrature():
     assert gap <= 3.0 * se, f"quadrature {result.value} vs MC {mc} +- {se}"
 
     assert result.bound == pytest.approx(
-        lp_constant(2.0, 0.5, allow_sub_one=True) * math.exp(0.5), rel=1e-15
+        lp_constant(2.0, 0.5) * math.exp(0.5), rel=1e-15
     )
     assert result.value <= result.bound
     assert neg_moment(params, 2.0, 1.0).value == math.inf

@@ -82,6 +82,14 @@ def test_laplace_domain_errors():
         CIRParams(a=1.0, gamma=1.0, sigma=1.0, x0=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["a", "gamma", "sigma", "x0"])
+def test_cir_params_reject_a_non_finite_parameter(name, value):
+    # a NaN rate made every oracle return NaN
+    with pytest.raises(NonPositiveParameter):
+        _params(**{name: value})
+
+
 # ---------------------------------------------------------------------------
 # negative moments
 # ---------------------------------------------------------------------------
@@ -240,12 +248,10 @@ def test_lp_constant_boundary_layer_values():
 
 
 def test_lp_constant_sub_one_orders_are_gated():
+    assert lp_constant(2.0, 0.5) == 1.0
+    # p < 1 inside the boundary layer stays out of reach
     with pytest.raises(OrderOutOfRange):
-        lp_constant(2.0, 0.5)
-    assert lp_constant(2.0, 0.5, allow_sub_one=True) == 1.0
-    # p < 1 inside the boundary layer stays out of reach either way
-    with pytest.raises(OrderOutOfRange):
-        lp_constant(1.3, 0.5, allow_sub_one=True)
+        lp_constant(1.3, 0.5)
 
 
 def test_lp_constant_domain_errors():

@@ -74,7 +74,7 @@ def test_comments_and_spacing_are_tolerated(tmp_path):
 
 def test_bad_values_are_named(tmp_path):
     cfg = _write_config(tmp_path, "sigma = -1\n")
-    with pytest.raises(BadValue, match="bad value for sigma: must be positive"):
+    with pytest.raises(BadValue, match="bad value for sigma: sigma must be positive"):
         parse_config(cfg)
     cfg = _write_config(tmp_path, "N_ref = 100\n")
     with pytest.raises(BadValue, match="N_ref"):
@@ -285,7 +285,7 @@ def test_mean_check_with_an_overflowing_standard_error_exits_three(tmp_path, cap
     cfg = _write_config(
         tmp_path,
         "experiment = mean_check\ninitial.kind = lognormal\ninitial.median = 1e300\n"
-        "initial.log_sd = 3\nn_paths = 200\n",
+        "initial.log_sd = 1\nn_paths = 200\n",
     )
     out = tmp_path / "out_big"
     assert main(["run", "--config", cfg, "--out", str(out)]) == 3
@@ -369,7 +369,9 @@ def test_probe_requires_the_classical_branch(tmp_path, capsys):
 def test_config_errors_exit_two(tmp_path, capsys):
     cfg = _write_config(tmp_path, "sigma = -1\n")
     assert main(["run", "--config", cfg]) == 2
-    assert capsys.readouterr().err == "error: bad value for sigma: must be positive\n"
+    assert capsys.readouterr().err == (
+        "error: bad value for sigma: sigma must be positive and finite, got -1.0\n"
+    )
     assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
@@ -415,10 +417,11 @@ def test_modulus_delta_off_the_grid_exits_two(tmp_path, capsys):
 
 def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
     cfg = _write_config(tmp_path, "experiment = analytics_probe\nb = 0\nprobe.t = -1\n")
+    expected = "error: bad value for probe.t: need t > t0, got elapsed -1.0\n"
     assert main(["run", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert capsys.readouterr().err == "error: bad value for probe.t: must exceed t0\n"
+    assert capsys.readouterr().err == expected
     assert main(["probe", "--config", cfg]) == 2
-    assert capsys.readouterr().err == "error: bad value for probe.t: must exceed t0\n"
+    assert capsys.readouterr().err == expected
     assert not (tmp_path / "o").exists()
 
 
@@ -570,7 +573,7 @@ def test_probe_command_reads_no_experiment_key(tmp_path, capsys):
         ("experiment = strong_rate\nN_list = x\n", "N_list", "not an integer: 'x'"),
         ("experiment = modulus\ndelta_list = x\n", "delta_list", "not a number: 'x'"),
         ("experiment = comparison\ngamma_lower = x\n", "gamma_lower", "not a number"),
-        ("experiment = survival\nseed = -1\n", "seed", "must be nonnegative"),
+        ("experiment = survival\nseed = -1\n", "seed", "seed must be nonnegative, got -1"),
         ("experiment = analytics_probe\nb = 0\nprobe.u_list = x\n", "probe.u_list",
          "not a number"),
     ],

@@ -423,14 +423,24 @@ def test_classical_variant_strips_delay():
 # ---------------------------------------------------------------------------
 
 DRIVERS = {
-    "strong_rate": lambda model, grid, n: strong_error_study(model, (4, 8), 16, n, (1.0,), seed=0),
-    "mean_check": lambda model, grid, n: mean_consistency_check(model, grid, n, (1.5,), seed=0),
-    "comparison": lambda model, grid, n: comparison_census(
-        model, classical_variant(model), grid, n, seed=0
+    "strong_rate": lambda model, grid, n, threads=1: strong_error_study(
+        model, (4, 8), 16, n, (1.0,), seed=0, threads=threads
     ),
-    "positivity": lambda model, grid, n: positivity_census(("implicit",), model, grid, n, seed=0),
-    "modulus": lambda model, grid, n: modulus_scaling(model, grid, n, (grid.delta,), seed=0),
-    "survival": lambda model, grid, n: survival_probability(model, grid, n, seed=0),
+    "mean_check": lambda model, grid, n, threads=1: mean_consistency_check(
+        model, grid, n, (1.5,), seed=0, threads=threads
+    ),
+    "comparison": lambda model, grid, n, threads=1: comparison_census(
+        model, classical_variant(model), grid, n, seed=0, threads=threads
+    ),
+    "positivity": lambda model, grid, n, threads=1: positivity_census(
+        ("implicit",), model, grid, n, seed=0, threads=threads
+    ),
+    "modulus": lambda model, grid, n, threads=1: modulus_scaling(
+        model, grid, n, (grid.delta,), seed=0, threads=threads
+    ),
+    "survival": lambda model, grid, n, threads=1: survival_probability(
+        model, grid, n, seed=0, threads=threads
+    ),
 }
 
 
@@ -439,5 +449,30 @@ def test_every_driver_rejects_a_run_of_no_paths(monkeypatch, name):
     # it used to fail in np.concatenate: "need at least one array to concatenate"
     model = _model()
     monkeypatch.setattr(experiments.noise_mod, "generate", _no_paths_run)
-    with pytest.raises(ValueError, match="n_paths must be a positive integer, got 0"):
+    with pytest.raises(ValueError, match="need at least two paths, got 0"):
         DRIVERS[name](model, build_grid(model, 8), 0)
+
+
+@pytest.mark.parametrize(
+    "n_paths, threads, argument",
+    [(16, 0, "threads"), (16, -1, "threads"), (1, 1, "n_paths")],
+    ids=["no-workers", "negative-workers", "one-path"],
+)
+@pytest.mark.parametrize("name", list(DRIVERS))
+def test_every_driver_checks_the_run_size_before_any_path_runs(
+    monkeypatch, name, n_paths, threads, argument
+):
+    # threads = 0 used to divide by zero in _chunk_bounds; one path gave a
+    # standard error of NaN
+    model = _model()
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    with pytest.raises(ValueError) as info:
+        DRIVERS[name](model, build_grid(model, 8), n_paths, threads)
+    assert info.value.argument == argument
+
+
+def test_map_paths_rejects_a_run_of_no_workers():
+    model = _model()
+    with pytest.raises(ValueError) as info:
+        experiments.map_paths(model, build_grid(model, 8), 0, 16, _no_paths_run, threads=0)
+    assert info.value.argument == "threads"

@@ -15,6 +15,7 @@ from delay_cir.model import (
     ModelSpec,
     NonPositiveParameter,
     OutOfDomain,
+    OutOfRange,
     build_grid,
     gamma_bounds,
     gamma_eval,
@@ -68,8 +69,55 @@ def test_validate_feller_violated_is_reported_not_raised():
 
 def test_validate_rejects_nonpositive_parameters():
     for kw in ({"a": 0.0}, {"sigma": -1.0}, {"tau": 0.0}, {"b": -0.1}):
-        with pytest.raises(NonPositiveParameter):
+        with pytest.raises(NonPositiveParameter) as info:
             validate(_spec(**kw))
+        assert info.value.argument == next(iter(kw))
+    with pytest.raises(NonPositiveParameter) as info:
+        validate(_spec(initial=InitialSegmentSpec.lognormal(1.0, -0.5)))
+    assert info.value.argument == "log_sd"
+
+
+# A spec whose one parameter, named as validate's errors name it, takes the value.
+_ONE_PARAMETER = {
+    **{name: lambda v, name=name: _spec(**{name: v}) for name in ("a", "b", "sigma", "tau")},
+    "t0": lambda v: _spec(t0=v),
+    "horizon": lambda v: _spec(horizon=v),
+    "gamma0": lambda v: _spec(gamma=GammaSpec.constant(v)),
+    "slope": lambda v: _spec(gamma=GammaSpec.affine(1.0, v)),
+    "amplitude": lambda v: _spec(gamma=GammaSpec.sinusoid(1.0, v, 1.0)),
+    "omega": lambda v: _spec(gamma=GammaSpec.sinusoid(1.0, 0.1, v)),
+    "level": lambda v: _spec(initial=InitialSegmentSpec.constant(v)),
+    "median": lambda v: _spec(initial=InitialSegmentSpec.lognormal(v, 0.2)),
+    "log_sd": lambda v: _spec(initial=InitialSegmentSpec.lognormal(1.0, v)),
+    "points": lambda v: _spec(initial=InitialSegmentSpec.table([(-0.5, 1.0), (0.0, v)])),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", list(_ONE_PARAMETER))
+def test_validate_rejects_a_non_finite_parameter_and_names_it(name, value):
+    with pytest.raises(ValueError) as info:
+        validate(_ONE_PARAMETER[name](value))
+    assert info.value.argument == name
+
+
+@pytest.mark.parametrize(
+    "median, log_sd, inside",
+    [
+        # median exp(-8.29 log_sd) underflows to 0, and a draw that low
+        # fails in the segment sample; at log_sd 6 it is 2.5e-322
+        (1e-300, 37.0, 6.0),
+        # a finite mean, median exp(log_sd^2 / 2) = 9e301, and a draw at
+        # z = 8.21 that overflows; at log_sd 2 it is 1.4e307
+        (1e300, 3.0, 2.0),
+    ],
+    ids=["lowest-level-underflows", "highest-level-overflows"],
+)
+def test_validate_rejects_a_lognormal_start_whose_draws_leave_the_floats(median, log_sd, inside):
+    with pytest.raises(OutOfRange) as info:
+        validate(_spec(initial=InitialSegmentSpec.lognormal(median, log_sd)))
+    assert info.value.argument == "log_sd"
+    validate(_spec(initial=InitialSegmentSpec.lognormal(median, inside)))
 
 
 def test_validate_rejects_horizon_before_start():

@@ -13,7 +13,7 @@ from delay_cir.model import (
     OutOfDomain,
     build_grid,
 )
-from delay_cir import noise
+from delay_cir import model, noise
 from delay_cir.noise import (
     NotNested,
     _philox4x64,
@@ -386,3 +386,16 @@ def test_segment_stream_disjoint_from_noise_stream():
 def test_one_path_is_a_range_of_one_not_an_int(draw):
     with pytest.raises(TypeError, match="path_index must be a range of paths, not int"):
         draw(_grid(n_per_delay=8))
+
+
+def test_the_normal_range_that_validate_assumes_is_that_of_the_draws():
+    # the least uniform (0 + 1/2) 2^-53 and the greatest, clamped below 1
+    assert model._Z_LO == float(noise.ndtri(np.float64(2.0**-54)))
+    assert model._Z_HI == float(noise.ndtri(np.float64(1.0 - 2.0**-53)))
+
+
+def test_a_negative_seed_is_named():
+    with pytest.raises(ValueError) as info:
+        noise.check_seed(-1)
+    assert info.value.argument == "seed"
+    noise.check_seed(0)

@@ -93,6 +93,14 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         "experiment = analytics_probe\nb = 0\ninitial.level = 1e300\nprobe.p = 2\n",
         # the strict Feller condition of the strong study fails
         "sigma = 1.5\np_list = 0.1\nN_list = 2,4,8\nN_ref = 16\n",
+        # the run-size and start rules that the library owns
+        "n_paths = 1\n",
+        "threads = 0\n",
+        "experiment = survival\nseed = -1\n",
+        "initial.kind = lognormal\ninitial.median = 1\ninitial.log_sd = -0.5\n",
+        "experiment = mean_check\nN = 4\ninitial.kind = lognormal\n"
+        "initial.median = 1e-300\ninitial.log_sd = 37\n",
+        "experiment = analytics_probe\nb = 0\nprobe.t = -1\n",
     )
     cfgs = []
     for i, text in enumerate(texts):
@@ -108,7 +116,7 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         *cfgs,
         cwd=tmp_path,
     )
-    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * 9}
+    assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [2] * len(texts)}
 
 
 def test_simulation_loads_special_but_not_integrate(tmp_path):

@@ -22,6 +22,7 @@ from delay_cir.model import (
 
 # knots on [-0.2, 0] against the default delay window [-0.5, 0]
 SHORT_TABLE = "initial.kind = table\ninitial.points = -0.2:1; 0:1\n"
+LOW_START = "initial.kind = lognormal\ninitial.median = 1e-300\ninitial.log_sd = 37\n"
 
 
 def _model(**kw) -> ModelSpec:
@@ -36,20 +37,20 @@ def _model(**kw) -> ModelSpec:
 @pytest.mark.parametrize(
     "command, text, message",
     [
-        ("run", "experiment = survival\n" + SHORT_TABLE, "model: segment table covers"),
-        ("validate", "experiment = survival\n" + SHORT_TABLE, "model: segment table"),
-        ("probe", "b = 0\n" + SHORT_TABLE, "model: segment table covers"),
+        ("run", "experiment = survival\n" + SHORT_TABLE, "initial.points: segment table covers"),
+        ("validate", "experiment = survival\n" + SHORT_TABLE, "initial.points: segment table"),
+        ("probe", "b = 0\n" + SHORT_TABLE, "initial.points: segment table covers"),
         ("run", "initial.kind = table\ninitial.points = 0:1\n",
          "initial.points: table segment needs at least two"),
         ("run", "initial.kind = table\ninitial.points = 0:1; -0.5:1\n",
          "initial.points: table knots must be sorted"),
-        ("validate", "sigma = 1e300\n", "model: sigma^2 leaves the float range"),
-        ("validate", "sigma = 1e-300\n", "model: sigma^2 leaves the float range"),
-        ("run", "sigma = 1e300\n", "model: sigma^2 leaves the float range"),
+        ("validate", "sigma = 1e300\n", "sigma: sigma^2 leaves the float range"),
+        ("validate", "sigma = 1e-300\n", "sigma: sigma^2 leaves the float range"),
+        ("run", "sigma = 1e300\n", "sigma: sigma^2 leaves the float range"),
         ("validate", "tau = 1e-300\nhorizon = 1e300\n",
          "model: (horizon - t0) / tau leaves the float range"),
-        ("run", "b = -1\n", "model: b must be nonnegative, got -1.0"),
-        ("run", "horizon = 0\n", "model: horizon=0.0 must exceed t0=0.0"),
+        ("run", "b = -1\n", "b: b must be nonnegative and finite, got -1.0"),
+        ("run", "horizon = 0\n", "horizon: horizon=0.0 must be finite and exceed t0=0.0"),
         ("run", "experiment = mean_check\ninitial.kind = lognormal\n"
          "initial.median = 1\ninitial.log_sd = 1e300\n",
          "model: E[X0] = median exp(log_sd^2 / 2) leaves the float range"),
@@ -63,6 +64,26 @@ def _model(**kw) -> ModelSpec:
          "probe.p: x0^p leaves the float range"),
         ("run", "sigma = 1.5\np_list = 0.1\nN_list = 2,4,8\nN_ref = 16\n",
          "model: strong error study requires sigma^2 < 2 a inf(gamma)"),
+        # a rule of one parameter names its key
+        ("run", "a = 0\n", "a: a must be positive and finite, got 0.0"),
+        ("run", "gamma.level = 0\n", "gamma.level: inf gamma = 0.0"),
+        ("run", "initial.level = -1\n", "initial.level: initial level must be positive"),
+        ("run", "initial.kind = lognormal\ninitial.median = 0\ninitial.log_sd = 1\n",
+         "initial.median: initial median must be positive"),
+        ("run", "initial.kind = lognormal\ninitial.median = 1\ninitial.log_sd = -0.5\n",
+         "initial.log_sd: initial log_sd must be nonnegative"),
+        # the lowest draw, median exp(-8.29 log_sd), rounds to 0
+        ("validate", LOW_START, "initial.log_sd: the drawn levels"),
+        ("run", "experiment = mean_check\nN = 4\nn_paths = 200\n" + LOW_START,
+         "initial.log_sd: the drawn levels"),
+        ("run", "experiment = mean_check\nN = 0\n", "N: grid needs at least one step"),
+        ("run", "experiment = survival\nn_paths = 1\n", "n_paths: need at least two paths"),
+        ("run", "experiment = modulus\nthreads = -1\n", "threads: need at least one worker"),
+        # every run reads threads, the probe's too
+        ("run", "experiment = analytics_probe\nb = 0\nthreads = 0\n",
+         "threads: need at least one worker"),
+        # the lower model of the comparison is built from gamma_lower
+        ("run", "experiment = comparison\ngamma_lower = 0\n", "gamma_lower: inf gamma = 0.0"),
     ],
     ids=[
         "run-short-table", "validate-short-table", "probe-short-table",
@@ -71,6 +92,10 @@ def _model(**kw) -> ModelSpec:
         "negative-b", "horizon-at-t0", "lognormal-mean-overflow", "survival-huge-grid",
         "mean_check-tiny-tau", "comparison-huge-grid", "probe-tiny-elapsed",
         "probe-huge-elapsed", "probe-huge-level", "strong_rate-strict-feller",
+        "zero-a", "zero-gamma-level", "negative-initial-level", "zero-median",
+        "negative-log_sd", "validate-underflowing-start", "run-underflowing-start",
+        "no-steps-per-delay", "one-path", "negative-workers", "probe-no-workers",
+        "zero-gamma_lower",
     ],
 )
 def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):

@@ -330,7 +330,7 @@ def test_modulus_fit_leaves_delta_one_out():
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_mean_check_with_an_overflowing_standard_error_names_the_time():
-    model = _model(b=0.2, initial=InitialSegmentSpec.lognormal(1e300, 3.0))
+    model = _model(b=0.2, initial=InitialSegmentSpec.lognormal(1e300, 1.0))
     grid = build_grid(model, 4)
     with pytest.raises(OutOfRange, match=r"checkpoint t = 0\.25 is inf"):
         mean_consistency_check(model, grid, 50, [0.25, 1.5], seed=2)
