@@ -251,12 +251,12 @@ _KEYS = {
 }
 
 
-def _checked(default_key, check, *args):
-    """``check(*args)``, its ``ValueError`` re-raised as :class:`BadValue` of
-    the config key of the argument that the error names, or of
-    ``default_key`` where it names none or no config key."""
+def _checked(default_key, check, *args, **kwargs):
+    """``check(*args, **kwargs)``, its ``ValueError`` re-raised as
+    :class:`BadValue` of the config key of the argument that the error
+    names, or of ``default_key`` where it names none or no config key."""
     try:
-        return check(*args)
+        return check(*args, **kwargs)
     except ValueError as exc:
         argument = getattr(exc, "argument", None)
         key = _KEYS.get(argument, argument)
@@ -368,9 +368,7 @@ def _strong_rate(model: ModelSpec, read):
     n_ref = read("N_ref", _parse_int)
     p_list = _orders(read)
     n_paths, seed = _sample(read)
-    _checked("model", check_levels, model, n_list, n_ref, p_list)
-    if len(n_list) < 3:
-        raise BadValue("N_list", "a rate fit needs at least three levels")
+    _checked("model", check_levels, model, n_list, n_ref, p_list, fit=True)
     for n in (*n_list, n_ref):
         _checked("horizon", build_grid, model, n)
 

@@ -27,6 +27,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import noise as noise_mod
 from . import scheme as scheme_mod
@@ -43,6 +44,7 @@ from .model import (
     OutOfRange,
     TimeGrid,
     build_grid,
+    check_fits_float,
     rejected,
     validate,
 )
@@ -87,7 +89,7 @@ _CHUNK = 2048
 # Bytes that one worker's chunk may hold while walk_blocks walks it: the ring
 # windows, one span's increments, and the block sums and fold rows beside
 # them (walk_plan).  A default strong-rate chunk of 2048 paths walks spans
-# of 512 steps in it (31.7 MiB), and held about as much in the fixed blocks
+# of 512 steps in it (31.2 MiB), and held about as much in the fixed blocks
 # of 256 steps that the budget replaced.
 _WALK_BYTES = 32 << 20
 
@@ -132,9 +134,11 @@ class WalkPlan:
 
 def check_path_count(n_paths: int) -> None:
     """Raise unless a run has at least two paths, which a standard error
-    needs; the error's ``argument`` is ``"n_paths"``."""
+    needs, and a count that converts to a float; the error's ``argument`` is
+    ``"n_paths"``."""
     if n_paths < 2:
         raise rejected(ValueError, "n_paths", f"need at least two paths, got {n_paths}")
+    check_fits_float("n_paths", n_paths)
 
 
 def check_worker_count(threads: int) -> None:
@@ -385,13 +389,14 @@ def _line_fit(x: Array, y: Array) -> tuple[float, float, float]:
     return float(slope), float(intercept), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def _cell_weights(n_fine_steps: int, r: int) -> tuple[Array, Array]:
-    """(1 - w, w) of fine nodes 1 .. n_fine_steps in their coarse cell (t_c,
-    t_{c+1}] of r fine steps; w = 1 at the cell's right end."""
+def _cell_weights(n_fine_steps: int, r: int) -> Array:
+    """Rows (1 - w, w) of fine nodes 1 .. n_fine_steps in their coarse cell
+    (t_c, t_{c+1}] of r fine steps, shape (n_fine_steps, 2); w = 1 at the
+    cell's right end."""
     nodes = np.arange(1, n_fine_steps + 1)
     # k / r - c, not (k - c r) / r: the rounding every recorded product has
     w = nodes / r - (nodes - 1) // r
-    return 1.0 - w, w
+    return np.stack((1.0 - w, w), axis=-1)
 
 
 # Fine rows per piece of the error fold: a piece's temporaries stay in a
@@ -399,50 +404,48 @@ def _cell_weights(n_fine_steps: int, r: int) -> tuple[Array, Array]:
 _FOLD_ROWS = 32
 
 
-def _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
+def _fold_cell_errors(x_fine, x_coarse, weights, grid_max, uniform_max):
     """Fold the errors of one level over whole coarse cells into per-path maxima.
 
     ``x_coarse`` holds coarse nodes c .. c + m, shape (m + 1, paths), and
     ``x_fine`` the m r fine nodes of the cells (t_c, t_{c+m}], shape (m r,
-    paths); ``w`` and ``one_minus_w`` are the fine nodes' weights in their
-    cell, shape (m r,), with w = 1 at a cell's right end.  The uniform error
-    compares every fine node with the coarse interpolant, the grid error the
-    coarse nodes c+1 .. c+m with the fine nodes on them, which are its rows
-    at w = 1.  The errors are folded piece by piece, a piece being a run of
-    whole cells or, for cells longer than ``_FOLD_ROWS``, part of one cell.
+    paths); ``weights`` holds the fine nodes' rows (1 - w, w) in their cell,
+    shape (m r, 2), with w = 1 at a cell's right end (:func:`_cell_weights`).
+    The uniform error compares every fine node with the coarse interpolant,
+    the grid error the coarse nodes c+1 .. c+m with the fine nodes on them,
+    which are its rows at w = 1.  The errors are folded piece by piece, a
+    piece being a run of whole cells or, for cells longer than
+    ``_FOLD_ROWS``, part of one cell.
 
-    A piece's terms left (1 - w) and right w are outer products of the
-    weights with a cell's two end values, written by ``np.einsum`` into two
-    buffers of ``_FOLD_ROWS`` rows allocated once per call; the add,
-    subtract and abs then run in place, and each piece reduces into one
-    reused row.  The values equal the broadcast products bit for bit:
-    einsum adds each product to a zeroed output, and +0 + p = p for every
-    p >= +0 (X = Y^2 and both weights lie in [0, 1]), so the interpolant is
-    x_{c+1} exactly at w = 1.  Maxima do not depend on their order.
+    A piece's interpolant (1 - w) left + w right is one ``np.einsum`` of its
+    weight rows with its cells' end pairs (c, c + 1), a view of ``x_coarse``,
+    written into one buffer of ``_FOLD_ROWS`` rows allocated once per call;
+    the subtract and abs then run in place, and each piece reduces into one
+    reused row.  The values equal the broadcast products and their sum bit
+    for bit: einsum adds each product in turn to a zeroed output, fl(fl(0 +
+    p0) + p1) = fl(p0 + p1) for p0 >= +0 (X = Y^2 and both weights lie in
+    [0, 1]), so the interpolant is x_{c+1} exactly at w = 1.  Maxima do not
+    depend on their order.
     """
     cells = x_coarse.shape[0] - 1
     r = x_fine.shape[0] // cells
     paths = x_coarse.shape[1]
     per_piece = max(1, _FOLD_ROWS // r)
     part = min(r, _FOLD_ROWS)
-    on_left = np.empty(per_piece * part * paths)
-    on_right = np.empty_like(on_left)
+    # ends[c] holds the rows x_c, x_{c+1}, without a copy
+    ends = sliding_window_view(x_coarse, 2, axis=0).transpose(0, 2, 1)
+    buffer = np.empty(per_piece * part * paths)
     row = np.empty(paths)
     for c0 in range(0, cells, per_piece):
         c1 = min(c0 + per_piece, cells)
         span = slice(c0 * r, c1 * r)
-        left, right = x_coarse[c0:c1], x_coarse[c0 + 1 : c1 + 1]
         fine_cells = x_fine[span].reshape(c1 - c0, r, paths)
-        left_w = one_minus_w[span].reshape(c1 - c0, r)
-        right_w = w[span].reshape(c1 - c0, r)
+        cell_weights = weights[span].reshape(c1 - c0, r, 2)
         for i0 in range(0, r, part):
             rows = slice(i0, min(i0 + part, r))
             fine = fine_cells[:, rows]
-            on_fine = on_left[: fine.size].reshape(fine.shape)
-            on_end = on_right[: fine.size].reshape(fine.shape)
-            np.einsum("cj,cp->cjp", left_w[:, rows], left, out=on_fine)
-            np.einsum("cj,cp->cjp", right_w[:, rows], right, out=on_end)
-            on_fine += on_end
+            on_fine = buffer[: fine.size].reshape(fine.shape)
+            np.einsum("cjw,cwp->cjp", cell_weights[:, rows], ends[c0:c1], out=on_fine)
             np.subtract(fine, on_fine, out=on_fine)
             np.abs(on_fine, out=on_fine)
             np.maximum.reduce(on_fine.reshape(-1, paths), axis=0, out=row)
@@ -475,16 +478,23 @@ class ErrorTable:
     seed: int
 
 
-def check_levels(model: ModelSpec, n_list, n_ref, p_list) -> None:
+# The levels, and so the rows per order, that a rate fit needs.
+_FIT_LEVELS = 3
+
+
+def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) -> None:
     """Raise unless :func:`strong_error_study` accepts the model, levels and orders.
 
     ``model`` must pass :func:`validate` and the strict Feller condition,
     ``n_list`` must hold positive integers that increase, each dividing the
-    next, ``n_ref`` must be a proper multiple of its largest entry, and every
-    p must lie in (0, p_max) of the model's report.  A level or order error
-    (:class:`~delay_cir.noise.NotNested` or :class:`PRequestedTooLarge`) names
-    the rejected argument in its ``argument`` attribute: ``"n_list"``,
-    ``"n_ref"`` or ``"p_list"``.
+    next, ``n_ref`` must be a proper multiple of its largest entry, both
+    must convert to floats, and every p must lie in (0, p_max) of the
+    model's report.  With ``fit``, ``n_list`` must also hold the three
+    levels that :func:`fit_rate` needs.  A level or order error
+    (:class:`~delay_cir.noise.NotNested`, :class:`InsufficientRows`,
+    :class:`~delay_cir.model.OutOfRange` or :class:`PRequestedTooLarge`)
+    names the rejected argument in its ``argument`` attribute:
+    ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
     """
     report = validate(model)
     if not report.strong_feller_ok:
@@ -496,10 +506,14 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list) -> None:
             raise rejected(
                 noise_mod.NotNested, "n_list", "must increase, each entry dividing the next"
             )
+    if fit and len(n_list) < _FIT_LEVELS:
+        raise rejected(InsufficientRows, "n_list", "a rate fit needs at least three levels")
+    check_fits_float("n_list", n_list[-1])
     if n_ref <= n_list[-1] or n_ref % n_list[-1]:
         raise rejected(
             noise_mod.NotNested, "n_ref", "must be a proper multiple of max(N_list)"
         )
+    check_fits_float("n_ref", n_ref)
     if any(not p > 0.0 for p in p_list):
         raise rejected(PRequestedTooLarge, "p_list", "entries must be positive")
     for p in p_list:
@@ -535,7 +549,7 @@ def strong_error_study(
 
     The reference and the coarse levels are lanes of :func:`walk_blocks`,
     whose spans :func:`walk_plan` sizes to a multiple of every ratio; the
-    fold holds the coarse X of a span and two pieces of the error fold.
+    fold holds the coarse X of a span and one piece of the error fold.
 
     The model, ``n_list``, ``n_ref`` and ``p_list`` must pass :func:`check_levels`.
     """
@@ -551,7 +565,7 @@ def strong_error_study(
     # a span holds whole cells of every level, the coarsest ratio's included
     plan = walk_plan(
         fine_grid, lanes, n_paths, threads,
-        fold_rows=lambda span: 2 * len(n_list) + span // ratios[-1] + 1 + 2 * _FOLD_ROWS + 1,
+        fold_rows=lambda span: 2 * len(n_list) + span // ratios[-1] + 1 + _FOLD_ROWS + 1,
     )
 
     def errors(draw, seg: Array) -> Array:
@@ -571,10 +585,7 @@ def strong_error_study(
                     windows[1 + i], grid_c.n_per_delay + k0 // r,
                     x_fine.shape[0] // r + 1, out=x_coarse,
                 )
-                one_minus_w, w = weights[i]
-                _fold_cell_errors(
-                    x_fine, x_c, one_minus_w[rows], w[rows], out[2 * i], out[2 * i + 1]
-                )
+                _fold_cell_errors(x_fine, x_c, weights[i][rows], out[2 * i], out[2 * i + 1])
 
         walk_blocks(fine_grid, draw, seg, fold, lanes, span=plan.span)
         return out
@@ -621,8 +632,8 @@ def fit_rate(table: ErrorTable, p: float, variant: str = "plain_delta") -> RateF
     uniform norm up to a log factor.
     """
     rows = [r for r in table.rows if r.p == p]
-    if len(rows) < 3:
-        raise InsufficientRows(f"need >= 3 rows at p={p}, got {len(rows)}")
+    if len(rows) < _FIT_LEVELS:
+        raise InsufficientRows(f"need >= {_FIT_LEVELS} rows at p={p}, got {len(rows)}")
     if variant == "plain_delta":
         x = np.array([math.log(r.delta) for r in rows])
         y_vals = [r.grid_error for r in rows]

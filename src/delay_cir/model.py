@@ -39,6 +39,7 @@ __all__ = [
     "check_segment_window",
     "validate",
     "rejected",
+    "check_fits_float",
     "NonPositiveParameter",
     "HorizonBeforeStart",
     "GammaNotPositive",
@@ -78,6 +79,17 @@ def rejected(kind, argument: str | None, reason: str) -> ValueError:
     exc = kind(reason)
     exc.argument = argument
     return exc
+
+
+def check_fits_float(argument: str, value: int) -> None:
+    """Raise :class:`OutOfRange`, naming ``argument``, unless the integer
+    ``value`` converts to a float (int to float raises OverflowError)."""
+    try:
+        float(value)
+    except OverflowError:
+        raise rejected(
+            OutOfRange, argument, f"a {value.bit_length()}-bit integer is too large for a float"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -376,8 +388,14 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
         If N < 1 (``argument`` ``"n_per_delay"``) or no step lies after t0
         (both from :class:`TimeGrid`), or if horizon - t0 is not an integer
         multiple of tau / N.
+    OutOfRange
+        If N is too large for a float (``argument`` ``"n_per_delay"``) or
+        the steps (horizon - t0) N / tau are not finite.
     """
+    check_fits_float("n_per_delay", n_per_delay)
     ratio = (spec.horizon - spec.t0) * n_per_delay / spec.tau
+    if not math.isfinite(ratio):
+        raise OutOfRange(f"(horizon - t0) N / tau leaves the float range, N = {n_per_delay:.3g}")
     grid = TimeGrid(spec.t0, spec.tau, n_per_delay, round(ratio))
     if abs(ratio - grid.n_steps) > 1e-9 * max(1.0, abs(ratio)):
         raise GridMisaligned(
@@ -451,6 +469,14 @@ def validate(spec: ModelSpec) -> ConditionReport:
     for name, value in zip(_GAMMA_PARAMS[spec.gamma.kind], spec.gamma.params):
         if not math.isfinite(value):
             raise rejected(OutOfRange, name, f"gamma {name} must be finite, got {value}")
+    if spec.gamma.kind == "sinusoid":
+        # gamma_bounds takes the sine of the last phase
+        omega = spec.gamma.params[2]
+        if not math.isfinite(omega * (spec.horizon - spec.t0)):
+            raise OutOfRange(
+                f"the sinusoid's last phase omega (horizon - t0) leaves the float range, "
+                f"omega = {omega}"
+            )
     lo, _, _ = gamma_bounds(spec.gamma, spec.t0, spec.horizon)
     if lo <= 0.0:
         # gamma0 alone sets a constant gamma

@@ -18,15 +18,16 @@ how many of either are drawn.
 
 A path that needs several words re-keys one Philox bit generator, so its
 cost per path is the state setter plus one fill: the words come as one row
-of uniforms filled by ``Generator.random``, and a reused cache-sized block
-of such rows is transposed into the time-major output.  Philox is
-counter-based (Salmon et al., "Parallel random numbers: as easy as 1, 2,
-3", SC 2011): each block of four words is a pure function of key and
-counter.  So where every path needs a single word (a lognormal segment
-level), :func:`_philox4x64` computes the words of all the chunk's paths at
-once, in uint64 array arithmetic that gives numpy's bits, and no bit
-generator is keyed.  Both branches give the same bits as the first row of a
-longer draw (see :func:`_standard_normals`).
+of uniforms filled by ``Generator.random`` into a reused cache-sized block
+of such rows.  The block is finished where it lies (the 2^-54 offset, the
+clamp, ``ndtri`` and the scale) and then copied once, transposed, into the
+time-major output.  Philox is counter-based (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011): each block of four words is
+a pure function of key and counter.  So where every path needs a single
+word (a lognormal segment level), :func:`_philox4x64` computes the words of
+all the chunk's paths at once, in uint64 array arithmetic that gives
+numpy's bits, and no bit generator is keyed.  Both branches give the same
+bits as the first row of a longer draw (see :func:`_standard_normals`).
 
 SciPy's inverse normal CDF is imported on the first draw, not with the
 module, so a process that only parses or validates a config never loads it.
@@ -68,7 +69,8 @@ class NonPositiveSample(ValueError):
 
 
 # Bytes per transpose block of the drawn uniforms: a block of per-path rows
-# that stays in cache while it is written into the time-major output.
+# that stays in cache while it is finished and written into the time-major
+# output.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -149,20 +151,37 @@ def ndtri(u: Array, out: Array | None = None) -> Array:
     return _ndtri(u, out=out)
 
 
+def _finish(u: Array, scale: float) -> Array:
+    """Uniforms ``u`` to ``scale`` times their standard normals, in place.
+
+    (k + 1/2) 2^-53 with k < 2^53 is never 0; it is 1 only for k = 2^53 - 1,
+    where k + 1/2 rounds up to 2^53 (one word in 2^53), and ndtri(1) = inf.
+    Every other uniform is at most 1 - 2^-52, so clamping to the largest
+    double below 1 changes that one value only.
+    """
+    np.minimum(u, _BELOW_ONE, out=u)
+    ndtri(u, out=u)
+    u *= scale
+    return u
+
+
 def _standard_normals(
-    seed: int, paths: range, tag: int, n: int, start: int = 0
+    seed: int, paths: range, tag: int, n: int, start: int = 0, scale: float = 1.0
 ) -> Array:
-    """(n, len(paths)) standard normals: column j holds draws start .. start+n-1
-    of stream (seed, paths[j], tag).
+    """(n, len(paths)) standard normals times ``scale``: column j holds draws
+    start .. start+n-1 of stream (seed, paths[j], tag).
 
     Word w of a stream becomes the uniform (k + 1/2) 2^-53 with k = w >> 11,
-    clamped below 1, then ``ndtri`` of it.  One word per path, from draw 0
-    of a block, is computed by :func:`_philox4x64` for every path at once and
-    converted just so.  A row of several words is filled by
-    ``Generator.random``, which gives k 2^-53 exactly, and 2^-54 is added on
-    the way into the output; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2),
-    because scaling by a power of two commutes with rounding in this range.
-    So both branches round every uniform alike, bit for bit.
+    clamped below 1, then ``ndtri`` of it, times ``scale``.  One word per
+    path, from draw 0 of a block, is computed by :func:`_philox4x64` for
+    every path at once and converted just so.  A row of several words is
+    filled by ``Generator.random``, which gives k 2^-53 exactly, and 2^-54
+    is added to it; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2), because scaling
+    by a power of two commutes with rounding in this range.  So both
+    branches round every uniform alike, bit for bit.  Each value passes
+    through the same operations in the same order whatever the layout, so
+    finishing a block of rows before it is transposed into the output gives
+    the bits of finishing the whole output.
     """
     check_seed(seed)
     if min(paths, default=0) < 0:
@@ -172,7 +191,6 @@ def _standard_normals(
     # word ``start`` (a fresh state has counter zero).  Path j's key is
     # (seed, (j << 1) | tag).
     skip = start % 4
-    u = np.empty((n, len(paths)))
     if n == 1 and skip == 0:
         # one word per path (a lognormal segment level): word 0 of the block
         # at counter start // 4 + 1, for the chunk's paths at once
@@ -181,40 +199,38 @@ def _standard_normals(
         key1 |= np.uint64(tag)
         words = _philox4x64(seed & _MASK64, key1, start // 4 + 1)[0]
         words >>= np.uint64(11)
-        np.add(words, 0.5, out=u[0])
+        u = np.add(words, 0.5)[None, :]
         u *= 2.0**-53
-    else:
-        # One bit generator, local to the call, re-keyed per path; its own
-        # seed is never drawn from.  The setter copies the plain ints of one
-        # reused state dict, so re-keying builds no array.  Each path's row
-        # is filled with (w >> 11) 2^-53; adding 2^-54 on the way into the
-        # time-major output rounds as (k + 1/2) 2^-53 above.
-        bitgen = np.random.Philox(0)
-        key = [seed & _MASK64, 0]
-        state = {
-            "bit_generator": "Philox",
-            "state": {"counter": [start // 4, 0, 0, 0], "key": key},
-            "buffer": [0, 0, 0, 0],
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        uniform = np.random.Generator(bitgen).random
-        block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
-        rows = np.empty((min(block, len(paths)), n + skip))
-        for lo in range(0, len(paths), block):
-            part = paths[lo : lo + block]
-            for j, path in enumerate(part):
-                key[1] = ((path << 1) | tag) & _MASK64
-                bitgen.state = state
-                uniform(out=rows[j])
-            np.add(rows[: len(part), skip:].T, 2.0**-54, out=u[:, lo : lo + len(part)])
-    # (k + 1/2) 2^-53 with k < 2^53 is never 0; it is 1 only for k = 2^53 - 1,
-    # where k + 1/2 rounds up to 2^53 (one word in 2^53), and ndtri(1) = inf.
-    # Every other uniform is at most 1 - 2^-52, so clamping to the largest
-    # double below 1 changes that one value only.
-    np.minimum(u, _BELOW_ONE, out=u)
-    return ndtri(u, out=u)
+        return _finish(u, scale)
+    # One bit generator, local to the call, re-keyed per path; its own seed
+    # is never drawn from.  The setter copies the plain ints of one reused
+    # state dict, so re-keying builds no array.  Each path's row is filled
+    # with (w >> 11) 2^-53 in a cache-sized block of rows, which is finished
+    # there and then written time-major into the output with one copy.
+    bitgen = np.random.Philox(0)
+    key = [seed & _MASK64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    uniform = np.random.Generator(bitgen).random
+    block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
+    rows = np.empty((min(block, len(paths)), n + skip))
+    out = np.empty((n, len(paths)))
+    for lo in range(0, len(paths), block):
+        part = paths[lo : lo + block]
+        for j, path in enumerate(part):
+            key[1] = ((path << 1) | tag) & _MASK64
+            bitgen.state = state
+            uniform(out=rows[j])
+        done = rows[: len(part), skip:]
+        done += 2.0**-54
+        out[:, lo : lo + len(part)] = _finish(done, scale).T
+    return out
 
 
 def generate(
@@ -225,7 +241,7 @@ def generate(
     stop: int | None = None,
 ) -> Array:
     """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``,
-    shape (stop - start, len(path_index)).
+    shape (stop - start, len(path_index)): standard normals times sqrt(delta).
 
     The default range is every step, k = 0 .. K-1; any step range equals the
     same rows of the whole draw, bit for bit.
@@ -234,9 +250,9 @@ def generate(
     stop = grid.n_steps if stop is None else stop
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
-    z = _standard_normals(seed, path_index, _TAG_NOISE, stop - start, start)
-    z *= math.sqrt(grid.delta)
-    return z
+    return _standard_normals(
+        seed, path_index, _TAG_NOISE, stop - start, start, math.sqrt(grid.delta)
+    )
 
 
 def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:

@@ -1,15 +1,19 @@
 """The rate study's error fold and the blocked draws stay bit for bit equal to
 the straightforward computations they replace.
 
-* ``_fold_cell_errors`` builds a piece's interpolant with ``np.einsum`` into
-  reused buffers; the reference is the broadcast-product fold, kept here,
-  walked over spans as ``strong_error_study`` walks them.
+* ``_fold_cell_errors`` builds a piece's interpolant with one ``np.einsum``
+  into a reused buffer; the reference is the broadcast-product fold, kept
+  here, walked over spans as ``strong_error_study`` walks them.
 * ``_standard_normals`` fills each path's row of several words with
-  ``Generator.random``; the reference draws the raw words of a fresh Philox
-  keyed by (seed, path, tag) and converts them as (k + 1/2) 2^-53.
+  ``Generator.random`` and finishes a block of rows before transposing it,
+  and ``generate`` scales the normals there by sqrt(delta); the reference
+  draws the raw words of a fresh Philox keyed by (seed, path, tag),
+  converts them as (k + 1/2) 2^-53 and scales the whole draw.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from scipy.special import ndtri
 
 from delay_cir import noise
 from delay_cir.experiments import _cell_weights, _fold_cell_errors
+from delay_cir.model import TimeGrid
 from delay_cir.noise import _TAG_NOISE, _TAG_SEGMENT, _standard_normals
 
 # ---------------------------------------------------------------------------
@@ -31,8 +36,9 @@ _REFERENCE_FOLD_ROWS = 32
 _SPAN_STEPS = 512
 
 
-def _broadcast_fold(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max):
+def _broadcast_fold(x_fine, x_coarse, weights, grid_max, uniform_max):
     """The fold with broadcast outer products and fresh temporaries."""
+    one_minus_w, w = weights.T
     cells = x_coarse.shape[0] - 1
     r = x_fine.shape[0] // cells
     per_piece = max(1, _REFERENCE_FOLD_ROWS // r)
@@ -60,14 +66,13 @@ def _walk_blocks(fold, ratios, n_fine, x_fine, x_coarse):
     span = -(-_SPAN_STEPS // ratios[0]) * ratios[0]
     out = np.zeros((2 * len(ratios), x_fine.shape[1]))
     for i, r in enumerate(ratios):
-        one_minus_w, w = _cell_weights(n_fine, r)
+        weights = _cell_weights(n_fine, r)
         for k0 in range(0, n_fine, span):
             rows = slice(k0, min(k0 + span, n_fine))
             fold(
                 x_fine[rows],
                 x_coarse[i][k0 // r : rows.stop // r + 1],
-                one_minus_w[rows],
-                w[rows],
+                weights[rows],
                 out[2 * i],
                 out[2 * i + 1],
             )
@@ -103,11 +108,12 @@ def test_fold_of_the_coarse_interpolant_itself_is_zero():
     r, cells, n_paths = 48, 5, 4  # a cell of a 32-row part and a 16-row part
     rng = np.random.default_rng(3)
     x_coarse = np.square(rng.uniform(0.5, 1.5, size=(cells + 1, n_paths)))
-    one_minus_w, w = _cell_weights(cells * r, r)
+    weights = _cell_weights(cells * r, r)
+    one_minus_w, w = weights.T
     cell = np.arange(cells * r) // r
     x_fine = x_coarse[cell] * one_minus_w[:, None] + x_coarse[cell + 1] * w[:, None]
     grid_max, uniform_max = np.zeros((2, n_paths))
-    _fold_cell_errors(x_fine, x_coarse, one_minus_w, w, grid_max, uniform_max)
+    _fold_cell_errors(x_fine, x_coarse, weights, grid_max, uniform_max)
     assert grid_max.tobytes() == uniform_max.tobytes() == np.zeros(n_paths).tobytes()
 
 
@@ -138,8 +144,14 @@ def _raw_normals(seed, paths, tag, n, start):
 )
 def test_draws_equal_raw_philox_words(n, paths, skip):
     start = 4 * 37 + skip
+    want = _raw_normals(2024, paths, _TAG_NOISE, n, start)
     got = _standard_normals(2024, paths, _TAG_NOISE, n, start)
-    assert got.tobytes() == _raw_normals(2024, paths, _TAG_NOISE, n, start).tobytes()
+    assert got.tobytes() == want.tobytes()
+    # the increments on a grid of step 1/6, each block scaled before its
+    # transpose, equal the whole draw times sqrt(1/6)
+    grid = TimeGrid(0.0, 0.5, 3, start + n + 5)
+    increments = noise.generate(grid, 2024, paths, start, start + n)
+    assert increments.tobytes() == (want * math.sqrt(grid.delta)).tobytes()
 
 
 def test_draws_cross_small_transpose_blocks(monkeypatch):

@@ -13,7 +13,7 @@ Per path the estimate counts 8 B times
   scheme, a modulus run's one lane with back = the largest lag L;
 * the span's increments, T rows, and the two largest block sums, T / r each;
 * the rows the experiment's fold keeps: the rate study's coarse X of a span
-  and two pieces of its error fold (T / r_min + 1 + 65 rows), a census's
+  and a piece of its error fold (T / r_min + 1 + 33 rows), a census's
   flags, a modulus run's per-lag maxima and the X of a span with the L nodes
   before it (2 L + T + 1 rows).
 
@@ -122,7 +122,7 @@ def test_strong_rate_memory_is_the_chunk_estimate_whatever_the_horizon(tmp_path,
     )
     # spans of 768 steps, 1536 and 3072 steps in all
     rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (0.75, 1.5), N_REF)
-    assert (plan.span, plan.paths) == (768, PATHS)  # 31.0 MiB
+    assert (plan.span, plan.paths) == (768, PATHS)  # 30.5 MiB
     _check_rises(rises, plan)
 
 
@@ -173,7 +173,7 @@ def test_the_first_span_keeps_to_the_plan_like_every_later_one(tmp_path, monkeyp
         finally:
             tracemalloc.stop()
     (plan,) = plans
-    assert (plan.span, plan.paths) == (512, 883)  # 32.0 MiB
+    assert (plan.span, plan.paths) == (512, 883)  # 31.8 MiB
     first, *later = peaks[1:]  # peaks[0] is the set-up before the first draw
     assert len(later) == 5
     assert first <= min(later) + 2**16, peaks

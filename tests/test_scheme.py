@@ -424,7 +424,7 @@ def _reference_path(n_per_delay: int = 8, seed: int = 17):
 
 def _interpolant_on_fine(x_coarse: np.ndarray, r: int) -> np.ndarray:
     """The coarse interpolant at every fine node, via the weights of the error."""
-    one_minus_w, w = _cell_weights(r * (x_coarse.shape[0] - 1), r)
+    one_minus_w, w = _cell_weights(r * (x_coarse.shape[0] - 1), r).T
     cell = np.arange(w.size) // r
     inner = x_coarse[cell] * one_minus_w[:, None] + x_coarse[cell + 1] * w[:, None]
     return np.concatenate([x_coarse[:1], inner])
@@ -434,7 +434,7 @@ def _errors(x_fine: np.ndarray, x_coarse: np.ndarray, r: int) -> tuple:
     """(grid, uniform) per-path maxima over fine nodes 1 .. K."""
     grid_max, uniform_max = np.zeros((2, x_fine.shape[1]))
     weights = _cell_weights(x_fine.shape[0] - 1, r)
-    _fold_cell_errors(x_fine[1:], x_coarse, *weights, grid_max, uniform_max)
+    _fold_cell_errors(x_fine[1:], x_coarse, weights, grid_max, uniform_max)
     return grid_max, uniform_max
 
 
@@ -448,7 +448,7 @@ def test_uniform_error_of_constant_paths_is_zero():
 def test_square_then_interpolate_midpoint():
     # Y nodes 1, 2, 1 square to X nodes 1, 4, 1; one coarse step per two fine
     x_coarse = np.square(np.array([[1.0], [2.0], [1.0]]))
-    one_minus_w, w = _cell_weights(4, 2)
+    one_minus_w, w = _cell_weights(4, 2).T
     assert list(w) == [0.5, 1.0, 0.5, 1.0] and list(one_minus_w) == [0.5, 0.0, 0.5, 0.0]
     # linear in x (not in y): the midpoint of [1, 4] is 2.5 ...
     fine = np.array([[1.0], [2.5], [4.0], [2.5], [1.0]])
@@ -464,7 +464,7 @@ def test_interpolant_hits_nodes_and_guards_domain():
     # fine equal to coarse on every shared node: no error at r = 1
     assert _errors(x, x, 1) == (0.0, 0.0)
     r = 4
-    one_minus_w, w = _cell_weights(r * grid.n_steps, r)
+    one_minus_w, w = _cell_weights(r * grid.n_steps, r).T
     on_fine = _interpolant_on_fine(x, r)
     assert np.array_equal(on_fine[::r], x)  # the interpolant hits the nodes
     assert _errors(on_fine, x, r) == (0.0, 0.0)

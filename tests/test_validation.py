@@ -10,7 +10,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config
-from delay_cir.experiments import check_levels
+from delay_cir.experiments import InsufficientRows, check_levels
 from delay_cir.model import (
     GammaSpec,
     InitialSegmentSpec,
@@ -23,6 +23,10 @@ from delay_cir.model import (
 # knots on [-0.2, 0] against the default delay window [-0.5, 0]
 SHORT_TABLE = "initial.kind = table\ninitial.points = -0.2:1; 0:1\n"
 LOW_START = "initial.kind = lognormal\ninitial.median = 1e-300\ninitial.log_sd = 37\n"
+# 10^400, an integer of 1329 bits: int to float raises OverflowError
+HUGE = "1" + "0" * 400
+# a sinusoid whose last phase omega (horizon - t0) = 1e600 overflows
+FAST_SINE = "gamma.kind = sinusoid\ngamma.amplitude = 0.1\ngamma.omega = 1e300\nhorizon = 1e300\n"
 
 
 def _model(**kw) -> ModelSpec:
@@ -84,6 +88,19 @@ def _model(**kw) -> ModelSpec:
          "threads: need at least one worker"),
         # the lower model of the comparison is built from gamma_lower
         ("run", "experiment = comparison\ngamma_lower = 0\n", "gamma_lower: inf gamma = 0.0"),
+        # an integer too large for a float, rejected by the rule's owner
+        ("run", f"experiment = mean_check\nN = {HUGE}\n",
+         "N: a 1329-bit integer is too large for a float"),
+        ("run", f"N_ref = {HUGE}\n", "N_ref: a 1329-bit integer is too large for a float"),
+        ("run", f"N_list = 8, 16, {HUGE}\n",
+         "N_list: a 1329-bit integer is too large for a float"),
+        ("run", f"experiment = survival\nn_paths = {HUGE}\n",
+         "n_paths: a 1329-bit integer is too large for a float"),
+        # an N that fits a float, whose steps (horizon - t0) N / tau do not
+        ("run", f"experiment = survival\nN = 1{'0' * 308}\n",
+         "horizon: (horizon - t0) N / tau leaves the float range"),
+        ("validate", FAST_SINE, "model: the sinusoid's last phase omega (horizon - t0)"),
+        ("run", FAST_SINE, "model: the sinusoid's last phase omega (horizon - t0)"),
     ],
     ids=[
         "run-short-table", "validate-short-table", "probe-short-table",
@@ -95,7 +112,9 @@ def _model(**kw) -> ModelSpec:
         "zero-a", "zero-gamma-level", "negative-initial-level", "zero-median",
         "negative-log_sd", "validate-underflowing-start", "run-underflowing-start",
         "no-steps-per-delay", "one-path", "negative-workers", "probe-no-workers",
-        "zero-gamma_lower",
+        "zero-gamma_lower", "huge-N", "huge-N_ref", "huge-N_list-entry", "huge-n_paths",
+        "overflowing-step-count", "validate-overflowing-sine-phase",
+        "run-overflowing-sine-phase",
     ],
 )
 def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):
@@ -122,6 +141,16 @@ def test_check_levels_rejects_a_level_below_one():
     assert info.value.argument == "n_list"
 
 
+def test_check_levels_owns_the_rate_fit_rule():
+    # a study of two levels runs; their rate fit would have too few rows
+    check_levels(_model(), [4, 8], 64, [1.0])
+    with pytest.raises(InsufficientRows) as info:
+        check_levels(_model(), [4, 8], 64, [1.0], fit=True)
+    assert info.value.argument == "n_list"
+    assert str(info.value) == "a rate fit needs at least three levels"
+    check_levels(_model(), [4, 8, 16], 64, [1.0], fit=True)
+
+
 def test_validate_rejects_a_table_that_misses_the_delay_window():
     short = InitialSegmentSpec.table([(-0.2, 1.0), (0.0, 1.0)])
     with pytest.raises(OutOfDomain):
@@ -136,7 +165,7 @@ def test_validate_rejects_a_sigma_whose_square_leaves_the_float_range(sigma):
         validate(_model(sigma=sigma))
 
 
-_EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "x", "")
+_EDGE_VALUES = ("0", "-1", "1e300", "1e-300", "nan", "inf", "x", "", HUGE)
 _BAD_TABLES = ("-0.2:1; 0:1", "0:1", "0:1; -0.5:1")
 # The model and probe values that the analytic oracles read, on the classical
 # model (b = 0) that the probe needs
@@ -166,6 +195,9 @@ _ORACLE_KEYS = (
 @example(experiment="analytics_probe", edits={"b": "0", "probe.t": "1e-300"}, table=None)
 @example(experiment="analytics_probe", edits={"b": "0", "horizon": "1e300"}, table=None)
 @example(experiment="strong_rate", edits={"b": "0", "gamma.level": "1e300"}, table=None)
+# integers that no float holds
+@example(experiment="mean_check", edits={"N": HUGE}, table=None)
+@example(experiment="strong_rate", edits={"N_ref": HUGE}, table=None)
 def test_parse_config_raises_only_config_errors(tmp_path_factory, experiment, edits, table):
     items = {"experiment": experiment, **edits}
     if table is not None:
