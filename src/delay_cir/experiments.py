@@ -9,12 +9,11 @@ path through shared Brownian increments (exact block sums, see
                   interpolants are affine between fine nodes, so the fine-node
                   maximum is the exact sup over [t0, T].
 
-Every experiment runs chunks of at most ``_CHUNK`` paths through
-:func:`map_paths`, in-process or on forked workers, and walks each chunk
-time-major in spans of steps (:func:`walk_blocks`) into per-path results,
-assembled in path order.  :func:`walk_plan` sizes the span, and the chunk
-where even the shortest span would not fit, by a byte budget per worker.
-Monte Carlo aggregation sums the per-path results pairwise with numpy, so
+Every experiment plans its run once, by a byte budget per worker
+(:func:`walk_plan`): :func:`map_paths` runs the plan's chunks of paths
+in-process or on forked workers, and :func:`walk_blocks` walks each chunk
+time-major in spans of steps into per-path results, assembled in path
+order.  Monte Carlo aggregation sums the per-path results pairwise with numpy, so
 results depend neither on the plan nor on the worker count.
 """
 
@@ -119,13 +118,18 @@ class IncomparableModels(ValueError):
 
 @dataclass(frozen=True)
 class WalkPlan:
-    """How a run is split into chunks and each chunk walked (:func:`walk_plan`).
+    """Everything the walk of a run needs (:func:`walk_plan`): :func:`map_paths`
+    runs paths 0 .. ``n_paths`` - 1 of ``model`` in ``chunks`` chunks of at
+    most ``paths`` paths on ``workers`` processes, :func:`walk_blocks` each
+    chunk in spans of ``span`` steps; ``bytes`` estimates what a chunk holds."""
 
-    ``span`` steps per span of :func:`walk_blocks`, at most ``paths`` paths
-    per chunk of :func:`map_paths`, ``workers`` processes walking chunks,
-    and ``bytes``, the estimate of what one chunk of ``paths`` holds.
-    """
-
+    model: ModelSpec
+    grid: TimeGrid
+    lanes: tuple
+    baselines: tuple
+    back: int
+    n_paths: int
+    chunks: int
     span: int
     paths: int
     workers: int
@@ -134,11 +138,13 @@ class WalkPlan:
 
 def check_path_count(n_paths: int) -> None:
     """Raise unless a run has at least two paths, which a standard error
-    needs, and a count that converts to a float; the error's ``argument`` is
-    ``"n_paths"``."""
+    needs, and a count that converts to a float and whose per-path results
+    fit one array; the error's ``argument`` is ``"n_paths"``."""
     if n_paths < 2:
         raise rejected(ValueError, "n_paths", f"need at least two paths, got {n_paths}")
     check_fits_float("n_paths", n_paths)
+    if n_paths > np.iinfo(np.intp).max // 8:
+        raise rejected(OutOfRange, "n_paths", f"{n_paths:.3g} paths exceed the largest array")
 
 
 def check_worker_count(threads: int) -> None:
@@ -148,17 +154,19 @@ def check_worker_count(threads: int) -> None:
         raise rejected(ValueError, "threads", f"need at least one worker, got {threads}")
 
 
-def _chunk_bounds(n_paths: int, threads: int, chunk: int) -> list[tuple[int, int]]:
-    """(lo, hi) path bounds of the chunks of :func:`map_paths`, in path order:
-    ``threads * ceil(n_paths / (threads * chunk))`` chunks of at most ``chunk``
-    paths whose sizes differ by at most one path, the larger ones first."""
-    n_chunks = min(n_paths, threads * math.ceil(n_paths / (threads * chunk)))
+def _chunk_count(n_paths: int, threads: int, cap: int) -> int:
+    """How many chunks of at most ``cap`` paths :func:`walk_plan` makes."""
+    return min(n_paths, threads * -(-n_paths // (threads * cap)))
+
+
+def _chunk_paths(n_paths: int, chunks: int, i: int) -> range:
+    """The paths of chunk ``i`` of ``chunks``, in path order: the sizes
+    differ by at most one path, the larger ones first."""
     # Chunks of one size run back to back and reuse each other's freed
     # buffers; alternating sizes (1924, 1923, ...) raised the resident peak
     # of a 13-chunk run by 1.6 MiB.
-    size, larger = divmod(n_paths, max(n_chunks, 1))
-    lo = [i * size + min(i, larger) for i in range(n_chunks + 1)]
-    return list(zip(lo, lo[1:]))
+    size, larger = divmod(n_paths, chunks)
+    return range(i * size + min(i, larger), (i + 1) * size + min(i + 1, larger))
 
 
 def _window_rows(n_delay: int, steps: int, back: int) -> int:
@@ -168,15 +176,15 @@ def _window_rows(n_delay: int, steps: int, back: int) -> int:
     return max(n_delay + 1, steps + 1) + back
 
 
-def walk_plan(grid, lanes, n_paths, threads, explicit=None, *, fold_rows, back=0):
-    """The chunk size and the longest span whose walk fits ``_WALK_BYTES``.
+def walk_plan(model, grid, lanes, n_paths, threads, baselines=(), *, fold_rows, back=0):
+    """The chunks of a run and the longest span whose walk fits ``_WALK_BYTES``.
 
-    ``grid``, ``lanes``, ``explicit`` and ``back`` are those of
-    :func:`walk_blocks`.  Per path, a chunk walked in spans of T steps holds
-    8 B times
+    ``n_paths`` paths of ``model`` run on ``threads`` workers, and ``grid``,
+    ``lanes``, ``baselines`` and ``back`` are those of :func:`walk_blocks`.
+    Per path, a chunk walked in spans of T steps holds 8 B times
 
-    * each lane's ring window, max(N + 1, T / r + 1) + back rows, and as many
-      per baseline scheme (r = 1);
+    * each lane's ring window, max(N + 1, T / r + 1) + ``back`` rows, and as
+      many per baseline scheme (r = 1);
     * the span's draw, T rows;
     * the two largest block sums, T / r rows each: a lane's sums live until
       the next coarser lane's are continued from them;
@@ -185,11 +193,13 @@ def walk_plan(grid, lanes, n_paths, threads, explicit=None, *, fold_rows, back=0
     T is a multiple of every lane's r and at most K.  A chunk holds at most
     ``_CHUNK`` paths, fewer only where even the shortest span, the least
     multiple of every r from min(K, ``_SHORTEST_SPAN``) on, would not fit so
-    many.  T is then the longest span that fits the largest chunk of a run of
-    ``n_paths`` on ``threads`` workers (see :func:`map_paths`), and at least
-    the shortest.  Temporaries of a byte per node, such as a march's check
-    that its increments are finite, and buffers of a few rows are left out.
-    Every driver plans its walk first, so the run-size checks run here.
+    many.  The paths are split into ``threads * ceil(n_paths / (threads *
+    chunk))`` chunks, or one per path, whose sizes differ by at most one
+    path, so every worker gets the same number of chunks.  T is then the
+    longest span that fits the largest chunk, and at least the shortest.
+    Temporaries of a byte per node, such as a march's check that its
+    increments are finite, and buffers of a few rows are left out.  Every
+    driver plans its walk first, so the run-size checks run here only.
     """
     check_path_count(n_paths)
     check_worker_count(threads)
@@ -197,21 +207,22 @@ def walk_plan(grid, lanes, n_paths, threads, explicit=None, *, fold_rows, back=0
     step = math.lcm(*ratios)
     spans = range(step, grid.n_steps + 1, step)
     shortest = min(len(spans), -(-_SHORTEST_SPAN // step))
-    n_baselines = 0 if explicit is None else len(explicit[1])
 
     def per_path(span: int) -> int:
         rows = sum(_window_rows(g.n_per_delay, span // r, back) for _, g, r in lanes)
-        rows += n_baselines * _window_rows(grid.n_per_delay, span, back)
+        rows += len(baselines) * _window_rows(grid.n_per_delay, span, back)
         rows += span + sum(sorted(span // r for r in ratios if r > 1)[-2:])
         return 8 * (rows + fold_rows(span))
 
     cap = max(1, min(_CHUNK, _WALK_BYTES // per_path(spans[shortest - 1])))
-    bounds = _chunk_bounds(n_paths, threads, cap)
-    paths = max((hi - lo for lo, hi in bounds), default=1)
+    chunks = _chunk_count(n_paths, threads, cap)
+    paths = -(-n_paths // chunks)
     fits = bisect.bisect_right(spans, _WALK_BYTES, key=lambda span: paths * per_path(span))
     span = spans[max(fits, shortest) - 1]
-    workers = 1 if threads == 1 else min(threads, len(bounds))
-    return WalkPlan(span=span, paths=paths, workers=workers, bytes=paths * per_path(span))
+    return WalkPlan(
+        model, grid, tuple(lanes), baselines, back, n_paths, chunks, span, paths,
+        workers=min(threads, chunks), bytes=paths * per_path(span),
+    )
 
 
 # The plans of the map_paths calls made inside recorded_walks(), or None.
@@ -233,48 +244,40 @@ def recorded_walks():
             outer.extend(walks)
 
 
-def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
-    """Per-path results of ``reduce`` over paths 0 .. n_paths-1, in path order.
+def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
+    """Per-path results of ``reduce`` over the paths of ``plan``, in path order.
 
     ``reduce(draw, seg)`` gets a chunk's draw function and its initial-segment
     X values, shape (N+1, paths), and returns an array whose last axis runs
     over the chunk's paths.  ``draw(start=0, stop=K)`` returns the chunk's
-    Brownian increments of steps start .. stop-1 on ``grid``, shape
+    Brownian increments of steps start .. stop-1 on the plan's grid, shape
     (stop - start, paths): :func:`delay_cir.noise.generate`, so any step
     range equals the same rows of the whole draw.
 
-    ``n_paths`` and ``threads`` must pass :func:`check_path_count` and
-    :func:`check_worker_count`.  A chunk
-    holds at most the ``paths`` of ``plan`` (a :class:`WalkPlan`,
-    which :func:`recorded_walks` collects), or ``_CHUNK`` without one: the
-    paths are split into ``threads * ceil(n_paths / (threads * chunk))``
-    chunks whose sizes differ by at most one path, so every worker gets the
-    same number of chunks.  With ``threads == 1`` the chunks run in this
-    process.  Otherwise ``threads`` is a count of worker processes forked
-    from this one (the ``fork`` start method, so Linux or another POSIX
-    system).  Workers inherit ``reduce``
-    instead of receiving it pickled, and send back only each chunk's result.
-    An exception raised by a chunk reaches the caller with its type and
-    message; when several chunks fail, the first in path order is raised, as
-    in this process.  A march's
+    The chunks are the plan's, which :func:`recorded_walks` collects.  With
+    ``plan.workers == 1`` they run in this process.  Otherwise
+    ``plan.workers`` worker processes are forked from this one (the ``fork``
+    start method, so Linux or another POSIX system).  Workers inherit
+    ``reduce`` instead of receiving it pickled, and send back only each
+    chunk's result.  An exception raised by a chunk reaches the caller with
+    its type and message; when several chunks fail, the first in path order
+    is raised, as in this process.  A march's
     :class:`~delay_cir.scheme.NonPositiveForcing` is raised once every chunk
-    has run: of the chunks' failures, the one at the earliest node and, there,
-    at the smallest path index of the run, so that it does not depend on the
-    chunking either.
+    has run: of the chunks' failures, the one at the earliest node and,
+    there, at the smallest path index of the run, so that it does not depend
+    on the chunking either.
     """
-    check_path_count(n_paths)
-    check_worker_count(threads)
     walks = _walks.get()
-    if plan is not None and walks is not None:
+    if walks is not None:
         walks.append(plan)
 
-    def run(lo: int, hi: int) -> Array:
-        paths = range(lo, hi)
+    def run(i: int) -> Array:
+        paths = _chunk_paths(plan.n_paths, plan.chunks, i)
 
         def draw(start: int = 0, stop: int | None = None) -> Array:
-            return noise_mod.generate(grid, seed, paths, start, stop)
+            return noise_mod.generate(plan.grid, seed, paths, start, stop)
 
-        seg = noise_mod.sample_segment(model.initial, grid, seed, paths)
+        seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)
         try:
             return reduce(draw, seg)
         except scheme_mod.NonPositiveForcing as exc:
@@ -282,12 +285,11 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
                 raise
             # returned, not raised: the other chunks run on, and the
             # earliest failure of all is raised below
-            exc.path += lo
+            exc.path += paths.start
             return exc
 
-    bounds = _chunk_bounds(n_paths, threads, _CHUNK if plan is None else plan.paths)
-    if threads == 1:
-        parts = [run(lo, hi) for lo, hi in bounds]
+    if plan.workers == 1:
+        parts = [run(i) for i in range(plan.chunks)]
     else:
         # Imported here, before the fork, so the workers inherit them.
         import multiprocessing
@@ -295,10 +297,10 @@ def map_paths(model, grid, seed, n_paths, reduce, threads=1, plan=None):
         import scipy.special  # noqa: F401 - the draws' ndtri
 
         with multiprocessing.get_context("fork").Pool(
-            min(threads, len(bounds)), initializer=_inherit_chunk_runner, initargs=(run,)
+            plan.workers, initializer=_inherit_chunk_runner, initargs=(run,)
         ) as pool:
             # imap yields in chunk order, so a failure surfaces in path order
-            parts = list(pool.imap(_run_inherited_chunk, bounds))
+            parts = list(pool.imap(_run_inherited_chunk, range(plan.chunks)))
     failed = [part for part in parts if isinstance(part, scheme_mod.NonPositiveForcing)]
     if failed:
         raise min(failed, key=lambda exc: (exc.node, exc.path))
@@ -316,36 +318,34 @@ def _inherit_chunk_runner(run) -> None:
     _chunk_runner = run
 
 
-def _run_inherited_chunk(bounds: tuple[int, int]) -> Array:
-    return _chunk_runner(*bounds)
+def _run_inherited_chunk(i: int) -> Array:
+    return _chunk_runner(i)
 
 
-def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, *, span, back=0):
-    """March a chunk over the steps of ``grid`` in spans, folding each span.
+def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
+    """March a chunk over the steps of the plan's grid in spans, folding each span.
 
     ``draw(k0, k1)`` gives a span's increments of steps k0 .. k1 - 1.  Each
-    implicit lane ``(model, lane_grid, r)`` continues
+    implicit lane ``(model, lane_grid, r)`` of ``plan.lanes`` continues
     :func:`~delay_cir.scheme.simulate_y_paths` on their sums over r steps
-    from ``seg[::r]``, the baselines ``explicit = (model, schemes)``
+    from ``seg[::r]``, the schemes ``plan.baselines`` of ``plan.model``
     :func:`~delay_cir.scheme.explicit_paths`; then ``fold(k0, increments,
     windows)`` may overwrite the increments.  The lanes march finest r
     first, and a lane's sums continue those of the lane before it, whose r
     must divide its own (:func:`~delay_cir.noise.block_sum`); the sums and
-    the increments are dropped before the next draw.  ``windows`` are the lanes'
-    ring windows, in the order of ``lanes``, the baselines' last, each of
-    max(N + 1, span / r + 1) + ``back`` rows: the nodes a step reads or
-    those a fold reads, the span's and the one before, and ``back`` more,
-    whatever the horizon.  The ``span``, at most K, must be a multiple of
-    every r; :func:`walk_plan` sizes it.
+    the increments are dropped before the next draw.  ``windows`` are the
+    lanes' ring windows, in the order of the lanes, the baselines' last, each
+    of :func:`_window_rows` rows for the plan's span and ``back``.
     """
+    grid, span, back, baselines = plan.grid, plan.span, plan.back, plan.baselines
     paths = seg.shape[1]
     windows = [
-        np.empty((_window_rows(g.n_per_delay, span // r, back), paths)) for _, g, r in lanes
+        np.empty((_window_rows(g.n_per_delay, span // r, back), paths)) for _, g, r in plan.lanes
     ]
-    if explicit is not None:
+    if baselines:
         rows = _window_rows(grid.n_per_delay, span, back)
-        windows.append(np.empty((rows, len(explicit[1]), paths)))
-    marching = sorted(zip(lanes, windows), key=lambda lane: lane[0][2])
+        windows.append(np.empty((rows, len(baselines), paths)))
+    marching = sorted(zip(plan.lanes, windows), key=lambda lane: lane[0][2])
     for k0 in range(0, grid.n_steps, span):
         inc = draw(k0, min(k0 + span, grid.n_steps))
         sums, summed = inc, 1
@@ -357,9 +357,9 @@ def walk_blocks(grid, draw, seg, fold, lanes, explicit=None, *, span, back=0):
                 model, lane_grid, sums, seg[::r], window=window, start=k0 // r
             )
         del sums
-        if explicit is not None:
+        if baselines:
             scheme_mod.explicit_paths(
-                explicit[0], grid, inc, seg, explicit[1], window=windows[-1], start=k0
+                plan.model, grid, inc, seg, baselines, window=windows[-1], start=k0
             )
         fold(k0, inc, windows)
         del inc
@@ -487,14 +487,14 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) 
 
     ``model`` must pass :func:`validate` and the strict Feller condition,
     ``n_list`` must hold positive integers that increase, each dividing the
-    next, ``n_ref`` must be a proper multiple of its largest entry, both
-    must convert to floats, and every p must lie in (0, p_max) of the
-    model's report.  With ``fit``, ``n_list`` must also hold the three
-    levels that :func:`fit_rate` needs.  A level or order error
-    (:class:`~delay_cir.noise.NotNested`, :class:`InsufficientRows`,
-    :class:`~delay_cir.model.OutOfRange` or :class:`PRequestedTooLarge`)
-    names the rejected argument in its ``argument`` attribute:
-    ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
+    next, ``n_ref`` must be a proper multiple of its largest entry with
+    finite steps (horizon - t0) N_ref / tau, both must convert to floats,
+    and every p must lie in (0, p_max) of the model's report.  With ``fit``,
+    ``n_list`` must also hold the three levels that :func:`fit_rate` needs.
+    A level or order error (:class:`~delay_cir.noise.NotNested`,
+    :class:`InsufficientRows`, :class:`~delay_cir.model.OutOfRange` or
+    :class:`PRequestedTooLarge`) names the rejected argument in its
+    ``argument`` attribute: ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
     """
     report = validate(model)
     if not report.strong_feller_ok:
@@ -514,6 +514,8 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) 
             noise_mod.NotNested, "n_ref", "must be a proper multiple of max(N_list)"
         )
     check_fits_float("n_ref", n_ref)
+    if not math.isfinite((model.horizon - model.t0) * n_ref / model.tau):
+        raise rejected(OutOfRange, "n_ref", "(horizon - t0) N_ref / tau leaves the float range")
     if any(not p > 0.0 for p in p_list):
         raise rejected(PRequestedTooLarge, "p_list", "entries must be positive")
     for p in p_list:
@@ -564,7 +566,7 @@ def strong_error_study(
     lanes = [(model, fine_grid, 1), *((model, g, r) for g, r in zip(coarse_grids, ratios))]
     # a span holds whole cells of every level, the coarsest ratio's included
     plan = walk_plan(
-        fine_grid, lanes, n_paths, threads,
+        model, fine_grid, lanes, n_paths, threads,
         fold_rows=lambda span: 2 * len(n_list) + span // ratios[-1] + 1 + _FOLD_ROWS + 1,
     )
 
@@ -587,10 +589,10 @@ def strong_error_study(
                 )
                 _fold_cell_errors(x_fine, x_c, weights[i][rows], out[2 * i], out[2 * i + 1])
 
-        walk_blocks(fine_grid, draw, seg, fold, lanes, span=plan.span)
+        walk_blocks(plan, draw, seg, fold)
         return out
 
-    err = map_paths(model, fine_grid, seed, n_paths, errors, threads, plan)
+    err = map_paths(plan, seed, errors)
     rows = []
     for p in p_list:
         for i, n in enumerate(n_list):
@@ -695,7 +697,7 @@ def mean_consistency_check(
     validate(model)
     ks = checkpoint_indices(model, grid, checkpoints)
     lanes = [(model, grid, 1)]
-    plan = walk_plan(grid, lanes, n_paths, threads, fold_rows=lambda span: len(ks))
+    plan = walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: len(ks))
 
     def at_checkpoints(draw, seg: Array) -> Array:
         out = []
@@ -711,10 +713,10 @@ def mean_consistency_check(
                 if k0 <= k <= k0 + inc.shape[0]:
                     np.square(windows[0][(grid.n_per_delay + k) % len(windows[0])], out=out[0][j])
 
-        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span)
+        walk_blocks(plan, draw, seg, fold)
         return out[0]
 
-    samples = map_paths(model, grid, seed, n_paths, at_checkpoints, threads, plan)
+    samples = map_paths(plan, seed, at_checkpoints)
 
     if model.b == 0.0 and model.gamma.kind == "constant":
         params = CIRParams.from_model(model)
@@ -792,7 +794,7 @@ def comparison_census(
     """
     check_comparable(model_upper, model_lower, grid)
     lanes = [(model_upper, grid, 1), (model_lower, grid, 1)]
-    plan = walk_plan(grid, lanes, n_paths, threads, fold_rows=lambda span: 1)
+    plan = walk_plan(model_upper, grid, lanes, n_paths, threads, fold_rows=lambda span: 1)
 
     def violations(draw, seg: Array) -> Array:
         count = np.zeros(seg.shape[1], dtype=np.intp)
@@ -804,10 +806,10 @@ def comparison_census(
             for span in scheme_mod.ring_spans(len(y_up), grid.n_per_delay + k0 + 1, len(inc)):
                 count[:] += np.count_nonzero(y_up[span] < y_lo[span], axis=0)
 
-        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span)
+        walk_blocks(plan, draw, seg, fold)
         return count
 
-    return int(np.sum(map_paths(model_upper, grid, seed, n_paths, violations, threads, plan)))
+    return int(np.sum(map_paths(plan, seed, violations)))
 
 
 def check_schemes(names, model: ModelSpec) -> None:
@@ -846,8 +848,7 @@ def positivity_census(
     n_delay = grid.n_per_delay
     baselines = tuple(dict.fromkeys(name for name in names if name != "implicit"))
     lanes = [(model, grid, 1)] if "implicit" in names else []
-    explicit = (model, baselines) if baselines else None
-    plan = walk_plan(grid, lanes, n_paths, threads, explicit, fold_rows=lambda span: 1)
+    plan = walk_plan(model, grid, lanes, n_paths, threads, baselines, fold_rows=lambda span: 1)
 
     def census(draw, seg: Array) -> Array:
         # row 0 flags the implicit scheme, row 1 + i baselines[i]
@@ -866,13 +867,11 @@ def positivity_census(
                 x_implicit = scheme_mod.square_rows(windows[0], n_delay + k0 + 1, len(inc), inc)
                 flags[0] |= np.any(x_implicit <= 0.0, axis=0)
 
-        walk_blocks(grid, draw, seg, fold, lanes, explicit, span=plan.span)
+        walk_blocks(plan, draw, seg, fold)
         row = {name: 1 + i for i, name in enumerate(baselines)} | {"implicit": 0}
         return flags[[row[name] for name in names]]
 
-    flagged = np.count_nonzero(
-        map_paths(model, grid, seed, n_paths, census, threads, plan), axis=1
-    )
+    flagged = np.count_nonzero(map_paths(plan, seed, census), axis=1)
     return tuple(
         CensusRow(scheme=name, fraction_nonpositive=int(f) / n_paths, n_paths=n_paths)
         for name, f in zip(names, flagged)
@@ -946,7 +945,7 @@ def modulus_scaling(
     lanes = [(model, grid, 1)]
     # per-lag maxima, the X of a span and the L nodes before it, one row of |d|
     plan = walk_plan(
-        grid, lanes, n_paths, threads, back=back, fold_rows=lambda span: 2 * back + span + 1
+        model, grid, lanes, n_paths, threads, back=back, fold_rows=lambda span: 2 * back + span + 1
     )
 
     def moduli(draw, seg: Array) -> Array:
@@ -965,10 +964,10 @@ def modulus_scaling(
                 row = per_lag[lag - 1]
                 np.maximum(row, np.max(np.abs(d, out=d), axis=0), out=row)
 
-        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span, back=back)
+        walk_blocks(plan, draw, seg, fold)
         return np.maximum.accumulate(per_lag)[[lag - 1 for lag in distinct]]
 
-    w = map_paths(model, grid, seed, n_paths, moduli, threads, plan)
+    w = map_paths(plan, seed, moduli)
     rows = []
     for lag in sorted(lags):
         norm, _ = _lp_norm_and_jackknife(w[distinct.index(lag)], p)
@@ -1001,7 +1000,7 @@ def survival_probability(
     """
     validate(model)
     lanes = [(model, grid, 1)]
-    plan = walk_plan(grid, lanes, n_paths, threads, fold_rows=lambda span: grid.n_steps + 1)
+    plan = walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: grid.n_steps + 1)
 
     def discounted(draw, seg: Array) -> Array:
         x = np.empty((seg.shape[1], grid.n_steps + 1))
@@ -1011,10 +1010,10 @@ def survival_probability(
             nodes = x[:, k0 : k0 + len(inc) + 1].T
             scheme_mod.square_rows(windows[0], grid.n_per_delay + k0, len(nodes), out=nodes)
 
-        walk_blocks(grid, draw, seg, fold, lanes, span=plan.span)
+        walk_blocks(plan, draw, seg, fold)
         return np.exp(-(grid.delta * (x.sum(axis=1) - 0.5 * (x[:, 0] + x[:, -1]))))
 
-    vals = map_paths(model, grid, seed, n_paths, discounted, threads, plan)
+    vals = map_paths(plan, seed, discounted)
     return SurvivalEstimate(*_mean_and_std_err(vals), n_paths=n_paths)
 
 

@@ -60,7 +60,8 @@ class NonPositiveForcing(ValueError):
 
     A march sets ``node``, the target node k + 1 of the failing step, its time
     ``t`` and ``path``, the first failing column of the marched batch (which
-    :func:`delay_cir.experiments.map_paths` turns into the run's path index);
+    :func:`delay_cir.experiments.map_paths` turns into the run's path index
+    by adding the first path of the plan's chunk);
     the message then starts ``step to node k + 1:`` and ends with the path
     and the time.
     """

@@ -18,6 +18,14 @@ settings.register_profile(
 settings.load_profile("repeatable")
 
 
+def one_lane_plan(model, grid, n_paths, threads=1):
+    """The :class:`~delay_cir.experiments.WalkPlan` of a reference reduction
+    that marches ``model`` on ``grid`` over whole horizons through
+    ``experiments.map_paths``: one lane, and no fold rows."""
+    lanes = [(model, grid, 1)]
+    return experiments.walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: 0)
+
+
 # Rows of 8 B per path of a chunk that ``walk_in_spans`` starts from: a mean
 # check of six checkpoints plans spans of 256 steps, 2 x 256 + 6 + 1 rows.
 WALK_ROWS = 519
@@ -44,15 +52,14 @@ def walk_in_spans(monkeypatch):
             monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * chunk_paths * rows)
             seen = []
 
-            def recording(*args, **kwargs):
-                seen.append(inner(*args, **kwargs))
-                return seen[-1]
+            def recording(plan, seed, reduce):
+                seen.append((inner(plan, seed, reduce), plan))
+                return seen[-1][0]
 
             monkeypatch.setattr(experiments, "map_paths", recording)
-            with experiments.recorded_walks() as plans:
-                run()
+            run()
             monkeypatch.setattr(experiments, "map_paths", inner)
-            (per_path,), (plan,) = seen, plans
+            ((per_path, plan),) = seen
             if plan.span < n_steps:
                 return per_path, plan
             rows //= 2
@@ -70,7 +77,7 @@ def plan_of(monkeypatch):
     which ``run()``, which runs one experiment, would walk its chunks; no
     path is simulated."""
 
-    def planned(model, grid, seed, n_paths, reduce, threads=1, plan=None):
+    def planned(plan, seed, reduce):
         raise _Planned(plan)
 
     def plan_of(run):

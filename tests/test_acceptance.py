@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import one_lane_plan
 
 from delay_cir.cir_analytics import CIRParams, laplace_transform, lp_constant, neg_moment
 from delay_cir.experiments import (
@@ -65,7 +66,7 @@ def _chunked_terminal_x(model: ModelSpec, grid, n_paths: int, seed: int) -> np.n
     def terminal(draw, seg):
         return np.square(simulate_y_paths(model, grid, draw(), seg)[-1])
 
-    return map_paths(model, grid, seed, n_paths, terminal, threads=WORKERS)
+    return map_paths(one_lane_plan(model, grid, n_paths, WORKERS), seed, terminal)
 
 
 @pytest.fixture(scope="module")

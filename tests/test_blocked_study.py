@@ -15,6 +15,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from conftest import one_lane_plan
 
 from delay_cir import experiments
 from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, build_grid
@@ -132,7 +133,7 @@ def _whole_path_errors(model, n_list, n_ref, n_paths, seed):
             _uniform_error(x_ref, x_c, *weights, out=out[2 * i + 1])
         return out
 
-    return experiments.map_paths(model, fine_grid, seed, n_paths, errors)
+    return experiments.map_paths(one_lane_plan(model, fine_grid, n_paths), seed, errors)
 
 
 def _study_errors(walk_in_spans, model, n_list, n_ref, n_paths, seed, threads=1):

@@ -13,6 +13,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from conftest import one_lane_plan
 from scipy.special import ndtri
 
 from delay_cir import experiments
@@ -227,7 +228,7 @@ def test_forcing_failure_names_the_run_path_and_time(workers, horizon):
         return simulate_y_paths(model, grid, draw(), seg)[-1]
 
     with pytest.raises(NonPositiveForcing) as failed:
-        map_paths(model, grid, 14, 300, terminal, threads=workers)
+        map_paths(one_lane_plan(model, grid, 300, workers), 14, terminal)
     assert str(failed.value) == (
         "step to node 1: a_under + b_bar * z^2 must be positive for the implicit "
         "update (path 237, t = 0.125)"
@@ -245,16 +246,40 @@ def test_map_paths_is_thread_and_chunk_independent():
     def terminal(draw, seg):
         return np.square(simulate_y_paths(model, grid, draw(), seg)[[-2, -1]])
 
-    one = map_paths(model, grid, 3, n_paths, terminal, threads=1)
+    one = map_paths(one_lane_plan(model, grid, n_paths), 3, terminal)
     assert one.shape == (2, n_paths)
     for workers in (2, 3):
-        assert np.array_equal(one, map_paths(model, grid, 3, n_paths, terminal, workers))
+        plan = one_lane_plan(model, grid, n_paths, workers)
+        assert np.array_equal(one, map_paths(plan, 3, terminal))
     # more workers than paths: one path per chunk
-    assert np.array_equal(one[:, :3], map_paths(model, grid, 3, 3, terminal, threads=4))
+    assert np.array_equal(one[:, :3], map_paths(one_lane_plan(model, grid, 3, 4), 3, terminal))
     assert multiprocessing.active_children() == []
     inc_ref, seg_ref = _reference_inputs(model, grid, 3, n_paths)
     y_ref = _reference_march(model, grid, inc_ref, seg_ref)
     assert np.array_equal(one, np.square(y_ref[:, [-2, -1]]).T)
+
+
+@pytest.mark.parametrize(
+    "workers, sizes", [(1, [1400, 1399, 1399]), (2, [1050, 1050, 1049, 1049])]
+)
+def test_the_chunks_that_run_are_the_plans(workers, sizes):
+    # each chunk reports its first path, found from its first increment, on
+    # every one of its paths; in process and on 2 workers
+    model = _model()
+    grid = build_grid(model, 4)
+    n_paths = 2 * _CHUNK + 102
+    plan = one_lane_plan(model, grid, n_paths, workers)
+    first_increment = generate(grid, 9, range(n_paths))[0]
+    path_of = {value: path for path, value in enumerate(first_increment.tolist())}
+
+    def first_path(draw, seg):
+        return np.full(seg.shape[1], path_of[float(draw(0, 1)[0, 0])])
+
+    starts, counts = np.unique(map_paths(plan, 9, first_path), return_counts=True)
+    assert len(counts) == plan.chunks and max(counts) <= plan.paths
+    assert counts.tolist() == sizes and plan.workers == workers
+    assert starts.tolist() == np.cumsum([0] + sizes[:-1]).tolist()
+    assert multiprocessing.active_children() == []
 
 
 def test_positivity_census_on_two_workers_matches_one():
@@ -353,9 +378,10 @@ class ChunkFailed(LookupError):
 )
 def test_the_paths_split_into_even_chunks_the_larger_first(n_paths, threads, chunk, sizes):
     # at one worker as at several; chunks of one size run back to back
-    bounds = experiments._chunk_bounds(n_paths, threads, chunk)
-    assert [hi - lo for lo, hi in bounds] == sizes
-    assert [lo for lo, _ in bounds] + [n_paths] == [0] + [hi for _, hi in bounds]
+    chunks = experiments._chunk_count(n_paths, threads, chunk)
+    bounds = [experiments._chunk_paths(n_paths, chunks, i) for i in range(chunks)]
+    assert [len(paths) for paths in bounds] == sizes
+    assert [paths.start for paths in bounds] + [n_paths] == [0] + [p.stop for p in bounds]
 
 
 @pytest.mark.parametrize("workers, first_failed", [(1, 1500), (2, 1500), (3, 1000)])
@@ -378,7 +404,7 @@ def test_a_failed_chunk_reaches_the_caller(workers, first_failed):
         return inc[-1]
 
     with pytest.raises(ChunkFailed) as info:
-        map_paths(model, grid, 9, n_paths, fails_after_path_zero, threads=workers)
+        map_paths(one_lane_plan(model, grid, n_paths, workers), 9, fails_after_path_zero)
     assert type(info.value) is ChunkFailed
     assert str(info.value) == f"chunk from path {first_failed}"
     assert multiprocessing.active_children() == []

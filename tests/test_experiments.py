@@ -462,7 +462,7 @@ def test_every_driver_rejects_a_run_of_no_paths(monkeypatch, name):
 def test_every_driver_checks_the_run_size_before_any_path_runs(
     monkeypatch, name, n_paths, threads, argument
 ):
-    # threads = 0 used to divide by zero in _chunk_bounds; one path gave a
+    # threads = 0 used to divide by zero in the chunking; one path gave a
     # standard error of NaN
     model = _model()
     monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
@@ -471,8 +471,9 @@ def test_every_driver_checks_the_run_size_before_any_path_runs(
     assert info.value.argument == argument
 
 
-def test_map_paths_rejects_a_run_of_no_workers():
+def test_walk_plan_rejects_a_run_of_no_workers():
     model = _model()
+    grid = build_grid(model, 8)
     with pytest.raises(ValueError) as info:
-        experiments.map_paths(model, build_grid(model, 8), 0, 16, _no_paths_run, threads=0)
+        experiments.walk_plan(model, grid, [(model, grid, 1)], 16, 0, fold_rows=lambda span: 0)
     assert info.value.argument == "threads"

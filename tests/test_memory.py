@@ -87,10 +87,10 @@ def _vm_hwm_mib(tmp_path: Path, text: str, run: bool) -> float:
 
 def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
     """VmHWM rise of a run over its parsed config at each horizon, and the
-    walk plan, which is the same at each: every horizon (over the default
-    delay 0.5, at ``n_per_delay`` finest steps per delay) is longer than a
-    span."""
-    rises, plans = {}, set()
+    walk plan, whose span and chunk are the same at each: every horizon (over
+    the default delay 0.5, at ``n_per_delay`` finest steps per delay) is
+    longer than a span."""
+    rises, plans = {}, {}
     for horizon in horizons:
         text = base_text + f"horizon = {horizon}\n"
         rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
@@ -99,8 +99,9 @@ def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
         cfg = tmp_path / "plan.cfg"
         cfg.write_text(text, encoding="utf-8")
         config = cli.parse_config(str(cfg))
-        plans.add(plan_of(lambda: config.run(config.threads)))
-    (plan,) = plans
+        plan = plan_of(lambda: config.run(config.threads))
+        plans[plan.span, plan.chunks, plan.paths, plan.workers, plan.bytes] = plan
+    (plan,) = plans.values()
     assert plan.span < min(horizons) / 0.5 * n_per_delay
     assert plan.bytes <= experiments._WALK_BYTES
     return rises, plan

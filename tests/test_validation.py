@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import contextlib
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config
-from delay_cir.experiments import InsufficientRows, check_levels
+from delay_cir.experiments import InsufficientRows, check_levels, check_path_count
 from delay_cir.model import (
     GammaSpec,
     InitialSegmentSpec,
@@ -96,6 +97,12 @@ def _model(**kw) -> ModelSpec:
          "N_list: a 1329-bit integer is too large for a float"),
         ("run", f"experiment = survival\nn_paths = {HUGE}\n",
          "n_paths: a 1329-bit integer is too large for a float"),
+        # a float, but more paths than an array holds results of
+        ("run", f"experiment = survival\nn_paths = 1{'0' * 300}\n",
+         "n_paths: 1e+300 paths exceed the largest array"),
+        # an N_ref that fits a float, whose steps (horizon - t0) N_ref / tau do not
+        ("run", f"N_ref = 1{'0' * 308}\n",
+         "N_ref: (horizon - t0) N_ref / tau leaves the float range"),
         # an N that fits a float, whose steps (horizon - t0) N / tau do not
         ("run", f"experiment = survival\nN = 1{'0' * 308}\n",
          "horizon: (horizon - t0) N / tau leaves the float range"),
@@ -113,6 +120,7 @@ def _model(**kw) -> ModelSpec:
         "negative-log_sd", "validate-underflowing-start", "run-underflowing-start",
         "no-steps-per-delay", "one-path", "negative-workers", "probe-no-workers",
         "zero-gamma_lower", "huge-N", "huge-N_ref", "huge-N_list-entry", "huge-n_paths",
+        "n_paths-beyond-any-array", "overflowing-reference-step-count",
         "overflowing-step-count", "validate-overflowing-sine-phase",
         "run-overflowing-sine-phase",
     ],
@@ -149,6 +157,17 @@ def test_check_levels_owns_the_rate_fit_rule():
     assert info.value.argument == "n_list"
     assert str(info.value) == "a rate fit needs at least three levels"
     check_levels(_model(), [4, 8, 16], 64, [1.0], fit=True)
+
+
+def test_check_path_count_rejects_more_paths_than_an_array_holds():
+    # 10^300 paths used to pass, and the run then grew a list of chunks
+    # until memory ran out
+    largest = np.iinfo(np.intp).max // 8
+    check_path_count(largest)
+    for n_paths in (largest + 1, 10**300):
+        with pytest.raises(OutOfRange) as info:
+            check_path_count(n_paths)
+        assert info.value.argument == "n_paths"
 
 
 def test_validate_rejects_a_table_that_misses_the_delay_window():

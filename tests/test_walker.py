@@ -14,9 +14,11 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import one_lane_plan
 
 from delay_cir import cli, experiments, noise
 from delay_cir.experiments import (
@@ -73,7 +75,7 @@ def _whole(model, grid, reduce_x):
         y = simulate_y_paths(model, grid, draw(), seg)
         return reduce_x(np.square(y[grid.n_per_delay :]))
 
-    return experiments.map_paths(model, grid, 4, PATHS, reduce)
+    return experiments.map_paths(one_lane_plan(model, grid, PATHS), 4, reduce)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -195,9 +197,11 @@ def test_walked_lanes_and_baselines_equal_whole_horizon_marches(walk):
                 for node in range(lo, hi + 1):
                     x[node] = window[(g.n_per_delay + node) % len(window), 0]
 
+    plan = experiments.walk_plan(
+        model, fine, lanes, len(paths), 1, baselines, fold_rows=lambda span: 0, back=back
+    )
     experiments.walk_blocks(
-        fine, lambda k0, k1: inc[k0:k1].copy(), seg, fold, lanes, (model, baselines),
-        span=span, back=back,
+        replace(plan, span=span), lambda k0, k1: inc[k0:k1].copy(), seg, fold
     )
     assert fine.n_steps > span
     rows = [max(g.n_per_delay + 1, span // r + 1) + back for _, g, r in lanes]
