@@ -614,11 +614,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         cmd = sub.add_parser(name, help=helptext)
         cmd.add_argument("--config", required=True, help="path to key = value config")
-        cmd.add_argument("--out", help="output directory (overrides config)")
-        cmd.add_argument("--seed", type=int, help="seed override")
-        cmd.add_argument(
-            "--threads", type=int, help="worker processes (overrides config)"
-        )
+        if name == "run":  # the one command that writes, draws and forks
+            cmd.add_argument("--out", help="output directory (overrides config)")
+            cmd.add_argument("--seed", type=int, help="seed override")
+            cmd.add_argument("--threads", type=int, help="worker processes (overrides config)")
     return parser
 
 
@@ -626,8 +625,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     overrides = {
         key: str(value)
-        for key, value in (("out", args.out), ("seed", args.seed), ("threads", args.threads))
-        if value is not None
+        for key in ("out", "seed", "threads")
+        if (value := getattr(args, key, None)) is not None
     }
 
     try:

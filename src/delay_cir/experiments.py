@@ -126,8 +126,6 @@ class WalkPlan:
     model: ModelSpec
     grid: TimeGrid
     lanes: tuple
-    baselines: tuple
-    back: int
     n_paths: int
     chunks: int
     span: int
@@ -169,26 +167,26 @@ def _chunk_paths(n_paths: int, chunks: int, i: int) -> range:
     return range(i * size + min(i, larger), (i + 1) * size + min(i + 1, larger))
 
 
-def _window_rows(n_delay: int, steps: int, back: int) -> int:
-    """Rows of a ring window of :func:`walk_blocks` for spans of ``steps``
-    steps of its grid: the N + 1 nodes a step reads, or the span's nodes and
-    the one before them that a fold reads, whichever is more, and ``back``."""
-    return max(n_delay + 1, steps + 1) + back
+def _window_rows(n_delay: int, steps: int) -> int:
+    """Rows of a ring window for spans of ``steps`` steps of its grid: the
+    N + 1 nodes a step reads, or the span's nodes and the one before them
+    that a fold reads, whichever is more."""
+    return max(n_delay + 1, steps + 1)
 
 
-def walk_plan(model, grid, lanes, n_paths, threads, baselines=(), *, fold_rows, back=0):
+def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     """The chunks of a run and the longest span whose walk fits ``_WALK_BYTES``.
 
-    ``n_paths`` paths of ``model`` run on ``threads`` workers, and ``grid``,
-    ``lanes``, ``baselines`` and ``back`` are those of :func:`walk_blocks`.
-    Per path, a chunk walked in spans of T steps holds 8 B times
+    ``n_paths`` paths of ``model`` run on ``threads`` workers, and ``grid``
+    and ``lanes`` are those of :func:`walk_blocks`.  Per path, a chunk
+    walked in spans of T steps holds 8 B times
 
-    * each lane's ring window, max(N + 1, T / r + 1) + ``back`` rows, and as
-      many per baseline scheme (r = 1);
+    * each lane's ring window, max(N + 1, T / r + 1) rows;
     * the span's draw, T rows;
     * the two largest block sums, T / r rows each: a lane's sums live until
       the next coarser lane's are continued from them;
-    * ``fold_rows(T)``, what the experiment's fold holds beside them.
+    * ``fold_rows(T)``, what the experiment's fold holds beside them, its
+      own windows included.
 
     T is a multiple of every lane's r and at most K.  A chunk holds at most
     ``_CHUNK`` paths, fewer only where even the shortest span, the least
@@ -209,8 +207,7 @@ def walk_plan(model, grid, lanes, n_paths, threads, baselines=(), *, fold_rows, 
     shortest = min(len(spans), -(-_SHORTEST_SPAN // step))
 
     def per_path(span: int) -> int:
-        rows = sum(_window_rows(g.n_per_delay, span // r, back) for _, g, r in lanes)
-        rows += len(baselines) * _window_rows(grid.n_per_delay, span, back)
+        rows = sum(_window_rows(g.n_per_delay, span // r) for _, g, r in lanes)
         rows += span + sum(sorted(span // r for r in ratios if r > 1)[-2:])
         return 8 * (rows + fold_rows(span))
 
@@ -220,7 +217,7 @@ def walk_plan(model, grid, lanes, n_paths, threads, baselines=(), *, fold_rows, 
     fits = bisect.bisect_right(spans, _WALK_BYTES, key=lambda span: paths * per_path(span))
     span = spans[max(fits, shortest) - 1]
     return WalkPlan(
-        model, grid, tuple(lanes), baselines, back, n_paths, chunks, span, paths,
+        model, grid, tuple(lanes), n_paths, chunks, span, paths,
         workers=min(threads, chunks), bytes=paths * per_path(span),
     )
 
@@ -328,23 +325,18 @@ def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
     ``draw(k0, k1)`` gives a span's increments of steps k0 .. k1 - 1.  Each
     implicit lane ``(model, lane_grid, r)`` of ``plan.lanes`` continues
     :func:`~delay_cir.scheme.simulate_y_paths` on their sums over r steps
-    from ``seg[::r]``, the schemes ``plan.baselines`` of ``plan.model``
-    :func:`~delay_cir.scheme.explicit_paths`; then ``fold(k0, increments,
-    windows)`` may overwrite the increments.  The lanes march finest r
-    first, and a lane's sums continue those of the lane before it, whose r
-    must divide its own (:func:`~delay_cir.noise.block_sum`); the sums and
-    the increments are dropped before the next draw.  ``windows`` are the
-    lanes' ring windows, in the order of the lanes, the baselines' last, each
-    of :func:`_window_rows` rows for the plan's span and ``back``.
+    from ``seg[::r]``; then ``fold(k0, increments, windows)`` may overwrite
+    the increments.  The lanes march finest r first, and a lane's sums
+    continue those of the lane before it, whose r must divide its own
+    (:func:`~delay_cir.noise.block_sum`); the sums and the increments are
+    dropped before the next draw.  ``windows`` are the lanes' ring windows,
+    in the order of the lanes, each of :func:`_window_rows` rows for the
+    plan's span.  State that one experiment keeps across spans, such as
+    another scheme's window, lives in its fold.
     """
-    grid, span, back, baselines = plan.grid, plan.span, plan.back, plan.baselines
+    grid, span = plan.grid, plan.span
     paths = seg.shape[1]
-    windows = [
-        np.empty((_window_rows(g.n_per_delay, span // r, back), paths)) for _, g, r in plan.lanes
-    ]
-    if baselines:
-        rows = _window_rows(grid.n_per_delay, span, back)
-        windows.append(np.empty((rows, len(baselines), paths)))
+    windows = [np.empty((_window_rows(g.n_per_delay, span // r), paths)) for _, g, r in plan.lanes]
     marching = sorted(zip(plan.lanes, windows), key=lambda lane: lane[0][2])
     for k0 in range(0, grid.n_steps, span):
         inc = draw(k0, min(k0 + span, grid.n_steps))
@@ -357,10 +349,6 @@ def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
                 model, lane_grid, sums, seg[::r], window=window, start=k0 // r
             )
         del sums
-        if baselines:
-            scheme_mod.explicit_paths(
-                plan.model, grid, inc, seg, baselines, window=windows[-1], start=k0
-            )
         fold(k0, inc, windows)
         del inc
 
@@ -839,8 +827,8 @@ def positivity_census(
 
     One row per name in ``schemes``, in that order; every scheme marches on
     the same noise.  The implicit scheme is a lane of :func:`walk_blocks`,
-    the baselines its explicit window, and each span's x <= 0 flags are
-    folded into per-path booleans.
+    the fold marches the baselines in a window of its own, and each span's
+    x <= 0 flags are folded into per-path booleans.
     """
     names = tuple(schemes)
     check_schemes(names, model)
@@ -848,18 +836,23 @@ def positivity_census(
     n_delay = grid.n_per_delay
     baselines = tuple(dict.fromkeys(name for name in names if name != "implicit"))
     lanes = [(model, grid, 1)] if "implicit" in names else []
-    plan = walk_plan(model, grid, lanes, n_paths, threads, baselines, fold_rows=lambda span: 1)
+    # the flags, and the baselines' window of max(N + 1, T + 1) rows each
+    plan = walk_plan(
+        model, grid, lanes, n_paths, threads,
+        fold_rows=lambda span: 1 + len(baselines) * _window_rows(n_delay, span),
+    )
 
     def census(draw, seg: Array) -> Array:
         # row 0 flags the implicit scheme, row 1 + i baselines[i]
         flags = np.zeros((1 + len(baselines), seg.shape[1]), dtype=bool)
+        x = np.empty((_window_rows(n_delay, plan.span), len(baselines), seg.shape[1]))
 
         # Node 0 is the segment's last node, positive in every scheme (the
         # implicit one holds sqrt(x)^2 >= 2^-1074 for x > 0), so only the
         # nodes 1 .. K that each span adds are flagged.
         def fold(k0, inc, windows):
             if baselines:
-                x = windows[-1]
+                scheme_mod.explicit_paths(model, grid, inc, seg, baselines, window=x, start=k0)
                 for span in scheme_mod.ring_spans(len(x), n_delay + k0 + 1, len(inc)):
                     flags[1:] |= np.any(x[span] <= 0.0, axis=0)
             if lanes:
@@ -935,7 +928,7 @@ def modulus_scaling(
     which the modulus of a square-root diffusion grows linearly, over the
     rows where that scale is not zero (not delta = 1); NaN below two rows.
     Each span of :func:`walk_blocks` adds the node pairs that end in it to
-    per-lag maxima, its window keeping the largest lag's nodes before it.
+    per-lag maxima, its fold keeping the largest lag's nodes before it.
     """
     validate(model)
     check_modulus_order(p)
@@ -945,24 +938,28 @@ def modulus_scaling(
     lanes = [(model, grid, 1)]
     # per-lag maxima, the X of a span and the L nodes before it, one row of |d|
     plan = walk_plan(
-        model, grid, lanes, n_paths, threads, back=back, fold_rows=lambda span: 2 * back + span + 1
+        model, grid, lanes, n_paths, threads, fold_rows=lambda span: 2 * back + span + 1
     )
 
     def moduli(draw, seg: Array) -> Array:
         """Row j: the modulus at lag distinct[j], a running max over lags."""
         per_lag = np.zeros((back, seg.shape[1]))
+        # row i holds node k0 + 1 - L + i, the L nodes before a span first.
+        # Nodes before 0 hold X_0: a pair (0, t) counted at a lag above t is
+        # also counted at t, so the running max over lags keeps its bits.
         x = np.empty((back + plan.span, seg.shape[1]))
 
         def fold(k0, inc, windows):
-            # X of nodes lo .. k1: the span's and the largest lag's before it
-            lo, k1 = max(0, k0 + 1 - back), k0 + len(inc)
-            xs = scheme_mod.square_rows(windows[0], n_delay + lo, k1 + 1 - lo, out=x)
-            for lag in range(1, min(back, k1) + 1):
-                # pairs (t - lag, t), k0 < t <= k1, one per increment row at most
-                first = max(k0 + 1, lag) - lo
-                d = np.subtract(xs[first:], xs[first - lag : -lag], out=inc[: len(xs) - first])
+            n = len(inc)
+            if k0 == 0:
+                x[:back] = scheme_mod.square_rows(windows[0], n_delay, 1, out=x[back - 1 :])
+            scheme_mod.square_rows(windows[0], n_delay + k0 + 1, n, out=x[back:])
+            for lag in range(1, back + 1):
+                # pairs (t - lag, t), k0 < t <= k0 + n, one per increment row
+                d = np.subtract(x[back : back + n], x[back - lag : back - lag + n], out=inc)
                 row = per_lag[lag - 1]
                 np.maximum(row, np.max(np.abs(d, out=d), axis=0), out=row)
+            x[:back] = x[n : n + back]
 
         walk_blocks(plan, draw, seg, fold)
         return np.maximum.accumulate(per_lag)[[lag - 1 for lag in distinct]]

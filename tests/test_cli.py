@@ -311,6 +311,16 @@ def test_validate_prints_the_condition_report(tmp_path, capsys):
     assert lines[4] == "m = 3"
 
 
+@pytest.mark.parametrize("argv", [["validate", "--threads", "2"], ["probe", "--seed", "1"]])
+def test_only_run_takes_the_run_flags(tmp_path, capsys, argv):
+    # validate and probe write nothing, draw no path and fork no worker
+    cfg = _write_config(tmp_path, "experiment = analytics_probe\nb = 0\n")
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", cfg])
+    assert info.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "text, key",
     [
@@ -519,7 +529,8 @@ def test_a_t0_checkpoint_of_a_lognormal_start_runs(tmp_path):
 )
 def test_probe_keys_the_oracles_reject_exit_two(tmp_path, capsys, command, text, key, reason):
     cfg = _write_config(tmp_path, f"experiment = analytics_probe\nb = 0\n{text}")
-    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = ["--out", str(tmp_path / "o")] if command == "run" else []
+    assert main([command, "--config", cfg, *out]) == 2
     assert capsys.readouterr().err == f"error: bad value for {key}: {reason}\n"
     assert not (tmp_path / "o").exists()
 

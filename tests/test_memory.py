@@ -7,15 +7,15 @@ steps and holds its paths in ring windows (``experiments.walk_blocks``).
 not fit, so that its estimate of a chunk stays within a budget of 32 MiB.
 Per path the estimate counts 8 B times
 
-* each lane's ring window, max(N + 1, T / r + 1) + back rows: the rate
-  study's reference N_ref with r = 1 and every coarse level N with r =
-  N_ref / N, a census's implicit scheme and, as many again, each baseline
-  scheme, a modulus run's one lane with back = the largest lag L;
+* each lane's ring window, max(N + 1, T / r + 1) rows: the rate study's
+  reference N_ref with r = 1 and every coarse level N with r = N_ref / N, a
+  census's implicit scheme, a modulus run's one lane;
 * the span's increments, T rows, and the two largest block sums, T / r each;
 * the rows the experiment's fold keeps: the rate study's coarse X of a span
-  and a piece of its error fold (T / r_min + 1 + 33 rows), a census's
-  flags, a modulus run's per-lag maxima and the X of a span with the L nodes
-  before it (2 L + T + 1 rows).
+  and a piece of its error fold (T / r_min + 1 + 33 rows), a census's flags
+  and its baselines' ring window, max(N + 1, T + 1) rows per baseline
+  scheme, a modulus run's per-lag maxima and the X of a span with the L
+  nodes before it, L the largest lag (2 L + T + 1 rows).
 
 The checks take each estimate from the plan of the same config and compare
 the resident high-water mark (``VmHWM``) of a run with that of a process
@@ -197,8 +197,10 @@ def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, pla
 
 def test_modulus_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, plan_of):
     base_text = f"experiment = modulus\nN = {CENSUS_N}\nn_paths = {PATHS}\nthreads = 1\n"
-    # the largest default lag is 16 steps; spans of 666 steps, 768 and 1536
-    # steps in all
+    # The budget is 32 MiB / (8 B x 2048 paths) = 2048 rows per path.  The
+    # window holds max(N + 1, T + 1) = T + 1 rows, the draw T and the fold
+    # 2 L + T + 1 for the largest default lag L = 16: 3 T + 34 <= 2048 rows
+    # gives spans of 671 steps, 768 and 1536 steps in all.
     rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (1.5, 3.0), CENSUS_N)
-    assert (plan.span, plan.paths) == (666, PATHS)  # 32.0 MiB
+    assert (plan.span, plan.paths) == (671, PATHS)  # 32.0 MiB
     _check_rises(rises, plan)

@@ -129,7 +129,8 @@ def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, 
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "o"
-    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    flags = ["--out", str(out)] if command == "run" else []
+    assert main([command, "--config", str(cfg), *flags]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad value for {message}")
     assert not out.exists()
 

@@ -1,13 +1,15 @@
 """Every experiment walks its chunks in spans of steps (``experiments.walk_blocks``).
 
 The references below are the whole-horizon reductions the walker replaced
-for the mean check, the modulus and the survival functional: each chunk
-draws all its increments, marches them with ``simulate_y_paths`` without a
-window and reduces the whole path.  The walked experiments must give the
-same per-path arrays, bit for bit, over horizons of several spans; the walk
-budget is cut down here (the ``walk_in_spans`` fixture) so that 60 paths
-are walked in two spans or more (``experiments.walk_plan``).  A guard checks
-that no experiment draws more than one planned span of steps at a time.
+for the mean check, the modulus, the positivity census and the survival
+functional: each chunk draws all its increments, marches them with
+``simulate_y_paths`` (and the census's baselines with ``explicit_paths``)
+without a window and reduces the whole path.  The walked experiments must
+give the same per-path arrays, bit for bit, over horizons of several spans;
+the walk budget is cut down here (the ``walk_in_spans`` fixture) so that 60
+paths are walked in two spans or more (``experiments.walk_plan``).  A guard
+checks that no experiment draws more than one planned span of steps at a
+time.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def test_moduli_equal_whole_horizon_moduli(walk_in_spans, n_steps, threads, spre
     model, grid = _grid(n_steps)
     # lags up to K, longer than the spans, or lag 1 alone, whose pairs alone
     # make its modulus; delta = 1 (lag 256 of K = 384) is tested below.  The
-    # largest lag L makes the walk hold L rows more per path, so a chunk of
+    # largest lag L makes the fold hold 2 L rows more per path, so a chunk of
     # the spread lags holds fewer paths than PATHS, in spans shorter than L.
     lags = [
         lag
@@ -132,6 +134,58 @@ def test_moduli_equal_whole_horizon_moduli(walk_in_spans, n_steps, threads, spre
     )
     want = _whole(model, grid, _whole_moduli(sorted(set(lags))))
     assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_steps", sorted(GRIDS))
+def test_moduli_in_spans_shorter_than_the_largest_lag_equal_whole_horizon_moduli(
+    walk_in_spans, n_steps, threads
+):
+    # The fold carries the X of the L = 16 nodes before a span; in spans of
+    # 13 or 15 steps that head overlaps the span's own nodes, and the last
+    # span is short.
+    model, grid = _grid(n_steps)
+    lags = [1, 2, 5, 16]
+    got, plan = walk_in_spans(
+        lambda: modulus_scaling(
+            model, grid, PATHS, [lag * grid.delta for lag in lags], seed=4, threads=threads
+        ),
+        lags[-1],
+        PATHS // threads,
+    )
+    assert plan.span < lags[-1] and n_steps % plan.span
+    assert np.array_equal(_bits(got), _bits(_whole(model, grid, _whole_moduli(lags))))
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "names, b",
+    [(("implicit", "truncated", "symmetrized"), 0.0), (("truncated",), 0.2)],
+    ids=["three-schemes", "truncated-with-delay"],
+)
+def test_census_flags_equal_whole_horizon_flags(walk_in_spans, names, b, threads):
+    # 96 steps of N = 32 in spans shorter than a delay, the last one short;
+    # the fold marches the baselines in its own ring window
+    model = _model(b=b, sigma=1.2, gamma=GammaSpec.constant(1.0))
+    grid = build_grid(model, 32)
+    got, plan = walk_in_spans(
+        lambda: positivity_census(names, model, grid, PATHS, seed=4, threads=threads),
+        grid.n_per_delay,
+        PATHS // threads,
+    )
+    assert plan.span < grid.n_per_delay and grid.n_steps % plan.span
+    baselines = [name for name in names if name != "implicit"]
+
+    def flags(draw, seg):
+        inc = draw()
+        x = {"implicit": np.square(simulate_y_paths(model, grid, inc, seg))}
+        x_explicit = explicit_paths(model, grid, inc, seg, baselines)
+        x.update((name, x_explicit[:, i]) for i, name in enumerate(baselines))
+        return np.stack([np.any(x[name][grid.n_per_delay :] <= 0.0, axis=0) for name in names])
+
+    want = experiments.map_paths(one_lane_plan(model, grid, PATHS), 4, flags)
+    assert np.array_equal(got, want)
+    assert np.any(got[names.index("truncated")])
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -158,22 +212,21 @@ def test_survival_values_equal_whole_horizon_values(walk_in_spans, n_steps, thre
 WALKS = {
     # spans of 300 steps, longer than 256; every ring
     # holds a span's nodes and the one before them, T / r + 1 > N + 1
-    "long-spans": (100, 3.0, 300, 0),
+    "long-spans": (100, 3.0, 300),
     # spans shorter than a delay: every ring holds the N + 1 nodes a step
-    # reads, and the 5 more asked for, N + 1 > T / r + 1
-    "short-spans-and-back": (64, 1.5, 32, 5),
+    # reads, N + 1 > T / r + 1
+    "short-spans": (64, 1.5, 32),
     # 144 steps in spans of 60: the last span is short
-    "short-last-span": (24, 3.0, 60, 3),
+    "short-last-span": (24, 3.0, 60),
 }
 
 
 @pytest.mark.parametrize("walk", list(WALKS))
-def test_walked_lanes_and_baselines_equal_whole_horizon_marches(walk):
-    n_fine, horizon, span, back = WALKS[walk]
+def test_walked_lanes_equal_whole_horizon_marches(walk):
+    n_fine, horizon, span = WALKS[walk]
     model = _model(horizon=horizon)
     fine = build_grid(model, n_fine)
     lanes = [(model, fine, 1), *((model, build_grid(model, n_fine // r), r) for r in (4, 2))]
-    baselines = ("truncated",)
     paths = range(7)
     inc = noise.generate(fine, 4, paths)
     seg = noise.sample_segment(model.initial, fine, 4, paths)
@@ -181,31 +234,23 @@ def test_walked_lanes_and_baselines_equal_whole_horizon_marches(walk):
         np.square(simulate_y_paths(m, g, noise.block_sum(inc, r), seg[::r])[g.n_per_delay :])
         for m, g, r in lanes
     ]
-    want.append(explicit_paths(model, fine, inc, seg, baselines)[fine.n_per_delay :, 0])
     got = [np.full_like(x, np.nan) for x in want]
     sizes = set()
 
     def fold(k0, increments, windows):
-        # every node a ring holds for the fold: the span's, the one before
-        # them and ``back`` more; the lanes hold Y, the baseline X
+        # every node a ring holds for the fold: the span's and the one before
         sizes.add(tuple(len(w) for w in windows))
-        for (_, g, r), x, window in zip([*lanes, (model, fine, 1)], got, windows):
-            lo, hi = max(0, k0 // r - back), (k0 + len(increments)) // r
-            if window.ndim == 2:
-                square_rows(window, g.n_per_delay + lo, hi + 1 - lo, out=x[lo:])
-            else:
-                for node in range(lo, hi + 1):
-                    x[node] = window[(g.n_per_delay + node) % len(window), 0]
+        for (_, g, r), x, window in zip(lanes, got, windows):
+            lo, hi = k0 // r, (k0 + len(increments)) // r
+            square_rows(window, g.n_per_delay + lo, hi + 1 - lo, out=x[lo:])
 
-    plan = experiments.walk_plan(
-        model, fine, lanes, len(paths), 1, baselines, fold_rows=lambda span: 0, back=back
-    )
+    plan = experiments.walk_plan(model, fine, lanes, len(paths), 1, fold_rows=lambda span: 0)
     experiments.walk_blocks(
         replace(plan, span=span), lambda k0, k1: inc[k0:k1].copy(), seg, fold
     )
     assert fine.n_steps > span
-    rows = [max(g.n_per_delay + 1, span // r + 1) + back for _, g, r in lanes]
-    assert sizes == {(*rows, rows[0])}
+    rows = [max(g.n_per_delay + 1, span // r + 1) for _, g, r in lanes]
+    assert sizes == {tuple(rows)}
     if walk == "long-spans":
         assert span > 256 and all(n == span // r + 1 for n, (_, _, r) in zip(rows, lanes))
     for x, y in zip(got, want):
