@@ -826,43 +826,52 @@ def positivity_census(
     """Per scheme, the fraction of paths with any node value x_k <= 0, k >= 0.
 
     One row per name in ``schemes``, in that order; every scheme marches on
-    the same noise.  The implicit scheme is a lane of :func:`walk_blocks`,
-    the fold marches the baselines in a window of its own, and each span's
-    x <= 0 flags are folded into per-path booleans.
+    the same noise.  The implicit scheme is a lane of :func:`walk_blocks`.
+    The fold marches one explicit row in a ring window of its own: the
+    symmetrized scheme's if it is asked for, else the truncated one's.  A
+    symmetrized row of updates v carries both baselines
+    (:func:`~delay_cir.scheme.explicit_paths`): a path's truncated flag is
+    any v <= 0, its symmetrized flag any v == 0.  Each span's flags are
+    folded into per-path booleans.
     """
     names = tuple(schemes)
     check_schemes(names, model)
     validate(model)
     n_delay = grid.n_per_delay
-    baselines = tuple(dict.fromkeys(name for name in names if name != "implicit"))
+    explicit = next((name for name in ("symmetrized", "truncated") if name in names), None)
     lanes = [(model, grid, 1)] if "implicit" in names else []
-    # the flags, and the baselines' window of max(N + 1, T + 1) rows each
+    # the flags, and the explicit row's window of max(N + 1, T + 1) rows
     plan = walk_plan(
         model, grid, lanes, n_paths, threads,
-        fold_rows=lambda span: 1 + len(baselines) * _window_rows(n_delay, span),
+        fold_rows=lambda span: 1 + (explicit is not None) * _window_rows(n_delay, span),
     )
 
     def census(draw, seg: Array) -> Array:
-        # row 0 flags the implicit scheme, row 1 + i baselines[i]
-        flags = np.zeros((1 + len(baselines), seg.shape[1]), dtype=bool)
-        x = np.empty((_window_rows(n_delay, plan.span), len(baselines), seg.shape[1]))
+        flags = {name: np.zeros(seg.shape[1], dtype=bool) for name in names}
+        rows = _window_rows(n_delay, plan.span)  # the implicit lane's too
+        x = np.empty((rows if explicit else 0, seg.shape[1]))
 
         # Node 0 is the segment's last node, positive in every scheme (the
-        # implicit one holds sqrt(x)^2 >= 2^-1074 for x > 0), so only the
-        # nodes 1 .. K that each span adds are flagged.
+        # implicit one holds sqrt(x) with sqrt(x)^2 >= 2^-1074 for x > 0), so
+        # only the nodes 1 .. K that each span adds are flagged.  The minima
+        # are fmin's, which skips NaN: a plain min would return the NaN of a
+        # blown-up path and hide a crossing earlier in the same span.
         def fold(k0, inc, windows):
-            if baselines:
-                scheme_mod.explicit_paths(model, grid, inc, seg, baselines, window=x, start=k0)
-                for span in scheme_mod.ring_spans(len(x), n_delay + k0 + 1, len(inc)):
-                    flags[1:] |= np.any(x[span] <= 0.0, axis=0)
-            if lanes:
-                # the increments are spent: their rows take the span's X
-                x_implicit = scheme_mod.square_rows(windows[0], n_delay + k0 + 1, len(inc), inc)
-                flags[0] |= np.any(x_implicit <= 0.0, axis=0)
+            if explicit:
+                scheme_mod.explicit_paths(model, grid, inc, seg, explicit, window=x, start=k0)
+            for span in scheme_mod.ring_spans(rows, n_delay + k0 + 1, len(inc)):
+                if "truncated" in flags:
+                    flags["truncated"] |= np.fmin.reduce(x[span], axis=0, initial=np.inf) <= 0.0
+                if explicit == "symmetrized":
+                    flags["symmetrized"] |= np.any(x[span] == 0.0, axis=0)
+                if lanes:
+                    # Y >= +0 in both root forms, and squaring is monotone
+                    # there, so the least X of a span is its least Y squared
+                    y_min = np.fmin.reduce(windows[0][span], axis=0, initial=np.inf)
+                    flags["implicit"] |= np.square(y_min) <= 0.0
 
         walk_blocks(plan, draw, seg, fold)
-        row = {name: 1 + i for i, name in enumerate(baselines)} | {"implicit": 0}
-        return flags[[row[name] for name in names]]
+        return np.stack([flags[name] for name in names])
 
     flagged = np.count_nonzero(map_paths(plan, seed, census), axis=1)
     return tuple(

@@ -27,7 +27,9 @@ simulated path positive without truncation or reflection.
 
 Baselines for comparison experiments: a truncated explicit Euler scheme in X
 (which can and does go negative) and a symmetrized (absolute-value) Euler
-scheme for b = 0, marched together over a scheme axis by one explicit march.
+scheme for b = 0, each marched by one explicit march.  A symmetrized row
+keeps its update before reflection, from which both schemes' paths can be
+read up to the first non-positive update (:func:`explicit_paths`).
 """
 
 from __future__ import annotations
@@ -198,25 +200,25 @@ def _start_values(n_nodes: int, n_paths: int, segment) -> Array:
     return np.broadcast_to(seg, (n_nodes, n_paths))
 
 
-def _march_target(grid: TimeGrid, increments, window, start: int, node_shape=()):
+def _march_target(grid: TimeGrid, increments, window, start: int):
     """(increments, stop, array) of a march over steps start .. stop - 1.
 
     The increments are validated (:func:`_increments`) and must lie on the
     grid.  The array is ``window``, which must hold more than N nodes of
-    shape (*node_shape, paths), or, without one, a new array of nodes -N .. K.
+    ``paths`` values, or, without one, a new array of nodes -N .. K.
     """
     n_delay, n_steps = grid.n_per_delay, grid.n_steps
     inc = _increments(increments, n_steps if window is None else None)
     stop = start + inc.shape[0]
     if not 0 <= start <= stop <= n_steps:
         raise ValueError(f"steps {start} .. {stop - 1} are not on the grid")
-    node = (*node_shape, inc.shape[1])
+    n_paths = inc.shape[1]
     if window is None:
-        return inc, stop, np.empty((n_delay + n_steps + 1, *node))
-    if window.shape[0] <= n_delay or window.shape[1:] != node:
+        return inc, stop, np.empty((n_delay + n_steps + 1, n_paths))
+    if window.shape[0] <= n_delay or window.shape[1:] != (n_paths,):
         raise ValueError(
             f"window of shape {window.shape} cannot hold {n_delay + 1} nodes "
-            f"of shape {node}"
+            f"of {n_paths} paths"
         )
     return inc, stop, window
 
@@ -362,19 +364,20 @@ def simulate_y_paths(
     finite; beyond that a step gives 0 (s < 0) or inf (s > 0), where
     :func:`implicit_step` rescales the discriminant.
     """
-    n_delay, n_steps = grid.n_per_delay, grid.n_steps
+    n_delay = grid.n_per_delay
     inc, stop, y = _march_target(grid, increments, window, start)
     if start == 0:
         seg_x = _start_values(n_delay + 1, inc.shape[1], segment)
         np.sqrt(seg_x, out=y[: n_delay + 1])
     # a_under at the target times t_{start+1} .. t_stop (implicit terms live
-    # at t_{k+1}), evaluated over the whole grid so every window sees the
-    # values of a march over the whole horizon
-    t_next = grid.time(np.arange(1, n_steps + 1))
+    # at t_{k+1}); each value is elementwise in its own node, so a window's
+    # slice has the bits of a march over the whole horizon
+    # (tests/test_scheme.py checks this for every gamma kind)
+    t_next = grid.time(np.arange(start + 1, stop + 1))
     au = np.asarray(model.a_under(t_next), dtype=float)
     _implicit_march(
-        y, inc, t_next[start:stop], au[start:stop], model.a_bar, model.b_bar,
-        model.sigma_bar, grid.delta, n_delay, start,
+        y, inc, t_next, au, model.a_bar, model.b_bar, model.sigma_bar, grid.delta,
+        n_delay, start,
     )
     return y
 
@@ -399,17 +402,19 @@ def check_baselines(names, model: ModelSpec) -> None:
         raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
 
 
-def _explicit_march(x, inc, gamma_left, a, b, sigma, delta, n_delay, reflect, start=0):
-    """Fill nodes start+1 .. start+n of the time-major ``x`` (rows, schemes,
-    paths) with explicit Euler steps of every scheme row at once.
+def _explicit_march(x, inc, gamma_left, a, b, sigma, delta, n_delay, symmetrized, start=0):
+    """Fill nodes start+1 .. start+n of the time-major ``x`` (rows, paths)
+    with explicit Euler steps of one scheme.
 
     Node j (from -n_delay) is held in row (j + n_delay) mod len(x), as in
     :func:`_implicit_march`.  Step k reads node start + k, the delayed node
     start + k - n_delay, ``gamma_left[k]`` = gamma(t_{start+k}) and increment
-    row k; the scheme rows listed in ``reflect`` take the absolute value of
-    their update.  Each step runs one ufunc call per operation over all scheme
-    rows, with two scratch rows reused by every step.  The term b x_{k-N}
-    enters every row, so b != 0 needs truncated rows only
+    row k, through scratch rows that every step reuses.  Truncated rows hold
+    X.  ``symmetrized`` rows hold the update before reflection, v, and
+    reflect on read: a step reads |v| into a scratch row as its current
+    node, so the path |v| has the bits of a march that reflects on write
+    (segment rows hold X > 0, their own absolute value), and as |v| >= +0,
+    sqrt(max(cur, 0)) is sqrt(cur) there.  They need b = 0
     (:func:`check_baselines`).
 
     With b = 0 the truncated rows skip the term b x_{k-N}, and keep every
@@ -423,17 +428,19 @@ def _explicit_march(x, inc, gamma_left, a, b, sigma, delta, n_delay, reflect, st
     """
     rows = x.shape[0]
     ring = list(x)
-    u = np.empty(x.shape[1:])
-    v = np.empty(x.shape[1:])
+    u = np.empty(x.shape[1])
+    v = np.empty(x.shape[1])
+    reflected = np.empty(x.shape[1])
     for k, (gamma, dw) in enumerate(zip(gamma_left.tolist(), inc)):
         node = start + k
         cur = ring[(n_delay + node) % rows]
         out = ring[(n_delay + node + 1) % rows]
         # the operations, in order, of the truncated update
         #   cur + (a (gamma - cur) + b delayed) delta + sigma sqrt(max(cur, 0)) dw
-        # and of the symmetrized one (b = 0), whose rows are at least +0, so
-        # that max(cur, 0) is cur there
-        #   |cur + a (gamma - cur) delta + sigma sqrt(cur) dw|
+        # and of the symmetrized one (b = 0), stored before its reflection
+        #   cur + a (gamma - cur) delta + sigma sqrt(cur) dw,  cur = |stored|
+        if symmetrized:
+            cur = np.abs(cur, out=reflected)
         np.subtract(gamma, cur, out=u)
         u *= a
         if b != 0.0:
@@ -441,13 +448,14 @@ def _explicit_march(x, inc, gamma_left, a, b, sigma, delta, n_delay, reflect, st
             u += v
         u *= delta
         np.add(cur, u, out=out)
-        np.maximum(cur, 0.0, out=u)
-        np.sqrt(u, out=u)
+        if symmetrized:
+            np.sqrt(cur, out=u)
+        else:
+            np.maximum(cur, 0.0, out=u)
+            np.sqrt(u, out=u)
         u *= sigma
         u *= dw
         out += u
-        for i in reflect:
-            np.abs(out[i], out=out[i])
 
 
 def explicit_paths(
@@ -455,72 +463,77 @@ def explicit_paths(
     grid: TimeGrid,
     increments: Array,
     segment,
-    schemes,
+    scheme: str,
     *,
     window: Array | None = None,
     start: int = 0,
 ) -> Array:
-    """Explicit Euler baselines in X, marched together over a scheme axis.
+    """One explicit Euler baseline in X, the rows it marched.
 
-    ``schemes`` names the rows of the scheme axis, each from :data:`BASELINES`
-    (see :func:`check_baselines`):
+    ``scheme`` is one name from :data:`BASELINES` (see
+    :func:`check_baselines`):
 
     * ``truncated``, with the diffusion truncated at zero,
 
           x_{k+1} = x_k + [a (gamma(t_k) - x_k) + b x_{k-N}] delta
                     + sigma sqrt(max(x_k, 0)) dW_k;
 
+      its rows hold X itself;
+
     * ``symmetrized`` (b = 0 only), which reflects instead of truncating,
 
-          x_{k+1} = | x_k + a (gamma(t_k) - x_k) delta + sigma sqrt(x_k) dW_k |.
+          x_{k+1} = | v_{k+1} |,  v_{k+1} = x_k + a (gamma(t_k) - x_k) delta
+                                            + sigma sqrt(x_k) dW_k;
+
+      its rows hold v, so X is their absolute value (:func:`_explicit_march`).
+
+    The symmetrized rows carry the truncated path too: both schemes read the
+    same current node x_k > 0 and compute the same v_{k+1}, bit for bit,
+    until the first update v <= 0, where the truncated path first leaves
+    the positive axis.  So a path with a v <= 0 flags the truncated scheme,
+    and one with a v == 0 (|v| <= 0) the symmetrized one.
 
     Increments, segment, ``window`` and ``start`` are as in
-    :func:`simulate_y_paths`, except that a window has shape (R, n_schemes,
-    n_paths) and the segment holds X values.  The increments are checked
-    once for all schemes.  Returns X on nodes -N .. K, shape (N + K + 1,
-    n_schemes, n_paths), or the ``window``.  Negative excursions of the
-    truncated scheme are left in place -- counting them is the point of this
-    baseline.
+    :func:`simulate_y_paths`, except that the segment holds X values.
+    Returns the rows on nodes -N .. K, shape (N + K + 1, n_paths), or the
+    ``window``.  Negative excursions of the truncated scheme are left in
+    place -- counting them is the point of this baseline.
     """
-    schemes = tuple(schemes)
-    check_baselines(schemes, model)
-    n_delay, n_steps = grid.n_per_delay, grid.n_steps
-    inc, stop, x = _march_target(grid, increments, window, start, (len(schemes),))
+    check_baselines((scheme,), model)
+    n_delay = grid.n_per_delay
+    inc, stop, x = _march_target(grid, increments, window, start)
     if start == 0:
-        x[: n_delay + 1] = _start_values(n_delay + 1, inc.shape[1], segment)[:, None]
-    # gamma at the left times t_start .. t_{stop-1}, evaluated over the whole
-    # grid as in simulate_y_paths
-    gamma_left = np.asarray(model.gamma_at(grid.time(np.arange(n_steps))), dtype=float)
-    reflect = [i for i, name in enumerate(schemes) if name == "symmetrized"]
+        x[: n_delay + 1] = _start_values(n_delay + 1, inc.shape[1], segment)
+    # gamma at the left times t_start .. t_{stop-1}, sliced as in simulate_y_paths
+    gamma_left = np.asarray(model.gamma_at(grid.time(np.arange(start, stop))), dtype=float)
     _explicit_march(
-        x, inc, gamma_left[start:stop], model.a, model.b, model.sigma, grid.delta,
-        n_delay, reflect, start,
+        x, inc, gamma_left, model.a, model.b, model.sigma, grid.delta, n_delay,
+        scheme == "symmetrized", start,
     )
     return x
 
 
-def _one_baseline(model, grid, increments, segment, name) -> tuple[Array, Array]:
-    """One scheme of :func:`explicit_paths` over the whole horizon, and its
-    per-path count of nodes k >= 0 with x_k <= 0."""
-    x = explicit_paths(model, grid, increments, segment, (name,))[:, 0]
+def _counted(grid: TimeGrid, x: Array) -> tuple[Array, Array]:
+    """X on nodes -N .. K and its per-path count of nodes k >= 0 with x_k <= 0."""
     return x, np.count_nonzero(x[grid.n_per_delay :] <= 0.0, axis=0)
 
 
 def truncated_euler_paths(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment
 ) -> tuple[Array, Array]:
-    """The truncated scheme of :func:`explicit_paths` alone.
+    """The truncated scheme of :func:`explicit_paths` over the whole horizon.
 
     Returns (paths on nodes -N .. K, shape (N + K + 1, n_paths), and the
     per-path count of nodes k >= 0 with x_k <= 0).
     """
-    return _one_baseline(model, grid, increments, segment, "truncated")
+    return _counted(grid, explicit_paths(model, grid, increments, segment, "truncated"))
 
 
 def symmetrized_euler_paths(
     model: ModelSpec, grid: TimeGrid, increments: Array, segment
 ) -> tuple[Array, Array]:
-    """The symmetrized scheme of :func:`explicit_paths` alone (b = 0 only);
-    returns as :func:`truncated_euler_paths`."""
-    return _one_baseline(model, grid, increments, segment, "symmetrized")
-
+    """The symmetrized scheme of :func:`explicit_paths` over the whole horizon
+    (b = 0 only), its rows reflected to X; returns as
+    :func:`truncated_euler_paths`."""
+    v = explicit_paths(model, grid, increments, segment, "symmetrized")
+    return _counted(grid, np.abs(v, out=v))

@@ -294,9 +294,9 @@ def test_positivity_census_on_two_workers_matches_one():
 
 
 # Rows of 8 B per path of the walk budget of the census tests, for chunks of
-# 300 paths: a census of the implicit scheme and two baselines at N = 128
-# then plans spans of 256 steps, 3 (256 + 1) + 256 + 1 rows.
-CENSUS_ROWS = 1028
+# 300 paths: a census of the implicit scheme and its one explicit row at
+# N = 128 then plans spans of 256 steps, 2 (256 + 1) + 256 + 1 rows.
+CENSUS_ROWS = 771
 
 
 def _census_model(monkeypatch, sigma=1.2):

@@ -7,9 +7,11 @@ equal to the step-by-step computations they replace.
   once; the reference applies :func:`implicit_step` one step at a time.
 * One-word Philox draws (the lognormal segment level) take their own branch;
   the reference is the first row of a longer draw.
-* The explicit baselines, marched together over a scheme axis over the whole
+* The explicit baselines, marched one scheme at a time over the whole
   horizon or in ring windows, write each step into its target row; the
-  reference is the whole-row expression of each scheme.
+  reference is the whole-row expression of each scheme.  The symmetrized
+  rows, which hold the update before reflection, also carry the truncated
+  path up to its first non-positive node.
 """
 
 from __future__ import annotations
@@ -292,69 +294,78 @@ def test_explicit_baselines_equal_the_whole_row_expressions():
     assert np.array_equal(count, expected_count)
 
 
-# (b, schemes): both schemes on the classical model, where the truncated rows
-# skip the delayed term, in either order of the scheme axis; the truncated
-# scheme alone where the delayed term counts
-_STACKS = [
-    (0.0, ("truncated", "symmetrized")),
-    (0.0, ("symmetrized", "truncated")),
-    (0.3, ("truncated",)),
-]
-
-
-@pytest.mark.parametrize("b, schemes", _STACKS, ids=["b0-both", "b0-reversed", "b-truncated"])
-def test_stacked_march_equals_the_per_scheme_loops(b, schemes):
-    model = _model(b=b, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
-    grid, inc, seg = _baseline_inputs(model, 16)
-    x = explicit_paths(model, grid, inc, seg, schemes)
-    assert x.shape == (grid.n_per_delay + grid.n_steps + 1, len(schemes), 200)
-    for i, name in enumerate(schemes):
-        expected, expected_count = _whole_row_baseline(model, grid, inc, seg, name)
-        assert x[:, i].tobytes() == expected.tobytes()
-        count = np.count_nonzero(x[grid.n_per_delay :, i] <= 0.0, axis=0)
-        assert np.array_equal(count, expected_count)
-        if name == "truncated":
-            assert np.any(count > 0)
-
-
-@pytest.mark.parametrize("b, schemes", _STACKS, ids=["b0-both", "b0-reversed", "b-truncated"])
-# 48 steps: blocks of 20 leave a last block of 8, blocks of 1 use the
-# smallest ring that a block fits in, and one block of 48 holds the horizon
-@pytest.mark.parametrize("block", [20, 1, 48])
-def test_windowed_stacked_march_equals_the_per_scheme_loops(b, schemes, block):
-    model = _model(b=b, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
-    grid, inc, seg = _baseline_inputs(model, 16)
+def _ring_nodes(model, grid, inc, seg, scheme, block):
+    """The rows of nodes 1 .. K that a march of ``scheme`` in blocks of
+    ``block`` steps writes into a ring window of N + 1 + block rows, or over
+    the whole horizon without a window (``block`` None)."""
     n = grid.n_per_delay
+    if block is None:
+        return explicit_paths(model, grid, inc, seg, scheme)[n + 1 :]
     rows = n + 1 + block
-    window = np.empty((rows, len(schemes), 200))
-    nodes = np.empty((grid.n_steps, len(schemes), 200))
+    window = np.empty((rows, inc.shape[1]))
+    nodes = np.empty_like(inc)
     for k0 in range(0, grid.n_steps, block):
         k1 = min(k0 + block, grid.n_steps)
-        assert explicit_paths(
-            model, grid, inc[k0:k1], seg, schemes, window=window, start=k0
-        ) is window
+        marched = explicit_paths(model, grid, inc[k0:k1], seg, scheme, window=window, start=k0)
+        assert marched is window
         for j in range(k0 + 1, k1 + 1):
             nodes[j - 1] = window[(j + n) % rows]
-    for i, name in enumerate(schemes):
-        expected, expected_count = _whole_row_baseline(model, grid, inc, seg, name)
-        assert nodes[:, i].tobytes() == expected[n + 1 :].tobytes()
-        # node 0 is the segment's last value, positive
-        assert np.array_equal(np.count_nonzero(nodes[:, i] <= 0.0, axis=0), expected_count)
+    return nodes
 
 
-def test_stacked_march_checks_schemes_windows_and_steps():
+# 48 steps: blocks of 20 leave a last block of 8, blocks of 1 use the
+# smallest ring that a block fits in, and one block of 48 holds the horizon
+BLOCKS = pytest.mark.parametrize("block", [None, 20, 1, 48], ids=["whole", "20", "1", "48"])
+
+
+@pytest.mark.parametrize("b", [0.0, 0.3], ids=["b0", "b"])
+@BLOCKS
+def test_truncated_march_equals_the_whole_row_loop(b, block):
+    # with b = 0 the march skips the delayed term, with b = 0.3 it adds it
+    model = _model(b=b, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    grid, inc, seg = _baseline_inputs(model, 16)
+    nodes = _ring_nodes(model, grid, inc, seg, "truncated", block)
+    expected, expected_count = _whole_row_baseline(model, grid, inc, seg, "truncated")
+    assert nodes.tobytes() == expected[grid.n_per_delay + 1 :].tobytes()
+    # node 0 is the segment's last value, positive
+    count = np.count_nonzero(nodes <= 0.0, axis=0)
+    assert np.array_equal(count, expected_count) and np.any(count > 0)
+
+
+@BLOCKS
+def test_symmetrized_row_carries_both_baselines(block):
+    # The symmetrized rows hold the update v before reflection: |v| is the
+    # symmetrized path, and v is the truncated path up to and including each
+    # path's first v <= 0, the node where the two schemes part.
+    model = _model(b=0.0, sigma=1.2, gamma=_GAMMAS["sinusoid"], initial=_STARTS["lognormal"])
+    grid, inc, seg = _baseline_inputs(model, 16)
+    v = _ring_nodes(model, grid, inc, seg, "symmetrized", block)
+    n = grid.n_per_delay
+    symmetrized, symmetrized_count = _whole_row_baseline(model, grid, inc, seg, "symmetrized")
+    assert np.abs(v).tobytes() == symmetrized[n + 1 :].tobytes()
+    assert np.array_equal(np.count_nonzero(v == 0.0, axis=0), symmetrized_count)
+    truncated, truncated_count = _whole_row_baseline(model, grid, inc, seg, "truncated")
+    crossed = v <= 0.0
+    assert np.array_equal(crossed.any(axis=0), truncated_count > 0)
+    assert 0 < np.count_nonzero(truncated_count) < v.shape[1]
+    for path in range(v.shape[1]):
+        last = int(np.argmax(crossed[:, path])) if crossed[:, path].any() else len(v) - 1
+        assert v[: last + 1, path].tobytes() == truncated[n + 1 : n + last + 2, path].tobytes()
+
+
+def test_explicit_march_checks_schemes_windows_and_steps():
     model = _model(b=0.3)
     grid, inc, seg = _baseline_inputs(model, 4, n_paths=3)
     with pytest.raises(DelayNotSupported, match="defined for b = 0 only"):
-        explicit_paths(model, grid, inc, seg, ("truncated", "symmetrized"))
+        explicit_paths(model, grid, inc, seg, "symmetrized")
     with pytest.raises(ValueError, match="unknown scheme 'milstein'"):
-        explicit_paths(model, grid, inc, seg, ("milstein",))
-    with pytest.raises(ValueError, match=r"cannot hold 5 nodes of shape \(1, 3\)"):
-        explicit_paths(model, grid, inc[:2], seg, ("truncated",), window=np.empty((4, 1, 3)))
+        explicit_paths(model, grid, inc, seg, "milstein")
+    with pytest.raises(ValueError, match=r"cannot hold 5 nodes of 3 paths"):
+        explicit_paths(model, grid, inc[:2], seg, "truncated", window=np.empty((4, 3)))
     with pytest.raises(ValueError, match="cannot hold"):
-        explicit_paths(model, grid, inc[:2], seg, ("truncated",), window=np.empty((9, 2, 3)))
+        explicit_paths(model, grid, inc[:2], seg, "truncated", window=np.empty((9, 2)))
     with pytest.raises(ValueError, match="not on the grid"):
         explicit_paths(
-            model, grid, inc[:2], seg, ("truncated",), window=np.empty((9, 1, 3)),
+            model, grid, inc[:2], seg, "truncated", window=np.empty((9, 3)),
             start=grid.n_steps - 1,
         )

@@ -13,9 +13,9 @@ Per path the estimate counts 8 B times
 * the span's increments, T rows, and the two largest block sums, T / r each;
 * the rows the experiment's fold keeps: the rate study's coarse X of a span
   and a piece of its error fold (T / r_min + 1 + 33 rows), a census's flags
-  and its baselines' ring window, max(N + 1, T + 1) rows per baseline
-  scheme, a modulus run's per-lag maxima and the X of a span with the L
-  nodes before it, L the largest lag (2 L + T + 1 rows).
+  and the ring window of its one explicit row, max(N + 1, T + 1) rows, a
+  modulus run's per-lag maxima and the X of a span with the L nodes before
+  it, L the largest lag (2 L + T + 1 rows).
 
 The checks take each estimate from the plan of the same config and compare
 the resident high-water mark (``VmHWM``) of a run with that of a process
@@ -189,9 +189,12 @@ def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, pla
         "experiment = positivity\nscheme = implicit,truncated,symmetrized\n"
         f"b = 0\nsigma = 1.2\nN = {CENSUS_N}\nn_paths = {PATHS}\nthreads = 1\n"
     )
-    # spans of 511 steps, 768 and 1536 steps in all
+    # The budget is 32 MiB / (8 B x 2048 paths) = 2048 rows per path.  The
+    # implicit window holds max(N + 1, T + 1) = T + 1 rows, the draw T and
+    # the fold 1 + (T + 1): the flags and the one explicit row's window.
+    # 3 T + 3 <= 2048 rows gives spans of 681 steps, 768 and 1536 in all.
     rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (1.5, 3.0), CENSUS_N)
-    assert (plan.span, plan.paths) == (511, PATHS)  # 32.0 MiB
+    assert (plan.span, plan.paths) == (681, PATHS)  # 32.0 MiB
     _check_rises(rises, plan)
 
 

@@ -375,6 +375,30 @@ def test_first_window_steps_read_the_delayed_node_from_the_segment(b):
         assert np.array_equal(y_b[node:], y[node:])
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [GammaSpec.constant(1.0), GammaSpec.affine(1.0, 0.37), GammaSpec.sinusoid(1.0, 0.3, 7.7)],
+    ids=["constant", "affine", "sinusoid"],
+)
+def test_coefficients_of_a_window_have_the_bits_of_the_whole_grid(gamma):
+    # A window march evaluates a_under at t_{k+1} and gamma at t_k over its
+    # own steps only; SIMD loops could round a vector body and its scalar
+    # tail apart, so slices start off a multiple of 8 and end short.
+    model = _model(gamma=gamma, horizon=3.0, t0=0.125)
+    grid = build_grid(model, 1024)
+    k = grid.n_steps
+    a_under = np.asarray(model.a_under(grid.time(np.arange(1, k + 1))), dtype=float)
+    gamma_left = np.asarray(model.gamma_at(grid.time(np.arange(k))), dtype=float)
+    starts = [0, 1, 3, 5, 13, 37, 1021, 1364, k - 9, k - 2, k - 1]
+    for start in starts:
+        for stop in {start + 1, start + 2, start + 7, start + 1364, k}:
+            stop = min(stop, k)
+            got_a = model.a_under(grid.time(np.arange(start + 1, stop + 1)))
+            got_g = model.gamma_at(grid.time(np.arange(start, stop)))
+            assert np.asarray(got_a, dtype=float).tobytes() == a_under[start:stop].tobytes()
+            assert np.asarray(got_g, dtype=float).tobytes() == gamma_left[start:stop].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # ring windows
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The references below are the whole-horizon reductions the walker replaced
 for the mean check, the modulus, the positivity census and the survival
 functional: each chunk draws all its increments, marches them with
-``simulate_y_paths`` (and the census's baselines with ``explicit_paths``)
+``simulate_y_paths`` (and the census's baselines one scheme at a time)
 without a window and reduces the whole path.  The walked experiments must
 give the same per-path arrays, bit for bit, over horizons of several spans;
 the walk budget is cut down here (the ``walk_in_spans`` fixture) so that 60
@@ -33,7 +33,12 @@ from delay_cir.experiments import (
     survival_probability,
 )
 from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, OutOfRange, build_grid
-from delay_cir.scheme import explicit_paths, simulate_y_paths, square_rows
+from delay_cir.scheme import (
+    simulate_y_paths,
+    square_rows,
+    symmetrized_euler_paths,
+    truncated_euler_paths,
+)
 
 PATHS = 60
 
@@ -157,35 +162,62 @@ def test_moduli_in_spans_shorter_than_the_largest_lag_equal_whole_horizon_moduli
     assert np.array_equal(_bits(got), _bits(_whole(model, grid, _whole_moduli(lags))))
 
 
+# name: (schemes, model fields, N).  At N = 32 the census walks 96 steps in
+# spans shorter than a delay, the last one short.  The blow-up model has
+# a delta = 5: each explicit step overshoots gamma by a factor of about -4, so
+# every truncated path crosses zero within a few steps and every
+# symmetrized one, growing by 4 a step, reaches inf and then NaN.
+CENSUSES = {
+    "three-schemes": (("implicit", "truncated", "symmetrized"), {"b": 0.0}, 32),
+    "truncated-with-delay": (("truncated",), {"b": 0.2}, 32),
+    "baselines": (("truncated", "symmetrized"), {"b": 0.0}, 32),
+    "symmetrized": (("symmetrized",), {"b": 0.0}, 32),
+    "blow-up": (
+        ("implicit", "truncated", "symmetrized"),
+        {"b": 0.0, "a": 50.0, "sigma": 0.5, "tau": 1.0, "horizon": 80.0},
+        10,
+    ),
+}
+
+
 @pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize(
-    "names, b",
-    [(("implicit", "truncated", "symmetrized"), 0.0), (("truncated",), 0.2)],
-    ids=["three-schemes", "truncated-with-delay"],
-)
-def test_census_flags_equal_whole_horizon_flags(walk_in_spans, names, b, threads):
-    # 96 steps of N = 32 in spans shorter than a delay, the last one short;
-    # the fold marches the baselines in its own ring window
-    model = _model(b=b, sigma=1.2, gamma=GammaSpec.constant(1.0))
-    grid = build_grid(model, 32)
-    got, plan = walk_in_spans(
-        lambda: positivity_census(names, model, grid, PATHS, seed=4, threads=threads),
-        grid.n_per_delay,
-        PATHS // threads,
-    )
-    assert plan.span < grid.n_per_delay and grid.n_steps % plan.span
-    baselines = [name for name in names if name != "implicit"]
+@pytest.mark.parametrize("case", list(CENSUSES))
+def test_census_flags_equal_whole_horizon_flags(walk_in_spans, case, threads):
+    names, fields, n_per_delay = CENSUSES[case]
+    model = _model(**({"sigma": 1.2, "gamma": GammaSpec.constant(1.0)} | fields))
+    grid = build_grid(model, n_per_delay)
+    n = grid.n_per_delay
+    blow_up = case == "blow-up"
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the blow-up walks a long first span in four times the budget
+        got, plan = walk_in_spans(
+            lambda: positivity_census(names, model, grid, PATHS, seed=4, threads=threads),
+            grid.n_steps if blow_up else n,
+            (4 if blow_up else 1) * PATHS // threads,
+        )
 
-    def flags(draw, seg):
-        inc = draw()
-        x = {"implicit": np.square(simulate_y_paths(model, grid, inc, seg))}
-        x_explicit = explicit_paths(model, grid, inc, seg, baselines)
-        x.update((name, x_explicit[:, i]) for i, name in enumerate(baselines))
-        return np.stack([np.any(x[name][grid.n_per_delay :] <= 0.0, axis=0) for name in names])
+        def flags(draw, seg):
+            inc = draw()
+            x = {"implicit": np.square(simulate_y_paths(model, grid, inc, seg))}
+            x["truncated"] = truncated_euler_paths(model, grid, inc, seg)[0]
+            if "symmetrized" in names:
+                x["symmetrized"] = symmetrized_euler_paths(model, grid, inc, seg)[0]
+            if blow_up:
+                # the first span holds each path's first crossing and a NaN
+                # after it, which a NaN-blind min would let hide the crossing
+                first = slice(n + 1, n + 1 + plan.span)
+                assert np.all(np.any(x["truncated"][first] <= 0.0, axis=0))
+                assert np.all(np.any(np.isnan(x["symmetrized"][first]), axis=0))
+            return np.stack([np.any(x[name][n:] <= 0.0, axis=0) for name in names])
 
-    want = experiments.map_paths(one_lane_plan(model, grid, PATHS), 4, flags)
+        want = experiments.map_paths(one_lane_plan(model, grid, PATHS), 4, flags)
+    assert plan.span < grid.n_steps and grid.n_steps % plan.span
     assert np.array_equal(got, want)
-    assert np.any(got[names.index("truncated")])
+    truncated = want[names.index("truncated")] if "truncated" in names else None
+    if blow_up:
+        assert truncated.all() and not want[names.index("symmetrized")].any()
+    elif truncated is not None:
+        assert truncated.any()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -284,14 +316,16 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(tmp_pa
         "initial.median = 1.0\ninitial.log_sd = 0.2\nn_paths = 25000\n",
     )
     assert (mean.span, mean.paths) == (192, 1924)
-    # a three-scheme census at N 1024 on two workers: about a delay per span
+    # a three-scheme census at N 1024 on two workers: 4096 rows per path hold
+    # the implicit window, the draw, the flags and the one explicit window,
+    # 3 T + 3 rows, so 3072 steps take three spans of at most 1364
     census = _planned(
         tmp_path,
         plan_of,
         "experiment = positivity\nscheme = implicit,truncated,symmetrized\nb = 0\n"
         "sigma = 1.2\nN = 1024\nn_paths = 2048\nthreads = 2\n",
     )
-    assert (census.paths, census.workers) == (1024, 2) and 1000 < census.span <= 1024
+    assert (census.paths, census.workers, census.span) == (1024, 2, 1364)
     assert census.bytes <= budget
     # at N_ref 4096 not even the shortest span, the coarsest ratio of 512
     # steps, fits 2048 paths: 883 do, so the paths split into three even
