@@ -1,20 +1,19 @@
-"""Closed-form and quadrature results for the classical (no-delay) CIR process.
+"""Closed-form results for the classical (no-delay) CIR process.
 
 For dX = a (gamma - X) dt + sigma sqrt(X) dW with X(t0) = x0 > 0 and
 Feller ratio g = 2 a gamma / sigma^2 the module provides
 
 * the Laplace transform E[exp(-u X(t))] (exact closed form),
-* negative moments E[X(t)^{-p}]: finite for p < g (computed by desingularised
-  adaptive quadrature), infinite for p >= g,
+* negative moments E[X(t)^{-p}]: finite for p < g (the noncentral chi^2
+  closed form with a confluent hypergeometric function), infinite for p >= g,
 * the constants L_p with E[X(t)^{-p}] <= L_p e^{a p (t - t0)} / x0^p,
 * the grid recursion for the mean of the *delayed* equation (integrating
   factor plus composite Simpson sub-steps), against a closed form for b = 0.
 
 These are the oracles the Monte Carlo experiments test the scheme against;
 they depend on the model description only, not on the scheme or the noise.
-``scipy.integrate.quad`` is imported by the negative-moment quadrature when
-it first runs: no other oracle needs it, and its import pulls in
-``scipy.optimize``, ``sparse`` and ``linalg``.
+``scipy.special`` is imported by a negative moment whose large-z series does
+not converge, when it first runs; no other oracle needs SciPy.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "NonPositiveElapsed",
     "ElapsedOutOfRange",
     "FellerRatioTooSmall",
-    "QuadratureNotConverged",
     "OrderOutOfRange",
     "StrongFellerViolated",
 ]
@@ -54,18 +52,14 @@ class NonPositiveElapsed(ValueError):
 
 
 class ElapsedOutOfRange(ValueError):
-    """The elapsed time t - t0 is too short or too long for an oracle to be
-    evaluated in floating point; ``argument`` names it."""
+    """The elapsed time t - t0 is too short for an oracle to be evaluated in
+    floating point; ``argument`` names it."""
 
     argument = "t"
 
 
 class FellerRatioTooSmall(ValueError):
     """2 a gamma / sigma^2 <= 1: the origin is attainable and the result undefined."""
-
-
-class QuadratureNotConverged(RuntimeError):
-    """Adaptive quadrature could not reach the requested relative tolerance."""
 
 
 class OrderOutOfRange(ValueError):
@@ -157,71 +151,48 @@ def laplace_transform(params: CIRParams, u: float, t: float) -> float:
 # negative moments
 # ---------------------------------------------------------------------------
 
-_EXP_CUTOFF = 745.0  # e^{-x} underflows to 0 a little beyond this
 # |x| up to this keeps e^x in [m, 1 / m], m the least normal float
 _LOG_NORMAL = -math.log(sys.float_info.min)
+_EPS = 2.0**-53  # the large-z series' relative tolerance
 
 
-def _quad_piece(f, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
-    if hi <= lo:
-        return 0.0, 0.0
-    from scipy.integrate import quad
+def _asymptotic_sum(q: float, g: float, w: float) -> tuple[float, bool]:
+    """sum_n (q)_n (q - g + 1)_n / (n! w^n), summed while its terms shrink,
+    until a term is below 2^-53 of the sum, and whether that term came
+    before the terms stopped shrinking."""
+    term = total = 1.0
+    n = 0
+    while abs(term) >= _EPS * abs(total):
+        nxt = term * (q + n) * (q - g + 1.0 + n) / ((n + 1) * w)
+        if abs(nxt) >= abs(term):
+            return total, False
+        term = nxt
+        total += term
+        n += 1
+    return total, True
 
-    inner = [b for b in (1e-3, 0.1, 1.0, 10.0, 100.0) if lo < b < hi]
-    # ask for a tenth of the target, but never below QUADPACK's epsrel floor
-    eps = max(min(rel_tol, 1e-9) * 0.1, 1.5e-14)
-    val, err = quad(f, lo, hi, points=inner or None, limit=200, epsabs=0.0,
-                    epsrel=eps)
-    return val, err
 
+def _large_z_series(p: float, g: float, z: float) -> float | None:
+    """z^p Gamma(g - p) / Gamma(g) 1F1(p; g; -z) by its large-z series, or None.
 
-def _neg_moment_integral(p: float, alpha: float, zeta: float, rel_tol: float):
-    """integral_0^{zeta/2} y^{p-1} (1 - 2 y / zeta)^alpha e^{-y} dy.
-
-    Split at zeta/4.  Algebraic endpoint singularities (p < 1 at the left,
-    alpha < 0 at the right) are removed exactly by the power substitutions
-    u = y^p and w = z^{1+alpha}, which turn the weighted integrands into
-    bounded ones with vanishing endpoint derivatives.
+    For z > 0 the function is the sum S(p, z) plus a part exponentially
+    small in z, e^{-z} z^{2p-g} Gamma(g - p) / Gamma(p) S(g - p, -z) up to
+    its phase, with S(q, w) the sum of :func:`_asymptotic_sum` (q, g, w)
+    (DLMF 13.7.2).  S(p, z) serves where it converges and that part is
+    below 2^-53 of it.  The part is estimated by S(g - p, -z) summed to its
+    least term, where that sum's terms shrink at first: at an integer
+    g - p - 1, S(p, z) ends after g - p terms at any z, so its convergence
+    alone does not show that z is large.
     """
-    half = 0.5 * zeta
-    quarter = 0.25 * zeta
-
-    # left piece: [0, min(zeta/4, cutoff)]
-    hi = min(quarter, _EXP_CUTOFF)
-
-    def phi(y: float) -> float:
-        return (1.0 - y / half) ** alpha * math.exp(-y)
-
-    if p >= 1.0:
-        left, left_err = _quad_piece(lambda y: y ** (p - 1.0) * phi(y), 0.0, hi, rel_tol)
-    else:
-        # u = y^p  =>  y^{p-1} dy = du / p
-        left, left_err = _quad_piece(
-            lambda u: phi(u ** (1.0 / p)) / p, 0.0, hi**p, rel_tol
-        )
-
-    # right piece: [zeta/4, zeta/2], in z = 1 - 2 y / zeta over (0, 1/2]
-    if quarter > _EXP_CUTOFF:
-        return left, left_err  # right piece below 1e-300: negligible
-
-    def right_integrand(z: float) -> float:
-        return (1.0 - z) ** (p - 1.0) * math.exp(-half * (1.0 - z))
-
-    scale = half**p
-    if alpha >= 0.0:
-        right, right_err = _quad_piece(
-            lambda z: scale * z**alpha * right_integrand(z), 0.0, 0.5, rel_tol
-        )
-    else:
-        # w = z^{1+alpha}  =>  z^alpha dz = dw / (1 + alpha)
-        beta = 1.0 + alpha
-        right, right_err = _quad_piece(
-            lambda w: scale / beta * right_integrand(w ** (1.0 / beta)),
-            0.0,
-            0.5**beta,
-            rel_tol,
-        )
-    return left + right, left_err + right_err
+    algebraic, converged = _asymptotic_sum(p, g, z)
+    if not converged or abs((g - p) * (1.0 - p)) >= z:
+        return None
+    partner, _ = _asymptotic_sum(g - p, g, -z)
+    log_part = (
+        -z + (2.0 * p - g) * math.log(z) + math.lgamma(g - p) - math.lgamma(p)
+        + math.log(abs(partner))
+    )
+    return algebraic if log_part < math.log(_EPS * algebraic) else None
 
 
 @dataclass(frozen=True)
@@ -230,24 +201,27 @@ class NegMomentResult:
 
     value: float
     bound: float | None
-    abs_error: float
 
 
-def neg_moment(
-    params: CIRParams, p: float, t: float, rel_tol: float = 1e-8
-) -> NegMomentResult:
-    """E[X(t)^{-p}] for p > 0 and t > t0.
+def neg_moment(params: CIRParams, p: float, t: float) -> NegMomentResult:
+    """E[X(t)^{-p}] for p > 0 and t > t0, in closed form.
 
     Divergence (p >= Feller ratio g) is reported with ``value = inf`` rather
-    than an error.  The finite branch requires g > 1 and evaluates
+    than an error.  The finite branch requires g > 1.  X(t) is L times a
+    noncentral chi^2 variable of 2 g degrees of freedom and noncentrality
+    zeta (Cox, Ingersoll & Ross 1985), so with z = zeta / 2 and s = t - t0
 
-        e^{a p s} / (Gamma(p) x0^p) *
-        integral_0^{zeta/2} y^{p-1} (1 - 2 y / zeta)^{g-p-1} e^{-y} dy
+        E[X(t)^{-p}] = (2 L)^{-p} Gamma(g - p) / Gamma(g) 1F1(p; g; -z).
 
-    with s = t - t0, to a relative tolerance ``rel_tol`` (default 1e-8).
-    ``bound`` carries L_p e^{a p s} / x0^p whenever the constant L_p applies.
-    Where e^{a p s} or x0^p lies outside [m, 1 / m], m the least normal float,
-    :class:`ElapsedOutOfRange` or :class:`OrderOutOfRange` is raised first.
+    Where the large-z series of 1F1 converges to 2^-53 (:func:`_large_z_series`)
+    the moment is x0^{-p} e^{a p s} times that series; elsewhere, and at
+    z = 0, SciPy's ``hyp1f1`` and ``poch`` evaluate the formula, with 1F1
+    in Kummer's form e^{-z} 1F1(g - p; g; z) where that is finite.  As s grows
+    the moment tends to the stationary Gamma moment
+    (sigma^2 / 2 a)^{-p} Gamma(g - p) / Gamma(g).  ``bound`` carries
+    L_p e^{a p s} / x0^p where the constant L_p applies and the bound lies
+    in [m, 1 / m], m the least normal float; a moment outside that range
+    raises :class:`OrderOutOfRange`.
     """
     if p <= 0.0:
         raise OrderOutOfRange(f"need p > 0, got {p}")
@@ -256,35 +230,40 @@ def neg_moment(
         raise NonPositiveElapsed(f"need t > t0, got elapsed {s}")
     g = params.feller_ratio
     if p >= g:
-        return NegMomentResult(value=math.inf, bound=None, abs_error=0.0)
+        return NegMomentResult(value=math.inf, bound=None)
     if g <= 1.0:
         raise FellerRatioTooSmall(f"finite negative moments need 2 a gamma / sigma^2 > 1, got {g}")
 
-    gamma_p = _gamma_fn(p)  # checks the order before the quadrature runs
-    if params.a * p * s > _LOG_NORMAL:
-        raise ElapsedOutOfRange(f"elapsed time {s} is too long: e^(a p s) leaves the float range")
-    if abs(p * math.log(params.x0)) > _LOG_NORMAL:
-        raise OrderOutOfRange(f"x0^p leaves the float range at x0 = {params.x0}, p = {p}")
-    _, zeta = _transform_coeffs(params, s)
-    alpha = g - p - 1.0
-    integral, abs_err = _neg_moment_integral(p, alpha, zeta, rel_tol)
-    if 0.0 <= integral < sys.float_info.min:
-        raise ElapsedOutOfRange(
-            f"elapsed time {s} is too long: the negative-moment integral "
-            f"underflows (zeta = {zeta})"
+    _gamma_fn(p)  # the order's window, checked before SciPy loads
+    big_l, zeta = _transform_coeffs(params, s)
+    # an overflowed zeta is the largest float: past the first, the terms vanish all the same
+    z = min(0.5 * zeta, sys.float_info.max)
+    log_growth = p * (params.a * s - math.log(params.x0))  # log of e^{a p s} / x0^p
+    series = _large_z_series(p, g, z) if z > 0.0 else None
+    if series is not None:
+        log_value = log_growth + math.log(series)
+    else:
+        from scipy.special import hyp1f1, poch
+
+        # Kummer's transformation 1F1(p; g; -z) = e^{-z} 1F1(g - p; g; z) sums
+        # terms of one sign where 1F1(p; g; -z) sums alternating ones; the
+        # latter serves where the former overflows
+        kummer = hyp1f1(g - p, g, z)
+        factor, log_scale = (kummer, -z) if math.isfinite(kummer) else (hyp1f1(p, g, -z), 0.0)
+        factor *= poch(g, -p)
+        log_scale -= p * math.log(2.0 * big_l)
+        log_value = log_scale + math.log(factor) if factor > 0.0 else math.nan
+    if not abs(log_value) <= _LOG_NORMAL:
+        raise OrderOutOfRange(
+            f"E[X(t)^(-p)] leaves the float range at p = {p}, x0 = {params.x0}, "
+            f"elapsed time {s} (its log is {log_value})"
         )
-    if not math.isfinite(integral) or integral <= 0.0 or abs_err > rel_tol * integral:
-        raise QuadratureNotConverged(
-            f"negative-moment quadrature error {abs_err} too large for value {integral}"
-        )
-    prefactor = math.exp(params.a * p * s) / (gamma_p * params.x0**p)
     try:
-        bound = lp_constant(g, p) * math.exp(params.a * p * s) / params.x0**p
+        log_bound = math.log(lp_constant(g, p)) + log_growth
     except OrderOutOfRange:
-        bound = None
-    return NegMomentResult(
-        value=prefactor * integral, bound=bound, abs_error=prefactor * abs_err
-    )
+        log_bound = math.inf
+    bound = math.exp(log_bound) if abs(log_bound) <= _LOG_NORMAL else None
+    return NegMomentResult(value=math.exp(log_value), bound=bound)
 
 
 def lp_constant(g: float, p: float) -> float:

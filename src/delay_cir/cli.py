@@ -560,7 +560,7 @@ def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> Non
         lines += [
             f"walk_span_steps = {plan.span}",
             f"walk_chunk_paths = {plan.paths}",
-            f"walk_memory_estimate_mib = {plan.bytes * plan.workers / 2**20:.1f}",
+            f"walk_memory_estimate_mib = {plan.bytes * plan.processes / 2**20:.1f}",
         ]
     lines += [f"products = {','.join(products)}", "", "[config]"]
     lines.extend(f"{k} = {v}" for k, v in config.resolved)

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import bisect
 import math
+import os
+import warnings
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -44,6 +46,7 @@ from .model import (
     TimeGrid,
     build_grid,
     check_fits_float,
+    off_grid,
     rejected,
     validate,
 )
@@ -120,8 +123,9 @@ class IncomparableModels(ValueError):
 class WalkPlan:
     """Everything the walk of a run needs (:func:`walk_plan`): :func:`map_paths`
     runs paths 0 .. ``n_paths`` - 1 of ``model`` in ``chunks`` chunks of at
-    most ``paths`` paths on ``workers`` processes, :func:`walk_blocks` each
-    chunk in spans of ``span`` steps; ``bytes`` estimates what a chunk holds."""
+    most ``paths`` paths, planned for ``workers`` workers and run on
+    :attr:`processes`, :func:`walk_blocks` each chunk in spans of ``span``
+    steps; ``bytes`` estimates what a chunk holds."""
 
     model: ModelSpec
     grid: TimeGrid
@@ -132,6 +136,12 @@ class WalkPlan:
     paths: int
     workers: int
     bytes: int
+
+    @property
+    def processes(self) -> int:
+        """The processes that run the chunks: ``workers``, but no more than
+        the CPUs this process may run on."""
+        return min(self.workers, len(os.sched_getaffinity(0)))
 
 
 def check_path_count(n_paths: int) -> None:
@@ -252,13 +262,15 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     range equals the same rows of the whole draw.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
-    ``plan.workers == 1`` they run in this process.  Otherwise
-    ``plan.workers`` worker processes are forked from this one (the ``fork``
-    start method, so Linux or another POSIX system).  Workers inherit
-    ``reduce`` instead of receiving it pickled, and send back only each
-    chunk's result.  An exception raised by a chunk reaches the caller with
-    its type and message; when several chunks fail, the first in path order
-    is raised, as in this process.  A march's
+    ``plan.processes == 1`` they run in this process.  Otherwise
+    ``plan.processes`` worker processes are forked from this one (the
+    ``fork`` start method, so Linux or another POSIX system): the plan's
+    workers, but never more than the CPUs, while the chunks follow the
+    workers asked for, so the results do not depend on the machine.
+    Workers inherit ``reduce`` instead of receiving it pickled, and send
+    back only each chunk's result.  An exception raised by a chunk reaches
+    the caller with its type and message; when several chunks fail, the
+    first in path order is raised, as in this process.  A march's
     :class:`~delay_cir.scheme.NonPositiveForcing` is raised once every chunk
     has run: of the chunks' failures, the one at the earliest node and,
     there, at the smallest path index of the run, so that it does not depend
@@ -285,7 +297,7 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
             exc.path += paths.start
             return exc
 
-    if plan.workers == 1:
+    if plan.processes == 1:
         parts = [run(i) for i in range(plan.chunks)]
     else:
         # Imported here, before the fork, so the workers inherit them.
@@ -294,7 +306,7 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
         import scipy.special  # noqa: F401 - the draws' ndtri
 
         with multiprocessing.get_context("fork").Pool(
-            plan.workers, initializer=_inherit_chunk_runner, initargs=(run,)
+            plan.processes, initializer=_inherit_chunk_runner, initargs=(run,)
         ) as pool:
             # imap yields in chunk order, so a failure surfaces in path order
             parts = list(pool.imap(_run_inherited_chunk, range(plan.chunks)))
@@ -659,7 +671,7 @@ def checkpoint_indices(model: ModelSpec, grid: TimeGrid, checkpoints) -> list[in
     for t in checkpoints:
         rel = (float(t) - grid.t0) / grid.delta
         k = round(rel)
-        if abs(rel - k) > 1e-9 * max(1.0, abs(rel)) or not 0 <= k <= grid.n_steps:
+        if off_grid(rel, k) or not 0 <= k <= grid.n_steps:
             raise GridMisaligned(f"checkpoint {t} is not a grid node in [t0, T]")
         if k == 0 and not model.initial.is_random:
             raise ValueError(f"checkpoint {t} is t0, where a deterministic start has no spread")
@@ -832,7 +844,10 @@ def positivity_census(
     symmetrized row of updates v carries both baselines
     (:func:`~delay_cir.scheme.explicit_paths`): a path's truncated flag is
     any v <= 0, its symmetrized flag any v == 0.  Each span's flags are
-    folded into per-path booleans.
+    folded into per-path booleans.  The row is marched with NumPy's overflow
+    and invalid-value warnings off; where it blew up, to inf and then NaN,
+    one ``RuntimeWarning`` names the marched scheme and the count of such
+    paths, whatever the worker count.
     """
     names = tuple(schemes)
     check_schemes(names, model)
@@ -858,7 +873,8 @@ def positivity_census(
         # blown-up path and hide a crossing earlier in the same span.
         def fold(k0, inc, windows):
             if explicit:
-                scheme_mod.explicit_paths(model, grid, inc, seg, explicit, window=x, start=k0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    scheme_mod.explicit_paths(model, grid, inc, seg, explicit, window=x, start=k0)
             for span in scheme_mod.ring_spans(rows, n_delay + k0 + 1, len(inc)):
                 if "truncated" in flags:
                     flags["truncated"] |= np.fmin.reduce(x[span], axis=0, initial=np.inf) <= 0.0
@@ -871,9 +887,21 @@ def positivity_census(
                     flags["implicit"] |= np.square(y_min) <= 0.0
 
         walk_blocks(plan, draw, seg, fold)
-        return np.stack([flags[name] for name in names])
+        per_path = [flags[name] for name in names]
+        if explicit:
+            # NaN absorbs in both explicit recursions, so a path that ever
+            # left the float range ends off it
+            per_path.append(~np.isfinite(x[(n_delay + grid.n_steps) % rows]))
+        return np.stack(per_path)
 
     flagged = np.count_nonzero(map_paths(plan, seed, census), axis=1)
+    if explicit and flagged[-1]:
+        warnings.warn(
+            f"the {explicit} Euler baseline of the positivity census overflowed "
+            f"on {flagged[-1]} of {n_paths} paths",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return tuple(
         CensusRow(scheme=name, fraction_nonpositive=int(f) / n_paths, n_paths=n_paths)
         for name, f in zip(names, flagged)
@@ -905,7 +933,7 @@ def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
     for d in delta_list:
         rel = float(d) / grid.delta
         lag = round(rel)
-        if lag < 1 or abs(rel - lag) > 1e-9 or lag > grid.n_steps:
+        if lag < 1 or off_grid(rel, lag) or lag > grid.n_steps:
             raise GridMisaligned(
                 f"modulus delta {d} must be a whole number of grid steps in (0, T - t0]"
             )

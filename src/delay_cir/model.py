@@ -40,6 +40,7 @@ __all__ = [
     "validate",
     "rejected",
     "check_fits_float",
+    "off_grid",
     "NonPositiveParameter",
     "HorizonBeforeStart",
     "GammaNotPositive",
@@ -379,6 +380,13 @@ class TimeGrid:
         return self.t0 + np.arange(-self.n_per_delay, self.n_steps + 1) * self.delta
 
 
+def off_grid(ratio: float, steps: int) -> bool:
+    """Whether ``ratio``, a time or a length in grid steps, misses the whole
+    number ``steps`` by more than 1e-9 max(1, |ratio|): the one tolerance of
+    the grid's rules, relative, so that it scales with the step count."""
+    return abs(ratio - steps) > 1e-9 * max(1.0, abs(ratio))
+
+
 def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
     """Grid with N = ``n_per_delay`` steps per delay covering [t0, horizon].
 
@@ -397,7 +405,7 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
     if not math.isfinite(ratio):
         raise OutOfRange(f"(horizon - t0) N / tau leaves the float range, N = {n_per_delay:.3g}")
     grid = TimeGrid(spec.t0, spec.tau, n_per_delay, round(ratio))
-    if abs(ratio - grid.n_steps) > 1e-9 * max(1.0, abs(ratio)):
+    if off_grid(ratio, grid.n_steps):
         raise GridMisaligned(
             f"horizon - t0 = {spec.horizon - spec.t0} is not a whole number of "
             f"steps tau/N = {grid.delta}"

@@ -259,7 +259,7 @@ def test_criterion_06_laplace_oracle():
     print("criterion 6:", "; ".join(details))
 
 
-def test_criterion_07_negative_moment_quadrature():
+def test_criterion_07_negative_moment_oracle():
     params = CIRParams(a=1.0, gamma=1.0, sigma=1.0, x0=1.0, t0=0.0)
     assert params.feller_ratio == 2.0
     result = neg_moment(params, 0.5, 1.0)
@@ -271,9 +271,9 @@ def test_criterion_07_negative_moment_quadrature():
     mc = float(np.mean(sample))
     se = float(np.std(sample, ddof=1) / math.sqrt(sample.size))
     gap = abs(mc - result.value)
-    print(f"criterion 7: quadrature {result.value:.6f}, MC {mc:.6f} "
+    print(f"criterion 7: closed form {result.value:.6f}, MC {mc:.6f} "
           f"(gap {gap:.2e} vs 3se {3*se:.2e}), bound {result.bound:.6f}")
-    assert gap <= 3.0 * se, f"quadrature {result.value} vs MC {mc} +- {se}"
+    assert gap <= 3.0 * se, f"closed form {result.value} vs MC {mc} +- {se}"
 
     assert result.bound == pytest.approx(
         lp_constant(2.0, 0.5) * math.exp(0.5), rel=1e-15

@@ -13,7 +13,8 @@ from delay_cir.cir_analytics import (
     FellerRatioTooSmall,
     NonPositiveElapsed,
     OrderOutOfRange,
-    QuadratureNotConverged,
+    _large_z_series,
+    _transform_coeffs,
     classical_mean,
     laplace_transform,
     lp_constant,
@@ -96,10 +97,13 @@ def test_cir_params_reject_a_non_finite_parameter(name, value):
 
 
 def _neg_moment_oracle(params: CIRParams, p: float, t: float) -> float:
-    """Same integral by a different route: QUADPACK's algebraic-weight rule.
+    """The moment by a route independent of the closed form: the integral
 
-    After y = (zeta/2) v the weighted kernel v^{p-1} (1-v)^alpha is handled
-    natively by quad(weight='alg'), with no hand-made substitutions.
+        e^{a p s} / (Gamma(p) x0^p) (zeta/2)^p
+        integral_0^1 v^{p-1} (1-v)^alpha e^{-zeta v / 2} dv,  alpha = g - p - 1,
+
+    whose weighted kernel v^{p-1} (1-v)^alpha QUADPACK's algebraic-weight
+    rule, quad(weight='alg'), handles natively.
     """
     s = t - params.t0
     decay = math.exp(-params.a * s)
@@ -128,6 +132,10 @@ def _neg_moment_oracle(params: CIRParams, p: float, t: float) -> float:
         (_params(), 1.6, 1.0),  # smooth left end, right singularity
         (_params(sigma=math.sqrt(5.0 / 3.0), x0=2.0), 0.5, 0.7),  # both singular
         (_params(sigma=math.sqrt(2.0 / 3.0)), 1.5, 1.0),  # neither singular
+        # short, medium and long elapsed times: z = 399, 23 and 1.1e-10
+        (_params(), 0.5, 0.005),  # the large-z series
+        (_params(sigma=0.5), 2.5, 0.3),
+        (_params(sigma=0.5), 2.5, 25.0),
     ],
 )
 def test_neg_moment_matches_algebraic_weight_quadrature(params, p, t):
@@ -135,7 +143,85 @@ def test_neg_moment_matches_algebraic_weight_quadrature(params, p, t):
     want = _neg_moment_oracle(params, p, t)
     assert math.isfinite(got.value)
     assert got.value == pytest.approx(want, rel=1e-9)
-    assert got.abs_error <= 1e-8 * got.value
+
+
+def _mp_moment(mpmath, params: CIRParams, p: float, t: float):
+    """(2 L)^{-p} Gamma(g - p) / Gamma(g) 1F1(p; g; -zeta / 2) in 40 digits, at
+    the float Feller ratio the oracle uses: near g = p the moment is so
+    sensitive to g that the ratio's rounding would dominate."""
+    with mpmath.workdps(40):
+        s, sigma2 = mpmath.mpf(t - params.t0), mpmath.mpf(params.sigma) ** 2
+        g, a = mpmath.mpf(params.feller_ratio), mpmath.mpf(params.a)
+        big_l = -sigma2 * mpmath.expm1(-a * s) / (4 * a)
+        z = params.x0 * mpmath.exp(-a * s) / (2 * big_l)
+        return (2 * big_l) ** -p * mpmath.gamma(g - p) / mpmath.gamma(g) * mpmath.hyp1f1(p, g, -z)
+
+
+def test_neg_moment_matches_the_hypergeometric_formula_in_40_digits():
+    mpmath = pytest.importorskip("mpmath")
+    branches = set()
+    for p in (0.05, 0.5, 1.0, 2.5, 10.0, 50.0):
+        for g in (p + 1e-3, p + 0.01, p + 0.5, p + 1.0, p + 2.0, p + 3.7, p + 10.0):
+            if not 1.0 < g <= 60.0:
+                continue
+            for z in (1e-12, 1e-3, 0.5, 3.0, 20.0, 100.0, 1e3, 1e6, 1e20, 1e300):
+                # a = gamma = x0 = 1 and sigma^2 = 2 / g: z = g / (e^s - 1)
+                params = _params(sigma=math.sqrt(2.0 / g))
+                t = math.log1p(g / z)
+                got = neg_moment(params, p, t).value
+                want = _mp_moment(mpmath, params, p, t)
+                assert abs(got - want) <= 1e-12 * want, (p, g, z)
+                _, zeta = _transform_coeffs(params, t)
+                branches.add(_large_z_series(p, params.feller_ratio, 0.5 * zeta) is None)
+    assert branches == {True, False}  # the series and SciPy's hyp1f1 both served
+    # g = 20000, z = 5744: 1F1(g - p; g; z) of Kummer's form overflows, and
+    # 1F1(p; g; -z) serves
+    params = _params(sigma=0.01)
+    want = _mp_moment(mpmath, params, 0.5, 1.5)
+    assert neg_moment(params, 0.5, 1.5).value == pytest.approx(want, rel=1e-12)
+
+
+def test_the_large_z_series_matches_1f1_in_40_digits_where_it_serves():
+    mpmath = pytest.importorskip("mpmath")
+    served = 0
+    for p in (0.05, 0.5, 1.0, 2.5, 10.0, 50.0):
+        for g in (p + 1e-3, p + 0.01, p + 0.5, p + 1.0, p + 2.0, p + 3.7, p + 10.0):
+            for z in (1.0, 20.0, 40.0, 100.0, 1e3, 1e6, 1e20, 1e100, 1e300):
+                got = _large_z_series(p, g, z)
+                if got is None:
+                    continue
+                served += 1
+                with mpmath.workdps(40):
+                    want = (
+                        mpmath.mpf(z) ** p * mpmath.gamma(mpmath.mpf(g) - p)
+                        / mpmath.gamma(g) * mpmath.hyp1f1(p, g, -mpmath.mpf(z))
+                    )
+                assert abs(got - want) <= 1e-12 * want, (p, g, z)
+    assert served > 200
+
+
+@pytest.mark.parametrize("t", [0.01, 0.2, 1.0, 3.0, 4.0, 6.0, 30.0])
+def test_a_series_that_ends_is_not_taken_for_the_whole_moment(t):
+    # g = 2, p = 1: 1F1(1; 2; -z) = (1 - e^{-z}) / z, so the moment is
+    # (1 - e^{-z}) e^{a s} / x0; its large-z series ends after one term, 1,
+    # and leaves out the e^{-z} (here z runs from 200 down to 5e-14)
+    params = _params(x0=1.5)
+    _, zeta = _transform_coeffs(params, t)
+    want = -math.expm1(-0.5 * zeta) * math.exp(t) / 1.5
+    assert neg_moment(params, 1.0, t).value == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("t", [1000.0, 1e300])
+def test_neg_moment_tends_to_the_stationary_gamma_moment(t):
+    # X(infinity) is Gamma distributed, of shape g and scale sigma^2 / (2 a)
+    for params, p in ((_params(), 0.5), (_params(sigma=0.25), 2.0), (_params(a=2.0, x0=3.0), 1.5)):
+        g, scale = params.feller_ratio, params.sigma**2 / (2.0 * params.a)
+        want = scale**-p * math.gamma(g - p) / math.gamma(g)
+        got = neg_moment(params, p, t)
+        assert got.value == pytest.approx(want, rel=1e-12)
+        if t == 1e300:
+            assert got.bound is None  # e^{a p s} leaves the float range
+    assert neg_moment(_params(), 0.5, 1000.0).value == pytest.approx(1.2533141373155, rel=1e-12)
 
 
 def test_neg_moment_short_time_limit_is_inverse_initial_value():
@@ -183,6 +269,9 @@ def test_the_oracles_hold_where_a_s_is_below_the_rounding_of_one():
         assert laplace_transform(params, 1.0, t) == pytest.approx(want, rel=1e-12)
     assert neg_moment(_params(a=1e-300, sigma=0.25), 0.5, 1.5).value == math.inf  # g < p
     assert neg_moment(_params(), 0.5, 1e-300).value == pytest.approx(1.0, rel=1e-12)
+    # zeta = x0 e^{-a s} / L overflows to inf: the moment is still x0^-p
+    got = neg_moment(_params(sigma=0.25, x0=1e10), 20.0, 1e-300).value
+    assert got == pytest.approx(1e-200, rel=1e-12)
 
 
 def test_the_oracles_reject_elapsed_times_they_cannot_evaluate():
@@ -192,26 +281,33 @@ def test_the_oracles_reject_elapsed_times_they_cannot_evaluate():
     assert info.value.argument == "t"
     with pytest.raises(ElapsedOutOfRange, match="too short"):
         neg_moment(_params(a=1e-300, gamma=1e300), 0.5, 1e-300)  # g = 2
-    # e^{a p s} overflows
-    for t in (400.0, 1e300):
-        with pytest.raises(ElapsedOutOfRange, match="too long"):
-            neg_moment(_params(sigma=0.25), 2.0, t)
-    # e^{a p s} = e^500 is finite, but e^{-a s} and with it the integral underflow
-    with pytest.raises(ElapsedOutOfRange, match="integral underflows"):
-        neg_moment(_params(sigma=0.25), 0.5, 1000.0)
 
 
 @pytest.mark.parametrize(
-    "x0, t, error",
+    "x0, t, want",
     [
-        (1e300, 400.0, ElapsedOutOfRange),  # e^{a p s} = e^800 and x0^p = 1e600
-        (1e300, 1.0, OrderOutOfRange),  # x0^p = 1e600
-        (1e-160, 1.0, OrderOutOfRange),  # x0^p = 1e-320 is subnormal, 1 / x0^p is not finite
+        # e^{a p s} = e^800 and x0^p = 1e600 leave the float range, their
+        # ratio does not: X(400) is about x0 e^{-400} = 1.9e126
+        (1e300, 400.0, (1e300 * math.exp(-400.0)) ** -2.0),
+        # a start of about 0: z is about 1e-158, and the moment is that of a
+        # start at 0, (2 L)^{-2} Gamma(30) / Gamma(32), L = (1 - e^{-1}) / 64
+        (1e-160, 1.0, (-math.expm1(-1.0) / 32.0) ** -2.0 / (31.0 * 30.0)),
     ],
 )
-def test_neg_moment_rejects_factors_outside_the_float_range(x0, t, error):
-    with pytest.raises(error, match="float range"):
-        neg_moment(_params(sigma=0.25, x0=x0), 2.0, t)
+def test_neg_moment_evaluates_where_only_its_factors_leave_the_float_range(x0, t, want):
+    assert neg_moment(_params(sigma=0.25, x0=x0), 2.0, t).value == pytest.approx(want, rel=1e-5)
+
+
+@pytest.mark.parametrize(
+    "params, p, t",
+    [
+        (_params(sigma=0.25, x0=1e300), 2.0, 1.0),  # about x0^-2 = 1e-600
+        (_params(x0=1e-300), 1.5, 1e-300),  # z = 2, L = 2.5e-301: about (2 L)^-1.5 = 1e450
+    ],
+)
+def test_neg_moment_raises_where_the_moment_leaves_the_float_range(params, p, t):
+    with pytest.raises(OrderOutOfRange, match="leaves the float range"):
+        neg_moment(params, p, t)
 
 
 def test_neg_moment_domain_errors():
@@ -219,8 +315,6 @@ def test_neg_moment_domain_errors():
         neg_moment(_params(), 0.0, 1.0)
     with pytest.raises(NonPositiveElapsed):
         neg_moment(_params(), 0.5, 0.0)
-    with pytest.raises(QuadratureNotConverged):
-        neg_moment(_params(), 0.5, 1.0, rel_tol=1e-15)
     # finite branch with p > 50 would need Gamma values beyond the trusted window
     with pytest.raises(OrderOutOfRange):
         neg_moment(_params(sigma=math.sqrt(1.0 / 30.0)), 55.0, 1.0)

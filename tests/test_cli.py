@@ -3,6 +3,9 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -355,6 +358,59 @@ def test_probe_prints_oracle_values(tmp_path, capsys):
     assert float(first["value"]) == laplace_transform(params, 0.5, 1.5)
     assert lines[3].startswith("neg_moment p=0.5 t=1.5 value=")
     assert lines[4].startswith("mean t=1.5 value=")
+
+
+def test_probe_at_a_very_long_time_prints_the_stationary_moment(tmp_path, capsys):
+    # the negative moment's quadrature rejected t = 1e300 as too long
+    cfg = _write_config(tmp_path, "experiment = analytics_probe\nb = 0\nprobe.t = 1e300\n")
+    assert main(["probe", "--config", cfg]) == 0
+    line = capsys.readouterr().out.splitlines()[3]
+    assert line.startswith("neg_moment p=0.5 t=1.0000000000000001e+300 value=")
+    # Gamma(32, scale sigma^2 / 2a = 1 / 32): E[X^-1/2] = 32^{1/2} Gamma(31.5) / Gamma(32)
+    want = math.sqrt(32.0) * math.gamma(31.5) / math.gamma(32.0)
+    assert float(line.split("value=")[1]) == pytest.approx(want, rel=1e-12)
+
+
+BLOW_UP = (
+    "experiment = positivity\nscheme = symmetrized,implicit,truncated\nb = 0\na = 50\n"
+    "sigma = 0.5\ntau = 1\nN = 10\nhorizon = 80\nn_paths = 300\n"
+)
+BOUNDARY = (
+    "experiment = positivity\nscheme = implicit,truncated,symmetrized\nb = 0\n"
+    "sigma = 1.2\nN = 1024\nn_paths = 2048\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text, threads, warnings",
+    [
+        (BLOW_UP, 1, ["the symmetrized Euler baseline of the positivity census "
+                      "overflowed on 300 of 300 paths"]),
+        (BLOW_UP, 2, ["the symmetrized Euler baseline of the positivity census "
+                      "overflowed on 300 of 300 paths"]),
+        (BOUNDARY, 2, []),
+    ],
+    ids=["blow-up-1", "blow-up-2", "positivity_boundary"],
+)
+def test_a_blown_up_baseline_is_reported_once(tmp_path, text, threads, warnings):
+    # NumPy's own overflow warnings came once per worker process (2 lines at 1
+    # worker, 4 at 2); the census now says once what overflowed, and how often
+    cfg = _write_config(tmp_path, text)
+    env = dict(os.environ)
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(path for path in paths if path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "delay_cir.cli", "run", "--config", cfg,
+         "--out", str(tmp_path / "o"), "--threads", str(threads)],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "encountered" not in proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if "Warning" in line]
+    assert [line.split("RuntimeWarning: ")[1] for line in lines] == warnings
+    if warnings:
+        rows = (tmp_path / "o" / "census.csv").read_text().splitlines()
+        assert rows[1:] == ["symmetrized,0,300", "implicit,0,300", "truncated,1,300"]
 
 
 def test_probe_requires_the_classical_branch(tmp_path, capsys):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -382,6 +383,52 @@ def test_the_paths_split_into_even_chunks_the_larger_first(n_paths, threads, chu
     bounds = [experiments._chunk_paths(n_paths, chunks, i) for i in range(chunks)]
     assert [len(paths) for paths in bounds] == sizes
     assert [paths.start for paths in bounds] + [n_paths] == [0] + [p.stop for p in bounds]
+
+
+class _RecordingPool:
+    """An in-process stand-in for the fork context's ``Pool``."""
+
+    processes: list[int] = []
+
+    def __init__(self, processes, initializer, initargs):
+        self.processes.append(processes)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def imap(self, func, items):
+        return map(func, items)
+
+
+def test_the_pool_forks_no_more_processes_than_the_cpus(monkeypatch):
+    # threads = 10000 plans 64 chunks of one path for 64 workers; the pool
+    # gets at most one process per CPU, and the bits follow the plan alone
+    model = _model()
+    grid = build_grid(model, 4)
+    names = ("implicit", "truncated")
+    expected = positivity_census(names, model, grid, 64, seed=5, threads=1)
+
+    class Context:
+        Pool = _RecordingPool
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context)
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(_RecordingPool, "processes", [])
+    with experiments.recorded_walks() as walks:
+        got = positivity_census(names, model, grid, 64, seed=5, threads=10_000)
+    assert got == expected
+    (plan,) = walks
+    assert (plan.chunks, plan.workers) == (64, 64)
+    cpus = len(os.sched_getaffinity(0))
+    assert plan.processes == min(64, cpus)
+    assert _RecordingPool.processes == ([plan.processes] if cpus > 1 else [])
 
 
 @pytest.mark.parametrize("workers, first_failed", [(1, 1500), (2, 1500), (3, 1000)])

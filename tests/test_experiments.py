@@ -28,6 +28,7 @@ from delay_cir.model import (
     InitialSegmentSpec,
     ModelSpec,
     build_grid,
+    off_grid,
 )
 from delay_cir.noise import NotNested, generate, sample_segment
 from delay_cir.scheme import simulate_y_paths
@@ -350,6 +351,22 @@ def test_modulus_rejects_off_grid_lags():
         modulus_scaling(model, grid, 10, (0.0,), seed=0)
     with pytest.raises(GridMisaligned):
         modulus_scaling(model, grid, 10, ((grid.n_steps + 1) * grid.delta,), seed=0)
+
+
+def test_lags_and_checkpoints_share_one_grid_tolerance():
+    # N = 10^7 steps per delay, K = 3e7: the decimal lengths d land within
+    # 4e-9 steps of their lags, which an absolute 1e-9 rejected as lags while
+    # checkpoint_indices took the same numbers as times
+    model = _model(tau=0.3, horizon=0.9)
+    grid = build_grid(model, 10**7)
+    deltas = (0.37037034, 0.51515151, 0.89999997, 0.9)
+    lags = [12345678, 17171717, 29999999, 30000000]
+    assert experiments.modulus_lags(grid, deltas) == lags
+    assert experiments.checkpoint_indices(model, grid, deltas) == lags
+    for d in deltas:
+        assert off_grid(d / grid.delta, 0) and not off_grid(d / grid.delta, round(d / grid.delta))
+    # a third of a step, at any step count, is off the grid
+    assert off_grid(1e7 + 1.0 / 3.0, 10**7) and off_grid(1.0 / 3.0, 0)
 
 
 def _no_paths_run(*args, **kwargs):

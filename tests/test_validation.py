@@ -64,9 +64,11 @@ def _model(**kw) -> ModelSpec:
         ("run", "experiment = mean_check\ntau = 1e-300\n", "horizon: 9.6e+301 nodes"),
         ("run", "experiment = comparison\nhorizon = 1e300\n", "horizon: 1.28e+302 nodes"),
         ("probe", "b = 0\na = 1e-300\nprobe.t = 1e-300\n", "probe.t: elapsed time 1e-300"),
-        ("probe", "b = 0\nprobe.t = 1e300\n", "probe.t: elapsed time 1e+300 is too long"),
+        # about x0^-1.5 = 1e450 a moment after a start of 1e-300
+        ("probe", "b = 0\ninitial.level = 1e-300\nprobe.t = 1e-300\nprobe.p = 1.5\n",
+         "probe.p: E[X(t)^(-p)] leaves the float range"),
         ("probe", "b = 0\ninitial.level = 1e300\nprobe.p = 2\n",
-         "probe.p: x0^p leaves the float range"),
+         "probe.p: E[X(t)^(-p)] leaves the float range"),
         ("run", "sigma = 1.5\np_list = 0.1\nN_list = 2,4,8\nN_ref = 16\n",
          "model: strong error study requires sigma^2 < 2 a inf(gamma)"),
         # a rule of one parameter names its key
@@ -115,7 +117,7 @@ def _model(**kw) -> ModelSpec:
         "validate-tiny-sigma", "run-huge-sigma", "window-count-overflow",
         "negative-b", "horizon-at-t0", "lognormal-mean-overflow", "survival-huge-grid",
         "mean_check-tiny-tau", "comparison-huge-grid", "probe-tiny-elapsed",
-        "probe-huge-elapsed", "probe-huge-level", "strong_rate-strict-feller",
+        "probe-overflowing-moment", "probe-huge-level", "strong_rate-strict-feller",
         "zero-a", "zero-gamma-level", "negative-initial-level", "zero-median",
         "negative-log_sd", "validate-underflowing-start", "run-underflowing-start",
         "no-steps-per-delay", "one-path", "negative-workers", "probe-no-workers",
@@ -210,7 +212,7 @@ _ORACLE_KEYS = (
     table=st.sampled_from((None, *_BAD_TABLES)),
 )
 # an elapsed time so short that L = sigma^2 (1 - e^{-a s}) / (4 a) rounded
-# to 0, and one so long that the negative-moment quadrature underflows
+# to 0, and one so long that the negative moment is the stationary one
 @example(experiment="analytics_probe", edits={"b": "0", "a": "1e-300"}, table=None)
 @example(experiment="analytics_probe", edits={"b": "0", "probe.t": "1e-300"}, table=None)
 @example(experiment="analytics_probe", edits={"b": "0", "horizon": "1e300"}, table=None)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -188,13 +189,15 @@ def test_census_flags_equal_whole_horizon_flags(walk_in_spans, case, threads):
     grid = build_grid(model, n_per_delay)
     n = grid.n_per_delay
     blow_up = case == "blow-up"
+    overflowed = f"symmetrized Euler baseline .* overflowed on {PATHS} of {PATHS} paths"
     with np.errstate(over="ignore", invalid="ignore"):
         # the blow-up walks a long first span in four times the budget
-        got, plan = walk_in_spans(
-            lambda: positivity_census(names, model, grid, PATHS, seed=4, threads=threads),
-            grid.n_steps if blow_up else n,
-            (4 if blow_up else 1) * PATHS // threads,
-        )
+        with pytest.warns(RuntimeWarning, match=overflowed) if blow_up else nullcontext():
+            got, plan = walk_in_spans(
+                lambda: positivity_census(names, model, grid, PATHS, seed=4, threads=threads),
+                grid.n_steps if blow_up else n,
+                (4 if blow_up else 1) * PATHS // threads,
+            )
 
         def flags(draw, seg):
             inc = draw()
@@ -208,7 +211,13 @@ def test_census_flags_equal_whole_horizon_flags(walk_in_spans, case, threads):
                 first = slice(n + 1, n + 1 + plan.span)
                 assert np.all(np.any(x["truncated"][first] <= 0.0, axis=0))
                 assert np.all(np.any(np.isnan(x["symmetrized"][first]), axis=0))
-            return np.stack([np.any(x[name][n:] <= 0.0, axis=0) for name in names])
+            per_path = [np.any(x[name][n:] <= 0.0, axis=0) for name in names]
+            # and, after the flags, which paths of the marched explicit row
+            # end off the float range
+            explicit = "symmetrized" if "symmetrized" in names else "truncated"
+            if explicit in names:
+                per_path.append(~np.isfinite(x[explicit][-1]))
+            return np.stack(per_path)
 
         want = experiments.map_paths(one_lane_plan(model, grid, PATHS), 4, flags)
     assert plan.span < grid.n_steps and grid.n_steps % plan.span
@@ -216,6 +225,9 @@ def test_census_flags_equal_whole_horizon_flags(walk_in_spans, case, threads):
     truncated = want[names.index("truncated")] if "truncated" in names else None
     if blow_up:
         assert truncated.all() and not want[names.index("symmetrized")].any()
+        assert want[-1].all()  # every symmetrized path blew up
+    elif len(want) > len(names):
+        assert not want[-1].any()
     elif truncated is not None:
         assert truncated.any()
 
