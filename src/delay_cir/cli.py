@@ -54,6 +54,7 @@ from .model import (
     validate as validate_model,
 )
 from .noise import check_seed
+from .scheme import check_implicit
 
 
 class ConfigError(ValueError):
@@ -390,6 +391,7 @@ def _strong_rate(model: ModelSpec, read):
 
 
 def _mean_check(model: ModelSpec, read):
+    _checked("model", check_implicit, model)
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
     checkpoints = read("checkpoints", _parse_list, _parse_float)
@@ -436,6 +438,7 @@ def _positivity(model: ModelSpec, read):
 
 
 def _modulus(model: ModelSpec, read):
+    _checked("model", check_implicit, model)
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
     p = _orders(read)[0]
@@ -457,6 +460,7 @@ def _modulus(model: ModelSpec, read):
 
 
 def _survival(model: ModelSpec, read):
+    _checked("model", check_implicit, model)
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
 

@@ -207,10 +207,13 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     longest span that fits the largest chunk, and at least the shortest.
     Temporaries of a byte per node, such as a march's check that its
     increments are finite, and buffers of a few rows are left out.  Every
-    driver plans its walk first, so the run-size checks run here only.
+    driver plans its walk first, so the run-size checks run here only, with
+    each lane's :func:`~delay_cir.scheme.check_implicit`, before any path.
     """
     check_path_count(n_paths)
     check_worker_count(threads)
+    for lane_model, _, _ in lanes:
+        scheme_mod.check_implicit(lane_model)
     ratios = [r for _, _, r in lanes]
     step = math.lcm(*ratios)
     spans = range(step, grid.n_steps + 1, step)
@@ -259,7 +262,8 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     over the chunk's paths.  ``draw(start=0, stop=K)`` returns the chunk's
     Brownian increments of steps start .. stop-1 on the plan's grid, shape
     (stop - start, paths): :func:`delay_cir.noise.generate`, so any step
-    range equals the same rows of the whole draw.
+    range equals the same rows of the whole draw; ``draw.paths`` is the
+    chunk's range of the run's paths.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
     ``plan.processes == 1`` they run in this process.  Otherwise
@@ -270,11 +274,7 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     Workers inherit ``reduce`` instead of receiving it pickled, and send
     back only each chunk's result.  An exception raised by a chunk reaches
     the caller with its type and message; when several chunks fail, the
-    first in path order is raised, as in this process.  A march's
-    :class:`~delay_cir.scheme.NonPositiveForcing` is raised once every chunk
-    has run: of the chunks' failures, the one at the earliest node and,
-    there, at the smallest path index of the run, so that it does not depend
-    on the chunking either.
+    first in path order is raised, as in this process.
     """
     walks = _walks.get()
     if walks is not None:
@@ -286,16 +286,9 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
         def draw(start: int = 0, stop: int | None = None) -> Array:
             return noise_mod.generate(plan.grid, seed, paths, start, stop)
 
+        draw.paths = paths
         seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)
-        try:
-            return reduce(draw, seg)
-        except scheme_mod.NonPositiveForcing as exc:
-            if exc.path is None:
-                raise
-            # returned, not raised: the other chunks run on, and the
-            # earliest failure of all is raised below
-            exc.path += paths.start
-            return exc
+        return reduce(draw, seg)
 
     if plan.processes == 1:
         parts = [run(i) for i in range(plan.chunks)]
@@ -310,9 +303,6 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
         ) as pool:
             # imap yields in chunk order, so a failure surfaces in path order
             parts = list(pool.imap(_run_inherited_chunk, range(plan.chunks)))
-    failed = [part for part in parts if isinstance(part, scheme_mod.NonPositiveForcing)]
-    if failed:
-        raise min(failed, key=lambda exc: (exc.node, exc.path))
     return np.concatenate(parts, axis=-1)
 
 
@@ -345,11 +335,20 @@ def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
     in the order of the lanes, each of :func:`_window_rows` rows for the
     plan's span.  State that one experiment keeps across spans, such as
     another scheme's window, lives in its fold.
+
+    An X = Y^2 that leaves the float range stays off it (inf and NaN absorb
+    in the march), so each span checks one row per lane, X at its last node,
+    and :func:`_note_overflow` finds the first node of each path newly off
+    it.  Once the chunk is walked, :class:`~delay_cir.model.OutOfRange`
+    names the first such path, by its index in ``draw.paths`` where the
+    draw has them, its earliest such node on the plan's grid and that
+    node's time, whatever the chunking.
     """
     grid, span = plan.grid, plan.span
     paths = seg.shape[1]
     windows = [np.empty((_window_rows(g.n_per_delay, span // r), paths)) for _, g, r in plan.lanes]
     marching = sorted(zip(plan.lanes, windows), key=lambda lane: lane[0][2])
+    off = np.full(paths, grid.n_steps + 1)
     for k0 in range(0, grid.n_steps, span):
         inc = draw(k0, min(k0 + span, grid.n_steps))
         sums, summed = inc, 1
@@ -360,9 +359,35 @@ def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
             scheme_mod.simulate_y_paths(
                 model, lane_grid, sums, seg[::r], window=window, start=k0 // r
             )
+            _note_overflow(window, lane_grid.n_per_delay, k0 // r, len(sums), r, off)
         del sums
         fold(k0, inc, windows)
         del inc
+    over = np.flatnonzero(off <= grid.n_steps)
+    if over.size:
+        i = over[0]
+        path = getattr(draw, "paths", range(paths))[i]
+        raise OutOfRange(
+            f"X = Y^2 leaves the float range at node {off[i]} "
+            f"(path {path}, t = {float(grid.time(off[i]))})"
+        )
+
+
+def _note_overflow(window, n_delay, lo, n, r, off) -> None:
+    """Lower ``off[p]`` to r j for the first of the lane nodes j = lo + 1 ..
+    lo + n that ``window`` holds where X = Y^2 of path p is not finite, for
+    each path p that the walk has not found off the float range before step
+    r lo and whose X is off it at node lo + n; one row is squared per node."""
+    rows = len(window)
+    with np.errstate(over="ignore"):
+        last = np.square(window[(n_delay + lo + n) % rows])
+        new = np.flatnonzero(~np.isfinite(last) & (off > r * lo))
+        for j in range(lo + 1, lo + n + 1):
+            if not new.size:
+                break
+            hit = ~np.isfinite(np.square(window[(n_delay + j) % rows, new]))
+            off[new[hit]] = np.minimum(off[new[hit]], r * j)
+            new = new[~hit]
 
 
 def _lp_norm_and_jackknife(err: Array, p: float) -> tuple[float, float]:
@@ -482,6 +507,12 @@ class ErrorTable:
 _FIT_LEVELS = 3
 
 
+def _delta_log_delta(delta: float) -> float:
+    """delta |log delta|, the modulus-of-continuity scale of a step delta;
+    zero at delta = 1, where no fit on a log scale can use it."""
+    return delta * abs(math.log(delta))
+
+
 def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) -> None:
     """Raise unless :func:`strong_error_study` accepts the model, levels and orders.
 
@@ -490,7 +521,8 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) 
     next, ``n_ref`` must be a proper multiple of its largest entry with
     finite steps (horizon - t0) N_ref / tau, both must convert to floats,
     and every p must lie in (0, p_max) of the model's report.  With ``fit``,
-    ``n_list`` must also hold the three levels that :func:`fit_rate` needs.
+    ``n_list`` must also hold the three levels that :func:`fit_rate` needs,
+    three with a step tau / N other than 1 (:func:`_delta_log_delta`).
     A level or order error (:class:`~delay_cir.noise.NotNested`,
     :class:`InsufficientRows`, :class:`~delay_cir.model.OutOfRange` or
     :class:`PRequestedTooLarge`) names the rejected argument in its
@@ -509,6 +541,10 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) 
     if fit and len(n_list) < _FIT_LEVELS:
         raise rejected(InsufficientRows, "n_list", "a rate fit needs at least three levels")
     check_fits_float("n_list", n_list[-1])
+    if fit and sum(_delta_log_delta(model.tau / n) > 0.0 for n in n_list) < _FIT_LEVELS:
+        raise rejected(
+            InsufficientRows, "n_list", "a rate fit needs three levels whose step tau / N is not 1"
+        )
     if n_ref <= n_list[-1] or n_ref % n_list[-1]:
         raise rejected(
             noise_mod.NotNested, "n_ref", "must be a proper multiple of max(N_list)"
@@ -630,20 +666,21 @@ def fit_rate(table: ErrorTable, p: float, variant: str = "plain_delta") -> RateF
     drift-implicit Euler on Y = sqrt(X); Alfonsi 2013, Neuenkirch & Szpruch
     2014).  ``delta_log_delta`` regresses log(uniform error) on
     log(delta |log delta|), the modulus-of-continuity scale of the
-    interpolated paths; its slope is close to 1/2, the paper's order in the
-    uniform norm up to a log factor.
+    interpolated paths, over the rows where that scale is not zero (not
+    delta = 1); its slope is close to 1/2, the paper's order in the uniform
+    norm up to a log factor.
     """
     rows = [r for r in table.rows if r.p == p]
-    if len(rows) < _FIT_LEVELS:
-        raise InsufficientRows(f"need >= {_FIT_LEVELS} rows at p={p}, got {len(rows)}")
     if variant == "plain_delta":
-        x = np.array([math.log(r.delta) for r in rows])
-        y_vals = [r.grid_error for r in rows]
+        points = [(math.log(r.delta), r.grid_error) for r in rows]
     elif variant == "delta_log_delta":
-        x = np.array([math.log(r.delta * abs(math.log(r.delta))) for r in rows])
-        y_vals = [r.uniform_error for r in rows]
+        scaled = [(_delta_log_delta(r.delta), r.uniform_error) for r in rows]
+        points = [(math.log(scale), err) for scale, err in scaled if scale > 0.0]
     else:
         raise ValueError(f"unknown fit variant {variant!r}")
+    if len(points) < _FIT_LEVELS:
+        raise InsufficientRows(f"need >= {_FIT_LEVELS} rows at p={p}, got {len(points)}")
+    x, y_vals = np.array([point[0] for point in points]), [point[1] for point in points]
     if min(y_vals) <= 0.0:
         raise InsufficientRows(f"cannot fit a rate through zero errors at p={p}")
     return RateFit(p, variant, *_line_fit(x, np.log(y_vals)))
@@ -751,8 +788,8 @@ def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeG
 
     The models must share (a, sigma, tau, t0, horizon) and the initial
     segment, with b_lower = 0 <= b_upper and gamma_upper >= gamma_lower at
-    every grid node; both must pass :func:`validate`, and an error of the
-    lower model names ``"model_lower"`` as its ``argument``.
+    every grid node; both must pass :func:`validate` and ``check_implicit``,
+    and an error of the lower model names ``"model_lower"`` as its ``argument``.
     """
     same = all(
         getattr(model_upper, f) == getattr(model_lower, f)
@@ -770,8 +807,10 @@ def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeG
     if np.any(g_upper < g_lower):
         raise IncomparableModels("need gamma_upper >= gamma_lower on the grid")
     validate(model_upper)
+    scheme_mod.check_implicit(model_upper)
     try:
         validate(model_lower)
+        scheme_mod.check_implicit(model_lower)
     except ValueError as exc:
         exc.argument = "model_lower"
         raise
@@ -814,9 +853,11 @@ def comparison_census(
 
 def check_schemes(names, model: ModelSpec) -> None:
     """Raise unless ``names`` is a nonempty list of ``implicit`` and baselines
-    that run on ``model`` (:func:`~delay_cir.scheme.check_baselines`)."""
+    that run on ``model`` (``check_implicit`` and ``check_baselines``)."""
     if not names:
         raise ValueError("empty list")
+    if "implicit" in names:
+        scheme_mod.check_implicit(model)
     scheme_mod.check_baselines([name for name in names if name != "implicit"], model)
 
 
@@ -850,8 +891,8 @@ def positivity_census(
     paths, whatever the worker count.
     """
     names = tuple(schemes)
-    check_schemes(names, model)
     validate(model)
+    check_schemes(names, model)
     n_delay = grid.n_per_delay
     explicit = next((name for name in ("symmetrized", "truncated") if name in names), None)
     lanes = [(model, grid, 1)] if "implicit" in names else []
@@ -1006,8 +1047,8 @@ def modulus_scaling(
     for lag in sorted(lags):
         norm, _ = _lp_norm_and_jackknife(w[distinct.index(lag)], p)
         rows.append(ModulusRow(delta=lag * grid.delta, modulus=norm))
-    fit = [r for r in rows if r.delta * abs(math.log(r.delta)) > 0.0]
-    xs = np.array([math.log(math.sqrt(r.delta * abs(math.log(r.delta)))) for r in fit])
+    fit = [r for r in rows if _delta_log_delta(r.delta) > 0.0]
+    xs = np.array([math.log(math.sqrt(_delta_log_delta(r.delta))) for r in fit])
     ys = np.array([math.log(r.modulus) for r in fit])
     slope = _line_fit(xs, ys)[0] if len(fit) >= 2 else math.nan
     return ModulusResult(rows=tuple(rows), p=p, slope=slope)

@@ -23,7 +23,8 @@ For s < 0 the numerator cancels catastrophically, so the conjugate form
 
 is used instead; both branches are exact rearrangements of the same root.
 The root is strictly positive whenever c > 0, which is what keeps every
-simulated path positive without truncation or reflection.
+simulated path positive without truncation or reflection; c > 0 holds on
+the scheme's domain, sigma^2 < 4 a inf gamma (:func:`check_implicit`).
 
 Baselines for comparison experiments: a truncated explicit Euler scheme in X
 (which can and does go negative) and a symmetrized (absolute-value) Euler
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelSpec, TimeGrid
+from .model import ModelSpec, TimeGrid, gamma_bounds
 from .noise import NonPositiveSample
 
 Array = np.ndarray
@@ -49,6 +50,7 @@ __all__ = [
     "square_rows",
     "BASELINES",
     "check_baselines",
+    "check_implicit",
     "explicit_paths",
     "truncated_euler_paths",
     "symmetrized_euler_paths",
@@ -60,23 +62,20 @@ __all__ = [
 class NonPositiveForcing(ValueError):
     """a_under + b_bar z^2 <= 0: the implicit update has no positive root.
 
-    A march sets ``node``, the target node k + 1 of the failing step, its time
-    ``t`` and ``path``, the first failing column of the marched batch (which
-    :func:`delay_cir.experiments.map_paths` turns into the run's path index
-    by adding the first path of the plan's chunk);
-    the message then starts ``step to node k + 1:`` and ends with the path
-    and the time.
+    Raised by :func:`check_implicit`, and by a march with ``node``, the target
+    node k + 1 of its first step whose a_under is not positive, and its time
+    ``t``: the message then starts ``step to node k + 1:``.
     """
 
-    def __init__(self, reason: str, node=None, path=None, t=None):
+    def __init__(self, reason: str, node=None, t=None):
         super().__init__(reason)
-        self.node, self.path, self.t = node, path, t
+        self.node, self.t = node, t
 
     def __str__(self) -> str:
         reason = super().__str__()
         if self.node is None:
             return reason
-        return f"step to node {self.node}: {reason} (path {self.path}, t = {self.t})"
+        return f"step to node {self.node}: {reason} (t = {self.t})"
 
 
 class DelayNotSupported(ValueError):
@@ -266,17 +265,22 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
     a_bar delta) c, the term the discriminant adds.  The step loop keeps
     only the root, whose ufuncs write into the target row; the rare
     conjugate branch recomputes c from the delayed row, which no step of the
-    run writes.  Every value is rounded as in :func:`implicit_step`.  The
-    forcing is checked once when a_under > 0 and b_bar >= 0 (then c >=
-    a_under > 0), otherwise on every run: a run whose forcing fails is
-    marched up to its first failing step, which is then raised with its
-    node, its first failing path and its time.
+    run writes.  Every value is rounded as in :func:`implicit_step`.  With
+    b_bar >= 0 every c is at least a_under, so one check that a_under > 0,
+    which reads no path, covers every step: where it fails (a direct call,
+    or gamma rounded below the bound of :func:`check_implicit`), its first
+    node and time are raised before any step.
     """
+    bad = np.flatnonzero(~(au > 0.0))
+    if bad.size:
+        k = int(bad[0])
+        raise NonPositiveForcing(
+            "a_under must be positive", node=start + k + 1, t=float(t_next[k])
+        )
     rows, n_paths = y.shape
     n = inc.shape[0]
     one_plus = 1.0 + a_bar * delta
     disc_scale = (4.0 * delta) * one_plus
-    forcing_ok = bool(np.min(au, initial=np.inf) > 0.0) and b_bar >= 0.0
     run = _RUN_STEPS if b_bar == 0.0 else min(n_delay, _RUN_STEPS)
     width = min(run, n)
     noise = np.empty((width, n_paths))
@@ -294,17 +298,6 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
             c += au[k0:k1, None]
         else:
             c[:] = au[k0:k1, None]
-        failing = None
-        if not forcing_ok and not np.all(c > 0.0):
-            bad = ~(c > 0.0)
-            first = int(np.flatnonzero(bad.any(axis=1))[0])
-            failing = NonPositiveForcing(
-                "a_under + b_bar * z^2 must be positive for the implicit update",
-                node=start + k0 + first + 1,
-                path=int(np.flatnonzero(bad[first])[0]),
-                t=float(t_next[k0 + first]),
-            )
-            k1 = k0 + first
         c *= disc_scale
         np.multiply(inc[k0:k1], sigma_bar, out=noise[: k1 - k0])
         for i in range(k1 - k0):
@@ -324,8 +317,6 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
                 if b_bar != 0.0:
                     c_neg = c_neg + b_bar * np.square(y[(node + 1) % rows][neg])
                 target[neg] = (2.0 * delta) * c_neg / (disc[neg] - s[neg])
-        if failing is not None:
-            raise failing
 
 
 def simulate_y_paths(
@@ -400,6 +391,18 @@ def check_baselines(names, model: ModelSpec) -> None:
             raise ValueError(f"unknown scheme {name!r}")
     if "symmetrized" in names and model.b != 0.0:
         raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
+
+
+def check_implicit(model: ModelSpec) -> None:
+    """Raise :class:`NonPositiveForcing` unless sigma^2 < 4 a inf gamma on
+    [t0, horizon] (:func:`~delay_cir.model.gamma_bounds`), the domain of the
+    implicit scheme on sqrt(X) (Alfonsi 2005; Dereich, Neuenkirch & Szpruch
+    2012): a_under > 0 there, rounded as ``ModelSpec.a_under`` rounds it."""
+    bound = 4.0 * model.a * gamma_bounds(model.gamma, model.t0, model.horizon)[0]
+    if not (bound - model.sigma**2) / 8.0 > 0.0:
+        raise NonPositiveForcing(
+            f"the implicit scheme needs sigma^2 < 4 a inf(gamma) = {bound}, got {model.sigma**2}"
+        )
 
 
 def _explicit_march(x, inc, gamma_left, a, b, sigma, delta, n_delay, symmetrized, start=0):

@@ -669,20 +669,25 @@ def test_horizon_needs_whole_steps_only_on_the_grids_a_run_uses(tmp_path):
 
 
 def test_worker_failures_exit_three_like_in_process(tmp_path, capsys):
-    # sigma^2 > 4 a gamma: the forcing of the first implicit step is negative
+    # b = 50 lifts X = Y^2 off the float range, on every path at node 1231;
+    # the run fails there instead of writing NaN
     cfg = _write_config(
-        tmp_path, "experiment = mean_check\nsigma = 2.2\nb = 0.01\nn_paths = 300\n"
+        tmp_path,
+        "experiment = mean_check\nb = 50\nhorizon = 300\nN = 4\nn_paths = 20\n",
     )
     errs = []
     for workers in ("1", "2"):
         out = str(tmp_path / f"o{workers}")
-        assert main(["run", "--config", cfg, "--out", out, "--threads", workers]) == 3
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", cfg, "--out", out, "--threads", workers]) == 3
         errs.append(capsys.readouterr().err)
         assert os.listdir(out) == []
     assert errs[0] == errs[1]
-    assert errs[0].startswith("error: NonPositiveForcing: step to node 1: ")
-    # the default N = 64 puts node 1 at t = 0.5 / 64
-    assert errs[0].endswith(" (path 0, t = 0.0078125)\n")
+    # N = 4 puts node 1231 at t = 1231 * 0.5 / 4
+    assert errs[0] == (
+        "error: OutOfRange: X = Y^2 leaves the float range at node 1231 "
+        "(path 0, t = 153.875)\n"
+    )
     assert multiprocessing.active_children() == []
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,9 +24,10 @@ from delay_cir.experiments import (
     comparison_census,
     map_paths,
     positivity_census,
+    strong_error_study,
 )
-from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, build_grid
-from delay_cir.noise import generate, sample_segment
+from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, OutOfRange, build_grid
+from delay_cir.noise import block_sum, generate, sample_segment
 from delay_cir.scheme import (
     NonPositiveForcing,
     implicit_step,
@@ -201,40 +203,91 @@ def test_lognormal_start_march_matches_the_step_loop():
 
 
 def test_per_step_forcing_check_still_names_the_step():
-    # a_under = -0.105 < 0 (sigma^2 > 4 a gamma), so the forcing check runs on
-    # every step; b_bar z^2 = 0.005 does not lift c above zero at the first
+    # a_under = -0.105 < 0 (sigma^2 > 4 a gamma), which b_bar z^2 = 0.005
+    # does not lift above zero; the march checks a_under, path-free, before
+    # its first step and names that step
     model = _model(sigma=2.2, b=0.01)
     grid = build_grid(model, 4)
     with pytest.raises(NonPositiveForcing, match="step to node 1:"):
         simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.ones(5))
+    with pytest.raises(NonPositiveForcing, match="needs sigma"):
+        one_lane_plan(model, grid, 300)
+
+
+def _first_overflow(model, grid, seed, n_paths):
+    """Per path, the first node where X = Y^2 of a whole-horizon march is
+    not finite, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        inc, seg = _engine_inputs(model, grid, seed, n_paths)
+        x = np.square(simulate_y_paths(model, grid, inc, seg)[grid.n_per_delay + 1 :])
+    off = ~np.isfinite(x)
+    return [int(np.argmax(off[:, p])) + 1 if off[:, p].any() else None for p in range(n_paths)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("horizon", [0.5, 1.5])
 def test_forcing_failure_names_the_run_path_and_time(workers, horizon):
-    # a_under = -0.105 and b_bar = 0.005: a path fails at step 1 when its
-    # lognormal start level is at most 21.  Of these 300 paths, 237 is the
-    # first such; on 2 workers it lies in the second chunk, 150 .. 299.  Over
-    # one delay every delayed value is the start level, so no other path
-    # fails; over three, paths of the first chunk fail later (path 1 at
-    # node 5), and the earliest node still names the failure.
-    model = _model(
-        sigma=2.2, b=0.01, horizon=horizon, initial=InitialSegmentSpec.lognormal(40.0, 0.3)
-    )
+    # A model outside the implicit scheme's domain is rejected before any
+    # path (the test above); the one failure that names a run path is X =
+    # Y^2 leaving the float range.  At b 1e5 a lognormal start level near 1e304
+    # overflows at node 1.  Of these 300 paths, 209 and 237 are the only such
+    # ones; on 2 workers they lie in the second chunk, 150 .. 299.  Over one
+    # delay no other path overflows; over three, every path does, path 0 at
+    # node 5, and the smallest path still names the failure.  Spans of 4
+    # steps find path 0's node in a later span than the others'.
+    model = _model(b=1e5, horizon=horizon, initial=InitialSegmentSpec.lognormal(1e303, 0.5))
     grid = build_grid(model, 4)
-    level = sample_segment(model.initial, grid, 14, range(300))[0]
-    assert np.flatnonzero(model.a_under(0.0) + model.b_bar * level <= 0.0)[0] == 237
+    first = _first_overflow(model, grid, 16, 300)
+    assert [p for p in range(300) if first[p] == 1] == [209, 237]
+    path = 209 if horizon == 0.5 else 0
+    assert next(p for p in range(300) if first[p] is not None) == path
 
     def terminal(draw, seg):
-        return simulate_y_paths(model, grid, draw(), seg)[-1]
+        experiments.walk_blocks(plan, draw, seg, lambda k0, inc, windows: None)
+        return seg[0]
 
-    with pytest.raises(NonPositiveForcing) as failed:
-        map_paths(one_lane_plan(model, grid, 300, workers), 14, terminal)
-    assert str(failed.value) == (
-        "step to node 1: a_under + b_bar * z^2 must be positive for the implicit "
-        "update (path 237, t = 0.125)"
-    )
-    assert (failed.value.node, failed.value.path, failed.value.t) == (1, 237, 0.125)
+    for span in (grid.n_steps, 4):
+        plan = replace(one_lane_plan(model, grid, 300, workers), span=span)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OutOfRange) as failed:
+                map_paths(plan, 16, terminal)
+        assert str(failed.value) == (
+            f"X = Y^2 leaves the float range at node {first[path]} "
+            f"(path {path}, t = {first[path] * 0.125})"
+        )
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_the_earliest_lane_names_an_overflow(workers):
+    # The strong study's lanes march finest first.  Over three delays the
+    # coarse lanes of this start overflow later than the reference, at steps
+    # 12 and 10 of the reference grid against 9, and do not move the node
+    # named; over one delay only the coarsest does, at step 8.
+    n_list, n_ref = [2, 4], 8
+    for horizon, lane_steps in ((0.5, [8, np.inf, np.inf]), (1.5, [12, 10, 9])):
+        model = _model(
+            b=1e5, horizon=horizon, initial=InitialSegmentSpec.lognormal(1e303, 0.5)
+        )
+        fine = build_grid(model, n_ref)
+        inc, seg = _engine_inputs(model, fine, 16, 300)
+        steps = []
+        for n in (*n_list, n_ref):
+            r = n_ref // n
+            with np.errstate(over="ignore", invalid="ignore"):
+                y = simulate_y_paths(model, build_grid(model, n), block_sum(inc, r), seg[::r])
+                off = ~np.isfinite(np.square(y[n + 1 :]))
+            steps.append(np.where(off.any(axis=0), (np.argmax(off, axis=0) + 1) * r, np.inf))
+        path = int(np.flatnonzero(np.isfinite(np.min(steps, axis=0)))[0])
+        assert [lane[path] for lane in steps] == lane_steps
+        expected = int(min(lane_steps))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OutOfRange) as failed:
+                strong_error_study(model, n_list, n_ref, 300, [1.0], 16, threads=workers)
+        assert str(failed.value) == (
+            f"X = Y^2 leaves the float range at node {expected} "
+            f"(path {path}, t = {expected / 16})"
+        )
 
 
 def test_map_paths_is_thread_and_chunk_independent():

@@ -151,6 +151,25 @@ def test_fit_rate_log_corrected_variant_reads_uniform_errors():
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
 
 
+def test_the_log_corrected_fit_leaves_out_a_step_of_one():
+    # delta |log delta| is 0 at delta = 1, whose log the fit cannot take:
+    # that row is left out, and three others are needed
+    def table(deltas):
+        rows = tuple(
+            ErrorRow(d, 1.0, d, 0.9 * math.sqrt(d * abs(math.log(d))) if d != 1.0 else 5.0,
+                     0.0, 0.0, 1)
+            for d in deltas
+        )
+        return ErrorTable(rows=rows, n_ref=64, seed=0)
+
+    fit = fit_rate(table((1.0, 0.5, 0.25, 0.125)), 1.0, "delta_log_delta")
+    assert fit.slope == pytest.approx(0.5, abs=1e-12)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    assert fit_rate(table((1.0, 0.5, 0.25)), 1.0).slope == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(InsufficientRows, match="got 2"):
+        fit_rate(table((1.0, 0.5, 0.25)), 1.0, "delta_log_delta")
+
+
 def test_fit_rate_guards():
     table = _synthetic_table(lambda d: d, lambda d: d, n_list=(4, 8))
     with pytest.raises(InsufficientRows):

@@ -5,6 +5,7 @@ equal to the step-by-step computations they replace.
   the reference is the sub-step by sub-step recursion, kept here.
 * ``_implicit_march`` computes the forcing and the noise of a run of steps at
   once; the reference applies :func:`implicit_step` one step at a time.
+  Where a_under is not positive, the march raises before any step.
 * One-word Philox draws (the lognormal segment level) take their own branch;
   the reference is the first row of a longer draw.
 * The explicit baselines, marched one scheme at a time over the whole
@@ -127,48 +128,47 @@ def test_mean_curve_equals_the_scalar_recursion(b, gamma, start, substeps, n_per
 # ---------------------------------------------------------------------------
 
 
-def _stepwise_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start):
-    """:func:`implicit_step` applied one step at a time on the ring ``y``.
-
-    Returns (node, path, t) of the first step whose forcing is not positive,
-    or None, and whether any step took the conjugate (s < 0) branch.
-    """
+def _stepwise_march(y, inc, au, a_bar, b_bar, sigma_bar, delta, n_delay, start):
+    """:func:`implicit_step` applied one step at a time on the ring ``y``;
+    returns whether any step took the conjugate (s < 0) branch."""
     rows = y.shape[0]
     conjugate = False
     for k in range(inc.shape[0]):
         node = start + k
         y_prev, z, noise = y[(n_delay + node) % rows], y[(node + 1) % rows], sigma_bar * inc[k]
-        bad = np.flatnonzero(~(au[k] + b_bar * np.square(z) > 0.0))
-        if bad.size:
-            return (node + 1, int(bad[0]), float(t_next[k])), conjugate
         conjugate |= bool(np.any(y_prev + noise < 0.0))
         y[(n_delay + node + 1) % rows] = implicit_step(
             y_prev, z, noise, au[k], a_bar, b_bar, delta
         )
-    return None, conjugate
+    return conjugate
 
 
-def _march_both(n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar,
-                au_low, seed):
-    """Both marches on the same random ring window: (y, failure) of each, and
-    whether any step took the conjugate branch."""
+_A_BAR, _DELTA = 0.6, 0.05
+
+
+def _march_inputs(n_delay, extra_rows, n_paths, n_steps, start, au_low, seed):
+    """A random ring window, increments, target times and a_under values."""
     rng = np.random.default_rng(seed)
-    delta, a_bar = 0.05, 0.6
     window = rng.uniform(0.05, 1.5, size=(n_delay + extra_rows, n_paths))
-    inc = rng.standard_normal((n_steps, n_paths)) * math.sqrt(delta)
-    t_next = (start + 1 + np.arange(n_steps)) * delta
+    inc = rng.standard_normal((n_steps, n_paths)) * math.sqrt(_DELTA)
+    t_next = (start + 1 + np.arange(n_steps)) * _DELTA
     au = rng.uniform(au_low, 1.0, size=n_steps)
-    ours = window.copy()
-    try:
-        _implicit_march(ours, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start)
-        failure = None
-    except NonPositiveForcing as exc:
-        failure = (exc.node, exc.path, exc.t)
-    expected = window.copy()
-    expected_failure, conjugate = _stepwise_march(
-        expected, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay, start
+    return window, inc, t_next, au
+
+
+def _march_both(n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, seed):
+    """Both marches on the same random ring window, with a_under > 0: the
+    window of each, and whether any step took the conjugate branch."""
+    window, inc, t_next, au = _march_inputs(
+        n_delay, extra_rows, n_paths, n_steps, start, 0.01, seed
     )
-    return (ours, failure), (expected, expected_failure), conjugate
+    ours = window.copy()
+    _implicit_march(ours, inc, t_next, au, _A_BAR, b_bar, sigma_bar, _DELTA, n_delay, start)
+    expected = window.copy()
+    conjugate = _stepwise_march(
+        expected, inc, au, _A_BAR, b_bar, sigma_bar, _DELTA, n_delay, start
+    )
+    return ours, expected, conjugate
 
 
 @given(
@@ -179,48 +179,51 @@ def _march_both(n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar,
     start=st.integers(0, 60),
     b_bar=st.sampled_from([0.0, 0.05, 0.8]),
     sigma_bar=st.sampled_from([0.1, 2.5]),
-    au_low=st.sampled_from([0.01, -0.3]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_march_equals_implicit_step_applied_step_by_step(
-    n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, au_low, seed
+    n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, seed
 ):
-    (ours, failure), (expected, expected_failure), _ = _march_both(
-        n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, au_low, seed
+    ours, expected, _ = _march_both(
+        n_delay, extra_rows, n_paths, n_steps, start, b_bar, sigma_bar, seed
     )
-    assert failure == expected_failure
     assert ours.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize(
-    "n_delay, extra_rows, n_steps, start, b_bar, sigma_bar, au_low, fails",
+    "n_delay, extra_rows, n_steps, start, b_bar, sigma_bar, fails",
     [
         # ring of 45 rows that wraps, from node 7, several runs shorter than N
-        (40, 5, 100, 7, 0.8, 0.1, 0.01, False),
+        (40, 5, 100, 7, 0.8, 0.1, False),
         # N below the run length: runs of N steps, 30 times over
-        (3, 2, 90, 11, 0.05, 0.1, 0.01, False),
+        (3, 2, 90, 11, 0.05, 0.1, False),
         # deep noise: steps take the conjugate branch
-        (8, 3, 60, 0, 0.8, 2.5, 0.01, False),
-        (8, 3, 60, 5, 0.0, 2.5, 0.01, False),
-        # a_under below zero: the forcing fails inside a run
-        (40, 2, 100, 3, 0.05, 0.1, -0.3, True),
-        (6, 1, 50, 0, 0.0, 0.1, -0.3, True),
+        (8, 3, 60, 0, 0.8, 2.5, False),
+        (8, 3, 60, 5, 0.0, 2.5, False),
+        # a_under below zero at some step: raised before any step
+        (40, 2, 100, 3, 0.05, 0.1, True),
+        (6, 1, 50, 0, 0.0, 0.1, True),
     ],
     ids=["wrap-start", "short-delay", "conjugate", "conjugate-b0", "fails", "fails-b0"],
 )
-def test_march_cases_are_reached(n_delay, extra_rows, n_steps, start, b_bar, sigma_bar,
-                                 au_low, fails):
-    (ours, failure), (expected, expected_failure), conjugate = _march_both(
-        n_delay, extra_rows, 3, n_steps, start, b_bar, sigma_bar, au_low, seed=5
-    )
-    assert failure == expected_failure
-    assert ours.tobytes() == expected.tobytes()
-    assert (failure is not None) == fails
-    if fails:
-        node, path, t = failure
-        assert start < node <= start + n_steps and t == node * 0.05
-    if sigma_bar > 1.0:
-        assert conjugate
+def test_march_cases_are_reached(n_delay, extra_rows, n_steps, start, b_bar, sigma_bar, fails):
+    if not fails:
+        ours, expected, conjugate = _march_both(
+            n_delay, extra_rows, 3, n_steps, start, b_bar, sigma_bar, seed=5
+        )
+        assert ours.tobytes() == expected.tobytes()
+        assert conjugate == (sigma_bar > 1.0)
+        return
+    # a_under below zero at some step: the march checks a_under once, before
+    # any step, names the first such node and its time, and writes no row
+    window, inc, t_next, au = _march_inputs(n_delay, extra_rows, 3, n_steps, start, -0.3, 5)
+    first = int(np.flatnonzero(au <= 0.0)[0])
+    ours = window.copy()
+    with pytest.raises(NonPositiveForcing) as info:
+        _implicit_march(ours, inc, t_next, au, _A_BAR, b_bar, sigma_bar, _DELTA, n_delay, start)
+    assert (info.value.node, info.value.t) == (start + first + 1, (start + first + 1) * _DELTA)
+    assert str(info.value).startswith(f"step to node {start + first + 1}: a_under must be")
+    assert ours.tobytes() == window.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from delay_cir.scheme import (
     DelayNotSupported,
     NonPositiveForcing,
     check_baselines,
+    check_implicit,
     implicit_residual,
     implicit_step,
     ring_spans,
@@ -322,8 +323,37 @@ def test_simulate_y_reports_offending_step_on_forcing_failure():
     # Feller equality with b = 0 makes a_under identically zero.
     model = _model(b=0.0, sigma=2.0, gamma=GammaSpec.constant(1.0))
     grid = build_grid(model, 4)
-    with pytest.raises(NonPositiveForcing, match="step to node 1"):
+    with pytest.raises(NonPositiveForcing) as info:
         simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.ones(5))
+    assert (info.value.node, info.value.t) == (1, 0.125)
+    assert str(info.value) == "step to node 1: a_under must be positive (t = 0.125)"
+    with pytest.raises(NonPositiveForcing, match="needs sigma"):
+        check_implicit(model)
+    # gamma = 1.13 - 0.2 t falls below sigma^2 / (4 a) = 1 after t = 0.65:
+    # the march names the first node after it, and a window march from a
+    # later node its own first step
+    falling = _model(sigma=2.0, gamma=GammaSpec.affine(1.13, -0.2))
+    with pytest.raises(NonPositiveForcing, match=r"^step to node 6: .* \(t = 0.75\)$"):
+        simulate_y_paths(falling, grid, np.zeros(grid.n_steps), np.ones(5))
+    window = np.ones((9, 1))
+    with pytest.raises(NonPositiveForcing, match=r"^step to node 9: .* \(t = 1.125\)$"):
+        simulate_y_paths(falling, grid, np.zeros(2), None, window=window, start=8)
+    assert np.all(window == 1.0)
+
+
+def test_check_implicit_takes_the_infimum_over_the_horizon_not_the_grid():
+    # gamma = 1 + 0.5 sin(omega t) has its trough 0.5 at t = 1.3, between the
+    # nodes 1.25 and 1.375 of N = 4: every node's a_under is positive at
+    # sigma^2 = 2.0164, but 4 a inf(gamma) = 2 is not above it
+    trough = GammaSpec.sinusoid(1.0, 0.5, 1.5 * math.pi / 1.3)
+    model = _model(sigma=1.42, gamma=trough)
+    grid = build_grid(model, 4)
+    assert np.all(model.a_under(grid.times()) > 0.0)
+    simulate_y_paths(model, grid, np.zeros(grid.n_steps), np.ones(5))
+    with pytest.raises(NonPositiveForcing) as info:
+        check_implicit(model)
+    assert str(info.value) == "the implicit scheme needs sigma^2 < 4 a inf(gamma) = 2.0, got 2.0164"
+    check_implicit(_model(sigma=1.41, gamma=trough))
 
 
 def test_simulate_y_rejects_bad_segments_and_shapes():

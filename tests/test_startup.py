@@ -97,6 +97,9 @@ def test_plan_time_config_errors_load_no_scipy(tmp_path):
         "experiment = analytics_probe\nb = 0\ninitial.level = 1e300\nprobe.p = 2\n",
         # the strict Feller condition of the strong study fails
         "sigma = 1.5\np_list = 0.1\nN_list = 2,4,8\nN_ref = 16\n",
+        # sigma^2 >= 4 a inf(gamma), outside the implicit scheme's domain
+        "experiment = mean_check\nsigma = 3\nb = 0\n",
+        "experiment = positivity\nsigma = 3\nb = 0\n",
         # the run-size and start rules that the library owns
         "n_paths = 1\n",
         "threads = 0\n",

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from delay_cir import noise
 from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config
 from delay_cir.experiments import InsufficientRows, check_levels, check_path_count
 from delay_cir.model import (
@@ -110,6 +111,9 @@ def _model(**kw) -> ModelSpec:
          "horizon: (horizon - t0) N / tau leaves the float range"),
         ("validate", FAST_SINE, "model: the sinusoid's last phase omega (horizon - t0)"),
         ("run", FAST_SINE, "model: the sinusoid's last phase omega (horizon - t0)"),
+        # tau / N = 1 at N = 8: two levels are left for delta |log delta|
+        ("run", "tau = 8\nhorizon = 16\nN_list = 8,16,32\nN_ref = 64\nn_paths = 50\n",
+         "N_list: a rate fit needs three levels whose step tau / N is not 1"),
     ],
     ids=[
         "run-short-table", "validate-short-table", "probe-short-table",
@@ -124,7 +128,7 @@ def _model(**kw) -> ModelSpec:
         "zero-gamma_lower", "huge-N", "huge-N_ref", "huge-N_list-entry", "huge-n_paths",
         "n_paths-beyond-any-array", "overflowing-reference-step-count",
         "overflowing-step-count", "validate-overflowing-sine-phase",
-        "run-overflowing-sine-phase",
+        "run-overflowing-sine-phase", "strong_rate-unit-step",
     ],
 )
 def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, message):
@@ -135,6 +139,57 @@ def test_bad_inputs_exit_two_before_simulation(tmp_path, capsys, command, text, 
     assert main([command, "--config", str(cfg), *flags]) == 2
     assert capsys.readouterr().err.startswith(f"error: bad value for {message}")
     assert not out.exists()
+
+
+# sigma^2 = 9 against 4 a inf(gamma) = 4: a_under = -0.625 on the whole horizon
+OUTSIDE = "sigma = 3\nb = 0\nn_paths = 20\n"
+DOMAIN = "the implicit scheme needs sigma^2 < 4 a inf(gamma) = "
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("experiment = mean_check\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
+        ("experiment = modulus\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
+        ("experiment = survival\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
+        ("experiment = positivity\n" + OUTSIDE, "scheme: " + DOMAIN + "4.0, got 9.0"),
+        ("experiment = positivity\nscheme = symmetrized,implicit\n" + OUTSIDE,
+         "scheme: " + DOMAIN + "4.0, got 9.0"),
+        ("experiment = comparison\n" + OUTSIDE, "gamma_lower: " + DOMAIN + "4.0, got 9.0"),
+        # the upper model is inside the domain, the lower one is not
+        ("experiment = comparison\nsigma = 1.5\ngamma_lower = 0.5\n",
+         "gamma_lower: " + DOMAIN + "2.0, got 2.25"),
+        # b_bar z^2 lifted the first forcing of some paths above zero: the
+        # run used to march and fail at node 1 with exit 3
+        ("experiment = mean_check\nsigma = 2.2\nb = 0.01\n", "model: " + DOMAIN + "4.0, got 4.84"),
+    ],
+    ids=[
+        "mean_check", "modulus", "survival", "positivity", "positivity-symmetrized",
+        "comparison-upper", "comparison-lower", "mean_check-delay-forcing",
+    ],
+)
+def test_implicit_runs_outside_the_domain_exit_two_before_any_draw(
+    tmp_path, capsys, monkeypatch, text, message
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(noise, "generate", no_draw)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: bad value for {message}")
+    assert not out.exists()
+
+
+def test_a_census_of_baselines_only_runs_outside_the_implicit_domain(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("experiment = positivity\nscheme = truncated\n" + OUTSIDE, encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    header, row = (out / "census.csv").read_text(encoding="utf-8").splitlines()
+    assert header == "scheme,fraction_nonpositive,n_paths" and row.startswith("truncated,")
 
 
 @pytest.mark.parametrize("experiment", sorted(EXPERIMENTS))
@@ -160,6 +215,13 @@ def test_check_levels_owns_the_rate_fit_rule():
     assert info.value.argument == "n_list"
     assert str(info.value) == "a rate fit needs at least three levels"
     check_levels(_model(), [4, 8, 16], 64, [1.0], fit=True)
+    # at tau = 8 the level N = 8 has the step 1, which delta |log delta| maps to 0
+    unit = _model(tau=8.0, horizon=16.0)
+    with pytest.raises(InsufficientRows) as info:
+        check_levels(unit, [8, 16, 32], 64, [1.0], fit=True)
+    assert info.value.argument == "n_list"
+    check_levels(unit, [8, 16, 32], 64, [1.0])
+    check_levels(unit, [8, 16, 32, 64], 128, [1.0], fit=True)
 
 
 def test_check_path_count_rejects_more_paths_than_an_array_holds():
