@@ -4,8 +4,9 @@ Subcommands: ``validate`` prints the condition report for the configured
 model, ``run`` executes one experiment and writes its CSV products, and
 ``probe`` evaluates the closed-form/quadrature oracles at configured points.
 One ``EXPERIMENTS`` table maps each experiment to its plan, which parses the
-config keys the experiment reads, checks them before any path is simulated
-and returns the run that calls the experiment's driver.
+config keys the experiment reads and returns the run that calls the
+experiment's driver.  Every input that a run rejects before its first walk
+is a config error, whether its plan or its driver rejects it.
 Every run leaves a ``manifest.txt`` carrying the fully resolved config, a
 sha256 hash of it, the tool version, the wall time, the worker count, the
 peak resident set and how the paths were walked (span, chunk size and the
@@ -28,18 +29,12 @@ from typing import Callable
 from . import __version__, experiments
 from .cir_analytics import CIRParams, classical_mean, laplace_transform, neg_moment
 from .experiments import (
-    check_comparable,
     check_levels,
-    check_modulus_order,
-    check_path_count,
-    check_schemes,
     check_worker_count,
-    checkpoint_indices,
     classical_variant,
     comparison_census,
     fit_rate,
     mean_consistency_check,
-    modulus_lags,
     modulus_scaling,
     positivity_census,
     strong_error_study,
@@ -54,7 +49,6 @@ from .model import (
     validate as validate_model,
 )
 from .noise import check_seed
-from .scheme import check_implicit
 
 
 class ConfigError(ValueError):
@@ -245,23 +239,29 @@ _KEYS = {
     "log_sd": "initial.log_sd",
     "points": "initial.points",
     "n_per_delay": "N",
+    "n_steps": "horizon",
     "n_list": "N_list",
     "n_ref": "N_ref",
+    "p": "p_list",
     "model_lower": "gamma_lower",
     "t": "probe.t",
 }
 
 
+def _bad_value(exc: ValueError, default_key: str) -> BadValue:
+    """``exc`` as :class:`BadValue` of the config key of the argument that
+    it names, or of ``default_key`` where it names none or no config key."""
+    argument = getattr(exc, "argument", None)
+    key = _KEYS.get(argument, argument)
+    return BadValue(key if key in DEFAULTS else default_key, str(exc))
+
+
 def _checked(default_key, check, *args, **kwargs):
-    """``check(*args, **kwargs)``, its ``ValueError`` re-raised as
-    :class:`BadValue` of the config key of the argument that the error
-    names, or of ``default_key`` where it names none or no config key."""
+    """``check(*args, **kwargs)``, its ``ValueError`` re-raised by :func:`_bad_value`."""
     try:
         return check(*args, **kwargs)
     except ValueError as exc:
-        argument = getattr(exc, "argument", None)
-        key = _KEYS.get(argument, argument)
-        raise BadValue(key if key in DEFAULTS else default_key, str(exc)) from None
+        raise _bad_value(exc, default_key) from None
 
 
 def _require_classical(model: ModelSpec, key: str, subject: str = "") -> None:
@@ -333,8 +333,9 @@ def parse_config(
 # ---------------------------------------------------------------------------
 
 # An experiment's plan ``(model, read)`` parses the keys the experiment reads
-# with ``read(key, parse, *scalar)``, resolves and checks everything it uses,
-# defaults included, and raises a BadValue of the key at fault.  It returns
+# with ``read(key, parse, *scalar)``, resolves what it uses, defaults included,
+# and checks only what no driver checks before its first walk (:func:`run`),
+# raising a BadValue of the key at fault.  It returns
 # ``run(threads)``, which calls the driver on ``threads`` worker processes and
 # returns the CSV products as {file name: (header, rows)}.  parse_config calls
 # the plan once per run; plans look the drivers and the model helpers up as
@@ -354,7 +355,6 @@ def _grid(model: ModelSpec, read):
 def _sample(read):
     """(n_paths, seed) of a simulating experiment."""
     n_paths, seed = read("n_paths", _parse_int), read("seed", _parse_int)
-    _checked("n_paths", check_path_count, n_paths)
     _checked("seed", check_seed, seed)
     return n_paths, seed
 
@@ -369,9 +369,8 @@ def _strong_rate(model: ModelSpec, read):
     n_ref = read("N_ref", _parse_int)
     p_list = _orders(read)
     n_paths, seed = _sample(read)
+    # fit=True: the rate fit's rule, which no driver checks before its walk
     _checked("model", check_levels, model, n_list, n_ref, p_list, fit=True)
-    for n in (*n_list, n_ref):
-        _checked("horizon", build_grid, model, n)
 
     def run(threads):
         table = strong_error_study(
@@ -391,7 +390,6 @@ def _strong_rate(model: ModelSpec, read):
 
 
 def _mean_check(model: ModelSpec, read):
-    _checked("model", check_implicit, model)
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
     checkpoints = read("checkpoints", _parse_list, _parse_float)
@@ -399,7 +397,6 @@ def _mean_check(model: ModelSpec, read):
         count = min(5, grid.n_steps)
         ks = {max(1, round(j * grid.n_steps / count)) for j in range(1, count + 1)}
         checkpoints = tuple(float(grid.time(k)) for k in sorted(ks))
-    _checked("checkpoints", checkpoint_indices, model, grid, checkpoints)
 
     def run(threads):
         rows = mean_consistency_check(model, grid, n_paths, checkpoints, seed, threads)
@@ -415,7 +412,6 @@ def _comparison(model: ModelSpec, read):
     if gamma_lower is None:  # the infimum of gamma
         gamma_lower = gamma_bounds(model.gamma, model.t0, model.horizon)[0]
     lower = classical_variant(model, gamma_level=gamma_lower)
-    _checked("gamma_lower", check_comparable, model, lower, grid)
 
     def run(threads):
         violations = comparison_census(model, lower, grid, n_paths, seed, threads)
@@ -428,7 +424,6 @@ def _positivity(model: ModelSpec, read):
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
     schemes = read("scheme", _parse_list, lambda key, name: name)
-    _checked("scheme", check_schemes, schemes, model)
 
     def run(threads):
         rows = positivity_census(schemes, model, grid, n_paths, seed, threads)
@@ -438,15 +433,12 @@ def _positivity(model: ModelSpec, read):
 
 
 def _modulus(model: ModelSpec, read):
-    _checked("model", check_implicit, model)
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
     p = _orders(read)[0]
-    _checked("p_list", check_modulus_order, p)
     deltas = read("delta_list", _parse_list, _parse_float) or tuple(
         grid.delta * lag for lag in (1, 2, 4, 8, 16) if lag <= grid.n_steps
     )
-    _checked("delta_list", modulus_lags, grid, deltas)
 
     def run(threads):
         result = modulus_scaling(model, grid, n_paths, deltas, seed, p=p, threads=threads)
@@ -460,7 +452,6 @@ def _modulus(model: ModelSpec, read):
 
 
 def _survival(model: ModelSpec, read):
-    _checked("model", check_implicit, model)
     grid = _grid(model, read)
     n_paths, seed = _sample(read)
 
@@ -574,11 +565,18 @@ def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> Non
 
 
 def run(config: RunConfig) -> int:
-    """Run one experiment: all CSV products plus the manifest, atomically."""
+    """Run one experiment: all CSV products plus the manifest, atomically.
+    A ``ValueError`` raised before the run's first walk, with no path drawn,
+    is a config error (:func:`_bad_value`, default key ``model``)."""
     start = time.perf_counter()
-    os.makedirs(config.out_dir, exist_ok=True)
     with experiments.recorded_walks() as walks:
-        products = config.run(config.threads)
+        try:
+            products = config.run(config.threads)
+        except ValueError as exc:
+            if walks:
+                raise
+            raise _bad_value(exc, "model") from None
+    os.makedirs(config.out_dir, exist_ok=True)
     for name, (header, rows) in products.items():
         _write_csv(config.out_dir, name, header, rows)
     _write_manifest(config, time.perf_counter() - start, products, walks)

@@ -75,10 +75,8 @@ __all__ = [
     "mean_consistency_check",
     "check_comparable",
     "comparison_census",
-    "check_schemes",
     "positivity_census",
     "modulus_lags",
-    "check_modulus_order",
     "modulus_scaling",
     "survival_probability",
     "PRequestedTooLarge",
@@ -140,8 +138,10 @@ class WalkPlan:
     @property
     def processes(self) -> int:
         """The processes that run the chunks: ``workers``, but no more than
-        the CPUs this process may run on."""
-        return min(self.workers, len(os.sched_getaffinity(0)))
+        the CPUs this process may run on, or the machine's where ``os``
+        cannot tell (macOS, Windows)."""
+        affinity = getattr(os, "sched_getaffinity", None)
+        return min(self.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
 
 
 def check_path_count(n_paths: int) -> None:
@@ -703,15 +703,20 @@ def checkpoint_indices(model: ModelSpec, grid: TimeGrid, checkpoints) -> list[in
     """Grid indices of ``checkpoints``; raises :class:`GridMisaligned` unless
     every entry is a grid node in [t0, T], and ``ValueError`` for t0 under a
     deterministic start of ``model``, where every path holds X0 and the
-    standard error is zero."""
+    standard error is zero.  Either error's ``argument`` is ``"checkpoints"``."""
     out = []
     for t in checkpoints:
         rel = (float(t) - grid.t0) / grid.delta
-        k = round(rel)
+        k = round(rel) if math.isfinite(rel) else -1  # no node for an infinite ratio
         if off_grid(rel, k) or not 0 <= k <= grid.n_steps:
-            raise GridMisaligned(f"checkpoint {t} is not a grid node in [t0, T]")
+            raise rejected(
+                GridMisaligned, "checkpoints", f"checkpoint {t} is not a grid node in [t0, T]"
+            )
         if k == 0 and not model.initial.is_random:
-            raise ValueError(f"checkpoint {t} is t0, where a deterministic start has no spread")
+            raise rejected(
+                ValueError, "checkpoints",
+                f"checkpoint {t} is t0, where a deterministic start has no spread",
+            )
         out.append(k)
     return out
 
@@ -788,27 +793,28 @@ def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeG
 
     The models must share (a, sigma, tau, t0, horizon) and the initial
     segment, with b_lower = 0 <= b_upper and gamma_upper >= gamma_lower at
-    every grid node; both must pass :func:`validate` and ``check_implicit``,
-    and an error of the lower model names ``"model_lower"`` as its ``argument``.
+    every grid node; both must pass :func:`validate` and ``check_implicit``.
+    The upper model is checked first; every error after its checks names
+    ``"model_lower"`` as its ``argument``.
     """
-    same = all(
-        getattr(model_upper, f) == getattr(model_lower, f)
-        for f in ("a", "sigma", "tau", "t0", "horizon")
-    )
-    if not same or model_upper.initial != model_lower.initial:
-        raise IncomparableModels(
-            "models must share a, sigma, tau, t0, horizon and the initial segment"
-        )
-    if model_lower.b != 0.0 or model_upper.b < 0.0:
-        raise IncomparableModels("need b_lower = 0 and b_upper >= 0")
-    times = grid.times()
-    g_upper = np.asarray(model_upper.gamma_at(times))
-    g_lower = np.asarray(model_lower.gamma_at(times))
-    if np.any(g_upper < g_lower):
-        raise IncomparableModels("need gamma_upper >= gamma_lower on the grid")
     validate(model_upper)
     scheme_mod.check_implicit(model_upper)
     try:
+        same = all(
+            getattr(model_upper, f) == getattr(model_lower, f)
+            for f in ("a", "sigma", "tau", "t0", "horizon")
+        )
+        if not same or model_upper.initial != model_lower.initial:
+            raise IncomparableModels(
+                "models must share a, sigma, tau, t0, horizon and the initial segment"
+            )
+        if model_lower.b != 0.0 or model_upper.b < 0.0:
+            raise IncomparableModels("need b_lower = 0 and b_upper >= 0")
+        times = grid.times()
+        g_upper = np.asarray(model_upper.gamma_at(times))
+        g_lower = np.asarray(model_lower.gamma_at(times))
+        if np.any(g_upper < g_lower):
+            raise IncomparableModels("need gamma_upper >= gamma_lower on the grid")
         validate(model_lower)
         scheme_mod.check_implicit(model_lower)
     except ValueError as exc:
@@ -851,16 +857,6 @@ def comparison_census(
     return int(np.sum(map_paths(plan, seed, violations)))
 
 
-def check_schemes(names, model: ModelSpec) -> None:
-    """Raise unless ``names`` is a nonempty list of ``implicit`` and baselines
-    that run on ``model`` (``check_implicit`` and ``check_baselines``)."""
-    if not names:
-        raise ValueError("empty list")
-    if "implicit" in names:
-        scheme_mod.check_implicit(model)
-    scheme_mod.check_baselines([name for name in names if name != "implicit"], model)
-
-
 @dataclass(frozen=True)
 class CensusRow:
     scheme: str
@@ -892,7 +888,9 @@ def positivity_census(
     """
     names = tuple(schemes)
     validate(model)
-    check_schemes(names, model)
+    if not names:
+        raise rejected(ValueError, "scheme", "empty list")
+    scheme_mod.check_baselines([name for name in names if name != "implicit"], model)
     n_delay = grid.n_per_delay
     explicit = next((name for name in ("symmetrized", "truncated") if name in names), None)
     lanes = [(model, grid, 1)] if "implicit" in names else []
@@ -969,23 +967,19 @@ class ModulusResult:
 
 def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
     """Grid-step lags of ``delta_list``; raises :class:`GridMisaligned` unless
-    every entry is a whole number of grid steps in (0, T - t0]."""
+    every entry is a whole number of grid steps in (0, T - t0], naming
+    ``"delta_list"`` as its ``argument``."""
     lags = []
     for d in delta_list:
         rel = float(d) / grid.delta
-        lag = round(rel)
+        lag = round(rel) if math.isfinite(rel) else 0  # no lag for an infinite ratio
         if lag < 1 or off_grid(rel, lag) or lag > grid.n_steps:
-            raise GridMisaligned(
-                f"modulus delta {d} must be a whole number of grid steps in (0, T - t0]"
+            raise rejected(
+                GridMisaligned, "delta_list",
+                f"modulus delta {d} must be a whole number of grid steps in (0, T - t0]",
             )
         lags.append(lag)
     return lags
-
-
-def check_modulus_order(p: float) -> None:
-    """Raise unless the modulus order ``p`` is positive and finite."""
-    if not 0.0 < p < math.inf:
-        raise ValueError(f"the modulus order must be positive and finite, got {p}")
 
 
 def modulus_scaling(
@@ -1009,7 +1003,8 @@ def modulus_scaling(
     per-lag maxima, its fold keeping the largest lag's nodes before it.
     """
     validate(model)
-    check_modulus_order(p)
+    if not 0.0 < p < math.inf:
+        raise rejected(ValueError, "p", f"the modulus order must be positive and finite, got {p}")
     lags = modulus_lags(grid, delta_list)
     distinct = sorted(set(lags))
     n_delay, back = grid.n_per_delay, distinct[-1]

@@ -361,11 +361,13 @@ class TimeGrid:
                 NonPositiveParameter, "n_per_delay", "grid needs at least one step per delay"
             )
         if self.n_steps < 1:
-            raise HorizonBeforeStart("grid needs at least one step after t0")
+            raise rejected(HorizonBeforeStart, "n_steps", "grid needs at least one step after t0")
         # one path's float64 nodes k = -N .. K must fit in a NumPy array
         nodes = self.n_per_delay + self.n_steps + 1
         if nodes > np.iinfo(np.intp).max // 8:
-            raise OutOfRange(f"{nodes:.3g} nodes per path exceed the largest array")
+            raise rejected(
+                OutOfRange, "n_steps", f"{nodes:.3g} nodes per path exceed the largest array"
+            )
 
     @property
     def delta(self) -> float:
@@ -394,8 +396,8 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
     ------
     NonPositiveParameter, HorizonBeforeStart, GridMisaligned
         If N < 1 (``argument`` ``"n_per_delay"``) or no step lies after t0
-        (both from :class:`TimeGrid`), or if horizon - t0 is not an integer
-        multiple of tau / N.
+        (``"n_steps"``; both from :class:`TimeGrid`), or if horizon - t0 is
+        not an integer multiple of tau / N (``"horizon"``).
     OutOfRange
         If N is too large for a float (``argument`` ``"n_per_delay"``) or
         the steps (horizon - t0) N / tau are not finite.
@@ -406,9 +408,10 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
         raise OutOfRange(f"(horizon - t0) N / tau leaves the float range, N = {n_per_delay:.3g}")
     grid = TimeGrid(spec.t0, spec.tau, n_per_delay, round(ratio))
     if off_grid(ratio, grid.n_steps):
-        raise GridMisaligned(
+        raise rejected(
+            GridMisaligned, "horizon",
             f"horizon - t0 = {spec.horizon - spec.t0} is not a whole number of "
-            f"steps tau/N = {grid.delta}"
+            f"steps tau/N = {grid.delta}",
         )
     return grid
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import ModelSpec, TimeGrid, gamma_bounds
+from .model import ModelSpec, TimeGrid, gamma_bounds, rejected
 from .noise import NonPositiveSample
 
 Array = np.ndarray
@@ -265,7 +265,8 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
     a_bar delta) c, the term the discriminant adds.  The step loop keeps
     only the root, whose ufuncs write into the target row; the rare
     conjugate branch recomputes c from the delayed row, which no step of the
-    run writes.  Every value is rounded as in :func:`implicit_step`.  With
+    run writes, and takes the root of :func:`_positive_root`, which rescales
+    an s^2 that overflows.  Every value is rounded as in :func:`implicit_step`.  With
     b_bar >= 0 every c is at least a_under, so one check that a_under > 0,
     which reads no path, covers every step: where it fails (a direct call,
     or gamma rounded below the bound of :func:`check_implicit`), its first
@@ -310,13 +311,13 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
             np.add(s, disc, out=target)
             target /= 2.0 * one_plus
             if not s.min(initial=0.0) >= 0.0:
-                # the conjugate form of _positive_root where not s >= 0, with
-                # the forcing recomputed from the delayed row, still unwritten
+                # _positive_root where not s >= 0, with the forcing recomputed
+                # from the delayed row, still unwritten
                 neg = ~(s >= 0.0)
                 c_neg = au[k0 + i]
                 if b_bar != 0.0:
                     c_neg = c_neg + b_bar * np.square(y[(node + 1) % rows][neg])
-                target[neg] = (2.0 * delta) * c_neg / (disc[neg] - s[neg])
+                target[neg] = _positive_root(s[neg], c_neg, a_bar, delta)
 
 
 def simulate_y_paths(
@@ -351,9 +352,9 @@ def simulate_y_paths(
 
     The march computes the root of :func:`implicit_step` inline, with the
     discriminant sqrt(s * s + 4 delta (1 + a_bar delta) c) for s = y_k +
-    sigma_bar dW_k.  It covers |s| below about 1.34e154, where s * s is
-    finite; beyond that a step gives 0 (s < 0) or inf (s > 0), where
-    :func:`implicit_step` rescales the discriminant.
+    sigma_bar dW_k.  For s > 0 it covers s below about 1.34e154, where s * s
+    is finite; beyond that a step gives inf, where :func:`implicit_step`
+    rescales the discriminant; a step with s < 0 takes its rescaled root.
     """
     n_delay = grid.n_per_delay
     inc, stop, y = _march_target(grid, increments, window, start)
@@ -385,12 +386,15 @@ BASELINES = ("truncated", "symmetrized")
 def check_baselines(names, model: ModelSpec) -> None:
     """Raise unless every entry of ``names`` is in :data:`BASELINES` and runs on
     ``model``: ``ValueError`` for an unknown name, :class:`DelayNotSupported`
-    for the symmetrized scheme when b != 0 (it is defined for b = 0 only)."""
+    for the symmetrized scheme when b != 0 (it is defined for b = 0 only);
+    either error's ``argument`` is ``"scheme"``."""
     for name in names:
         if name not in BASELINES:
-            raise ValueError(f"unknown scheme {name!r}")
+            raise rejected(ValueError, "scheme", f"unknown scheme {name!r}")
     if "symmetrized" in names and model.b != 0.0:
-        raise DelayNotSupported("the symmetrized scheme is defined for b = 0 only")
+        raise rejected(
+            DelayNotSupported, "scheme", "the symmetrized scheme is defined for b = 0 only"
+        )
 
 
 def check_implicit(model: ModelSpec) -> None:

@@ -509,6 +509,10 @@ def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
         ("experiment = mean_check\ncheckpoints = 0.0,0.5\n", "checkpoints"),
         ("experiment = mean_check\ncheckpoints = 0.0,0.5\ninitial.kind = table\n"
          "initial.points = -0.5:1; 0:2\n", "checkpoints"),
+        # (t - t0) / delta or d / delta is not finite: no step count at all
+        ("experiment = mean_check\ncheckpoints = 1e308\n", "checkpoints"),
+        ("experiment = mean_check\ncheckpoints = -1e308\n", "checkpoints"),
+        ("experiment = modulus\ndelta_list = 1e308\n", "delta_list"),
         ("experiment = positivity\nscheme = implicit,symmetrized\n", "scheme"),
         ("experiment = comparison\ngamma_lower = 1.5\n", "gamma_lower"),
         # two levels simulate fine but leave fit_rate too few rows
@@ -518,7 +522,9 @@ def test_probe_time_not_after_t0_exits_two(tmp_path, capsys):
         "mean_check-horizon", "survival-horizon", "comparison-horizon",
         "strong_rate-horizon", "strong_rate-coarse-level", "checkpoint-off-grid",
         "checkpoint-after-T", "checkpoint-t0-constant-start",
-        "checkpoint-t0-table-start", "symmetrized-with-delay", "gamma_lower-above-inf",
+        "checkpoint-t0-table-start", "checkpoint-beyond-any-step",
+        "checkpoint-before-any-step", "modulus-delta-beyond-any-step",
+        "symmetrized-with-delay", "gamma_lower-above-inf",
         "strong_rate-two-levels",
     ],
 )
@@ -681,7 +687,8 @@ def test_worker_failures_exit_three_like_in_process(tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             assert main(["run", "--config", cfg, "--out", out, "--threads", workers]) == 3
         errs.append(capsys.readouterr().err)
-        assert os.listdir(out) == []
+        # the output directory is made only once a run is done
+        assert not os.path.exists(out)
     assert errs[0] == errs[1]
     # N = 4 puts node 1231 at t = 1231 * 0.5 / 4
     assert errs[0] == (

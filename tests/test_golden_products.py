@@ -10,10 +10,13 @@ boundary; the strong-rate config also runs on two worker processes.
 from __future__ import annotations
 
 import hashlib
+import os
 
 import pytest
 
 from delay_cir.cli import main
+from delay_cir.experiments import walk_plan
+from delay_cir.model import GammaSpec, InitialSegmentSpec, ModelSpec, build_grid
 
 GOLDEN = {
     "strong_rate": (
@@ -74,3 +77,18 @@ def test_products_match_the_pinned_hashes(tmp_path, experiment):
     assert got == expected
     written = sorted(p.name for p in out.iterdir() if p.suffix == ".csv")
     assert written == sorted(expected)
+
+
+def test_a_run_where_os_cannot_tell_the_usable_cpus_keeps_its_bytes(tmp_path, monkeypatch):
+    # Python's os has no sched_getaffinity on macOS and Windows; there the
+    # machine's CPU count bounds the processes, at one worker too
+    monkeypatch.delattr(os, "sched_getaffinity")
+    test_products_match_the_pinned_hashes(tmp_path, "mean_check")
+    model = ModelSpec(
+        a=1.0, b=0.2, sigma=0.25, tau=0.5, t0=0.0, horizon=1.5,
+        gamma=GammaSpec.constant(1.0), initial=InitialSegmentSpec.constant(1.0),
+    )
+    grid = build_grid(model, 4)
+    for workers in (1, 2, 64):
+        plan = walk_plan(model, grid, [(model, grid, 1)], 64, workers, fold_rows=lambda span: 0)
+        assert plan.processes == min(workers, os.cpu_count())

@@ -40,6 +40,7 @@ from delay_cir.scheme import (
     _implicit_march,
     explicit_paths,
     implicit_step,
+    simulate_y_paths,
     symmetrized_euler_paths,
     truncated_euler_paths,
 )
@@ -224,6 +225,37 @@ def test_march_cases_are_reached(n_delay, extra_rows, n_steps, start, b_bar, sig
     assert (info.value.node, info.value.t) == (start + first + 1, (start + first + 1) * _DELTA)
     assert str(info.value).startswith(f"step to node {start + first + 1}: a_under must be")
     assert ours.tobytes() == window.tobytes()
+
+
+def test_conjugate_steps_whose_square_overflows_keep_the_root_of_implicit_step():
+    # sigma_bar dW of about 1e154 .. 1e155 on a model just inside the domain:
+    # s^2 overflows on 383 paths with s < 0, whose root 2.2e147 .. 5.2e147
+    # implicit_step finds by rescaling, not Y = 0; the paths with s > 0
+    # overflow to inf, which fails a walk with OutOfRange
+    a, sigma = 1e-108, 1e100
+    model = ModelSpec(
+        a=a, b=0.0, sigma=sigma, tau=1e109, t0=0.0, horizon=1e109,
+        gamma=GammaSpec.constant(sigma**2 * (1.0 + 1e-6) / (4.0 * a)),
+        initial=InitialSegmentSpec.constant(1.0),
+    )
+    grid = build_grid(model, 1)
+    paths = range(2000)
+    inc = generate(grid, 7, paths)
+    seg = sample_segment(model.initial, grid, 7, paths)
+    noise = model.sigma_bar * inc[0]
+    s = 1.0 + noise
+    with np.errstate(over="ignore"):
+        y = simulate_y_paths(model, grid, inc, seg)[-1]
+        huge = np.isinf(s * s)
+    assert np.count_nonzero(huge & (s < 0.0)) == 383
+    expected = implicit_step(
+        np.ones_like(s), 0.0, noise, float(model.a_under(grid.time(1))),
+        model.a_bar, model.b_bar, grid.delta,
+    )
+    marched = np.isfinite(y)
+    assert np.array_equal(marched, ~(huge & (s > 0.0)))
+    assert y[marched].tobytes() == expected[marched].tobytes()
+    assert np.all(y[marched] > 0.0)
 
 
 # ---------------------------------------------------------------------------

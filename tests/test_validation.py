@@ -10,8 +10,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from delay_cir import noise
-from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config
+from delay_cir import experiments, noise
+from delay_cir.cli import DEFAULTS, EXPERIMENTS, ConfigError, main, parse_config, run
 from delay_cir.experiments import InsufficientRows, check_levels, check_path_count
 from delay_cir.model import (
     GammaSpec,
@@ -152,10 +152,12 @@ DOMAIN = "the implicit scheme needs sigma^2 < 4 a inf(gamma) = "
         ("experiment = mean_check\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
         ("experiment = modulus\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
         ("experiment = survival\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
-        ("experiment = positivity\n" + OUTSIDE, "scheme: " + DOMAIN + "4.0, got 9.0"),
+        # the model, not the scheme list, is outside the implicit scheme's domain
+        ("experiment = positivity\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
         ("experiment = positivity\nscheme = symmetrized,implicit\n" + OUTSIDE,
-         "scheme: " + DOMAIN + "4.0, got 9.0"),
-        ("experiment = comparison\n" + OUTSIDE, "gamma_lower: " + DOMAIN + "4.0, got 9.0"),
+         "model: " + DOMAIN + "4.0, got 9.0"),
+        # the upper model is the configured one
+        ("experiment = comparison\n" + OUTSIDE, "model: " + DOMAIN + "4.0, got 9.0"),
         # the upper model is inside the domain, the lower one is not
         ("experiment = comparison\nsigma = 1.5\ngamma_lower = 0.5\n",
          "gamma_lower: " + DOMAIN + "2.0, got 2.25"),
@@ -282,12 +284,29 @@ _ORACLE_KEYS = (
 # integers that no float holds
 @example(experiment="mean_check", edits={"N": HUGE}, table=None)
 @example(experiment="strong_rate", edits={"N_ref": HUGE}, table=None)
+# times whose steps from t0, or lags whose steps, are not finite
+@example(experiment="mean_check", edits={"checkpoints": "1e308"}, table=None)
+@example(experiment="mean_check", edits={"checkpoints": "-1e308"}, table=None)
+@example(experiment="modulus", edits={"delta_list": "1e308"}, table=None)
 def test_parse_config_raises_only_config_errors(tmp_path_factory, experiment, edits, table):
+    # a run is followed up to its first walk, where map_paths raises _Walked
     items = {"experiment": experiment, **edits}
     if table is not None:
         items.update({"initial.kind": "table", "initial.points": table})
     cfg = tmp_path_factory.mktemp("fuzz") / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in items.items()), encoding="utf-8")
+    out = {"out": str(cfg.parent / "out")}
     for command in ("run", "validate", "probe"):
-        with contextlib.suppress(ConfigError):
-            parse_config(str(cfg), command=command)
+        with contextlib.suppress(ConfigError, _Walked), pytest.MonkeyPatch.context() as patch:
+            config = parse_config(str(cfg), out, command=command)
+            if command == "run":
+                patch.setattr(experiments, "map_paths", _walk)
+                run(config)
+
+
+class _Walked(Exception):
+    """A run reached its first walk."""
+
+
+def _walk(plan, seed, reduce):
+    raise _Walked
