@@ -564,10 +564,25 @@ def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> Non
     )
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise ``BadValue("out", ...)`` unless ``os.makedirs`` could make
+    ``out_dir``: it is a directory, or its nearest existing ancestor is a
+    directory this process may write to.  Nothing is created."""
+    if os.path.isdir(out_dir):
+        return
+    ancestor = os.path.abspath(out_dir)
+    while not os.path.lexists(ancestor):
+        ancestor = os.path.dirname(ancestor)
+    if not (os.path.isdir(ancestor) and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise BadValue("out", f"cannot make {out_dir}: {ancestor} is not a writable directory")
+
+
 def run(config: RunConfig) -> int:
     """Run one experiment: all CSV products plus the manifest, atomically.
-    A ``ValueError`` raised before the run's first walk, with no path drawn,
-    is a config error (:func:`_bad_value`, default key ``model``)."""
+    An output directory that cannot be made, and a ``ValueError`` raised
+    before the run's first walk, with no path drawn, are config errors
+    (:func:`_bad_value`, default key ``model``)."""
+    _check_out_dir(config.out_dir)
     start = time.perf_counter()
     with experiments.recorded_walks() as walks:
         try:

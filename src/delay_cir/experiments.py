@@ -196,7 +196,7 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     * the two largest block sums, T / r rows each: a lane's sums live until
       the next coarser lane's are continued from them;
     * ``fold_rows(T)``, what the experiment's fold holds beside them, its
-      own windows included.
+      own windows included; no fold holds a row per node of the horizon.
 
     T is a multiple of every lane's r and at most K.  A chunk holds at most
     ``_CHUNK`` paths, fewer only where even the shortest span, the least
@@ -414,11 +414,11 @@ def _line_fit(x: Array, y: Array) -> tuple[float, float, float]:
     return float(slope), float(intercept), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
 
 
-def _cell_weights(n_fine_steps: int, r: int) -> Array:
-    """Rows (1 - w, w) of fine nodes 1 .. n_fine_steps in their coarse cell
-    (t_c, t_{c+1}] of r fine steps, shape (n_fine_steps, 2); w = 1 at the
-    cell's right end."""
-    nodes = np.arange(1, n_fine_steps + 1)
+def _cell_weights(n_nodes: int, r: int, first: int = 1) -> Array:
+    """Rows (1 - w, w) of fine nodes first .. first + n_nodes - 1 in their
+    coarse cell (t_c, t_{c+1}] of r fine steps, shape (n_nodes, 2); w = 1 at
+    the cell's right end, and each row has the bits its node alone gives."""
+    nodes = np.arange(first, first + n_nodes)
     # k / r - c, not (k - c r) / r: the rounding every recorded product has
     w = nodes / r - (nodes - 1) // r
     return np.stack((1.0 - w, w), axis=-1)
@@ -587,7 +587,7 @@ def strong_error_study(
 
     The reference and the coarse levels are lanes of :func:`walk_blocks`,
     whose spans :func:`walk_plan` sizes to a multiple of every ratio; the
-    fold holds the coarse X of a span and one piece of the error fold.
+    fold holds the coarse X, the cell weights and one error-fold piece of a span.
 
     The model, ``n_list``, ``n_ref`` and ``p_list`` must pass :func:`check_levels`.
     """
@@ -598,7 +598,6 @@ def strong_error_study(
     fine_grid = build_grid(model, n_ref)
     coarse_grids = [build_grid(model, n) for n in n_list]
     ratios = [n_ref // n for n in n_list]
-    weights = [_cell_weights(fine_grid.n_steps, r) for r in ratios]
     lanes = [(model, fine_grid, 1), *((model, g, r) for g, r in zip(coarse_grids, ratios))]
     # a span holds whole cells of every level, the coarsest ratio's included
     plan = walk_plan(
@@ -617,13 +616,13 @@ def strong_error_study(
         def fold(k0, inc, windows):
             # the increments are spent: their rows take the span's fine X
             x_fine = scheme_mod.square_rows(windows[0], n_ref + k0 + 1, inc.shape[0], out=inc)
-            rows = slice(k0, k0 + x_fine.shape[0])
             for i, (grid_c, r) in enumerate(zip(coarse_grids, ratios)):
                 x_c = scheme_mod.square_rows(
                     windows[1 + i], grid_c.n_per_delay + k0 // r,
                     x_fine.shape[0] // r + 1, out=x_coarse,
                 )
-                _fold_cell_errors(x_fine, x_c, weights[i][rows], out[2 * i], out[2 * i + 1])
+                weights = _cell_weights(x_fine.shape[0], r, k0 + 1)
+                _fold_cell_errors(x_fine, x_c, weights, out[2 * i], out[2 * i + 1])
 
         walk_blocks(plan, draw, seg, fold)
         return out
@@ -1063,25 +1062,26 @@ def survival_probability(
 
     The integral of the piecewise-linear interpolant is exactly the trapezoid
     rule over the nodes, so the only approximations are the scheme itself and
-    Monte Carlo averaging.  Each span of :func:`walk_blocks` writes its X
-    rows into a path-major buffer of K + 1 nodes per path, which is summed as
-    one row per path in numpy's pairwise order; the plan counts the buffer,
-    so a long horizon shrinks the chunk.
+    Monte Carlo averaging.  Each span of :func:`walk_blocks` adds its nodes'
+    X to one running row per path in node order, 1/2 x_0, x_1, ..., 1/2 x_K
+    (exact halvings), so no plan moves a bit, and the fold holds that row only.
     """
     validate(model)
     lanes = [(model, grid, 1)]
-    plan = walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: grid.n_steps + 1)
+    plan = walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: 1)
 
     def discounted(draw, seg: Array) -> Array:
-        x = np.empty((seg.shape[1], grid.n_steps + 1))
+        total = 0.5 * np.square(np.sqrt(seg[-1]))  # x_0 as the march's Y_0 squares
 
         def fold(k0, inc, windows):
-            # nodes k0 .. k0 + n, node k0 again after the first span
-            nodes = x[:, k0 : k0 + len(inc) + 1].T
-            scheme_mod.square_rows(windows[0], grid.n_per_delay + k0, len(nodes), out=nodes)
+            x = scheme_mod.square_rows(windows[0], grid.n_per_delay + k0 + 1, len(inc), out=inc)
+            if k0 + len(x) == grid.n_steps:
+                x[-1] *= 0.5
+            for row in x:
+                np.add(total, row, out=total)
 
         walk_blocks(plan, draw, seg, fold)
-        return np.exp(-(grid.delta * (x.sum(axis=1) - 0.5 * (x[:, 0] + x[:, -1]))))
+        return np.exp(-(grid.delta * total))
 
     vals = map_paths(plan, seed, discounted)
     return SurvivalEstimate(*_mean_and_std_err(vals), n_paths=n_paths)

@@ -242,9 +242,11 @@ def square_rows(window: Array, first: int, count: int, out: Array) -> Array:
     return out[:count]
 
 
-# Steps per lookahead run of the implicit march, when the delay is at least
-# as long: its forcing and noise buffers hold this many rows of 8 bytes per
-# path each, and the per-run overhead is spread over as many steps.
+# Steps per lookahead run of the implicit march with b_bar = 0: its noise
+# buffer holds this many rows of 8 bytes per path, and the per-run overhead
+# is spread over as many steps.  With b_bar != 0 a run also keeps its forcing
+# and the forcing's scaled copy per path, and takes half as many steps (or
+# fewer, a delay's worth), so that its three buffers stay in a core's cache.
 _RUN_STEPS = 32
 
 
@@ -258,15 +260,18 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
     node start + k + 1 - n_delay, by the root of :func:`implicit_step`.
 
     A delayed node lies n_delay steps back, so over a run of at most
-    min(n_delay, ``_RUN_STEPS``) steps (``_RUN_STEPS`` when b_bar = 0) the
-    forcing c = a_under + b_bar y_{k+1-N}^2 and the noise sigma_bar dW_k are
-    known before the run starts.  Both are computed for the whole run into
-    two reused buffers, the forcing then scaled in place to (4 delta)(1 +
-    a_bar delta) c, the term the discriminant adds.  The step loop keeps
-    only the root, whose ufuncs write into the target row; the rare
-    conjugate branch recomputes c from the delayed row, which no step of the
-    run writes, and takes the root of :func:`_positive_root`, which rescales
-    an s^2 that overflows.  Every value is rounded as in :func:`implicit_step`.  With
+    min(n_delay, ``_RUN_STEPS`` / 2) steps (with b_bar = 0, ``_RUN_STEPS``
+    and fewer than len(y)) the forcing c = a_under + b_bar y_{k+1-N}^2 and
+    the noise sigma_bar dW_k are known before the run starts.  Both are
+    computed for the whole run into reused buffers, and the forcing scaled
+    into a third to (4 delta)(1 + a_bar delta) c, the term the discriminant
+    adds.  The step loop keeps only the root, whose ufuncs write into the
+    target row; the rare conjugate branch takes the root of
+    :func:`_positive_root` from the run's forcing.  Where s > 0 and s^2
+    overflows, a step gives inf, and inf absorbs, so each run checks its
+    last row once and takes its steps again by :func:`_positive_root`,
+    which rescales s^2, on the paths that end it on inf but started it
+    finite.  Every value is rounded as in :func:`implicit_step`.  With
     b_bar >= 0 every c is at least a_under, so one check that a_under > 0,
     which reads no path, covers every step: where it fails (a direct call,
     or gamma rounded below the bound of :func:`check_implicit`), its first
@@ -282,11 +287,13 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
     n = inc.shape[0]
     one_plus = 1.0 + a_bar * delta
     disc_scale = (4.0 * delta) * one_plus
-    run = _RUN_STEPS if b_bar == 0.0 else min(n_delay, _RUN_STEPS)
+    # a run's first node stays in the ring until the run is done
+    run = min(_RUN_STEPS, rows - 1) if b_bar == 0.0 else min(_RUN_STEPS // 2, n_delay)
     width = min(run, n)
     noise = np.empty((width, n_paths))
     # with b_bar = 0 the forcing is a_under alone, one column shared by all paths
     forcing = np.empty((width, n_paths if b_bar != 0.0 else 1))
+    scaled = np.empty_like(forcing)
     s = np.empty(n_paths)
     disc = np.empty(n_paths)
     for k0 in range(0, n, run):
@@ -299,25 +306,31 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
             c += au[k0:k1, None]
         else:
             c[:] = au[k0:k1, None]
-        c *= disc_scale
+        q = np.multiply(c, disc_scale, out=scaled[: k1 - k0])
         np.multiply(inc[k0:k1], sigma_bar, out=noise[: k1 - k0])
         for i in range(k1 - k0):
             node = start + k0 + i
             np.add(y[(n_delay + node) % rows], noise[i], out=s)
             np.multiply(s, s, out=disc)
-            disc += c[i]
+            disc += q[i]
             np.sqrt(disc, out=disc)
             target = y[(n_delay + node + 1) % rows]
             np.add(s, disc, out=target)
             target /= 2.0 * one_plus
             if not s.min(initial=0.0) >= 0.0:
-                # _positive_root where not s >= 0, with the forcing recomputed
-                # from the delayed row, still unwritten
+                # _positive_root where not s >= 0
                 neg = ~(s >= 0.0)
-                c_neg = au[k0 + i]
-                if b_bar != 0.0:
-                    c_neg = c_neg + b_bar * np.square(y[(node + 1) % rows][neg])
+                c_neg = np.broadcast_to(c[i], s.shape)[neg]
                 target[neg] = _positive_root(s[neg], c_neg, a_bar, delta)
+        # inf absorbs, so a path whose s^2 overflowed ends the run on inf
+        over = np.isinf(y[(n_delay + start + k1) % rows])
+        if over.any():
+            over &= np.isfinite(y[(n_delay + start + k0) % rows])
+            for i in range(k1 - k0 if over.any() else 0):
+                node = start + k0 + i
+                s_over = y[(n_delay + node) % rows, over] + noise[i, over]
+                c_over = np.broadcast_to(c[i], s.shape)[over]
+                y[(n_delay + node + 1) % rows, over] = _positive_root(s_over, c_over, a_bar, delta)
 
 
 def simulate_y_paths(
@@ -352,9 +365,9 @@ def simulate_y_paths(
 
     The march computes the root of :func:`implicit_step` inline, with the
     discriminant sqrt(s * s + 4 delta (1 + a_bar delta) c) for s = y_k +
-    sigma_bar dW_k.  For s > 0 it covers s below about 1.34e154, where s * s
-    is finite; beyond that a step gives inf, where :func:`implicit_step`
-    rescales the discriminant; a step with s < 0 takes its rescaled root.
+    sigma_bar dW_k, and takes its rescaled root where s < 0 or where s * s
+    overflows (s above about 1.34e154), so every node equals the root of
+    :func:`implicit_step`, bit for bit.
     """
     n_delay = grid.n_per_delay
     inc, stop, y = _march_target(grid, increments, window, start)

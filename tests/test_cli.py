@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from delay_cir.cir_analytics import CIRParams, laplace_transform
-from delay_cir import cli
+from delay_cir import cli, noise
 from delay_cir.cli import (
     BadValue,
     MissingKey,
@@ -698,14 +698,35 @@ def test_worker_failures_exit_three_like_in_process(tmp_path, capsys):
     assert multiprocessing.active_children() == []
 
 
-def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys):
+def test_an_output_directory_that_cannot_be_made_exits_two_before_any_draw(
+    tmp_path, capsys, monkeypatch
+):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(noise, "generate", no_draw)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
     cfg = _write_config(tmp_path, SMALL_RATE_CONFIG)
-    out = str(blocker / "sub")
-    rc = main(["run", "--config", cfg, "--out", out])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "Error" in err
-    assert not os.path.exists(out)
+    for out in (blocker, blocker / "sub", blocker / "sub" / "deeper"):
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: bad value for out: cannot make {out}: {blocker} is not a writable directory\n"
+        )
+        assert not os.path.exists(blocker / "sub")
     assert blocker.read_text() == "not a directory"
+
+
+def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys, monkeypatch):
+    # the products are written once the run is done; a first write that
+    # fails leaves the new output directory empty
+    def failing_write(path, text):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "_write_atomic", failing_write)
+    cfg = _write_config(tmp_path, SMALL_RATE_CONFIG)
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: OSError: [Errno 28] No space left on device\n"
+    assert list(out.iterdir()) == []

@@ -438,6 +438,20 @@ def test_survival_self_consistent_under_refinement():
     assert abs(coarse.value - fine.value) <= band
 
 
+@pytest.mark.parametrize("n_per_delay, horizon, n_steps", [(64, 1.5, 192), (256, 20.0, 10240)])
+def test_survival_chunks_do_not_shrink_as_the_horizon_grows(n_per_delay, horizon, n_steps):
+    # the fold holds one running row per path, not the path's K + 1 nodes,
+    # so 2048 paths walk in one chunk at the CLI's default K = 192 as at
+    # K = 10 240
+    model = _model(b=0.0, horizon=horizon)
+    grid = build_grid(model, n_per_delay)
+    with experiments.recorded_walks() as walks:
+        survival_probability(model, grid, 2048, seed=5)
+    (plan,) = walks
+    assert grid.n_steps == n_steps
+    assert (plan.chunks, plan.paths) == (1, 2048)
+
+
 # ---------------------------------------------------------------------------
 # classical variant helper
 # ---------------------------------------------------------------------------

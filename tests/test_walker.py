@@ -232,21 +232,28 @@ def test_census_flags_equal_whole_horizon_flags(walk_in_spans, case, threads):
         assert truncated.any()
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n_steps", sorted(GRIDS))
 def test_survival_values_equal_whole_horizon_values(walk_in_spans, n_steps, threads):
     model, grid = _grid(n_steps)
-    got, _ = walk_in_spans(
-        lambda: survival_probability(model, grid, PATHS, seed=4, threads=threads),
-        n_steps,
-        PATHS // threads,
-    )
 
     def discounted(x):
-        total = np.ascontiguousarray(x.T).sum(axis=1)
-        return np.exp(-(grid.delta * (total - 0.5 * (x[0] + x[-1]))))
+        # X summed in node order: 1/2 x_0, x_1, ..., x_{K-1}, 1/2 x_K
+        total = 0.5 * x[0]
+        for row in x[1:-1]:
+            total = total + row
+        return np.exp(-(grid.delta * (total + 0.5 * x[-1])))
 
-    assert np.array_equal(_bits(got), _bits(_whole(model, grid, discounted)))
+    want = _whole(model, grid, discounted)
+    # spans longer than a delay, then spans shorter than one
+    for longest in (n_steps, grid.n_per_delay):
+        got, plan = walk_in_spans(
+            lambda: survival_probability(model, grid, PATHS, seed=4, threads=threads),
+            longest,
+            PATHS // threads,
+        )
+        assert plan.span < longest
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 # ---------------------------------------------------------------------------
