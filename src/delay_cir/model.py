@@ -208,7 +208,7 @@ def gamma_bounds(gamma: GammaSpec, t0: float, t_end: float) -> tuple[float, floa
         lo, hi = sorted((g0, g0 + slope * span))
         return lo, hi, abs(slope) * math.sqrt(span)
     g0, amp, omega = gamma.params
-    smin, smax = _sin_extrema(0.0, omega * span) if omega >= 0 else _sin_extrema(omega * span, 0.0)
+    smin, smax = _sin_extrema(0.0, omega * span)
     vals = (amp * smin, amp * smax)
     return g0 + min(vals), g0 + max(vals), abs(amp * omega) * math.sqrt(span)
 
@@ -442,7 +442,7 @@ class ConditionReport:
 
 
 # The least and the greatest normal that a draw gives, ndtri(2^-54) and
-# ndtri(1 - 2^-53) (see noise._standard_normals; SciPy 1.17.1), written out
+# ndtri(1 - 2^-53) (see noise._finish; SciPy 1.17.1), written out
 # so that validate loads no SciPy.
 _Z_LO = -8.292361075813597
 _Z_HI = 8.209536151601387

@@ -16,23 +16,23 @@ Initial-segment randomness lives on a separate stream tag so that drawing a
 segment never disturbs the Brownian increments (and vice versa), no matter
 how many of either are drawn.
 
-A path that needs several words re-keys one Philox bit generator, so its
-cost per path is the state setter plus one fill: the words come as one row
-of uniforms filled by ``Generator.random`` into a reused cache-sized block
-of such rows.  The block is finished where it lies (the 2^-54 offset, the
-clamp, ``ndtri`` and the scale) and then copied once, transposed, into the
-time-major output.  Philox is counter-based (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC 2011): each block of four words is
-a pure function of key and counter.  So where every path needs a single
-word (a lognormal segment level), :func:`_philox4x64` computes the words of
-all the chunk's paths at once, in uint64 array arithmetic that gives
-numpy's bits, and no bit generator is keyed.  Both branches give the same
-bits as the first row of a longer draw (see :func:`_standard_normals`).
+Each stream has its own kernel.  The increments of :func:`generate`
+re-key one Philox bit generator per path, so their cost per path is the
+state setter plus one fill: the words come as one row of uniforms filled by
+``Generator.random`` into a reused cache-sized block of such rows.  The
+block is finished where it lies and then copied once, transposed, into the
+time-major output.  A lognormal segment needs one word per path, word 0 of
+its stream.  Philox is counter-based (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011): each block of four words is a pure
+function of key and counter.  So :func:`sample_segment` computes the word of
+every path of its chunk at once with :func:`_philox4x64`, in uint64 array
+arithmetic that gives numpy's bits, and keys no bit generator.  Both
+kernels turn words into normals by :func:`_finish`.
 
 SciPy's inverse normal CDF is imported on the first draw, not with the
 module, so a process that only parses or validates a config never loads it.
-``ndtri`` stays a module-level name that :func:`_standard_normals` looks up
-at call time, so it can be replaced there (for instance by a timing wrapper)
+``ndtri`` stays a module-level name that :func:`_finish` looks up at call
+time, so it can be replaced there (for instance by a timing wrapper)
 without touching the draw code.
 """
 
@@ -75,7 +75,7 @@ _BLOCK_BYTES = 1 << 20
 
 
 # The largest double below 1, 1 - 2^-53, to which the uniform of the
-# all-ones word is clamped (see _standard_normals).
+# all-ones word is clamped (see _finish).
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
@@ -142,6 +142,8 @@ def check_seed(seed: int) -> None:
 def _check_range(paths: range) -> None:
     if not isinstance(paths, range):
         raise TypeError(f"path_index must be a range of paths, not {type(paths).__name__}")
+    if paths and min(paths[0], paths[-1]) < 0:
+        raise ValueError("path_index must hold nonnegative paths")
 
 
 def ndtri(u: Array, out: Array | None = None) -> Array:
@@ -154,10 +156,11 @@ def ndtri(u: Array, out: Array | None = None) -> Array:
 def _finish(u: Array, scale: float) -> Array:
     """Uniforms ``u`` to ``scale`` times their standard normals, in place.
 
-    (k + 1/2) 2^-53 with k < 2^53 is never 0; it is 1 only for k = 2^53 - 1,
-    where k + 1/2 rounds up to 2^53 (one word in 2^53), and ndtri(1) = inf.
-    Every other uniform is at most 1 - 2^-52, so clamping to the largest
-    double below 1 changes that one value only.
+    Word w of a stream becomes the uniform (k + 1/2) 2^-53 with k = w >> 11.
+    That is never 0; it is 1 only for k = 2^53 - 1, where k + 1/2 rounds up
+    to 2^53 (one word in 2^53), and ndtri(1) = inf.  Every other uniform is
+    at most 1 - 2^-52, so clamping to the largest double below 1 changes
+    that one value only.
     """
     np.minimum(u, _BELOW_ONE, out=u)
     ndtri(u, out=u)
@@ -171,37 +174,19 @@ def _standard_normals(
     """(n, len(paths)) standard normals times ``scale``: column j holds draws
     start .. start+n-1 of stream (seed, paths[j], tag).
 
-    Word w of a stream becomes the uniform (k + 1/2) 2^-53 with k = w >> 11,
-    clamped below 1, then ``ndtri`` of it, times ``scale``.  One word per
-    path, from draw 0 of a block, is computed by :func:`_philox4x64` for
-    every path at once and converted just so.  A row of several words is
-    filled by ``Generator.random``, which gives k 2^-53 exactly, and 2^-54
-    is added to it; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2), because scaling
-    by a power of two commutes with rounding in this range.  So both
-    branches round every uniform alike, bit for bit.  Each value passes
-    through the same operations in the same order whatever the layout, so
-    finishing a block of rows before it is transposed into the output gives
-    the bits of finishing the whole output.
+    ``Generator.random`` fills a row with k 2^-53 exactly, and 2^-54 is added
+    to it; fl(k 2^-53 + 2^-54) = 2^-53 fl(k + 1/2), because scaling by a
+    power of two commutes with rounding in this range, so every uniform is
+    the one :func:`_finish` names.  Each value passes through the same
+    operations in the same order whatever the layout, so finishing a block
+    of rows before it is transposed into the output gives the bits of
+    finishing the whole output.
     """
-    check_seed(seed)
-    if min(paths, default=0) < 0:
-        raise ValueError("path_index must hold nonnegative paths")
     # Philox makes four words per counter value and steps the counter before
     # each four, so counter start // 4 with start % 4 words skipped begins at
     # word ``start`` (a fresh state has counter zero).  Path j's key is
     # (seed, (j << 1) | tag).
     skip = start % 4
-    if n == 1 and skip == 0:
-        # one word per path (a lognormal segment level): word 0 of the block
-        # at counter start // 4 + 1, for the chunk's paths at once
-        key1 = np.arange(paths.start, paths.stop, paths.step, dtype=np.uint64)
-        key1 <<= np.uint64(1)
-        key1 |= np.uint64(tag)
-        words = _philox4x64(seed & _MASK64, key1, start // 4 + 1)[0]
-        words >>= np.uint64(11)
-        u = np.add(words, 0.5)[None, :]
-        u *= 2.0**-53
-        return _finish(u, scale)
     # One bit generator, local to the call, re-keyed per path; its own seed
     # is never drawn from.  The setter copies the plain ints of one reused
     # state dict, so re-keying builds no array.  Each path's row is filled
@@ -247,6 +232,7 @@ def generate(
     same rows of the whole draw, bit for bit.
     """
     _check_range(path_index)
+    check_seed(seed)
     stop = grid.n_steps if stop is None else stop
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
@@ -294,12 +280,21 @@ def sample_segment(
     times = grid.t0 + np.arange(-grid.n_per_delay, 1) * grid.delta
     if spec.kind == "lognormal":
         median, log_sd = spec.params
-        z = _standard_normals(seed, path_index, _TAG_SEGMENT, 1)[0]
+        check_seed(seed)
+        # word 0 of every path's segment stream, for the chunk's paths at
+        # once: the block at counter 1, under path j's key (seed, (j << 1) | tag)
+        key1 = np.arange(path_index.start, path_index.stop, path_index.step, dtype=np.uint64)
+        key1 <<= np.uint64(1)
+        key1 |= np.uint64(_TAG_SEGMENT)
+        words = _philox4x64(seed & _MASK64, key1, 1)[0]
+        words >>= np.uint64(11)
+        u = np.add(words, 0.5)
+        u *= 2.0**-53
         # math.exp, not np.exp: NumPy's vectorised exp rounds differently
         # from the C library's on about 4.6 % of the levels (92 280 to
         # 92 920 of 2 000 000 at log_sd 0.2, 1 and 3, NumPy 2.4), which
         # would change the products of every run with a lognormal start
-        levels = np.fromiter(map(math.exp, (log_sd * z).tolist()), float, len(path_index))
+        levels = np.fromiter(map(math.exp, _finish(u, log_sd).tolist()), float, len(path_index))
         values = (median * levels)[None, :]
     else:
         check_segment_window(spec, grid.t0, grid.tau)

@@ -125,30 +125,29 @@ def implicit_step(y_prev, z_delay, noise, a_under_next, a_bar, b_bar, delta):
 def _positive_root(s, c, a_bar, delta):
     """Positive root y of (1 + a_bar delta) y^2 - s y - c delta = 0 for 1-D ``s``.
 
-    ``c`` is shaped like ``s`` or a scalar.  Where not s >= 0 (s < 0 or NaN)
-    the conjugate form 2 c delta / (disc - s) replaces (s + disc) / (2 (1 +
+    ``c`` is shaped like ``s``.  Where not s >= 0 (s < 0 or NaN) the
+    conjugate form 2 c delta / (disc - s) replaces (s + disc) / (2 (1 +
     a_bar delta)), whose numerator cancels catastrophically there.
 
-    Where s * s overflows (|s| above about 1.34e154) the discriminant is
-    |s| sqrt(1 + q / s^2) with q = 4 delta (1 + a_bar delta) c, so the root
-    stays finite and positive for |s| up to about 1e300; every other entry
-    is computed as sqrt(s * s + q), bit for bit as the march computes it.
+    Where s * s + q overflows, q = 4 delta (1 + a_bar delta) c (s * s itself
+    overflows for |s| above about 1.34e154), the discriminant is
+    |s| sqrt(1 + q / s^2), so the root stays finite and positive for |s| up
+    to about 1e300; every other entry is computed as sqrt(s * s + q), bit
+    for bit as the march computes it.
     """
     one_plus = 1.0 + a_bar * delta
     q = (4.0 * delta) * one_plus * c
     with np.errstate(over="ignore"):
-        square = s * s
-    disc = np.sqrt(square + q)
-    huge = np.isinf(square)
+        disc = s * s + q
+    huge = np.isinf(disc)
+    np.sqrt(disc, out=disc)
     if huge.any():
         s_huge = s[huge]
-        q_huge = q[huge] if np.ndim(q) else q
-        disc[huge] = np.abs(s_huge) * np.sqrt(1.0 + q_huge / s_huge / s_huge)
+        disc[huge] = np.abs(s_huge) * np.sqrt(1.0 + q[huge] / s_huge / s_huge)
     out = (s + disc) / (2.0 * one_plus)
     neg = ~(s >= 0.0)
     if neg.any():
-        c_neg = c[neg] if np.ndim(c) else c
-        out[neg] = (2.0 * delta) * c_neg / (disc[neg] - s[neg])
+        out[neg] = (2.0 * delta) * c[neg] / (disc[neg] - s[neg])
     return out
 
 
@@ -268,14 +267,15 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
     adds.  The step loop keeps only the root, whose ufuncs write into the
     target row; the rare conjugate branch takes the root of
     :func:`_positive_root` from the run's forcing.  Where s > 0 and s^2
-    overflows, a step gives inf, and inf absorbs, so each run checks its
-    last row once and takes its steps again by :func:`_positive_root`,
-    which rescales s^2, on the paths that end it on inf but started it
-    finite.  Every value is rounded as in :func:`implicit_step`.  With
-    b_bar >= 0 every c is at least a_under, so one check that a_under > 0,
-    which reads no path, covers every step: where it fails (a direct call,
-    or gamma rounded below the bound of :func:`check_implicit`), its first
-    node and time are raised before any step.
+    plus that term overflows, a step gives inf, and inf absorbs, so each
+    run checks its last row once and takes its steps again by
+    :func:`_positive_root`, which rescales the discriminant, on the paths
+    that end it on inf but started it finite.  Every value is rounded as in
+    :func:`implicit_step`.  With b_bar >= 0 every c is at least a_under, so
+    one check that a_under > 0, which reads no path, covers every step:
+    where it fails (a direct call, or gamma rounded below the bound of
+    :func:`check_implicit`), its first node and time are raised before any
+    step.
     """
     bad = np.flatnonzero(~(au > 0.0))
     if bad.size:
@@ -322,7 +322,7 @@ def _implicit_march(y, inc, t_next, au, a_bar, b_bar, sigma_bar, delta, n_delay,
                 neg = ~(s >= 0.0)
                 c_neg = np.broadcast_to(c[i], s.shape)[neg]
                 target[neg] = _positive_root(s[neg], c_neg, a_bar, delta)
-        # inf absorbs, so a path whose s^2 overflowed ends the run on inf
+        # inf absorbs, so a path whose discriminant overflowed ends the run on inf
         over = np.isinf(y[(n_delay + start + k1) % rows])
         if over.any():
             over &= np.isfinite(y[(n_delay + start + k0) % rows])
@@ -365,9 +365,9 @@ def simulate_y_paths(
 
     The march computes the root of :func:`implicit_step` inline, with the
     discriminant sqrt(s * s + 4 delta (1 + a_bar delta) c) for s = y_k +
-    sigma_bar dW_k, and takes its rescaled root where s < 0 or where s * s
-    overflows (s above about 1.34e154), so every node equals the root of
-    :func:`implicit_step`, bit for bit.
+    sigma_bar dW_k, and takes its rescaled root where s < 0 or where the
+    sum under the root overflows (s about 1.34e154 or above), so every node
+    equals the root of :func:`implicit_step`, bit for bit.
     """
     n_delay = grid.n_per_delay
     inc, stop, y = _march_target(grid, increments, window, start)

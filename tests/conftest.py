@@ -7,10 +7,12 @@ the suite checks the same cases and takes about the same time.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
-from delay_cir import experiments
+from delay_cir import experiments, noise
+from delay_cir.model import InitialSegmentSpec, TimeGrid
 
 settings.register_profile(
     "repeatable", derandomize=True, max_examples=40, deadline=None, database=None
@@ -24,6 +26,27 @@ def one_lane_plan(model, grid, n_paths, threads=1):
     ``experiments.map_paths``: one lane, and no fold rows."""
     lanes = [(model, grid, 1)]
     return experiments.walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: 0)
+
+
+def level_normals(seed: int, paths: range) -> np.ndarray:
+    """The standard normals behind the lognormal levels that
+    :func:`~delay_cir.noise.sample_segment` draws for ``paths``, one per
+    path, as its ``ndtri`` returns them."""
+    seen = []
+    inner = noise.ndtri
+
+    def recording(u, out=None):
+        z = inner(u, out=out)
+        seen.append(z.copy())
+        return z
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(noise, "ndtri", recording)
+        noise.sample_segment(
+            InitialSegmentSpec.lognormal(1.0, 1.0), TimeGrid(0.0, 1.0, 1, 1), seed, paths
+        )
+    (z,) = seen
+    return z
 
 
 # Rows of 8 B per path of a chunk that ``walk_in_spans`` starts from: a mean

@@ -718,6 +718,14 @@ def test_an_output_directory_that_cannot_be_made_exits_two_before_any_draw(
     assert blocker.read_text() == "not a directory"
 
 
+def test_a_write_that_fails_leaves_no_temporary_file(tmp_path):
+    # a lone surrogate cannot be encoded as UTF-8, so the write itself fails
+    target = tmp_path / "table.csv"
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_atomic(str(target), "x\ud800\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_runtime_errors_exit_three_without_partial_output(tmp_path, capsys, monkeypatch):
     # the products are written once the run is done; a first write that
     # fails leaves the new output directory empty

@@ -263,9 +263,9 @@ def test_the_earliest_lane_names_an_overflow(workers):
     # The strong study's lanes march finest first.  Over three delays the
     # coarse lanes of this start overflow later than the reference, at steps
     # 12 and 10 of the reference grid against 9, and do not move the node
-    # named; over one delay only the coarsest does, at step 8.
+    # named; over one delay every lane overflows at its first node.
     n_list, n_ref = [2, 4], 8
-    for horizon, lane_steps in ((0.5, [8, np.inf, np.inf]), (1.5, [12, 10, 9])):
+    for horizon, lane_steps in ((0.5, [4, 2, 1]), (1.5, [12, 10, 9])):
         model = _model(
             b=1e5, horizon=horizon, initial=InitialSegmentSpec.lognormal(1e303, 0.5)
         )
@@ -288,6 +288,29 @@ def test_the_earliest_lane_names_an_overflow(workers):
             f"X = Y^2 leaves the float range at node {expected} "
             f"(path {path}, t = {expected / 16})"
         )
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_coarse_lane_alone_names_its_overflow(workers, monkeypatch):
+    # Over one delay paths 209 and 237 overflow at the first node of every
+    # lane (the test above).  Path 9 of the coarsest lane, N = 2, set to inf
+    # from its node 2 after each march, is a lower path whose X leaves the
+    # float range in that lane alone: its step 8 of the reference grid is
+    # named.
+    inner = experiments.scheme_mod.simulate_y_paths
+
+    def march(model, grid, increments, segment, *, window, start):
+        inner(model, grid, increments, segment, window=window, start=start)
+        if grid.n_per_delay == 2:
+            for j in range(max(start + 1, 2), start + len(increments) + 1):
+                window[(2 + j) % len(window), 9] = np.inf
+
+    monkeypatch.setattr(experiments.scheme_mod, "simulate_y_paths", march)
+    model = _model(b=1e5, horizon=0.5, initial=InitialSegmentSpec.lognormal(1e303, 0.5))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(OutOfRange) as failed:
+            strong_error_study(model, [2, 4], 8, 300, [1.0], 16, threads=workers)
+    assert str(failed.value) == "X = Y^2 leaves the float range at node 8 (path 9, t = 0.5)"
 
 
 def test_map_paths_is_thread_and_chunk_independent():

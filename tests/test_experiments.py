@@ -521,6 +521,14 @@ def test_every_driver_checks_the_run_size_before_any_path_runs(
     assert info.value.argument == argument
 
 
+def test_a_census_of_no_scheme_is_rejected_before_any_path_runs(monkeypatch):
+    model = _model()
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    with pytest.raises(ValueError) as info:
+        positivity_census((), model, build_grid(model, 8), 16, seed=0)
+    assert info.value.argument == "scheme"
+
+
 def test_walk_plan_rejects_a_run_of_no_workers():
     model = _model()
     grid = build_grid(model, 8)

@@ -4,11 +4,12 @@ the straightforward computations they replace.
 * ``_fold_cell_errors`` builds a piece's interpolant with one ``np.einsum``
   into a reused buffer; the reference is the broadcast-product fold, kept
   here, walked over spans as ``strong_error_study`` walks them.
-* ``_standard_normals`` fills each path's row of several words with
-  ``Generator.random`` and finishes a block of rows before transposing it,
-  and ``generate`` scales the normals there by sqrt(delta); the reference
-  draws the raw words of a fresh Philox keyed by (seed, path, tag),
-  converts them as (k + 1/2) 2^-53 and scales the whole draw.
+* ``_standard_normals`` fills each path's row with ``Generator.random``
+  and finishes a block of rows before transposing it, and ``generate``
+  scales the normals there by sqrt(delta); ``sample_segment`` computes
+  each path's one word by the array kernel.  The reference draws the raw
+  words of a fresh Philox keyed by (seed, path, tag), converts them as
+  (k + 1/2) 2^-53 and scales the whole draw.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import level_normals
 from scipy.special import ndtri
 
 from delay_cir import noise
@@ -165,6 +167,7 @@ def test_draws_cross_small_transpose_blocks(monkeypatch):
 
 
 def test_one_word_draws_equal_raw_philox_words():
+    # the level kernel: word 0 of each path's segment stream
     paths = range(3, 2100)
-    got = _standard_normals(11, paths, _TAG_SEGMENT, 1)
-    assert got.tobytes() == _raw_normals(11, paths, _TAG_SEGMENT, 1, 0).tobytes()
+    got = level_normals(11, paths)
+    assert got.tobytes() == _raw_normals(11, paths, _TAG_SEGMENT, 1, 0)[0].tobytes()

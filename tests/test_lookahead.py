@@ -7,8 +7,9 @@ equal to the step-by-step computations they replace.
   once; the reference applies :func:`implicit_step` one step at a time,
   also where s^2 overflows and the march takes a run's steps again.
   Where a_under is not positive, the march raises before any step.
-* One-word Philox draws (the lognormal segment level) take their own branch;
-  the reference is the first row of a longer draw.
+* ``sample_segment`` computes the lognormal segment level, one word per
+  path, by its own kernel, and one-step spans of increments are filled like
+  longer ones; the reference is the first row of a longer draw.
 * The explicit baselines, marched one scheme at a time over the whole
   horizon or in ring windows, write each step into its target row; the
   reference is the whole-row expression of each scheme.  The symmetrized
@@ -22,6 +23,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import level_normals
 
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -205,9 +207,10 @@ def test_march_equals_implicit_step_applied_step_by_step(
 def test_march_equals_implicit_step_where_the_root_overflows():
     # A model just inside the domain, sigma^2 < 4 a gamma: s > 0 squares
     # past the float range on 605 of 2000 paths, where implicit_step's root
-    # is finite (X = Y^2 too on 599) and the march used to give inf.  On 99
+    # is finite (X = Y^2 too on 599) and the march used to give inf.  On 125
     # other paths s^2 is finite but s^2 + 4 delta (1 + a_bar delta) c is
-    # not, and both give inf.
+    # not; both used to give inf there where s > 0 (99 paths) and 0 where
+    # s < 0.  Every root is finite and positive, and so is X on those 125.
     model = ModelSpec(
         a=1.0, b=0.0, sigma=1.3e154, tau=4.0, t0=0.0, horizon=4.0,
         gamma=GammaSpec.constant(4.4e307), initial=InitialSegmentSpec.constant(4.4e307),
@@ -225,11 +228,16 @@ def test_march_equals_implicit_step_where_the_root_overflows():
         )
         s = np.sqrt(seg[-1]) + model.sigma_bar * inc[0]
         overflowed = np.isinf(s * s) & (s > 0.0)
+        q = 4.0 * grid.delta * (1.0 + model.a_bar * grid.delta) * model.a_under(grid.time(1))
+        sum_overflowed = np.isfinite(s * s) & np.isinf(s * s + q)
         x = np.square(y[-1])
     assert y.tobytes() == expected.tobytes()
     assert np.count_nonzero(overflowed) == 605
-    assert np.count_nonzero(np.isinf(y[-1])) == 99
+    assert np.count_nonzero(sum_overflowed) == 125
+    assert np.count_nonzero(sum_overflowed & (s > 0.0)) == 99
+    assert np.all(np.isfinite(y[-1])) and np.all(y[-1] > 0.0)
     assert np.count_nonzero(np.isfinite(x[overflowed])) == 599
+    assert np.all(np.isfinite(x[sum_overflowed]))
 
 
 @pytest.mark.parametrize(
@@ -309,8 +317,8 @@ def test_one_word_draws_equal_rows_of_longer_draws(paths):
     whole = generate(grid, 11, paths)
     for k in (0, 4, 8, 5):
         assert generate(grid, 11, paths, k, k + 1).tobytes() == whole[k : k + 1].tobytes()
-    level = _standard_normals(11, paths, _TAG_SEGMENT, 1)
-    assert level.tobytes() == _standard_normals(11, paths, _TAG_SEGMENT, 3)[:1].tobytes()
+    level = level_normals(11, paths)
+    assert level.tobytes() == _standard_normals(11, paths, _TAG_SEGMENT, 3)[0].tobytes()
 
 
 def test_lognormal_levels_come_from_the_first_segment_word():

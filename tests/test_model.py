@@ -220,6 +220,18 @@ def test_gamma_bounds_sinusoid_matches_dense_grid():
     assert vals.max() == pytest.approx(hi, abs=1e-8)
 
 
+@pytest.mark.parametrize("omega", [-math.pi, -1.5])
+def test_gamma_bounds_sinusoid_with_negative_omega_matches_dense_grid(omega):
+    g = GammaSpec.sinusoid(1.0, 0.3, omega)
+    lo, hi, holder = gamma_bounds(g, 0.0, 0.8)
+    assert holder == pytest.approx(0.3 * abs(omega) * math.sqrt(0.8))
+    vals = gamma_eval(g, np.linspace(0.0, 0.8, 200001))
+    assert lo <= vals.min() + 1e-9
+    assert hi >= vals.max() - 1e-9
+    assert vals.min() == pytest.approx(lo, abs=1e-8)
+    assert vals.max() == pytest.approx(hi, abs=1e-8)
+
+
 def test_gamma_bounds_sinusoid_partial_period():
     # interval too short to reach the sine extrema: bounds come from endpoints
     g = GammaSpec.sinusoid(1.0, 0.5, math.pi)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import level_normals
 from scipy.special import ndtri
 
 from delay_cir.model import (
@@ -146,17 +147,24 @@ def _all_ones_block(key0, key1, counter):
 
 
 @pytest.mark.parametrize(
-    "n, start", [(1, 0), (3, 0), (1, 2)], ids=["one-word", "rows", "rows-skipped"]
+    "draw",
+    [
+        lambda: level_normals(5, range(3))[None, :],
+        lambda: _standard_normals(5, range(3), 0, 3),
+        lambda: _standard_normals(5, range(3), 0, 1, 2),
+    ],
+    ids=["one-word", "rows", "rows-skipped"],
 )
-def test_the_all_ones_word_gives_a_finite_normal(monkeypatch, n, start):
+def test_the_all_ones_word_gives_a_finite_normal(monkeypatch, draw):
     # its uniform (k + 1/2) 2^-53, k = 2^53 - 1, rounds to 1, where ndtri is
-    # inf; both branches clamp it to the largest double below 1.  One word per
-    # path comes from the array kernel, rows from the bit generator.
+    # inf; both kernels clamp it to the largest double below 1.  The level
+    # kernel of sample_segment computes its one word per path by
+    # _philox4x64, the fill takes rows from the bit generator.
     monkeypatch.setattr(noise, "_philox4x64", _all_ones_block)
     monkeypatch.setattr(np.random, "Philox", _AllOnesPhilox)
     monkeypatch.setattr(np.random, "Generator", _AllOnesGenerator)
-    z = _standard_normals(5, range(3), 0, n, start)
-    assert z.shape == (n, 3)
+    z = draw()
+    assert z.shape[1] == 3
     assert np.all(z == ndtri(1.0 - 2.0**-53)) and np.all(np.isfinite(z))
 
 
@@ -188,11 +196,26 @@ def test_the_philox_kernel_gives_numpys_words(seed, first_path, tag, counter):
 
 @pytest.mark.parametrize("start", [0, 4, 8 << 40])
 def test_one_word_draws_equal_the_first_row_of_longer_draws(start):
+    # the fill of one word per path from a draw index divisible by 4
     paths = range((1 << 62) - 5, (1 << 62) + 5)
     for tag in (0, 1):
         one = _standard_normals(7, paths, tag, 1, start)
         rows = _standard_normals(7, paths, tag, 3, start)
         assert np.array_equal(_bits(one[0]), _bits(rows[0]))
+
+
+def test_one_step_increments_take_the_fill(monkeypatch):
+    # a one-step span at a step index divisible by 4 keys a bit generator
+    # per path, as every span of increments does; only sample_segment
+    # computes words by the array kernel
+    def no_kernel(*args):
+        raise AssertionError("the increments took the level kernel")
+
+    grid = _grid(8)
+    whole = generate(grid, 5, range(40))
+    monkeypatch.setattr(noise, "_philox4x64", no_kernel)
+    for k in (0, 4, 8):
+        assert generate(grid, 5, range(40), k, k + 1).tobytes() == whole[k : k + 1].tobytes()
 
 
 def test_a_lognormal_chunk_keys_no_bit_generator(monkeypatch):
@@ -386,6 +409,22 @@ def test_segment_stream_disjoint_from_noise_stream():
 def test_one_path_is_a_range_of_one_not_an_int(draw):
     with pytest.raises(TypeError, match="path_index must be a range of paths, not int"):
         draw(_grid(n_per_delay=8))
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda grid, paths: generate(grid, 1, paths),
+        lambda grid, paths: sample_segment(
+            InitialSegmentSpec.lognormal(1.0, 0.25), grid, 1, paths
+        ),
+    ],
+    ids=["generate", "lognormal-segment"],
+)
+@pytest.mark.parametrize("paths", [range(-1, 3), range(2, -2, -1)], ids=["first", "last"])
+def test_a_range_that_holds_a_negative_path_is_rejected(draw, paths):
+    with pytest.raises(ValueError, match="path_index must hold nonnegative paths"):
+        draw(_grid(n_per_delay=8), paths)
 
 
 def test_the_normal_range_that_validate_assumes_is_that_of_the_draws():
