@@ -554,6 +554,7 @@ def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> Non
     for plan in walks:
         lines += [
             f"walk_span_steps = {plan.span}",
+            f"walk_draw_cpus = {plan.draw_cpus}",
             f"walk_chunk_paths = {plan.paths}",
             f"walk_memory_estimate_mib = {plan.bytes * plan.processes / 2**20:.1f}",
         ]

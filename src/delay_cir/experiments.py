@@ -138,10 +138,22 @@ class WalkPlan:
     @property
     def processes(self) -> int:
         """The processes that run the chunks: ``workers``, but no more than
-        the CPUs this process may run on, or the machine's where ``os``
-        cannot tell (macOS, Windows)."""
-        affinity = getattr(os, "sched_getaffinity", None)
-        return min(self.workers, len(affinity(0)) if affinity else os.cpu_count() or 1)
+        :func:`_usable_cpus`."""
+        return min(self.workers, _usable_cpus())
+
+    @property
+    def draw_cpus(self) -> int:
+        """The CPUs on which each process finishes its draws
+        (:func:`~delay_cir.noise.generate`): its share of
+        :func:`_usable_cpus`, at least one."""
+        return max(1, _usable_cpus() // self.processes)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or the machine's where ``os``
+    cannot tell (macOS, Windows)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def check_path_count(n_paths: int) -> None:
@@ -261,9 +273,9 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     X values, shape (N+1, paths), and returns an array whose last axis runs
     over the chunk's paths.  ``draw(start=0, stop=K)`` returns the chunk's
     Brownian increments of steps start .. stop-1 on the plan's grid, shape
-    (stop - start, paths): :func:`delay_cir.noise.generate`, so any step
-    range equals the same rows of the whole draw; ``draw.paths`` is the
-    chunk's range of the run's paths.
+    (stop - start, paths): :func:`delay_cir.noise.generate` on the plan's
+    :attr:`~WalkPlan.draw_cpus`, so any step range equals the same rows of
+    the whole draw; ``draw.paths`` is the chunk's range of the run's paths.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
     ``plan.processes == 1`` they run in this process.  Otherwise
@@ -279,12 +291,13 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     walks = _walks.get()
     if walks is not None:
         walks.append(plan)
+    cpus = plan.draw_cpus
 
     def run(i: int) -> Array:
         paths = _chunk_paths(plan.n_paths, plan.chunks, i)
 
         def draw(start: int = 0, stop: int | None = None) -> Array:
-            return noise_mod.generate(plan.grid, seed, paths, start, stop)
+            return noise_mod.generate(plan.grid, seed, paths, start, stop, cpus=cpus)
 
         draw.paths = paths
         seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)

@@ -21,19 +21,23 @@ re-key one Philox bit generator per path, so their cost per path is the
 state setter plus one fill: the words come as one row of uniforms filled by
 ``Generator.random`` into a reused cache-sized block of such rows.  The
 block is finished where it lies and then copied once, transposed, into the
-time-major output.  A lognormal segment needs one word per path, word 0 of
-its stream.  Philox is counter-based (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011): each block of four words is a pure
-function of key and counter.  So :func:`sample_segment` computes the word of
-every path of its chunk at once with :func:`_philox4x64`, in uint64 array
-arithmetic that gives numpy's bits, and keys no bit generator.  Both
-kernels turn words into normals by :func:`_finish`.
+time-major output.  The fill holds the interpreter lock; the finishing and
+the copy do not, so they are split by rows over the CPUs the caller gives,
+on helper threads that live only for the draw.  A lognormal segment needs
+one word per path, word 0 of its stream.  Philox is counter-based (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block
+of four words is a pure function of key and counter.  So
+:func:`sample_segment` computes the word of every path of its chunk at once
+with :func:`_philox4x64`, in uint64 array arithmetic that gives numpy's
+bits, and keys no bit generator.  Both kernels turn words into normals by
+:func:`_finish`.
 
 SciPy's inverse normal CDF is imported on the first draw, not with the
 module, so a process that only parses or validates a config never loads it.
 ``ndtri`` stays a module-level name that :func:`_finish` looks up at call
 time, so it can be replaced there (for instance by a timing wrapper)
-without touching the draw code.
+without touching the draw code; a draw on several CPUs calls it from each
+of its threads.
 """
 
 from __future__ import annotations
@@ -168,8 +172,22 @@ def _finish(u: Array, scale: float) -> Array:
     return u
 
 
+def _finish_rows(rows: Array, out: Array, scale: float, lo: int, hi: int) -> None:
+    """Finish rows lo .. hi-1 of a block of filled rows (:func:`_finish`,
+    after adding 2^-54) and write them into columns lo .. hi-1 of ``out``."""
+    part = rows[lo:hi]
+    part += 2.0**-54
+    out[:, lo:hi] = _finish(part, scale).T
+
+
 def _standard_normals(
-    seed: int, paths: range, tag: int, n: int, start: int = 0, scale: float = 1.0
+    seed: int,
+    paths: range,
+    tag: int,
+    n: int,
+    start: int = 0,
+    scale: float = 1.0,
+    cpus: int = 1,
 ) -> Array:
     """(n, len(paths)) standard normals times ``scale``: column j holds draws
     start .. start+n-1 of stream (seed, paths[j], tag).
@@ -180,7 +198,8 @@ def _standard_normals(
     the one :func:`_finish` names.  Each value passes through the same
     operations in the same order whatever the layout, so finishing a block
     of rows before it is transposed into the output gives the bits of
-    finishing the whole output.
+    finishing the whole output, and so does finishing it in shares of rows
+    on ``cpus`` threads.
     """
     # Philox makes four words per counter value and steps the counter before
     # each four, so counter start // 4 with start % 4 words skipped begins at
@@ -206,15 +225,34 @@ def _standard_normals(
     block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
     rows = np.empty((min(block, len(paths)), n + skip))
     out = np.empty((n, len(paths)))
-    for lo in range(0, len(paths), block):
-        part = paths[lo : lo + block]
-        for j, path in enumerate(part):
-            key[1] = ((path << 1) | tag) & _MASK64
-            bitgen.state = state
-            uniform(out=rows[j])
-        done = rows[: len(part), skip:]
-        done += 2.0**-54
-        out[:, lo : lo + len(part)] = _finish(done, scale).T
+    # A block's rows are finished in up to ``cpus`` shares, the first on
+    # this thread; the helper threads live only for this call, so none is
+    # left when map_paths forks.
+    pool = None
+    if cpus > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(cpus - 1)
+    try:
+        for lo in range(0, len(paths), block):
+            part = paths[lo : lo + block]
+            for j, path in enumerate(part):
+                key[1] = ((path << 1) | tag) & _MASK64
+                bitgen.state = state
+                uniform(out=rows[j])
+            done, dest = rows[: len(part), skip:], out[:, lo : lo + len(part)]
+            shares = min(cpus, len(part))
+            cuts = [len(part) * i // shares for i in range(shares + 1)]
+            helpers = [
+                pool.submit(_finish_rows, done, dest, scale, a, b)
+                for a, b in zip(cuts[1:-1], cuts[2:])
+            ]
+            _finish_rows(done, dest, scale, cuts[0], cuts[1])
+            for helper in helpers:
+                helper.result()
+    finally:
+        if pool is not None:
+            pool.shutdown()
     return out
 
 
@@ -224,20 +262,25 @@ def generate(
     path_index: range,
     start: int = 0,
     stop: int | None = None,
+    *,
+    cpus: int = 1,
 ) -> Array:
     """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``,
     shape (stop - start, len(path_index)): standard normals times sqrt(delta).
 
     The default range is every step, k = 0 .. K-1; any step range equals the
-    same rows of the whole draw, bit for bit.
+    same rows of the whole draw, bit for bit.  Each block of the draw is
+    finished on up to ``cpus`` threads, with the same bits on any number.
     """
     _check_range(path_index)
     check_seed(seed)
+    if cpus < 1:
+        raise ValueError(f"need at least one CPU, got {cpus}")
     stop = grid.n_steps if stop is None else stop
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
     return _standard_normals(
-        seed, path_index, _TAG_NOISE, stop - start, start, math.sqrt(grid.delta)
+        seed, path_index, _TAG_NOISE, stop - start, start, math.sqrt(grid.delta), cpus
     )
 
 

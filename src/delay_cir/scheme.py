@@ -130,20 +130,26 @@ def _positive_root(s, c, a_bar, delta):
     a_bar delta)), whose numerator cancels catastrophically there.
 
     Where s * s + q overflows, q = 4 delta (1 + a_bar delta) c (s * s itself
-    overflows for |s| above about 1.34e154), the discriminant is
-    |s| sqrt(1 + q / s^2), so the root stays finite and positive for |s| up
-    to about 1e300; every other entry is computed as sqrt(s * s + q), bit
-    for bit as the march computes it.
+    overflows for |s| above about 1.34e154, q for c above about 1.8e308 /
+    (4 delta (1 + a_bar delta))), s is scaled by 2^-e and c by 2^-2e, with
+    the least e that brings both below 1.  That scales the discriminant by
+    2^-e exactly, so it is finite wherever its value fits a float, and the
+    root is for |s| up to about 1e300.  Every other entry is computed as
+    sqrt(s * s + q), bit for bit as the march computes it.
     """
     one_plus = 1.0 + a_bar * delta
-    q = (4.0 * delta) * one_plus * c
+    disc_scale = (4.0 * delta) * one_plus
     with np.errstate(over="ignore"):
+        q = disc_scale * c
         disc = s * s + q
     huge = np.isinf(disc)
     np.sqrt(disc, out=disc)
     if huge.any():
-        s_huge = s[huge]
-        disc[huge] = np.abs(s_huge) * np.sqrt(1.0 + q[huge] / s_huge / s_huge)
+        s_huge, c_huge = s[huge], c[huge]
+        e = np.maximum(np.frexp(s_huge)[1], (np.frexp(c_huge)[1] + 1) // 2)
+        s_huge = np.ldexp(s_huge, -e)
+        q_huge = disc_scale * np.ldexp(c_huge, -2 * e)
+        disc[huge] = np.ldexp(np.sqrt(s_huge * s_huge + q_huge), e)
     out = (s + disc) / (2.0 * one_plus)
     neg = ~(s >= 0.0)
     if neg.any():

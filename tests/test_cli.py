@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from delay_cir.cir_analytics import CIRParams, laplace_transform
-from delay_cir import cli, noise
+from delay_cir import cli, experiments, noise
 from delay_cir.cli import (
     BadValue,
     MissingKey,
@@ -207,6 +207,10 @@ def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
     # the estimate of all workers, each within the 32 MiB budget
     assert 30.0 < one["walk_memory_estimate_mib"] <= 32.0
     assert 32.0 < two["walk_memory_estimate_mib"] <= 64.0
+    # each process finishes its draws on its share of the CPUs
+    usable = experiments._usable_cpus()
+    assert one["walk_draw_cpus"] == usable
+    assert two["walk_draw_cpus"] == max(1, usable // min(2, usable))
 
 
 def test_seed_override_changes_the_numbers(tmp_path):

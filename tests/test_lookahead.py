@@ -20,6 +20,7 @@ equal to the step-by-step computations they replace.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -238,6 +239,33 @@ def test_march_equals_implicit_step_where_the_root_overflows():
     assert np.all(np.isfinite(y[-1])) and np.all(y[-1] > 0.0)
     assert np.count_nonzero(np.isfinite(x[overflowed])) == 599
     assert np.all(np.isfinite(x[sum_overflowed]))
+
+
+def test_march_equals_implicit_step_where_the_forcing_term_overflows():
+    # b 1e5 and a lognormal(3.2e301, 2.0) start: path 184's level 3.28e303
+    # makes c = a_under + b_bar X0 = 1.64e308 at the first step of the N = 2
+    # lane (delta 0.25), whose q = 4 delta (1 + a_bar delta) c overflows
+    # though the root, about sqrt(c delta / (1 + a_bar delta)) = 6.0e153,
+    # is finite; implicit_step used to return inf there
+    model = _model(b=1e5, horizon=0.5, initial=InitialSegmentSpec.lognormal(3.2e301, 2.0))
+    grid = build_grid(model, 2)
+    paths = range(184, 185)
+    inc = generate(grid, 16, paths)
+    seg = sample_segment(model.initial, grid, 16, paths)
+    c = float(model.a_under(grid.time(1))) + model.b_bar * float(seg[0, 0])
+    with np.errstate(over="ignore"):
+        assert math.isinf(4.0 * grid.delta * (1.0 + model.a_bar * grid.delta) * c)
+        y = simulate_y_paths(model, grid, inc, seg)
+    expected = y.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _stepwise_march(
+            expected, inc, np.asarray(model.a_under(grid.time([1, 2]))), model.a_bar,
+            model.b_bar, model.sigma_bar, grid.delta, grid.n_per_delay, 0,
+        )
+    assert y.tobytes() == expected.tobytes()
+    assert 5e153 < y[grid.n_per_delay + 1, 0] < 7e153
+    assert np.all(np.isfinite(np.square(y))) and np.all(y > 0.0)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -104,6 +106,60 @@ def test_generate_blocks_tile_the_whole_draw():
     ]
     assert blocks[-1].shape[0] == grid.n_steps % 56
     assert np.array_equal(_bits(np.concatenate(blocks)), _bits(whole))
+
+
+@pytest.mark.parametrize("block_rows", [None, 2], ids=["partial-last-block", "two-row-blocks"])
+@pytest.mark.parametrize("start, stop", [(0, 192), (5, 96)])
+def test_generate_bits_do_not_depend_on_the_cpus(monkeypatch, block_rows, start, stop):
+    # 1600 paths in 1 MiB blocks, of 682 rows of 192 words (two whole
+    # blocks and a partial one of 236 rows) or of 1424 rows of 92 words (a
+    # whole block and a partial one of 176); or 7 paths in blocks of two
+    # rows, whose last block has one, fewer rows than either count of
+    # threads.  A start of 5 skips one word of a Philox block of four.
+    paths = range(3, 1603) if block_rows is None else range(5, 12)
+    if block_rows is not None:
+        monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * (stop - start + start % 4) * block_rows)
+    grid = _grid()
+    one = generate(grid, 9, paths, start, stop)
+    for cpus in (2, 3):
+        assert np.array_equal(_bits(generate(grid, 9, paths, start, stop, cpus=cpus)), _bits(one))
+
+
+def test_a_draw_finishes_on_its_cpus_and_leaves_no_thread(monkeypatch):
+    threads = set()
+    inner = noise.ndtri
+
+    def recording(u, out=None):
+        threads.add(threading.get_ident())
+        return inner(u, out=out)
+
+    monkeypatch.setattr(noise, "ndtri", recording)
+    before = threading.active_count()
+    generate(_grid(), 9, range(2000))
+    assert threads == {threading.get_ident()}
+    generate(_grid(), 9, range(2000), cpus=3)
+    assert threading.get_ident() in threads and 2 <= len(threads) <= 3
+    assert threading.active_count() == before
+    with pytest.raises(ValueError, match="need at least one CPU, got 0"):
+        generate(_grid(), 9, range(2), cpus=0)
+
+
+def test_a_draw_on_more_threads_than_cores_keeps_its_bits():
+    # eight threads write disjoint shares of each block, switching every
+    # microsecond; a share written twice or not at all would change bits
+    grid, paths = _grid(), range(2000)
+    drawn = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=lambda: drawn.append(generate(grid, 9, paths, cpus=8)))
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    (got,) = drawn
+    assert np.array_equal(_bits(got), _bits(generate(grid, 9, paths)))
 
 
 def test_generate_rejects_ranges_off_the_grid():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -194,6 +195,18 @@ def test_step_root_beyond_the_overflow_of_s_squared():
     assert y == pytest.approx(0.5e-3 / 2e154, rel=1e-12)
     y = implicit_step(1.0, 1.0, 2e154, 0.5, 0.5, 0.0, 1e-3)
     assert y == pytest.approx(2e154 / (1.0 + 0.5e-3), rel=1e-12)
+
+
+def test_step_root_where_the_forcing_term_overflows():
+    # q = 4 delta (1 + a_bar delta) c overflows for c = 1.64e308 though the
+    # root sqrt(c delta / (1 + a_bar delta)) is about 6.0e153; no overflow
+    # warning leaks from the rescaled discriminant
+    c = 1.64e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = implicit_step(1.0, math.sqrt(c / 5e4), 0.0, 0.375, 0.5, 5e4, 0.25)
+    assert y == pytest.approx(math.sqrt(c * 0.25 / 1.125), rel=1e-12)
+    assert 0.0 < y < math.inf
 
 
 def test_step_root_keeps_its_bits_where_s_squared_is_finite():

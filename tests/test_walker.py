@@ -396,9 +396,9 @@ def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
     spans = []
     inner = noise.generate
 
-    def recording(grid, seed, path_index, start=0, stop=None):
+    def recording(grid, seed, path_index, start=0, stop=None, *, cpus=1):
         spans.append((start, grid.n_steps if stop is None else stop, grid.n_steps))
-        return inner(grid, seed, path_index, start, stop)
+        return inner(grid, seed, path_index, start, stop, cpus=cpus)
 
     monkeypatch.setattr(noise, "generate", recording)
     with experiments.recorded_walks() as plans:
@@ -409,6 +409,55 @@ def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
     chunks = -(-PATHS // plan.paths)
     assert [start for start, _, _ in spans] == list(range(0, n_steps, plan.span)) * chunks
     assert all(stop == min(start + plan.span, n_steps) for start, stop, _ in spans)
+
+
+# ---------------------------------------------------------------------------
+# the CPUs that finish the draws
+# ---------------------------------------------------------------------------
+
+
+def test_draw_cpus_are_each_process_share_of_the_usable_cpus(monkeypatch):
+    model, grid = _grid(300)
+    for usable, workers, processes, cpus in (
+        (2, 1, 1, 2), (2, 2, 2, 1), (3, 1, 1, 3), (3, 2, 2, 1), (4, 2, 2, 2), (1, 3, 1, 1)
+    ):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: usable)
+        plan = one_lane_plan(model, grid, 4 * PATHS, workers)
+        assert (plan.processes, plan.draw_cpus) == (processes, cpus)
+
+
+@pytest.mark.parametrize("workers, cpus", [(1, 2), (2, 1)])
+def test_map_paths_passes_each_process_its_draw_cpus(monkeypatch, workers, cpus):
+    # one process on two CPUs finishes its draws on both; two processes
+    # finish theirs on one each, in forked workers that report the cpus
+    # they were given
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+
+    def given(grid, seed, path_index, start=0, stop=None, *, cpus=1):
+        return np.full((1, len(path_index)), float(cpus))
+
+    monkeypatch.setattr(noise, "generate", given)
+    model, grid = _grid(300)
+    plan = one_lane_plan(model, grid, 4 * PATHS, workers)
+    assert plan.processes == workers
+    seen = experiments.map_paths(plan, 3, lambda draw, seg: draw(0, 1)[0])
+    assert seen.tolist() == [float(cpus)] * 4 * PATHS
+    assert multiprocessing.active_children() == []
+
+
+def test_studies_do_not_depend_on_the_draw_cpus(monkeypatch):
+    model = _model(horizon=1.0)
+    results = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: cpus)
+        with experiments.recorded_walks() as plans:
+            table = strong_error_study(model, (4, 8), 32, 3 * PATHS, (1.0, 2.0), seed=6)
+            rows = mean_consistency_check(
+                model, build_grid(model, 64), 3 * PATHS, [0.5, 1.0], seed=6
+            )
+        assert [plan.draw_cpus for plan in plans] == [cpus, cpus]
+        results.append(repr((table, rows)))
+    assert results[0] == results[1]
 
 
 # ---------------------------------------------------------------------------
