@@ -9,7 +9,8 @@ experiment's driver.  Every input that a run rejects before its first walk
 is a config error, whether its plan or its driver rejects it.
 Every run leaves a ``manifest.txt`` carrying the fully resolved config, a
 sha256 hash of it, the tool version, the wall time, the worker count, the
-peak resident set and how the paths were walked (span, chunk size and the
+peak resident set, the versions of Python, NumPy and (where the run loaded
+it) SciPy, and how the paths were walked (span, chunk size and the
 memory estimate of all workers); CSV files are written to a temp file and
 atomically renamed, so a failed run leaves no partial tables behind.
 """
@@ -20,6 +21,7 @@ import argparse
 import hashlib
 import math
 import os
+import platform
 import sys
 import tempfile
 import time
@@ -550,6 +552,13 @@ def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> Non
         f"wall_time_seconds = {wall_time:.3f}",
         f"workers = {config.threads}",
         f"peak_rss_mib = {_peak_rss_mib():.1f}",
+        f"python = {platform.python_version()}",
+        # NumPy, and SciPy where the run loaded it: the manifest imports nothing
+        *(
+            f"{name} = {sys.modules[name].__version__}"
+            for name in ("numpy", "scipy")
+            if name in sys.modules
+        ),
     ]
     for plan in walks:
         lines += [

@@ -19,11 +19,12 @@ how many of either are drawn.
 Each stream has its own kernel.  The increments of :func:`generate`
 re-key one Philox bit generator per path, so their cost per path is the
 state setter plus one fill: the words come as one row of uniforms filled by
-``Generator.random`` into a reused cache-sized block of such rows.  The
-block is finished where it lies and then copied once, transposed, into the
+``Generator.random`` into a cache-sized block of such rows.  A block is
+finished where it lies and then copied once, transposed, into the
 time-major output.  The fill holds the interpreter lock; the finishing and
-the copy do not, so they are split by rows over the CPUs the caller gives,
-on helper threads that live only for the draw.  A lognormal segment needs
+the copy do not, so a draw on several CPUs is a pipeline: the calling
+thread fills the next block while helper threads, which live only for the
+draw, finish the blocks already filled.  A lognormal segment needs
 one word per path, word 0 of its stream.  Philox is counter-based (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block
 of four words is a pure function of key and counter.  So
@@ -180,6 +181,19 @@ def _finish_rows(rows: Array, out: Array, scale: float, lo: int, hi: int) -> Non
     out[:, lo:hi] = _finish(part, scale).T
 
 
+def _settle(future, job: tuple) -> bool:
+    """Finish a queued job on this thread unless a helper has started it
+    (``future`` is None where there are no helpers); True unless it is still
+    running.  A helper's error is raised here, with its type."""
+    if future is None or future.cancel():
+        _finish_rows(*job)
+        return True
+    if future.done():
+        future.result()
+        return True
+    return False
+
+
 def _standard_normals(
     seed: int,
     paths: range,
@@ -199,7 +213,22 @@ def _standard_normals(
     operations in the same order whatever the layout, so finishing a block
     of rows before it is transposed into the output gives the bits of
     finishing the whole output, and so does finishing it in shares of rows
-    on ``cpus`` threads.
+    on any of ``cpus`` threads.
+
+    The draw is a pipeline of two stages.  This thread fills blocks of rows,
+    which holds the interpreter lock; each filled block is queued for the
+    ``cpus - 1`` helper threads, which finish it while the next one is
+    filled.  The fill rotates through ``2 cpus - 1`` buffers that together
+    hold one block of ``_BLOCK_BYTES`` (or a row each, where a row is longer
+    than their share): the one being filled and, for each helper, one being
+    finished and one queued behind it.  When every buffer is queued, this
+    thread takes the buffer of the oldest block that is finished or that no
+    helper has started, finishing such a block itself, so it never waits on
+    a helper.  The last block is queued in ``cpus`` shares of rows, and
+    this thread then finishes every job that no helper has started, from
+    the back of the queue.  With ``cpus == 1`` the same loop has one buffer
+    and no helper, so each block is finished when the next fill needs its
+    buffer.
     """
     # Philox makes four words per counter value and steps the counter before
     # each four, so counter start // 4 with start % 4 words skipped begins at
@@ -222,12 +251,12 @@ def _standard_normals(
         "uinteger": 0,
     }
     uniform = np.random.Generator(bitgen).random
-    block = max(1, _BLOCK_BYTES // (8 * max(n + skip, 1)))
-    rows = np.empty((min(block, len(paths)), n + skip))
+    buffers = 2 * cpus - 1
+    block = max(1, _BLOCK_BYTES // (8 * buffers * max(n + skip, 1)))
     out = np.empty((n, len(paths)))
-    # A block's rows are finished in up to ``cpus`` shares, the first on
-    # this thread; the helper threads live only for this call, so none is
-    # left when map_paths forks.
+    # (future, job, buffer) of every queued job, oldest first.  The helper
+    # threads live only for this call, so none is left when map_paths forks.
+    queue = []
     pool = None
     if cpus > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -236,23 +265,31 @@ def _standard_normals(
     try:
         for lo in range(0, len(paths), block):
             part = paths[lo : lo + block]
+            if len(queue) < buffers:
+                rows = np.empty((min(block, len(paths)), n + skip))
+            else:
+                # one is finished or can be taken back: at most cpus - 1
+                # of the 2 cpus - 1 queued blocks are running
+                i = next(i for i, (future, job, _) in enumerate(queue) if _settle(future, job))
+                rows = queue.pop(i)[2]
             for j, path in enumerate(part):
                 key[1] = ((path << 1) | tag) & _MASK64
                 bitgen.state = state
                 uniform(out=rows[j])
             done, dest = rows[: len(part), skip:], out[:, lo : lo + len(part)]
-            shares = min(cpus, len(part))
+            shares = min(cpus, len(part)) if lo + block >= len(paths) else 1
             cuts = [len(part) * i // shares for i in range(shares + 1)]
-            helpers = [
-                pool.submit(_finish_rows, done, dest, scale, a, b)
-                for a, b in zip(cuts[1:-1], cuts[2:])
-            ]
-            _finish_rows(done, dest, scale, cuts[0], cuts[1])
-            for helper in helpers:
-                helper.result()
+            for a, b in zip(cuts, cuts[1:]):
+                job = (done, dest, scale, a, b)
+                future = None if pool is None else pool.submit(_finish_rows, *job)
+                queue.append((future, job, rows))
+        while queue:
+            future, job, _ = queue.pop()
+            if not _settle(future, job):
+                future.result()
     finally:
         if pool is not None:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return out
 
 
@@ -269,8 +306,9 @@ def generate(
     shape (stop - start, len(path_index)): standard normals times sqrt(delta).
 
     The default range is every step, k = 0 .. K-1; any step range equals the
-    same rows of the whole draw, bit for bit.  Each block of the draw is
-    finished on up to ``cpus`` threads, with the same bits on any number.
+    same rows of the whole draw, bit for bit.  The draw's blocks are
+    finished on up to ``cpus`` threads while later ones are filled, with
+    the same bits on any number.
     """
     _check_range(path_index)
     check_seed(seed)

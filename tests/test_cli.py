@@ -3,12 +3,14 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 from delay_cir.cir_analytics import CIRParams, laplace_transform
 from delay_cir import cli, experiments, noise
@@ -193,6 +195,12 @@ def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
         out = tmp_path / f"w{workers}"
         assert main(["run", "--config", cfg, "--out", str(out), "--threads", str(workers)]) == 0
         head = (out / "manifest.txt").read_text().split("[config]")[0].splitlines()
+        # the versions the run computed with, outside the config and its hash
+        assert [line for line in head if line.split(" = ")[0] in ("python", "numpy", "scipy")] == [
+            f"python = {platform.python_version()}",
+            f"numpy = {np.__version__}",
+            f"scipy = {scipy.__version__}",
+        ]
         walks[workers] = {
             key: float(value)
             for key, _, value in (line.partition(" = ") for line in head)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,11 +112,13 @@ def test_generate_blocks_tile_the_whole_draw():
 @pytest.mark.parametrize("block_rows", [None, 2], ids=["partial-last-block", "two-row-blocks"])
 @pytest.mark.parametrize("start, stop", [(0, 192), (5, 96)])
 def test_generate_bits_do_not_depend_on_the_cpus(monkeypatch, block_rows, start, stop):
-    # 1600 paths in 1 MiB blocks, of 682 rows of 192 words (two whole
-    # blocks and a partial one of 236 rows) or of 1424 rows of 92 words (a
-    # whole block and a partial one of 176); or 7 paths in blocks of two
-    # rows, whose last block has one, fewer rows than either count of
-    # threads.  A start of 5 skips one word of a Philox block of four.
+    # 1600 paths in blocks whose buffers hold 1 MiB together (one buffer on
+    # one CPU, three on two, five on three): rows of 192 words come 682,
+    # 227 and 136 to a block (partial last blocks of 236, 11 and 104 rows),
+    # rows of 92 words 1424, 474 and 284 (last blocks of 176, 178 and 180).
+    # Or 7 paths in blocks of two rows on one CPU and of one row on more,
+    # whose last block has fewer rows than either count of threads.  A
+    # start of 5 skips one word of a Philox block of four.
     paths = range(3, 1603) if block_rows is None else range(5, 12)
     if block_rows is not None:
         monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * (stop - start + start % 4) * block_rows)
@@ -160,6 +163,103 @@ def test_a_draw_on_more_threads_than_cores_keeps_its_bits():
     assert not worker.is_alive()
     (got,) = drawn
     assert np.array_equal(_bits(got), _bits(generate(grid, 9, paths)))
+
+
+@pytest.mark.parametrize("start, stop", [(5, 96), (130, 192)])
+def test_a_pipelined_draw_keeps_its_bits_on_any_cpus(monkeypatch, start, stop):
+    # buffers of 30 rows together: blocks of 30, 10, 6 and 2 rows on 1, 2, 3
+    # and 8 CPUs, so 305 paths make 11 to 153 blocks, many more than the 1
+    # to 15 buffers, and the last block is partial (5, 5, 5 and 1 rows)
+    grid, paths = _grid(), range(7, 312)
+    whole = generate(grid, 9, paths, start, stop)  # one block
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * (stop - start + start % 4) * 30)
+    for cpus in (1, 2, 3, 8):
+        assert np.array_equal(_bits(generate(grid, 9, paths, start, stop, cpus=cpus)), _bits(whole))
+
+
+def test_the_caller_and_a_helper_both_finish_blocks(monkeypatch):
+    finishers = []
+    inner = noise._finish_rows
+
+    def recording(*job):
+        finishers.append(threading.get_ident())
+        inner(*job)
+
+    monkeypatch.setattr(noise, "_finish_rows", recording)
+    # three buffers of 10 rows: 200 blocks, the last one in two shares
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 30)
+    generate(_grid(), 9, range(2000), cpus=2)
+    assert len(finishers) == 201
+    assert len(set(finishers)) == 2 and threading.get_ident() in finishers
+
+
+def test_a_draw_holds_one_block_besides_its_output():
+    # rows of 1536 words (12 KiB), 28 to each of three buffers; the pool and
+    # its queue of jobs take about one row more
+    grid, paths = _grid(512), range(1000)
+    generate(grid, 9, paths, cpus=2)  # imports and first calls before tracing
+    tracemalloc.start()
+    try:
+        out = generate(grid, 9, paths, cpus=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes <= noise._BLOCK_BYTES + 4 * 8 * grid.n_steps, peak - out.nbytes
+
+
+class _Broken(Exception):
+    """The finishing error of test_a_helper_error_reaches_the_caller."""
+
+
+def test_a_helper_error_reaches_the_caller(monkeypatch):
+    # ndtri fails on the helper from its third call on, while many blocks are
+    # still to be filled; the draw runs on a thread of its own, so that a
+    # deadlock fails the test instead of hanging it
+    lock = threading.Lock()
+    count = {"ndtri": 0, "started": 0, "running": 0}
+    drawer, outcome = [], []
+    inner_ndtri, inner_rows = noise.ndtri, noise._finish_rows
+
+    def failing(u, out=None):
+        with lock:
+            count["ndtri"] += 1
+            fail = count["ndtri"] >= 3 and threading.get_ident() != drawer[0]
+        if fail:
+            raise _Broken("ndtri failed")
+        return inner_ndtri(u, out=out)
+
+    def counted(*job):
+        with lock:
+            count["started"] += 1
+            count["running"] += 1
+        try:
+            inner_rows(*job)
+        finally:
+            with lock:
+                count["running"] -= 1
+
+    def draw():
+        drawer.append(threading.get_ident())
+        try:
+            generate(_grid(), 9, range(2000), cpus=2)
+        except _Broken:
+            with lock:
+                outcome.append(dict(count))
+
+    monkeypatch.setattr(noise, "ndtri", failing)
+    monkeypatch.setattr(noise, "_finish_rows", counted)
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 30)  # 201 jobs
+    before = threading.active_count()
+    worker = threading.Thread(target=draw)
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    (raised,) = outcome
+    # no job runs once generate has returned, none starts later, and the
+    # jobs queued behind the error were cancelled
+    assert raised["running"] == 0
+    assert raised["started"] == count["started"] < 201
+    assert threading.active_count() == before
 
 
 def test_generate_rejects_ranges_off_the_grid():
