@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelSpec, NonPositiveParameter, TimeGrid, gamma_eval
+from .model import ModelSpec, NonPositiveParameter, TimeGrid, check_grid, gamma_eval
 
 Array = np.ndarray
 
@@ -329,8 +329,10 @@ def mean_delay_curve(model: ModelSpec, grid: TimeGrid, substeps: int = 64) -> Me
     back, so over a run of that many sub-steps the integrals are computed
     together as arrays.  Only m(t + h) = e^{-a h} m(t) + integral stays a
     sequential loop, over Python floats.  Each value is rounded exactly as in
-    a sub-step by sub-step march.
+    a sub-step by sub-step march.  ``grid`` must be the model's
+    (:func:`~delay_cir.model.check_grid`).
     """
+    check_grid(model, grid)
     if substeps < 32:
         raise ValueError(f"need at least 32 quadrature sub-steps per grid step, got {substeps}")
     n_delay, n_steps = grid.n_per_delay, grid.n_steps

@@ -43,6 +43,8 @@ from .experiments import (
     survival_probability,
 )
 from .model import (
+    GAMMA_PARAMS,
+    INITIAL_PARAMS,
     GammaSpec,
     InitialSegmentSpec,
     ModelSpec,
@@ -179,54 +181,35 @@ def _require(items: dict[str, str], key: str) -> str:
     return value
 
 
-def _number(items: dict[str, str], key: str) -> float:
-    """The float of a key that the configured kind requires."""
-    return _parse_float(key, _require(items, key))
+def _params(items: dict[str, str], names) -> tuple[float, ...]:
+    """The floats of the parameters ``names`` of the configured kind, in
+    order, each read from its config key."""
+    return tuple(_parse_float(_KEYS[name], _require(items, _KEYS[name])) for name in names)
 
 
 def _build_gamma(items: dict[str, str]) -> GammaSpec:
     kind = items["gamma.kind"]
-    level = _number(items, "gamma.level")
-    if kind == "constant":
-        return GammaSpec.constant(level)
-    if kind == "affine":
-        slope = _number(items, "gamma.slope")
-        return GammaSpec.affine(level, slope)
-    if kind == "sinusoid":
-        amplitude = _number(items, "gamma.amplitude")
-        omega = _number(items, "gamma.omega")
-        return GammaSpec.sinusoid(level, amplitude, omega)
-    raise BadValue("gamma.kind", f"must be constant, affine or sinusoid, got {kind!r}")
+    if kind not in GAMMA_PARAMS:
+        raise BadValue("gamma.kind", f"must be constant, affine or sinusoid, got {kind!r}")
+    return GammaSpec(kind, _params(items, GAMMA_PARAMS[kind]))
 
 
 def _build_initial(items: dict[str, str]) -> InitialSegmentSpec:
     kind = items["initial.kind"]
-    if kind == "constant":
-        return InitialSegmentSpec.constant(_number(items, "initial.level"))
-    if kind == "lognormal":
-        median = _number(items, "initial.median")
-        log_sd = _number(items, "initial.log_sd")
-        return InitialSegmentSpec.lognormal(median, log_sd)
-    if kind == "table":
-        raw = _require(items, "initial.points")
-        points = []
-        for chunk in raw.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            t_raw, sep, v_raw = chunk.partition(":")
-            if not sep:
-                raise BadValue("initial.points", f"expected 't:value', got {chunk!r}")
-            points.append(
-                (
-                    _parse_float("initial.points", t_raw.strip()),
-                    _parse_float("initial.points", v_raw.strip()),
-                )
-            )
-        return _checked("initial.points", InitialSegmentSpec.table, points)
-    raise BadValue(
-        "initial.kind", f"must be constant, table or lognormal, got {kind!r}"
-    )
+    if kind not in INITIAL_PARAMS:
+        raise BadValue("initial.kind", f"must be constant, table or lognormal, got {kind!r}")
+    if kind != "table":
+        return InitialSegmentSpec(kind, _params(items, INITIAL_PARAMS[kind]))
+    points = []
+    for chunk in _require(items, "initial.points").split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        t_raw, sep, v_raw = chunk.partition(":")
+        if not sep:
+            raise BadValue("initial.points", f"expected 't:value', got {chunk!r}")
+        points.append(tuple(_parse_float("initial.points", raw.strip()) for raw in (t_raw, v_raw)))
+    return _checked("initial.points", InitialSegmentSpec.table, points)
 
 
 # Config keys of the library arguments (an error's ``argument``) that go by

@@ -46,6 +46,7 @@ from .model import (
     TimeGrid,
     build_grid,
     check_fits_float,
+    check_grid,
     off_grid,
     rejected,
     validate,
@@ -220,8 +221,10 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     Temporaries of a byte per node, such as a march's check that its
     increments are finite, and buffers of a few rows are left out.  Every
     driver plans its walk first, so the run-size checks run here only, with
-    each lane's :func:`~delay_cir.scheme.check_implicit`, before any path.
+    the rule that ``grid`` is the model's (:func:`~delay_cir.model.check_grid`)
+    and each lane's :func:`~delay_cir.scheme.check_implicit`, before any path.
     """
+    check_grid(model, grid)
     check_path_count(n_paths)
     check_worker_count(threads)
     for lane_model, _, _ in lanes:
@@ -530,13 +533,14 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) 
     """Raise unless :func:`strong_error_study` accepts the model, levels and orders.
 
     ``model`` must pass :func:`validate` and the strict Feller condition,
-    ``n_list`` must hold positive integers that increase, each dividing the
-    next, ``n_ref`` must be a proper multiple of its largest entry with
-    finite steps (horizon - t0) N_ref / tau, both must convert to floats,
-    and every p must lie in (0, p_max) of the model's report.  With ``fit``,
+    ``n_list`` must hold one or more positive integers that increase, each
+    dividing the next, ``n_ref`` must be a proper multiple of its largest
+    entry with finite steps (horizon - t0) N_ref / tau, both must convert to
+    floats, and every p must lie in (0, p_max) of the model's report.  With ``fit``,
     ``n_list`` must also hold the three levels that :func:`fit_rate` needs,
     three with a step tau / N other than 1 (:func:`_delta_log_delta`).
-    A level or order error (:class:`~delay_cir.noise.NotNested`,
+    A level or order error (``ValueError`` for no levels,
+    :class:`~delay_cir.noise.NotNested`,
     :class:`InsufficientRows`, :class:`~delay_cir.model.OutOfRange` or
     :class:`PRequestedTooLarge`) names the rejected argument in its
     ``argument`` attribute: ``"n_list"``, ``"n_ref"`` or ``"p_list"``.
@@ -544,6 +548,8 @@ def check_levels(model: ModelSpec, n_list, n_ref, p_list, *, fit: bool = False) 
     report = validate(model)
     if not report.strong_feller_ok:
         raise StrongFellerViolated("strong error study requires sigma^2 < 2 a inf(gamma)")
+    if not len(n_list):
+        raise rejected(ValueError, "n_list", "empty list")
     if any(n < 1 for n in n_list):
         raise rejected(noise_mod.NotNested, "n_list", "entries must be positive integers")
     for small, big in zip(n_list, n_list[1:]):
@@ -805,12 +811,14 @@ def check_comparable(model_upper: ModelSpec, model_lower: ModelSpec, grid: TimeG
 
     The models must share (a, sigma, tau, t0, horizon) and the initial
     segment, with b_lower = 0 <= b_upper and gamma_upper >= gamma_lower at
-    every grid node; both must pass :func:`validate` and ``check_implicit``.
-    The upper model is checked first; every error after its checks names
+    every grid node, which must be the upper model's (:func:`check_grid`);
+    both must pass :func:`validate` and ``check_implicit``.  The upper model
+    and the grid are checked first; every error after their checks names
     ``"model_lower"`` as its ``argument``.
     """
     validate(model_upper)
     scheme_mod.check_implicit(model_upper)
+    check_grid(model_upper, grid)
     try:
         same = all(
             getattr(model_upper, f) == getattr(model_lower, f)
@@ -979,8 +987,8 @@ class ModulusResult:
 
 def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
     """Grid-step lags of ``delta_list``; raises :class:`GridMisaligned` unless
-    every entry is a whole number of grid steps in (0, T - t0], naming
-    ``"delta_list"`` as its ``argument``."""
+    every entry is a whole number of grid steps in (0, T - t0], and
+    ``ValueError`` for no entry, naming ``"delta_list"`` as its ``argument``."""
     lags = []
     for d in delta_list:
         rel = float(d) / grid.delta
@@ -991,6 +999,8 @@ def modulus_lags(grid: TimeGrid, delta_list) -> list[int]:
                 f"modulus delta {d} must be a whole number of grid steps in (0, T - t0]",
             )
         lags.append(lag)
+    if not lags:
+        raise rejected(ValueError, "delta_list", "empty list")
     return lags
 
 

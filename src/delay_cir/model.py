@@ -28,6 +28,8 @@ import numpy as np
 Array = np.ndarray
 
 __all__ = [
+    "GAMMA_PARAMS",
+    "INITIAL_PARAMS",
     "GammaSpec",
     "InitialSegmentSpec",
     "ModelSpec",
@@ -36,6 +38,7 @@ __all__ = [
     "gamma_eval",
     "gamma_bounds",
     "build_grid",
+    "check_grid",
     "check_segment_window",
     "validate",
     "rejected",
@@ -97,12 +100,24 @@ def check_fits_float(argument: str, value: int) -> None:
 # gamma families
 # ---------------------------------------------------------------------------
 
-# The names of each kind's params, which validate's errors give as ``argument``.
-_GAMMA_PARAMS = {
+# The names of each kind's params, in order, which validate's errors give as
+# ``argument``; the one list of a kind's parameters.
+GAMMA_PARAMS = {
     "constant": ("gamma0",),
     "affine": ("gamma0", "slope"),
     "sinusoid": ("gamma0", "amplitude", "omega"),
 }
+INITIAL_PARAMS = {"constant": ("level",), "lognormal": ("median", "log_sd"), "table": ()}
+
+
+def _check_kind(table: dict, what: str, kind: str, params: tuple) -> None:
+    """Raise unless ``kind`` is a key of ``table`` and ``params`` holds its parameters."""
+    if kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    if len(params) != len(table[kind]):
+        raise ValueError(
+            f"{what} kind {kind!r} takes {len(table[kind])} parameters, got {len(params)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -120,13 +135,7 @@ class GammaSpec:
     params: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in _GAMMA_PARAMS:
-            raise ValueError(f"unknown gamma kind {self.kind!r}")
-        expected = len(_GAMMA_PARAMS[self.kind])
-        if len(self.params) != expected:
-            raise ValueError(
-                f"gamma kind {self.kind!r} takes {expected} parameters, got {len(self.params)}"
-            )
+        _check_kind(GAMMA_PARAMS, "gamma", self.kind, self.params)
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
 
     @classmethod
@@ -222,7 +231,7 @@ def gamma_bounds(gamma: GammaSpec, t0: float, t_end: float) -> tuple[float, floa
 class InitialSegmentSpec:
     """Initial segment X0 on [t0 - tau, t0].
 
-    ``constant``    params = (x0,); X0(t) = x0.
+    ``constant``    params = (level,); X0(t) = level.
     ``table``       points = ((t, value), ...); piecewise-linear through the
                     given knots, which must cover [t0 - tau, t0].
     ``lognormal``   params = (median, log_sd); a single lognormal level per
@@ -234,20 +243,13 @@ class InitialSegmentSpec:
     points: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind == "constant":
-            if len(self.params) != 1:
-                raise ValueError("constant segment takes params=(x0,)")
-        elif self.kind == "lognormal":
-            if len(self.params) != 2:
-                raise ValueError("lognormal segment takes params=(median, log_sd)")
-        elif self.kind == "table":
+        _check_kind(INITIAL_PARAMS, "initial-segment", self.kind, self.params)
+        if self.kind == "table":
             if len(self.points) < 2:
                 raise ValueError("table segment needs at least two (t, value) knots")
             ts = [p[0] for p in self.points]
             if sorted(ts) != ts:
                 raise ValueError("table knots must be sorted by time")
-        else:
-            raise ValueError(f"unknown initial-segment kind {self.kind!r}")
         object.__setattr__(self, "params", tuple(float(p) for p in self.params))
         object.__setattr__(
             self, "points", tuple((float(t), float(v)) for t, v in self.points)
@@ -416,6 +418,16 @@ def build_grid(spec: ModelSpec, n_per_delay: int) -> TimeGrid:
     return grid
 
 
+def check_grid(spec: ModelSpec, grid: TimeGrid) -> None:
+    """Raise :class:`GridMisaligned`, naming ``"grid"`` as its ``argument``,
+    unless ``grid`` is ``build_grid(spec, grid.n_per_delay)``: the model's
+    start, delay and horizon."""
+    if grid != build_grid(spec, grid.n_per_delay):
+        raise rejected(
+            GridMisaligned, "grid", f"{grid} is not the model's grid of N = {grid.n_per_delay}"
+        )
+
+
 # ---------------------------------------------------------------------------
 # parameter conditions
 # ---------------------------------------------------------------------------
@@ -455,10 +467,9 @@ def validate(spec: ModelSpec) -> ConditionReport:
     is reported through the returned flags so callers can decide what they
     need.  An error of one parameter names it in its ``argument`` attribute:
     a field (``"a"``, ``"b"``, ``"sigma"``, ``"tau"``, ``"t0"``,
-    ``"horizon"``), a gamma parameter (``"gamma0"``, ``"slope"``,
-    ``"amplitude"``, ``"omega"``) or one of the start (``"level"``,
-    ``"median"``, ``"log_sd"``, ``"points"``); a rule over several
-    parameters names None.
+    ``"horizon"``), a parameter of gamma or of the start (a name in
+    :data:`GAMMA_PARAMS` or :data:`INITIAL_PARAMS`) or a table's knots
+    (``"points"``); a rule over several parameters names None.
     """
     for name in ("a", "sigma", "tau"):
         value = getattr(spec, name)
@@ -477,7 +488,7 @@ def validate(spec: ModelSpec) -> ConditionReport:
             HorizonBeforeStart, "horizon",
             f"horizon={spec.horizon} must be finite and exceed t0={spec.t0}",
         )
-    for name, value in zip(_GAMMA_PARAMS[spec.gamma.kind], spec.gamma.params):
+    for name, value in zip(GAMMA_PARAMS[spec.gamma.kind], spec.gamma.params):
         if not math.isfinite(value):
             raise rejected(OutOfRange, name, f"gamma {name} must be finite, got {value}")
     if spec.gamma.kind == "sinusoid":
@@ -503,7 +514,7 @@ def validate(spec: ModelSpec) -> ConditionReport:
                 "initial table needs finite times and positive, finite values",
             )
     else:
-        name, value = ("level" if init.kind == "constant" else "median"), init.params[0]
+        name, value = INITIAL_PARAMS[init.kind][0], init.params[0]
         if not 0.0 < value < math.inf:
             raise rejected(
                 NonPositiveParameter, name,

@@ -1,18 +1,20 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from delay_cir import experiments
-from delay_cir.cir_analytics import StrongFellerViolated
+from delay_cir.cir_analytics import StrongFellerViolated, mean_delay_curve
 from delay_cir.experiments import (
     ErrorRow,
     ErrorTable,
     IncomparableModels,
     InsufficientRows,
     PRequestedTooLarge,
+    check_levels,
     classical_variant,
     comparison_census,
     fit_rate,
@@ -104,6 +106,18 @@ def test_error_study_input_gates():
         strong_error_study(_model(), (4, 8), 16, 10, (-1.0,), seed=0)
     with pytest.raises(StrongFellerViolated):
         strong_error_study(_model(sigma=1.5), (4, 8), 16, 10, (1.0,), seed=0)
+
+
+def test_a_study_of_no_levels_names_n_list(monkeypatch):
+    # both used to raise IndexError on n_list[-1]
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    for study in (
+        lambda: check_levels(_model(), [], 64, [1.0]),
+        lambda: strong_error_study(_model(), [], 64, 10, (1.0,), seed=0),
+    ):
+        with pytest.raises(ValueError, match="empty list") as info:
+            study()
+        assert info.value.argument == "n_list"
 
 
 # ---------------------------------------------------------------------------
@@ -392,6 +406,15 @@ def _no_paths_run(*args, **kwargs):
     raise AssertionError("paths ran")
 
 
+def test_a_modulus_of_no_lags_names_delta_list(monkeypatch):
+    # it used to raise IndexError on the largest lag
+    model = _model()
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    with pytest.raises(ValueError, match="empty list") as info:
+        modulus_scaling(model, build_grid(model, 8), 10, [], 1)
+    assert info.value.argument == "delta_list"
+
+
 @pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
 def test_modulus_order_is_checked_before_any_path_runs(monkeypatch, p):
     # p = 0 used to simulate every path and then divide by zero; p = -1
@@ -527,6 +550,26 @@ def test_a_census_of_no_scheme_is_rejected_before_any_path_runs(monkeypatch):
     with pytest.raises(ValueError) as info:
         positivity_census((), model, build_grid(model, 8), 16, seed=0)
     assert info.value.argument == "scheme"
+
+
+@pytest.mark.parametrize(
+    "other",
+    [dict(tau=0.25, horizon=3.0), dict(horizon=3.0), dict(t0=0.5, horizon=2.0)],
+    ids=["other-delay", "other-horizon", "other-start"],
+)
+def test_every_driver_rejects_a_grid_that_is_not_the_models(monkeypatch, other):
+    # each used to march the grid it was given: past the model's horizon,
+    # with another delay, or from another start
+    model = _model()
+    grid = build_grid(replace(model, **other), 8)
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    monkeypatch.setattr(experiments.noise_mod, "generate", _no_paths_run)
+    runs = {name: DRIVERS[name] for name in DRIVERS if name != "strong_rate"}  # builds its own
+    runs["mean_delay_curve"] = lambda model, grid, n: mean_delay_curve(model, grid)
+    for name, run in runs.items():
+        with pytest.raises(GridMisaligned, match="is not the model's grid of N = 8") as info:
+            run(model, grid, 16)
+        assert info.value.argument == "grid", name
 
 
 def test_walk_plan_rejects_a_run_of_no_workers():
