@@ -23,7 +23,7 @@ import bisect
 import math
 import os
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
@@ -124,7 +124,8 @@ class WalkPlan:
     runs paths 0 .. ``n_paths`` - 1 of ``model`` in ``chunks`` chunks of at
     most ``paths`` paths, planned for ``workers`` workers and run on
     :attr:`processes`, :func:`walk_blocks` each chunk in spans of ``span``
-    steps; ``bytes`` estimates what a chunk holds."""
+    steps; ``bytes`` estimates what a chunk holds, and ``draw_ahead`` says
+    whether each draw fills the next span ahead (:func:`map_paths`)."""
 
     model: ModelSpec
     grid: TimeGrid
@@ -135,6 +136,7 @@ class WalkPlan:
     paths: int
     workers: int
     bytes: int
+    draw_ahead: bool = False
 
     @property
     def processes(self) -> int:
@@ -218,8 +220,12 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     chunk))`` chunks, or one per path, whose sizes differ by at most one
     path, so every worker gets the same number of chunks.  T is then the
     longest span that fits the largest chunk, and at least the shortest.
-    Temporaries of a byte per node, such as a march's check that its
-    increments are finite, and buffers of a few rows are left out.  Every
+    A run in one process with helper CPUs (:attr:`WalkPlan.draw_cpus` above
+    one) draws ahead where the budget also holds one more span, T rows per
+    path, the rows :class:`~delay_cir.noise.DrawAhead` fills while a span
+    is marched; the estimate then counts them.  Temporaries of a byte per
+    node, such as a march's check that its increments are finite, and
+    buffers of a few rows are left out.  Every
     driver plans its walk first, so the run-size checks run here only, with
     the rule that ``grid`` is the model's (:func:`~delay_cir.model.check_grid`)
     and each lane's :func:`~delay_cir.scheme.check_implicit`, before any path.
@@ -244,10 +250,14 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     paths = -(-n_paths // chunks)
     fits = bisect.bisect_right(spans, _WALK_BYTES, key=lambda span: paths * per_path(span))
     span = spans[max(fits, shortest) - 1]
-    return WalkPlan(
+    plan = WalkPlan(
         model, grid, tuple(lanes), n_paths, chunks, span, paths,
         workers=min(threads, chunks), bytes=paths * per_path(span),
     )
+    ahead = plan.bytes + 8 * paths * span
+    if plan.processes == 1 and plan.draw_cpus > 1 and ahead <= _WALK_BYTES:
+        plan = replace(plan, bytes=ahead, draw_ahead=True)
+    return plan
 
 
 # The plans of the map_paths calls made inside recorded_walks(), or None.
@@ -279,6 +289,10 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     (stop - start, paths): :func:`delay_cir.noise.generate` on the plan's
     :attr:`~WalkPlan.draw_cpus`, so any step range equals the same rows of
     the whole draw; ``draw.paths`` is the chunk's range of the run's paths.
+    Where the plan draws ahead, the chunks share one
+    :class:`~delay_cir.noise.DrawAhead`, whose helper threads live while
+    they run, and each draw fills the span of the plan that follows it,
+    the chunk's next or the next chunk's first, while the chunk marches.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
     ``plan.processes == 1`` they run in this process.  Otherwise
@@ -294,20 +308,33 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     walks = _walks.get()
     if walks is not None:
         walks.append(plan)
-    cpus = plan.draw_cpus
+    cpus, k, span = plan.draw_cpus, plan.grid.n_steps, plan.span
+    ahead = None  # the DrawAhead of the chunks run in this process, if any
+
+    def following(i: int, stop: int):
+        """The span of the plan that follows a draw of chunk i up to step
+        ``stop``, as :attr:`~delay_cir.noise.DrawAhead.then`."""
+        if stop < k:
+            return _chunk_paths(plan.n_paths, plan.chunks, i), stop, min(stop + span, k)
+        if i + 1 < plan.chunks:
+            return _chunk_paths(plan.n_paths, plan.chunks, i + 1), 0, min(span, k)
+        return None
 
     def run(i: int) -> Array:
         paths = _chunk_paths(plan.n_paths, plan.chunks, i)
 
         def draw(start: int = 0, stop: int | None = None) -> Array:
-            return noise_mod.generate(plan.grid, seed, paths, start, stop, cpus=cpus)
+            if ahead is not None:
+                ahead.then = following(i, k if stop is None else stop)
+            return noise_mod.generate(plan.grid, seed, paths, start, stop, cpus=cpus, ahead=ahead)
 
         draw.paths = paths
         seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)
         return reduce(draw, seg)
 
     if plan.processes == 1:
-        parts = [run(i) for i in range(plan.chunks)]
+        with noise_mod.DrawAhead(cpus) if plan.draw_ahead and cpus > 1 else nullcontext() as ahead:
+            parts = [run(i) for i in range(plan.chunks)]
     else:
         # Imported here, before the fork, so the workers inherit them.
         import multiprocessing
@@ -755,6 +782,7 @@ def mean_consistency_check(
     a standard error that is not finite raises :class:`OutOfRange`.
     """
     validate(model)
+    check_grid(model, grid)
     ks = checkpoint_indices(model, grid, checkpoints)
     lanes = [(model, grid, 1)]
     plan = walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: len(ks))
@@ -1027,6 +1055,7 @@ def modulus_scaling(
     validate(model)
     if not 0.0 < p < math.inf:
         raise rejected(ValueError, "p", f"the modulus order must be positive and finite, got {p}")
+    check_grid(model, grid)
     lags = modulus_lags(grid, delta_list)
     distinct = sorted(set(lags))
     n_delay, back = grid.n_per_delay, distinct[-1]

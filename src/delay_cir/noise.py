@@ -24,7 +24,10 @@ finished where it lies and then copied once, transposed, into the
 time-major output.  The fill holds the interpreter lock; the finishing and
 the copy do not, so a draw on several CPUs is a pipeline: the calling
 thread fills the next block while helper threads, which live only for the
-draw, finish the blocks already filled.  A lognormal segment needs
+draw, finish the blocks already filled.  The draws of a walk may instead
+share the helpers of a :class:`DrawAhead`, which live for the walk: once a
+draw has its own span, the caller fills the next span and the helpers
+finish it while the caller marches the one it has.  A lognormal segment needs
 one word per path, word 0 of its stream.  Philox is counter-based (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block
 of four words is a pure function of key and counter.  So
@@ -53,6 +56,7 @@ Array = np.ndarray
 
 __all__ = [
     "generate",
+    "DrawAhead",
     "block_sum",
     "sample_segment",
     "check_seed",
@@ -173,12 +177,15 @@ def _finish(u: Array, scale: float) -> Array:
     return u
 
 
-def _finish_rows(rows: Array, out: Array, scale: float, lo: int, hi: int) -> None:
+def _finish_rows(rows: Array, out: Array | None, scale: float, lo: int, hi: int) -> None:
     """Finish rows lo .. hi-1 of a block of filled rows (:func:`_finish`,
-    after adding 2^-54) and write them into columns lo .. hi-1 of ``out``."""
+    after adding 2^-54) and write them into columns lo .. hi-1 of ``out``, or
+    leave them where they are where ``out`` is None."""
     part = rows[lo:hi]
     part += 2.0**-54
-    out[:, lo:hi] = _finish(part, scale).T
+    _finish(part, scale)
+    if out is not None:
+        out[:, lo:hi] = part.T
 
 
 def _settle(future, job: tuple) -> bool:
@@ -194,6 +201,52 @@ def _settle(future, job: tuple) -> bool:
     return False
 
 
+def _drop(futures) -> None:
+    """Cancel the jobs of ``futures`` that no helper has started and wait for
+    the others, whose errors are not raised."""
+    for future in futures:
+        if not future.cancel():
+            future.exception()
+
+
+def _row_filler(seed: int, tag: int, start: int):
+    """``fill(paths, rows)``: row j of ``rows`` gets the words of stream (seed,
+    paths[j], tag) from word start - start % 4 on, as the uniforms k 2^-53,
+    k = w >> 11, of ``Generator.random``."""
+    # Philox makes four words per counter value and steps the counter before
+    # each four, so counter start // 4 begins at word start - start % 4 (a
+    # fresh state has counter zero).  Path j's key is (seed, (j << 1) | tag).
+    # One bit generator, local to the filler, is re-keyed per path; its own
+    # seed is never drawn from.  The setter copies the plain ints of one
+    # reused state dict, so re-keying builds no array.
+    bitgen = np.random.Philox(0)
+    key = [seed & _MASK64, 0]
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [start // 4, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    uniform = np.random.Generator(bitgen).random
+
+    def fill(paths: range, rows: Array) -> None:
+        for j, path in enumerate(paths):
+            key[1] = ((path << 1) | tag) & _MASK64
+            bitgen.state = state
+            uniform(out=rows[j])
+
+    return fill
+
+
+def _block_rows(width: int, cpus: int) -> int:
+    """Rows of ``width`` words in a block, at least one: each of the
+    ``2 cpus - 1`` fill buffers of a draw on ``cpus`` threads holds one, and
+    together they hold ``_BLOCK_BYTES``."""
+    return max(1, _BLOCK_BYTES // (8 * (2 * cpus - 1) * max(width, 1)))
+
+
 def _standard_normals(
     seed: int,
     paths: range,
@@ -202,6 +255,7 @@ def _standard_normals(
     start: int = 0,
     scale: float = 1.0,
     cpus: int = 1,
+    pool=None,
 ) -> Array:
     """(n, len(paths)) standard normals times ``scale``: column j holds draws
     start .. start+n-1 of stream (seed, paths[j], tag).
@@ -218,7 +272,8 @@ def _standard_normals(
     The draw is a pipeline of two stages.  This thread fills blocks of rows,
     which holds the interpreter lock; each filled block is queued for the
     ``cpus - 1`` helper threads, which finish it while the next one is
-    filled.  The fill rotates through ``2 cpus - 1`` buffers that together
+    filled.  The helpers are ``pool``'s, or a pool's that lives only for
+    the call.  The fill rotates through ``2 cpus - 1`` buffers that together
     hold one block of ``_BLOCK_BYTES`` (or a row each, where a row is longer
     than their share): the one being filled and, for each helper, one being
     finished and one queued behind it.  When every buffer is queued, this
@@ -228,37 +283,19 @@ def _standard_normals(
     this thread then finishes every job that no helper has started, from
     the back of the queue.  With ``cpus == 1`` the same loop has one buffer
     and no helper, so each block is finished when the next fill needs its
-    buffer.
+    buffer.  No job of the call runs once it has returned or raised.
     """
-    # Philox makes four words per counter value and steps the counter before
-    # each four, so counter start // 4 with start % 4 words skipped begins at
-    # word ``start`` (a fresh state has counter zero).  Path j's key is
-    # (seed, (j << 1) | tag).
     skip = start % 4
-    # One bit generator, local to the call, re-keyed per path; its own seed
-    # is never drawn from.  The setter copies the plain ints of one reused
-    # state dict, so re-keying builds no array.  Each path's row is filled
-    # with (w >> 11) 2^-53 in a cache-sized block of rows, which is finished
-    # there and then written time-major into the output with one copy.
-    bitgen = np.random.Philox(0)
-    key = [seed & _MASK64, 0]
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [start // 4, 0, 0, 0], "key": key},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    uniform = np.random.Generator(bitgen).random
+    # Each path's row is filled in a cache-sized block of rows, which is
+    # finished there and then written time-major into the output with one copy.
+    fill = _row_filler(seed, tag, start)
     buffers = 2 * cpus - 1
-    block = max(1, _BLOCK_BYTES // (8 * buffers * max(n + skip, 1)))
+    block = _block_rows(n + skip, cpus)
     out = np.empty((n, len(paths)))
-    # (future, job, buffer) of every queued job, oldest first.  The helper
-    # threads live only for this call, so none is left when map_paths forks.
+    # (future, job, buffer) of every queued job, oldest first
     queue = []
-    pool = None
-    if cpus > 1:
+    own = pool is None and cpus > 1
+    if own:
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(cpus - 1)
@@ -272,10 +309,7 @@ def _standard_normals(
                 # of the 2 cpus - 1 queued blocks are running
                 i = next(i for i, (future, job, _) in enumerate(queue) if _settle(future, job))
                 rows = queue.pop(i)[2]
-            for j, path in enumerate(part):
-                key[1] = ((path << 1) | tag) & _MASK64
-                bitgen.state = state
-                uniform(out=rows[j])
+            fill(part, rows)
             done, dest = rows[: len(part), skip:], out[:, lo : lo + len(part)]
             shares = min(cpus, len(part)) if lo + block >= len(paths) else 1
             cuts = [len(part) * i // shares for i in range(shares + 1)]
@@ -289,8 +323,99 @@ def _standard_normals(
                 future.result()
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            _drop([future for future, _, _ in queue])
+        if own:
+            pool.shutdown()
     return out
+
+
+class DrawAhead:
+    """The helper threads of a run of draws, and the one span filled ahead.
+
+    A ``with`` block makes ``cpus - 1`` helper threads and shuts them down at
+    its end; every :func:`generate` call given it as ``ahead`` finishes its
+    draw on them.  ``then`` names the span that the caller will draw next,
+    ``(paths, start, stop)`` of the same grid and seed, or None.  Once a call
+    has its own span, it fills that one into path-major rows, which holds
+    the interpreter lock, and queues their finishing (2^-54, clamp,
+    ``ndtri``, scale) to the helpers in blocks, so that ``ndtri``, which does
+    not hold the lock, runs while the caller goes on.  The next call, if it
+    asks for that span, finishes the blocks that no helper has started and
+    copies the rows, transposed, into its output: the bits of a plain draw.
+    If it asks for another span, it drops them and draws its own.  Beside
+    the caller's draws it holds one span of rows, which the next fill reuses.
+    """
+
+    def __init__(self, cpus: int):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self.cpus = cpus
+        self.pool = ThreadPoolExecutor(cpus - 1)
+        self.then = None
+        self._filled = None  # (request, rows, [(future, job)]) of the span filled ahead
+        self._rows = None  # the rows of the last span taken, to fill again
+
+    def __enter__(self) -> DrawAhead:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._take(None)
+        self.pool.shutdown()
+
+    def draw(self, seed: int, paths: range, start: int, n: int, scale: float) -> Array:
+        """:func:`_standard_normals` of the noise stream on the helpers,
+        taken from the span filled ahead where that is the one asked for;
+        then fill ``then`` ahead."""
+        out = self._take((seed, paths, start, n, scale))
+        if out is None:
+            out = _standard_normals(seed, paths, _TAG_NOISE, n, start, scale, self.cpus, self.pool)
+        if self.then is not None:
+            then, k0, k1 = self.then
+            self._fill((seed, then, k0, k1 - k0, scale))
+        return out
+
+    def _fill(self, request: tuple) -> None:
+        """Fill the rows of ``request`` and queue their finishing."""
+        seed, paths, start, n, scale = request
+        skip = start % 4
+        rows, self._rows = self._rows, None
+        if rows is None or rows.shape[1] != n + skip or len(rows) < len(paths):
+            rows = np.empty((len(paths), n + skip))
+        rows = rows[: len(paths)]
+        fill = _row_filler(seed, _TAG_NOISE, start)
+        block = _block_rows(n + skip, self.cpus)
+        jobs = []
+        for lo in range(0, len(paths), block):
+            hi = min(lo + block, len(paths))
+            fill(paths[lo:hi], rows[lo:hi])
+            job = (rows[:, skip:], None, scale, lo, hi)
+            jobs.append((self.pool.submit(_finish_rows, *job), job))
+        self._filled = (request, rows, jobs)
+
+    def _take(self, request: tuple | None) -> Array | None:
+        """The output of the span filled ahead if ``request`` is it, else None;
+        either way nothing is left filled."""
+        filled, self._filled = self._filled, None
+        if filled is None:
+            return None
+        made, rows, jobs = filled
+        if made != request:
+            _drop([future for future, _ in jobs])
+            return None
+        # the blocks that no helper has started, from the back of the queue
+        for future, job in reversed(jobs):
+            if not future.cancel():
+                break
+            _finish_rows(*job)
+        _, paths, start, n, _ = request
+        skip = start % 4
+        out = np.empty((n, len(paths)))
+        for future, (_, _, _, lo, hi) in jobs:
+            if not future.cancelled():
+                future.result()
+            out[:, lo:hi] = rows[lo:hi, skip:].T
+        self._rows = rows
+        return out
 
 
 def generate(
@@ -301,6 +426,7 @@ def generate(
     stop: int | None = None,
     *,
     cpus: int = 1,
+    ahead: DrawAhead | None = None,
 ) -> Array:
     """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``,
     shape (stop - start, len(path_index)): standard normals times sqrt(delta).
@@ -308,7 +434,9 @@ def generate(
     The default range is every step, k = 0 .. K-1; any step range equals the
     same rows of the whole draw, bit for bit.  The draw's blocks are
     finished on up to ``cpus`` threads while later ones are filled, with
-    the same bits on any number.
+    the same bits on any number.  With ``ahead`` they are finished on its
+    threads instead, the draw is taken from the span it filled ahead where
+    that is this one, and it then fills ``ahead.then`` (:class:`DrawAhead`).
     """
     _check_range(path_index)
     check_seed(seed)
@@ -317,9 +445,10 @@ def generate(
     stop = grid.n_steps if stop is None else stop
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
-    return _standard_normals(
-        seed, path_index, _TAG_NOISE, stop - start, start, math.sqrt(grid.delta), cpus
-    )
+    scale = math.sqrt(grid.delta)
+    if ahead is not None:
+        return ahead.draw(seed, path_index, start, stop - start, scale)
+    return _standard_normals(seed, path_index, _TAG_NOISE, stop - start, start, scale, cpus)
 
 
 def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:

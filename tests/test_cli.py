@@ -219,6 +219,13 @@ def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
     usable = experiments._usable_cpus()
     assert one["walk_draw_cpus"] == usable
     assert two["walk_draw_cpus"] == max(1, usable // min(2, usable))
+    # a span of 512 steps fills the budget, so no draw fills the next one
+    # ahead: the flag sits beside the CPUs, outside the config and its hash
+    assert one["walk_draw_ahead"] == two["walk_draw_ahead"] == 0
+    assert [key for key in walks[1] if key.startswith("walk_draw")] == [
+        "walk_draw_cpus",
+        "walk_draw_ahead",
+    ]
 
 
 def test_seed_override_changes_the_numbers(tmp_path):

@@ -554,8 +554,13 @@ def test_a_census_of_no_scheme_is_rejected_before_any_path_runs(monkeypatch):
 
 @pytest.mark.parametrize(
     "other",
-    [dict(tau=0.25, horizon=3.0), dict(horizon=3.0), dict(t0=0.5, horizon=2.0)],
-    ids=["other-delay", "other-horizon", "other-start"],
+    [
+        dict(tau=0.25, horizon=3.0),
+        dict(horizon=3.0),
+        dict(t0=0.5, horizon=2.0),
+        dict(horizon=1.0),
+    ],
+    ids=["other-delay", "other-horizon", "other-start", "shorter-horizon"],
 )
 def test_every_driver_rejects_a_grid_that_is_not_the_models(monkeypatch, other):
     # each used to march the grid it was given: past the model's horizon,
@@ -569,6 +574,22 @@ def test_every_driver_rejects_a_grid_that_is_not_the_models(monkeypatch, other):
     for name, run in runs.items():
         with pytest.raises(GridMisaligned, match="is not the model's grid of N = 8") as info:
             run(model, grid, 16)
+        assert info.value.argument == "grid", name
+
+
+def test_a_grid_of_a_shorter_horizon_is_named_before_the_times_past_its_end(monkeypatch):
+    # a checkpoint or a modulus delta of the model's horizon lies past the
+    # grid's; the error used to name the checkpoints or the delta list
+    model = _model()
+    grid = build_grid(replace(model, horizon=1.0), 8)
+    monkeypatch.setattr(experiments, "map_paths", _no_paths_run)
+    runs = {
+        "mean_check": lambda: mean_consistency_check(model, grid, 16, (1.5,), seed=0),
+        "modulus": lambda: modulus_scaling(model, grid, 16, (1.5,), seed=0),
+    }
+    for name, run in runs.items():
+        with pytest.raises(GridMisaligned, match="is not the model's grid of N = 8") as info:
+            run()
         assert info.value.argument == "grid", name
 
 

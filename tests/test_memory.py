@@ -1,5 +1,5 @@
-"""Memory of strong-rate runs, a positivity census and a modulus run, each
-measured in a fresh interpreter.
+"""Memory of strong-rate runs, a mean check, a positivity census and a
+modulus run, each measured in a fresh interpreter.
 
 Every experiment walks a chunk of at most P = 2048 paths in spans of T
 steps and holds its paths in ring windows (``experiments.walk_blocks``).
@@ -15,7 +15,9 @@ Per path the estimate counts 8 B times
   and a piece of its error fold (T / r_min + 1 + 33 rows), a census's flags
   and the ring window of its one explicit row, max(N + 1, T + 1) rows, a
   modulus run's per-lag maxima and the X of a span with the L nodes before
-  it, L the largest lag (2 L + T + 1 rows).
+  it, L the largest lag (2 L + T + 1 rows), a mean check's row per
+  checkpoint;
+* where a run in one process draws ahead, the next span's T rows.
 
 The checks take each estimate from the plan of the same config and compare
 the resident high-water mark (``VmHWM``) of a run with that of a process
@@ -179,6 +181,28 @@ def test_the_first_span_keeps_to_the_plan_like_every_later_one(tmp_path, monkeyp
     assert len(later) == 5
     assert first <= min(later) + 2**16, peaks
     assert first <= plan.bytes + noise._BLOCK_BYTES + 2**19, (first, plan)
+
+
+def test_mean_check_memory_counts_the_span_drawn_ahead(tmp_path, plan_of):
+    # Two chunks of 2048 paths, each one span of K = 384 steps, on one
+    # worker: where the process has a helper CPU, the first chunk's draw
+    # fills the second's ahead while it marches, and the estimate counts
+    # that span, 384 rows per path, beside the window, the draw and the
+    # checkpoints (385 + 384 + 5 rows).
+    text = (
+        "experiment = mean_check\nN = 64\nb = 0.2\ninitial.kind = lognormal\n"
+        "initial.median = 1.0\ninitial.log_sd = 0.2\nhorizon = 3.0\n"
+        f"n_paths = {2 * PATHS}\nthreads = 1\n"
+    )
+    rise = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(tmp_path, text, run=False)
+    cfg = tmp_path / "plan.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    config = cli.parse_config(str(cfg))
+    plan = plan_of(lambda: config.run(config.threads))
+    assert (plan.span, plan.chunks, plan.paths) == (384, 2, PATHS)
+    assert plan.draw_ahead == (experiments._usable_cpus() > 1)
+    assert plan.bytes == 8 * PATHS * (385 + 384 + 5 + 384 * plan.draw_ahead)
+    assert 0.0 < rise <= 1.5 * plan.bytes / 2**20, (rise, plan)
 
 
 CENSUS_N = 256

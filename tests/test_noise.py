@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -259,6 +260,120 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
     # jobs queued behind the error were cancelled
     assert raised["running"] == 0
     assert raised["started"] == count["started"] < 201
+    assert threading.active_count() == before
+
+
+def test_a_span_filled_ahead_keeps_the_bits_of_a_plain_draw(monkeypatch):
+    # on two CPUs the span filled ahead, rows of 92 words that start one word
+    # into a Philox block of four, is finished in 11 blocks of up to 30 rows,
+    # the next chunk's rows of 96 words in 4 blocks of up to 28, and the
+    # last call fills nothing; only the first call draws its own span
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 92 * 30 * 3)
+    grid, paths, later = _grid(), range(7, 312), range(312, 400)
+    asked = [
+        (paths, 0, 5, (paths, 5, 96)),
+        (paths, 5, 96, (later, 96, 192)),
+        (later, 96, 192, None),
+    ]
+    pooled = []
+    inner = noise._standard_normals
+
+    def recording(*args):
+        if len(args) == 8:  # on the helpers of the DrawAhead
+            pooled.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(noise, "_standard_normals", recording)
+    before = threading.active_count()
+    with noise.DrawAhead(2) as ahead:
+        for chunk, start, stop, then in asked:
+            ahead.then = then
+            got = generate(grid, 9, chunk, start, stop, ahead=ahead)
+            assert np.array_equal(_bits(got), _bits(generate(grid, 9, chunk, start, stop)))
+    assert pooled == [paths]
+    assert threading.active_count() == before
+
+
+def test_spans_filled_ahead_on_more_threads_than_cores_keep_their_bits(monkeypatch):
+    # seven helpers finish blocks of 10 rows of each span filled ahead,
+    # switching every microsecond and pausing before each ndtri, while the
+    # caller fills the next span and takes and copies the last; a block
+    # finished twice or not at all, or copied before it is finished, would
+    # change bits
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 48 * 10 * 15)
+    grid, paths = _grid(), range(400)
+    spans = [(k0, k0 + 48) for k0 in range(0, grid.n_steps, 48)]
+    drawn, caller = [], []
+    inner = noise.ndtri
+
+    def slow_on_helpers(u, out=None):
+        if threading.get_ident() not in caller:
+            time.sleep(1e-3)
+        return inner(u, out=out)
+
+    monkeypatch.setattr(noise, "ndtri", slow_on_helpers)
+
+    def walk():
+        caller.append(threading.get_ident())
+        with noise.DrawAhead(8) as ahead:
+            for (start, stop), then in zip(spans, spans[1:] + [None]):
+                ahead.then = then and (paths, *then)
+                drawn.append(generate(grid, 9, paths, start, stop, ahead=ahead))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        worker = threading.Thread(target=walk)
+        worker.start()
+        worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive()
+    assert len(drawn) == len(spans) > 2
+    assert np.array_equal(_bits(np.concatenate(drawn)), _bits(generate(grid, 9, paths)))
+
+
+@pytest.mark.parametrize(
+    "seed, paths, start, stop",
+    [(9, range(7, 312), 100, 192), (9, range(8, 312), 96, 192), (10, range(7, 312), 96, 192)],
+    ids=["other-steps", "other-paths", "other-seed"],
+)
+def test_a_draw_of_another_span_drops_the_one_filled_ahead(seed, paths, start, stop):
+    grid = _grid()
+    with noise.DrawAhead(2) as ahead:
+        ahead.then = (range(7, 312), 96, 192)
+        generate(grid, 9, range(7, 312), 0, 96, ahead=ahead)
+        ahead.then = None
+        got = generate(grid, seed, paths, start, stop, ahead=ahead)
+    assert np.array_equal(_bits(got), _bits(generate(grid, seed, paths, start, stop)))
+
+
+def test_a_helper_error_in_a_span_filled_ahead_reaches_the_caller(monkeypatch):
+    # ndtri fails on the rows of the span filled ahead, 50 words wide, which
+    # make one block; the caller asks for the span once a helper has failed
+    failed = []
+    inner = noise.ndtri
+
+    def failing(u, out=None):
+        if u.shape[-1] == 50:
+            failed.append(threading.get_ident())
+            raise _Broken("ndtri failed")
+        return inner(u, out=out)
+
+    monkeypatch.setattr(noise, "ndtri", failing)
+    grid, paths = _grid(), range(300)
+    before = threading.active_count()
+    with noise.DrawAhead(2) as ahead:
+        ahead.then = (paths, 100, 150)
+        generate(grid, 9, paths, 0, 100, ahead=ahead)
+        for _ in range(10_000):
+            if failed:
+                break
+            time.sleep(0.001)
+        ahead.then = None
+        with pytest.raises(_Broken, match="ndtri failed"):
+            generate(grid, 9, paths, 100, 150, ahead=ahead)
+    assert failed and threading.get_ident() not in failed
     assert threading.active_count() == before
 
 

@@ -14,8 +14,10 @@ time.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import multiprocessing
+import threading
 from contextlib import nullcontext
 from dataclasses import replace
 
@@ -321,20 +323,31 @@ def _planned(tmp_path, plan_of, text):
     return plan_of(lambda: config.run(config.threads))
 
 
-def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(tmp_path, plan_of):
+def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(
+    tmp_path, plan_of, monkeypatch
+):
     budget = experiments._WALK_BYTES
+    # one process with a helper CPU, which a draw ahead needs
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     # the default rate study: 3072 fine steps in 6 spans of 512 per chunk
     rate = _planned(tmp_path, plan_of, "n_paths = 2048\n")
     assert (rate.span, rate.paths, rate.workers) == (512, 2048, 1)
     assert 0.9 * budget < rate.bytes <= budget
     # 192 steps in one span; 25 000 paths in 13 even chunks
-    mean = _planned(
-        tmp_path,
-        plan_of,
+    mean_text = (
         "experiment = mean_check\nN = 64\ninitial.kind = lognormal\n"
-        "initial.median = 1.0\ninitial.log_sd = 0.2\nn_paths = 25000\n",
+        "initial.median = 1.0\ninitial.log_sd = 0.2\nn_paths = 25000\n"
     )
+    mean = _planned(tmp_path, plan_of, mean_text)
     assert (mean.span, mean.paths) == (192, 1924)
+    # with room for one more span of 192 rows a path, its draws fill the
+    # next chunk's ahead, and the estimate counts those rows
+    assert mean.draw_ahead and mean.bytes <= budget
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    alone = _planned(tmp_path, plan_of, mean_text)
+    assert not alone.draw_ahead and (alone.span, alone.paths) == (192, 1924)
+    assert mean.bytes - alone.bytes == 8 * 1924 * 192
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     # a three-scheme census at N 1024 on two workers: 4096 rows per path hold
     # the implicit window, the draw, the flags and the one explicit window,
     # 3 T + 3 rows, so 3072 steps take three spans of at most 1364
@@ -352,6 +365,9 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(tmp_pa
     deep = _planned(tmp_path, plan_of, "N_list = 8,16,32\nN_ref = 4096\nn_paths = 2048\n")
     assert (deep.span, deep.paths) == (1536, 683)
     assert 0.9 * budget < deep.bytes <= budget
+    # a span more would break the budget of the rate plans; the census runs
+    # on two processes, with no CPU to spare
+    assert not (rate.draw_ahead or census.draw_ahead or deep.draw_ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +412,9 @@ def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
     spans = []
     inner = noise.generate
 
-    def recording(grid, seed, path_index, start=0, stop=None, *, cpus=1):
+    def recording(grid, seed, path_index, start=0, stop=None, *, cpus=1, ahead=None):
         spans.append((start, grid.n_steps if stop is None else stop, grid.n_steps))
-        return inner(grid, seed, path_index, start, stop, cpus=cpus)
+        return inner(grid, seed, path_index, start, stop, cpus=cpus, ahead=ahead)
 
     monkeypatch.setattr(noise, "generate", recording)
     with experiments.recorded_walks() as plans:
@@ -433,7 +449,7 @@ def test_map_paths_passes_each_process_its_draw_cpus(monkeypatch, workers, cpus)
     # they were given
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
 
-    def given(grid, seed, path_index, start=0, stop=None, *, cpus=1):
+    def given(grid, seed, path_index, start=0, stop=None, *, cpus=1, ahead=None):
         return np.full((1, len(path_index)), float(cpus))
 
     monkeypatch.setattr(noise, "generate", given)
@@ -458,6 +474,158 @@ def test_studies_do_not_depend_on_the_draw_cpus(monkeypatch):
         assert [plan.draw_cpus for plan in plans] == [cpus, cpus]
         results.append(repr((table, rows)))
     assert results[0] == results[1]
+
+
+# ---------------------------------------------------------------------------
+# draws filled ahead
+# ---------------------------------------------------------------------------
+
+
+def _ahead_plan(span: int):
+    """A one-lane plan of PATHS paths on the 300-step grid, in three chunks
+    walked in spans of ``span`` steps by draws that fill the next span ahead."""
+    model, grid = _grid(300)
+    plan = one_lane_plan(model, grid, PATHS)
+    return replace(plan, chunks=3, paths=PATHS // 3, span=span, draw_ahead=True)
+
+
+def _spans_ahead(monkeypatch) -> tuple[list, list]:
+    """The spans ``(paths, start, stop)`` that draws fill ahead from now on,
+    and those taken by the draw that asks for them, in call order."""
+    filled, taken = [], []
+    fill, take = noise.DrawAhead._fill, noise.DrawAhead._take
+
+    def filling(self, request):
+        filled.append(_span_of(request))
+        fill(self, request)
+
+    def taking(self, request):
+        out = take(self, request)
+        if out is not None:
+            taken.append(_span_of(request))
+        return out
+
+    monkeypatch.setattr(noise.DrawAhead, "_fill", filling)
+    monkeypatch.setattr(noise.DrawAhead, "_take", taking)
+    return filled, taken
+
+
+def _span_of(request: tuple) -> tuple:
+    _, paths, start, n, _ = request
+    return paths, start, start + n
+
+
+def _plan_spans(plan) -> list:
+    """Every span of ``plan``'s walk, ``(paths, start, stop)``, in order."""
+    k = plan.grid.n_steps
+    return [
+        (experiments._chunk_paths(plan.n_paths, plan.chunks, i), k0, min(k0 + plan.span, k))
+        for i in range(plan.chunks)
+        for k0 in range(0, k, plan.span)
+    ]
+
+
+@pytest.mark.parametrize("usable", [1, 2, 3])
+@pytest.mark.parametrize("span", [64, 300])
+def test_draws_filled_ahead_keep_the_bits_of_plain_draws(monkeypatch, usable, span):
+    # spans of 64 steps (the last of 44) fill the chunk's next span ahead,
+    # and its last span the next chunk's first; spans of the whole horizon
+    # fill the next chunk's.  One usable CPU leaves no helper to fill for.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: usable)
+    plan = _ahead_plan(span)
+    k = plan.grid.n_steps
+    filled, taken = _spans_ahead(monkeypatch)
+
+    def spans(draw, seg):
+        return np.concatenate([draw(k0, min(k0 + span, k)) for k0 in range(0, k, span)])
+
+    before = threading.active_count()
+    got = experiments.map_paths(plan, 4, spans)
+    assert threading.active_count() == before
+    assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
+    assert filled == taken == (_plan_spans(plan)[1:] if usable > 1 else [])
+
+
+def test_a_draw_of_another_span_than_the_one_filled_ahead_keeps_its_bits(monkeypatch):
+    # each chunk's first span fills steps 64 .. 127 ahead, and the chunk then
+    # asks for the whole horizon, as _whole does, which fills the next
+    # chunk's first span: that one is taken, steps 64 .. 127 never are
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    plan = _ahead_plan(64)
+    filled, taken = _spans_ahead(monkeypatch)
+
+    def whole(draw, seg):
+        draw(0, 64)
+        return draw()
+
+    got = experiments.map_paths(plan, 4, whole)
+    assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
+    firsts = [span for span in _plan_spans(plan) if span[1] == 0]
+    seconds = [(paths, 64, 128) for paths, _, _ in firsts]
+    assert filled == [seconds[0], firsts[1], seconds[1], firsts[2], seconds[2]]
+    assert taken == firsts[1:]
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_no_helper_thread_outlives_a_walk_drawn_ahead(monkeypatch, fail):
+    # the first chunk's one span fills the second chunk's ahead; the chunk
+    # then fails while the helpers may still be finishing it
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    plan = _ahead_plan(300)
+    filled, _ = _spans_ahead(monkeypatch)
+
+    def reduce(draw, seg):
+        x = draw()
+        if fail:
+            raise OutOfRange("X = Y^2 leaves the float range at node 7 (path 0, t = 0.035)")
+        return x[-1]
+
+    before = threading.active_count()
+    with pytest.raises(OutOfRange, match="node 7") if fail else nullcontext():
+        experiments.map_paths(plan, 4, reduce)
+    assert threading.active_count() == before
+    assert filled == _plan_spans(plan)[1 : 2 if fail else 3]
+
+
+@pytest.mark.parametrize("usable", [1, 2, 3])
+def test_the_golden_mean_and_rate_products_do_not_depend_on_the_cpus(
+    tmp_path, monkeypatch, usable
+):
+    # on one worker, a draw fills the next chunk's ahead where the process
+    # has a helper CPU; on two, each process draws alone
+    from test_golden_products import GOLDEN
+
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: usable)
+    for name in ("mean_check", "strong_rate"):
+        text, expected = GOLDEN[name]
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        for threads in (1, 2):
+            out = tmp_path / f"{name}-{threads}"
+            args = ["run", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
+            with experiments.recorded_walks() as plans:
+                assert cli.main(args) == 0
+            assert [plan.draw_ahead for plan in plans] == [threads == 1 and usable > 1]
+            for product, digest in expected.items():
+                assert hashlib.sha256((out / product).read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("usable", [1, 2, 3])
+def test_walked_experiments_equal_whole_horizon_runs_on_any_cpus(
+    walk_in_spans, monkeypatch, usable
+):
+    # the equality cases above on one worker, with the CPUs that finish and
+    # fill its draws forced
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: usable)
+    for n_steps in sorted(GRIDS):
+        test_mean_check_samples_equal_whole_horizon_samples(walk_in_spans, n_steps, 1)
+        test_moduli_equal_whole_horizon_moduli(walk_in_spans, n_steps, 1, True)
+        test_moduli_in_spans_shorter_than_the_largest_lag_equal_whole_horizon_moduli(
+            walk_in_spans, n_steps, 1
+        )
+        test_survival_values_equal_whole_horizon_values(walk_in_spans, n_steps, 1)
+    for case in CENSUSES:
+        test_census_flags_equal_whole_horizon_flags(walk_in_spans, case, 1)
 
 
 # ---------------------------------------------------------------------------
