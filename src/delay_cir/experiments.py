@@ -222,7 +222,7 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     longest span that fits the largest chunk, and at least the shortest.
     A run in one process with helper CPUs (:attr:`WalkPlan.draw_cpus` above
     one) draws ahead where the budget also holds one more span, T rows per
-    path, the rows :class:`~delay_cir.noise.DrawAhead` fills while a span
+    path, the rows :class:`~delay_cir.noise.DrawHelpers` fills while a span
     is marched; the estimate then counts them.  Temporaries of a byte per
     node, such as a march's check that its increments are finite, and
     buffers of a few rows are left out.  Every
@@ -284,15 +284,16 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
 
     ``reduce(draw, seg)`` gets a chunk's draw function and its initial-segment
     X values, shape (N+1, paths), and returns an array whose last axis runs
-    over the chunk's paths.  ``draw(start=0, stop=K)`` returns the chunk's
-    Brownian increments of steps start .. stop-1 on the plan's grid, shape
-    (stop - start, paths): :func:`delay_cir.noise.generate` on the plan's
-    :attr:`~WalkPlan.draw_cpus`, so any step range equals the same rows of
-    the whole draw; ``draw.paths`` is the chunk's range of the run's paths.
-    Where the plan draws ahead, the chunks share one
-    :class:`~delay_cir.noise.DrawAhead`, whose helper threads live while
-    they run, and each draw fills the span of the plan that follows it,
-    the chunk's next or the next chunk's first, while the chunk marches.
+    over the chunk's paths (:func:`_gather`).  ``draw(start=0, stop=K)``
+    returns the chunk's Brownian increments of steps start .. stop-1 on the
+    plan's grid, shape (stop - start, paths), by
+    :func:`delay_cir.noise.generate`, so any step range equals the same rows
+    of the whole draw; ``draw.paths`` is the chunk's range of the run's
+    paths.  With :attr:`~WalkPlan.draw_cpus` above one, the draws finish on
+    one :class:`~delay_cir.noise.DrawHelpers` for the walk in this process,
+    or for each chunk in a forked worker.  Where the plan draws ahead, each
+    draw fills the span of the plan that follows it, the chunk's next or the
+    next chunk's first, while the chunk marches.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
     ``plan.processes == 1`` they run in this process.  Otherwise
@@ -303,50 +304,66 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     Workers inherit ``reduce`` instead of receiving it pickled, and send
     back only each chunk's result.  An exception raised by a chunk reaches
     the caller with its type and message; when several chunks fail, the
-    first in path order is raised, as in this process.
+    first in path order is raised, as in this process.  No helper thread
+    is alive at the fork, nor once this returns or raises.
     """
     walks = _walks.get()
     if walks is not None:
         walks.append(plan)
-    cpus, k, span = plan.draw_cpus, plan.grid.n_steps, plan.span
-    ahead = None  # the DrawAhead of the chunks run in this process, if any
+    k, span = plan.grid.n_steps, plan.span
 
     def following(i: int, stop: int):
         """The span of the plan that follows a draw of chunk i up to step
-        ``stop``, as :attr:`~delay_cir.noise.DrawAhead.then`."""
-        if stop < k:
+        ``stop``, as :attr:`~delay_cir.noise.DrawHelpers.then`."""
+        i, stop = (i, stop) if stop < k else (i + 1, 0)
+        if i < plan.chunks:
             return _chunk_paths(plan.n_paths, plan.chunks, i), stop, min(stop + span, k)
-        if i + 1 < plan.chunks:
-            return _chunk_paths(plan.n_paths, plan.chunks, i + 1), 0, min(span, k)
         return None
 
-    def run(i: int) -> Array:
+    def helping():
+        return noise_mod.DrawHelpers(plan.draw_cpus) if plan.draw_cpus > 1 else nullcontext()
+
+    def run(i: int, helpers) -> Array:
         paths = _chunk_paths(plan.n_paths, plan.chunks, i)
 
         def draw(start: int = 0, stop: int | None = None) -> Array:
-            if ahead is not None:
-                ahead.then = following(i, k if stop is None else stop)
-            return noise_mod.generate(plan.grid, seed, paths, start, stop, cpus=cpus, ahead=ahead)
+            if plan.draw_ahead and helpers is not None:
+                helpers.then = following(i, k if stop is None else stop)
+            return noise_mod.generate(plan.grid, seed, paths, start, stop, helpers=helpers)
 
         draw.paths = paths
         seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)
         return reduce(draw, seg)
 
+    def run_alone(i: int) -> Array:
+        with helping() as helpers:
+            return run(i, helpers)
+
     if plan.processes == 1:
-        with noise_mod.DrawAhead(cpus) if plan.draw_ahead and cpus > 1 else nullcontext() as ahead:
-            parts = [run(i) for i in range(plan.chunks)]
-    else:
-        # Imported here, before the fork, so the workers inherit them.
-        import multiprocessing
+        with helping() as helpers:
+            return _gather(plan.n_paths, (run(i, helpers) for i in range(plan.chunks)))
+    # Imported here, before the fork, so the workers inherit them.
+    import multiprocessing
 
-        import scipy.special  # noqa: F401 - the draws' ndtri
+    import scipy.special  # noqa: F401 - the draws' ndtri
 
-        with multiprocessing.get_context("fork").Pool(
-            plan.processes, initializer=_inherit_chunk_runner, initargs=(run,)
-        ) as pool:
-            # imap yields in chunk order, so a failure surfaces in path order
-            parts = list(pool.imap(_run_inherited_chunk, range(plan.chunks)))
-    return np.concatenate(parts, axis=-1)
+    with multiprocessing.get_context("fork").Pool(
+        plan.processes, initializer=_inherit_chunk_runner, initargs=(run_alone,)
+    ) as pool:
+        # imap yields in chunk order, so a failure surfaces in path order
+        return _gather(plan.n_paths, pool.imap(_run_inherited_chunk, range(plan.chunks)))
+
+
+def _gather(n_paths: int, parts) -> Array:
+    """The chunks' results ``parts``, in path order, written as they arrive
+    into one array of the first's shape and dtype with ``n_paths`` paths."""
+    out, lo = None, 0
+    for part in parts:
+        if out is None:
+            out = np.empty(part.shape[:-1] + (n_paths,), part.dtype)
+        out[..., lo : lo + part.shape[-1]] = part
+        lo += part.shape[-1]
+    return out
 
 
 # The chunk runner of the map_paths call that forked this worker process.  The

@@ -22,13 +22,12 @@ state setter plus one fill: the words come as one row of uniforms filled by
 ``Generator.random`` into a cache-sized block of such rows.  A block is
 finished where it lies and then copied once, transposed, into the
 time-major output.  The fill holds the interpreter lock; the finishing and
-the copy do not, so a draw on several CPUs is a pipeline: the calling
-thread fills the next block while helper threads, which live only for the
-draw, finish the blocks already filled.  The draws of a walk may instead
-share the helpers of a :class:`DrawAhead`, which live for the walk: once a
-draw has its own span, the caller fills the next span and the helpers
-finish it while the caller marches the one it has.  A lognormal segment needs
-one word per path, word 0 of its stream.  Philox is counter-based (Salmon
+the copy do not, so a draw given the helper threads of a
+:class:`DrawHelpers`, which a process keeps for all its draws, is a
+pipeline: the calling thread fills the next block while the helpers finish
+the blocks already filled.  The same helpers finish a span filled ahead
+while the caller marches the one it has.  A lognormal segment needs one
+word per path, word 0 of its stream.  Philox is counter-based (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block
 of four words is a pure function of key and counter.  So
 :func:`sample_segment` computes the word of every path of its chunk at once
@@ -56,7 +55,7 @@ Array = np.ndarray
 
 __all__ = [
     "generate",
-    "DrawAhead",
+    "DrawHelpers",
     "block_sum",
     "sample_segment",
     "check_seed",
@@ -188,24 +187,27 @@ def _finish_rows(rows: Array, out: Array | None, scale: float, lo: int, hi: int)
         out[:, lo:hi] = part.T
 
 
-def _settle(future, job: tuple) -> bool:
-    """Finish a queued job on this thread unless a helper has started it
-    (``future`` is None where there are no helpers); True unless it is still
-    running.  A helper's error is raised here, with its type."""
-    if future is None or future.cancel():
-        _finish_rows(*job)
-        return True
-    if future.done():
-        future.result()
-        return True
-    return False
+def _complete(queue) -> None:
+    """Finish on this thread, from the back of ``queue``, every job that no
+    helper has started, then wait for the others.  ``queue`` holds ``(future,
+    job, ...)``, oldest first, with no future where there are no helpers.  A
+    helper's error is raised here, with its type, once no job of the queue runs."""
+    try:
+        for future, job, *_ in reversed(queue):
+            if future is None or future.cancel():
+                _finish_rows(*job)
+        for future, *_ in queue:
+            if future is not None and not future.cancelled():
+                future.result()
+    except BaseException:
+        _drop(queue)
+        raise
 
 
-def _drop(futures) -> None:
-    """Cancel the jobs of ``futures`` that no helper has started and wait for
-    the others, whose errors are not raised."""
-    for future in futures:
-        if not future.cancel():
+def _drop(queue) -> None:
+    """Cancel the unstarted jobs of ``queue``; wait for the rest, raising no error."""
+    for future, *_ in queue:
+        if future is not None and not future.cancel():
             future.exception()
 
 
@@ -254,8 +256,7 @@ def _standard_normals(
     n: int,
     start: int = 0,
     scale: float = 1.0,
-    cpus: int = 1,
-    pool=None,
+    helpers: DrawHelpers | None = None,
 ) -> Array:
     """(n, len(paths)) standard normals times ``scale``: column j holds draws
     start .. start+n-1 of stream (seed, paths[j], tag).
@@ -267,24 +268,23 @@ def _standard_normals(
     operations in the same order whatever the layout, so finishing a block
     of rows before it is transposed into the output gives the bits of
     finishing the whole output, and so does finishing it in shares of rows
-    on any of ``cpus`` threads.
+    on any number of threads.
 
     The draw is a pipeline of two stages.  This thread fills blocks of rows,
-    which holds the interpreter lock; each filled block is queued for the
-    ``cpus - 1`` helper threads, which finish it while the next one is
-    filled.  The helpers are ``pool``'s, or a pool's that lives only for
-    the call.  The fill rotates through ``2 cpus - 1`` buffers that together
-    hold one block of ``_BLOCK_BYTES`` (or a row each, where a row is longer
-    than their share): the one being filled and, for each helper, one being
+    which holds the interpreter lock, and queues each for the ``cpus - 1``
+    threads of ``helpers``, which finish it while the next one is filled.
+    The fill rotates through ``2 cpus - 1`` buffers that together hold one
+    block of ``_BLOCK_BYTES`` (or a row each, where a row is longer than
+    their share): the one being filled and, for each helper, one being
     finished and one queued behind it.  When every buffer is queued, this
-    thread takes the buffer of the oldest block that is finished or that no
-    helper has started, finishing such a block itself, so it never waits on
-    a helper.  The last block is queued in ``cpus`` shares of rows, and
-    this thread then finishes every job that no helper has started, from
-    the back of the queue.  With ``cpus == 1`` the same loop has one buffer
-    and no helper, so each block is finished when the next fill needs its
-    buffer.  No job of the call runs once it has returned or raised.
+    thread takes back the oldest that is finished or that no helper has
+    started, finishing such a block itself, so it never waits on a helper.
+    The last block is queued in ``cpus`` shares of rows for
+    :func:`_complete`.  Without helpers (``cpus == 1``) the loop has one
+    buffer, finished when the next fill needs it.  No job of the call runs
+    once it has returned or raised.
     """
+    cpus, pool = (1, None) if helpers is None else (helpers.cpus, helpers.pool)
     skip = start % 4
     # Each path's row is filled in a cache-sized block of rows, which is
     # finished there and then written time-major into the output with one copy.
@@ -294,11 +294,6 @@ def _standard_normals(
     out = np.empty((n, len(paths)))
     # (future, job, buffer) of every queued job, oldest first
     queue = []
-    own = pool is None and cpus > 1
-    if own:
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(cpus - 1)
     try:
         for lo in range(0, len(paths), block):
             part = paths[lo : lo + block]
@@ -307,8 +302,9 @@ def _standard_normals(
             else:
                 # one is finished or can be taken back: at most cpus - 1
                 # of the 2 cpus - 1 queued blocks are running
-                i = next(i for i, (future, job, _) in enumerate(queue) if _settle(future, job))
-                rows = queue.pop(i)[2]
+                i = next(i for i, (f, *_) in enumerate(queue) if not f or f.cancel() or f.done())
+                rows = queue[i][2]
+                _complete([queue.pop(i)])
             fill(part, rows)
             done, dest = rows[: len(part), skip:], out[:, lo : lo + len(part)]
             shares = min(cpus, len(part)) if lo + block >= len(paths) else 1
@@ -317,33 +313,30 @@ def _standard_normals(
                 job = (done, dest, scale, a, b)
                 future = None if pool is None else pool.submit(_finish_rows, *job)
                 queue.append((future, job, rows))
-        while queue:
-            future, job, _ = queue.pop()
-            if not _settle(future, job):
-                future.result()
-    finally:
-        if pool is not None:
-            _drop([future for future, _, _ in queue])
-        if own:
-            pool.shutdown()
+    except BaseException:
+        _drop(queue)
+        raise
+    _complete(queue)
     return out
 
 
-class DrawAhead:
-    """The helper threads of a run of draws, and the one span filled ahead.
+class DrawHelpers:
+    """The helper threads on which a process finishes its draws, and the one
+    span filled ahead.
 
-    A ``with`` block makes ``cpus - 1`` helper threads and shuts them down at
-    its end; every :func:`generate` call given it as ``ahead`` finishes its
-    draw on them.  ``then`` names the span that the caller will draw next,
-    ``(paths, start, stop)`` of the same grid and seed, or None.  Once a call
-    has its own span, it fills that one into path-major rows, which holds
-    the interpreter lock, and queues their finishing (2^-54, clamp,
-    ``ndtri``, scale) to the helpers in blocks, so that ``ndtri``, which does
-    not hold the lock, runs while the caller goes on.  The next call, if it
-    asks for that span, finishes the blocks that no helper has started and
-    copies the rows, transposed, into its output: the bits of a plain draw.
-    If it asks for another span, it drops them and draws its own.  Beside
-    the caller's draws it holds one span of rows, which the next fill reuses.
+    A ``with`` block makes ``cpus - 1`` helper threads, importing
+    ``concurrent.futures`` only then, and shuts them down at its end.  Every
+    :func:`generate` call given it as ``helpers`` finishes its draw on them.
+    ``then`` names the span that the caller will draw next, ``(paths, start,
+    stop)`` of the same grid and seed, or None.  Once a call has its own
+    span, it fills that one into path-major rows, which holds the
+    interpreter lock, and queues their finishing (2^-54, clamp, ``ndtri``,
+    scale) to the helpers in blocks, so that ``ndtri``, which does not hold
+    the lock, runs while the caller goes on.  The next call, if it asks for
+    that span, completes the blocks (:func:`_complete`) and copies the rows,
+    transposed, into its output: the bits of a plain draw.  If it asks for
+    another span, it drops them and draws its own.  Beside the caller's
+    draws it holds one span of rows, which the next fill reuses.
     """
 
     def __init__(self, cpus: int):
@@ -355,7 +348,7 @@ class DrawAhead:
         self._filled = None  # (request, rows, [(future, job)]) of the span filled ahead
         self._rows = None  # the rows of the last span taken, to fill again
 
-    def __enter__(self) -> DrawAhead:
+    def __enter__(self) -> DrawHelpers:
         return self
 
     def __exit__(self, *exc) -> None:
@@ -363,12 +356,11 @@ class DrawAhead:
         self.pool.shutdown()
 
     def draw(self, seed: int, paths: range, start: int, n: int, scale: float) -> Array:
-        """:func:`_standard_normals` of the noise stream on the helpers,
-        taken from the span filled ahead where that is the one asked for;
-        then fill ``then`` ahead."""
+        """:func:`_standard_normals` of the noise stream on the helpers, or the
+        span filled ahead where it is the one asked for; then fill ``then``."""
         out = self._take((seed, paths, start, n, scale))
         if out is None:
-            out = _standard_normals(seed, paths, _TAG_NOISE, n, start, scale, self.cpus, self.pool)
+            out = _standard_normals(seed, paths, _TAG_NOISE, n, start, scale, self)
         if self.then is not None:
             then, k0, k1 = self.then
             self._fill((seed, then, k0, k1 - k0, scale))
@@ -400,20 +392,13 @@ class DrawAhead:
             return None
         made, rows, jobs = filled
         if made != request:
-            _drop([future for future, _ in jobs])
+            _drop(jobs)
             return None
-        # the blocks that no helper has started, from the back of the queue
-        for future, job in reversed(jobs):
-            if not future.cancel():
-                break
-            _finish_rows(*job)
-        _, paths, start, n, _ = request
-        skip = start % 4
+        _complete(jobs)
+        _, paths, _, n, _ = request
         out = np.empty((n, len(paths)))
-        for future, (_, _, _, lo, hi) in jobs:
-            if not future.cancelled():
-                future.result()
-            out[:, lo:hi] = rows[lo:hi, skip:].T
+        for _, (done, _, _, lo, hi) in jobs:
+            out[:, lo:hi] = done[lo:hi].T
         self._rows = rows
         return out
 
@@ -425,30 +410,27 @@ def generate(
     start: int = 0,
     stop: int | None = None,
     *,
-    cpus: int = 1,
-    ahead: DrawAhead | None = None,
+    helpers: DrawHelpers | None = None,
 ) -> Array:
     """Brownian increments W(t_{k+1}) - W(t_k), k = start .. stop-1, on ``grid``,
     shape (stop - start, len(path_index)): standard normals times sqrt(delta).
 
     The default range is every step, k = 0 .. K-1; any step range equals the
-    same rows of the whole draw, bit for bit.  The draw's blocks are
-    finished on up to ``cpus`` threads while later ones are filled, with
-    the same bits on any number.  With ``ahead`` they are finished on its
-    threads instead, the draw is taken from the span it filled ahead where
-    that is this one, and it then fills ``ahead.then`` (:class:`DrawAhead`).
+    same rows of the whole draw, bit for bit.  Without ``helpers`` the draw
+    runs on the calling thread.  With them its blocks are finished on their
+    threads while later ones are filled, with the same bits, the draw is
+    taken from the span they filled ahead where that is this one, and it
+    then fills ``helpers.then`` (:class:`DrawHelpers`).
     """
     _check_range(path_index)
     check_seed(seed)
-    if cpus < 1:
-        raise ValueError(f"need at least one CPU, got {cpus}")
     stop = grid.n_steps if stop is None else stop
     if not 0 <= start <= stop <= grid.n_steps:
         raise ValueError(f"step range [{start}, {stop}) is not inside [0, {grid.n_steps}]")
     scale = math.sqrt(grid.delta)
-    if ahead is not None:
-        return ahead.draw(seed, path_index, start, stop - start, scale)
-    return _standard_normals(seed, path_index, _TAG_NOISE, stop - start, start, scale, cpus)
+    if helpers is not None:
+        return helpers.draw(seed, path_index, start, stop - start, scale)
+    return _standard_normals(seed, path_index, _TAG_NOISE, stop - start, start, scale)
 
 
 def block_sum(increments: Array, r: int, finer: Array | None = None) -> Array:

@@ -205,6 +205,44 @@ def test_mean_check_memory_counts_the_span_drawn_ahead(tmp_path, plan_of):
     assert 0.0 < rise <= 1.5 * plan.bytes / 2**20, (rise, plan)
 
 
+def test_a_run_holds_its_per_path_results_once(tmp_path, monkeypatch):
+    # A mean check of 2·10^5 paths at N 8 (K = 24) with twelve checkpoints:
+    # its results, twelve values per path (18.3 MiB), outweigh a chunk's
+    # walk (plan.bytes, under 1.5 MiB).  map_paths writes each chunk's
+    # result into the run's array as it arrives, so it holds the results
+    # once, beside one chunk's walk and the draw's buffers; keeping every
+    # chunk's result and then joining them would hold them twice.
+    import scipy.special  # noqa: F401 - imported by the draws, before tracing
+
+    checkpoints = ",".join(str(0.125 * j) for j in range(1, 13))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"experiment = mean_check\nN = 8\ncheckpoints = {checkpoints}\n"
+        "n_paths = 200000\nthreads = 1\n",
+        encoding="utf-8",
+    )
+    config = cli.parse_config(str(cfg))
+    walked = []
+    inner = experiments.map_paths
+
+    def traced(plan, seed, reduce):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = inner(plan, seed, reduce)
+        walked.append((tracemalloc.get_traced_memory()[1] - before, out.nbytes, plan))
+        return out
+
+    monkeypatch.setattr(experiments, "map_paths", traced)
+    tracemalloc.start()
+    try:
+        config.run(1)
+    finally:
+        tracemalloc.stop()
+    ((peak, results, plan),) = walked
+    assert results == 8 * 12 * 200_000 > 10 * plan.bytes
+    assert peak <= results + plan.bytes + 2**20, (peak, results, plan.bytes)
+
+
 CENSUS_N = 256
 
 

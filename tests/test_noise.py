@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -27,6 +28,12 @@ from delay_cir.noise import (
     generate,
     sample_segment,
 )
+
+
+def _drawn(grid, seed, paths, start=0, stop=None, cpus=1):
+    """``generate`` on the helpers of ``cpus`` threads, or on this one alone."""
+    with noise.DrawHelpers(cpus) if cpus > 1 else nullcontext() as helpers:
+        return generate(grid, seed, paths, start, stop, helpers=helpers)
 
 
 def _grid(n_per_delay: int = 64, tau: float = 0.5, horizon: float = 1.5):
@@ -126,7 +133,7 @@ def test_generate_bits_do_not_depend_on_the_cpus(monkeypatch, block_rows, start,
     grid = _grid()
     one = generate(grid, 9, paths, start, stop)
     for cpus in (2, 3):
-        assert np.array_equal(_bits(generate(grid, 9, paths, start, stop, cpus=cpus)), _bits(one))
+        assert np.array_equal(_bits(_drawn(grid, 9, paths, start, stop, cpus)), _bits(one))
 
 
 def test_a_draw_finishes_on_its_cpus_and_leaves_no_thread(monkeypatch):
@@ -141,11 +148,9 @@ def test_a_draw_finishes_on_its_cpus_and_leaves_no_thread(monkeypatch):
     before = threading.active_count()
     generate(_grid(), 9, range(2000))
     assert threads == {threading.get_ident()}
-    generate(_grid(), 9, range(2000), cpus=3)
+    _drawn(_grid(), 9, range(2000), cpus=3)
     assert threading.get_ident() in threads and 2 <= len(threads) <= 3
     assert threading.active_count() == before
-    with pytest.raises(ValueError, match="need at least one CPU, got 0"):
-        generate(_grid(), 9, range(2), cpus=0)
 
 
 def test_a_draw_on_more_threads_than_cores_keeps_its_bits():
@@ -156,7 +161,7 @@ def test_a_draw_on_more_threads_than_cores_keeps_its_bits():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        worker = threading.Thread(target=lambda: drawn.append(generate(grid, 9, paths, cpus=8)))
+        worker = threading.Thread(target=lambda: drawn.append(_drawn(grid, 9, paths, cpus=8)))
         worker.start()
         worker.join(timeout=60)
     finally:
@@ -175,7 +180,7 @@ def test_a_pipelined_draw_keeps_its_bits_on_any_cpus(monkeypatch, start, stop):
     whole = generate(grid, 9, paths, start, stop)  # one block
     monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * (stop - start + start % 4) * 30)
     for cpus in (1, 2, 3, 8):
-        assert np.array_equal(_bits(generate(grid, 9, paths, start, stop, cpus=cpus)), _bits(whole))
+        assert np.array_equal(_bits(_drawn(grid, 9, paths, start, stop, cpus)), _bits(whole))
 
 
 def test_the_caller_and_a_helper_both_finish_blocks(monkeypatch):
@@ -189,22 +194,23 @@ def test_the_caller_and_a_helper_both_finish_blocks(monkeypatch):
     monkeypatch.setattr(noise, "_finish_rows", recording)
     # three buffers of 10 rows: 200 blocks, the last one in two shares
     monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 30)
-    generate(_grid(), 9, range(2000), cpus=2)
+    _drawn(_grid(), 9, range(2000), cpus=2)
     assert len(finishers) == 201
     assert len(set(finishers)) == 2 and threading.get_ident() in finishers
 
 
 def test_a_draw_holds_one_block_besides_its_output():
-    # rows of 1536 words (12 KiB), 28 to each of three buffers; the pool and
-    # its queue of jobs take about one row more
+    # rows of 1536 words (12 KiB), 28 to each of three buffers; the queue of
+    # jobs takes about one row more
     grid, paths = _grid(512), range(1000)
-    generate(grid, 9, paths, cpus=2)  # imports and first calls before tracing
-    tracemalloc.start()
-    try:
-        out = generate(grid, 9, paths, cpus=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    with noise.DrawHelpers(2) as helpers:
+        generate(grid, 9, paths, helpers=helpers)  # imports and first calls before tracing
+        tracemalloc.start()
+        try:
+            out = generate(grid, 9, paths, helpers=helpers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
     assert peak - out.nbytes <= noise._BLOCK_BYTES + 4 * 8 * grid.n_steps, peak - out.nbytes
 
 
@@ -241,11 +247,12 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
 
     def draw():
         drawer.append(threading.get_ident())
-        try:
-            generate(_grid(), 9, range(2000), cpus=2)
-        except _Broken:
-            with lock:
-                outcome.append(dict(count))
+        with noise.DrawHelpers(2) as helpers:
+            try:
+                generate(_grid(), 9, range(2000), helpers=helpers)
+            except _Broken:
+                with lock:
+                    outcome.append(dict(count))
 
     monkeypatch.setattr(noise, "ndtri", failing)
     monkeypatch.setattr(noise, "_finish_rows", counted)
@@ -256,8 +263,9 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
     worker.join(timeout=60)
     assert not worker.is_alive()
     (raised,) = outcome
-    # no job runs once generate has returned, none starts later, and the
-    # jobs queued behind the error were cancelled
+    # no job runs once generate has returned, though the helpers still
+    # live, none starts later, and the jobs queued behind the error were
+    # cancelled
     assert raised["running"] == 0
     assert raised["started"] == count["started"] < 201
     assert threading.active_count() == before
@@ -279,16 +287,16 @@ def test_a_span_filled_ahead_keeps_the_bits_of_a_plain_draw(monkeypatch):
     inner = noise._standard_normals
 
     def recording(*args):
-        if len(args) == 8:  # on the helpers of the DrawAhead
+        if len(args) == 7:  # on the helpers
             pooled.append(args[1])
         return inner(*args)
 
     monkeypatch.setattr(noise, "_standard_normals", recording)
     before = threading.active_count()
-    with noise.DrawAhead(2) as ahead:
+    with noise.DrawHelpers(2) as helpers:
         for chunk, start, stop, then in asked:
-            ahead.then = then
-            got = generate(grid, 9, chunk, start, stop, ahead=ahead)
+            helpers.then = then
+            got = generate(grid, 9, chunk, start, stop, helpers=helpers)
             assert np.array_equal(_bits(got), _bits(generate(grid, 9, chunk, start, stop)))
     assert pooled == [paths]
     assert threading.active_count() == before
@@ -315,10 +323,10 @@ def test_spans_filled_ahead_on_more_threads_than_cores_keep_their_bits(monkeypat
 
     def walk():
         caller.append(threading.get_ident())
-        with noise.DrawAhead(8) as ahead:
+        with noise.DrawHelpers(8) as helpers:
             for (start, stop), then in zip(spans, spans[1:] + [None]):
-                ahead.then = then and (paths, *then)
-                drawn.append(generate(grid, 9, paths, start, stop, ahead=ahead))
+                helpers.then = then and (paths, *then)
+                drawn.append(generate(grid, 9, paths, start, stop, helpers=helpers))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -340,11 +348,11 @@ def test_spans_filled_ahead_on_more_threads_than_cores_keep_their_bits(monkeypat
 )
 def test_a_draw_of_another_span_drops_the_one_filled_ahead(seed, paths, start, stop):
     grid = _grid()
-    with noise.DrawAhead(2) as ahead:
-        ahead.then = (range(7, 312), 96, 192)
-        generate(grid, 9, range(7, 312), 0, 96, ahead=ahead)
-        ahead.then = None
-        got = generate(grid, seed, paths, start, stop, ahead=ahead)
+    with noise.DrawHelpers(2) as helpers:
+        helpers.then = (range(7, 312), 96, 192)
+        generate(grid, 9, range(7, 312), 0, 96, helpers=helpers)
+        helpers.then = None
+        got = generate(grid, seed, paths, start, stop, helpers=helpers)
     assert np.array_equal(_bits(got), _bits(generate(grid, seed, paths, start, stop)))
 
 
@@ -363,16 +371,16 @@ def test_a_helper_error_in_a_span_filled_ahead_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(noise, "ndtri", failing)
     grid, paths = _grid(), range(300)
     before = threading.active_count()
-    with noise.DrawAhead(2) as ahead:
-        ahead.then = (paths, 100, 150)
-        generate(grid, 9, paths, 0, 100, ahead=ahead)
+    with noise.DrawHelpers(2) as helpers:
+        helpers.then = (paths, 100, 150)
+        generate(grid, 9, paths, 0, 100, helpers=helpers)
         for _ in range(10_000):
             if failed:
                 break
             time.sleep(0.001)
-        ahead.then = None
+        helpers.then = None
         with pytest.raises(_Broken, match="ndtri failed"):
-            generate(grid, 9, paths, 100, 150, ahead=ahead)
+            generate(grid, 9, paths, 100, 150, helpers=helpers)
     assert failed and threading.get_ident() not in failed
     assert threading.active_count() == before
 

@@ -70,6 +70,24 @@ def test_import_and_parse_load_no_scipy(tmp_path):
     assert out == {"scipy.special": False, "scipy.integrate": False, "codes": [0, 2]}
 
 
+def test_import_parse_and_validate_load_no_pool_module(tmp_path):
+    # the draws' helpers import their thread pool only when they are made,
+    # and map_paths its process pool only when it forks
+    cfg = _config(tmp_path, "experiment = mean_check\nn_paths = 64\n")
+    out = _fresh(
+        """
+        import delay_cir.cli as cli
+        cli.parse_config(sys.argv[1])
+        code = cli.main(["validate", "--config", sys.argv[1]])
+        names = ("concurrent.futures", "multiprocessing")
+        print(json.dumps({"code": code, **{name: name in sys.modules for name in names}}))
+        """,
+        cfg,
+        cwd=tmp_path,
+    )
+    assert out == {"code": 0, "concurrent.futures": False, "multiprocessing": False}
+
+
 def test_oracles_load_neither_scheme_noise_nor_experiments(tmp_path):
     out = _fresh(
         """

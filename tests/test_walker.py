@@ -14,9 +14,11 @@ time.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import math
 import multiprocessing
+import os
 import threading
 from contextlib import nullcontext
 from dataclasses import replace
@@ -412,9 +414,9 @@ def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
     spans = []
     inner = noise.generate
 
-    def recording(grid, seed, path_index, start=0, stop=None, *, cpus=1, ahead=None):
+    def recording(grid, seed, path_index, start=0, stop=None, *, helpers=None):
         spans.append((start, grid.n_steps if stop is None else stop, grid.n_steps))
-        return inner(grid, seed, path_index, start, stop, cpus=cpus, ahead=ahead)
+        return inner(grid, seed, path_index, start, stop, helpers=helpers)
 
     monkeypatch.setattr(noise, "generate", recording)
     with experiments.recorded_walks() as plans:
@@ -446,11 +448,11 @@ def test_draw_cpus_are_each_process_share_of_the_usable_cpus(monkeypatch):
 def test_map_paths_passes_each_process_its_draw_cpus(monkeypatch, workers, cpus):
     # one process on two CPUs finishes its draws on both; two processes
     # finish theirs on one each, in forked workers that report the cpus
-    # they were given
+    # of the helpers they were given, or one where they have none
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
 
-    def given(grid, seed, path_index, start=0, stop=None, *, cpus=1, ahead=None):
-        return np.full((1, len(path_index)), float(cpus))
+    def given(grid, seed, path_index, start=0, stop=None, *, helpers=None):
+        return np.full((1, len(path_index)), float(1 if helpers is None else helpers.cpus))
 
     monkeypatch.setattr(noise, "generate", given)
     model, grid = _grid(300)
@@ -493,7 +495,7 @@ def _spans_ahead(monkeypatch) -> tuple[list, list]:
     """The spans ``(paths, start, stop)`` that draws fill ahead from now on,
     and those taken by the draw that asks for them, in call order."""
     filled, taken = [], []
-    fill, take = noise.DrawAhead._fill, noise.DrawAhead._take
+    fill, take = noise.DrawHelpers._fill, noise.DrawHelpers._take
 
     def filling(self, request):
         filled.append(_span_of(request))
@@ -505,8 +507,8 @@ def _spans_ahead(monkeypatch) -> tuple[list, list]:
             taken.append(_span_of(request))
         return out
 
-    monkeypatch.setattr(noise.DrawAhead, "_fill", filling)
-    monkeypatch.setattr(noise.DrawAhead, "_take", taking)
+    monkeypatch.setattr(noise.DrawHelpers, "_fill", filling)
+    monkeypatch.setattr(noise.DrawHelpers, "_take", taking)
     return filled, taken
 
 
@@ -585,6 +587,119 @@ def test_no_helper_thread_outlives_a_walk_drawn_ahead(monkeypatch, fail):
         experiments.map_paths(plan, 4, reduce)
     assert threading.active_count() == before
     assert filled == _plan_spans(plan)[1 : 2 if fail else 3]
+
+
+# ---------------------------------------------------------------------------
+# one pool of helper threads per drawing process
+# ---------------------------------------------------------------------------
+
+
+def _pools_made(monkeypatch) -> list:
+    """The pid of the process that made each thread pool from now on: the
+    draws' helpers take ``concurrent.futures.ThreadPoolExecutor`` when they
+    are made."""
+    made = []
+
+    class Counted(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(os.getpid())
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return made
+
+
+@pytest.mark.parametrize("name", ["mean_check", "strong_rate"])
+def test_an_in_process_walk_makes_one_pool(monkeypatch, name):
+    # on two CPUs every draw of the walk finishes on the one pool, whether
+    # the plan draws ahead or not; on one CPU the walk makes none.  The mean
+    # check walks three chunks of 20 paths, each one span of K = 384 steps,
+    # and draws ahead; the rate study walks 520 fine steps in spans of 240
+    # (the budget of test_no_experiment_draws_more_than_one_block).
+    if name == "mean_check":
+        monkeypatch.setattr(experiments, "_CHUNK", PATHS // 3)
+    else:
+        monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * PATHS * 519)
+    made, results = _pools_made(monkeypatch), {}
+    for usable in (1, 2):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda: usable)
+        before = threading.active_count()
+        with experiments.recorded_walks() as plans:
+            results[usable] = repr(RUNS[name]())
+        assert threading.active_count() == before
+        (plan,) = plans
+        assert plan.processes == 1 and plan.draw_cpus == usable
+        assert len(made) == usable - 1
+    assert results[1] == results[2]
+    # the walk of several draws that made that one pool
+    spans = -(-plan.grid.n_steps // plan.span)
+    assert plan.chunks * spans > 2
+    assert plan.draw_ahead == (name == "mean_check")
+
+
+def test_a_forked_worker_makes_one_pool_per_chunk(monkeypatch):
+    # two workers on four usable CPUs finish their draws on two threads
+    # each: every chunk, of two draws, makes a pool of its own in the
+    # worker that runs it, and none is made, nor any helper thread alive,
+    # in this process, at the fork or after it; the bits are those of
+    # plain draws
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    made = _pools_made(monkeypatch)
+    fork = multiprocessing.get_context("fork")
+    at_fork = []
+
+    class Context:
+        def Pool(self, *args, **kwargs):
+            at_fork.append(threading.active_count())
+            return fork.Pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
+    model, grid = _grid(300)
+    plan = replace(one_lane_plan(model, grid, PATHS, 2), chunks=6, paths=PATHS // 6)
+    assert (plan.processes, plan.draw_cpus) == (2, 2)
+
+    def reduce(draw, seg):
+        inc = np.concatenate([draw(0, 150), draw(150, 300)])
+        pid = os.getpid()
+        return np.vstack([inc, np.full((2, inc.shape[1]), [[pid], [made.count(pid)]])])
+
+    before = threading.active_count()
+    got = experiments.map_paths(plan, 4, reduce)
+    assert at_fork == [before] and threading.active_count() == before
+    assert made == [] and multiprocessing.active_children() == []
+    k = grid.n_steps
+    assert np.array_equal(_bits(got[:k]), _bits(noise.generate(grid, 4, range(PATHS))))
+    # each chunk's paths see one worker and the count of pools it had made
+    seen = {}
+    for i in range(plan.chunks):
+        ((pid, count),) = np.unique(got[k:, i * plan.paths : (i + 1) * plan.paths], axis=1).T
+        seen.setdefault(pid, []).append(count)
+    assert sum(len(counts) for counts in seen.values()) == plan.chunks
+    assert all(counts == list(range(1, len(counts) + 1)) for counts in seen.values())
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_no_helper_thread_outlives_a_walk_not_drawn_ahead(monkeypatch, fail):
+    # three chunks drawn in spans of 64 steps on the walk's one pool; the
+    # first chunk fails once its draws are made
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    plan = replace(_ahead_plan(64), draw_ahead=False)
+    filled, _ = _spans_ahead(monkeypatch)
+    k = plan.grid.n_steps
+
+    def reduce(draw, seg):
+        x = np.concatenate([draw(k0, min(k0 + 64, k)) for k0 in range(0, k, 64)])
+        if fail:
+            raise OutOfRange("X = Y^2 leaves the float range at node 7 (path 0, t = 0.035)")
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(OutOfRange, match="node 7") if fail else nullcontext():
+        got = experiments.map_paths(plan, 4, reduce)
+    assert threading.active_count() == before
+    assert filled == []
+    if not fail:
+        assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
 
 
 @pytest.mark.parametrize("usable", [1, 2, 3])
