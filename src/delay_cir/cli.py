@@ -547,7 +547,6 @@ def _write_manifest(config: RunConfig, wall_time: float, products, walks) -> Non
         lines += [
             f"walk_span_steps = {plan.span}",
             f"walk_draw_cpus = {plan.draw_cpus}",
-            f"walk_draw_ahead = {int(plan.draw_ahead)}",
             f"walk_chunk_paths = {plan.paths}",
             f"walk_memory_estimate_mib = {plan.bytes * plan.processes / 2**20:.1f}",
         ]

@@ -124,8 +124,7 @@ class WalkPlan:
     runs paths 0 .. ``n_paths`` - 1 of ``model`` in ``chunks`` chunks of at
     most ``paths`` paths, planned for ``workers`` workers and run on
     :attr:`processes`, :func:`walk_blocks` each chunk in spans of ``span``
-    steps; ``bytes`` estimates what a chunk holds, and ``draw_ahead`` says
-    whether each draw fills the next span ahead (:func:`map_paths`)."""
+    steps; ``bytes`` estimates what a chunk holds."""
 
     model: ModelSpec
     grid: TimeGrid
@@ -136,7 +135,6 @@ class WalkPlan:
     paths: int
     workers: int
     bytes: int
-    draw_ahead: bool = False
 
     @property
     def processes(self) -> int:
@@ -146,10 +144,14 @@ class WalkPlan:
 
     @property
     def draw_cpus(self) -> int:
-        """The CPUs on which each process finishes its draws
-        (:func:`~delay_cir.noise.generate`): its share of
-        :func:`_usable_cpus`, at least one."""
-        return max(1, _usable_cpus() // self.processes)
+        """The CPUs on which each process draws (:func:`map_paths`): its
+        share of :func:`_usable_cpus`, at least one."""
+        return _draw_cpus(self.workers)
+
+
+def _draw_cpus(workers: int) -> int:
+    """:attr:`WalkPlan.draw_cpus` of a plan for ``workers`` workers."""
+    return max(1, _usable_cpus() // min(workers, _usable_cpus()))
 
 
 def _usable_cpus() -> int:
@@ -220,10 +222,11 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     chunk))`` chunks, or one per path, whose sizes differ by at most one
     path, so every worker gets the same number of chunks.  T is then the
     longest span that fits the largest chunk, and at least the shortest.
-    A run in one process with helper CPUs (:attr:`WalkPlan.draw_cpus` above
-    one) draws ahead where the budget also holds one more span, T rows per
-    path, the rows :class:`~delay_cir.noise.DrawHelpers` fills while a span
-    is marched; the estimate then counts them.  Temporaries of a byte per
+    The run has min(``threads``, ``n_paths``) workers.  Where each of their
+    processes has helper CPUs (:attr:`WalkPlan.draw_cpus` above one), a
+    path holds one more span, T rows, beside the draw: the rows that
+    :class:`~delay_cir.noise.DrawHelpers` fills while a span is marched.
+    Temporaries of a byte per
     node, such as a march's check that its increments are finite, and
     buffers of a few rows are left out.  Every
     driver plans its walk first, so the run-size checks run here only, with
@@ -239,10 +242,12 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     step = math.lcm(*ratios)
     spans = range(step, grid.n_steps + 1, step)
     shortest = min(len(spans), -(-_SHORTEST_SPAN // step))
+    workers = min(threads, n_paths)
+    draws = 2 if _draw_cpus(workers) > 1 else 1  # spans of rows a draw holds
 
     def per_path(span: int) -> int:
         rows = sum(_window_rows(g.n_per_delay, span // r) for _, g, r in lanes)
-        rows += span + sum(sorted(span // r for r in ratios if r > 1)[-2:])
+        rows += draws * span + sum(sorted(span // r for r in ratios if r > 1)[-2:])
         return 8 * (rows + fold_rows(span))
 
     cap = max(1, min(_CHUNK, _WALK_BYTES // per_path(spans[shortest - 1])))
@@ -250,14 +255,10 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     paths = -(-n_paths // chunks)
     fits = bisect.bisect_right(spans, _WALK_BYTES, key=lambda span: paths * per_path(span))
     span = spans[max(fits, shortest) - 1]
-    plan = WalkPlan(
+    return WalkPlan(
         model, grid, tuple(lanes), n_paths, chunks, span, paths,
-        workers=min(threads, chunks), bytes=paths * per_path(span),
+        workers=workers, bytes=paths * per_path(span),
     )
-    ahead = plan.bytes + 8 * paths * span
-    if plan.processes == 1 and plan.draw_cpus > 1 and ahead <= _WALK_BYTES:
-        plan = replace(plan, bytes=ahead, draw_ahead=True)
-    return plan
 
 
 # The plans of the map_paths calls made inside recorded_walks(), or None.
@@ -289,11 +290,11 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     plan's grid, shape (stop - start, paths), by
     :func:`delay_cir.noise.generate`, so any step range equals the same rows
     of the whole draw; ``draw.paths`` is the chunk's range of the run's
-    paths.  With :attr:`~WalkPlan.draw_cpus` above one, the draws finish on
+    paths.  With :attr:`~WalkPlan.draw_cpus` above one, the draws run on
     one :class:`~delay_cir.noise.DrawHelpers` for the walk in this process,
-    or for each chunk in a forked worker.  Where the plan draws ahead, each
-    draw fills the span of the plan that follows it, the chunk's next or the
-    next chunk's first, while the chunk marches.
+    or for each chunk in a forked worker, and each draw fills the span of
+    the plan that follows it while the chunk marches: the chunk's next, or,
+    in this process, the next chunk's first.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
     ``plan.processes == 1`` they run in this process.  Otherwise
@@ -313,11 +314,14 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     k, span = plan.grid.n_steps, plan.span
 
     def following(i: int, stop: int):
-        """The span of the plan that follows a draw of chunk i up to step
-        ``stop``, as :attr:`~delay_cir.noise.DrawHelpers.then`."""
-        i, stop = (i, stop) if stop < k else (i + 1, 0)
-        if i < plan.chunks:
+        """The span of the plan that a draw of chunk i up to step ``stop``
+        fills ahead, as :attr:`~delay_cir.noise.DrawHelpers.then`: none past
+        a forked worker's chunk, which ``imap`` may give the next chunk to
+        another worker."""
+        if stop < k:
             return _chunk_paths(plan.n_paths, plan.chunks, i), stop, min(stop + span, k)
+        if plan.processes == 1 and i + 1 < plan.chunks:
+            return _chunk_paths(plan.n_paths, plan.chunks, i + 1), 0, min(span, k)
         return None
 
     def helping():
@@ -327,7 +331,7 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
         paths = _chunk_paths(plan.n_paths, plan.chunks, i)
 
         def draw(start: int = 0, stop: int | None = None) -> Array:
-            if plan.draw_ahead and helpers is not None:
+            if helpers is not None:
                 helpers.then = following(i, k if stop is None else stop)
             return noise_mod.generate(plan.grid, seed, paths, start, stop, helpers=helpers)
 

@@ -21,12 +21,11 @@ re-key one Philox bit generator per path, so their cost per path is the
 state setter plus one fill: the words come as one row of uniforms filled by
 ``Generator.random`` into a cache-sized block of such rows.  A block is
 finished where it lies and then copied once, transposed, into the
-time-major output.  The fill holds the interpreter lock; the finishing and
-the copy do not, so a draw given the helper threads of a
-:class:`DrawHelpers`, which a process keeps for all its draws, is a
-pipeline: the calling thread fills the next block while the helpers finish
-the blocks already filled.  The same helpers finish a span filled ahead
-while the caller marches the one it has.  A lognormal segment needs one
+time-major output.  The fill holds the interpreter lock; the finishing does
+not, so a process with the helper threads of a :class:`DrawHelpers`, which
+it keeps for all its draws, fills a whole span and queues each block to
+them as it goes, and fills the next span so while it marches the one it
+has.  A lognormal segment needs one
 word per path, word 0 of its stream.  Philox is counter-based (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011): each block
 of four words is a pure function of key and counter.  So
@@ -176,38 +175,33 @@ def _finish(u: Array, scale: float) -> Array:
     return u
 
 
-def _finish_rows(rows: Array, out: Array | None, scale: float, lo: int, hi: int) -> None:
-    """Finish rows lo .. hi-1 of a block of filled rows (:func:`_finish`,
-    after adding 2^-54) and write them into columns lo .. hi-1 of ``out``, or
-    leave them where they are where ``out`` is None."""
-    part = rows[lo:hi]
-    part += 2.0**-54
-    _finish(part, scale)
-    if out is not None:
-        out[:, lo:hi] = part.T
+def _finish_rows(rows: Array, scale: float) -> Array:
+    """:func:`_finish` of a block of filled rows, after adding 2^-54, in place."""
+    rows += 2.0**-54
+    return _finish(rows, scale)
 
 
-def _complete(queue) -> None:
-    """Finish on this thread, from the back of ``queue``, every job that no
-    helper has started, then wait for the others.  ``queue`` holds ``(future,
-    job, ...)``, oldest first, with no future where there are no helpers.  A
-    helper's error is raised here, with its type, once no job of the queue runs."""
+def _complete(jobs) -> None:
+    """Finish on this thread, from the back of ``jobs``, every job that no
+    helper has started, then wait for the others.  ``jobs`` holds ``(future,
+    job)``, oldest first.  A helper's error is raised here, with its type,
+    once no job of ``jobs`` runs."""
     try:
-        for future, job, *_ in reversed(queue):
-            if future is None or future.cancel():
+        for future, job in reversed(jobs):
+            if future.cancel():
                 _finish_rows(*job)
-        for future, *_ in queue:
-            if future is not None and not future.cancelled():
+        for future, _ in jobs:
+            if not future.cancelled():
                 future.result()
     except BaseException:
-        _drop(queue)
+        _drop(jobs)
         raise
 
 
-def _drop(queue) -> None:
-    """Cancel the unstarted jobs of ``queue``; wait for the rest, raising no error."""
-    for future, *_ in queue:
-        if future is not None and not future.cancel():
+def _drop(jobs) -> None:
+    """Cancel the unstarted jobs of ``jobs``; wait for the rest, raising no error."""
+    for future, _ in jobs:
+        if not future.cancel():
             future.exception()
 
 
@@ -242,21 +236,13 @@ def _row_filler(seed: int, tag: int, start: int):
     return fill
 
 
-def _block_rows(width: int, cpus: int) -> int:
-    """Rows of ``width`` words in a block, at least one: each of the
-    ``2 cpus - 1`` fill buffers of a draw on ``cpus`` threads holds one, and
-    together they hold ``_BLOCK_BYTES``."""
-    return max(1, _BLOCK_BYTES // (8 * (2 * cpus - 1) * max(width, 1)))
+def _block_rows(width: int) -> int:
+    """Rows of ``width`` words in a block of ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * max(width, 1)))
 
 
 def _standard_normals(
-    seed: int,
-    paths: range,
-    tag: int,
-    n: int,
-    start: int = 0,
-    scale: float = 1.0,
-    helpers: DrawHelpers | None = None,
+    seed: int, paths: range, tag: int, n: int, start: int = 0, scale: float = 1.0
 ) -> Array:
     """(n, len(paths)) standard normals times ``scale``: column j holds draws
     start .. start+n-1 of stream (seed, paths[j], tag).
@@ -267,56 +253,20 @@ def _standard_normals(
     the one :func:`_finish` names.  Each value passes through the same
     operations in the same order whatever the layout, so finishing a block
     of rows before it is transposed into the output gives the bits of
-    finishing the whole output, and so does finishing it in shares of rows
-    on any number of threads.
-
-    The draw is a pipeline of two stages.  This thread fills blocks of rows,
-    which holds the interpreter lock, and queues each for the ``cpus - 1``
-    threads of ``helpers``, which finish it while the next one is filled.
-    The fill rotates through ``2 cpus - 1`` buffers that together hold one
-    block of ``_BLOCK_BYTES`` (or a row each, where a row is longer than
-    their share): the one being filled and, for each helper, one being
-    finished and one queued behind it.  When every buffer is queued, this
-    thread takes back the oldest that is finished or that no helper has
-    started, finishing such a block itself, so it never waits on a helper.
-    The last block is queued in ``cpus`` shares of rows for
-    :func:`_complete`.  Without helpers (``cpus == 1``) the loop has one
-    buffer, finished when the next fill needs it.  No job of the call runs
-    once it has returned or raised.
+    finishing the whole output, and so does finishing the blocks on other
+    threads (:class:`DrawHelpers`).  Here this thread fills, finishes and
+    copies one block of ``_block_rows`` rows at a time, which it holds
+    beside the output.
     """
-    cpus, pool = (1, None) if helpers is None else (helpers.cpus, helpers.pool)
     skip = start % 4
-    # Each path's row is filled in a cache-sized block of rows, which is
-    # finished there and then written time-major into the output with one copy.
     fill = _row_filler(seed, tag, start)
-    buffers = 2 * cpus - 1
-    block = _block_rows(n + skip, cpus)
+    block = _block_rows(n + skip)
     out = np.empty((n, len(paths)))
-    # (future, job, buffer) of every queued job, oldest first
-    queue = []
-    try:
-        for lo in range(0, len(paths), block):
-            part = paths[lo : lo + block]
-            if len(queue) < buffers:
-                rows = np.empty((min(block, len(paths)), n + skip))
-            else:
-                # one is finished or can be taken back: at most cpus - 1
-                # of the 2 cpus - 1 queued blocks are running
-                i = next(i for i, (f, *_) in enumerate(queue) if not f or f.cancel() or f.done())
-                rows = queue[i][2]
-                _complete([queue.pop(i)])
-            fill(part, rows)
-            done, dest = rows[: len(part), skip:], out[:, lo : lo + len(part)]
-            shares = min(cpus, len(part)) if lo + block >= len(paths) else 1
-            cuts = [len(part) * i // shares for i in range(shares + 1)]
-            for a, b in zip(cuts, cuts[1:]):
-                job = (done, dest, scale, a, b)
-                future = None if pool is None else pool.submit(_finish_rows, *job)
-                queue.append((future, job, rows))
-    except BaseException:
-        _drop(queue)
-        raise
-    _complete(queue)
+    rows = np.empty((min(block, len(paths)), n + skip))
+    for lo in range(0, len(paths), block):
+        part = paths[lo : lo + block]
+        fill(part, rows)
+        out[:, lo : lo + len(part)] = _finish_rows(rows[: len(part), skip:], scale).T
     return out
 
 
@@ -326,17 +276,19 @@ class DrawHelpers:
 
     A ``with`` block makes ``cpus - 1`` helper threads, importing
     ``concurrent.futures`` only then, and shuts them down at its end.  Every
-    :func:`generate` call given it as ``helpers`` finishes its draw on them.
-    ``then`` names the span that the caller will draw next, ``(paths, start,
-    stop)`` of the same grid and seed, or None.  Once a call has its own
-    span, it fills that one into path-major rows, which holds the
-    interpreter lock, and queues their finishing (2^-54, clamp, ``ndtri``,
-    scale) to the helpers in blocks, so that ``ndtri``, which does not hold
-    the lock, runs while the caller goes on.  The next call, if it asks for
-    that span, completes the blocks (:func:`_complete`) and copies the rows,
-    transposed, into its output: the bits of a plain draw.  If it asks for
-    another span, it drops them and draws its own.  Beside the caller's
-    draws it holds one span of rows, which the next fill reuses.
+    :func:`generate` call given it as ``helpers`` draws on them.  A span is
+    filled into path-major rows, which holds the interpreter lock, and each
+    block of ``_block_rows`` rows is queued to the helpers as soon as it is
+    filled, to be finished (2^-54, clamp, ``ndtri``, scale) without the lock
+    while the caller goes on.  The call that asks for the span completes
+    the blocks (:func:`_complete`) and copies the rows, transposed, into its
+    output: the bits of :func:`_standard_normals`.  ``then`` names the span
+    that the caller will draw next, ``(paths, start, stop)`` of the same
+    grid and seed, or None.  Once a call has its own span, filled then or
+    earlier, it fills ``then``, whose blocks the helpers finish while the
+    caller marches; the next call takes that span if it asks for it and
+    drops it otherwise.  Beside the caller's draws it holds the rows of one
+    span, which every fill that fits in them reuses.
     """
 
     def __init__(self, cpus: int):
@@ -345,8 +297,8 @@ class DrawHelpers:
         self.cpus = cpus
         self.pool = ThreadPoolExecutor(cpus - 1)
         self.then = None
-        self._filled = None  # (request, rows, [(future, job)]) of the span filled ahead
-        self._rows = None  # the rows of the last span taken, to fill again
+        self._filled = None  # (request, rows, [(future, job)]) of the span filled
+        self._rows = None  # the rows that each fill reuses where they are large enough
 
     def __enter__(self) -> DrawHelpers:
         return self
@@ -356,36 +308,38 @@ class DrawHelpers:
         self.pool.shutdown()
 
     def draw(self, seed: int, paths: range, start: int, n: int, scale: float) -> Array:
-        """:func:`_standard_normals` of the noise stream on the helpers, or the
-        span filled ahead where it is the one asked for; then fill ``then``."""
-        out = self._take((seed, paths, start, n, scale))
+        """The normals of the noise stream that :func:`_standard_normals`
+        draws, taken from the span filled ahead where it is this one and
+        filled now otherwise; then fill ``then``."""
+        request = (seed, paths, start, n, scale)
+        out = self._take(request)
         if out is None:
-            out = _standard_normals(seed, paths, _TAG_NOISE, n, start, scale, self)
+            self._fill(request)
+            out = self._take(request)
         if self.then is not None:
             then, k0, k1 = self.then
             self._fill((seed, then, k0, k1 - k0, scale))
         return out
 
     def _fill(self, request: tuple) -> None:
-        """Fill the rows of ``request`` and queue their finishing."""
+        """Fill the rows of ``request`` and queue the finishing of each block."""
         seed, paths, start, n, scale = request
         skip = start % 4
-        rows, self._rows = self._rows, None
-        if rows is None or rows.shape[1] != n + skip or len(rows) < len(paths):
-            rows = np.empty((len(paths), n + skip))
-        rows = rows[: len(paths)]
+        if self._rows is None or len(self._rows) < len(paths) or self._rows.shape[1] < n + skip:
+            self._rows = None  # freed before the larger rows are made
+            self._rows = np.empty((len(paths), n + skip))
+        rows = self._rows[: len(paths), : n + skip]
         fill = _row_filler(seed, _TAG_NOISE, start)
-        block = _block_rows(n + skip, self.cpus)
+        block = _block_rows(n + skip)
         jobs = []
         for lo in range(0, len(paths), block):
-            hi = min(lo + block, len(paths))
-            fill(paths[lo:hi], rows[lo:hi])
-            job = (rows[:, skip:], None, scale, lo, hi)
+            fill(paths[lo : lo + block], rows[lo : lo + block])
+            job = (rows[lo : lo + block, skip:], scale)
             jobs.append((self.pool.submit(_finish_rows, *job), job))
         self._filled = (request, rows, jobs)
 
     def _take(self, request: tuple | None) -> Array | None:
-        """The output of the span filled ahead if ``request`` is it, else None;
+        """The output of the span filled if ``request`` is it, else None;
         either way nothing is left filled."""
         filled, self._filled = self._filled, None
         if filled is None:
@@ -395,11 +349,12 @@ class DrawHelpers:
             _drop(jobs)
             return None
         _complete(jobs)
-        _, paths, _, n, _ = request
+        _, paths, start, n, _ = request
+        skip = start % 4
+        block = _block_rows(n + skip)
         out = np.empty((n, len(paths)))
-        for _, (done, _, _, lo, hi) in jobs:
-            out[:, lo:hi] = done[lo:hi].T
-        self._rows = rows
+        for lo in range(0, len(paths), block):
+            out[:, lo : lo + block] = rows[lo : lo + block, skip:].T
         return out
 
 
@@ -417,10 +372,10 @@ def generate(
 
     The default range is every step, k = 0 .. K-1; any step range equals the
     same rows of the whole draw, bit for bit.  Without ``helpers`` the draw
-    runs on the calling thread.  With them its blocks are finished on their
-    threads while later ones are filled, with the same bits, the draw is
-    taken from the span they filled ahead where that is this one, and it
-    then fills ``helpers.then`` (:class:`DrawHelpers`).
+    runs on the calling thread.  With them it is taken from the span they
+    filled ahead where that is this one, or filled now, its blocks finished
+    on their threads with the same bits, and it then fills ``helpers.then``
+    (:class:`DrawHelpers`).
     """
     _check_range(path_index)
     check_seed(seed)

@@ -65,9 +65,19 @@ def walk_in_spans(monkeypatch):
     returns the per-path array that the experiment reduced and the plan.
     A run whose chunk is shrunk to fit the budget can still plan a span of
     the whole horizon, where the paths split over the workers leave room.
+    The walk is planned as on one CPU, without the span that a process with
+    helper CPUs draws ahead, so that a test pins the same spans whatever
+    the CPUs; the draws still run on the CPUs that the run has.
     """
-    inner = experiments.map_paths
+    inner, plan_walk = experiments.map_paths, experiments.walk_plan
     monkeypatch.setattr(experiments, "_SHORTEST_SPAN", 1)
+
+    def planned_alone(*args, **kwargs):
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "_draw_cpus", lambda workers: 1)
+            return plan_walk(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "walk_plan", planned_alone)
 
     def walked(run, n_steps: int, chunk_paths: int):
         rows = WALK_ROWS

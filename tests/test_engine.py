@@ -372,14 +372,21 @@ def test_positivity_census_on_two_workers_matches_one():
 
 # Rows of 8 B per path of the walk budget of the census tests, for chunks of
 # 300 paths: a census of the implicit scheme and its one explicit row at
-# N = 128 then plans spans of 256 steps, 2 (256 + 1) + 256 + 1 rows.
+# N = 128 then plans spans of 256 steps, 2 (256 + 1) + 256 + 1 rows, and
+# 256 more where its processes draw a span ahead.
 CENSUS_ROWS = 771
+
+
+def _census_budget(monkeypatch, threads: int = 1) -> None:
+    """Cut the walk budget to CENSUS_ROWS for a census on ``threads`` workers."""
+    ahead = experiments._draw_cpus(threads) > 1
+    monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * 300 * (CENSUS_ROWS + 256 * ahead))
 
 
 def _census_model(monkeypatch, sigma=1.2):
     # N = 128 over 3.25 makes 832 steps: three whole spans of 256, the third
     # wrapping round the ring windows of 257 rows, and a quarter one
-    monkeypatch.setattr(experiments, "_WALK_BYTES", 8 * 300 * CENSUS_ROWS)
+    _census_budget(monkeypatch)
     model = _model(
         b=0.0, sigma=sigma, horizon=3.25, initial=InitialSegmentSpec.lognormal(1.0, 0.3)
     )
@@ -415,6 +422,7 @@ def test_positivity_census_rows_are_the_same_at_one_two_and_three_workers(monkey
     with experiments.recorded_walks() as plans:
         one = positivity_census(names, model, grid, 600, seed=2024, threads=1)
         for workers in (2, 3):
+            _census_budget(monkeypatch, workers)
             assert positivity_census(names, model, grid, 600, seed=2024, threads=workers) == one
     assert [(plan.paths, plan.span) for plan in plans[:2]] == [(300, 256)] * 2
     assert plans[2].paths == 200 and 256 < plans[2].span < grid.n_steps

@@ -17,7 +17,7 @@ Per path the estimate counts 8 B times
   modulus run's per-lag maxima and the X of a span with the L nodes before
   it, L the largest lag (2 L + T + 1 rows), a mean check's row per
   checkpoint;
-* where a run in one process draws ahead, the next span's T rows.
+* where a process has helper CPUs, the T rows of the span it draws ahead.
 
 The checks take each estimate from the plan of the same config and compare
 the resident high-water mark (``VmHWM``) of a run with that of a process
@@ -123,22 +123,25 @@ def test_strong_rate_memory_is_the_chunk_estimate_whatever_the_horizon(tmp_path,
         f"N_list = {','.join(map(str, N_LIST))}\nN_ref = {N_REF}\n"
         f"n_paths = {PATHS}\nthreads = 1\n"
     )
-    # spans of 768 steps, 1536 and 3072 steps in all
+    # spans of 768 steps, or of 384 where a span is drawn ahead, 1536 and
+    # 3072 steps in all
     rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (0.75, 1.5), N_REF)
-    assert (plan.span, plan.paths) == (768, PATHS)  # 30.5 MiB
+    ahead = plan.draw_cpus > 1
+    assert (plan.span, plan.paths) == ((384 if ahead else 768), PATHS)  # 30.0 or 30.5 MiB
     _check_rises(rises, plan)
 
 
 def test_strong_rate_memory_keeps_to_the_budget_where_the_chunk_shrinks(tmp_path, plan_of):
     # at N_ref 4096 even the shortest span, the coarsest ratio of 512 steps,
-    # needs 37 KiB per path, 74 MiB for 2048 paths: the chunk shrinks, to
-    # three even chunks of 683 paths that fit spans of 1536 steps
+    # needs 37 KiB per path (41 KiB with a span drawn ahead), 74 MiB for
+    # 2048 paths: the chunk shrinks, to three even chunks of 683 paths that
+    # fit spans of 1536 steps, or 512 with a span drawn ahead
     text = (
         f"N_list = {','.join(map(str, N_LIST))}\nN_ref = 4096\n"
         f"n_paths = {PATHS}\nthreads = 1\n"
     )
     rises, plan = _rises_and_plan(tmp_path, plan_of, text, (1.5,), 4096)
-    assert (plan.span, plan.paths) == (1536, 683)
+    assert (plan.span, plan.paths) == ((512 if plan.draw_cpus > 1 else 1536), 683)
     budget = experiments._WALK_BYTES / 2**20
     unshrunk = PATHS * plan.bytes / plan.paths / 2**20
     assert 0.0 < rises[1.5] <= 1.5 * plan.bytes / 2**20 <= 1.5 * budget < unshrunk, (rises, plan)
@@ -146,15 +149,17 @@ def test_strong_rate_memory_keeps_to_the_budget_where_the_chunk_shrinks(tmp_path
 
 def test_the_first_span_keeps_to_the_plan_like_every_later_one(tmp_path, monkeypatch):
     # At N_ref 4096 a chunk of 883 paths walks spans of 512 steps in ring
-    # windows of 28 MiB.  A span's peak is the estimate plus the draw's
-    # transpose block (noise._BLOCK_BYTES) and buffers of a few rows, which
-    # the plan does not count; the start segment's checks, in the first span
-    # only, must add nothing per node of a window.
+    # windows of 28 MiB; where a span is drawn ahead, a chunk of 800 does.
+    # A span's peak is the estimate plus buffers of a few rows and, on one
+    # CPU, the draw's transpose block (noise._BLOCK_BYTES), which the plan
+    # does not count; the start segment's checks, in the first span only,
+    # must add nothing per node of a window.
     import scipy.special  # noqa: F401 - imported by the draws, before tracing
 
+    paths = 800 if experiments._usable_cpus() > 1 else 883
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
-        "N_list = 8,16,32\nN_ref = 4096\nn_paths = 883\nthreads = 1\nhorizon = 0.375\n",
+        f"N_list = 8,16,32\nN_ref = 4096\nn_paths = {paths}\nthreads = 1\nhorizon = 0.375\n",
         encoding="utf-8",
     )
     config = cli.parse_config(str(cfg))
@@ -176,7 +181,7 @@ def test_the_first_span_keeps_to_the_plan_like_every_later_one(tmp_path, monkeyp
         finally:
             tracemalloc.stop()
     (plan,) = plans
-    assert (plan.span, plan.paths) == (512, 883)  # 31.8 MiB
+    assert (plan.span, plan.paths) == (512, paths)  # 31.8 MiB
     first, *later = peaks[1:]  # peaks[0] is the set-up before the first draw
     assert len(later) == 5
     assert first <= min(later) + 2**16, peaks
@@ -200,8 +205,8 @@ def test_mean_check_memory_counts_the_span_drawn_ahead(tmp_path, plan_of):
     config = cli.parse_config(str(cfg))
     plan = plan_of(lambda: config.run(config.threads))
     assert (plan.span, plan.chunks, plan.paths) == (384, 2, PATHS)
-    assert plan.draw_ahead == (experiments._usable_cpus() > 1)
-    assert plan.bytes == 8 * PATHS * (385 + 384 + 5 + 384 * plan.draw_ahead)
+    assert plan.draw_cpus == experiments._usable_cpus()
+    assert plan.bytes == 8 * PATHS * (385 + 384 + 5 + 384 * (plan.draw_cpus > 1))
     assert 0.0 < rise <= 1.5 * plan.bytes / 2**20, (rise, plan)
 
 
@@ -254,9 +259,10 @@ def test_census_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, pla
     # The budget is 32 MiB / (8 B x 2048 paths) = 2048 rows per path.  The
     # implicit window holds max(N + 1, T + 1) = T + 1 rows, the draw T and
     # the fold 1 + (T + 1): the flags and the one explicit row's window.
-    # 3 T + 3 <= 2048 rows gives spans of 681 steps, 768 and 1536 in all.
+    # 3 T + 3 <= 2048 rows gives spans of 681 steps, 768 and 1536 in all;
+    # with T more for the span drawn ahead, 4 T + 3 <= 2048 gives 511.
     rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (1.5, 3.0), CENSUS_N)
-    assert (plan.span, plan.paths) == (681, PATHS)  # 32.0 MiB
+    assert (plan.span, plan.paths) == ((511 if plan.draw_cpus > 1 else 681), PATHS)  # 32.0 MiB
     _check_rises(rises, plan)
 
 
@@ -265,7 +271,8 @@ def test_modulus_memory_is_the_window_estimate_whatever_the_horizon(tmp_path, pl
     # The budget is 32 MiB / (8 B x 2048 paths) = 2048 rows per path.  The
     # window holds max(N + 1, T + 1) = T + 1 rows, the draw T and the fold
     # 2 L + T + 1 for the largest default lag L = 16: 3 T + 34 <= 2048 rows
-    # gives spans of 671 steps, 768 and 1536 steps in all.
+    # gives spans of 671 steps, 768 and 1536 steps in all; with T more for
+    # the span drawn ahead, 4 T + 34 <= 2048 gives 503.
     rises, plan = _rises_and_plan(tmp_path, plan_of, base_text, (1.5, 3.0), CENSUS_N)
-    assert (plan.span, plan.paths) == (671, PATHS)  # 32.0 MiB
+    assert (plan.span, plan.paths) == ((503 if plan.draw_cpus > 1 else 671), PATHS)  # 32.0 MiB
     _check_rises(rises, plan)

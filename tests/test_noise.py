@@ -31,7 +31,8 @@ from delay_cir.noise import (
 
 
 def _drawn(grid, seed, paths, start=0, stop=None, cpus=1):
-    """``generate`` on the helpers of ``cpus`` threads, or on this one alone."""
+    """``generate`` on the helpers of ``cpus`` threads, with nothing filled
+    ahead, or on this one alone."""
     with noise.DrawHelpers(cpus) if cpus > 1 else nullcontext() as helpers:
         return generate(grid, seed, paths, start, stop, helpers=helpers)
 
@@ -120,12 +121,9 @@ def test_generate_blocks_tile_the_whole_draw():
 @pytest.mark.parametrize("block_rows", [None, 2], ids=["partial-last-block", "two-row-blocks"])
 @pytest.mark.parametrize("start, stop", [(0, 192), (5, 96)])
 def test_generate_bits_do_not_depend_on_the_cpus(monkeypatch, block_rows, start, stop):
-    # 1600 paths in blocks whose buffers hold 1 MiB together (one buffer on
-    # one CPU, three on two, five on three): rows of 192 words come 682,
-    # 227 and 136 to a block (partial last blocks of 236, 11 and 104 rows),
-    # rows of 92 words 1424, 474 and 284 (last blocks of 176, 178 and 180).
-    # Or 7 paths in blocks of two rows on one CPU and of one row on more,
-    # whose last block has fewer rows than either count of threads.  A
+    # 1600 paths in blocks of 1 MiB: rows of 192 words come 682 to a block
+    # (a partial last block of 236 rows), rows of 92 words 1424 (a last
+    # block of 176).  Or 7 paths in blocks of two rows, the last of one.  A
     # start of 5 skips one word of a Philox block of four.
     paths = range(3, 1603) if block_rows is None else range(5, 12)
     if block_rows is not None:
@@ -153,9 +151,11 @@ def test_a_draw_finishes_on_its_cpus_and_leaves_no_thread(monkeypatch):
     assert threading.active_count() == before
 
 
-def test_a_draw_on_more_threads_than_cores_keeps_its_bits():
-    # eight threads write disjoint shares of each block, switching every
-    # microsecond; a share written twice or not at all would change bits
+def test_a_draw_on_more_threads_than_cores_keeps_its_bits(monkeypatch):
+    # seven helpers and this thread finish 200 blocks of 10 rows, switching
+    # every microsecond; a block finished twice or not at all would change
+    # bits
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 10)
     grid, paths = _grid(), range(2000)
     drawn = []
     interval = sys.getswitchinterval()
@@ -173,14 +173,16 @@ def test_a_draw_on_more_threads_than_cores_keeps_its_bits():
 
 @pytest.mark.parametrize("start, stop", [(5, 96), (130, 192)])
 def test_a_pipelined_draw_keeps_its_bits_on_any_cpus(monkeypatch, start, stop):
-    # buffers of 30 rows together: blocks of 30, 10, 6 and 2 rows on 1, 2, 3
-    # and 8 CPUs, so 305 paths make 11 to 153 blocks, many more than the 1
-    # to 15 buffers, and the last block is partial (5, 5, 5 and 1 rows)
+    # the helpers finish each block while this thread fills the next: 305
+    # paths in blocks of 30 rows, the last one partial (5 rows), or in
+    # blocks of one row, on 1, 2, 3 and 8 CPUs
     grid, paths = _grid(), range(7, 312)
     whole = generate(grid, 9, paths, start, stop)  # one block
-    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * (stop - start + start % 4) * 30)
-    for cpus in (1, 2, 3, 8):
-        assert np.array_equal(_bits(_drawn(grid, 9, paths, start, stop, cpus)), _bits(whole))
+    for rows in (30, 1):
+        monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * (stop - start + start % 4) * rows)
+        for cpus in (1, 2, 3, 8):
+            got = _drawn(grid, 9, paths, start, stop, cpus)
+            assert np.array_equal(_bits(got), _bits(whole))
 
 
 def test_the_caller_and_a_helper_both_finish_blocks(monkeypatch):
@@ -192,26 +194,46 @@ def test_the_caller_and_a_helper_both_finish_blocks(monkeypatch):
         inner(*job)
 
     monkeypatch.setattr(noise, "_finish_rows", recording)
-    # three buffers of 10 rows: 200 blocks, the last one in two shares
-    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 30)
+    # 200 blocks of 10 rows: the helper finishes blocks while later ones are
+    # filled, and this thread those that no helper has started once all are
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 10)
     _drawn(_grid(), 9, range(2000), cpus=2)
-    assert len(finishers) == 201
+    assert len(finishers) == 200
     assert len(set(finishers)) == 2 and threading.get_ident() in finishers
 
 
 def test_a_draw_holds_one_block_besides_its_output():
-    # rows of 1536 words (12 KiB), 28 to each of three buffers; the queue of
-    # jobs takes about one row more
+    # on this thread alone: rows of 1536 words (12 KiB), 85 to a block
     grid, paths = _grid(512), range(1000)
-    with noise.DrawHelpers(2) as helpers:
-        generate(grid, 9, paths, helpers=helpers)  # imports and first calls before tracing
-        tracemalloc.start()
-        try:
-            out = generate(grid, 9, paths, helpers=helpers)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+    generate(grid, 9, paths)  # imports and first calls before tracing
+    tracemalloc.start()
+    try:
+        out = generate(grid, 9, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert peak - out.nbytes <= noise._BLOCK_BYTES + 4 * 8 * grid.n_steps, peak - out.nbytes
+
+
+def test_a_helper_draw_holds_its_output_and_one_span_of_rows():
+    # two spans of 768 steps for 1000 paths, the second filled ahead: the
+    # rows of the first span (6 MiB) are filled again with the second's, and
+    # the queue of jobs takes a few KiB more
+    grid, paths = _grid(512), range(1000)
+    generate(grid, 9, range(10))  # imports and first calls before tracing
+    rows = 8 * len(paths) * 768
+    tracemalloc.start()
+    try:
+        with noise.DrawHelpers(2) as helpers:
+            helpers.then = (paths, 768, 1536)
+            first = generate(grid, 9, paths, 0, 768, helpers=helpers)
+            helpers.then = None
+            second = generate(grid, 9, paths, 768, 1536, helpers=helpers)
+            peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - first.nbytes - second.nbytes
+    assert rows <= held <= rows + 2**16, held
 
 
 class _Broken(Exception):
@@ -256,7 +278,7 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(noise, "ndtri", failing)
     monkeypatch.setattr(noise, "_finish_rows", counted)
-    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 30)  # 201 jobs
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 192 * 30)  # 67 jobs
     before = threading.active_count()
     worker = threading.Thread(target=draw)
     worker.start()
@@ -264,10 +286,9 @@ def test_a_helper_error_reaches_the_caller(monkeypatch):
     assert not worker.is_alive()
     (raised,) = outcome
     # no job runs once generate has returned, though the helpers still
-    # live, none starts later, and the jobs queued behind the error were
-    # cancelled
+    # live, none starts later, and none ran twice
     assert raised["running"] == 0
-    assert raised["started"] == count["started"] < 201
+    assert raised["started"] == count["started"] == 67
     assert threading.active_count() == before
 
 
@@ -275,30 +296,30 @@ def test_a_span_filled_ahead_keeps_the_bits_of_a_plain_draw(monkeypatch):
     # on two CPUs the span filled ahead, rows of 92 words that start one word
     # into a Philox block of four, is finished in 11 blocks of up to 30 rows,
     # the next chunk's rows of 96 words in 4 blocks of up to 28, and the
-    # last call fills nothing; only the first call draws its own span
-    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 92 * 30 * 3)
+    # last call fills nothing; only the first call fills its own span
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 92 * 30)
     grid, paths, later = _grid(), range(7, 312), range(312, 400)
     asked = [
         (paths, 0, 5, (paths, 5, 96)),
         (paths, 5, 96, (later, 96, 192)),
         (later, 96, 192, None),
     ]
-    pooled = []
-    inner = noise._standard_normals
+    filled = []
+    inner = noise.DrawHelpers._fill
 
-    def recording(*args):
-        if len(args) == 7:  # on the helpers
-            pooled.append(args[1])
-        return inner(*args)
+    def recording(self, request):
+        _, chunk, start, n, _ = request
+        filled.append((chunk, start, start + n))
+        inner(self, request)
 
-    monkeypatch.setattr(noise, "_standard_normals", recording)
+    monkeypatch.setattr(noise.DrawHelpers, "_fill", recording)
     before = threading.active_count()
     with noise.DrawHelpers(2) as helpers:
         for chunk, start, stop, then in asked:
             helpers.then = then
             got = generate(grid, 9, chunk, start, stop, helpers=helpers)
             assert np.array_equal(_bits(got), _bits(generate(grid, 9, chunk, start, stop)))
-    assert pooled == [paths]
+    assert filled == [(paths, 0, 5), (paths, 5, 96), (later, 96, 192)]
     assert threading.active_count() == before
 
 
@@ -308,7 +329,7 @@ def test_spans_filled_ahead_on_more_threads_than_cores_keep_their_bits(monkeypat
     # caller fills the next span and takes and copies the last; a block
     # finished twice or not at all, or copied before it is finished, would
     # change bits
-    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 48 * 10 * 15)
+    monkeypatch.setattr(noise, "_BLOCK_BYTES", 8 * 48 * 10)
     grid, paths = _grid(), range(400)
     spans = [(k0, k0 + 48) for k0 in range(0, grid.n_steps, 48)]
     drawn, caller = [], []

@@ -329,11 +329,11 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(
     tmp_path, plan_of, monkeypatch
 ):
     budget = experiments._WALK_BYTES
-    # one process with a helper CPU, which a draw ahead needs
+    # one process with a helper CPU, so each of its draws fills a span ahead
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    # the default rate study: 3072 fine steps in 6 spans of 512 per chunk
+    # the default rate study: 3072 fine steps in 12 spans of 256 per chunk
     rate = _planned(tmp_path, plan_of, "n_paths = 2048\n")
-    assert (rate.span, rate.paths, rate.workers) == (512, 2048, 1)
+    assert (rate.span, rate.paths, rate.workers, rate.draw_cpus) == (256, 2048, 1, 2)
     assert 0.9 * budget < rate.bytes <= budget
     # 192 steps in one span; 25 000 paths in 13 even chunks
     mean_text = (
@@ -342,13 +342,17 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(
     )
     mean = _planned(tmp_path, plan_of, mean_text)
     assert (mean.span, mean.paths) == (192, 1924)
-    # with room for one more span of 192 rows a path, its draws fill the
-    # next chunk's ahead, and the estimate counts those rows
-    assert mean.draw_ahead and mean.bytes <= budget
+    # its draws fill the next chunk's ahead, and the estimate counts those
+    # rows; on one CPU neither changes, and the rate study takes spans of
+    # 512 in the same budget
+    assert mean.bytes <= budget
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
     alone = _planned(tmp_path, plan_of, mean_text)
-    assert not alone.draw_ahead and (alone.span, alone.paths) == (192, 1924)
+    assert alone.draw_cpus == 1 and (alone.span, alone.paths) == (192, 1924)
     assert mean.bytes - alone.bytes == 8 * 1924 * 192
+    rate_alone = _planned(tmp_path, plan_of, "n_paths = 2048\n")
+    assert (rate_alone.span, rate_alone.paths) == (512, 2048)
+    assert 0.9 * budget < rate_alone.bytes <= budget
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
     # a three-scheme census at N 1024 on two workers: 4096 rows per path hold
     # the implicit window, the draw, the flags and the one explicit window,
@@ -360,16 +364,19 @@ def test_the_budget_buys_long_spans_and_shrinks_chunks_only_where_it_must(
         "sigma = 1.2\nN = 1024\nn_paths = 2048\nthreads = 2\n",
     )
     assert (census.paths, census.workers, census.span) == (1024, 2, 1364)
-    assert census.bytes <= budget
+    assert census.bytes <= budget and census.draw_cpus == 1
     # at N_ref 4096 not even the shortest span, the coarsest ratio of 512
-    # steps, fits 2048 paths: 883 do, so the paths split into three even
-    # chunks, whose 683 paths fit longer spans in the budget
-    deep = _planned(tmp_path, plan_of, "N_list = 8,16,32\nN_ref = 4096\nn_paths = 2048\n")
+    # steps, fits 2048 paths: 801 do, or 883 without a span drawn ahead, so
+    # the paths split into three even chunks.  Their 683 paths fit spans of
+    # 512 steps, and longer ones, 1536, on one CPU.
+    deep_text = "N_list = 8,16,32\nN_ref = 4096\nn_paths = 2048\n"
+    deep = _planned(tmp_path, plan_of, deep_text)
+    assert (deep.span, deep.paths, deep.draw_cpus) == (512, 683, 2)
+    assert deep.bytes <= budget
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 1)
+    deep = _planned(tmp_path, plan_of, deep_text)
     assert (deep.span, deep.paths) == (1536, 683)
     assert 0.9 * budget < deep.bytes <= budget
-    # a span more would break the budget of the rate plans; the census runs
-    # on two processes, with no CPU to spare
-    assert not (rate.draw_ahead or census.draw_ahead or deep.draw_ahead)
 
 
 # ---------------------------------------------------------------------------
@@ -485,30 +492,27 @@ def test_studies_do_not_depend_on_the_draw_cpus(monkeypatch):
 
 def _ahead_plan(span: int):
     """A one-lane plan of PATHS paths on the 300-step grid, in three chunks
-    walked in spans of ``span`` steps by draws that fill the next span ahead."""
+    walked in spans of ``span`` steps."""
     model, grid = _grid(300)
     plan = one_lane_plan(model, grid, PATHS)
-    return replace(plan, chunks=3, paths=PATHS // 3, span=span, draw_ahead=True)
+    return replace(plan, chunks=3, paths=PATHS // 3, span=span)
 
 
 def _spans_ahead(monkeypatch) -> tuple[list, list]:
     """The spans ``(paths, start, stop)`` that draws fill ahead from now on,
-    and those taken by the draw that asks for them, in call order."""
+    and those that a draw takes from the fill ahead, in call order."""
     filled, taken = [], []
-    fill, take = noise.DrawHelpers._fill, noise.DrawHelpers._take
+    draw = noise.DrawHelpers.draw
 
-    def filling(self, request):
-        filled.append(_span_of(request))
-        fill(self, request)
-
-    def taking(self, request):
-        out = take(self, request)
-        if out is not None:
+    def drawing(self, *request):
+        if self._filled is not None and self._filled[0] == request:
             taken.append(_span_of(request))
+        out = draw(self, *request)
+        if self.then is not None:
+            filled.append(_span_of(self._filled[0]))
         return out
 
-    monkeypatch.setattr(noise.DrawHelpers, "_fill", filling)
-    monkeypatch.setattr(noise.DrawHelpers, "_take", taking)
+    monkeypatch.setattr(noise.DrawHelpers, "draw", drawing)
     return filled, taken
 
 
@@ -570,23 +574,31 @@ def test_a_draw_of_another_span_than_the_one_filled_ahead_keeps_its_bits(monkeyp
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
 def test_no_helper_thread_outlives_a_walk_drawn_ahead(monkeypatch, fail):
-    # the first chunk's one span fills the second chunk's ahead; the chunk
-    # then fails while the helpers may still be finishing it
+    # three chunks of one span, or of five spans of 64 steps (the last of
+    # 44), on the walk's one pool: the first chunk's last draw fills the
+    # second chunk's first span ahead, and the chunk may then fail while
+    # the helpers are still finishing it
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    plan = _ahead_plan(300)
     filled, _ = _spans_ahead(monkeypatch)
+    for span in (300, 64):
+        plan = _ahead_plan(span)
+        k = plan.grid.n_steps
 
-    def reduce(draw, seg):
-        x = draw()
-        if fail:
-            raise OutOfRange("X = Y^2 leaves the float range at node 7 (path 0, t = 0.035)")
-        return x[-1]
+        def reduce(draw, seg):
+            x = np.concatenate([draw(k0, min(k0 + span, k)) for k0 in range(0, k, span)])
+            if fail:
+                raise OutOfRange("X = Y^2 leaves the float range at node 7 (path 0, t = 0.035)")
+            return x
 
-    before = threading.active_count()
-    with pytest.raises(OutOfRange, match="node 7") if fail else nullcontext():
-        experiments.map_paths(plan, 4, reduce)
-    assert threading.active_count() == before
-    assert filled == _plan_spans(plan)[1 : 2 if fail else 3]
+        filled.clear()
+        before = threading.active_count()
+        with pytest.raises(OutOfRange, match="node 7") if fail else nullcontext():
+            got = experiments.map_paths(plan, 4, reduce)
+        assert threading.active_count() == before
+        spans = _plan_spans(plan)
+        assert filled == spans[1 : -(-k // span) + 1 if fail else None]
+        if not fail:
+            assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
 
 
 # ---------------------------------------------------------------------------
@@ -611,11 +623,12 @@ def _pools_made(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", ["mean_check", "strong_rate"])
 def test_an_in_process_walk_makes_one_pool(monkeypatch, name):
-    # on two CPUs every draw of the walk finishes on the one pool, whether
-    # the plan draws ahead or not; on one CPU the walk makes none.  The mean
-    # check walks three chunks of 20 paths, each one span of K = 384 steps,
-    # and draws ahead; the rate study walks 520 fine steps in spans of 240
-    # (the budget of test_no_experiment_draws_more_than_one_block).
+    # on two CPUs every draw of the walk finishes on the one pool and fills
+    # the next span ahead; on one CPU the walk makes none.  The mean check
+    # walks three chunks of 20 paths, each one span of K = 384 steps; the
+    # rate study walks 520 fine steps in spans of 240, or of 160 with a
+    # span drawn ahead (the budget of
+    # test_no_experiment_draws_more_than_one_block).
     if name == "mean_check":
         monkeypatch.setattr(experiments, "_CHUNK", PATHS // 3)
     else:
@@ -634,7 +647,6 @@ def test_an_in_process_walk_makes_one_pool(monkeypatch, name):
     # the walk of several draws that made that one pool
     spans = -(-plan.grid.n_steps // plan.span)
     assert plan.chunks * spans > 2
-    assert plan.draw_ahead == (name == "mean_check")
 
 
 def test_a_forked_worker_makes_one_pool_per_chunk(monkeypatch):
@@ -678,28 +690,28 @@ def test_a_forked_worker_makes_one_pool_per_chunk(monkeypatch):
     assert all(counts == list(range(1, len(counts) + 1)) for counts in seen.values())
 
 
-@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-def test_no_helper_thread_outlives_a_walk_not_drawn_ahead(monkeypatch, fail):
-    # three chunks drawn in spans of 64 steps on the walk's one pool; the
-    # first chunk fails once its draws are made
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    plan = replace(_ahead_plan(64), draw_ahead=False)
-    filled, _ = _spans_ahead(monkeypatch)
-    k = plan.grid.n_steps
+def test_a_forked_worker_fills_ahead_only_its_own_chunk(monkeypatch):
+    # two workers on four usable CPUs draw on two threads each.  imap may
+    # give the next chunk to the other worker, so each chunk of three spans
+    # of 100 steps fills exactly its own second and third ahead, and its
+    # last draw fills none; a chunk's assertion error reaches this process.
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
+    model, grid = _grid(300)
+    plan = replace(one_lane_plan(model, grid, PATHS, 2), chunks=6, paths=PATHS // 6, span=100)
+    assert (plan.processes, plan.draw_cpus) == (2, 2)
+    filled, taken = _spans_ahead(monkeypatch)  # the workers inherit the records
+    k = grid.n_steps
 
     def reduce(draw, seg):
-        x = np.concatenate([draw(k0, min(k0 + 64, k)) for k0 in range(0, k, 64)])
-        if fail:
-            raise OutOfRange("X = Y^2 leaves the float range at node 7 (path 0, t = 0.035)")
-        return x
+        seen = len(filled), len(taken)
+        inc = np.concatenate([draw(k0, k0 + 100) for k0 in range(0, k, 100)])
+        own = [(draw.paths, 100, 200), (draw.paths, 200, 300)]
+        assert filled[seen[0] :] == taken[seen[1] :] == own, (filled, taken)
+        return inc
 
-    before = threading.active_count()
-    with pytest.raises(OutOfRange, match="node 7") if fail else nullcontext():
-        got = experiments.map_paths(plan, 4, reduce)
-    assert threading.active_count() == before
-    assert filled == []
-    if not fail:
-        assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
+    got = experiments.map_paths(plan, 4, reduce)
+    assert filled == taken == [] and multiprocessing.active_children() == []
+    assert np.array_equal(_bits(got), _bits(noise.generate(grid, 4, range(PATHS))))
 
 
 @pytest.mark.parametrize("usable", [1, 2, 3])
@@ -720,7 +732,7 @@ def test_the_golden_mean_and_rate_products_do_not_depend_on_the_cpus(
             args = ["run", "--config", str(cfg), "--out", str(out), "--threads", str(threads)]
             with experiments.recorded_walks() as plans:
                 assert cli.main(args) == 0
-            assert [plan.draw_ahead for plan in plans] == [threads == 1 and usable > 1]
+            assert [plan.draw_cpus > 1 for plan in plans] == [threads == 1 and usable > 1]
             for product, digest in expected.items():
                 assert hashlib.sha256((out / product).read_bytes()).hexdigest() == digest
 
