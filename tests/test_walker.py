@@ -690,6 +690,31 @@ def test_a_forked_worker_makes_one_pool_per_chunk(monkeypatch):
     assert all(counts == list(range(1, len(counts) + 1)) for counts in seen.values())
 
 
+@pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+def test_no_helper_thread_outlives_a_walk_not_drawn_ahead(monkeypatch, fail):
+    # one chunk of every path in one span of the whole horizon: its draw
+    # finishes on the walk's one pool and no span of the plan follows it, so
+    # nothing is filled ahead; the chunk fails once its draw is made
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    plan = replace(_ahead_plan(300), chunks=1, paths=PATHS)
+    filled, _ = _spans_ahead(monkeypatch)
+    made = _pools_made(monkeypatch)
+
+    def reduce(draw, seg):
+        x = draw()
+        if fail:
+            raise OutOfRange("X = Y^2 leaves the float range at node 7 (path 0, t = 0.035)")
+        return x
+
+    before = threading.active_count()
+    with pytest.raises(OutOfRange, match="node 7") if fail else nullcontext():
+        got = experiments.map_paths(plan, 4, reduce)
+    assert threading.active_count() == before
+    assert len(made) == 1 and filled == []
+    if not fail:
+        assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
+
+
 def test_a_forked_worker_fills_ahead_only_its_own_chunk(monkeypatch):
     # two workers on four usable CPUs draw on two threads each.  imap may
     # give the next chunk to the other worker, so each chunk of three spans
