@@ -290,7 +290,8 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     plan's grid, shape (stop - start, paths), by
     :func:`delay_cir.noise.generate`, so any step range equals the same rows
     of the whole draw; ``draw.paths`` is the chunk's range of the run's
-    paths.  With :attr:`~WalkPlan.draw_cpus` above one, the draws run on
+    paths and ``draw.windows`` its ring windows (:func:`walk_blocks`).  With
+    :attr:`~WalkPlan.draw_cpus` above one, the draws run on
     one :class:`~delay_cir.noise.DrawHelpers` for the walk in this process,
     or for each chunk in a forked worker, and each draw fills the span of
     the plan that follows it while the chunk marches: the chunk's next, or,
@@ -312,6 +313,9 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     if walks is not None:
         walks.append(plan)
     k, span = plan.grid.n_steps, plan.span
+    # made once for every chunk; a forked worker inherits them untouched
+    rows = [_window_rows(g.n_per_delay, span // r) for _, g, r in plan.lanes]
+    windows = [np.empty((n, plan.paths)) for n in rows]
 
     def following(i: int, stop: int):
         """The span of the plan that a draw of chunk i up to step ``stop``
@@ -335,7 +339,7 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
                 helpers.then = following(i, k if stop is None else stop)
             return noise_mod.generate(plan.grid, seed, paths, start, stop, helpers=helpers)
 
-        draw.paths = paths
+        draw.paths, draw.windows = paths, [w[:, : len(paths)] for w in windows]
         seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)
         return reduce(draw, seg)
 
@@ -388,30 +392,31 @@ def _run_inherited_chunk(i: int) -> Array:
 def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
     """March a chunk over the steps of the plan's grid in spans, folding each span.
 
-    ``draw(k0, k1)`` gives a span's increments of steps k0 .. k1 - 1.  Each
-    implicit lane ``(model, lane_grid, r)`` of ``plan.lanes`` continues
+    ``draw`` is a chunk's draw of :func:`map_paths`: ``draw(k0, k1)`` gives
+    a span's increments of steps k0 .. k1 - 1.  Each implicit lane ``(model,
+    lane_grid, r)`` of ``plan.lanes`` continues
     :func:`~delay_cir.scheme.simulate_y_paths` on their sums over r steps
     from ``seg[::r]``; then ``fold(k0, increments, windows)`` may overwrite
     the increments.  The lanes march finest r first, and a lane's sums
     continue those of the lane before it, whose r must divide its own
     (:func:`~delay_cir.noise.block_sum`); the sums and the increments are
-    dropped before the next draw.  ``windows`` are the lanes' ring windows,
-    in the order of the lanes, each of :func:`_window_rows` rows for the
-    plan's span.  State that one experiment keeps across spans, such as
-    another scheme's window, lives in its fold.
+    dropped before the next draw.  ``windows`` are ``draw.windows``, the
+    lanes' ring windows in the order of the lanes, each of
+    :func:`_window_rows` rows for the plan's span and made once per walk.
+    State that one experiment keeps across spans, such as another scheme's
+    window, lives in its fold, in buffers made once per walk too.
 
     An X = Y^2 that leaves the float range stays off it (inf and NaN absorb
     in the march), so each span checks one row per lane, X at its last node,
     and :func:`_note_overflow` finds the first node of each path newly off
     it.  Once the chunk is walked, :class:`~delay_cir.model.OutOfRange`
-    names the first such path, by its index in ``draw.paths`` where the
-    draw has them, its earliest such node on the plan's grid and that
-    node's time, whatever the chunking.
+    names the first such path, by its index in ``draw.paths``, its earliest
+    such node on the plan's grid and that node's time, whatever the
+    chunking.
     """
     grid, span = plan.grid, plan.span
     paths = seg.shape[1]
-    windows = [np.empty((_window_rows(g.n_per_delay, span // r), paths)) for _, g, r in plan.lanes]
-    marching = sorted(zip(plan.lanes, windows), key=lambda lane: lane[0][2])
+    marching = sorted(zip(plan.lanes, draw.windows), key=lambda lane: lane[0][2])
     off = np.full(paths, grid.n_steps + 1)
     for k0 in range(0, grid.n_steps, span):
         inc = draw(k0, min(k0 + span, grid.n_steps))
@@ -425,15 +430,14 @@ def walk_blocks(plan: WalkPlan, draw, seg, fold) -> None:
             )
             _note_overflow(window, lane_grid.n_per_delay, k0 // r, len(sums), r, off)
         del sums
-        fold(k0, inc, windows)
+        fold(k0, inc, draw.windows)
         del inc
     over = np.flatnonzero(off <= grid.n_steps)
     if over.size:
         i = over[0]
-        path = getattr(draw, "paths", range(paths))[i]
         raise OutOfRange(
             f"X = Y^2 leaves the float range at node {off[i]} "
-            f"(path {path}, t = {float(grid.time(off[i]))})"
+            f"(path {draw.paths[i]}, t = {float(grid.time(off[i]))})"
         )
 
 
@@ -671,6 +675,7 @@ def strong_error_study(
         model, fine_grid, lanes, n_paths, threads,
         fold_rows=lambda span: 2 * len(n_list) + span // ratios[-1] + 1 + _FOLD_ROWS + 1,
     )
+    x_coarse = np.empty((plan.span // ratios[-1] + 1, plan.paths))  # for every chunk
 
     def errors(draw, seg: Array) -> Array:
         """Rows 2i, 2i+1: grid and uniform errors of level n_list[i].
@@ -678,7 +683,6 @@ def strong_error_study(
         Node 0 is left out: every level starts from the same value there.
         """
         out = np.zeros((2 * len(n_list), seg.shape[1]))
-        x_coarse = np.empty((plan.span // ratios[-1] + 1, seg.shape[1]))
 
         def fold(k0, inc, windows):
             # the increments are spent: their rows take the span's fine X
@@ -686,7 +690,7 @@ def strong_error_study(
             for i, (grid_c, r) in enumerate(zip(coarse_grids, ratios)):
                 x_c = scheme_mod.square_rows(
                     windows[1 + i], grid_c.n_per_delay + k0 // r,
-                    x_fine.shape[0] // r + 1, out=x_coarse,
+                    x_fine.shape[0] // r + 1, out=x_coarse[:, : inc.shape[1]],
                 )
                 weights = _cell_weights(x_fine.shape[0], r, k0 + 1)
                 _fold_cell_errors(x_fine, x_c, weights, out[2 * i], out[2 * i + 1])
@@ -809,21 +813,15 @@ def mean_consistency_check(
     plan = walk_plan(model, grid, lanes, n_paths, threads, fold_rows=lambda span: len(ks))
 
     def at_checkpoints(draw, seg: Array) -> Array:
-        out = []
+        out = np.empty((len(ks), seg.shape[1]))
 
         def fold(k0, inc, windows):
-            if not out:
-                # allocated after the window and the span's increments, so
-                # that the chunk's result, which outlives them, lies above
-                # them on the heap and glibc does not give their pages back
-                # to the system at the end of every chunk
-                out.append(np.empty((len(ks), seg.shape[1])))
             for j, k in enumerate(ks):
                 if k0 <= k <= k0 + inc.shape[0]:
-                    np.square(windows[0][(grid.n_per_delay + k) % len(windows[0])], out=out[0][j])
+                    np.square(windows[0][(grid.n_per_delay + k) % len(windows[0])], out=out[j])
 
         walk_blocks(plan, draw, seg, fold)
-        return out[0]
+        return out
 
     samples = map_paths(plan, seed, at_checkpoints)
 
@@ -968,11 +966,12 @@ def positivity_census(
         model, grid, lanes, n_paths, threads,
         fold_rows=lambda span: 1 + (explicit is not None) * _window_rows(n_delay, span),
     )
+    rows = _window_rows(n_delay, plan.span)  # the implicit lane's too
+    explicit_rows = np.empty((rows if explicit else 0, plan.paths))  # for every chunk
 
     def census(draw, seg: Array) -> Array:
         flags = {name: np.zeros(seg.shape[1], dtype=bool) for name in names}
-        rows = _window_rows(n_delay, plan.span)  # the implicit lane's too
-        x = np.empty((rows if explicit else 0, seg.shape[1]))
+        x = explicit_rows[:, : seg.shape[1]]
 
         # Node 0 is the segment's last node, positive in every scheme (the
         # implicit one holds sqrt(x) with sqrt(x)^2 >= 2^-1074 for x > 0), so
@@ -1085,14 +1084,15 @@ def modulus_scaling(
     plan = walk_plan(
         model, grid, lanes, n_paths, threads, fold_rows=lambda span: 2 * back + span + 1
     )
+    # row i holds node k0 + 1 - L + i, the L nodes before a span first.
+    # Nodes before 0 hold X_0: a pair (0, t) counted at a lag above t is
+    # also counted at t, so the running max over lags keeps its bits.
+    x_rows = np.empty((back + plan.span, plan.paths))  # for every chunk
 
     def moduli(draw, seg: Array) -> Array:
         """Row j: the modulus at lag distinct[j], a running max over lags."""
         per_lag = np.zeros((back, seg.shape[1]))
-        # row i holds node k0 + 1 - L + i, the L nodes before a span first.
-        # Nodes before 0 hold X_0: a pair (0, t) counted at a lag above t is
-        # also counted at t, so the running max over lags keeps its bits.
-        x = np.empty((back + plan.span, seg.shape[1]))
+        x = x_rows[:, : seg.shape[1]]
 
         def fold(k0, inc, windows):
             n = len(inc)

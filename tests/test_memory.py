@@ -19,10 +19,18 @@ Per path the estimate counts 8 B times
   checkpoint;
 * where a process has helper CPUs, the T rows of the span it draws ahead.
 
+A walk makes its ring windows, and the rows that the rate study's, the
+census's and the modulus run's folds reuse from span to span, once, for the
+plan's largest chunk, before its first chunk; every chunk walks in views of
+them.  A forked worker inherits them untouched and touches only its own
+copy, so each process that walks faults their pages in once, not once per
+chunk.
+
 The checks take each estimate from the plan of the same config and compare
 the resident high-water mark (``VmHWM``) of a run with that of a process
 that has imported the CLI and SciPy's ``special`` module (which every
-simulation loads) and parsed the same config.
+simulation loads) and parsed the same config.  ``VmHWM`` is per process,
+so the two interpreters start together.
 """
 
 from __future__ import annotations
@@ -50,8 +58,10 @@ N_REF = 1024
 PATHS = 2048  # one chunk
 
 
-def _vm_hwm_mib(tmp_path: Path, text: str, run: bool) -> float:
-    """VmHWM of a fresh interpreter that parses ``text`` and runs it or not."""
+def _rise_mib(tmp_path: Path, text: str) -> float:
+    """VmHWM of a fresh interpreter that parses ``text`` and runs it, less
+    that of one that parses it and imports SciPy's ``special``.  VmHWM is
+    per process, so the two interpreters start together."""
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text, encoding="utf-8")
     code = textwrap.dedent(
@@ -73,18 +83,29 @@ def _vm_hwm_mib(tmp_path: Path, text: str, run: bool) -> float:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(cfg), "run" if run else "parse"],
-        env=env,
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
-    assert out["code"] == 0
-    return out["kib"] / 1024.0
+    procs = {
+        mode: subprocess.Popen(
+            [sys.executable, "-c", code, str(cfg), mode],
+            env=env,
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for mode in ("run", "parse")
+    }
+    kib = {}
+    try:
+        for mode, proc in procs.items():
+            stdout, stderr = proc.communicate(timeout=300)
+            assert proc.returncode == 0, stderr
+            out = json.loads(stdout.splitlines()[-1])
+            assert out["code"] == 0
+            kib[mode] = out["kib"]
+    finally:
+        for proc in procs.values():
+            proc.kill()
+    return (kib["run"] - kib["parse"]) / 1024.0
 
 
 def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
@@ -95,9 +116,7 @@ def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
     rises, plans = {}, {}
     for horizon in horizons:
         text = base_text + f"horizon = {horizon}\n"
-        rises[horizon] = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(
-            tmp_path, text, run=False
-        )
+        rises[horizon] = _rise_mib(tmp_path, text)
         cfg = tmp_path / "plan.cfg"
         cfg.write_text(text, encoding="utf-8")
         config = cli.parse_config(str(cfg))
@@ -199,7 +218,7 @@ def test_mean_check_memory_counts_the_span_drawn_ahead(tmp_path, plan_of):
         "initial.median = 1.0\ninitial.log_sd = 0.2\nhorizon = 3.0\n"
         f"n_paths = {2 * PATHS}\nthreads = 1\n"
     )
-    rise = _vm_hwm_mib(tmp_path, text, run=True) - _vm_hwm_mib(tmp_path, text, run=False)
+    rise = _rise_mib(tmp_path, text)
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(text, encoding="utf-8")
     config = cli.parse_config(str(cfg))

@@ -299,10 +299,15 @@ def test_walked_lanes_equal_whole_horizon_marches(walk):
             lo, hi = k0 // r, (k0 + len(increments)) // r
             square_rows(window, g.n_per_delay + lo, hi + 1 - lo, out=x[lo:])
 
+    def walked(draw, chunk_seg):
+        # one chunk of every path, drawn as inc and seg are
+        assert draw.paths == paths and np.array_equal(_bits(chunk_seg), _bits(seg))
+        experiments.walk_blocks(plan, draw, chunk_seg, fold)
+        return chunk_seg[0]
+
     plan = experiments.walk_plan(model, fine, lanes, len(paths), 1, fold_rows=lambda span: 0)
-    experiments.walk_blocks(
-        replace(plan, span=span), lambda k0, k1: inc[k0:k1].copy(), seg, fold
-    )
+    plan = replace(plan, span=span)
+    experiments.map_paths(plan, 4, walked)
     assert fine.n_steps > span
     rows = [max(g.n_per_delay + 1, span // r + 1) for _, g, r in lanes]
     assert sizes == {tuple(rows)}
@@ -310,6 +315,70 @@ def test_walked_lanes_equal_whole_horizon_marches(walk):
         assert span > 256 and all(n == span // r + 1 for n, (_, _, r) in zip(rows, lanes))
     for x, y in zip(got, want):
         assert np.array_equal(_bits(x), _bits(y))
+
+
+def test_every_chunk_of_an_in_process_walk_marches_in_the_first_chunks_windows():
+    # three chunks of 21, 21 and 20 paths, two lanes, spans of 100 steps:
+    # every fold sees views of the windows that the first chunk's fold saw,
+    # which stay referenced, so a window made per chunk could not reuse them
+    model, grid = _grid(300)
+    lanes = [(model, grid, 1), (model, build_grid(model, 50), 2)]
+    plan = experiments.walk_plan(model, grid, lanes, 62, 1, fold_rows=lambda span: 0)
+    plan = replace(plan, chunks=3, paths=21, span=100)
+    seen = []
+
+    def reduce(draw, seg):
+        experiments.walk_blocks(plan, draw, seg, lambda k0, inc, windows: seen.append(windows))
+        return seg[0]
+
+    experiments.map_paths(plan, 4, reduce)
+    assert [[w.shape[1] for w in windows] for windows in seen] == 6 * [[21, 21]] + 3 * [[20, 20]]
+    first = seen[0]
+    assert all(np.shares_memory(w, v) for windows in seen for w, v in zip(windows, first))
+
+
+def test_a_forked_worker_marches_every_chunk_it_runs_in_one_window(monkeypatch):
+    # two workers on two usable CPUs run four chunks, at least one of them
+    # two chunks or more; each worker keeps every window its folds saw, so a
+    # window made per chunk would show a second data pointer in that worker
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    model, grid = _grid(300)
+    plan = replace(one_lane_plan(model, grid, PATHS, 2), chunks=4, paths=PATHS // 4, span=100)
+    assert plan.processes == 2
+    kept = []  # each worker appends to its own copy
+
+    def reduce(draw, seg):
+        experiments.walk_blocks(plan, draw, seg, lambda k0, inc, windows: kept.extend(windows))
+        mark = [[os.getpid()], [kept[-1].ctypes.data]]
+        return np.full((2, seg.shape[1]), mark)
+
+    got = experiments.map_paths(plan, 4, reduce)
+    assert kept == [] and multiprocessing.active_children() == []
+    pointers = {}
+    for i in range(plan.chunks):
+        ((pid, pointer),) = np.unique(got[:, i * plan.paths : (i + 1) * plan.paths], axis=1).T
+        pointers.setdefault(pid, set()).add(pointer)
+    assert all(len(seen) == 1 for seen in pointers.values()), pointers
+
+
+@pytest.mark.parametrize(
+    "name, rows", [("strong_rate", "x_coarse"), ("positivity", "x"), ("modulus", "x")]
+)
+def test_every_chunk_folds_in_the_first_chunks_span_rows(monkeypatch, name, rows):
+    # three chunks of 20 paths: the rows that each chunk's fold reuses from
+    # span to span, its closure's ``rows``, share memory with the first's
+    monkeypatch.setattr(experiments, "_CHUNK", PATHS // 3)
+    seen, walk = [], experiments.walk_blocks
+
+    def walking(plan, draw, seg, fold):
+        cells = dict(zip(fold.__code__.co_freevars, fold.__closure__))
+        seen.append(cells[rows].cell_contents)
+        walk(plan, draw, seg, fold)
+
+    monkeypatch.setattr(experiments, "walk_blocks", walking)
+    RUNS[name]()
+    assert len(seen) == 3 and seen[0].size
+    assert all(np.shares_memory(x, seen[0]) for x in seen)
 
 
 # ---------------------------------------------------------------------------
