@@ -90,8 +90,9 @@ _CHUNK = 2048
 # Bytes that one worker's chunk may hold while walk_blocks walks it: the ring
 # windows, one span's increments, and the block sums and fold rows beside
 # them (walk_plan).  A default strong-rate chunk of 2048 paths walks spans
-# of 512 steps in it (31.2 MiB), and held about as much in the fixed blocks
-# of 256 steps that the budget replaced.
+# of 512 steps in it on one usable CPU (31.2 MiB), or of 256 steps where a
+# helper CPU draws a span ahead (29.9 MiB); it held about as much in the
+# fixed blocks of 256 steps that the budget replaced.
 _WALK_BYTES = 32 << 20
 
 # The shortest span that walk_plan shrinks a chunk to fit, rounded up to a
@@ -144,14 +145,14 @@ class WalkPlan:
 
     @property
     def draw_cpus(self) -> int:
-        """The CPUs on which each process draws (:func:`map_paths`): its
-        share of :func:`_usable_cpus`, at least one."""
+        """The CPUs on which the walk draws (:func:`map_paths`): every one of
+        :func:`_usable_cpus` for a walk in one process, else 1."""
         return _draw_cpus(self.workers)
 
 
 def _draw_cpus(workers: int) -> int:
     """:attr:`WalkPlan.draw_cpus` of a plan for ``workers`` workers."""
-    return max(1, _usable_cpus() // min(workers, _usable_cpus()))
+    return _usable_cpus() if workers == 1 else 1
 
 
 def _usable_cpus() -> int:
@@ -222,8 +223,8 @@ def walk_plan(model, grid, lanes, n_paths, threads, *, fold_rows):
     chunk))`` chunks, or one per path, whose sizes differ by at most one
     path, so every worker gets the same number of chunks.  T is then the
     longest span that fits the largest chunk, and at least the shortest.
-    The run has min(``threads``, ``n_paths``) workers.  Where each of their
-    processes has helper CPUs (:attr:`WalkPlan.draw_cpus` above one), a
+    The run has min(``threads``, ``n_paths``) workers.  Where the run has
+    one worker and helper CPUs (:attr:`WalkPlan.draw_cpus` above one), a
     path holds one more span, T rows, beside the draw: the rows that
     :class:`~delay_cir.noise.DrawHelpers` fills while a span is marched.
     Temporaries of a byte per
@@ -291,11 +292,11 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     :func:`delay_cir.noise.generate`, so any step range equals the same rows
     of the whole draw; ``draw.paths`` is the chunk's range of the run's
     paths and ``draw.windows`` its ring windows (:func:`walk_blocks`).  With
-    :attr:`~WalkPlan.draw_cpus` above one, the draws run on
-    one :class:`~delay_cir.noise.DrawHelpers` for the walk in this process,
-    or for each chunk in a forked worker, and each draw fills the span of
-    the plan that follows it while the chunk marches: the chunk's next, or,
-    in this process, the next chunk's first.
+    :attr:`~WalkPlan.draw_cpus` above one, which only a walk in this process
+    has, the draws run on one :class:`~delay_cir.noise.DrawHelpers`, and
+    each draw fills the span of the plan that follows it while the chunk
+    marches: the chunk's next, or the next chunk's first.  A forked worker
+    draws on its own thread.
 
     The chunks are the plan's, which :func:`recorded_walks` collects.  With
     ``plan.processes == 1`` they run in this process.  Otherwise
@@ -319,19 +320,14 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
 
     def following(i: int, stop: int):
         """The span of the plan that a draw of chunk i up to step ``stop``
-        fills ahead, as :attr:`~delay_cir.noise.DrawHelpers.then`: none past
-        a forked worker's chunk, which ``imap`` may give the next chunk to
-        another worker."""
+        fills ahead, as :attr:`~delay_cir.noise.DrawHelpers.then`."""
         if stop < k:
             return _chunk_paths(plan.n_paths, plan.chunks, i), stop, min(stop + span, k)
-        if plan.processes == 1 and i + 1 < plan.chunks:
+        if i + 1 < plan.chunks:
             return _chunk_paths(plan.n_paths, plan.chunks, i + 1), 0, min(span, k)
         return None
 
-    def helping():
-        return noise_mod.DrawHelpers(plan.draw_cpus) if plan.draw_cpus > 1 else nullcontext()
-
-    def run(i: int, helpers) -> Array:
+    def run(i: int, helpers=None) -> Array:
         paths = _chunk_paths(plan.n_paths, plan.chunks, i)
 
         def draw(start: int = 0, stop: int | None = None) -> Array:
@@ -343,12 +339,9 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
         seg = noise_mod.sample_segment(plan.model.initial, plan.grid, seed, paths)
         return reduce(draw, seg)
 
-    def run_alone(i: int) -> Array:
-        with helping() as helpers:
-            return run(i, helpers)
-
     if plan.processes == 1:
-        with helping() as helpers:
+        cpus = plan.draw_cpus
+        with noise_mod.DrawHelpers(cpus) if cpus > 1 else nullcontext() as helpers:
             return _gather(plan.n_paths, (run(i, helpers) for i in range(plan.chunks)))
     # Imported here, before the fork, so the workers inherit them.
     import multiprocessing
@@ -356,7 +349,7 @@ def map_paths(plan: WalkPlan, seed: int, reduce) -> Array:
     import scipy.special  # noqa: F401 - the draws' ndtri
 
     with multiprocessing.get_context("fork").Pool(
-        plan.processes, initializer=_inherit_chunk_runner, initargs=(run_alone,)
+        plan.processes, initializer=_inherit_chunk_runner, initargs=(run,)
     ) as pool:
         # imap yields in chunk order, so a failure surfaces in path order
         return _gather(plan.n_paths, pool.imap(_run_inherited_chunk, range(plan.chunks)))

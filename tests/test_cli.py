@@ -188,8 +188,8 @@ def test_reruns_are_byte_identical_and_thread_independent(tmp_path):
 def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
     # the default levels over 1536 fine steps and 2048 paths: one chunk in
     # spans of 512 steps on one worker, chunks of 1024 paths in one span of
-    # the whole horizon on two; a process with helper CPUs draws a span
-    # ahead, which halves the first's spans and shortens the second's
+    # the whole horizon on two; a walk in one process with helper CPUs draws
+    # a span ahead, which halves its spans
     cfg = _write_config(tmp_path, "horizon = 0.75\nn_paths = 2048\n")
     walks = {}
     for workers in (1, 2):
@@ -210,16 +210,16 @@ def test_manifest_records_the_walk_and_products_do_not_follow_it(tmp_path):
     for name in ("errors.csv", "ratefit.csv"):
         assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
     one, two = walks[1], walks[2]
-    # each process draws on its share of the CPUs, which sits outside the
-    # config and its hash
+    # one worker draws on every CPU, two forked workers on one each, which
+    # sits outside the config and its hash
     usable = experiments._usable_cpus()
     assert one["walk_draw_cpus"] == usable
-    assert two["walk_draw_cpus"] == max(1, usable // min(2, usable))
+    assert two["walk_draw_cpus"] == 1
     assert [key for key in walks[1] if key.startswith("walk_draw")] == ["walk_draw_cpus"]
     ahead = one["walk_draw_cpus"] > 1
     assert (one["walk_span_steps"], one["walk_chunk_paths"]) == ((256 if ahead else 512), 2048)
     assert two["walk_chunk_paths"] == 1024
-    assert two["walk_span_steps"] == (1024 if two["walk_draw_cpus"] > 1 else 1536)
+    assert two["walk_span_steps"] == 1536
     # the estimate of all workers, each within the 32 MiB budget
     assert 29.5 < one["walk_memory_estimate_mib"] <= 32.0
     assert 32.0 < two["walk_memory_estimate_mib"] <= 64.0

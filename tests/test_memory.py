@@ -17,7 +17,8 @@ Per path the estimate counts 8 B times
   modulus run's per-lag maxima and the X of a span with the L nodes before
   it, L the largest lag (2 L + T + 1 rows), a mean check's row per
   checkpoint;
-* where a process has helper CPUs, the T rows of the span it draws ahead.
+* where a walk in one process has helper CPUs, the T rows of the span it
+  draws ahead.
 
 A walk makes its ring windows, and the rows that the rate study's, the
 census's and the modulus run's folds reuse from span to span, once, for the
@@ -30,7 +31,8 @@ The checks take each estimate from the plan of the same config and compare
 the resident high-water mark (``VmHWM``) of a run with that of a process
 that has imported the CLI and SciPy's ``special`` module (which every
 simulation loads) and parsed the same config.  ``VmHWM`` is per process,
-so the two interpreters start together.
+so every interpreter of a test starts together, each config's pair in a
+directory of its own.
 """
 
 from __future__ import annotations
@@ -58,12 +60,11 @@ N_REF = 1024
 PATHS = 2048  # one chunk
 
 
-def _rise_mib(tmp_path: Path, text: str) -> float:
-    """VmHWM of a fresh interpreter that parses ``text`` and runs it, less
-    that of one that parses it and imports SciPy's ``special``.  VmHWM is
-    per process, so the two interpreters start together."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(text, encoding="utf-8")
+def _rises_mib(runs: dict) -> dict:
+    """For each ``(directory, text)`` of ``runs``, VmHWM of a fresh
+    interpreter that parses ``text`` and runs it there, less that of one
+    that parses it and imports SciPy's ``special``, by the key of ``runs``.
+    VmHWM is per process, so every interpreter starts together."""
     code = textwrap.dedent(
         """
         import json, sys
@@ -83,29 +84,32 @@ def _rise_mib(tmp_path: Path, text: str) -> float:
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
-    procs = {
-        mode: subprocess.Popen(
-            [sys.executable, "-c", code, str(cfg), mode],
-            env=env,
-            cwd=tmp_path,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            text=True,
-        )
-        for mode in ("run", "parse")
-    }
-    kib = {}
+    procs = {}
     try:
-        for mode, proc in procs.items():
+        for key, (directory, text) in runs.items():
+            directory.mkdir(exist_ok=True)
+            cfg = directory / "run.cfg"
+            cfg.write_text(text, encoding="utf-8")
+            for mode in ("run", "parse"):
+                procs[key, mode] = subprocess.Popen(
+                    [sys.executable, "-c", code, str(cfg), mode],
+                    env=env,
+                    cwd=directory,
+                    stdout=subprocess.PIPE,
+                    stderr=subprocess.PIPE,
+                    text=True,
+                )
+        kib = {}
+        for (key, mode), proc in procs.items():
             stdout, stderr = proc.communicate(timeout=300)
             assert proc.returncode == 0, stderr
             out = json.loads(stdout.splitlines()[-1])
             assert out["code"] == 0
-            kib[mode] = out["kib"]
+            kib[key, mode] = out["kib"]
     finally:
         for proc in procs.values():
             proc.kill()
-    return (kib["run"] - kib["parse"]) / 1024.0
+    return {key: (kib[key, "run"] - kib[key, "parse"]) / 1024.0 for key in runs}
 
 
 def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
@@ -113,10 +117,10 @@ def _rises_and_plan(tmp_path, plan_of, base_text, horizons, n_per_delay):
     walk plan, whose span and chunk are the same at each: every horizon (over
     the default delay 0.5, at ``n_per_delay`` finest steps per delay) is
     longer than a span."""
-    rises, plans = {}, {}
-    for horizon in horizons:
-        text = base_text + f"horizon = {horizon}\n"
-        rises[horizon] = _rise_mib(tmp_path, text)
+    texts = {horizon: base_text + f"horizon = {horizon}\n" for horizon in horizons}
+    rises = _rises_mib({h: (tmp_path / f"horizon-{h}", text) for h, text in texts.items()})
+    plans = {}
+    for text in texts.values():
         cfg = tmp_path / "plan.cfg"
         cfg.write_text(text, encoding="utf-8")
         config = cli.parse_config(str(cfg))
@@ -218,7 +222,7 @@ def test_mean_check_memory_counts_the_span_drawn_ahead(tmp_path, plan_of):
         "initial.median = 1.0\ninitial.log_sd = 0.2\nhorizon = 3.0\n"
         f"n_paths = {2 * PATHS}\nthreads = 1\n"
     )
-    rise = _rise_mib(tmp_path, text)
+    (rise,) = _rises_mib({None: (tmp_path, text)}).values()
     cfg = tmp_path / "plan.cfg"
     cfg.write_text(text, encoding="utf-8")
     config = cli.parse_config(str(cfg))

@@ -510,10 +510,10 @@ def test_no_experiment_draws_more_than_one_block(monkeypatch, name):
 # ---------------------------------------------------------------------------
 
 
-def test_draw_cpus_are_each_process_share_of_the_usable_cpus(monkeypatch):
+def test_draw_cpus_are_every_usable_cpu_in_process_and_one_in_a_forked_worker(monkeypatch):
     model, grid = _grid(300)
     for usable, workers, processes, cpus in (
-        (2, 1, 1, 2), (2, 2, 2, 1), (3, 1, 1, 3), (3, 2, 2, 1), (4, 2, 2, 2), (1, 3, 1, 1)
+        (2, 1, 1, 2), (2, 2, 2, 1), (3, 1, 1, 3), (3, 2, 2, 1), (4, 2, 2, 1), (1, 3, 1, 1)
     ):
         monkeypatch.setattr(experiments, "_usable_cpus", lambda: usable)
         plan = one_lane_plan(model, grid, 4 * PATHS, workers)
@@ -522,9 +522,8 @@ def test_draw_cpus_are_each_process_share_of_the_usable_cpus(monkeypatch):
 
 @pytest.mark.parametrize("workers, cpus", [(1, 2), (2, 1)])
 def test_map_paths_passes_each_process_its_draw_cpus(monkeypatch, workers, cpus):
-    # one process on two CPUs finishes its draws on both; two processes
-    # finish theirs on one each, in forked workers that report the cpus
-    # of the helpers they were given, or one where they have none
+    # one process on two CPUs finishes its draws on both; two forked
+    # workers are given no helpers and report one CPU each
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
 
     def given(grid, seed, path_index, start=0, stop=None, *, helpers=None):
@@ -671,7 +670,7 @@ def test_no_helper_thread_outlives_a_walk_drawn_ahead(monkeypatch, fail):
 
 
 # ---------------------------------------------------------------------------
-# one pool of helper threads per drawing process
+# one pool of helper threads per in-process walk
 # ---------------------------------------------------------------------------
 
 
@@ -718,14 +717,14 @@ def test_an_in_process_walk_makes_one_pool(monkeypatch, name):
     assert plan.chunks * spans > 2
 
 
-def test_a_forked_worker_makes_one_pool_per_chunk(monkeypatch):
-    # two workers on four usable CPUs finish their draws on two threads
-    # each: every chunk, of two draws, makes a pool of its own in the
-    # worker that runs it, and none is made, nor any helper thread alive,
-    # in this process, at the fork or after it; the bits are those of
-    # plain draws
+def test_a_forked_walk_draws_on_each_workers_own_thread(monkeypatch):
+    # two workers on four usable CPUs: no process makes a pool or fills a
+    # span ahead, whatever spare CPUs it has, and no helper thread is alive
+    # in this process at the fork or after it; the bits are those of plain
+    # draws
     monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    made = _pools_made(monkeypatch)
+    made = _pools_made(monkeypatch)  # the workers inherit the records
+    filled, taken = _spans_ahead(monkeypatch)
     fork = multiprocessing.get_context("fork")
     at_fork = []
 
@@ -736,27 +735,20 @@ def test_a_forked_worker_makes_one_pool_per_chunk(monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "get_context", lambda method: Context())
     model, grid = _grid(300)
-    plan = replace(one_lane_plan(model, grid, PATHS, 2), chunks=6, paths=PATHS // 6)
-    assert (plan.processes, plan.draw_cpus) == (2, 2)
+    plan = replace(one_lane_plan(model, grid, PATHS, 2), chunks=6, paths=PATHS // 6, span=100)
+    assert (plan.processes, plan.draw_cpus) == (2, 1)
+    k = grid.n_steps
 
     def reduce(draw, seg):
-        inc = np.concatenate([draw(0, 150), draw(150, 300)])
-        pid = os.getpid()
-        return np.vstack([inc, np.full((2, inc.shape[1]), [[pid], [made.count(pid)]])])
+        inc = np.concatenate([draw(k0, k0 + 100) for k0 in range(0, k, 100)])
+        assert made == filled == taken == [], (made, filled, taken)
+        return inc
 
     before = threading.active_count()
     got = experiments.map_paths(plan, 4, reduce)
     assert at_fork == [before] and threading.active_count() == before
-    assert made == [] and multiprocessing.active_children() == []
-    k = grid.n_steps
-    assert np.array_equal(_bits(got[:k]), _bits(noise.generate(grid, 4, range(PATHS))))
-    # each chunk's paths see one worker and the count of pools it had made
-    seen = {}
-    for i in range(plan.chunks):
-        ((pid, count),) = np.unique(got[k:, i * plan.paths : (i + 1) * plan.paths], axis=1).T
-        seen.setdefault(pid, []).append(count)
-    assert sum(len(counts) for counts in seen.values()) == plan.chunks
-    assert all(counts == list(range(1, len(counts) + 1)) for counts in seen.values())
+    assert made == filled == taken == [] and multiprocessing.active_children() == []
+    assert np.array_equal(_bits(got), _bits(noise.generate(grid, 4, range(PATHS))))
 
 
 @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
@@ -782,30 +774,6 @@ def test_no_helper_thread_outlives_a_walk_not_drawn_ahead(monkeypatch, fail):
     assert len(made) == 1 and filled == []
     if not fail:
         assert np.array_equal(_bits(got), _bits(noise.generate(plan.grid, 4, range(PATHS))))
-
-
-def test_a_forked_worker_fills_ahead_only_its_own_chunk(monkeypatch):
-    # two workers on four usable CPUs draw on two threads each.  imap may
-    # give the next chunk to the other worker, so each chunk of three spans
-    # of 100 steps fills exactly its own second and third ahead, and its
-    # last draw fills none; a chunk's assertion error reaches this process.
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 4)
-    model, grid = _grid(300)
-    plan = replace(one_lane_plan(model, grid, PATHS, 2), chunks=6, paths=PATHS // 6, span=100)
-    assert (plan.processes, plan.draw_cpus) == (2, 2)
-    filled, taken = _spans_ahead(monkeypatch)  # the workers inherit the records
-    k = grid.n_steps
-
-    def reduce(draw, seg):
-        seen = len(filled), len(taken)
-        inc = np.concatenate([draw(k0, k0 + 100) for k0 in range(0, k, 100)])
-        own = [(draw.paths, 100, 200), (draw.paths, 200, 300)]
-        assert filled[seen[0] :] == taken[seen[1] :] == own, (filled, taken)
-        return inc
-
-    got = experiments.map_paths(plan, 4, reduce)
-    assert filled == taken == [] and multiprocessing.active_children() == []
-    assert np.array_equal(_bits(got), _bits(noise.generate(grid, 4, range(PATHS))))
 
 
 @pytest.mark.parametrize("usable", [1, 2, 3])
